@@ -255,14 +255,19 @@ def _report(path: str, err) -> str:
     return f"{path}: {head}: {err}"
 
 
+def _read_source(path: str) -> str:
+    """The text of a UTF-8 source file; raises OSError or UnicodeDecodeError."""
+    with open(path, "r", encoding="utf-8") as f:
+        return f.read()
+
+
 def run_check(paths, show_codes=False, trace=False, recheck=True, stdout=None) -> int:
     out = stdout or sys.stdout
     sess = Session(recheck=recheck, trace=trace, show_codes=show_codes)
     for path in paths:
         try:
-            with open(path, "r", encoding="utf-8") as f:
-                text = f.read()
-        except OSError as e:
+            text = _read_source(path)
+        except (OSError, UnicodeDecodeError) as e:
             print(_report(path, e), file=out)
             return 2
         try:
@@ -287,11 +292,12 @@ def run_eval(paths, expr: str, stdout=None) -> int:
     sess = Session()
     for path in paths:
         try:
-            with open(path, "r", encoding="utf-8") as f:
-                sess.load_text(f.read(), path)
-        except OSError as e:
+            text = _read_source(path)
+        except (OSError, UnicodeDecodeError) as e:
             print(_report(path, e), file=out)
             return 2
+        try:
+            sess.load_text(text, path)
         except S.ParseError as e:
             print(_report(path, e), file=out)
             return 2
@@ -314,11 +320,12 @@ def run_repl(paths, stdin=None, stdout=None) -> int:
     sess = Session()
     for path in paths:
         try:
-            with open(path, "r", encoding="utf-8") as f:
-                sess.load_text(f.read(), path)
-        except OSError as e:
+            text = _read_source(path)
+        except (OSError, UnicodeDecodeError) as e:
             print(_report(path, e), file=out)
             return 2
+        try:
+            sess.load_text(text, path)
         except (S.ParseError, ElabError, KernelError, G.GenericsError) as e:
             print(_report(path, e), file=out)
             return 1

@@ -1,8 +1,10 @@
 """Bidirectional kernel checker for the core language.
 
-Judgmental equality is normalization (evaluate, read back) followed by
-alpha-comparison; universes are three fixed levels with cumulativity as a
-subtyping check at conversion points.
+Judgmental equality compares values structurally (`values.convertible`):
+neutrals by head level and then frame by frame, binders under one fresh
+variable, with exactly the verdict of reading both sides back and comparing
+the terms for alpha-equality. Universes are three fixed levels with
+cumulativity as a subtyping check at conversion points.
 """
 
 from __future__ import annotations
@@ -77,9 +79,7 @@ def normalize(ctx: Context, t: Term) -> Term:
 
 
 def conv(ctx: Context, a: Value, b: Value) -> bool:
-    if a is b:
-        return True
-    return V.quote(a, ctx.depth) == V.quote(b, ctx.depth)
+    return V.convertible(a, b, ctx.depth)
 
 
 def conv_le(ctx: Context, got: Value, want: Value) -> bool:
@@ -90,7 +90,7 @@ def conv_le(ctx: Context, got: Value, want: Value) -> bool:
 
 
 def def_eq(ctx: Context, t: Term, u: Term) -> bool:
-    return normalize(ctx, t) == normalize(ctx, u)
+    return conv(ctx, ctx.eval(t), ctx.eval(u))
 
 
 def infer_sort(ctx: Context, t: Term) -> tuple:
@@ -110,7 +110,14 @@ def check_is_type(ctx: Context, t: Term, max_level: int = 2) -> tuple:
 
 def _motive_check(ctx: Context, p: Term, dom_maker) -> tuple:
     """Check a motive against dom -> Set k for the smallest admissible k;
-    returns (motive value, k). dom_maker(k) builds the candidate Pi type."""
+    returns (motive value, k). dom_maker(k) builds the candidate Pi type.
+
+    A lambda motive gets its level from one inference of its body. Other
+    motives, and every failure, go through the tries at k = 0, 1, 2, whose
+    last error is the one reported."""
+    k = _lambda_motive_level(ctx, p, dom_maker(0))
+    if k is not None:
+        return ctx.eval(p), k
     last = None
     for k in (0, 1, 2):
         want = dom_maker(k)
@@ -120,6 +127,30 @@ def _motive_check(ctx: Context, p: Term, dom_maker) -> tuple:
         except KernelError as e:
             last = e
     raise last if last is not None else KernelError("TypeMismatch", p, "motive")
+
+
+def _lambda_motive_level(ctx: Context, p: Term, want: Value) -> Optional[int]:
+    """The smallest k at which the lambda `p` checks against `want` with its
+    final `Set 0` raised to `Set k`, or None if that takes the full check.
+
+    The binders are checked as `check` would; the body then checks against
+    `Set k` exactly when it infers `Set j` with j <= k, since none of the
+    checking-only forms has a universe as its type."""
+    try:
+        while isinstance(p, T.Lam) and isinstance(want, V.VPi):
+            if p.ann is not None:
+                annv, _ = check_is_type(ctx, p.ann)
+                if not conv(ctx, annv, want.dom):
+                    return None
+            x = V.fresh(ctx.depth)
+            ctx = ctx.extend(p.nm, want.dom)
+            want, p = want.cod(x), p.body
+        if not isinstance(want, V.VSet):
+            return None
+        got = infer(ctx, p)
+    except KernelError:
+        return None
+    return got.level if isinstance(got, V.VSet) else None
 
 
 def _pi_to(dom: Value, mk_cod) -> Value:

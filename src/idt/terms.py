@@ -8,12 +8,16 @@ alpha-equality.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Optional, Union
 
 
 TAG_CHARS = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_-")
 
 
+# every `Tag` validates its name, and readback builds one per tag it meets,
+# so the few names a program uses are checked over and over
+@lru_cache(maxsize=1024)
 def valid_tag(name: str) -> bool:
     return bool(name) and all(c in TAG_CHARS for c in name)
 

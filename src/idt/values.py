@@ -7,6 +7,7 @@ stuck eliminations form neutral spines headed by a variable. Readback
 
 from __future__ import annotations
 
+import dataclasses
 import sys
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -277,13 +278,20 @@ class FSnd:
 
 
 class FGeneric:
-    """Stuck builtin elimination; `rebuild` reconstructs the term around the
-    quoted owner."""
+    """Stuck builtin elimination, the term `kind(*fields)`.
 
-    __slots__ = ("rebuild",)
+    `fields` are the eliminator's arguments in the order of the term
+    constructor `kind`: values, tuples of values, description labels or a
+    head name. Field `owner_at` holds the neutral this frame extends, possibly
+    under `VSucE` wrappers; readback puts the quoted spine prefix there.
+    """
 
-    def __init__(self, rebuild: Callable[[Term, int], Term]):
-        self.rebuild = rebuild
+    __slots__ = ("kind", "fields", "owner_at")
+
+    def __init__(self, kind: type, fields: tuple, owner_at: int):
+        self.kind = kind
+        self.fields = fields
+        self.owner_at = owner_at
 
 
 @dataclass(frozen=True)
@@ -301,6 +309,10 @@ def fresh(lvl: int) -> VNeutral:
 
 def _extend(n: VNeutral, frame) -> VNeutral:
     return VNeutral(n.lvl, n.spine + (frame,))
+
+
+def _stuck(owner: VNeutral, kind: type, fields: tuple, owner_at: int) -> VNeutral:
+    return _extend(owner, FGeneric(kind, fields, owner_at))
 
 
 def vapp(f: Value, a: Value) -> Value:
@@ -350,28 +362,13 @@ def vswitch(enum: Value, fam: Value, cases: Value, scrut: Value) -> Value:
             vsnd(cases),
             scrut.pred,
         )
-
-    def rebuild(owner: Term, d: int, wrap=scrut, e=enum, p=fam, es=cases) -> Term:
-        x = owner
-        w = wrap
-        sucs = 0
-        while isinstance(w, VSucE):
-            sucs += 1
-            w = w.pred
-        for _ in range(sucs):
-            x = T.SucE(x)
-        return T.Switch(quote(e, d), quote(p, d), quote(es, d), x)
-
-    owner = scrut if isinstance(scrut, VNeutral) else _stuck_inner_neutral(scrut)
-    if owner is None and isinstance(enum, VNeutral):
-        owner = enum
-
-        def rebuild(owner_t: Term, d: int, p=fam, es=cases, x=scrut) -> Term:
-            return T.Switch(owner_t, quote(p, d), quote(es, d), quote(x, d))
-
-    if owner is None:
-        raise EvalError("switch stuck on non-neutral scrutinee")
-    return _extend(owner, FGeneric(rebuild))
+    fields = (enum, fam, cases, scrut)
+    owner = _stuck_inner_neutral(scrut)
+    if owner is not None:
+        return _stuck(owner, T.Switch, fields, 3)
+    if isinstance(enum, VNeutral):
+        return _stuck(enum, T.Switch, fields, 0)
+    raise EvalError("switch stuck on non-neutral scrutinee")
 
 
 def vpie(enum: Value, fam: Value) -> Value:
@@ -383,7 +380,7 @@ def vpie(enum: Value, fam: Value) -> Value:
         rest = enum.rest
         return VSigma("_", head, PyClo(lambda _v: vpie(rest, rest_fam)))
     if isinstance(enum, VNeutral):
-        return _extend(enum, FGeneric(lambda o, d, p=fam: T.PiE(o, quote(p, d))))
+        return _stuck(enum, T.PiE, (enum, fam), 0)
     raise EvalError("pi-enum on non-enumeration")
 
 
@@ -406,7 +403,7 @@ def vinterp(code: Value, x: Value) -> Value:
         fam, xx = code.fam, x
         return VSigma("c", VEnumT(code.enum), PyClo(lambda c: vinterp(vapp(fam, c), xx)))
     if isinstance(code, VNeutral):
-        return _extend(code, FGeneric(lambda o, d, xx=x: T.InterpDesc(o, quote(xx, d))))
+        return _stuck(code, T.InterpDesc, (code, x), 0)
     raise EvalError(f"interp of non-code {type(code).__name__}")
 
 
@@ -429,7 +426,7 @@ def vinterp_i(code: Value, x: Value) -> Value:
         fam, xx = code.fam, x
         return VSigma("c", VEnumT(code.enum), PyClo(lambda c: vinterp_i(vapp(fam, c), xx)))
     if isinstance(code, VNeutral):
-        return _extend(code, FGeneric(lambda o, d, xx=x: T.InterpIDesc(o, quote(xx, d))))
+        return _stuck(code, T.InterpIDesc, (code, x), 0)
     raise EvalError(f"indexed interp of non-code {type(code).__name__}")
 
 
@@ -448,10 +445,7 @@ def vall(code: Value, x: Value, p: Value, d: Value) -> Value:
     if isinstance(code, (VDSigma, VDSigmaE)):
         return vall(vapp(code.fam, vfst(d)), x, p, vsnd(d))
     if isinstance(code, VNeutral):
-        return _extend(
-            code,
-            FGeneric(lambda o, dep, xx=x, pp=p, dd=d: T.AllD(o, quote(xx, dep), quote(pp, dep), quote(dd, dep))),
-        )
+        return _stuck(code, T.AllD, (code, x, p, d), 0)
     raise EvalError(f"All over non-code {type(code).__name__}")
 
 
@@ -470,10 +464,7 @@ def viall(code: Value, x: Value, p: Value, d: Value) -> Value:
     if isinstance(code, (VDSigma, VDSigmaE)):
         return viall(vapp(code.fam, vfst(d)), x, p, vsnd(d))
     if isinstance(code, VNeutral):
-        return _extend(
-            code,
-            FGeneric(lambda o, dep, xx=x, pp=p, dd=d: T.IAllD(o, quote(xx, dep), quote(pp, dep), quote(dd, dep))),
-        )
+        return _stuck(code, T.IAllD, (code, x, p, d), 0)
     raise EvalError(f"IAll over non-code {type(code).__name__}")
 
 
@@ -493,14 +484,7 @@ def vallmap(code: Value, x: Value, p: Value, rec: Value, d: Value) -> Value:
     if isinstance(code, (VDSigma, VDSigmaE)):
         return vallmap(vapp(code.fam, vfst(d)), x, p, rec, vsnd(d))
     if isinstance(code, VNeutral):
-        return _extend(
-            code,
-            FGeneric(
-                lambda o, dep, xx=x, pp=p, rr=rec, dd=d: T.AllMap(
-                    o, quote(xx, dep), quote(pp, dep), quote(rr, dep), quote(dd, dep)
-                )
-            ),
-        )
+        return _stuck(code, T.AllMap, (code, x, p, rec, d), 0)
     raise EvalError(f"all-map over non-code {type(code).__name__}")
 
 
@@ -520,14 +504,7 @@ def viallmap(code: Value, x: Value, p: Value, rec: Value, d: Value) -> Value:
     if isinstance(code, (VDSigma, VDSigmaE)):
         return viallmap(vapp(code.fam, vfst(d)), x, p, rec, vsnd(d))
     if isinstance(code, VNeutral):
-        return _extend(
-            code,
-            FGeneric(
-                lambda o, dep, xx=x, pp=p, rr=rec, dd=d: T.IAllMap(
-                    o, quote(xx, dep), quote(pp, dep), quote(rr, dep), quote(dd, dep)
-                )
-            ),
-        )
+        return _stuck(code, T.IAllMap, (code, x, p, rec, d), 0)
     raise EvalError(f"indexed all-map over non-code {type(code).__name__}")
 
 
@@ -537,12 +514,7 @@ def vinduction(code: Value, p: Value, m: Value, x: Value) -> Value:
         hyp = vallmap(code, VMu(code), p, rec, x.payload)
         return vapps(m, x.payload, hyp)
     if isinstance(x, VNeutral):
-        return _extend(
-            x,
-            FGeneric(
-                lambda o, d, cc=code, pp=p, mm=m: T.Induction(quote(cc, d), quote(pp, d), quote(mm, d), o)
-            ),
-        )
+        return _stuck(x, T.Induction, (code, p, m, x), 3)
     raise EvalError("induction on non-canonical scrutinee")
 
 
@@ -557,14 +529,7 @@ def viinduction(ixty: Value, fam: Value, p: Value, m: Value, i: Value, x: Value)
         hyp = viallmap(code, xfam, p, rec, x.payload)
         return vapps(m, i, x.payload, hyp)
     if isinstance(x, VNeutral):
-        return _extend(
-            x,
-            FGeneric(
-                lambda o, d, tt=ixty, rr=fam, pp=p, mm=m, ii=i: T.IInduction(
-                    quote(tt, d), quote(rr, d), quote(pp, d), quote(mm, d), quote(ii, d), o
-                )
-            ),
-        )
+        return _stuck(x, T.IInduction, (ixty, fam, p, m, i, x), 5)
     raise EvalError("indexed induction on non-canonical scrutinee")
 
 
@@ -572,10 +537,7 @@ def vsplit(p: Value, m: Value, scrut: Value) -> Value:
     if isinstance(scrut, VPair):
         return vapps(m, scrut.fst, scrut.snd)
     if isinstance(scrut, VNeutral):
-        return _extend(
-            scrut,
-            FGeneric(lambda o, d, pp=p, mm=m: T.Split(quote(pp, d), quote(mm, d), o)),
-        )
+        return _stuck(scrut, T.Split, (p, m, scrut), 2)
     raise EvalError("split on non-pair")
 
 
@@ -583,10 +545,7 @@ def veqelim(motive: Value, base: Value, proof: Value) -> Value:
     if isinstance(proof, VRefl):
         return base
     if isinstance(proof, VNeutral):
-        return _extend(
-            proof,
-            FGeneric(lambda o, d, mm=motive, bb=base: T.EqElim(quote(mm, d), quote(bb, d), o)),
-        )
+        return _stuck(proof, T.EqElim, (motive, base, proof), 2)
     raise EvalError("eq-elim on non-proof")
 
 
@@ -594,18 +553,7 @@ def vlcall(head: str, args: tuple, argtys: tuple, ty: Value, body: Value) -> Val
     if isinstance(body, VLRet):
         return body.val
     if isinstance(body, VNeutral):
-        return _extend(
-            body,
-            FGeneric(
-                lambda o, d, aa=args, ats=argtys, tt=ty: T.LCall(
-                    head,
-                    tuple(quote(a, d) for a in aa),
-                    tuple(quote(a, d) for a in ats),
-                    quote(tt, d),
-                    o,
-                )
-            ),
-        )
+        return _stuck(body, T.LCall, (head, args, argtys, ty, body), 4)
     raise EvalError("call on non-return")
 
 
@@ -613,10 +561,7 @@ def vdcall(label: VDLabel, body: Value) -> Value:
     if isinstance(body, VDRet):
         return VDSigmaE(body.enum, body.fam)
     if isinstance(body, VNeutral):
-        return _extend(
-            body,
-            FGeneric(lambda o, d, ll=label: T.DCall(quote_label(ll, d), o)),
-        )
+        return _stuck(body, T.DCall, (label, body), 1)
     raise EvalError("description call on non-return")
 
 
@@ -711,40 +656,15 @@ def vdeceq(enum: Value, lhs: Value, rhs: Value) -> Value:
         if refut is not None:
             return VPair(VSucE(VZeroE()), refut)
 
-    def pick_owner() -> Optional[VNeutral]:
-        for v in (lhs, rhs, enum):
-            if isinstance(v, VNeutral):
-                return v
-        for v in (lhs, rhs):
-            inner = _stuck_inner_neutral(v)
-            if inner is not None:
-                return inner
-        return None
-
-    owner = pick_owner()
-    if owner is None:
-        raise EvalError("decidable enum equality stuck on canonical input")
-
-    def rebuild(o: Term, d: int, e=enum, x=lhs, y=rhs, own=owner) -> Term:
-        def q(v: Value) -> Term:
-            return o if v is own else quote(v, d)
-
-        def qnum(v: Value) -> Term:
-            sucs = 0
-            w = v
-            while isinstance(w, VSucE):
-                sucs += 1
-                w = w.pred
-            if w is own:
-                t: Term = o
-                for _ in range(sucs):
-                    t = T.SucE(t)
-                return t
-            return quote(v, d)
-
-        return T.DecEqEnum(q(e), qnum(x), qnum(y))
-
-    return _extend(owner, FGeneric(rebuild))
+    fields = (enum, lhs, rhs)
+    for at in (1, 2, 0):
+        if isinstance(fields[at], VNeutral):
+            return _stuck(fields[at], T.DecEqEnum, fields, at)
+    for at in (1, 2):
+        inner = _stuck_inner_neutral(fields[at])
+        if inner is not None:
+            return _stuck(inner, T.DecEqEnum, fields, at)
+    raise EvalError("decidable enum equality stuck on canonical input")
 
 
 def vdecidable(prop: Value) -> Value:
@@ -1017,6 +937,190 @@ def quote(v: Value, d: int) -> Term:
                 elif isinstance(f, FSnd):
                     t = T.Snd(t)
                 else:
-                    t = f.rebuild(t, d)
+                    t = _quote_stuck(f, t, d)
             return t
     raise EvalError(f"cannot quote {type(v).__name__}")
+
+
+def _quote_stuck(f: FGeneric, owner: Term, d: int) -> Term:
+    """Read back a stuck elimination around its quoted spine prefix."""
+    args = []
+    for at, x in enumerate(f.fields):
+        if at == f.owner_at:
+            while isinstance(x, VSucE):
+                owner = T.SucE(owner)
+                x = x.pred
+            args.append(owner)
+        elif isinstance(x, Value):
+            args.append(quote(x, d))
+        elif isinstance(x, tuple):
+            args.append(tuple(quote(a, d) for a in x))
+        elif isinstance(x, VDLabel):
+            args.append(quote_label(x, d))
+        else:
+            args.append(x)  # a label head
+    return f.kind(*args)
+
+
+# --- conversion ---------------------------------------------------------------
+
+
+def convertible(a: Value, b: Value, d: int) -> bool:
+    """Whether `quote(a, d) == quote(b, d)`, decided on the values themselves.
+
+    The comparison stops at the first mismatch and opens a pair of closures
+    only when they differ, under one fresh variable. It ignores exactly what
+    term equality ignores (binder names, the `ixty` of `IMu` and `IInduction`,
+    the argument types of labels and the entry types of description labels)
+    and keeps readback's one eta rule: at index type `Unit`, every index of
+    `IMu` reads back as void.
+    """
+    while a is not b:
+        cls = type(a)
+        if cls is not type(b):
+            return False
+        if cls is VIn:
+            a, b = a.payload, b.payload
+        elif cls is VPair:
+            if not convertible(a.fst, b.fst, d):
+                return False
+            a, b = a.snd, b.snd
+        elif cls is VSucE:
+            a, b = a.pred, b.pred
+        else:
+            rule = _CONV_RULES.get(cls)
+            if rule is None:
+                raise EvalError(f"cannot compare {cls.__name__}")
+            return rule(a, b, d)
+    return True
+
+
+def _conv_clo(f, g, d: int) -> bool:
+    if f is g or (type(f) is Clo and type(g) is Clo and f.term is g.term and f.env is g.env):
+        return True
+    x = fresh(d)
+    return convertible(f(x), g(x), d + 1)
+
+
+def _conv_binder(a, b, d: int) -> bool:
+    return convertible(a.dom, b.dom, d) and _conv_clo(a.cod, b.cod, d)
+
+
+def _conv_fields(*names: str):
+    def rule(a, b, d: int) -> bool:
+        for n in names:
+            if not convertible(getattr(a, n), getattr(b, n), d):
+                return False
+        return True
+
+    return rule
+
+
+def _conv_all(xs: tuple, ys: tuple, d: int) -> bool:
+    return len(xs) == len(ys) and all(convertible(x, y, d) for x, y in zip(xs, ys))
+
+
+def _conv_imu(a: VIMu, b: VIMu, d: int) -> bool:
+    if not convertible(a.fam, b.fam, d):
+        return False
+    a_unit, b_unit = isinstance(a.ixty, VUnit), isinstance(b.ixty, VUnit)
+    if a_unit or b_unit:
+        # the index reads back as void on a Unit-indexed side
+        return (a_unit or isinstance(a.index, VVoid)) and (b_unit or isinstance(b.index, VVoid))
+    return convertible(a.index, b.index, d)
+
+
+def _conv_label(a: VDLabel, b: VDLabel, d: int) -> bool:
+    if a.head != b.head or len(a.entries) != len(b.entries):
+        return False
+    for x, y in zip(a.entries, b.entries):
+        if type(x) is not type(y):
+            return False
+        if isinstance(x, VLConstraint) and not convertible(x.var, y.var, d):
+            return False
+        if not convertible(x.tm, y.tm, d):
+            return False
+    return True
+
+
+def _conv_neutral(a: VNeutral, b: VNeutral, d: int) -> bool:
+    if a.lvl != b.lvl or len(a.spine) != len(b.spine):
+        return False
+    for x, y in zip(a.spine, b.spine):
+        if x is y:
+            continue
+        cls = type(x)
+        if cls is not type(y):
+            return False
+        if cls is FApp:
+            if not convertible(x.arg, y.arg, d):
+                return False
+        elif cls is FGeneric and not _conv_stuck(x, y, d):
+            return False
+    return True
+
+
+def _conv_stuck(x: FGeneric, y: FGeneric, d: int) -> bool:
+    """Compare two stuck frames whose spine prefixes are compared already."""
+    if x.kind is not y.kind or x.owner_at != y.owner_at:
+        return False
+    for at, (f, g, compared) in enumerate(zip(x.fields, y.fields, _COMPARED[x.kind])):
+        if at == x.owner_at:
+            # the owner is the spine prefix; only its VSucE wrappers are left
+            while isinstance(f, VSucE) and isinstance(g, VSucE):
+                f, g = f.pred, g.pred
+            if isinstance(f, VSucE) or isinstance(g, VSucE):
+                return False
+        elif not compared:
+            continue
+        elif isinstance(f, Value):
+            if not convertible(f, g, d):
+                return False
+        elif isinstance(f, tuple):
+            if not _conv_all(f, g, d):
+                return False
+        elif isinstance(f, VDLabel):
+            if not _conv_label(f, g, d):
+                return False
+        elif f != g:  # label heads
+            return False
+    return True
+
+
+def _same(a, b, d: int) -> bool:
+    return True
+
+
+_CONV_RULES = {
+    VSet: lambda a, b, d: a.level == b.level,
+    VTag: lambda a, b, d: a.name == b.name,
+    VPi: _conv_binder,
+    VSigma: _conv_binder,
+    VLam: lambda a, b, d: _conv_clo(a.body, b.body, d),
+    VConsE: _conv_fields("tag", "rest"),
+    VEnumT: _conv_fields("enum"),
+    VEq: _conv_fields("ty", "lhs", "rhs"),
+    VIDesc: _conv_fields("index"),
+    VDVarI: _conv_fields("index"),
+    VDTimes: _conv_fields("lhs", "rhs"),
+    VDPi: _conv_fields("dom", "fam"),
+    VDSigma: _conv_fields("dom", "fam"),
+    VDSigmaE: _conv_fields("enum", "fam"),
+    VMu: _conv_fields("code"),
+    VIMu: _conv_imu,
+    VLabelTy: lambda a, b, d: a.head == b.head and _conv_all(a.args, b.args, d) and convertible(a.ty, b.ty, d),
+    VLRet: _conv_fields("val"),
+    VDLabelTy: lambda a, b, d: _conv_label(a.label, b.label, d),
+    VDRet: _conv_fields("enum", "fam"),
+    VNeutral: _conv_neutral,
+}
+_CONV_RULES.update(dict.fromkeys((VUnit, VVoid, VUId, VEnumU, VNilE, VZeroE, VRefl, VDesc, VDVar, VDOne), _same))
+
+# which fields of each stuck-elimination term take part in term equality
+_COMPARED = {
+    kind: tuple(f.compare for f in dataclasses.fields(kind))
+    for kind in (
+        T.PiE, T.Switch, T.EqElim, T.InterpDesc, T.InterpIDesc, T.AllD, T.IAllD, T.AllMap,
+        T.IAllMap, T.Induction, T.IInduction, T.Split, T.DecEqEnum, T.LCall, T.DCall,
+    )
+}

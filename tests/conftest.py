@@ -5,7 +5,9 @@ import pytest
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
+from idt import kernel as K  # noqa: E402
 from idt import terms as T  # noqa: E402
+from idt import values as V  # noqa: E402
 from idt.cli import Session  # noqa: E402
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -27,6 +29,24 @@ def load_session(*names: str, **kw) -> Session:
     for n in names:
         sess.load_text(read_corpus(n), n)
     return sess
+
+
+@pytest.fixture
+def conv_oracle(monkeypatch):
+    """Check every `kernel.conv` verdict against reading both sides back and
+    comparing the terms; the list holds the verdicts checked so far."""
+    real = K.conv
+    verdicts = []
+
+    def conv(ctx, a, b):
+        got = real(ctx, a, b)
+        want = V.quote(a, ctx.depth) == V.quote(b, ctx.depth)
+        assert got == want, f"conv says {got}, readback says {want}"
+        verdicts.append(got)
+        return got
+
+    monkeypatch.setattr(K, "conv", conv)
+    return verdicts
 
 
 @pytest.fixture(scope="session")

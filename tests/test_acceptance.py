@@ -33,6 +33,10 @@ from idt.cli import Session, run_check
 from idt.elab import ElabError, Elaborator
 
 
+# every kernel conversion the criteria make is checked against readback
+pytestmark = pytest.mark.usefixtures("conv_oracle")
+
+
 def report(n: int, ok: bool, desc_: str):
     print(f"ACCEPTANCE {n}: {'PASS' if ok else 'FAIL'} - {desc_}")
     assert ok, f"criterion {n}: {desc_}"

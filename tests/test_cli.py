@@ -3,6 +3,8 @@
 import io
 import os
 
+import pytest
+
 from conftest import GOLDEN, corpus_path, load_session
 
 from idt import kernel as K
@@ -35,6 +37,18 @@ def test_check_missing_file_exit_two():
     buf = io.StringIO()
     code = run_check([corpus_path("no_such_file.idt")], stdout=buf)
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv", [["check"], ["eval", "-e", "zero"], ["repl"]], ids=["check", "eval", "repl"]
+)
+def test_invalid_utf8_is_an_io_error(tmp_path, argv):
+    p = tmp_path / "latin1.idt"
+    p.write_bytes(b"let x : Set => Unit -- \xff\n")
+    code, out = run_main(argv + [str(p)])
+    assert code == 2
+    assert out.count("\n") == 1
+    assert out.startswith(f"{p}: error: ") and "can't decode byte 0xff" in out
 
 
 def test_parse_error_exit_two(tmp_path):

@@ -130,6 +130,57 @@ def test_split_computes():
     assert K.normalize(ctx0(), T.Split(mot, m, p)) == T.Tag("a")
 
 
+# --- motive levels ----------------------------------------------------------------
+
+AB = enum("a", "b")
+AB_T = "EnumT(enum=ConsE(tag=Tag(name='a'), rest=ConsE(tag=Tag(name='b'), rest=NilE())))"
+
+
+def test_variable_motive_checks_at_level_zero():
+    # not a lambda: the level comes from trying k = 0, 1, 2 in turn
+    ctx = ctx0().extend("P", V.VPi("_", V.VEnumT(ctx0().eval(AB)), V.PyClo(lambda _v: V.VSet(0))))
+    assert K.infer(ctx, T.PiE(AB, T.Var(0))) == V.VSet(0)
+
+
+@pytest.mark.parametrize("body, level", [(T.Unit(), 0), (T.Set_(0), 1), (T.Set_(1), 2)])
+def test_lambda_motive_level_is_its_body_sort(body, level):
+    assert K.infer(ctx0(), T.PiE(AB, T.Lam("x", None, body))) == V.VSet(level)
+    assert K.infer(ctx0(), T.PiE(AB, T.Lam("x", T.EnumT(AB), body))) == V.VSet(level)
+
+
+@pytest.mark.parametrize(
+    "motive, text",
+    [
+        (T.Lam("x", None, T.Var(0)), f"TypeMismatch: expected Set_(level=2), got {AB_T}"),
+        (T.Lam("x", T.Unit(), T.Set_(0)), "TypeMismatch: annotation disagrees with the expected domain"),
+        (T.Lam("x", None, T.Lam("y", None, T.Set_(0))), "TypeMismatch: function against Set_(level=2)"),
+        (T.Lam("x", None, T.Set_(2)), "UniverseMismatch: the top universe has no type"),
+        (T.Void(), f"TypeMismatch: expected Pi(nm='_', dom={AB_T}, cod=Set_(level=2)), got Unit()"),
+    ],
+)
+def test_ill_typed_motive_reports_the_last_try(motive, text):
+    with pytest.raises(K.KernelError) as e:
+        K.infer(ctx0(), T.PiE(AB, motive))
+    assert str(e.value) == text
+
+
+def test_good_corpus_raises_no_kernel_error(monkeypatch):
+    real = K.check
+    raised = []
+
+    def check(ctx, t, want):
+        try:
+            return real(ctx, t, want)
+        except K.KernelError as e:
+            raised.append(e)
+            raise
+
+    monkeypatch.setattr(K, "check", check)
+    for name in ("prelude.idt", "nat_tree_vec.idt", "vec_constrained.idt", "vec_computed.idt"):
+        load_session(name)
+    assert raised == []
+
+
 # --- context validity ------------------------------------------------------------
 
 
