@@ -394,14 +394,22 @@ def main(argv=None) -> int:
     p_repl.add_argument("files", nargs="*")
 
     ns = ap.parse_args(argv)
-    if ns.cmd == "check":
-        return run_check(ns.files, ns.show_codes, ns.emit_trace, not ns.no_recheck)
-    if ns.cmd == "elab":
-        return run_check(ns.files, True, ns.emit_trace, not ns.no_recheck)
-    if ns.cmd == "eval":
-        return run_eval(ns.files, ns.expr)
-    if ns.cmd == "repl":
-        return run_repl(ns.files)
+    try:
+        if ns.cmd == "check":
+            return run_check(ns.files, ns.show_codes, ns.emit_trace, not ns.no_recheck)
+        if ns.cmd == "elab":
+            return run_check(ns.files, True, ns.emit_trace, not ns.no_recheck)
+        if ns.cmd == "eval":
+            return run_eval(ns.files, ns.expr)
+        if ns.cmd == "repl":
+            return run_repl(ns.files)
+    except RecursionError:
+        # internal limits, not errors in the program: exit 3
+        print(_report("idt", "input nested too deeply for the Python stack"))
+        return 3
+    except V.EvalError as e:
+        print(_report("idt", f"internal evaluation error: {e}"))
+        return 3
     return 2
 
 

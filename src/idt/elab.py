@@ -5,6 +5,12 @@ sugar rules: LISP-style tuples against Sigma telescopes, enumeration
 literals, eliminator literals, tag indexing, constructor applications
 against tagged fix-points (with equality slots auto-filled by refl), and
 decimal numerals.
+
+Checking hands back, beside the core term, its value when it was built from
+the values of its parts (constructors, tuples, tag indices, `refl`), so a
+dependent codomain is instantiated without evaluating the finished argument
+again: a numeral of size n elaborates in O(n). The goal trail holds
+unformatted goals; their text is produced only when an error is rendered.
 """
 
 from __future__ import annotations
@@ -21,14 +27,29 @@ from .kernel import Context, KernelError
 from .terms import Term
 from .values import Value
 
+# a checked term with its value when that was built from the values of its
+# parts, else None
+Checked = tuple[Term, Optional[Value]]
+
 
 class ElabError(Exception):
+    """An elaboration failure and the goals in progress when it was raised.
+
+    A goal is its text or a function that formats it; functions are called
+    only when the trail is read or rendered."""
+
     def __init__(self, kind: str, span, msg: str, trail=None):
         self.kind = kind
         self.span = span
         self.msg = msg
-        self.trail = list(trail) if trail else []
+        self._goals = list(trail) if trail else []
         super().__init__(f"{kind}: {msg}")
+
+    @property
+    def trail(self) -> list:
+        """The goal texts, outermost first."""
+        self._goals[:] = [g if isinstance(g, str) else g() for g in self._goals]
+        return self._goals
 
     def render(self) -> str:
         loc = f"{self.span[0]}:{self.span[1]}: " if self.span else ""
@@ -47,7 +68,9 @@ class Elaborator:
         self.active: Optional[str] = None
 
     @contextmanager
-    def goal(self, desc: str):
+    def goal(self, desc):
+        """Push a goal for the extent of the block: its text, or a function
+        of no arguments that formats it."""
         self.trail.append(desc)
         try:
             yield
@@ -63,7 +86,7 @@ class Elaborator:
     # -- synthesis --
 
     def synth(self, ctx: Context, e: S.ExtTerm):
-        with self.goal(f"synthesizing {S.print_expr(e)}"):
+        with self.goal(lambda: f"synthesizing {S.print_expr(e)}"):
             return self._synth(ctx, e)
 
     def _synth(self, ctx: Context, e: S.ExtTerm):
@@ -92,9 +115,9 @@ class Elaborator:
                         _span(a) or _span(e),
                         f"applied term has type {self._type_str(ctx, ty)}",
                     )
-                at = self.check(ctx, a, ty.dom)
+                at, av = self._check_value(ctx, a, ty.dom)
                 t = T.App(t, at)
-                ty = ty.cod(ctx.eval(at))
+                ty = ty.cod(ctx.eval(at) if av is None else av)
             return t, ty
         if isinstance(e, S.EAnn):
             tyt, tyv, _ = self.elab_type(ctx, e.ty)
@@ -160,8 +183,8 @@ class Elaborator:
                 arg_terms = []
                 ok = True
                 for a, want_tyv, want_val in zip(args, lab.argtys, lab.args):
-                    at = self.check(ctx, a, want_tyv)
-                    if not K.conv(ctx, ctx.eval(at), want_val):
+                    at, av = self._check_value(ctx, a, want_tyv)
+                    if not K.conv(ctx, ctx.eval(at) if av is None else av, want_val):
                         ok = False
                         break
                     arg_terms.append(at)
@@ -190,16 +213,21 @@ class Elaborator:
     # -- checking --
 
     def check(self, ctx: Context, e: S.ExtTerm, want: Value) -> Term:
-        with self.goal(f"checking {S.print_expr(e)} against {self._type_str(ctx, want)}"):
+        return self._check_value(ctx, e, want)[0]
+
+    def _check_value(self, ctx: Context, e: S.ExtTerm, want: Value) -> Checked:
+        """`check`, also returning the term's value when it was built from
+        the values of its parts."""
+        with self.goal(lambda: f"checking {S.print_expr(e)} against {self._type_str(ctx, want)}"):
             return self._check(ctx, e, want)
 
-    def _check(self, ctx: Context, e: S.ExtTerm, want: Value) -> Term:
+    def _check(self, ctx: Context, e: S.ExtTerm, want: Value) -> Checked:
         if isinstance(e, S.ELam):
             if not isinstance(want, V.VPi):
                 self.err("CheckMismatch", e.span, f"function against {self._type_str(ctx, want)}")
             inner = ctx.extend(e.name, want.dom)
             body = self.check(inner, e.body, want.cod(V.fresh(ctx.depth)))
-            return T.Lam(e.name, V.quote(want.dom, ctx.depth), body)
+            return T.Lam(e.name, V.quote(want.dom, ctx.depth), body), None
         if isinstance(e, S.EParen):
             if isinstance(want, (V.VSigma, V.VUnit)):
                 return self._tuple(ctx, e, [], want)
@@ -216,29 +244,26 @@ class Elaborator:
                 except ElabError:
                     raise tuple_err
                 if K.conv_le(ctx, got, want):
-                    return t
+                    return t, None
                 raise tuple_err
         if isinstance(e, S.EEnumLit):
             if isinstance(want, V.VEnumU):
-                return self._enum_lit(e)
+                return self._enum_lit(e), None
             self.err("CheckMismatch", e.span, f"enumeration against {self._type_str(ctx, want)}")
         if isinstance(e, S.EAltsLit):
-            return self._alts_lit(ctx, e, want)
+            return self._alts_lit(ctx, e, want), None
         if isinstance(e, S.ETag):
             if isinstance(want, V.VEnumT):
                 idx = 0
                 enum = want.enum
                 while isinstance(enum, V.VConsE):
                     if isinstance(enum.tag, V.VTag) and enum.tag.name == e.name:
-                        t: Term = T.ZeroE()
-                        for _ in range(idx):
-                            t = T.SucE(t)
-                        return t
+                        return _enum_index(idx)
                     idx += 1
                     enum = enum.rest
                 self.err("UnknownTag", e.span, f"tag '{e.name}' is not in the enumeration")
             if isinstance(want, V.VUId):
-                return T.Tag(e.name)
+                return T.Tag(e.name), None
             self.err("CheckMismatch", e.span, f"tag against {self._type_str(ctx, want)}")
         if isinstance(e, S.ENum):
             expanded: S.ExtTerm = S.EVar("zero", span=e.span)
@@ -248,7 +273,7 @@ class Elaborator:
         if isinstance(e, S.ERefl):
             if isinstance(want, V.VEq):
                 if K.conv(ctx, want.lhs, want.rhs):
-                    return T.Refl()
+                    return T.Refl(), V.VRefl()
                 self.err(
                     "CheckMismatch",
                     e.span,
@@ -273,7 +298,7 @@ class Elaborator:
                 _span(e),
                 f"expected {self._type_str(ctx, want)}, got {self._type_str(ctx, got)}",
             )
-        return t
+        return t, None
 
     # -- sugar --
 
@@ -318,10 +343,10 @@ class Elaborator:
         body = T.Switch(T.shift(enum_t, 1), T.shift(fam_t, 1), T.shift(cases_t, 1), T.Var(0))
         return T.Lam("e", T.EnumT(enum_t), body)
 
-    def _tuple(self, ctx: Context, e, items: list, want: Value) -> Term:
+    def _tuple(self, ctx: Context, e, items: list, want: Value) -> Checked:
         if isinstance(want, V.VUnit):
             if not items:
-                return T.Void()
+                return T.Void(), V.VVoid()
             if len(items) == 1:
                 # the terminal unit slot may be written explicitly
                 return self._check(ctx, items[0], V.VUnit())
@@ -333,20 +358,22 @@ class Elaborator:
         if isinstance(want, V.VSigma):
             if not items:
                 self.err("BadTupleArity", e.span, "missing components against a pair type")
-            a = self.check(ctx, items[0], want.dom)
-            rest_want = want.cod(ctx.eval(a))
+            a, av = self._check_value(ctx, items[0], want.dom)
+            if av is None:
+                av = ctx.eval(a)
+            rest_want = want.cod(av)
             if len(items) == 1 and not isinstance(rest_want, (V.VSigma, V.VUnit)):
                 self.err("BadTupleArity", e.span, "missing component against a pair type")
             if len(items) >= 2 and not isinstance(rest_want, (V.VSigma, V.VUnit)):
                 if len(items) != 2:
                     self.err("BadTupleArity", e.span, "too many components")
-                b = self.check(ctx, items[1], rest_want)
-                return T.Pair(a, b)
-            b = self._tuple(ctx, e, items[1:], rest_want)
-            return T.Pair(a, b)
+                b, bv = self._check_value(ctx, items[1], rest_want)
+            else:
+                b, bv = self._tuple(ctx, e, items[1:], rest_want)
+            return _pair(a, av, b, bv)
         self.err("CheckMismatch", e.span, f"tuple against {self._type_str(ctx, want)}")
 
-    def _constructor(self, ctx: Context, e, head: S.EVar, args: list, want: Value) -> Term:
+    def _constructor(self, ctx: Context, e, head: S.EVar, args: list, want: Value) -> Checked:
         if isinstance(want, V.VMu):
             code = want.code
             xfam: Value = want
@@ -373,24 +400,22 @@ class Elaborator:
             )
         path, final_code = found
         payload_want = V.vinterp_i(final_code, xfam) if indexed else V.vinterp(final_code, xfam)
-        args_t = self._ctor_args(ctx, e, list(args), payload_want)
+        args_t, args_v = self._ctor_args(ctx, e, list(args), payload_want)
         for k in reversed(path):
-            idx_t: Term = T.ZeroE()
-            for _ in range(k):
-                idx_t = T.SucE(idx_t)
-            args_t = T.Pair(idx_t, args_t)
-        return T.In(args_t)
+            args_t, args_v = _pair(*_enum_index(k), args_t, args_v)
+        return T.In(args_t), None if args_v is None else V.VIn(args_v)
 
-    def _ctor_args(self, ctx: Context, e, args: list, want: Value) -> Term:
+    def _ctor_args(self, ctx: Context, e, args: list, want: Value) -> Checked:
         if isinstance(want, V.VUnit):
             if args:
                 self.err("BadTupleArity", _span(e), f"constructor applied to {len(args)} too many argument(s)")
-            return T.Void()
+            return T.Void(), V.VVoid()
         if isinstance(want, V.VSigma):
             if isinstance(want.dom, V.VEq) and not args:
                 # an equality slot generated from an index constraint
                 if K.conv(ctx, want.dom.lhs, want.dom.rhs):
                     a: Term = T.Refl()
+                    av: Optional[Value] = V.VRefl()
                 else:
                     self.err(
                         "CheckMismatch",
@@ -400,17 +425,19 @@ class Elaborator:
                         f"{pp.print_term(V.quote(want.dom.rhs, ctx.depth), ctx.names())}",
                     )
             elif args:
-                a = self.check(ctx, args.pop(0), want.dom)
+                a, av = self._check_value(ctx, args.pop(0), want.dom)
             else:
                 self.err("BadTupleArity", _span(e), "constructor is missing arguments")
-            rest = self._ctor_args(ctx, e, args, want.cod(ctx.eval(a)))
-            return T.Pair(a, rest)
+            if av is None:
+                av = ctx.eval(a)
+            rest, rest_v = self._ctor_args(ctx, e, args, want.cod(av))
+            return _pair(a, av, rest, rest_v)
         # terminal non-telescope payload (bare recursive position and friends)
         if len(args) == 1:
-            return self.check(ctx, args[0], want)
+            return self._check_value(ctx, args[0], want)
         if not args and isinstance(want, V.VEq):
             if K.conv(ctx, want.lhs, want.rhs):
-                return T.Refl()
+                return T.Refl(), V.VRefl()
         self.err(
             "BadTupleArity",
             _span(e),
@@ -430,6 +457,18 @@ class Elaborator:
                 f"expected a type, got something of type {self._type_str(ctx, ty)}",
             )
         return t, ctx.eval(t), ty.level
+
+
+def _pair(a: Term, av: Value, b: Term, bv: Optional[Value]) -> Checked:
+    return T.Pair(a, b), None if bv is None else V.VPair(av, bv)
+
+
+def _enum_index(k: int) -> Checked:
+    """The k-th position of an enumeration, as a term and as a value."""
+    t: Term = T.ZeroE()
+    for _ in range(k):
+        t = T.SucE(t)
+    return t, V.make_numeral(k)
 
 
 def _find_constructor(code: Value, name: str, fuel: int):

@@ -5,6 +5,11 @@ neutrals by head level and then frame by frame, binders under one fresh
 variable, with exactly the verdict of reading both sides back and comparing
 the terms for alpha-equality. Universes are three fixed levels with
 cumulativity as a subtyping check at conversion points.
+
+`check` returns the value of the term it checked when it built that value
+from the values of the parts (pairs, constructors, `()`, enumeration
+indices, `refl`), and None otherwise; a dependent codomain is instantiated
+with that value instead of evaluating the argument again.
 """
 
 from __future__ import annotations
@@ -222,8 +227,8 @@ def infer(ctx: Context, t: Term) -> Value:
             fty = infer(ctx, fn)
             if not isinstance(fty, V.VPi):
                 _err("NotAFunction", t, f"applied term has type {V.quote(fty, ctx.depth)}")
-            check(ctx, arg, fty.dom)
-            return fty.cod(ctx.eval(arg))
+            argv = check(ctx, arg, fty.dom)
+            return fty.cod(ctx.eval(arg) if argv is None else argv)
         case T.Pair(a, b):
             if t.ann is None:
                 _err("CannotInfer", t, "unannotated pair")
@@ -478,7 +483,9 @@ def _family_index_type(ctx: Context, code: Term, x: Term, at: Term) -> Value:
     _err("CannotInfer", at, "cannot determine the index type; annotate the family")
 
 
-def check(ctx: Context, t: Term, want: Value):
+def check(ctx: Context, t: Term, want: Value) -> Optional[Value]:
+    """Check `t` against `want`; returns the value of `t` when it was built
+    from the values of its parts, else None."""
     match t:
         case T.Lam(nm, ann, body):
             if isinstance(want, V.VPi):
@@ -492,27 +499,29 @@ def check(ctx: Context, t: Term, want: Value):
             _err("TypeMismatch", t, f"function against {V.quote(want, ctx.depth)}")
         case T.Pair(a, b):
             if isinstance(want, V.VSigma):
-                check(ctx, a, want.dom)
-                check(ctx, b, want.cod(ctx.eval(a)))
-                return
+                av = check(ctx, a, want.dom)
+                if av is None:
+                    av = ctx.eval(a)
+                bv = check(ctx, b, want.cod(av))
+                return None if bv is None else V.VPair(av, bv)
             _err("TypeMismatch", t, f"pair against {V.quote(want, ctx.depth)}")
         case T.Void():
             if isinstance(want, V.VUnit):
-                return
+                return V.VVoid()
             # fall through to synthesis for the mismatch message
         case T.ZeroE():
             if isinstance(want, V.VEnumT) and isinstance(want.enum, V.VConsE):
-                return
+                return V.VZeroE()
             _err("TypeMismatch", t, f"enum index against {V.quote(want, ctx.depth)}")
         case T.SucE(n):
             if isinstance(want, V.VEnumT) and isinstance(want.enum, V.VConsE):
-                check(ctx, n, V.VEnumT(want.enum.rest))
-                return
+                nv = check(ctx, n, V.VEnumT(want.enum.rest))
+                return None if nv is None else V.VSucE(nv)
             _err("TypeMismatch", t, f"enum index against {V.quote(want, ctx.depth)}")
         case T.Refl():
             if isinstance(want, V.VEq):
                 if conv(ctx, want.lhs, want.rhs):
-                    return
+                    return V.VRefl()
                 _err(
                     "TypeMismatch",
                     t,
@@ -522,13 +531,13 @@ def check(ctx: Context, t: Term, want: Value):
             _err("TypeMismatch", t, f"refl against {V.quote(want, ctx.depth)}")
         case T.In(d):
             if isinstance(want, V.VMu):
-                check(ctx, d, V.vinterp(want.code, want))
-                return
-            if isinstance(want, V.VIMu):
+                dv = check(ctx, d, V.vinterp(want.code, want))
+            elif isinstance(want, V.VIMu):
                 xfam = V.VLam("j", V.PyClo(lambda j: V.VIMu(want.ixty, want.fam, j)))
-                check(ctx, d, V.vinterp_i(V.vapp(want.fam, want.index), xfam))
-                return
-            _err("TypeMismatch", t, f"constructor against {V.quote(want, ctx.depth)}")
+                dv = check(ctx, d, V.vinterp_i(V.vapp(want.fam, want.index), xfam))
+            else:
+                _err("TypeMismatch", t, f"constructor against {V.quote(want, ctx.depth)}")
+            return None if dv is None else V.VIn(dv)
         case T.DOne():
             _desc_target(ctx, want, t)
             return

@@ -9,6 +9,7 @@ from idt import kernel as K  # noqa: E402
 from idt import terms as T  # noqa: E402
 from idt import values as V  # noqa: E402
 from idt.cli import Session  # noqa: E402
+from idt.elab import Elaborator  # noqa: E402
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CORPUS = os.path.join(ROOT, "corpus")
@@ -47,6 +48,35 @@ def conv_oracle(monkeypatch):
 
     monkeypatch.setattr(K, "conv", conv)
     return verdicts
+
+
+@pytest.fixture
+def value_oracle(monkeypatch):
+    """Check every value that `kernel.check` or the elaborator's checking
+    judgment builds from the parts of a term against evaluating the term;
+    the list holds the terms checked so far."""
+    real_check, real_check_value = K.check, Elaborator._check_value
+    checked = []
+
+    def agree(ctx, t, got):
+        if got is not None:
+            want = V.quote(ctx.eval(t), ctx.depth)
+            assert V.quote(got, ctx.depth) == want, f"value built from parts differs for {t}"
+            checked.append(t)
+
+    def check(ctx, t, want):
+        got = real_check(ctx, t, want)
+        agree(ctx, t, got)
+        return got
+
+    def check_value(self, ctx, e, want):
+        t, got = real_check_value(self, ctx, e, want)
+        agree(ctx, t, got)
+        return t, got
+
+    monkeypatch.setattr(K, "check", check)
+    monkeypatch.setattr(Elaborator, "_check_value", check_value)
+    return checked
 
 
 @pytest.fixture(scope="session")

@@ -33,8 +33,9 @@ from idt.cli import Session, run_check
 from idt.elab import ElabError, Elaborator
 
 
-# every kernel conversion the criteria make is checked against readback
-pytestmark = pytest.mark.usefixtures("conv_oracle")
+# every kernel conversion the criteria make is checked against readback, and
+# every value built from a term's parts against evaluating the term
+pytestmark = pytest.mark.usefixtures("conv_oracle", "value_oracle")
 
 
 def report(n: int, ok: bool, desc_: str):

@@ -51,6 +51,13 @@ def test_invalid_utf8_is_an_io_error(tmp_path, argv):
     assert out.startswith(f"{p}: error: ") and "can't decode byte 0xff" in out
 
 
+def test_too_deep_input_exit_three():
+    code, out = run_main(["eval", "-e", "plus 3000 3000", corpus_path("prelude.idt")])
+    assert code == 3
+    assert out.count("\n") == 1 and "nested too deeply" in out
+    assert "Traceback" not in out
+
+
 def test_parse_error_exit_two(tmp_path):
     p = tmp_path / "broken.idt"
     p.write_text("data : where\n")
