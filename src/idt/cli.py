@@ -410,6 +410,10 @@ def main(argv=None) -> int:
     except V.EvalError as e:
         print(_report("idt", f"internal evaluation error: {e}"))
         return 3
+    except AssertionError as e:
+        detail = str(e).split("\n", 1)[0] or "assertion failed"
+        print(_report("idt", f"internal invariant violated: {detail}"))
+        return 3
     return 2
 
 

@@ -145,7 +145,7 @@ class Elaborator:
             if isinstance(lty, V.VSet):
                 self.err("CannotSynthesize", e.span, "propositional equality is between values")
             rt = self.check(ctx, e.rhs, lty)
-            tyt = V.quote(lty, ctx.depth)
+            tyt = ctx.quote(lty)
             try:
                 _, lvl = K.infer_sort(ctx, tyt)
             except KernelError:
@@ -192,13 +192,12 @@ class Elaborator:
                     continue
             except ElabError:
                 continue
-            d = ctx.depth
             return (
                 T.LCall(
                     name,
                     tuple(arg_terms),
-                    tuple(V.quote(a, d) for a in lab.argtys),
-                    V.quote(lab.ty, d),
+                    tuple(ctx.quote(a) for a in lab.argtys),
+                    ctx.quote(lab.ty),
                     T.Var(ix),
                 ),
                 lab.ty,
@@ -227,7 +226,7 @@ class Elaborator:
                 self.err("CheckMismatch", e.span, f"function against {self._type_str(ctx, want)}")
             inner = ctx.extend(e.name, want.dom)
             body = self.check(inner, e.body, want.cod(V.fresh(ctx.depth)))
-            return T.Lam(e.name, V.quote(want.dom, ctx.depth), body), None
+            return T.Lam(e.name, ctx.quote(want.dom), body), None
         if isinstance(e, S.EParen):
             if isinstance(want, (V.VSigma, V.VUnit)):
                 return self._tuple(ctx, e, [], want)
@@ -331,8 +330,8 @@ class Elaborator:
                 f"alternatives {given} do not match the enumeration {tags}",
             )
         d = ctx.depth
-        enum_t = V.quote(want.dom.enum, d)
-        fam_t = T.Lam("e", None, V.quote(want.cod(V.fresh(d)), d + 1))
+        enum_t = ctx.quote(want.dom.enum)
+        fam_t = T.Lam("e", None, ctx.quote(want.cod(V.fresh(d)), d + 1))
         fam_v = ctx.eval(fam_t)
         cases: list = []
         for k, (_, rhs) in enumerate(e.alts):

@@ -43,21 +43,33 @@ class Entry:
 
 
 class Context:
-    """Ordered typing context; entries are declarations or definitions."""
+    """Ordered typing context; entries are declarations or definitions.
 
-    __slots__ = ("entries", "env")
+    `named` is the table of the datatypes and enumerations defined in the
+    context, for `quote`; `extend` maintains it."""
 
-    def __init__(self, entries: tuple = (), env: tuple = ()):
+    __slots__ = ("entries", "env", "named")
+
+    def __init__(self, entries: tuple = (), env: tuple = (), named: Optional[dict] = None):
         self.entries = entries
         self.env = env
+        self.named = {} if named is None else named
 
     @property
     def depth(self) -> int:
         return len(self.entries)
 
     def extend(self, name: str, ty: Value, val: Optional[Value] = None) -> "Context":
-        bound = val if val is not None else V.fresh(self.depth)
-        return Context(self.entries + (Entry(name, ty, val),), self.env + (bound,))
+        if val is None:
+            bound, named = V.fresh(self.depth), self.named
+        else:
+            bound, named = val, V.name_definition(self.named, ty, val, self.depth)
+        return Context(self.entries + (Entry(name, ty, val),), self.env + (bound,), named)
+
+    def quote(self, v: Value, d: Optional[int] = None) -> Term:
+        """Read `v` back at depth `d` (this context's by default), naming the
+        datatypes and enumerations defined here instead of unfolding them."""
+        return V.quote(v, self.depth if d is None else d, self.named)
 
     def lookup(self, name: str):
         """Innermost entry with this name, as (de Bruijn index, entry)."""

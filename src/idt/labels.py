@@ -125,8 +125,8 @@ def ewm_restricted(ctx: Context, kind: str, scrut_name: str, goal: Value) -> Ewm
     ix, entry = hit
     d = ctx.depth
     scrut_v = ctx.env[d - 1 - ix]
-    scrut_t = V.quote(scrut_v, d)
-    goal_t = V.quote(goal, d)
+    scrut_t = ctx.quote(scrut_v)
+    goal_t = ctx.quote(goal)
     abstracted = abstract_subterm(goal_t, scrut_t)
     if abstracted == T.shift(goal_t, 1):
         raise ElabError(
@@ -147,7 +147,7 @@ def ewm_restricted(ctx: Context, kind: str, scrut_name: str, goal: Value) -> Ewm
         "UnsupportedScrutinee",
         None,
         f"cannot eliminate '{scrut_name}' of type "
-        f"{pp.print_term(V.quote(sty, d), ctx.names())}",
+        f"{_print_value(ctx, sty)}",
     )
 
 
@@ -175,8 +175,8 @@ def _ewm_enum(ctx, kind, scrut_name, scrut_v, sty, motive_at) -> EwmResult:
             return V.vswitch(enum_v, motive_v, cases, scrut_v)
 
         elim_v = _lam_chain(len(tags), mk)
-        elim_t = V.quote(elim_v, d)
-        anns = [V.quote(sg.branch_ty, d + i) for i, sg in enumerate(subgoals)]
+        elim_t = ctx.quote(elim_v)
+        anns = [ctx.quote(sg.branch_ty, d + i) for i, sg in enumerate(subgoals)]
         elim_t = _ann_lams(elim_t, anns)
         out = elim_t
         for b in branches:
@@ -458,19 +458,19 @@ def _ewm_fix(ctx, kind, scrut_name, scrut_v, sty, motive_at) -> EwmResult:
 
         def wrap(outer_ctx: Context, body: Term, shape=shape, binders=binders, refined=refined, ck=code_k) -> Term:
             dd = outer_ctx.depth
-            anns = [V.quote(tyv, dd + i) for i, (_nm, tyv) in enumerate(binders)]
+            anns = [outer_ctx.quote(tyv, dd + i) for i, (_nm, tyv) in enumerate(binders)]
             bodylam = body
             for (nm, _tyv), ann in zip(reversed(binders), reversed(anns)):
                 bodylam = T.Lam(nm, ann, bodylam)
-            bodyfn_ty: Term = V.quote(refined, dd + len(binders))
+            bodyfn_ty: Term = outer_ctx.quote(refined, dd + len(binders))
             for (nm, _tyv), ann in zip(reversed(binders), reversed(anns)):
                 bodyfn_ty = T.Pi(nm, ann, bodyfn_ty)
             wrapper_v = V.VLam("bf", V.PyClo(lambda bf: shape.build(bf)))
             # the wrapper's leading lambdas sit in inference position
-            spine_anns = [bodyfn_ty, V.quote(interp(ck), dd + 1)]
+            spine_anns = [bodyfn_ty, outer_ctx.quote(interp(ck), dd + 1)]
             if has_hyp:
-                spine_anns.append(V.quote(iall(ck, V.fresh(dd + 1)), dd + 2))
-            wrapper_t = _ann_lams(V.quote(wrapper_v, dd), spine_anns)
+                spine_anns.append(outer_ctx.quote(iall(ck, V.fresh(dd + 1)), dd + 2))
+            wrapper_t = _ann_lams(outer_ctx.quote(wrapper_v), spine_anns)
             return T.App(wrapper_t, bodylam)
 
         subgoals.append(
@@ -569,8 +569,8 @@ def _ewm_fix(ctx, kind, scrut_name, scrut_v, sty, motive_at) -> EwmResult:
             return V.vinduction(code0, motive_v, method, scrut_v)
 
         elim_v = _lam_chain(len(tags), mk)
-        elim_t = V.quote(elim_v, d)
-        anns = [V.quote(sg.branch_ty, d + i) for i, sg in enumerate(subgoals)]
+        elim_t = ctx.quote(elim_v)
+        anns = [ctx.quote(sg.branch_ty, d + i) for i, sg in enumerate(subgoals)]
         elim_t = _ann_lams(elim_t, anns)
         out = elim_t
         for b in branches:
@@ -643,8 +643,7 @@ def elab_define(ctx: Context, decl: S.LetDecl, el: Optional[Elaborator] = None):
 def _elab_program(ctx: Context, el: Elaborator, prog, goal: V.VLabelTy, depth: int) -> Term:
     if depth > MAX_BY_DEPTH:
         raise ElabError("ByDepthExceeded", _pspan(prog), f"'by' nesting deeper than {MAX_BY_DEPTH}")
-    goal_str = pp.print_term(V.quote(goal, ctx.depth), ctx.names())
-    with el.goal(f"realizing the programming goal {goal_str}"):
+    with el.goal(lambda: f"realizing the programming goal {_print_value(ctx, goal)}"):
         ctx2 = _validate_prog_head(ctx, el, prog.head, goal)
         if isinstance(prog, S.PReturn):
             body = el.check(ctx2, prog.expr, goal.ty)
@@ -706,18 +705,21 @@ def _elab_branches(ctx: Context, el, res: EwmResult, programs: list, recurse, ma
 
 def _strip_defs(body: Term, ndefs: int, base_depth: int, inner: Context) -> Term:
     """Inline trailing definition entries into `body` (innermost first)."""
-    for _ in range(ndefs):
-        dval = inner.entries[-1].val
+    for lvl in range(inner.depth - 1, inner.depth - 1 - ndefs, -1):
+        dval = inner.entries[lvl].val
         assert dval is not None, "expected a definition entry"
-        inner_depth = inner.depth
-        dterm = V.quote(dval, inner_depth - 1)
+        dterm = inner.quote(dval, lvl)
         body = T.subst_free(body, lambda j, dt=dterm: dt if j == 0 else T.Var(j - 1))
-        inner = Context(inner.entries[:-1], inner.env[:-1])
     return body
 
 
 def _inline_defs(inner: Context, outer: Context, body: Term) -> Term:
     return _strip_defs(body, inner.depth - outer.depth, outer.depth, inner)
+
+
+def _print_value(ctx: Context, v: Value) -> str:
+    """Message text for a value: its normal form, definitions unfolded."""
+    return pp.print_term(V.quote(v, ctx.depth), ctx.names())
 
 
 def _pspan(p) -> Optional[tuple]:

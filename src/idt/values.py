@@ -840,30 +840,64 @@ def eval_term(t: Term, env: tuple) -> Value:
 # --- readback -----------------------------------------------------------------
 
 
-def quote_label(label: VDLabel, d: int) -> T.DLabel:
+def name_definition(names: dict, ty: Value, val: Value, lvl: int) -> dict:
+    """The `quote` table `names` with the definition `val : ty` at level
+    `lvl` added if it is a datatype without index or an enumeration in
+    `Set 0`, which is exactly the universe their unfolded forms infer; else
+    `names` itself. The table maps the identity of the datatype's family or
+    of the enumeration to that object and the level."""
+    if not (isinstance(ty, VSet) and ty.level == 0):
+        return names
+    if isinstance(val, VIMu) and isinstance(val.ixty, VUnit):
+        key = val.fam
+    elif isinstance(val, VEnumT):
+        key = val.enum
+    else:
+        return names
+    return {**names, id(key): (key, lvl)}
+
+
+def _definition_var(names: dict, key: Value, d: int) -> Optional[Term]:
+    """The variable at depth `d` of the definition `names` holds for `key`."""
+    hit = names.get(id(key))
+    if hit is not None and hit[0] is key and hit[1] < d:
+        return T.Var(d - 1 - hit[1])
+    return None
+
+
+def quote_label(label: VDLabel, d: int, names: Optional[dict] = None) -> T.DLabel:
     entries = []
     for e in label.entries:
         if isinstance(e, VLParam):
-            entries.append(T.LParam(quote(e.tm, d), quote(e.ty, d)))
+            entries.append(T.LParam(quote(e.tm, d, names), quote(e.ty, d, names)))
         elif isinstance(e, VLIndex):
-            entries.append(T.LIndex(quote(e.tm, d), quote(e.ty, d)))
+            entries.append(T.LIndex(quote(e.tm, d, names), quote(e.ty, d, names)))
         else:
-            entries.append(T.LConstraint(quote(e.var, d), quote(e.tm, d), quote(e.ty, d)))
+            entries.append(
+                T.LConstraint(quote(e.var, d, names), quote(e.tm, d, names), quote(e.ty, d, names))
+            )
     return T.DLabel(label.head, tuple(entries))
 
 
-def quote(v: Value, d: int) -> Term:
+def quote(v: Value, d: int, names: Optional[dict] = None) -> Term:
+    """Read `v` back as a term at depth `d`.
+
+    With a table from `name_definition`, a datatype or enumeration whose
+    family or enumeration is the very object of a definition at a level below
+    `d` reads back as that definition's variable, and evaluating the variable
+    gives a value with the same readback. Without one, definitions are
+    unfolded: the normal form."""
     match v:
         case VSet(level):
             return T.Set_(level)
         case VPi(nm, dom, cod):
-            return T.Pi(nm, quote(dom, d), quote(cod(fresh(d)), d + 1))
+            return T.Pi(nm, quote(dom, d, names), quote(cod(fresh(d)), d + 1, names))
         case VLam(nm, body):
-            return T.Lam(nm, None, quote(body(fresh(d)), d + 1))
+            return T.Lam(nm, None, quote(body(fresh(d)), d + 1, names))
         case VSigma(nm, dom, cod):
-            return T.Sigma(nm, quote(dom, d), quote(cod(fresh(d)), d + 1))
+            return T.Sigma(nm, quote(dom, d, names), quote(cod(fresh(d)), d + 1, names))
         case VPair(a, b):
-            return T.Pair(quote(a, d), quote(b, d))
+            return T.Pair(quote(a, d, names), quote(b, d, names))
         case VUnit():
             return T.Unit()
         case VVoid():
@@ -877,72 +911,76 @@ def quote(v: Value, d: int) -> Term:
         case VNilE():
             return T.NilE()
         case VConsE(tag, rest):
-            return T.ConsE(quote(tag, d), quote(rest, d))
+            return T.ConsE(quote(tag, d, names), quote(rest, d, names))
         case VEnumT(e):
-            return T.EnumT(quote(e, d))
+            if names and (var := _definition_var(names, e, d)):
+                return var
+            return T.EnumT(quote(e, d, names))
         case VZeroE():
             return T.ZeroE()
         case VSucE(n):
-            return T.SucE(quote(n, d))
+            return T.SucE(quote(n, d, names))
         case VEq(a, l, r):
-            return T.Eq(quote(a, d), quote(l, d), quote(r, d))
+            return T.Eq(quote(a, d, names), quote(l, d, names), quote(r, d, names))
         case VRefl():
             return T.Refl()
         case VDesc():
             return T.Desc()
         case VIDesc(i):
-            return T.IDesc(quote(i, d))
+            return T.IDesc(quote(i, d, names))
         case VDVar():
             return T.DVar()
         case VDVarI(i):
-            return T.DVarI(quote(i, d))
+            return T.DVarI(quote(i, d, names))
         case VDOne():
             return T.DOne()
         case VDTimes(a, b):
-            return T.DTimes(quote(a, d), quote(b, d))
+            return T.DTimes(quote(a, d, names), quote(b, d, names))
         case VDPi(s, f):
-            return T.DPi(quote(s, d), quote(f, d))
+            return T.DPi(quote(s, d, names), quote(f, d, names))
         case VDSigma(s, f):
-            return T.DSigma(quote(s, d), quote(f, d))
+            return T.DSigma(quote(s, d, names), quote(f, d, names))
         case VDSigmaE(e, f):
-            return T.DSigmaE(quote(e, d), quote(f, d))
+            return T.DSigmaE(quote(e, d, names), quote(f, d, names))
         case VMu(code):
-            return T.Mu(quote(code, d))
+            return T.Mu(quote(code, d, names))
         case VIMu(ixty, fam, i):
+            if names and isinstance(ixty, VUnit) and (var := _definition_var(names, fam, d)):
+                return var
             # eta for the degenerate index: anything at Unit reads back as void
-            iq = T.Void() if isinstance(ixty, VUnit) else quote(i, d)
-            return T.IMu(quote(ixty, d), quote(fam, d), iq)
+            iq = T.Void() if isinstance(ixty, VUnit) else quote(i, d, names)
+            return T.IMu(quote(ixty, d, names), quote(fam, d, names), iq)
         case VIn(p):
-            return T.In(quote(p, d))
+            return T.In(quote(p, d, names))
         case VLabelTy(head, args, argtys, ty):
             return T.LabelTy(
                 head,
-                tuple(quote(a, d) for a in args),
-                tuple(quote(a, d) for a in argtys),
-                quote(ty, d),
+                tuple(quote(a, d, names) for a in args),
+                tuple(quote(a, d, names) for a in argtys),
+                quote(ty, d, names),
             )
         case VLRet(val):
-            return T.LRet(quote(val, d))
+            return T.LRet(quote(val, d, names))
         case VDLabelTy(label):
-            return T.DLabelTy(quote_label(label, d))
+            return T.DLabelTy(quote_label(label, d, names))
         case VDRet(e, f):
-            return T.DRet(quote(e, d), quote(f, d))
+            return T.DRet(quote(e, d, names), quote(f, d, names))
         case VNeutral(lvl, spine):
             t: Term = T.Var(d - 1 - lvl)
             for f in spine:
                 if isinstance(f, FApp):
-                    t = T.App(t, quote(f.arg, d))
+                    t = T.App(t, quote(f.arg, d, names))
                 elif isinstance(f, FFst):
                     t = T.Fst(t)
                 elif isinstance(f, FSnd):
                     t = T.Snd(t)
                 else:
-                    t = _quote_stuck(f, t, d)
+                    t = _quote_stuck(f, t, d, names)
             return t
     raise EvalError(f"cannot quote {type(v).__name__}")
 
 
-def _quote_stuck(f: FGeneric, owner: Term, d: int) -> Term:
+def _quote_stuck(f: FGeneric, owner: Term, d: int, names: Optional[dict]) -> Term:
     """Read back a stuck elimination around its quoted spine prefix."""
     args = []
     for at, x in enumerate(f.fields):
@@ -952,11 +990,11 @@ def _quote_stuck(f: FGeneric, owner: Term, d: int) -> Term:
                 x = x.pred
             args.append(owner)
         elif isinstance(x, Value):
-            args.append(quote(x, d))
+            args.append(quote(x, d, names))
         elif isinstance(x, tuple):
-            args.append(tuple(quote(a, d) for a in x))
+            args.append(tuple(quote(a, d, names) for a in x))
         elif isinstance(x, VDLabel):
-            args.append(quote_label(x, d))
+            args.append(quote_label(x, d, names))
         else:
             args.append(x)  # a label head
     return f.kind(*args)

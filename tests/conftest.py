@@ -79,6 +79,29 @@ def value_oracle(monkeypatch):
     return checked
 
 
+@pytest.fixture
+def naming_oracle(monkeypatch):
+    """Check every term that `Context.quote` builds with definitions named:
+    evaluated in the context and read back with definitions unfolded, it
+    gives the unfolded readback of the value it was built from. The list
+    holds the terms that name a definition."""
+    real = K.Context.quote
+    named = []
+
+    def quote(ctx, v, d=None):
+        t = real(ctx, v, d)
+        d = ctx.depth if d is None else d
+        want = V.quote(v, d)
+        env = ctx.env[:d] + tuple(V.fresh(lvl) for lvl in range(ctx.depth, d))
+        assert V.quote(V.eval_term(t, env), d) == want, f"named readback {t} is not {want}"
+        if t != want:
+            named.append(t)
+        return t
+
+    monkeypatch.setattr(K.Context, "quote", quote)
+    return named
+
+
 @pytest.fixture(scope="session")
 def prelude():
     return load_session("prelude.idt")

@@ -33,9 +33,10 @@ from idt.cli import Session, run_check
 from idt.elab import ElabError, Elaborator
 
 
-# every kernel conversion the criteria make is checked against readback, and
-# every value built from a term's parts against evaluating the term
-pytestmark = pytest.mark.usefixtures("conv_oracle", "value_oracle")
+# every kernel conversion the criteria make is checked against readback,
+# every value built from a term's parts against evaluating the term, and
+# every term that names a definition against the unfolded readback
+pytestmark = pytest.mark.usefixtures("conv_oracle", "value_oracle", "naming_oracle")
 
 
 def report(n: int, ok: bool, desc_: str):

@@ -8,7 +8,7 @@ import pytest
 from conftest import GOLDEN, corpus_path, load_session
 
 from idt import kernel as K
-from idt.cli import main, run_check, run_eval, run_repl
+from idt.cli import Session, main, run_check, run_eval, run_repl
 
 
 def run_main(argv):
@@ -55,6 +55,18 @@ def test_too_deep_input_exit_three():
     code, out = run_main(["eval", "-e", "plus 3000 3000", corpus_path("prelude.idt")])
     assert code == 3
     assert out.count("\n") == 1 and "nested too deeply" in out
+    assert "Traceback" not in out
+
+
+@pytest.mark.parametrize("msg", ["a broken invariant\nspanning lines", ""])
+def test_internal_assertion_exit_three(monkeypatch, msg):
+    def broken(self, text):
+        raise AssertionError(msg)
+
+    monkeypatch.setattr(Session, "eval_expr", broken)
+    code, out = run_main(["eval", "-e", "zero", corpus_path("prelude.idt")])
+    assert code == 3
+    assert out.count("\n") == 1 and "internal invariant violated" in out
     assert "Traceback" not in out
 
 
