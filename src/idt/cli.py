@@ -95,13 +95,11 @@ class Session:
         assert isinstance(applied, V.VIMu)
         code_v = V.vapp(applied.fam, applied.index)
         code_t = V.quote(code_v, tel.depth)
-        if res.n_indices == 0:
-            code_t = desc.to_desc_code(code_t)
         binders = "".join(
             f" ({nm})" if i < res.n_params else f" [{nm}]"
             for i, nm in enumerate(shown)
         )
-        return f"{head}{binders} = {desc.print_code(tel, code_t)}"
+        return f"{head}{binders} = {desc.print_code(tel, code_t, unindexed=res.n_indices == 0)}"
 
     def _derive(self, d: S.DataDecl, res: D.DataResult, prop: str):
         info = self.datatypes[res.name]
@@ -159,7 +157,7 @@ class Session:
             entry = self.ctx.entry_at(ix)
             if entry.val is None or isinstance(entry.val, V.VNeutral):
                 continue
-            if isinstance(entry.val, (V.VIMu, V.VEnumT, V.VMu)):
+            if isinstance(entry.val, (V.VIMu, V.VEnumT)):
                 needle = V.quote(entry.val, self.ctx.depth)
                 t = _replace_subterm(t, needle, T.Var(ix))
         return t

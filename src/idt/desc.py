@@ -1,6 +1,9 @@
-"""Description-universe helpers: interpretation wrappers, the tagged-code
-tuple view, the Desc rendering of Unit-indexed codes, and the code dump
-printer used by golden files.
+"""Description-universe helpers: the tagged-code tuple view and the code
+dump printer used by `--show-codes` and golden files.
+
+There is one universe, of indexed descriptions; a datatype without indices
+is its instance at index type `Unit`. The dump of such a datatype shows the
+`Desc` view of those codes, a notation only.
 """
 
 from __future__ import annotations
@@ -15,23 +18,6 @@ from .terms import Term
 from .values import Value
 
 
-def interp_desc(ctx: K.Context, code: Term, ty: Term) -> Term:
-    """Normal form of the signature functor applied to a type."""
-    return K.normalize(ctx, T.InterpDesc(code, ty))
-
-
-def interp_idesc(ctx: K.Context, code: Term, fam: Term) -> Term:
-    return K.normalize(ctx, T.InterpIDesc(code, fam))
-
-
-def all_desc(ctx: K.Context, code: Term, ty: Term, motive: Term, payload: Term) -> Term:
-    return K.normalize(ctx, T.AllD(code, ty, motive, payload))
-
-
-def iall_desc(ctx: K.Context, code: Term, fam: Term, motive: Term, payload: Term) -> Term:
-    return K.normalize(ctx, T.IAllD(code, fam, motive, payload))
-
-
 def sigma_view(code: Value) -> Optional[tuple]:
     """Tuple view of a canonical tagged code: (tags, [branch code values])."""
     if not isinstance(code, V.VDSigmaE):
@@ -42,80 +28,82 @@ def sigma_view(code: Value) -> Optional[tuple]:
     return tags, [V.vapp(code.fam, V.make_numeral(k)) for k in range(len(tags))]
 
 
-def is_tagged(code: Value) -> bool:
-    return sigma_view(code) is not None
+def print_code(ctx: K.Context, code: Term, names: Optional[list] = None, unindexed: bool = False) -> str:
+    """Dump grammar: '1, A '* B, 'Pi S (\\x. T), 'Sigma S (\\x. T),
+    'sigma {t0,...,tk} [t0 -> D0, ..., tk -> Dk], 'varI i.
 
-
-def to_desc_code(code: Term) -> Term:
-    """Render a Unit-indexed description as an unindexed one; recursive
-    positions lose their (unit) index."""
-
-    def go(t: Term) -> Term:
-        if isinstance(t, T.DVarI):
-            return T.DVar()
-        if isinstance(t, T.IDesc) and isinstance(t.index, T.Unit):
-            return T.Desc()
-        fields_ = getattr(t, "__dataclass_fields__", None)
-        if not fields_:
-            return t
-        kwargs = {}
-        for name in fields_:
-            v = getattr(t, name)
-            kwargs[name] = go(v) if isinstance(v, Term) else v
-        return type(t)(**kwargs)
-
-    return go(code)
-
-
-def print_code(ctx: K.Context, code: Term, names: Optional[list] = None) -> str:
-    """Dump grammar: 'var, '1, A '* B, 'Pi S (\\x. T), 'Sigma S (\\x. T),
-    'sigma {t0,...,tk} [t0 -> D0, ..., tk -> Dk], 'varI i."""
+    `unindexed` selects the Desc view for the code of a datatype without
+    indices: in its codes at index type `Unit`, the recursive positions
+    `'varI ()` print as `'var` and `IDesc Unit` prints as `Desc`. Codes at
+    other index types, such as a nested `Vec`, keep their indexed form."""
     if names is None:
         names = ctx.names()
-    return _pc(ctx.eval(code), ctx.depth, list(names), prec=1)
+    return _pc(ctx.eval(code), ctx.depth, list(names), 1, unindexed)
 
 
-def _pc(v: Value, depth: int, names: list, prec: int) -> str:
+def _pc(v: Value, depth: int, names: list, prec: int, unindexed: bool) -> str:
     # precedence: 2 = atom, 1 = '* chain
-    if isinstance(v, V.VDVar):
-        return "'var"
     if isinstance(v, V.VDOne):
         return "'1"
     if isinstance(v, V.VDVarI):
-        inner = pp.print_term(V.quote(v.index, depth), names)
-        s = f"'varI {_atomize(inner)}"
+        if unindexed and isinstance(v.index, V.VVoid):
+            return "'var"
+        s = f"'varI {_term(v.index, depth, names, unindexed)}"
         return s if prec >= 1 else f"({s})"
     if isinstance(v, V.VDTimes):
-        s = f"{_pc(v.lhs, depth, names, 2)} '* {_pc(v.rhs, depth, names, 1)}"
+        s = f"{_pc(v.lhs, depth, names, 2, unindexed)} '* {_pc(v.rhs, depth, names, 1, unindexed)}"
         return f"({s})" if prec >= 2 else s
     if isinstance(v, (V.VDPi, V.VDSigma)):
         kw = "'Pi" if isinstance(v, V.VDPi) else "'Sigma"
-        dom = pp.print_term(V.quote(v.dom, depth), names)
-        s = f"{kw} {_atomize(dom)} {_fam(v.fam, depth, names)}"
+        s = f"{kw} {_term(v.dom, depth, names, unindexed)} {_fam(v.fam, depth, names, unindexed)}"
         return f"({s})" if prec >= 2 else s
     if isinstance(v, V.VDSigmaE):
         view = sigma_view(v)
         if view is not None:
             tags, codes = view
-            alts = ", ".join(f"{t} -> {_pc(c, depth, names, 1)}" for t, c in zip(tags, codes))
+            alts = ", ".join(f"{t} -> {_pc(c, depth, names, 1, unindexed)}" for t, c in zip(tags, codes))
             s = "'sigma {" + ",".join(tags) + "} [" + alts + "]"
             return f"({s})" if prec >= 2 else s
-        enum = pp.print_term(V.quote(v.enum, depth), names)
-        s = f"'sigma {_atomize(enum)} {_fam(v.fam, depth, names)}"
+        s = f"'sigma {_term(v.enum, depth, names, unindexed)} {_fam(v.fam, depth, names, unindexed)}"
         return f"({s})" if prec >= 2 else s
     # neutral or exotic: fall back to the generic term printer
-    return _atomize(pp.print_term(V.quote(v, depth), names))
+    return _term(v, depth, names, unindexed)
 
 
-def _fam(fam: Value, depth: int, names: list) -> str:
+def _fam(fam: Value, depth: int, names: list, unindexed: bool) -> str:
     if isinstance(fam, V.VLam):
         nm = fam.nm or "_"
         if nm != "_":
             while nm in names:
                 nm = nm + "'"
-        body = _pc(fam.body(V.fresh(depth)), depth + 1, names + [nm], 1)
+        body = _pc(fam.body(V.fresh(depth)), depth + 1, names + [nm], 1, unindexed)
         return f"(\\{nm}. {body})"
-    return _atomize(pp.print_term(V.quote(fam, depth), names))
+    return _term(fam, depth, names, unindexed)
+
+
+def _term(v: Value, depth: int, names: list, unindexed: bool) -> str:
+    """A value inside a code, printed as an atom."""
+    t = V.quote(v, depth)
+    return _atomize(pp.print_term(_desc_view(t) if unindexed else t, names))
+
+
+_DESC = pp.Notation("Desc")
+_VAR = pp.Notation("'var")
+
+
+def _desc_view(t: Term) -> Term:
+    if isinstance(t, T.IDesc) and isinstance(t.index, T.Unit):
+        return _DESC
+    if isinstance(t, T.DVarI) and isinstance(t.index, T.Void):
+        return _VAR
+    fields_ = getattr(t, "__dataclass_fields__", None)
+    if not fields_:
+        return t
+    kwargs = {}
+    for name in fields_:
+        x = getattr(t, name)
+        kwargs[name] = _desc_view(x) if isinstance(x, Term) else x
+    return type(t)(**kwargs)
 
 
 def _atomize(s: str) -> str:

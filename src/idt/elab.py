@@ -287,7 +287,7 @@ class Elaborator:
             isinstance(head, S.EVar)
             and ctx.lookup(head.name) is None
             and head.name != self.active
-            and isinstance(want, (V.VMu, V.VIMu))
+            and isinstance(want, V.VIMu)
         ):
             return self._constructor(ctx, e, head, args, want)
         t, got = self.synth(ctx, e)
@@ -373,14 +373,7 @@ class Elaborator:
         self.err("CheckMismatch", e.span, f"tuple against {self._type_str(ctx, want)}")
 
     def _constructor(self, ctx: Context, e, head: S.EVar, args: list, want: Value) -> Checked:
-        if isinstance(want, V.VMu):
-            code = want.code
-            xfam: Value = want
-            indexed = False
-        else:
-            code = V.vapp(want.fam, want.index)
-            xfam = V.VLam("j", V.PyClo(lambda j, w=want: V.VIMu(w.ixty, w.fam, j)))
-            indexed = True
+        code = V.vapp(want.fam, want.index)
         if not isinstance(code, V.VDSigmaE):
             self.err(
                 "NotAConstructorType",
@@ -398,7 +391,7 @@ class Elaborator:
                 + (f" (constructors: {', '.join(tags)})" if tags else ""),
             )
         path, final_code = found
-        payload_want = V.vinterp_i(final_code, xfam) if indexed else V.vinterp(final_code, xfam)
+        payload_want = V.vinterp_i(final_code, V.imu_family(want.ixty, want.fam))
         args_t, args_v = self._ctor_args(ctx, e, list(args), payload_want)
         for k in reversed(path):
             args_t, args_v = _pair(*_enum_index(k), args_t, args_v)

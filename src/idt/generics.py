@@ -1,9 +1,13 @@
 """Generic constructions over elaborated codes.
 
-Case analysis is induction with the hypotheses discarded; NoConfusion is
-specialized per tagged code and proved by J plus the decidable equality of
-enumeration indices; the deriving mechanism walks a code's membership in
-the decidable-equality sub-universe and produces a comparison procedure.
+Case analysis and NoConfusion take a datatype without indices, given as the
+term of an `IMu` at index type `Unit` whose code is a constructor choice
+(such as a registered `Nat`, or `Tree` applied to `Bool`); both are built
+from indexed induction. Case analysis is induction with the hypotheses
+discarded; NoConfusion is specialized per datatype and proved by J plus the
+decidable equality of enumeration indices. The deriving mechanism walks a
+code's membership in the decidable-equality sub-universe and produces a
+comparison procedure.
 """
 
 from __future__ import annotations
@@ -27,12 +31,21 @@ class GenericsError(Exception):
         super().__init__(f"{kind}: {msg}")
 
 
-def _tagged(ctx: Context, code: Term) -> Value:
-    K.check(ctx, code, V.VDesc())
-    cv = ctx.eval(code)
-    if desc.sigma_view(cv) is None:
+def _tagged(ctx: Context, ty: Term) -> V.VIMu:
+    """The value of `ty`, a datatype without indices whose code is headed by
+    a constructor choice."""
+    try:
+        K.check(ctx, ty, V.VSet(0))
+    except K.KernelError as e:
+        raise GenericsError("NotTagged", f"the term is not a datatype ({e.msg})") from None
+    mu = ctx.eval(ty)
+    if not isinstance(mu, V.VIMu):
+        raise GenericsError("NotTagged", "the type is not a fix-point of a code")
+    if not isinstance(mu.ixty, V.VUnit):
+        raise GenericsError("Indexed", "the datatype has indices; only index type Unit is supported")
+    if desc.sigma_view(V.vapp(mu.fam, mu.index)) is None:
         raise GenericsError("NotTagged", "the code is not headed by a constructor choice")
-    return cv
+    return mu
 
 
 def _ann_lams(t: Term, anns: List[Term]) -> Term:
@@ -42,12 +55,29 @@ def _ann_lams(t: Term, anns: List[Term]) -> Term:
     return T.Lam(t.nm, anns[0], _ann_lams(t.body, anns[1:]))
 
 
-def derive_case(ctx: Context, code: Term):
-    """Case analysis for a tagged code: induction with the inductive
+def _eliminate(mu: V.VIMu, p: Value, method, x: Value) -> Value:
+    """Induction on `x : mu` into the motive `p` over `mu`, where
+    `method(d, h)` gives the result for `In d` from the hypotheses `h`."""
+    motive = V.VLam("q", V.PyClo(lambda q: V.vapp(p, V.vsnd(q))))
+    m = V.VLam(
+        "i",
+        V.PyClo(
+            lambda _i: V.VLam(
+                "d", V.PyClo(lambda d: V.VLam("h", V.PyClo(lambda h, dd=d: method(dd, h))))
+            )
+        ),
+    )
+    return V.viinduction(mu.ixty, mu.fam, motive, m, mu.index, x)
+
+
+def derive_case(ctx: Context, ty: Term):
+    """Case analysis for a datatype without indices, given as the term of a
+    tagged `IMu` at index type `Unit`: induction with the inductive
     hypothesis dropped. Returns (term, type term)."""
-    dv = _tagged(ctx, code)
+    mu = _tagged(ctx, ty)
     d = ctx.depth
-    mu = V.VMu(dv)
+    code = V.vapp(mu.fam, mu.index)
+    xfam = V.imu_family(mu.ixty, mu.fam)
 
     case_v = V.VLam(
         "P",
@@ -56,24 +86,9 @@ def derive_case(ctx: Context, code: Term):
                 "m",
                 V.PyClo(
                     lambda m: V.VLam(
-                        "x",
-                        V.PyClo(
-                            lambda x: V.vinduction(
-                                dv,
-                                p,
-                                V.VLam(
-                                    "d",
-                                    V.PyClo(
-                                        lambda dd: V.VLam(
-                                            "h", V.PyClo(lambda _h, d2=dd: V.vapp(m, d2))
-                                        )
-                                    ),
-                                ),
-                                x,
-                            )
-                        ),
+                        "x", V.PyClo(lambda x: _eliminate(mu, p, lambda dd, _h: V.vapp(m, dd), x))
                     )
-                )
+                ),
             )
         ),
     )
@@ -82,7 +97,7 @@ def derive_case(ctx: Context, code: Term):
 
     def m_ty_of(p: Value) -> Value:
         return V.VPi(
-            "d", V.vinterp(dv, mu), V.PyClo(lambda dd: V.vapp(p, V.VIn(dd)))
+            "d", V.vinterp_i(code, xfam), V.PyClo(lambda dd: V.vapp(p, V.VIn(dd)))
         )
 
     term = V.quote(case_v, d)
@@ -143,7 +158,7 @@ Witness = Union[W1, WVar, WTimes, WBranches]
 def sub_desc(code: Value) -> bool:
     """Declarative sub-universe predicate: products, finite sums, recursive
     positions and unit."""
-    if isinstance(code, (V.VDOne, V.VDVar, V.VDVarI)):
+    if isinstance(code, (V.VDOne, V.VDVarI)):
         return True
     if isinstance(code, V.VDTimes):
         return sub_desc(code.lhs) and sub_desc(code.rhs)
@@ -166,7 +181,7 @@ def eq_membership(code: Value):
     sub-universe; returns a witness or a refusal."""
     if isinstance(code, V.VDOne):
         return W1()
-    if isinstance(code, (V.VDVar, V.VDVarI)):
+    if isinstance(code, V.VDVarI):
         return WVar()
     if isinstance(code, V.VDTimes):
         lw = eq_membership(code.lhs)
@@ -291,20 +306,22 @@ def _set_lam(k: int) -> Value:
     return V.VLam("_", V.PyClo(lambda _v: V.VSet(k)))
 
 
-def specialize_no_confusion(ctx: Context, name: str, code: Term):
-    """Specialized NoConfusion statement and proof for a tagged code.
+def specialize_no_confusion(ctx: Context, name: str, ty: Term):
+    """Specialized NoConfusion statement and proof for a datatype without
+    indices, given as the term of a tagged `IMu` at index type `Unit`.
 
     Returns [(entry name, term, type term), ...] where the proof is stated
     in the context already extended with the statement.
     """
-    dv = _tagged(ctx, code)
+    mu = _tagged(ctx, ty)
     d = ctx.depth
-    mu = V.VMu(dv)
-    enum = dv.enum
-    tfam = dv.fam
+    code = V.vapp(mu.fam, mu.index)
+    enum = code.enum
+    tfam = code.fam
+    xfam = V.imu_family(mu.ixty, mu.fam)
 
     def payload_ty(c: Value) -> Value:
-        return V.vinterp(V.vapp(tfam, c), mu)
+        return V.vinterp_i(V.vapp(tfam, c), xfam)
 
     def transport(e: Value, cx: Value, a: Value) -> Value:
         motive = V.VLam(
@@ -363,35 +380,10 @@ def specialize_no_confusion(ctx: Context, name: str, code: Term):
             lambda x: V.VLam(
                 "y",
                 V.PyClo(
-                    lambda y: V.vinduction(
-                        dv,
+                    lambda y: _eliminate(
+                        mu,
                         k1,
-                        V.VLam(
-                            "dx",
-                            V.PyClo(
-                                lambda dx: V.VLam(
-                                    "_",
-                                    V.PyClo(
-                                        lambda _h, dxx=dx: V.vinduction(
-                                            dv,
-                                            k1,
-                                            V.VLam(
-                                                "dy",
-                                                V.PyClo(
-                                                    lambda dy: V.VLam(
-                                                        "_",
-                                                        V.PyClo(
-                                                            lambda _h2, dyy=dy: nc_body(dxx, dyy)
-                                                        ),
-                                                    )
-                                                ),
-                                            ),
-                                            y,
-                                        )
-                                    ),
-                                )
-                            ),
-                        ),
+                        lambda dx, _h: _eliminate(mu, k1, lambda dy, _h2: nc_body(dx, dy), y),
                         x,
                     )
                 ),
@@ -409,23 +401,10 @@ def specialize_no_confusion(ctx: Context, name: str, code: Term):
 
     def diag(x: Value) -> Value:
         motive = V.VLam("x'", V.PyClo(lambda x2: V.vapps(nc_head, x2, x2)))
-        method = V.VLam(
-            "d",
-            V.PyClo(
-                lambda _d: V.VLam(
-                    "_",
-                    V.PyClo(
-                        lambda _h: V.VLam(
-                            "P",
-                            V.PyClo(
-                                lambda _p: V.VLam("k", V.PyClo(lambda kk: V.vapp(kk, V.VRefl())))
-                            ),
-                        )
-                    ),
-                )
-            ),
+        refl_k = V.VLam(
+            "P", V.PyClo(lambda _p: V.VLam("k", V.PyClo(lambda kk: V.vapp(kk, V.VRefl()))))
         )
-        return V.vinduction(dv, motive, method, x)
+        return _eliminate(mu, motive, lambda _d, _h: refl_k, x)
 
     proof_v = V.VLam(
         "x",

@@ -1,5 +1,9 @@
 """Bidirectional kernel checker for the core language.
 
+Descriptions live in one universe, `IDesc I`; a datatype without indices is
+the fix-point `IMu Unit R ()`, so constructors, inductive hypotheses and
+induction all have their indexed rules only.
+
 Judgmental equality compares values structurally (`values.convertible`):
 neutrals by head level and then frame by frame, binders under one fresh
 variable, with exactly the verdict of reading both sides back and comparing
@@ -204,14 +208,11 @@ def dlabel_wf(ctx: Context, label: T.DLabel):
             check(ctx, e.tm, tyv)
 
 
-def _desc_target(ctx: Context, want: Value, t: Term) -> Optional[Value]:
-    """For code checking: VDesc -> None (unindexed), VIDesc I -> I."""
-    if isinstance(want, V.VDesc):
-        return None
-    if isinstance(want, V.VIDesc):
-        return want.index
-    _err("TypeMismatch", t, f"expected {V.quote(want, ctx.depth)}, got a description code")
-    return None
+def _desc_target(ctx: Context, want: Value, t: Term) -> Value:
+    """For code checking: the index type I of the wanted `IDesc I`."""
+    if not isinstance(want, V.VIDesc):
+        _err("TypeMismatch", t, f"expected {V.quote(want, ctx.depth)}, got a description code")
+    return want.index
 
 
 def infer(ctx: Context, t: Term) -> Value:
@@ -309,38 +310,23 @@ def infer(ctx: Context, t: Term) -> Value:
             mv, _ = _motive_check(ctx, m, want)
             check(ctx, base, V.vapps(mv, lhs, V.VRefl()))
             return V.vapps(mv, qty.rhs, ctx.eval(q))
-        case T.Desc():
-            return V.VSet(1)
         case T.IDesc(i):
             check_is_type(ctx, i, max_level=0)
             return V.VSet(1)
-        case T.DVar():
-            return V.VDesc()
         case T.DVarI(i):
             ity = infer(ctx, i)
             return V.VIDesc(ity)
         case T.DTimes(a, b):
             ta = infer(ctx, a)
-            if not isinstance(ta, (V.VDesc, V.VIDesc)):
+            if not isinstance(ta, V.VIDesc):
                 _err("TypeMismatch", t, "product of non-codes")
             check(ctx, b, ta)
             return ta
-        case T.InterpDesc(code, x):
-            check(ctx, code, V.VDesc())
-            check(ctx, x, V.VSet(0))
-            return V.VSet(0)
         case T.InterpIDesc(code, x):
             ixty = _family_index_type(ctx, code, x, t)
             check(ctx, code, V.VIDesc(ixty))
             check(ctx, x, _const_pi(ixty, V.VSet(0)))
             return V.VSet(0)
-        case T.AllD(code, x, p, d):
-            check(ctx, code, V.VDesc())
-            check(ctx, x, V.VSet(0))
-            xv = ctx.eval(x)
-            _, k = _motive_check(ctx, p, lambda k: _const_pi(xv, V.VSet(k)))
-            check(ctx, d, V.vinterp(ctx.eval(code), xv))
-            return V.VSet(k)
         case T.IAllD(code, x, p, d):
             ixty = _family_index_type(ctx, code, x, t)
             check(ctx, code, V.VIDesc(ixty))
@@ -350,15 +336,6 @@ def infer(ctx: Context, t: Term) -> Value:
             _, k = _motive_check(ctx, p, lambda k: _const_pi(sig, V.VSet(k)))
             check(ctx, d, V.vinterp_i(ctx.eval(code), xv))
             return V.VSet(k)
-        case T.AllMap(code, x, p, rec, d):
-            check(ctx, code, V.VDesc())
-            check(ctx, x, V.VSet(0))
-            xv = ctx.eval(x)
-            pv, _ = _motive_check(ctx, p, lambda k: _const_pi(xv, V.VSet(k)))
-            check(ctx, rec, _pi_to(xv, lambda v: V.vapp(pv, v)))
-            dv_ty = V.vinterp(ctx.eval(code), xv)
-            check(ctx, d, dv_ty)
-            return V.vall(ctx.eval(code), xv, pv, ctx.eval(d))
         case T.IAllMap(code, x, p, rec, d):
             ixty = _family_index_type(ctx, code, x, t)
             check(ctx, code, V.VIDesc(ixty))
@@ -373,9 +350,6 @@ def infer(ctx: Context, t: Term) -> Value:
             )
             check(ctx, d, V.vinterp_i(ctx.eval(code), xv))
             return V.viall(ctx.eval(code), xv, pv, ctx.eval(d))
-        case T.Mu(code):
-            check(ctx, code, V.VDesc())
-            return V.VSet(0)
         case T.IMu(ixty, fam, i):
             iv, _ = check_is_type(ctx, ixty, max_level=0)
             check(ctx, fam, _const_pi(iv, V.VIDesc(iv)))
@@ -383,28 +357,11 @@ def infer(ctx: Context, t: Term) -> Value:
             return V.VSet(0)
         case T.In(_):
             _err("CannotInfer", t, "constructor form needs a checking type")
-        case T.Induction(code, p, m, x):
-            check(ctx, code, V.VDesc())
-            dv = ctx.eval(code)
-            mu = V.VMu(dv)
-            pv, _ = _motive_check(ctx, p, lambda k: _const_pi(mu, V.VSet(k)))
-            check(
-                ctx,
-                m,
-                _pi_to(
-                    V.vinterp(dv, mu),
-                    lambda d: _const_pi(
-                        V.vall(dv, mu, pv, d), V.vapp(pv, V.VIn(d))
-                    ),
-                ),
-            )
-            check(ctx, x, mu)
-            return V.vapp(pv, ctx.eval(x))
         case T.IInduction(ixty, fam, p, m, i, x):
             iv, _ = check_is_type(ctx, ixty, max_level=0)
             check(ctx, fam, _const_pi(iv, V.VIDesc(iv)))
             rv = ctx.eval(fam)
-            xfam = V.VLam("j", V.PyClo(lambda j: V.VIMu(iv, rv, j)))
+            xfam = V.imu_family(iv, rv)
             sig = V.VSigma("i", iv, V.PyClo(lambda j: V.VIMu(iv, rv, j)))
             pv, _ = _motive_check(ctx, p, lambda k: _const_pi(sig, V.VSet(k)))
             check(
@@ -542,26 +499,16 @@ def check(ctx: Context, t: Term, want: Value) -> Optional[Value]:
                 )
             _err("TypeMismatch", t, f"refl against {V.quote(want, ctx.depth)}")
         case T.In(d):
-            if isinstance(want, V.VMu):
-                dv = check(ctx, d, V.vinterp(want.code, want))
-            elif isinstance(want, V.VIMu):
-                xfam = V.VLam("j", V.PyClo(lambda j: V.VIMu(want.ixty, want.fam, j)))
-                dv = check(ctx, d, V.vinterp_i(V.vapp(want.fam, want.index), xfam))
-            else:
+            if not isinstance(want, V.VIMu):
                 _err("TypeMismatch", t, f"constructor against {V.quote(want, ctx.depth)}")
+            xfam = V.imu_family(want.ixty, want.fam)
+            dv = check(ctx, d, V.vinterp_i(V.vapp(want.fam, want.index), xfam))
             return None if dv is None else V.VIn(dv)
         case T.DOne():
             _desc_target(ctx, want, t)
             return
-        case T.DVar():
-            if isinstance(want, V.VDesc):
-                return
-            _err("TypeMismatch", t, "'var only describes unindexed types")
         case T.DVarI(i):
-            ixty = _desc_target(ctx, want, t)
-            if ixty is None:
-                _err("TypeMismatch", t, "'var with an index against Desc")
-            check(ctx, i, ixty)
+            check(ctx, i, _desc_target(ctx, want, t))
             return
         case T.DTimes(a, b):
             _desc_target(ctx, want, t)

@@ -141,7 +141,7 @@ def ewm_restricted(ctx: Context, kind: str, scrut_name: str, goal: Value) -> Ewm
     sty = entry.ty
     if isinstance(sty, V.VEnumT):
         return _ewm_enum(ctx, kind, scrut_name, scrut_v, sty, motive_at)
-    if isinstance(sty, (V.VMu, V.VIMu)):
+    if isinstance(sty, V.VIMu):
         return _ewm_fix(ctx, kind, scrut_name, scrut_v, sty, motive_at)
     raise ElabError(
         "UnsupportedScrutinee",
@@ -198,7 +198,7 @@ def _lam_chain(n: int, mk: Callable[[List[Value]], Value]) -> Value:
 
 
 def _is_leaf(code: Value) -> bool:
-    return isinstance(code, (V.VDVar, V.VDVarI, V.VDPi))
+    return isinstance(code, (V.VDVarI, V.VDPi))
 
 
 def _fam_name(fam: Value, default: str) -> str:
@@ -215,7 +215,7 @@ class _BranchShape:
     motives and is rebound (h) at every level.
     """
 
-    def __init__(self, code: Value, knum: int, has_hyp: bool, interp, iall, goal_of, motive_v, indexed):
+    def __init__(self, code: Value, knum: int, has_hyp: bool, interp, iall, goal_of, motive_v):
         self.code0 = code
         self.knum = knum
         self.has_hyp = has_hyp
@@ -223,13 +223,10 @@ class _BranchShape:
         self.iall = iall
         self.goal_of = goal_of
         self.motive_v = motive_v
-        self.indexed = indexed
 
     def _leaf_hyp_ty(self, code: Value, arg: Value) -> Value:
         if isinstance(code, V.VDVarI):
             return V.vapp(self.motive_v, V.VPair(code.index, arg))
-        if isinstance(code, V.VDVar):
-            return V.vapp(self.motive_v, arg)
         # exponential: pointwise hypotheses
         return V.VPi(
             "s",
@@ -273,7 +270,7 @@ class _BranchShape:
                 dom = V.VEnumT(code.enum) if isinstance(code, V.VDSigmaE) else code.dom
                 x = bind(_fam_name(code.fam, "x"), dom)
                 nxt = V.vapp(code.fam, x)
-                if not isinstance(nxt, (V.VDVar, V.VDVarI, V.VDPi, V.VDOne, V.VDTimes, V.VDSigma, V.VDSigmaE)):
+                if not isinstance(nxt, (V.VDVarI, V.VDPi, V.VDOne, V.VDTimes, V.VDSigma, V.VDSigmaE)):
                     raise ElabError(
                         "UnsupportedScrutinee", None, "constructor code is not canonical"
                     )
@@ -380,14 +377,9 @@ class _BranchShape:
 
 def _ewm_fix(ctx, kind, scrut_name, scrut_v, sty, motive_at) -> EwmResult:
     d = ctx.depth
-    indexed = isinstance(sty, V.VIMu)
-    if indexed:
-        ixty, fam_v, i0 = sty.ixty, sty.fam, sty.index
-        code0 = V.vapp(fam_v, i0)
-        xfam: Value = V.VLam("j", V.PyClo(lambda j: V.VIMu(ixty, fam_v, j)))
-    else:
-        code0 = sty.code
-        xfam = sty
+    ixty, fam_v, i0 = sty.ixty, sty.fam, sty.index
+    code0 = V.vapp(fam_v, i0)
+    xfam = V.imu_family(ixty, fam_v)
     if not isinstance(code0, V.VDSigmaE):
         raise ElabError(
             "UnsupportedScrutinee",
@@ -397,43 +389,33 @@ def _ewm_fix(ctx, kind, scrut_name, scrut_v, sty, motive_at) -> EwmResult:
     tags = V.enum_tags(code0.enum)
     if tags is None:
         raise ElabError("UnsupportedScrutinee", None, "constructor enumeration is not canonical")
-    if indexed:
-        probe = V.vapp(fam_v, V.fresh(d))
-        if not (isinstance(probe, V.VDSigmaE) and V.enum_tags(probe.enum) == tags):
-            raise ElabError(
-                "UnsupportedScrutinee",
-                None,
-                "the choice of constructors varies with the index",
-            )
+    probe = V.vapp(fam_v, V.fresh(d))
+    if not (isinstance(probe, V.VDSigmaE) and V.enum_tags(probe.enum) == tags):
+        raise ElabError(
+            "UnsupportedScrutinee",
+            None,
+            "the choice of constructors varies with the index",
+        )
 
     has_hyp = kind == "rec"
 
-    if indexed:
-        motive_v: Value = V.VLam("p", V.PyClo(lambda p: motive_at(V.vsnd(p))))
+    motive_v = V.VLam("p", V.PyClo(lambda p: motive_at(V.vsnd(p))))
 
-        def goal_of(v: Value, i=None) -> Value:
-            return V.vapp(motive_v, V.VPair(i if i is not None else i0, v))
-
-    else:
-        motive_v = V.VLam(scrut_name, V.PyClo(motive_at))
-
-        def goal_of(v: Value, i=None) -> Value:
-            return V.vapp(motive_v, v)
+    def goal_of(v: Value, i: Value = i0) -> Value:
+        return V.vapp(motive_v, V.VPair(i, v))
 
     def interp(code: Value) -> Value:
-        return V.vinterp_i(code, xfam) if indexed else V.vinterp(code, xfam)
+        return V.vinterp_i(code, xfam)
 
     def iall(code: Value, x: Value) -> Value:
-        return (
-            V.viall(code, xfam, motive_v, x) if indexed else V.vall(code, xfam, motive_v, x)
-        )
+        return V.viall(code, xfam, motive_v, x)
 
     subgoals = []
     shapes = []
     for k, tag in enumerate(tags):
         code_k = V.vapp(code0.fam, V.make_numeral(k))
         shape = _BranchShape(
-            code_k, k, has_hyp, interp, iall, lambda v: goal_of(v), motive_v, indexed
+            code_k, k, has_hyp, interp, iall, goal_of, motive_v
         )
         binders, arg_slots, hyp_slots, refined = shape.plan(d)
         bty = V.VPi(
@@ -481,13 +463,8 @@ def _ewm_fix(ctx, kind, scrut_name, scrut_v, sty, motive_at) -> EwmResult:
     def assemble(branches: List[Term]) -> Term:
         def mk(bvals: List[Value]) -> Value:
             def method_body(iv, xsv, hv):
-                code_i = V.vapp(fam_v, iv) if indexed else code0
+                code_i = V.vapp(fam_v, iv)
                 tfam = code_i.fam if isinstance(code_i, V.VDSigmaE) else code0.fam
-
-                def goal_at(v: Value, i: Value) -> Value:
-                    if indexed:
-                        return V.vapp(motive_v, V.VPair(i, v))
-                    return V.vapp(motive_v, v)
 
                 def pc(c2: Value) -> Value:
                     ck = V.vapp(tfam, c2)
@@ -500,7 +477,7 @@ def _ewm_fix(ctx, kind, scrut_name, scrut_v, sty, motive_at) -> EwmResult:
                                     "h2",
                                     iall(ck, a2),
                                     V.PyClo(
-                                        lambda _h2, aa=a2: goal_at(
+                                        lambda _h2, aa=a2: goal_of(
                                             V.VIn(V.VPair(c2, aa)), iv
                                         )
                                     ),
@@ -510,7 +487,7 @@ def _ewm_fix(ctx, kind, scrut_name, scrut_v, sty, motive_at) -> EwmResult:
                     return V.VPi(
                         "a2",
                         interp(ck),
-                        V.PyClo(lambda a2: goal_at(V.VIn(V.VPair(c2, a2)), iv)),
+                        V.PyClo(lambda a2: goal_of(V.VIn(V.VPair(c2, a2)), iv)),
                     )
 
                 pcv = V.VLam("c2", V.PyClo(pc))
@@ -537,36 +514,28 @@ def _ewm_fix(ctx, kind, scrut_name, scrut_v, sty, motive_at) -> EwmResult:
                             lambda q: V.VPi(
                                 "hh",
                                 iall(code_i, q),
-                                V.PyClo(lambda _h, qq=q: goal_at(V.VIn(qq), iv)),
+                                V.PyClo(lambda _h, qq=q: goal_of(V.VIn(qq), iv)),
                             )
                         ),
                     )
                     return V.vapp(V.vsplit(ms, mstep, xsv), hv)
-                ms = V.VLam("q", V.PyClo(lambda q: goal_at(V.VIn(q), iv)))
+                ms = V.VLam("q", V.PyClo(lambda q: goal_of(V.VIn(q), iv)))
                 return V.vsplit(ms, mstep, xsv)
 
-            if indexed:
-                method = V.VLam(
-                    "i",
-                    V.PyClo(
-                        lambda iv: V.VLam(
-                            "xs",
-                            V.PyClo(
-                                lambda xs: V.VLam(
-                                    "h", V.PyClo(lambda h, ii=iv, xx=xs: method_body(ii, xx, h))
-                                )
-                            ),
-                        )
-                    ),
-                )
-                return V.viinduction(ixty, fam_v, motive_v, method, i0, scrut_v)
             method = V.VLam(
-                "xs",
+                "i",
                 V.PyClo(
-                    lambda xs: V.VLam("h", V.PyClo(lambda h, xx=xs: method_body(None, xx, h)))
+                    lambda iv: V.VLam(
+                        "xs",
+                        V.PyClo(
+                            lambda xs: V.VLam(
+                                "h", V.PyClo(lambda h, ii=iv, xx=xs: method_body(ii, xx, h))
+                            )
+                        ),
+                    )
                 ),
             )
-            return V.vinduction(code0, motive_v, method, scrut_v)
+            return V.viinduction(ixty, fam_v, motive_v, method, i0, scrut_v)
 
         elim_v = _lam_chain(len(tags), mk)
         elim_t = ctx.quote(elim_v)
@@ -587,7 +556,7 @@ def _walk_args(code: Value, cur: Value, out: List[Slot], interp) -> None:
         _walk_args(code.lhs, V.vfst(cur), out, interp)
         _walk_args(code.rhs, V.vsnd(cur), out, interp)
         return
-    if isinstance(code, (V.VDVar, V.VDVarI, V.VDPi)):
+    if isinstance(code, (V.VDVarI, V.VDPi)):
         out.append(Slot(interp(code), cur, recursive=not isinstance(code, V.VDPi)))
         return
     if isinstance(code, (V.VDSigma, V.VDSigmaE)):
@@ -799,15 +768,11 @@ def _match_con_pattern(ctx: Context, ctor: str, vars_: tuple, argv: Value, argty
     knum = V.numeral_of(payload.fst)
     if knum is None:
         return None
-    if isinstance(argty, V.VIMu):
-        code0 = V.vapp(argty.fam, argty.index)
-        xfam: Value = V.VLam("j", V.PyClo(lambda j, a=argty: V.VIMu(a.ixty, a.fam, j)))
-        interp = lambda c: V.vinterp_i(c, xfam)  # noqa: E731
-    elif isinstance(argty, V.VMu):
-        code0 = argty.code
-        interp = lambda c: V.vinterp(c, argty)  # noqa: E731
-    else:
+    if not isinstance(argty, V.VIMu):
         return None
+    code0 = V.vapp(argty.fam, argty.index)
+    xfam = V.imu_family(argty.ixty, argty.fam)
+    interp = lambda c: V.vinterp_i(c, xfam)  # noqa: E731
     if not isinstance(code0, V.VDSigmaE):
         return None
     tags = V.enum_tags(code0.enum)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 from . import terms as T
 from .terms import Term
 
@@ -63,6 +65,14 @@ def _closed_numeral(t: Term):
             t = t.payload.snd.fst
             continue
         return None
+
+
+@dataclass(frozen=True)
+class Notation(Term):
+    """A print-only atom shown as its text, for notations such as the Desc
+    view of code dumps; it is never evaluated."""
+
+    text: str
 
 
 def print_term(t: Term, names: list) -> str:
@@ -172,12 +182,8 @@ def _pt(t: Term, names: list, prec: int) -> str:
         case T.EqElim(m, b, q):
             s = " ".join(["J"] + [_pt(u, names, ATOM) for u in (m, b, q)])
             return _paren(s, APP, prec)
-        case T.Desc():
-            return "Desc"
         case T.IDesc(i):
             return _paren(f"IDesc {_pt(i, names, ATOM)}", APP, prec)
-        case T.DVar():
-            return "'var"
         case T.DVarI(i):
             return _paren(f"'varI {_pt(i, names, ATOM)}", APP, prec)
         case T.DOne():
@@ -191,24 +197,14 @@ def _pt(t: Term, names: list, prec: int) -> str:
             return _paren(f"'Sigma {_pt(s_, names, ATOM)} {_pt(f, names, ATOM)}", APP, prec)
         case T.DSigmaE(e, f):
             return _paren(f"'sigma {_pt(e, names, ATOM)} {_pt(f, names, ATOM)}", APP, prec)
-        case T.InterpDesc(c, x):
-            return _paren(f"interp {_pt(c, names, ATOM)} {_pt(x, names, ATOM)}", APP, prec)
         case T.InterpIDesc(c, x):
             return _paren(f"interpI {_pt(c, names, ATOM)} {_pt(x, names, ATOM)}", APP, prec)
-        case T.AllD(c, x, p, d):
-            s = " ".join(["All"] + [_pt(u, names, ATOM) for u in (c, x, p, d)])
-            return _paren(s, APP, prec)
         case T.IAllD(c, x, p, d):
             s = " ".join(["IAll"] + [_pt(u, names, ATOM) for u in (c, x, p, d)])
-            return _paren(s, APP, prec)
-        case T.AllMap(c, x, p, r, d):
-            s = " ".join(["allmap"] + [_pt(u, names, ATOM) for u in (c, x, p, r, d)])
             return _paren(s, APP, prec)
         case T.IAllMap(c, x, p, r, d):
             s = " ".join(["iallmap"] + [_pt(u, names, ATOM) for u in (c, x, p, r, d)])
             return _paren(s, APP, prec)
-        case T.Mu(c):
-            return _paren(f"Mu {_pt(c, names, ATOM)}", APP, prec)
         case T.IMu(_, r, i):
             return _paren(f"IMu {_pt(r, names, ATOM)} {_pt(i, names, ATOM)}", APP, prec)
         case T.In(d):
@@ -216,9 +212,6 @@ def _pt(t: Term, names: list, prec: int) -> str:
             if n is not None:
                 return str(n)
             return _paren(f"In {_pt(d, names, ATOM)}", APP, prec)
-        case T.Induction(c, p, m, x):
-            s = " ".join(["induction"] + [_pt(u, names, ATOM) for u in (c, p, m, x)])
-            return _paren(s, APP, prec)
         case T.IInduction(_, r, p, m, i, x):
             s = " ".join(["iinduction"] + [_pt(u, names, ATOM) for u in (r, p, m, i, x)])
             return _paren(s, APP, prec)
@@ -242,4 +235,6 @@ def _pt(t: Term, names: list, prec: int) -> str:
             return _paren(f"return {_pt(e, names, ATOM)} {_pt(f, names, ATOM)}", APP, prec)
         case T.DCall(label, body):
             return _paren(f"call <{_label_str(label, names)}> {_pt(body, names, ATOM)}", APP, prec)
+        case Notation(text):
+            return text
     return f"<{type(t).__name__}>"

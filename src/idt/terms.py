@@ -192,18 +192,8 @@ class EqElim(Term):
 
 
 @dataclass(frozen=True)
-class Desc(Term):
-    pass
-
-
-@dataclass(frozen=True)
 class IDesc(Term):
     index: Term
-
-
-@dataclass(frozen=True)
-class DVar(Term):
-    pass
 
 
 @dataclass(frozen=True)
@@ -241,58 +231,30 @@ class DSigmaE(Term):
 
 
 @dataclass(frozen=True)
-class InterpDesc(Term):
-    code: Term
-    arg: Term
-
-
-@dataclass(frozen=True)
 class InterpIDesc(Term):
     code: Term
     arg: Term  # an index-family of types
 
 
 @dataclass(frozen=True)
-class AllD(Term):
+class IAllD(Term):
     """Inductive-hypothesis type over a description payload."""
 
     code: Term
-    ty: Term
-    motive: Term
-    payload: Term
-
-
-@dataclass(frozen=True)
-class IAllD(Term):
-    code: Term
     fam: Term
     motive: Term
-    payload: Term
-
-
-@dataclass(frozen=True)
-class AllMap(Term):
-    """Builds the AllD inhabitant from a recursor; backs induction's ι-rule."""
-
-    code: Term
-    ty: Term
-    motive: Term
-    rec: Term
     payload: Term
 
 
 @dataclass(frozen=True)
 class IAllMap(Term):
+    """Builds the IAllD inhabitant from a recursor; backs induction's ι-rule."""
+
     code: Term
     fam: Term
     motive: Term
     rec: Term
     payload: Term
-
-
-@dataclass(frozen=True)
-class Mu(Term):
-    code: Term
 
 
 @dataclass(frozen=True)
@@ -311,14 +273,6 @@ class IMu(Term):
 @dataclass(frozen=True)
 class In(Term):
     payload: Term
-
-
-@dataclass(frozen=True)
-class Induction(Term):
-    code: Term
-    motive: Term
-    method: Term
-    scrut: Term
 
 
 @dataclass(frozen=True)
@@ -524,12 +478,6 @@ def abstract(t: Term, target: int) -> Term:
     binder.
     """
     return map_vars(t, lambda i, d: Var(d) if i - d == target else Var(i + 1))
-
-
-def subst_var(t: Term, target: int, replacement: Term) -> Term:
-    """Replace free Var(target) by `replacement` (in the same context); other
-    variables keep their indices."""
-    return subst_free(t, lambda j: replacement if j == target else Var(j))
 
 
 def free_vars(t: Term) -> set:

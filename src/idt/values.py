@@ -3,6 +3,10 @@
 Terms evaluate into weak-head-normal values with closures for binders;
 stuck eliminations form neutral spines headed by a variable. Readback
 (`quote`) turns a value back into a beta/iota-normal term.
+
+There is one universe of descriptions, the indexed one (`IDesc I`): a
+datatype without indices is a fix-point at index type `Unit`, interpreted by
+`vinterp_i` and eliminated by `viinduction` like every other datatype.
 """
 
 from __future__ import annotations
@@ -145,18 +149,8 @@ class VRefl(Value):
 
 
 @dataclass(frozen=True)
-class VDesc(Value):
-    pass
-
-
-@dataclass(frozen=True)
 class VIDesc(Value):
     index: Value
-
-
-@dataclass(frozen=True)
-class VDVar(Value):
-    pass
 
 
 @dataclass(frozen=True)
@@ -191,11 +185,6 @@ class VDSigma(Value):
 class VDSigmaE(Value):
     enum: Value
     fam: Value
-
-
-@dataclass(frozen=True)
-class VMu(Value):
-    code: Value
 
 
 @dataclass(frozen=True)
@@ -384,29 +373,6 @@ def vpie(enum: Value, fam: Value) -> Value:
     raise EvalError("pi-enum on non-enumeration")
 
 
-def vinterp(code: Value, x: Value) -> Value:
-    if isinstance(code, VDVar):
-        return x
-    if isinstance(code, VDOne):
-        return VUnit()
-    if isinstance(code, VDTimes):
-        left = vinterp(code.lhs, x)
-        rhs, xx = code.rhs, x
-        return VSigma("_", left, PyClo(lambda _v: vinterp(rhs, xx)))
-    if isinstance(code, VDPi):
-        fam, xx = code.fam, x
-        return VPi("s", code.dom, PyClo(lambda s: vinterp(vapp(fam, s), xx)))
-    if isinstance(code, VDSigma):
-        fam, xx = code.fam, x
-        return VSigma("s", code.dom, PyClo(lambda s: vinterp(vapp(fam, s), xx)))
-    if isinstance(code, VDSigmaE):
-        fam, xx = code.fam, x
-        return VSigma("c", VEnumT(code.enum), PyClo(lambda c: vinterp(vapp(fam, c), xx)))
-    if isinstance(code, VNeutral):
-        return _stuck(code, T.InterpDesc, (code, x), 0)
-    raise EvalError(f"interp of non-code {type(code).__name__}")
-
-
 def vinterp_i(code: Value, x: Value) -> Value:
     if isinstance(code, VDVarI):
         return vapp(x, code.index)
@@ -430,25 +396,6 @@ def vinterp_i(code: Value, x: Value) -> Value:
     raise EvalError(f"indexed interp of non-code {type(code).__name__}")
 
 
-def vall(code: Value, x: Value, p: Value, d: Value) -> Value:
-    if isinstance(code, VDVar):
-        return vapp(p, d)
-    if isinstance(code, VDOne):
-        return VUnit()
-    if isinstance(code, VDTimes):
-        left = vall(code.lhs, x, p, vfst(d))
-        rhs, rest = code.rhs, vsnd(d)
-        return VSigma("_", left, PyClo(lambda _v, xx=x, pp=p: vall(rhs, xx, pp, rest)))
-    if isinstance(code, VDPi):
-        fam, xx, pp, dd = code.fam, x, p, d
-        return VPi("s", code.dom, PyClo(lambda s: vall(vapp(fam, s), xx, pp, vapp(dd, s))))
-    if isinstance(code, (VDSigma, VDSigmaE)):
-        return vall(vapp(code.fam, vfst(d)), x, p, vsnd(d))
-    if isinstance(code, VNeutral):
-        return _stuck(code, T.AllD, (code, x, p, d), 0)
-    raise EvalError(f"All over non-code {type(code).__name__}")
-
-
 def viall(code: Value, x: Value, p: Value, d: Value) -> Value:
     if isinstance(code, VDVarI):
         return vapp(p, VPair(code.index, d))
@@ -466,26 +413,6 @@ def viall(code: Value, x: Value, p: Value, d: Value) -> Value:
     if isinstance(code, VNeutral):
         return _stuck(code, T.IAllD, (code, x, p, d), 0)
     raise EvalError(f"IAll over non-code {type(code).__name__}")
-
-
-def vallmap(code: Value, x: Value, p: Value, rec: Value, d: Value) -> Value:
-    if isinstance(code, VDVar):
-        return vapp(rec, d)
-    if isinstance(code, VDOne):
-        return VVoid()
-    if isinstance(code, VDTimes):
-        return VPair(
-            vallmap(code.lhs, x, p, rec, vfst(d)),
-            vallmap(code.rhs, x, p, rec, vsnd(d)),
-        )
-    if isinstance(code, VDPi):
-        fam, xx, pp, rr, dd = code.fam, x, p, rec, d
-        return VLam("s", PyClo(lambda s: vallmap(vapp(fam, s), xx, pp, rr, vapp(dd, s))))
-    if isinstance(code, (VDSigma, VDSigmaE)):
-        return vallmap(vapp(code.fam, vfst(d)), x, p, rec, vsnd(d))
-    if isinstance(code, VNeutral):
-        return _stuck(code, T.AllMap, (code, x, p, rec, d), 0)
-    raise EvalError(f"all-map over non-code {type(code).__name__}")
 
 
 def viallmap(code: Value, x: Value, p: Value, rec: Value, d: Value) -> Value:
@@ -508,20 +435,16 @@ def viallmap(code: Value, x: Value, p: Value, rec: Value, d: Value) -> Value:
     raise EvalError(f"indexed all-map over non-code {type(code).__name__}")
 
 
-def vinduction(code: Value, p: Value, m: Value, x: Value) -> Value:
-    if isinstance(x, VIn):
-        rec = VLam("x", PyClo(lambda v: vinduction(code, p, m, v)))
-        hyp = vallmap(code, VMu(code), p, rec, x.payload)
-        return vapps(m, x.payload, hyp)
-    if isinstance(x, VNeutral):
-        return _stuck(x, T.Induction, (code, p, m, x), 3)
-    raise EvalError("induction on non-canonical scrutinee")
+def imu_family(ixty: Value, fam: Value) -> Value:
+    """The family `\\j. IMu ixty fam j` that the recursive positions of the
+    codes of `fam` interpret to."""
+    return VLam("j", PyClo(lambda j: VIMu(ixty, fam, j)))
 
 
 def viinduction(ixty: Value, fam: Value, p: Value, m: Value, i: Value, x: Value) -> Value:
     if isinstance(x, VIn):
         code = vapp(fam, i)
-        xfam = VLam("j", PyClo(lambda j: VIMu(ixty, fam, j)))
+        xfam = imu_family(ixty, fam)
         rec = VLam(
             "i",
             PyClo(lambda i2: VLam("x", PyClo(lambda v: viinduction(ixty, fam, p, m, i2, v)))),
@@ -598,7 +521,7 @@ def v_alpha_eq(a: Value, b: Value) -> bool:
     enumeration equality to fire its reflexivity rule."""
     if type(a) is not type(b):
         return False
-    if isinstance(a, (VZeroE, VVoid, VRefl, VNilE, VDVar, VDOne)):
+    if isinstance(a, (VZeroE, VVoid, VRefl, VNilE, VDOne)):
         return True
     if isinstance(a, VTag):
         return a.name == b.name
@@ -756,12 +679,8 @@ def eval_term(t: Term, env: tuple) -> Value:
             return VRefl()
         case T.EqElim(m, b, q):
             return veqelim(eval_term(m, env), eval_term(b, env), eval_term(q, env))
-        case T.Desc():
-            return VDesc()
         case T.IDesc(i):
             return VIDesc(eval_term(i, env))
-        case T.DVar():
-            return VDVar()
         case T.DVarI(i):
             return VDVarI(eval_term(i, env))
         case T.DOne():
@@ -774,30 +693,18 @@ def eval_term(t: Term, env: tuple) -> Value:
             return VDSigma(eval_term(s, env), eval_term(f, env))
         case T.DSigmaE(e, f):
             return VDSigmaE(eval_term(e, env), eval_term(f, env))
-        case T.InterpDesc(code, x):
-            return vinterp(eval_term(code, env), eval_term(x, env))
         case T.InterpIDesc(code, x):
             return vinterp_i(eval_term(code, env), eval_term(x, env))
-        case T.AllD(code, x, p, d):
-            return vall(eval_term(code, env), eval_term(x, env), eval_term(p, env), eval_term(d, env))
         case T.IAllD(code, x, p, d):
             return viall(eval_term(code, env), eval_term(x, env), eval_term(p, env), eval_term(d, env))
-        case T.AllMap(code, x, p, r, d):
-            return vallmap(
-                eval_term(code, env), eval_term(x, env), eval_term(p, env), eval_term(r, env), eval_term(d, env)
-            )
         case T.IAllMap(code, x, p, r, d):
             return viallmap(
                 eval_term(code, env), eval_term(x, env), eval_term(p, env), eval_term(r, env), eval_term(d, env)
             )
-        case T.Mu(code):
-            return VMu(eval_term(code, env))
         case T.IMu(ixty, fam, i):
             return VIMu(eval_term(ixty, env), eval_term(fam, env), eval_term(i, env))
         case T.In(d):
             return VIn(eval_term(d, env))
-        case T.Induction(code, p, m, x):
-            return vinduction(eval_term(code, env), eval_term(p, env), eval_term(m, env), eval_term(x, env))
         case T.IInduction(ixty, fam, p, m, i, x):
             return viinduction(
                 eval_term(ixty, env),
@@ -924,12 +831,8 @@ def quote(v: Value, d: int, names: Optional[dict] = None) -> Term:
             return T.Eq(quote(a, d, names), quote(l, d, names), quote(r, d, names))
         case VRefl():
             return T.Refl()
-        case VDesc():
-            return T.Desc()
         case VIDesc(i):
             return T.IDesc(quote(i, d, names))
-        case VDVar():
-            return T.DVar()
         case VDVarI(i):
             return T.DVarI(quote(i, d, names))
         case VDOne():
@@ -942,8 +845,6 @@ def quote(v: Value, d: int, names: Optional[dict] = None) -> Term:
             return T.DSigma(quote(s, d, names), quote(f, d, names))
         case VDSigmaE(e, f):
             return T.DSigmaE(quote(e, d, names), quote(f, d, names))
-        case VMu(code):
-            return T.Mu(quote(code, d, names))
         case VIMu(ixty, fam, i):
             if names and isinstance(ixty, VUnit) and (var := _definition_var(names, fam, d)):
                 return var
@@ -1144,7 +1045,6 @@ _CONV_RULES = {
     VDPi: _conv_fields("dom", "fam"),
     VDSigma: _conv_fields("dom", "fam"),
     VDSigmaE: _conv_fields("enum", "fam"),
-    VMu: _conv_fields("code"),
     VIMu: _conv_imu,
     VLabelTy: lambda a, b, d: a.head == b.head and _conv_all(a.args, b.args, d) and convertible(a.ty, b.ty, d),
     VLRet: _conv_fields("val"),
@@ -1152,13 +1052,13 @@ _CONV_RULES = {
     VDRet: _conv_fields("enum", "fam"),
     VNeutral: _conv_neutral,
 }
-_CONV_RULES.update(dict.fromkeys((VUnit, VVoid, VUId, VEnumU, VNilE, VZeroE, VRefl, VDesc, VDVar, VDOne), _same))
+_CONV_RULES.update(dict.fromkeys((VUnit, VVoid, VUId, VEnumU, VNilE, VZeroE, VRefl, VDOne), _same))
 
 # which fields of each stuck-elimination term take part in term equality
 _COMPARED = {
     kind: tuple(f.compare for f in dataclasses.fields(kind))
     for kind in (
-        T.PiE, T.Switch, T.EqElim, T.InterpDesc, T.InterpIDesc, T.AllD, T.IAllD, T.AllMap,
-        T.IAllMap, T.Induction, T.IInduction, T.Split, T.DecEqEnum, T.LCall, T.DCall,
+        T.PiE, T.Switch, T.EqElim, T.InterpIDesc, T.IAllD, T.IAllMap, T.IInduction, T.Split,
+        T.DecEqEnum, T.LCall, T.DCall,
     )
 }

@@ -138,18 +138,30 @@ def switch_fam(en, cases, target):
     )
 
 
+UNIT_DESC = T.IDesc(T.Unit())
+VAR = T.DVarI(T.Void())  # a recursive position at index type Unit
+
+
 def bare_nat_code():
     """A hand-built naturals code without trailing unit terminators."""
     en = enum("zero", "suc")
-    return T.DSigmaE(en, switch_fam(en, tup(T.DOne(), T.DVar()), T.Desc()))
+    return T.DSigmaE(en, switch_fam(en, tup(T.DOne(), VAR), UNIT_DESC))
 
 
 def elaborated_nat_code():
     """The naturals code as the argument-telescope rules produce it."""
     en = enum("zero", "suc")
-    return T.DSigmaE(
-        en, switch_fam(en, tup(T.DOne(), T.DTimes(T.DVar(), T.DOne())), T.Desc())
-    )
+    return T.DSigmaE(en, switch_fam(en, tup(T.DOne(), T.DTimes(VAR, T.DOne())), UNIT_DESC))
+
+
+def unit_fam(code):
+    """The constant family \\_. code over index type Unit."""
+    return T.Lam("_", T.Unit(), T.shift(code, 1))
+
+
+def unit_mu(code):
+    """The fix-point of `code` at index type Unit: IMu Unit (\\_. code) ()."""
+    return T.IMu(T.Unit(), unit_fam(code), T.Void())
 
 
 def nat_value(sess: Session):

@@ -408,15 +408,14 @@ class ConvPairGen:
             (T.EnumT, 1),
             (T.SucE, 1),
             (T.Eq, 3),
-            (r.choice([T.IDesc, T.DVarI, T.In, T.LRet, T.Mu]), 1),
+            (r.choice([T.IDesc, T.DVarI, T.In, T.LRet]), 1),
             (r.choice([T.DTimes, T.DPi, T.DSigma, T.DSigmaE, T.DRet]), 2),
             (lambda *k: T.EqElim(*k, v), 2),
             (lambda *k: T.Split(*k, v), 2),
-            (lambda *k: T.Induction(*k, v), 3),
             (lambda *k: T.PiE(v, *k), 1),
-            (lambda *k, c=r.choice([T.InterpDesc, T.InterpIDesc]): c(v, *k), 1),
-            (lambda *k, c=r.choice([T.AllD, T.IAllD]): c(v, *k), 3),
-            (lambda *k, c=r.choice([T.AllMap, T.IAllMap]): c(v, *k), 4),
+            (lambda *k: T.InterpIDesc(v, *k), 1),
+            (lambda *k: T.IAllD(v, *k), 3),
+            (lambda *k: T.IAllMap(v, *k), 4),
         ]
         form = r.randrange(14 + len(plain))
         if form == 0:

@@ -5,6 +5,7 @@ assertion failure marks the criterion red.
 """
 
 import io
+import itertools
 import os
 import random
 
@@ -12,7 +13,10 @@ import pytest
 
 from conftest import (
     GOLDEN,
+    UNIT_DESC,
+    VAR,
     corpus_path,
+    elaborated_nat_code,
     enum,
     load_session,
     num_term,
@@ -22,7 +26,6 @@ from conftest import (
 from generators import TermGen, gen_data_decl, gen_let_decl
 
 from idt import dataelab as D
-from idt import desc
 from idt import generics as G
 from idt import kernel as K
 from idt import labels as L
@@ -66,28 +69,24 @@ def test_criterion_1_code_reproduction(corpus):
     sess = corpus
     ok = True
 
-    # Nat: 'sigma {zero,suc} [zero -> '1, suc -> 'var '* '1]
+    # Nat: 'sigma {zero,suc} [zero -> '1, suc -> 'var '* '1], at index type Unit
     natv = _applied(sess, "Nat")
     ctx = sess.ctx
-    nat_code = desc.to_desc_code(V.quote(V.vapp(natv.fam, natv.index), ctx.depth))
-    en = enum("zero", "suc")
-    nat_want = T.DSigmaE(
-        en, switch_fam(en, tup(T.DOne(), T.DTimes(T.DVar(), T.DOne())), T.Desc())
-    )
-    ok &= K.def_eq(ctx, nat_code, nat_want)
+    nat_code = V.quote(V.vapp(natv.fam, natv.index), ctx.depth)
+    ok &= K.def_eq(ctx, nat_code, elaborated_nat_code())
 
     # Tree: 'sigma {leaf,node} [leaf -> '1, node -> 'var '* 'Sigma A (\_. 'var '* '1)]
     ctx_a = ctx.extend("A", V.VSet(0))
     treev = _applied(sess, "Tree", V.fresh(ctx.depth))
-    tree_code = desc.to_desc_code(V.quote(V.vapp(treev.fam, treev.index), ctx_a.depth))
+    tree_code = V.quote(V.vapp(treev.fam, treev.index), ctx_a.depth)
     a = T.Var(0)
     ent = enum("leaf", "node")
     tree_want = T.DSigmaE(
         ent,
         switch_fam(
             ent,
-            tup(T.DOne(), T.DTimes(T.DVar(), T.DSigma(a, T.Lam("_", a, T.DTimes(T.DVar(), T.DOne()))))),
-            T.Desc(),
+            tup(T.DOne(), T.DTimes(VAR, T.DSigma(a, T.Lam("_", a, T.DTimes(VAR, T.DOne()))))),
+            UNIT_DESC,
         ),
     )
     ok &= K.def_eq(ctx_a, tree_code, tree_want)
@@ -263,39 +262,33 @@ def _contains_refl(t) -> bool:
 
 
 def test_criterion_6_generics(corpus):
-    from test_generics import mu_inhabitants, imu_inhabitants
+    from test_generics import imu_inhabitants
 
     sess = corpus
     ok = True
 
-    # (a) case/induction agreement on the corpus datatypes, depth <= 4
+    # (a) case/induction agreement on the registered datatypes without
+    # indices (Nat, and Tree at Bool), depth <= 4
     bool_ix, _ = sess.ctx.lookup("Bool")
     boolv = sess.ctx.env[sess.ctx.depth - 1 - bool_ix]
-    bool_t = V.quote(boolv, 0)
-    en = enum("zero", "suc")
-    natd = T.DSigmaE(en, switch_fam(en, tup(T.DOne(), T.DTimes(T.DVar(), T.DOne())), T.Desc()))
-    ent = enum("leaf", "node")
-    treed = T.DSigmaE(
-        ent,
-        switch_fam(
-            ent,
-            tup(T.DOne(), T.DTimes(T.DVar(), T.DSigma(bool_t, T.Lam("_", bool_t, T.DTimes(T.DVar(), T.DOne()))))),
-            T.Desc(),
-        ),
-    )
-    for code in (natd, treed):
-        ctx = K.Context()
-        case_t, case_ty = G.derive_case(ctx, code)
+    index_free = (("Nat", _applied(sess, "Nat")), ("Tree", _applied(sess, "Tree", boolv)))
+    for _, mu in index_free:
+        ctx = sess.ctx
+        mu_t = V.quote(mu, ctx.depth)
+        case_t, case_ty = G.derive_case(ctx, mu_t)
         tyv = K.check_entry_type(ctx, case_ty)
         K.check(ctx, case_t, tyv)
         ctx = ctx.extend("case", tyv, ctx.eval(case_t))
-        mu = T.Mu(code)
-        P = T.Lam("_", mu, T.Unit())
+        mu_t = T.shift(mu_t, 1)
+        P = T.Lam("_", mu_t, T.Unit())
         m = T.Lam("d", None, T.Void())
-        ind_m = T.Lam("d", None, T.Lam("h", None, T.Void()))
-        for x in mu_inhabitants(ctx.eval(code), 4)[:25]:
+        ind_p = T.Lam("_", None, T.Unit())
+        ind_m = T.Lam("i", None, T.Lam("d", None, T.Lam("h", None, T.Void())))
+        fam_t = V.quote(mu.fam, ctx.depth)
+        for x in imu_inhabitants(mu, 4, ctx)[:25]:
             xt = V.quote(x, ctx.depth)
-            ok &= K.def_eq(ctx, T.App(T.App(T.App(T.Var(0), P), m), xt), T.Induction(code, P, ind_m, xt))
+            ind = T.IInduction(T.Unit(), fam_t, ind_p, ind_m, T.Void(), xt)
+            ok &= K.def_eq(ctx, T.App(T.App(T.App(T.Var(0), P), m), xt), ind)
     # the registered (indexed) corpus datatypes: hypothesis-dropping induction
     for name in ("Nat", "Tree", "Vec", "Vect"):
         applied = sess.datatypes[name].value
@@ -313,31 +306,24 @@ def test_criterion_6_generics(corpus):
             got = V.viinduction(applied.ixty, applied.fam, motive, meth, applied.index, x)
             ok &= isinstance(got, V.VVoid)
 
-    # (b) NoConfusion statement+proof kernel-check for Nat and Tree, normal
-    # forms distinguish all constructor pairs
-    for name, code, reps in (
-        ("Nat", natd, [T.In(T.Pair(T.ZeroE(), T.Void())), T.In(T.Pair(T.SucE(T.ZeroE()), T.Pair(T.In(T.Pair(T.ZeroE(), T.Void())), T.Void())))]),
-        ("Tree", treed, None),
-    ):
-        ctx = K.Context()
-        entries = G.specialize_no_confusion(ctx, name, code)
+    # (b) NoConfusion statement+proof kernel-check for Nat and Tree Bool,
+    # normal forms distinguish all constructor pairs
+    for name, mu in index_free:
+        ctx = sess.ctx
+        entries = G.specialize_no_confusion(ctx, name, V.quote(mu, ctx.depth))
         for nm, tm, tyt in entries:
             tyv = K.check_entry_type(ctx, tyt)
             K.check(ctx, tm, tyv)
             ctx = ctx.extend(nm, tyv, ctx.eval(tm))
-        if reps is None:
-            leaf = T.In(T.Pair(T.ZeroE(), T.Void()))
-            node = T.In(T.Pair(T.SucE(T.ZeroE()), T.Pair(leaf, T.Pair(T.ZeroE(), T.Pair(leaf, T.Void())))))
-            reps = [leaf, node]
+        reps = imu_inhabitants(mu, 2, ctx)[:6]
         stmt = T.Var(1)
-        for i, a in enumerate(reps):
-            for j, b in enumerate(reps):
-                nf = K.normalize(ctx, T.App(T.App(stmt, a), b))
-                if i == j:
-                    same = isinstance(nf, T.Pi) and isinstance(nf.cod, T.Pi) and isinstance(nf.cod.dom, T.Pi)
-                    ok &= same
-                else:
-                    ok &= nf == T.Pi("P", T.Set_(0), T.Var(0))
+        for a, b in itertools.product(reps, reps):
+            nf = K.normalize(ctx, T.App(T.App(stmt, V.quote(a, ctx.depth)), V.quote(b, ctx.depth)))
+            if V.numeral_of(V.vfst(a.payload)) == V.numeral_of(V.vfst(b.payload)):
+                same = isinstance(nf, T.Pi) and isinstance(nf.cod, T.Pi) and isinstance(nf.cod.dom, T.Pi)
+                ok &= same
+            else:
+                ok &= nf == T.Pi("P", T.Set_(0), T.Var(0))
 
     # (c) deriveEq agrees with the structural oracle
     natv = sess.datatypes["Nat"].value
@@ -395,8 +381,8 @@ def test_criterion_6_generics(corpus):
         sess.ctx.eval(
             switch_fam(
                 enum("z", "sup"),
-                tup(T.DOne(), T.DPi(T.Unit(), T.Lam("_", T.Unit(), T.DVar()))),
-                T.Desc(),
+                tup(T.DOne(), T.DPi(T.Unit(), T.Lam("_", T.Unit(), VAR))),
+                UNIT_DESC,
             )
         ),
     )

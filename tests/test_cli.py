@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from conftest import GOLDEN, corpus_path, load_session
+from conftest import GOLDEN, corpus_path, load_session, read_corpus
 
 from idt import kernel as K
 from idt.cli import Session, main, run_check, run_eval, run_repl
@@ -92,6 +92,33 @@ def test_elab_alias_matches_show_codes():
     c2, o2 = run_main(["check", "--show-codes", corpus_path("nat_tree_vec.idt")])
     assert c1 == c2 == 0
     assert o1 == o2
+
+
+def test_show_codes_prints_nested_indexed_codes_indexed(tmp_path):
+    # a datatype without indices whose field is a constrained Vec: the dump
+    # shows the Desc view of the codes at index type Unit (L's own and the
+    # nested Nat's), while the nested Vec keeps its recursive position
+    # 'varI (() , m) and its index type
+    p = tmp_path / "vec_list.idt"
+    p.write_text(
+        read_corpus("vec_constrained.idt")
+        + "\ndata L : Set where\n  L => nil\n  L => cons (n : Nat) (v : Vec Nat n) (xs : L)\n",
+        encoding="utf-8",
+    )
+    code, out = run_main(["check", "--show-codes", str(p)])
+    assert code == 0
+    nat = "IMu (\\j{0}. 'sigma {{'zero, 'suc}} (\\c{0}. switch {{'zero, 'suc}} (\\_. Desc) ('1 ('var '* '1)) c{0})) ()"
+    vec = (
+        "IMu (\\j. 'sigma {'vnil, 'vcons} (\\c. switch {'vnil, 'vcons} "
+        f"(\\_. IDesc (Unit * {nat.format(1)})) ('Sigma (snd j == 0) (\\_. '1) "
+        f"'Sigma ({nat.format(1)}) (\\m. 'Sigma ({nat.format(1)}) "
+        "(\\a. 'varI (() , m) '* 'Sigma (snd j == In (#1 m)) (\\_. '1)))) c)) (() , n)"
+    )
+    want = (
+        f"L = 'sigma {{nil,cons}} [nil -> '1, cons -> 'Sigma ({nat.format('')}) "
+        f"(\\n. 'Sigma ({vec}) (\\v. 'var '* '1))]"
+    )
+    assert out.splitlines()[-2:] == [want, "checked 1 file(s), context has 6 entries"]
 
 
 def test_determinism_byte_identical():

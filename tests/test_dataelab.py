@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from conftest import enum, tup, switch_fam, load_session, num_term
+from conftest import UNIT_DESC, VAR, elaborated_nat_code, enum, load_session, num_term, switch_fam, tup
 from generators import gen_data_decl, gen_let_decl
 
 from idt import dataelab as D
@@ -51,26 +51,20 @@ def nat_term(sess, ctx):
 
 
 def test_nat_code_matches_argument_rules(sess):
-    # the telescope rules give 'sigma {zero,suc} [zero -> '1, suc -> 'var '* '1]
+    # the telescope rules give 'sigma {zero,suc} [zero -> '1, suc -> 'var '* '1],
+    # a code at index type Unit
     ctx, code = applied_code(sess, "Nat")
-    got = desc.to_desc_code(V.quote(code, ctx.depth))
-    en = enum("zero", "suc")
-    want = T.DSigmaE(
-        en, switch_fam(en, tup(T.DOne(), T.DTimes(T.DVar(), T.DOne())), T.Desc())
-    )
-    assert K.def_eq(ctx, got, want)
+    assert K.def_eq(ctx, V.quote(code, ctx.depth), elaborated_nat_code())
 
 
 def test_tree_code_shape(sess):
     # the worked example: 'var '* 'Sigma A (\_. 'var '* '1) with '1 terminators
     ctx, code = applied_code(sess, "Tree")
-    got = desc.to_desc_code(V.quote(code, ctx.depth))
+    got = V.quote(code, ctx.depth)
     a = T.Var(0)
     en = enum("leaf", "node")
-    node = T.DTimes(
-        T.DVar(), T.DSigma(a, T.Lam("a", a, T.DTimes(T.DVar(), T.DOne())))
-    )
-    want = T.DSigmaE(en, switch_fam(en, tup(T.DOne(), node), T.Desc()))
+    node = T.DTimes(VAR, T.DSigma(a, T.Lam("a", a, T.DTimes(VAR, T.DOne()))))
+    want = T.DSigmaE(en, switch_fam(en, tup(T.DOne(), node), UNIT_DESC))
     assert K.def_eq(ctx, got, want)
 
 

@@ -3,7 +3,7 @@ elimination principle, and the code dump printer."""
 
 import pytest
 
-from conftest import enum, tup, bare_nat_code, switch_fam, load_session
+from conftest import UNIT_DESC, VAR, bare_nat_code, enum, load_session, switch_fam, tup, unit_fam, unit_mu
 
 from idt import desc
 from idt import kernel as K
@@ -21,33 +21,36 @@ def ctx0():
 
 
 NatD = bare_nat_code()
-Nat = T.Mu(NatD)
+NatR = unit_fam(NatD)  # the family Nat is the fix-point of
+Nat = unit_mu(NatD)
+NatX = unit_fam(Nat)  # the family its recursive positions interpret to
 
 
 # --- interpretation ---------------------------------------------------------------
 
 
 def test_interp_unit_clause():
-    assert desc.interp_desc(ctx0(), T.DOne(), Nat) == T.Unit()
+    assert K.normalize(ctx0(), T.InterpIDesc(T.DOne(), NatX)) == T.Unit()
 
 
 def test_interp_identity_functor_clause():
-    got = desc.interp_desc(ctx0(), T.DVar(), Nat)
+    # at a constant family, the recursive position 'varI () is the identity functor
+    got = K.normalize(ctx0(), T.InterpIDesc(VAR, NatX))
     assert got == K.normalize(ctx0(), Nat)
 
 
 def test_interp_natd_unfolds_by_hand():
     # oracle: unfold the clauses manually — a 'sigma interprets to a pair of
-    # the tag index and the payload computed by the lookup; at the argument
-    # type Unit both payloads land at Unit, via different clauses
-    v = V.vinterp(ctx0().eval(NatD), V.VUnit())
+    # the tag index and the payload computed by the lookup; at the family
+    # \_. Unit both payloads land at Unit, via different clauses
+    v = V.vinterp_i(ctx0().eval(NatD), V.VLam("_", V.PyClo(lambda _: V.VUnit())))
     assert isinstance(v, V.VSigma)
     assert isinstance(v.dom, V.VEnumT)
     assert V.enum_tags(v.dom.enum) == ["zero", "suc"]
     assert isinstance(v.cod(V.VZeroE()), V.VUnit)
     assert isinstance(v.cod(V.VSucE(V.VZeroE())), V.VUnit)
-    # at the argument type Mu NatD the recursive payload is the fix-point
-    v2 = V.vinterp(ctx0().eval(NatD), ctx0().eval(Nat))
+    # at the family \_. IMu Unit (\_. NatD) () the recursive payload is the fix-point
+    v2 = V.vinterp_i(ctx0().eval(NatD), ctx0().eval(NatX))
     suc_payload = v2.cod(V.VSucE(V.VZeroE()))
     assert V.quote(suc_payload, 0) == K.normalize(ctx0(), Nat)
 
@@ -85,14 +88,14 @@ def test_interp_constrained_vec_telescope(sess):
     assert isinstance(vnil_ty.cod(V.VRefl()), V.VUnit)
 
 
-# --- All ----------------------------------------------------------------------------
+# --- IAll ---------------------------------------------------------------------------
 
 
 def oracle_all(code: V.Value, x: V.Value, p: V.Value, d: V.Value) -> V.Value:
     """Independent structural-recursion oracle for the inductive-hypothesis
     type."""
-    if isinstance(code, V.VDVar):
-        return V.vapp(p, d)
+    if isinstance(code, V.VDVarI):
+        return V.vapp(p, V.VPair(code.index, d))
     if isinstance(code, V.VDOne):
         return V.VUnit()
     if isinstance(code, V.VDTimes):
@@ -108,27 +111,34 @@ def oracle_all(code: V.Value, x: V.Value, p: V.Value, d: V.Value) -> V.Value:
     raise AssertionError("bad code")
 
 
+def motive_ctx():
+    """P : (Sigma Unit (\\_. Nat)) -> Set, the motive over index-value pairs."""
+    ctx = ctx0()
+    dom = ctx.eval(T.Sigma("i", T.Unit(), T.shift(Nat, 1)))
+    return ctx.extend("P", V.VPi("_", dom, V.PyClo(lambda _: V.VSet(0))))
+
+
 def test_all_unit_clause():
-    got = desc.all_desc(ctx0(), T.DOne(), Nat, T.Lam("_", Nat, T.Unit()), T.Void())
+    got = K.normalize(ctx0(), T.IAllD(T.DOne(), NatX, T.Lam("_", None, T.Unit()), T.Void()))
     assert got == T.Unit()
 
 
 def test_all_var_clause():
-    ctx = ctx0().extend("P", V.VPi("_", ctx0().eval(Nat), V.PyClo(lambda _: V.VSet(0))))
+    ctx = motive_ctx()
     ctx = ctx.extend("x", ctx.eval(Nat))
-    got = K.normalize(ctx, T.AllD(T.DVar(), Nat, T.Var(1), T.Var(0)))
-    assert got == T.App(T.Var(1), T.Var(0))
+    got = K.normalize(ctx, T.IAllD(VAR, NatX, T.Var(1), T.Var(0)))
+    assert got == T.App(T.Var(1), T.Pair(T.Void(), T.Var(0)))
 
 
 def test_all_product_against_oracle():
-    # All('var '* 'var) on a pair is P x * P y
-    ctx = ctx0().extend("P", V.VPi("_", ctx0().eval(Nat), V.PyClo(lambda _: V.VSet(0))))
+    # IAll('varI () '* 'varI ()) on a pair is P ((), x) * P ((), y)
+    ctx = motive_ctx()
     ctx = ctx.extend("x", ctx.eval(Nat)).extend("y", ctx.eval(Nat))
-    code = T.DTimes(T.DVar(), T.DVar())
+    code = T.DTimes(VAR, VAR)
     d = T.Pair(T.Var(1), T.Var(0))
-    got = K.normalize(ctx, T.AllD(code, Nat, T.Var(2), d))
+    got = K.normalize(ctx, T.IAllD(code, NatX, T.Var(2), d))
     want = V.quote(
-        oracle_all(ctx.eval(code), ctx.eval(Nat), ctx.eval(T.Var(2)), ctx.eval(d)), ctx.depth
+        oracle_all(ctx.eval(code), ctx.eval(NatX), ctx.eval(T.Var(2)), ctx.eval(d)), ctx.depth
     )
     assert got == want
 
@@ -140,22 +150,22 @@ def test_all_random_codes_against_oracle(seed):
     rng = random.Random(seed)
 
     def gen_code(depth):
-        opts = [T.DVar(), T.DOne()]
+        opts = [VAR, T.DOne()]
         if depth > 0:
             opts += [
                 T.DTimes(gen_code(depth - 1), gen_code(depth - 1)),
                 T.DSigmaE(
                     enum("p", "q"),
-                    switch_fam(enum("p", "q"), tup(gen_code(depth - 1), gen_code(depth - 1)), T.Desc()),
+                    switch_fam(enum("p", "q"), tup(gen_code(depth - 1), gen_code(depth - 1)), UNIT_DESC),
                 ),
             ]
         return rng.choice(opts)
 
     code = gen_code(2)
-    ctx = ctx0().extend("P", V.VPi("_", ctx0().eval(Nat), V.PyClo(lambda _: V.VSet(0))))
+    ctx = motive_ctx()
     # a canonical payload for the code
     def gen_payload(cv):
-        if isinstance(cv, V.VDVar):
+        if isinstance(cv, V.VDVarI):
             return V.VIn(V.VPair(V.VZeroE(), V.VVoid()))
         if isinstance(cv, V.VDOne):
             return V.VVoid()
@@ -168,8 +178,8 @@ def test_all_random_codes_against_oracle(seed):
 
     cv = ctx.eval(code)
     d = gen_payload(cv)
-    got = K.normalize(ctx, T.AllD(code, Nat, T.Var(0), V.quote(d, ctx.depth)))
-    want = V.quote(oracle_all(cv, ctx.eval(Nat), ctx.eval(T.Var(0)), d), ctx.depth)
+    got = K.normalize(ctx, T.IAllD(code, NatX, T.Var(0), V.quote(d, ctx.depth)))
+    want = V.quote(oracle_all(cv, ctx.eval(NatX), ctx.eval(T.Var(0)), d), ctx.depth)
     assert got == want
 
 
@@ -177,41 +187,42 @@ def test_all_random_codes_against_oracle(seed):
 
 
 def test_induction_zero_case_no_hypotheses():
-    # induction NatD P m (In ('zero, void)) reduces to m ('zero, void) applied
-    # to the trivial hypothesis
+    # iinduction Unit (\_. NatD) P m () (In ('zero, void)) reduces to
+    # m () ('zero, void) applied to the trivial hypothesis
     ctx = ctx0().extend(
         "m",
         V.VPi(
             "d",
-            V.vinterp(ctx0().eval(NatD), V.VMu(ctx0().eval(NatD))),
+            V.vinterp_i(ctx0().eval(NatD), ctx0().eval(NatX)),
             V.PyClo(lambda _d: V.VUnit()),
         ),
     )
-    P = T.Lam("_", Nat, T.Unit())
-    method = T.Lam("d", None, T.Lam("h", None, T.App(T.Var(2), T.Var(1))))
+    P = T.Lam("_", None, T.Unit())
+    method = T.Lam("i", None, T.Lam("d", None, T.Lam("h", None, T.App(T.Var(3), T.Var(1)))))
     zero = T.In(T.Pair(T.ZeroE(), T.Void()))
-    got = K.normalize(ctx, T.Induction(NatD, P, method, zero))
+    got = K.normalize(ctx, T.IInduction(T.Unit(), NatR, P, method, T.Void(), zero))
     assert got == K.normalize(ctx, T.App(T.Var(0), T.Pair(T.ZeroE(), T.Void())))
 
 
 def test_induction_recursive_unfolding():
     # double via induction reduces through the recursive hypothesis
     En = enum("zero", "suc")
-    fam = switch_fam(En, tup(T.DOne(), T.DVar()), T.Desc())
+    fam = switch_fam(En, tup(T.DOne(), VAR), UNIT_DESC)
     natd = T.DSigmaE(En, fam)
-    nat = T.Mu(natd)
+    nat, natx = unit_mu(natd), unit_fam(unit_mu(natd))
     zero = T.In(T.Pair(T.ZeroE(), T.Void()))
 
     def suc(n):
         return T.In(T.Pair(T.SucE(T.ZeroE()), n))
 
+    to_nat = T.Lam("_", None, nat)
     PC = T.Lam(
         "c2",
         None,
         T.Pi(
             "a",
-            T.InterpDesc(T.App(fam, T.Var(0)), nat),
-            T.Pi("h2", T.AllD(T.App(fam, T.Var(1)), nat, T.Lam("_", nat, nat), T.Var(0)), nat),
+            T.InterpIDesc(T.App(fam, T.Var(0)), natx),
+            T.Pi("h2", T.IAllD(T.App(fam, T.Var(1)), natx, to_nat, T.Var(0)), nat),
         ),
     )
     B0 = T.Lam("a2", None, T.Lam("h2", None, zero))
@@ -219,9 +230,11 @@ def test_induction_recursive_unfolding():
     MSTEP = T.Lam(
         "c", None, T.Lam("a", None, T.App(T.Switch(En, PC, tup(B0, BS), T.Var(1)), T.Var(0)))
     )
-    MS = T.Lam("p", None, T.Pi("hh", T.AllD(natd, nat, T.Lam("_", nat, nat), T.Var(0)), nat))
-    METHOD = T.Lam("d", None, T.Lam("h", None, T.App(T.Split(MS, MSTEP, T.Var(1)), T.Var(0))))
-    double = T.Lam("m", nat, T.Induction(natd, T.Lam("_", nat, nat), METHOD, T.Var(0)))
+    MS = T.Lam("p", None, T.Pi("hh", T.IAllD(natd, natx, to_nat, T.Var(0)), nat))
+    METHOD = T.Lam(
+        "i", None, T.Lam("d", None, T.Lam("h", None, T.App(T.Split(MS, MSTEP, T.Var(1)), T.Var(0))))
+    )
+    double = T.Lam("m", nat, T.IInduction(T.Unit(), unit_fam(natd), to_nat, METHOD, T.Void(), T.Var(0)))
     ctx = ctx0()
     K.infer(ctx, double)
 
@@ -237,9 +250,9 @@ def test_induction_recursive_unfolding():
 
 def test_builtin_signatures_roundtrip_through_infer():
     ctx = ctx0()
-    assert K.infer(ctx, T.Mu(NatD)) == V.VSet(0)
-    # In : interp D (Mu D) -> Mu D
-    K.check(ctx, T.In(T.Pair(T.ZeroE(), T.Void())), ctx.eval(T.Mu(NatD)))
+    assert K.infer(ctx, Nat) == V.VSet(0)
+    # In : interpI (R ()) (\j. IMu Unit R j) -> IMu Unit R ()
+    K.check(ctx, T.In(T.Pair(T.ZeroE(), T.Void())), ctx.eval(Nat))
     # IMu R i : Set when R : I -> IDesc I
     r = T.Lam("j", T.Unit(), T.DOne())
     assert K.infer(ctx, T.IMu(T.Unit(), r, T.Void())) == V.VSet(0)
@@ -248,8 +261,8 @@ def test_builtin_signatures_roundtrip_through_infer():
 def test_functoriality_smoke():
     ctx = ctx0()
     redex = T.App(T.Lam("x", T.Set_(0), T.Var(0)), T.Unit())
-    a = desc.interp_desc(ctx, NatD, T.Unit())
-    b = desc.interp_desc(ctx, NatD, redex)
+    a = K.normalize(ctx, T.InterpIDesc(NatD, unit_fam(T.Unit())))
+    b = K.normalize(ctx, T.InterpIDesc(NatD, unit_fam(redex)))
     assert a == b
 
 
@@ -283,7 +296,12 @@ def test_induction_computes_on_corpus_inhabitants(sess):
 
 
 def test_print_code_golden_natd():
-    assert desc.print_code(ctx0(), NatD) == "'sigma {zero,suc} [zero -> '1, suc -> 'var]"
+    assert desc.print_code(ctx0(), NatD) == "'sigma {zero,suc} [zero -> '1, suc -> 'varI ()]"
+
+
+def test_print_code_desc_view_natd():
+    got = desc.print_code(ctx0(), NatD, unindexed=True)
+    assert got == "'sigma {zero,suc} [zero -> '1, suc -> 'var]"
 
 
 def test_print_code_golden_one():
@@ -299,15 +317,32 @@ def test_print_code_tree_shape():
             en,
             tup(
                 T.DOne(),
-                T.DTimes(T.DVar(), T.DSigma(T.Var(0), T.Lam("_", T.Var(0), T.DTimes(T.DVar(), T.DOne())))),
+                T.DTimes(VAR, T.DSigma(T.Var(0), T.Lam("_", T.Var(0), T.DTimes(VAR, T.DOne())))),
             ),
-            T.Desc(),
+            UNIT_DESC,
         ),
     )
-    out = desc.print_code(ctx, tree)
+    out = desc.print_code(ctx, tree, unindexed=True)
     assert out == "'sigma {leaf,node} [leaf -> '1, node -> 'var '* 'Sigma A (\\_. 'var '* '1)]"
 
 
-def test_to_desc_code():
-    code = T.DTimes(T.DVarI(T.Void()), T.DOne())
-    assert desc.to_desc_code(code) == T.DTimes(T.DVar(), T.DOne())
+def test_print_code_desc_view_of_nested_codes():
+    # a field whose type is a fix-point at index type Unit * Unit: its
+    # recursive position keeps its index, the Unit-indexed code around it
+    # shows the Desc view
+    pair_ix = T.Sigma("_", T.Unit(), T.Unit())
+    inner = T.IMu(
+        pair_ix,
+        T.Lam("j", pair_ix, T.DTimes(T.DVarI(T.Pair(T.Void(), T.Snd(T.Var(0)))), T.DOne())),
+        T.Pair(T.Void(), T.Void()),
+    )
+    code = T.DSigma(inner, T.Lam("x", inner, T.DTimes(VAR, T.DOne())))
+    assert desc.print_code(ctx0(), code, unindexed=True) == (
+        "'Sigma (IMu (\\j. 'varI (() , snd j) '* '1) (())) (\\x. 'var '* '1)"
+    )
+    nested_nat = T.DSigma(Nat, T.Lam("n", Nat, T.DOne()))
+    assert desc.print_code(ctx0(), nested_nat, unindexed=True) == (
+        "'Sigma (IMu (\\_. 'sigma {'zero, 'suc} (\\c. switch {'zero, 'suc} (\\_. Desc) ('1 'var) c)) ())"
+        " (\\n. '1)"
+    )
+    assert "IDesc Unit" in desc.print_code(ctx0(), nested_nat)

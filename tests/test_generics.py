@@ -2,20 +2,37 @@
 the deriving mechanism."""
 
 import itertools
+import os
 
 import pytest
 
-from conftest import enum, tup, switch_fam, bare_nat_code, load_session, num_term
+from conftest import (
+    CORPUS,
+    UNIT_DESC,
+    VAR,
+    bare_nat_code,
+    enum,
+    load_session,
+    num_term,
+    read_corpus,
+    switch_fam,
+    tup,
+    unit_fam,
+    unit_mu,
+)
 
 from idt import generics as G
 from idt import kernel as K
 from idt import surface as S
 from idt import terms as T
 from idt import values as V
+from idt.cli import Session
 from idt.elab import ElabError, Elaborator
 
 
 NatD = bare_nat_code()
+Nat = unit_mu(NatD)
+NatX = unit_fam(Nat)
 
 
 @pytest.fixture(scope="module")
@@ -28,6 +45,13 @@ def sess():
 
 def ctx0():
     return K.Context()
+
+
+def tree_code(elem: T.Term) -> T.Term:
+    """A hand-built binary-tree code with `elem` labels: leaf | node l a r."""
+    en = enum("leaf", "node")
+    node = T.DTimes(VAR, T.DSigma(elem, T.Lam("_", elem, T.DTimes(VAR, T.DOne()))))
+    return T.DSigmaE(en, switch_fam(en, tup(T.DOne(), node), UNIT_DESC))
 
 
 # --- canonical inhabitants up to a depth -------------------------------------------
@@ -43,7 +67,7 @@ def inhabitants(code: V.Value, top: V.Value, depth: int):
         return []
     if isinstance(code, V.VDOne):
         return [V.VVoid()]
-    if isinstance(code, (V.VDVar, V.VDVarI)):
+    if isinstance(code, V.VDVarI):
         return [V.VIn(p) for p in inhabitants(top, top, depth - 1)[:CAP]]
     if isinstance(code, V.VDTimes):
         return [
@@ -77,26 +101,32 @@ def mu_inhabitants(code_v: V.Value, depth: int):
 # --- case ----------------------------------------------------------------------------
 
 
-def test_derive_case_not_tagged():
+def test_derive_case_not_tagged(sess):
+    # a code without a constructor choice
     with pytest.raises(G.GenericsError) as e:
-        G.derive_case(ctx0(), T.DVar())
+        G.derive_case(ctx0(), unit_mu(T.DOne()))
     assert e.value.kind == "NotTagged"
+    # a code rather than a datatype
+    with pytest.raises(G.GenericsError) as e:
+        G.derive_case(ctx0(), VAR)
+    assert e.value.kind == "NotTagged"
+    # a datatype with indices
+    ctx = sess.ctx
+    vec = V.vapps(sess.datatypes["Vec"].value, V.VUnit(), ctx.eval(num_term(2)))
+    for derive in (G.derive_case, lambda c, t: G.specialize_no_confusion(c, "Vec", t)):
+        with pytest.raises(G.GenericsError) as e:
+            derive(ctx, V.quote(vec, ctx.depth))
+        assert e.value.kind == "Indexed"
 
 
 def test_case_nat_iota_drops_hypothesis():
     ctx = ctx0()
-    case_t, case_ty = G.derive_case(ctx, NatD)
+    case_t, case_ty = G.derive_case(ctx, Nat)
     tyv = K.check_entry_type(ctx, case_ty)
     K.check(ctx, case_t, tyv)
     ctx = ctx.extend("caseN", tyv, ctx.eval(case_t))
-    nat = T.Mu(NatD)
-    P = T.Lam("_", nat, T.Unit())
-    ctx = ctx.extend(
-        "m",
-        ctx.eval(
-            T.Pi("d", T.InterpDesc(NatD, nat), T.Unit())
-        ),
-    )
+    P = T.Lam("_", Nat, T.Unit())
+    ctx = ctx.extend("m", ctx.eval(T.Pi("d", T.InterpIDesc(NatD, NatX), T.Unit())))
     scrut = T.In(T.Pair(T.ZeroE(), T.Void()))
     lhs = T.App(T.App(T.App(T.Var(1), P), T.Var(0)), scrut)
     rhs = T.App(T.Var(0), T.Pair(T.ZeroE(), T.Void()))
@@ -107,20 +137,11 @@ def test_case_tree_picks_branch(sess):
     # distinguish leaf/node on a depth-2 tree, hand-evaluating one step
     boolv = sess.ctx.env[sess.ctx.depth - 1 - sess.ctx.lookup("Bool")[0]]
     en = enum("leaf", "node")
-    bool_t = V.quote(boolv, 0)
-    treed = T.DSigmaE(
-        en,
-        switch_fam(
-            en,
-            tup(T.DOne(), T.DTimes(T.DVar(), T.DSigma(bool_t, T.Lam("_", bool_t, T.DTimes(T.DVar(), T.DOne()))))),
-            T.Desc(),
-        ),
-    )
+    tree = unit_mu(tree_code(V.quote(boolv, 0)))
     ctx = ctx0()
-    case_t, case_ty = G.derive_case(ctx, treed)
+    case_t, case_ty = G.derive_case(ctx, tree)
     tyv = K.check_entry_type(ctx, case_ty)
     K.check(ctx, case_t, tyv)
-    tree = T.Mu(treed)
     leaf = T.In(T.Pair(T.ZeroE(), T.Void()))
     node = T.In(
         T.Pair(
@@ -147,33 +168,24 @@ def test_case_tree_picks_branch(sess):
 
 
 def test_case_induction_agreement_desc_level(sess):
-    # defEq(case_D P m x, induction D P (\d _. m d) x) for depth <= 4
+    # defEq(case_D P m x, iinduction Unit (\_. D) P (\i d _. m d) () x) for depth <= 4
     boolv = sess.ctx.env[sess.ctx.depth - 1 - sess.ctx.lookup("Bool")[0]]
-    bool_t = V.quote(boolv, 0)
-    en = enum("leaf", "node")
-    treed = T.DSigmaE(
-        en,
-        switch_fam(
-            en,
-            tup(T.DOne(), T.DTimes(T.DVar(), T.DSigma(bool_t, T.Lam("_", bool_t, T.DTimes(T.DVar(), T.DOne()))))),
-            T.Desc(),
-        ),
-    )
+    treed = tree_code(V.quote(boolv, 0))
     for code in (NatD, treed):
         ctx = ctx0()
-        case_t, case_ty = G.derive_case(ctx, code)
+        mu = unit_mu(code)
+        case_t, case_ty = G.derive_case(ctx, mu)
         tyv = K.check_entry_type(ctx, case_ty)
         ctx = ctx.extend("case", tyv, ctx.eval(case_t))
-        mu = T.Mu(code)
         P = T.Lam("_", mu, T.Unit())
         m = T.Lam("d", None, T.Void())
-        ind_m = T.Lam("d", None, T.Lam("h", None, T.Void()))
+        ind_m = T.Lam("i", None, T.Lam("d", None, T.Lam("h", None, T.Void())))
         xs = mu_inhabitants(ctx.eval(code), 4)
         assert xs
         for x in xs[:40]:
             xt = V.quote(x, ctx.depth)
             lhs = T.App(T.App(T.App(T.Var(0), P), m), xt)
-            rhs = T.Induction(code, P, ind_m, xt)
+            rhs = T.IInduction(T.Unit(), unit_fam(code), T.Lam("_", None, T.Unit()), ind_m, T.Void(), xt)
             assert K.def_eq(ctx, lhs, rhs)
 
 
@@ -281,15 +293,18 @@ def test_case_induction_agreement_indexed_level(sess):
 # --- NoConfusion ----------------------------------------------------------------------
 
 
-@pytest.fixture(scope="module")
-def nc_nat():
-    ctx = ctx0()
-    entries = G.specialize_no_confusion(ctx, "Nat", NatD)
+def extend_with(ctx, entries):
+    """Kernel-check each (name, term, type) entry and add it to the context."""
     for nm, tm, tyt in entries:
         tyv = K.check_entry_type(ctx, tyt)
         K.check(ctx, tm, tyv)
         ctx = ctx.extend(nm, tyv, ctx.eval(tm))
     return ctx
+
+
+@pytest.fixture(scope="module")
+def nc_nat():
+    return extend_with(ctx0(), G.specialize_no_confusion(ctx0(), "Nat", Nat))
 
 
 def test_no_confusion_kernel_checks(nc_nat):
@@ -340,35 +355,17 @@ def test_no_confusion_proof_computes(nc_nat):
     # equal constructors with refl, P, k computes to k refl
     ctx = nc_nat.extend("P", V.VSet(0))
     two = bare_num(2)
-    pred_eq = T.Eq(T.InterpDesc(T.App(_nat_fam(), T.SucE(T.ZeroE())), T.Mu(NatD)), bare_num(1), bare_num(1))
+    pred_eq = T.Eq(T.InterpIDesc(T.App(NatD.fam, T.SucE(T.ZeroE())), NatX), bare_num(1), bare_num(1))
     ctx = ctx.extend("k", ctx.eval(T.Pi("_", pred_eq, T.Var(1))))
     proof = T.Var(2)
     t = T.App(T.App(T.App(T.App(T.App(proof, two), two), T.Refl()), T.Var(1)), T.Var(0))
     assert K.normalize(ctx, t) == T.App(T.Var(0), T.Refl())
 
 
-def _nat_fam():
-    return NatD.fam
-
-
 def test_no_confusion_tree(sess):
     boolv = sess.ctx.env[sess.ctx.depth - 1 - sess.ctx.lookup("Bool")[0]]
-    bool_t = V.quote(boolv, 0)
-    en = enum("leaf", "node")
-    treed = T.DSigmaE(
-        en,
-        switch_fam(
-            en,
-            tup(T.DOne(), T.DTimes(T.DVar(), T.DSigma(bool_t, T.Lam("_", bool_t, T.DTimes(T.DVar(), T.DOne()))))),
-            T.Desc(),
-        ),
-    )
-    ctx = ctx0()
-    entries = G.specialize_no_confusion(ctx, "Tree", treed)
-    for nm, tm, tyt in entries:
-        tyv = K.check_entry_type(ctx, tyt)
-        K.check(ctx, tm, tyv)
-        ctx = ctx.extend(nm, tyv, ctx.eval(tm))
+    tree = unit_mu(tree_code(V.quote(boolv, 0)))
+    ctx = extend_with(ctx0(), G.specialize_no_confusion(ctx0(), "Tree", tree))
     leaf = T.In(T.Pair(T.ZeroE(), T.Void()))
     node = T.In(T.Pair(T.SucE(T.ZeroE()), T.Pair(leaf, T.Pair(T.ZeroE(), T.Pair(leaf, T.Void())))))
     stmt = T.Var(1)
@@ -376,6 +373,102 @@ def test_no_confusion_tree(sess):
     assert nf == T.Pi("P", T.Set_(0), T.Var(0))
     nf2 = K.normalize(ctx, T.App(T.App(stmt, leaf), leaf))
     assert isinstance(nf2.cod.dom, T.Pi) and isinstance(nf2.cod.dom.dom, T.Eq)
+
+
+# --- case and NoConfusion on the datatypes a Session registers ------------------------
+
+
+def _load(corpus_file: str) -> Session:
+    s = Session()
+    try:
+        s.load_text(read_corpus(corpus_file), corpus_file)
+    except ElabError:
+        pass  # the declarations before a rejected one stay registered
+    return s
+
+
+def _index_free_datatypes():
+    """(corpus file, name) of each datatype without indices that a Session
+    registers from the corpus, once per name."""
+    found = {}
+    for f in sorted(os.listdir(CORPUS)):
+        if not f.endswith(".idt"):
+            continue
+        for name, info in _load(f).datatypes.items():
+            if info.n_indices == 0:
+                found.setdefault(name, f)
+    return sorted((f, name) for name, f in found.items())
+
+
+INDEX_FREE = _index_free_datatypes()
+
+
+def test_the_corpus_registers_nat_and_tree():
+    assert sorted(name for _, name in INDEX_FREE) == ["Nat", "Tree"]
+
+
+def registered(corpus_file: str, name: str):
+    """A session loaded from `corpus_file` with `Bool`, and the datatype
+    `name` there with each parameter instantiated at `Bool`."""
+    s = _load(corpus_file)
+    if s.ctx.lookup("Bool") is None:
+        s.load_text("let Bool : Set => Enum {'true, 'false}")
+    ctx = s.ctx
+    boolv = ctx.eval(T.Var(ctx.lookup("Bool")[0]))
+    info = s.datatypes[name]
+    applied = info.value
+    for _ in range(info.n_params):
+        applied = V.vapp(applied, boolv)
+    assert isinstance(applied, V.VIMu) and isinstance(applied.ixty, V.VUnit)
+    return ctx, applied
+
+
+@pytest.fixture(scope="module", params=INDEX_FREE, ids=[name for _, name in INDEX_FREE])
+def index_free(request):
+    ctx, applied = registered(*request.param)
+    return request.param[1], ctx, applied
+
+
+def test_session_case_kernel_checks_and_agrees_with_induction(index_free):
+    name, ctx, applied = index_free
+    case_t, case_ty = G.derive_case(ctx, V.quote(applied, ctx.depth))
+    tyv = K.check_entry_type(ctx, case_ty)
+    K.check(ctx, case_t, tyv)
+    case_v = ctx.eval(case_t)
+    # a method that returns the payload it is given, and its
+    # hypothesis-dropping induction
+    motive = V.VLam("x", V.PyClo(lambda _x: V.VUnit()))
+    method = V.VLam("d", V.PyClo(lambda d: d))
+    ind_motive = V.VLam("q", V.PyClo(lambda _q: V.VUnit()))
+    ind_method = V.VLam(
+        "i", V.PyClo(lambda _i: V.VLam("d", V.PyClo(lambda d: V.VLam("h", V.PyClo(lambda _h, dd=d: dd)))))
+    )
+    xs = imu_inhabitants(applied, 4, ctx)
+    assert len(xs) > 4, name
+    d = ctx.depth
+    for x in xs:
+        got = V.vapps(case_v, motive, method, x)
+        want = V.viinduction(applied.ixty, applied.fam, ind_motive, ind_method, applied.index, x)
+        assert V.quote(got, d) == V.quote(want, d) == V.quote(x.payload, d), name
+
+
+def test_session_no_confusion_kernel_checks_and_separates_constructors(index_free):
+    name, ctx, applied = index_free
+    entries = G.specialize_no_confusion(ctx, name, V.quote(applied, ctx.depth))
+    assert [nm for nm, _, _ in entries] == [f"NoConfusion{name}", f"noConfusion{name}"]
+    ctx = extend_with(ctx, entries)
+    xs = imu_inhabitants(applied, 2, ctx)
+    tags = {V.numeral_of(V.vfst(x.payload)) for x in xs}
+    assert len(tags) > 1, name
+    bottom = T.Pi("P", T.Set_(0), T.Var(0))
+    for a, b in itertools.product(xs[:8], xs[:8]):
+        at, bt = V.quote(a, ctx.depth), V.quote(b, ctx.depth)
+        nf = K.normalize(ctx, T.App(T.App(T.Var(1), at), bt))
+        distinct = V.numeral_of(V.vfst(a.payload)) != V.numeral_of(V.vfst(b.payload))
+        assert (nf == bottom) == distinct, name
+        if not distinct:
+            # Pi P. (payload == payload -> P) -> P
+            assert isinstance(nf.cod.dom, T.Pi) and isinstance(nf.cod.dom.dom, T.Eq), name
 
 
 # --- decidable enum equality -------------------------------------------------------
@@ -424,8 +517,8 @@ def test_eq_membership_examples():
         enum("z", "sup"),
         switch_fam(
             enum("z", "sup"),
-            tup(T.DOne(), T.DPi(T.Unit(), T.Lam("_", T.Unit(), T.DVar()))),
-            T.Desc(),
+            tup(T.DOne(), T.DPi(T.Unit(), T.Lam("_", T.Unit(), VAR))),
+            UNIT_DESC,
         ),
     )
     r = G.eq_membership(ctx0().eval(brouwer))
@@ -441,7 +534,7 @@ def test_eq_membership_sigma_non_enum_domain(sess):
 def small_codes(depth):
     """Brute-force enumerator of small codes for the agreement check."""
     if depth == 0:
-        return [V.VDOne(), V.VDVar()]
+        return [V.VDOne(), V.VDVarI(V.VVoid())]
     smaller = small_codes(depth - 1)
     out = list(smaller)
     for a in smaller[:4]:
@@ -454,12 +547,12 @@ def small_codes(depth):
                 "c",
                 V.PyClo(
                     lambda c, aa=a, bb=b: V.vswitch(
-                        e2, V.VLam("_", V.PyClo(lambda _v: V.VDesc())), V.VPair(aa, V.VPair(bb, V.VVoid())), c
+                        e2, V.VLam("_", V.PyClo(lambda _v: V.VIDesc(V.VUnit()))), V.VPair(aa, V.VPair(bb, V.VVoid())), c
                     )
                 ),
             )
             out.append(V.VDSigmaE(e2, fam))
-    out.append(V.VDPi(V.VUnit(), V.VLam("_", V.PyClo(lambda _v: V.VDVar()))))
+    out.append(V.VDPi(V.VUnit(), V.VLam("_", V.PyClo(lambda _v: V.VDVarI(V.VVoid())))))
     return out
 
 
@@ -527,8 +620,6 @@ def test_derive_eq_tree_bool(sess):
 
 
 def test_deriving_unsupported_at_declaration():
-    from idt.cli import Session
-
     s = Session()
     s.load_text("data Nat : Set where\n  Nat => zero\n  Nat => suc (n : Nat)\n")
     with pytest.raises(ElabError) as e:
@@ -539,8 +630,6 @@ def test_deriving_unsupported_at_declaration():
 
 
 def test_deriving_on_family_unsupported():
-    from idt.cli import Session
-
     s = Session()
     s.load_text("data Nat : Set where\n  Nat => zero\n  Nat => suc (n : Nat)\n")
     with pytest.raises(ElabError) as e:
@@ -582,7 +671,7 @@ def test_registry_dispatch_and_errors():
 
 def test_registry_refusal_routes_to_error():
     reg = G.DerivingRegistry()
-    brouwer = V.VDPi(V.VUnit(), V.VLam("_", V.PyClo(lambda _v: V.VDVar())))
+    brouwer = V.VDPi(V.VUnit(), V.VLam("_", V.PyClo(lambda _v: V.VDVarI(V.VVoid()))))
     with pytest.raises(G.GenericsError) as e:
         reg.derive_for("Eq", brouwer)
     assert e.value.kind == "DerivingUnsupported"

@@ -10,7 +10,7 @@ def leaf_terms():
         st.builds(T.Var, st.integers(min_value=0, max_value=5)),
         st.just(T.Unit()),
         st.just(T.Void()),
-        st.just(T.DVar()),
+        st.just(T.DOne()),
         st.just(T.Refl()),
         st.builds(T.Tag, st.sampled_from(["a", "b", "c"])),
     )
