@@ -14,6 +14,10 @@ cumulativity as a subtyping check at conversion points.
 from the values of the parts (pairs, constructors, `()`, enumeration
 indices, `refl`), and None otherwise; a dependent codomain is instantiated
 with that value instead of evaluating the argument again.
+
+`infer` and `check` look their rule up by the exact class of the term
+(`_INFER_RULES`, `_CHECK_RULES`). A class without a checking rule is checked
+by synthesis: its type is inferred and compared with `conv_le`.
 """
 
 from __future__ import annotations
@@ -216,222 +220,110 @@ def _desc_target(ctx: Context, want: Value, t: Term) -> Value:
 
 
 def infer(ctx: Context, t: Term) -> Value:
-    match t:
-        case T.Var(ix):
-            if ix < 0 or ix >= ctx.depth:
-                _err("UnboundVariable", t, f"index {ix} out of range")
-            return ctx.entry_at(ix).ty
-        case T.Set_(level):
-            if level >= 2:
-                _err("UniverseMismatch", t, "the top universe has no type")
-            return V.VSet(level + 1)
-        case T.Pi(nm, dom, cod) | T.Sigma(nm, dom, cod):
-            domv, j = infer_sort(ctx, dom)
-            _, k = infer_sort(ctx.extend(nm, domv), cod)
-            return V.VSet(max(j, k))
-        case T.Lam(nm, ann, body):
-            if ann is None:
-                _err("CannotInfer", t, "unannotated function")
-            domv, _ = check_is_type(ctx, ann)
-            body_ty = infer(ctx.extend(nm, domv), body)
-            cod = V.quote(body_ty, ctx.depth + 1)
-            return V.VPi(nm, domv, V.Clo(ctx.env, cod))
-        case T.App(fn, arg):
-            fty = infer(ctx, fn)
-            if not isinstance(fty, V.VPi):
-                _err("NotAFunction", t, f"applied term has type {V.quote(fty, ctx.depth)}")
-            argv = check(ctx, arg, fty.dom)
-            return fty.cod(ctx.eval(arg) if argv is None else argv)
-        case T.Pair(a, b):
-            if t.ann is None:
-                _err("CannotInfer", t, "unannotated pair")
-            nm, fam = t.ann
-            aty = infer(ctx, a)
-            check_is_type(ctx.extend(nm, aty), fam)
-            bty = V.Clo(ctx.env, fam)(ctx.eval(a))
-            check(ctx, b, bty)
-            return V.VSigma(nm, aty, V.Clo(ctx.env, fam))
-        case T.Fst(p):
-            pty = infer(ctx, p)
-            if not isinstance(pty, V.VSigma):
-                _err("NotAPair", t, f"projected term has type {V.quote(pty, ctx.depth)}")
-            return pty.dom
-        case T.Snd(p):
-            pty = infer(ctx, p)
-            if not isinstance(pty, V.VSigma):
-                _err("NotAPair", t, f"projected term has type {V.quote(pty, ctx.depth)}")
-            return pty.cod(V.vfst(ctx.eval(p)))
-        case T.Unit() | T.UId() | T.EnumU():
-            return V.VSet(0)
-        case T.Void():
-            return V.VUnit()
-        case T.Tag(_):
-            return V.VUId()
-        case T.NilE():
-            return V.VEnumU()
-        case T.ConsE(tag, rest):
-            check(ctx, tag, V.VUId())
-            check(ctx, rest, V.VEnumU())
-            return V.VEnumU()
-        case T.EnumT(e):
-            check(ctx, e, V.VEnumU())
-            return V.VSet(0)
-        case T.PiE(e, p):
-            check(ctx, e, V.VEnumU())
-            ev = ctx.eval(e)
-            _, k = _motive_check(ctx, p, lambda k: _const_pi(V.VEnumT(ev), V.VSet(k)))
-            return V.VSet(k)
-        case T.Switch(e, p, cs, x):
-            check(ctx, e, V.VEnumU())
-            ev = ctx.eval(e)
-            pv, _ = _motive_check(ctx, p, lambda k: _const_pi(V.VEnumT(ev), V.VSet(k)))
-            check(ctx, cs, V.vpie(ev, pv))
-            check(ctx, x, V.VEnumT(ev))
-            return V.vapp(pv, ctx.eval(x))
-        case T.Eq(a, l, r):
-            av, lvl = check_is_type(ctx, a)
-            check(ctx, l, av)
-            check(ctx, r, av)
-            return V.VSet(lvl)
-        case T.Refl():
-            _err("CannotInfer", t, "refl needs a checking type")
-        case T.EqElim(m, base, q):
-            qty = infer(ctx, q)
-            if not isinstance(qty, V.VEq):
-                _err("TypeMismatch", t, "eliminating a non-equation")
-            a, lhs = qty.ty, qty.lhs
+    rule = _INFER_RULES.get(type(t))
+    if rule is None:
+        _err("CannotInfer", t, f"no synthesis rule for {type(t).__name__}")
+    return rule(ctx, t)
 
-            def want(k):
-                return _pi_to(
-                    a,
-                    lambda y: _const_pi(V.VEq(a, lhs, y), V.VSet(k)),
-                )
 
-            mv, _ = _motive_check(ctx, m, want)
-            check(ctx, base, V.vapps(mv, lhs, V.VRefl()))
-            return V.vapps(mv, qty.rhs, ctx.eval(q))
-        case T.IDesc(i):
-            check_is_type(ctx, i, max_level=0)
-            return V.VSet(1)
-        case T.DVarI(i):
-            ity = infer(ctx, i)
-            return V.VIDesc(ity)
-        case T.DTimes(a, b):
-            ta = infer(ctx, a)
-            if not isinstance(ta, V.VIDesc):
-                _err("TypeMismatch", t, "product of non-codes")
-            check(ctx, b, ta)
-            return ta
-        case T.InterpIDesc(code, x):
-            ixty = _family_index_type(ctx, code, x, t)
-            check(ctx, code, V.VIDesc(ixty))
-            check(ctx, x, _const_pi(ixty, V.VSet(0)))
-            return V.VSet(0)
-        case T.IAllD(code, x, p, d):
-            ixty = _family_index_type(ctx, code, x, t)
-            check(ctx, code, V.VIDesc(ixty))
-            check(ctx, x, _const_pi(ixty, V.VSet(0)))
-            xv = ctx.eval(x)
-            sig = V.VSigma("i", ixty, V.PyClo(lambda i: V.vapp(xv, i)))
-            _, k = _motive_check(ctx, p, lambda k: _const_pi(sig, V.VSet(k)))
-            check(ctx, d, V.vinterp_i(ctx.eval(code), xv))
-            return V.VSet(k)
-        case T.IAllMap(code, x, p, rec, d):
-            ixty = _family_index_type(ctx, code, x, t)
-            check(ctx, code, V.VIDesc(ixty))
-            check(ctx, x, _const_pi(ixty, V.VSet(0)))
-            xv = ctx.eval(x)
-            sig = V.VSigma("i", ixty, V.PyClo(lambda i: V.vapp(xv, i)))
-            pv, _ = _motive_check(ctx, p, lambda k: _const_pi(sig, V.VSet(k)))
-            check(
-                ctx,
-                rec,
-                _pi_to(ixty, lambda i: _pi_to(V.vapp(xv, i), lambda v: V.vapp(pv, V.VPair(i, v)))),
-            )
-            check(ctx, d, V.vinterp_i(ctx.eval(code), xv))
-            return V.viall(ctx.eval(code), xv, pv, ctx.eval(d))
-        case T.IMu(ixty, fam, i):
-            iv, _ = check_is_type(ctx, ixty, max_level=0)
-            check(ctx, fam, _const_pi(iv, V.VIDesc(iv)))
-            check(ctx, i, iv)
-            return V.VSet(0)
-        case T.In(_):
-            _err("CannotInfer", t, "constructor form needs a checking type")
-        case T.IInduction(ixty, fam, p, m, i, x):
-            iv, _ = check_is_type(ctx, ixty, max_level=0)
-            check(ctx, fam, _const_pi(iv, V.VIDesc(iv)))
-            rv = ctx.eval(fam)
-            xfam = V.imu_family(iv, rv)
-            sig = V.VSigma("i", iv, V.PyClo(lambda j: V.VIMu(iv, rv, j)))
-            pv, _ = _motive_check(ctx, p, lambda k: _const_pi(sig, V.VSet(k)))
-            check(
-                ctx,
-                m,
-                _pi_to(
-                    iv,
-                    lambda i2: _pi_to(
-                        V.vinterp_i(V.vapp(rv, i2), xfam),
-                        lambda xs: _const_pi(
-                            V.viall(V.vapp(rv, i2), xfam, pv, xs),
-                            V.vapp(pv, V.VPair(i2, V.VIn(xs))),
-                        ),
-                    ),
-                ),
-            )
-            check(ctx, i, iv)
-            iv2 = ctx.eval(i)
-            check(ctx, x, V.VIMu(iv, rv, iv2))
-            return V.vapp(pv, V.VPair(iv2, ctx.eval(x)))
-        case T.Split(p, m, s):
-            sty = infer(ctx, s)
-            if not isinstance(sty, V.VSigma):
-                _err("NotAPair", t, "splitting a non-pair")
-            pv, _ = _motive_check(ctx, p, lambda k: _const_pi(sty, V.VSet(k)))
-            check(
-                ctx,
-                m,
-                _pi_to(
-                    sty.dom,
-                    lambda a: _pi_to(sty.cod(a), lambda b: V.vapp(pv, V.VPair(a, b))),
-                ),
-            )
-            return V.vapp(pv, ctx.eval(s))
-        case T.DecEqEnum(e, l, r):
-            check(ctx, e, V.VEnumU())
-            ev = ctx.eval(e)
-            check(ctx, l, V.VEnumT(ev))
-            check(ctx, r, V.VEnumT(ev))
-            return V.vdecidable(V.VEq(V.VEnumT(ev), ctx.eval(l), ctx.eval(r)))
-        case T.LabelTy(head, args, argtys, ty):
-            label_wf(ctx, head, args, argtys)
-            _, lvl = infer_sort(ctx, ty)
-            return V.VSet(lvl)
-        case T.LRet(_):
-            _err("CannotInfer", t, "return needs a label type")
-        case T.LCall(head, args, argtys, ty, body):
-            label_wf(ctx, head, args, argtys)
-            tyv, _ = check_is_type(ctx, ty)
-            lab = V.VLabelTy(
-                head,
-                tuple(ctx.eval(a) for a in args),
-                tuple(ctx.eval(a) for a in argtys),
-                tyv,
-            )
-            check(ctx, body, lab)
-            return tyv
-        case T.DLabelTy(label):
-            dlabel_wf(ctx, label)
-            return V.VSet(1)
-        case T.DRet(_, _):
-            _err("CannotInfer", t, "description return needs a label type")
-        case T.DCall(label, body):
-            dlabel_wf(ctx, label)
-            lv = V.eval_label(label, ctx.env)
-            check(ctx, body, V.VDLabelTy(lv))
-            return V.VIDesc(V.vlabel_index_type(lv))
-        case T.DOne() | T.DPi(_, _) | T.DSigma(_, _) | T.DSigmaE(_, _) | T.ZeroE() | T.SucE(_):
-            _err("CannotInfer", t, "checking-only form in synthesis position")
-    _err("CannotInfer", t, f"no synthesis rule for {type(t).__name__}")
+def _infer_binder(ctx: Context, t) -> Value:
+    domv, j = infer_sort(ctx, t.dom)
+    _, k = infer_sort(ctx.extend(t.nm, domv), t.cod)
+    return V.VSet(max(j, k))
+
+
+def _infer_lam(ctx: Context, t: T.Lam) -> Value:
+    if t.ann is None:
+        _err("CannotInfer", t, "unannotated function")
+    domv, _ = check_is_type(ctx, t.ann)
+    body_ty = infer(ctx.extend(t.nm, domv), t.body)
+    cod = V.quote(body_ty, ctx.depth + 1)
+    return V.VPi(t.nm, domv, V.Clo(ctx.env, cod))
+
+
+def _infer_app(ctx: Context, t: T.App) -> Value:
+    fty = infer(ctx, t.fn)
+    if not isinstance(fty, V.VPi):
+        _err("NotAFunction", t, f"applied term has type {V.quote(fty, ctx.depth)}")
+    argv = check(ctx, t.arg, fty.dom)
+    return fty.cod(ctx.eval(t.arg) if argv is None else argv)
+
+
+def _infer_pair(ctx: Context, t: T.Pair) -> Value:
+    if t.ann is None:
+        _err("CannotInfer", t, "unannotated pair")
+    nm, fam = t.ann
+    aty = infer(ctx, t.fst)
+    check_is_type(ctx.extend(nm, aty), fam)
+    bty = V.Clo(ctx.env, fam)(ctx.eval(t.fst))
+    check(ctx, t.snd, bty)
+    return V.VSigma(nm, aty, V.Clo(ctx.env, fam))
+
+
+def _infer_pair_type(ctx: Context, t) -> V.VSigma:
+    """The type of the pair that `Fst` or `Snd` projects."""
+    pty = infer(ctx, t.pair)
+    if not isinstance(pty, V.VSigma):
+        _err("NotAPair", t, f"projected term has type {V.quote(pty, ctx.depth)}")
+    return pty
+
+
+def _infer_conse(ctx: Context, t: T.ConsE) -> Value:
+    check(ctx, t.tag, V.VUId())
+    check(ctx, t.rest, V.VEnumU())
+    return V.VEnumU()
+
+
+def _infer_enumt(ctx: Context, t: T.EnumT) -> Value:
+    check(ctx, t.enum, V.VEnumU())
+    return V.VSet(0)
+
+
+def _enum_motive(ctx: Context, t) -> tuple:
+    """Check the enumeration and the motive of a `PiE` or a `Switch`;
+    returns (enumeration value, motive value, motive level)."""
+    check(ctx, t.enum, V.VEnumU())
+    ev = ctx.eval(t.enum)
+    pv, k = _motive_check(ctx, t.fam, lambda k: _const_pi(V.VEnumT(ev), V.VSet(k)))
+    return ev, pv, k
+
+
+def _infer_switch(ctx: Context, t: T.Switch) -> Value:
+    ev, pv, _ = _enum_motive(ctx, t)
+    check(ctx, t.cases, V.vpie(ev, pv))
+    check(ctx, t.scrut, V.VEnumT(ev))
+    return V.vapp(pv, ctx.eval(t.scrut))
+
+
+def _infer_eq(ctx: Context, t: T.Eq) -> Value:
+    av, lvl = check_is_type(ctx, t.ty)
+    check(ctx, t.lhs, av)
+    check(ctx, t.rhs, av)
+    return V.VSet(lvl)
+
+
+def _infer_eqelim(ctx: Context, t: T.EqElim) -> Value:
+    qty = infer(ctx, t.proof)
+    if not isinstance(qty, V.VEq):
+        _err("TypeMismatch", t, "eliminating a non-equation")
+    a, lhs = qty.ty, qty.lhs
+
+    mv, _ = _motive_check(ctx, t.motive, lambda k: _pi_to(a, lambda y: _const_pi(V.VEq(a, lhs, y), V.VSet(k))))
+    check(ctx, t.base, V.vapps(mv, lhs, V.VRefl()))
+    return V.vapps(mv, qty.rhs, ctx.eval(t.proof))
+
+
+def _infer_idesc(ctx: Context, t: T.IDesc) -> Value:
+    check_is_type(ctx, t.index, max_level=0)
+    return V.VSet(1)
+
+
+def _infer_dtimes(ctx: Context, t: T.DTimes) -> Value:
+    ta = infer(ctx, t.lhs)
+    if not isinstance(ta, V.VIDesc):
+        _err("TypeMismatch", t, "product of non-codes")
+    check(ctx, t.rhs, ta)
+    return ta
 
 
 def _family_index_type(ctx: Context, code: Term, x: Term, at: Term) -> Value:
@@ -452,98 +344,276 @@ def _family_index_type(ctx: Context, code: Term, x: Term, at: Term) -> Value:
     _err("CannotInfer", at, "cannot determine the index type; annotate the family")
 
 
+def _infer_interp(ctx: Context, t: T.InterpIDesc) -> Value:
+    ixty = _family_index_type(ctx, t.code, t.arg, t)
+    check(ctx, t.code, V.VIDesc(ixty))
+    check(ctx, t.arg, _const_pi(ixty, V.VSet(0)))
+    return V.VSet(0)
+
+
+def _all_motive(ctx: Context, t) -> tuple:
+    """Check the code, the family and the motive of an `IAll` or an
+    `IAllMap`; returns (index type, family value, motive value, level)."""
+    ixty = _family_index_type(ctx, t.code, t.fam, t)
+    check(ctx, t.code, V.VIDesc(ixty))
+    check(ctx, t.fam, _const_pi(ixty, V.VSet(0)))
+    xv = ctx.eval(t.fam)
+    sig = V.VSigma("i", ixty, V.PyClo(lambda i: V.vapp(xv, i)))
+    pv, k = _motive_check(ctx, t.motive, lambda k: _const_pi(sig, V.VSet(k)))
+    return ixty, xv, pv, k
+
+
+def _infer_iall(ctx: Context, t: T.IAllD) -> Value:
+    _, xv, _, k = _all_motive(ctx, t)
+    check(ctx, t.payload, V.vinterp_i(ctx.eval(t.code), xv))
+    return V.VSet(k)
+
+
+def _infer_iallmap(ctx: Context, t: T.IAllMap) -> Value:
+    ixty, xv, pv, _ = _all_motive(ctx, t)
+    check(ctx, t.rec, _pi_to(ixty, lambda i: _pi_to(V.vapp(xv, i), lambda v: V.vapp(pv, V.VPair(i, v)))))
+    check(ctx, t.payload, V.vinterp_i(ctx.eval(t.code), xv))
+    return V.viall(ctx.eval(t.code), xv, pv, ctx.eval(t.payload))
+
+
+def _infer_imu(ctx: Context, t: T.IMu) -> Value:
+    iv, _ = check_is_type(ctx, t.ixty, max_level=0)
+    check(ctx, t.fam, _const_pi(iv, V.VIDesc(iv)))
+    check(ctx, t.index, iv)
+    return V.VSet(0)
+
+
+def _infer_iinduction(ctx: Context, t: T.IInduction) -> Value:
+    iv, _ = check_is_type(ctx, t.ixty, max_level=0)
+    check(ctx, t.fam, _const_pi(iv, V.VIDesc(iv)))
+    rv = ctx.eval(t.fam)
+    xfam = V.imu_family(iv, rv)
+    sig = V.VSigma("i", iv, V.PyClo(lambda j: V.VIMu(iv, rv, j)))
+    pv, _ = _motive_check(ctx, t.motive, lambda k: _const_pi(sig, V.VSet(k)))
+    method_ty = _pi_to(
+        iv,
+        lambda i2: _pi_to(
+            V.vinterp_i(V.vapp(rv, i2), xfam),
+            lambda xs: _const_pi(V.viall(V.vapp(rv, i2), xfam, pv, xs), V.vapp(pv, V.VPair(i2, V.VIn(xs)))),
+        ),
+    )
+    check(ctx, t.method, method_ty)
+    check(ctx, t.index, iv)
+    iv2 = ctx.eval(t.index)
+    check(ctx, t.scrut, V.VIMu(iv, rv, iv2))
+    return V.vapp(pv, V.VPair(iv2, ctx.eval(t.scrut)))
+
+
+def _infer_split(ctx: Context, t: T.Split) -> Value:
+    sty = infer(ctx, t.scrut)
+    if not isinstance(sty, V.VSigma):
+        _err("NotAPair", t, "splitting a non-pair")
+    pv, _ = _motive_check(ctx, t.motive, lambda k: _const_pi(sty, V.VSet(k)))
+    check(ctx, t.method, _pi_to(sty.dom, lambda a: _pi_to(sty.cod(a), lambda b: V.vapp(pv, V.VPair(a, b)))))
+    return V.vapp(pv, ctx.eval(t.scrut))
+
+
+def _infer_deceq(ctx: Context, t: T.DecEqEnum) -> Value:
+    check(ctx, t.enum, V.VEnumU())
+    ev = ctx.eval(t.enum)
+    check(ctx, t.lhs, V.VEnumT(ev))
+    check(ctx, t.rhs, V.VEnumT(ev))
+    return V.vdecidable(V.VEq(V.VEnumT(ev), ctx.eval(t.lhs), ctx.eval(t.rhs)))
+
+
+def _infer_labelty(ctx: Context, t: T.LabelTy) -> Value:
+    label_wf(ctx, t.head, t.args, t.argtys)
+    _, lvl = infer_sort(ctx, t.ty)
+    return V.VSet(lvl)
+
+
+def _infer_lcall(ctx: Context, t: T.LCall) -> Value:
+    label_wf(ctx, t.head, t.args, t.argtys)
+    tyv, _ = check_is_type(ctx, t.ty)
+    lab = V.VLabelTy(t.head, tuple(ctx.eval(a) for a in t.args), tuple(ctx.eval(a) for a in t.argtys), tyv)
+    check(ctx, t.body, lab)
+    return tyv
+
+
+def _infer_dlabelty(ctx: Context, t: T.DLabelTy) -> Value:
+    dlabel_wf(ctx, t.label)
+    return V.VSet(1)
+
+
+def _infer_dcall(ctx: Context, t: T.DCall) -> Value:
+    dlabel_wf(ctx, t.label)
+    lv = V.eval_label(t.label, ctx.env)
+    check(ctx, t.body, V.VDLabelTy(lv))
+    return V.VIDesc(V.vlabel_index_type(lv))
+
+
+# one synthesis rule per term class, keyed on the exact class: `infer` looks
+# the rule up instead of trying class patterns one by one
+_INFER_RULES = {
+    T.Var: lambda ctx, t: (
+        ctx.entry_at(t.ix).ty
+        if 0 <= t.ix < ctx.depth
+        else _err("UnboundVariable", t, f"index {t.ix} out of range")
+    ),
+    T.Set_: lambda ctx, t: (
+        V.VSet(t.level + 1) if t.level < 2 else _err("UniverseMismatch", t, "the top universe has no type")
+    ),
+    T.Pi: _infer_binder,
+    T.Sigma: _infer_binder,
+    T.Lam: _infer_lam,
+    T.App: _infer_app,
+    T.Pair: _infer_pair,
+    T.Fst: lambda ctx, t: _infer_pair_type(ctx, t).dom,
+    T.Snd: lambda ctx, t: _infer_pair_type(ctx, t).cod(V.vfst(ctx.eval(t.pair))),
+    T.Unit: lambda ctx, t: V.VSet(0),
+    T.UId: lambda ctx, t: V.VSet(0),
+    T.EnumU: lambda ctx, t: V.VSet(0),
+    T.Void: lambda ctx, t: V.VUnit(),
+    T.Tag: lambda ctx, t: V.VUId(),
+    T.NilE: lambda ctx, t: V.VEnumU(),
+    T.ConsE: _infer_conse,
+    T.EnumT: _infer_enumt,
+    T.PiE: lambda ctx, t: V.VSet(_enum_motive(ctx, t)[2]),
+    T.Switch: _infer_switch,
+    T.Eq: _infer_eq,
+    T.Refl: lambda ctx, t: _err("CannotInfer", t, "refl needs a checking type"),
+    T.EqElim: _infer_eqelim,
+    T.IDesc: _infer_idesc,
+    T.DVarI: lambda ctx, t: V.VIDesc(infer(ctx, t.index)),
+    T.DTimes: _infer_dtimes,
+    T.InterpIDesc: _infer_interp,
+    T.IAllD: _infer_iall,
+    T.IAllMap: _infer_iallmap,
+    T.IMu: _infer_imu,
+    T.In: lambda ctx, t: _err("CannotInfer", t, "constructor form needs a checking type"),
+    T.IInduction: _infer_iinduction,
+    T.Split: _infer_split,
+    T.DecEqEnum: _infer_deceq,
+    T.LabelTy: _infer_labelty,
+    T.LRet: lambda ctx, t: _err("CannotInfer", t, "return needs a label type"),
+    T.LCall: _infer_lcall,
+    T.DLabelTy: _infer_dlabelty,
+    T.DRet: lambda ctx, t: _err("CannotInfer", t, "description return needs a label type"),
+    T.DCall: _infer_dcall,
+}
+_INFER_RULES.update(
+    dict.fromkeys(
+        (T.DOne, T.DPi, T.DSigma, T.DSigmaE, T.ZeroE, T.SucE),
+        lambda ctx, t: _err("CannotInfer", t, "checking-only form in synthesis position"),
+    )
+)
+
+
 def check(ctx: Context, t: Term, want: Value) -> Optional[Value]:
     """Check `t` against `want`; returns the value of `t` when it was built
-    from the values of its parts, else None."""
-    match t:
-        case T.Lam(nm, ann, body):
-            if isinstance(want, V.VPi):
-                if ann is not None:
-                    annv, _ = check_is_type(ctx, ann)
-                    if not conv(ctx, annv, want.dom):
-                        _err("TypeMismatch", t, "annotation disagrees with the expected domain")
-                inner = ctx.extend(nm, want.dom)
-                check(inner, body, want.cod(V.fresh(ctx.depth)))
-                return
-            _err("TypeMismatch", t, f"function against {V.quote(want, ctx.depth)}")
-        case T.Pair(a, b):
-            if isinstance(want, V.VSigma):
-                av = check(ctx, a, want.dom)
-                if av is None:
-                    av = ctx.eval(a)
-                bv = check(ctx, b, want.cod(av))
-                return None if bv is None else V.VPair(av, bv)
-            _err("TypeMismatch", t, f"pair against {V.quote(want, ctx.depth)}")
-        case T.Void():
-            if isinstance(want, V.VUnit):
-                return V.VVoid()
-            # fall through to synthesis for the mismatch message
-        case T.ZeroE():
-            if isinstance(want, V.VEnumT) and isinstance(want.enum, V.VConsE):
-                return V.VZeroE()
-            _err("TypeMismatch", t, f"enum index against {V.quote(want, ctx.depth)}")
-        case T.SucE(n):
-            if isinstance(want, V.VEnumT) and isinstance(want.enum, V.VConsE):
-                nv = check(ctx, n, V.VEnumT(want.enum.rest))
-                return None if nv is None else V.VSucE(nv)
-            _err("TypeMismatch", t, f"enum index against {V.quote(want, ctx.depth)}")
-        case T.Refl():
-            if isinstance(want, V.VEq):
-                if conv(ctx, want.lhs, want.rhs):
-                    return V.VRefl()
-                _err(
-                    "TypeMismatch",
-                    t,
-                    "refl between non-convertible sides "
-                    f"{V.quote(want.lhs, ctx.depth)} and {V.quote(want.rhs, ctx.depth)}",
-                )
-            _err("TypeMismatch", t, f"refl against {V.quote(want, ctx.depth)}")
-        case T.In(d):
-            if not isinstance(want, V.VIMu):
-                _err("TypeMismatch", t, f"constructor against {V.quote(want, ctx.depth)}")
-            xfam = V.imu_family(want.ixty, want.fam)
-            dv = check(ctx, d, V.vinterp_i(V.vapp(want.fam, want.index), xfam))
-            return None if dv is None else V.VIn(dv)
-        case T.DOne():
-            _desc_target(ctx, want, t)
-            return
-        case T.DVarI(i):
-            check(ctx, i, _desc_target(ctx, want, t))
-            return
-        case T.DTimes(a, b):
-            _desc_target(ctx, want, t)
-            check(ctx, a, want)
-            check(ctx, b, want)
-            return
-        case T.DPi(s, fam) | T.DSigma(s, fam):
-            _desc_target(ctx, want, t)
-            sv, _ = check_is_type(ctx, s, max_level=0)
-            check(ctx, fam, _const_pi(sv, want))
-            return
-        case T.DSigmaE(e, fam):
-            _desc_target(ctx, want, t)
-            check(ctx, e, V.VEnumU())
-            check(ctx, fam, _const_pi(V.VEnumT(ctx.eval(e)), want))
-            return
-        case T.LRet(v):
-            if isinstance(want, V.VLabelTy):
-                check(ctx, v, want.ty)
-                return
-            _err("TypeMismatch", t, f"return against {V.quote(want, ctx.depth)}")
-        case T.DRet(e, fam):
-            if isinstance(want, V.VDLabelTy):
-                check(ctx, e, V.VEnumU())
-                idx = V.vlabel_index_type(want.label)
-                check(ctx, fam, _const_pi(V.VEnumT(ctx.eval(e)), V.VIDesc(idx)))
-                return
-            _err("TypeMismatch", t, f"description return against {V.quote(want, ctx.depth)}")
+    from the values of its parts, else None. A term class without a
+    checking rule is checked by synthesis."""
+    return _CHECK_RULES.get(type(t), _check_by_synthesis)(ctx, t, want)
+
+
+def _check_by_synthesis(ctx: Context, t: Term, want: Value) -> None:
     got = infer(ctx, t)
     if not conv_le(ctx, got, want):
-        _err(
-            "TypeMismatch",
-            t,
-            f"expected {V.quote(want, ctx.depth)}, got {V.quote(got, ctx.depth)}",
-        )
+        _err("TypeMismatch", t, f"expected {V.quote(want, ctx.depth)}, got {V.quote(got, ctx.depth)}")
+
+
+def _check_lam(ctx: Context, t: T.Lam, want: Value) -> None:
+    if not isinstance(want, V.VPi):
+        _err("TypeMismatch", t, f"function against {V.quote(want, ctx.depth)}")
+    if t.ann is not None:
+        annv, _ = check_is_type(ctx, t.ann)
+        if not conv(ctx, annv, want.dom):
+            _err("TypeMismatch", t, "annotation disagrees with the expected domain")
+    inner = ctx.extend(t.nm, want.dom)
+    check(inner, t.body, want.cod(V.fresh(ctx.depth)))
+
+
+def _check_pair(ctx: Context, t: T.Pair, want: Value) -> Optional[Value]:
+    if not isinstance(want, V.VSigma):
+        _err("TypeMismatch", t, f"pair against {V.quote(want, ctx.depth)}")
+    av = check(ctx, t.fst, want.dom)
+    if av is None:
+        av = ctx.eval(t.fst)
+    bv = check(ctx, t.snd, want.cod(av))
+    return None if bv is None else V.VPair(av, bv)
+
+
+def _check_void(ctx: Context, t: T.Void, want: Value) -> Optional[Value]:
+    if isinstance(want, V.VUnit):
+        return V.VVoid()
+    return _check_by_synthesis(ctx, t, want)  # for the mismatch message
+
+
+def _check_index(ctx: Context, t: Term, want: Value) -> Optional[Value]:
+    """The checking rule of `ZeroE` and `SucE`: against a non-empty `EnumT`."""
+    if not (isinstance(want, V.VEnumT) and isinstance(want.enum, V.VConsE)):
+        _err("TypeMismatch", t, f"enum index against {V.quote(want, ctx.depth)}")
+    if type(t) is T.ZeroE:
+        return V.VZeroE()
+    nv = check(ctx, t.pred, V.VEnumT(want.enum.rest))
+    return None if nv is None else V.VSucE(nv)
+
+
+def _check_refl(ctx: Context, t: T.Refl, want: Value) -> Optional[Value]:
+    if not isinstance(want, V.VEq):
+        _err("TypeMismatch", t, f"refl against {V.quote(want, ctx.depth)}")
+    if conv(ctx, want.lhs, want.rhs):
+        return V.VRefl()
+    sides = f"{V.quote(want.lhs, ctx.depth)} and {V.quote(want.rhs, ctx.depth)}"
+    _err("TypeMismatch", t, f"refl between non-convertible sides {sides}")
+
+
+def _check_in(ctx: Context, t: T.In, want: Value) -> Optional[Value]:
+    if not isinstance(want, V.VIMu):
+        _err("TypeMismatch", t, f"constructor against {V.quote(want, ctx.depth)}")
+    xfam = V.imu_family(want.ixty, want.fam)
+    dv = check(ctx, t.payload, V.vinterp_i(V.vapp(want.fam, want.index), xfam))
+    return None if dv is None else V.VIn(dv)
+
+
+def _check_code(ctx: Context, t: Term, want: Value) -> None:
+    """The checking rule of every description code: against `IDesc I`."""
+    ixty, cls = _desc_target(ctx, want, t), type(t)
+    if cls is T.DVarI:
+        check(ctx, t.index, ixty)
+    elif cls is T.DTimes:
+        check(ctx, t.lhs, want)
+        check(ctx, t.rhs, want)
+    elif cls is T.DSigmaE:
+        check(ctx, t.enum, V.VEnumU())
+        check(ctx, t.fam, _const_pi(V.VEnumT(ctx.eval(t.enum)), want))
+    elif cls is not T.DOne:  # DPi, DSigma
+        sv, _ = check_is_type(ctx, t.dom, max_level=0)
+        check(ctx, t.fam, _const_pi(sv, want))
+
+
+def _check_lret(ctx: Context, t: T.LRet, want: Value) -> None:
+    if not isinstance(want, V.VLabelTy):
+        _err("TypeMismatch", t, f"return against {V.quote(want, ctx.depth)}")
+    check(ctx, t.val, want.ty)
+
+
+def _check_dret(ctx: Context, t: T.DRet, want: Value) -> None:
+    if not isinstance(want, V.VDLabelTy):
+        _err("TypeMismatch", t, f"description return against {V.quote(want, ctx.depth)}")
+    check(ctx, t.enum, V.VEnumU())
+    idx = V.vlabel_index_type(want.label)
+    check(ctx, t.fam, _const_pi(V.VEnumT(ctx.eval(t.enum)), V.VIDesc(idx)))
+
+
+# the checking rules; every other term class is checked by synthesis
+_CHECK_RULES = {
+    T.Lam: _check_lam,
+    T.Pair: _check_pair,
+    T.Void: _check_void,
+    T.ZeroE: _check_index,
+    T.SucE: _check_index,
+    T.Refl: _check_refl,
+    T.In: _check_in,
+    T.LRet: _check_lret,
+    T.DRet: _check_dret,
+}
+_CHECK_RULES.update(dict.fromkeys((T.DOne, T.DVarI, T.DTimes, T.DPi, T.DSigma, T.DSigmaE), _check_code))
 
 
 def check_entry_type(ctx: Context, ty: Term) -> Value:

@@ -7,6 +7,10 @@ stuck eliminations form neutral spines headed by a variable. Readback
 There is one universe of descriptions, the indexed one (`IDesc I`): a
 datatype without indices is a fix-point at index type `Unit`, interpreted by
 `vinterp_i` and eliminated by `viinduction` like every other datatype.
+
+`eval_term`, `quote` and `convertible` look their rule up in a table keyed
+on the exact class of the node (`_EVAL_RULES`, `_QUOTE_RULES`, `_CONV_RULES`):
+one dictionary lookup per node, and a class without an entry is an error.
 """
 
 from __future__ import annotations
@@ -630,118 +634,77 @@ def eval_label(label: T.DLabel, env: tuple) -> VDLabel:
 
 
 def eval_term(t: Term, env: tuple) -> Value:
-    match t:
-        case T.Var(ix):
-            return env[len(env) - 1 - ix]
-        case T.Set_(level):
-            return VSet(level)
-        case T.Pi(nm, dom, cod):
-            return VPi(nm, eval_term(dom, env), Clo(env, cod))
-        case T.Lam(nm, _, body):
-            return VLam(nm, Clo(env, body))
-        case T.App(fn, arg):
-            return vapp(eval_term(fn, env), eval_term(arg, env))
-        case T.Sigma(nm, dom, cod):
-            return VSigma(nm, eval_term(dom, env), Clo(env, cod))
-        case T.Pair(fst, snd):
-            return VPair(eval_term(fst, env), eval_term(snd, env))
-        case T.Fst(p):
-            return vfst(eval_term(p, env))
-        case T.Snd(p):
-            return vsnd(eval_term(p, env))
-        case T.Unit():
-            return VUnit()
-        case T.Void():
-            return VVoid()
-        case T.UId():
-            return VUId()
-        case T.Tag(name):
-            return VTag(name)
-        case T.EnumU():
-            return VEnumU()
-        case T.NilE():
-            return VNilE()
-        case T.ConsE(tag, rest):
-            return VConsE(eval_term(tag, env), eval_term(rest, env))
-        case T.EnumT(e):
-            return VEnumT(eval_term(e, env))
-        case T.ZeroE():
-            return VZeroE()
-        case T.SucE(n):
-            return VSucE(eval_term(n, env))
-        case T.PiE(e, p):
-            return vpie(eval_term(e, env), eval_term(p, env))
-        case T.Switch(e, p, cs, x):
-            return vswitch(eval_term(e, env), eval_term(p, env), eval_term(cs, env), eval_term(x, env))
-        case T.Eq(a, l, r):
-            return VEq(eval_term(a, env), eval_term(l, env), eval_term(r, env))
-        case T.Refl():
-            return VRefl()
-        case T.EqElim(m, b, q):
-            return veqelim(eval_term(m, env), eval_term(b, env), eval_term(q, env))
-        case T.IDesc(i):
-            return VIDesc(eval_term(i, env))
-        case T.DVarI(i):
-            return VDVarI(eval_term(i, env))
-        case T.DOne():
-            return VDOne()
-        case T.DTimes(a, b):
-            return VDTimes(eval_term(a, env), eval_term(b, env))
-        case T.DPi(s, f):
-            return VDPi(eval_term(s, env), eval_term(f, env))
-        case T.DSigma(s, f):
-            return VDSigma(eval_term(s, env), eval_term(f, env))
-        case T.DSigmaE(e, f):
-            return VDSigmaE(eval_term(e, env), eval_term(f, env))
-        case T.InterpIDesc(code, x):
-            return vinterp_i(eval_term(code, env), eval_term(x, env))
-        case T.IAllD(code, x, p, d):
-            return viall(eval_term(code, env), eval_term(x, env), eval_term(p, env), eval_term(d, env))
-        case T.IAllMap(code, x, p, r, d):
-            return viallmap(
-                eval_term(code, env), eval_term(x, env), eval_term(p, env), eval_term(r, env), eval_term(d, env)
-            )
-        case T.IMu(ixty, fam, i):
-            return VIMu(eval_term(ixty, env), eval_term(fam, env), eval_term(i, env))
-        case T.In(d):
-            return VIn(eval_term(d, env))
-        case T.IInduction(ixty, fam, p, m, i, x):
-            return viinduction(
-                eval_term(ixty, env),
-                eval_term(fam, env),
-                eval_term(p, env),
-                eval_term(m, env),
-                eval_term(i, env),
-                eval_term(x, env),
-            )
-        case T.Split(p, m, s):
-            return vsplit(eval_term(p, env), eval_term(m, env), eval_term(s, env))
-        case T.DecEqEnum(e, l, r):
-            return vdeceq(eval_term(e, env), eval_term(l, env), eval_term(r, env))
-        case T.LabelTy(head, args, argtys, ty):
-            return VLabelTy(
-                head,
-                tuple(eval_term(a, env) for a in args),
-                tuple(eval_term(a, env) for a in argtys),
-                eval_term(ty, env),
-            )
-        case T.LRet(v):
-            return VLRet(eval_term(v, env))
-        case T.LCall(head, args, argtys, ty, body):
-            return vlcall(
-                head,
-                tuple(eval_term(a, env) for a in args),
-                tuple(eval_term(a, env) for a in argtys),
-                eval_term(ty, env),
-                eval_term(body, env),
-            )
-        case T.DLabelTy(label):
-            return VDLabelTy(eval_label(label, env))
-        case T.DRet(e, f):
-            return VDRet(eval_term(e, env), eval_term(f, env))
-        case T.DCall(label, body):
-            return vdcall(eval_label(label, env), eval_term(body, env))
-    raise EvalError(f"cannot evaluate {type(t).__name__}")
+    rule = _EVAL_RULES.get(type(t))
+    if rule is None:
+        raise EvalError(f"cannot evaluate {type(t).__name__}")
+    return rule(t, env)
+
+
+# one rule per term class, keyed on the exact class: `eval_term` looks the
+# rule up instead of trying class patterns one by one
+_EVAL_RULES = {
+    T.Var: lambda t, env: env[len(env) - 1 - t.ix],
+    T.Set_: lambda t, env: VSet(t.level),
+    T.Pi: lambda t, env: VPi(t.nm, eval_term(t.dom, env), Clo(env, t.cod)),
+    T.Lam: lambda t, env: VLam(t.nm, Clo(env, t.body)),
+    T.App: lambda t, env: vapp(eval_term(t.fn, env), eval_term(t.arg, env)),
+    T.Sigma: lambda t, env: VSigma(t.nm, eval_term(t.dom, env), Clo(env, t.cod)),
+    T.Pair: lambda t, env: VPair(eval_term(t.fst, env), eval_term(t.snd, env)),
+    T.Fst: lambda t, env: vfst(eval_term(t.pair, env)),
+    T.Snd: lambda t, env: vsnd(eval_term(t.pair, env)),
+    T.Unit: lambda t, env: VUnit(),
+    T.Void: lambda t, env: VVoid(),
+    T.UId: lambda t, env: VUId(),
+    T.Tag: lambda t, env: VTag(t.name),
+    T.EnumU: lambda t, env: VEnumU(),
+    T.NilE: lambda t, env: VNilE(),
+    T.ConsE: lambda t, env: VConsE(eval_term(t.tag, env), eval_term(t.rest, env)),
+    T.EnumT: lambda t, env: VEnumT(eval_term(t.enum, env)),
+    T.ZeroE: lambda t, env: VZeroE(),
+    T.SucE: lambda t, env: VSucE(eval_term(t.pred, env)),
+    T.PiE: lambda t, env: vpie(eval_term(t.enum, env), eval_term(t.fam, env)),
+    T.Switch: lambda t, env: vswitch(
+        eval_term(t.enum, env), eval_term(t.fam, env), eval_term(t.cases, env), eval_term(t.scrut, env)
+    ),
+    T.Eq: lambda t, env: VEq(eval_term(t.ty, env), eval_term(t.lhs, env), eval_term(t.rhs, env)),
+    T.Refl: lambda t, env: VRefl(),
+    T.EqElim: lambda t, env: veqelim(eval_term(t.motive, env), eval_term(t.base, env), eval_term(t.proof, env)),
+    T.IDesc: lambda t, env: VIDesc(eval_term(t.index, env)),
+    T.DVarI: lambda t, env: VDVarI(eval_term(t.index, env)),
+    T.DOne: lambda t, env: VDOne(),
+    T.DTimes: lambda t, env: VDTimes(eval_term(t.lhs, env), eval_term(t.rhs, env)),
+    T.DPi: lambda t, env: VDPi(eval_term(t.dom, env), eval_term(t.fam, env)),
+    T.DSigma: lambda t, env: VDSigma(eval_term(t.dom, env), eval_term(t.fam, env)),
+    T.DSigmaE: lambda t, env: VDSigmaE(eval_term(t.enum, env), eval_term(t.fam, env)),
+    T.InterpIDesc: lambda t, env: vinterp_i(eval_term(t.code, env), eval_term(t.arg, env)),
+    T.IAllD: lambda t, env: viall(
+        eval_term(t.code, env), eval_term(t.fam, env), eval_term(t.motive, env), eval_term(t.payload, env)
+    ),
+    T.IAllMap: lambda t, env: viallmap(
+        eval_term(t.code, env), eval_term(t.fam, env), eval_term(t.motive, env), eval_term(t.rec, env),
+        eval_term(t.payload, env),
+    ),
+    T.IMu: lambda t, env: VIMu(eval_term(t.ixty, env), eval_term(t.fam, env), eval_term(t.index, env)),
+    T.In: lambda t, env: VIn(eval_term(t.payload, env)),
+    T.IInduction: lambda t, env: viinduction(
+        eval_term(t.ixty, env), eval_term(t.fam, env), eval_term(t.motive, env),
+        eval_term(t.method, env), eval_term(t.index, env), eval_term(t.scrut, env),
+    ),
+    T.Split: lambda t, env: vsplit(eval_term(t.motive, env), eval_term(t.method, env), eval_term(t.scrut, env)),
+    T.DecEqEnum: lambda t, env: vdeceq(eval_term(t.enum, env), eval_term(t.lhs, env), eval_term(t.rhs, env)),
+    T.LabelTy: lambda t, env: VLabelTy(
+        t.head, tuple(eval_term(a, env) for a in t.args), tuple(eval_term(a, env) for a in t.argtys),
+        eval_term(t.ty, env),
+    ),
+    T.LRet: lambda t, env: VLRet(eval_term(t.val, env)),
+    T.LCall: lambda t, env: vlcall(
+        t.head, tuple(eval_term(a, env) for a in t.args), tuple(eval_term(a, env) for a in t.argtys),
+        eval_term(t.ty, env), eval_term(t.body, env),
+    ),
+    T.DLabelTy: lambda t, env: VDLabelTy(eval_label(t.label, env)),
+    T.DRet: lambda t, env: VDRet(eval_term(t.enum, env), eval_term(t.fam, env)),
+    T.DCall: lambda t, env: vdcall(eval_label(t.label, env), eval_term(t.body, env)),
+}
 
 
 # --- readback -----------------------------------------------------------------
@@ -794,91 +757,78 @@ def quote(v: Value, d: int, names: Optional[dict] = None) -> Term:
     `d` reads back as that definition's variable, and evaluating the variable
     gives a value with the same readback. Without one, definitions are
     unfolded: the normal form."""
-    match v:
-        case VSet(level):
-            return T.Set_(level)
-        case VPi(nm, dom, cod):
-            return T.Pi(nm, quote(dom, d, names), quote(cod(fresh(d)), d + 1, names))
-        case VLam(nm, body):
-            return T.Lam(nm, None, quote(body(fresh(d)), d + 1, names))
-        case VSigma(nm, dom, cod):
-            return T.Sigma(nm, quote(dom, d, names), quote(cod(fresh(d)), d + 1, names))
-        case VPair(a, b):
-            return T.Pair(quote(a, d, names), quote(b, d, names))
-        case VUnit():
-            return T.Unit()
-        case VVoid():
-            return T.Void()
-        case VUId():
-            return T.UId()
-        case VTag(name):
-            return T.Tag(name)
-        case VEnumU():
-            return T.EnumU()
-        case VNilE():
-            return T.NilE()
-        case VConsE(tag, rest):
-            return T.ConsE(quote(tag, d, names), quote(rest, d, names))
-        case VEnumT(e):
-            if names and (var := _definition_var(names, e, d)):
-                return var
-            return T.EnumT(quote(e, d, names))
-        case VZeroE():
-            return T.ZeroE()
-        case VSucE(n):
-            return T.SucE(quote(n, d, names))
-        case VEq(a, l, r):
-            return T.Eq(quote(a, d, names), quote(l, d, names), quote(r, d, names))
-        case VRefl():
-            return T.Refl()
-        case VIDesc(i):
-            return T.IDesc(quote(i, d, names))
-        case VDVarI(i):
-            return T.DVarI(quote(i, d, names))
-        case VDOne():
-            return T.DOne()
-        case VDTimes(a, b):
-            return T.DTimes(quote(a, d, names), quote(b, d, names))
-        case VDPi(s, f):
-            return T.DPi(quote(s, d, names), quote(f, d, names))
-        case VDSigma(s, f):
-            return T.DSigma(quote(s, d, names), quote(f, d, names))
-        case VDSigmaE(e, f):
-            return T.DSigmaE(quote(e, d, names), quote(f, d, names))
-        case VIMu(ixty, fam, i):
-            if names and isinstance(ixty, VUnit) and (var := _definition_var(names, fam, d)):
-                return var
-            # eta for the degenerate index: anything at Unit reads back as void
-            iq = T.Void() if isinstance(ixty, VUnit) else quote(i, d, names)
-            return T.IMu(quote(ixty, d, names), quote(fam, d, names), iq)
-        case VIn(p):
-            return T.In(quote(p, d, names))
-        case VLabelTy(head, args, argtys, ty):
-            return T.LabelTy(
-                head,
-                tuple(quote(a, d, names) for a in args),
-                tuple(quote(a, d, names) for a in argtys),
-                quote(ty, d, names),
-            )
-        case VLRet(val):
-            return T.LRet(quote(val, d, names))
-        case VDLabelTy(label):
-            return T.DLabelTy(quote_label(label, d, names))
-        case VDRet(e, f):
-            return T.DRet(quote(e, d, names), quote(f, d, names))
-        case VNeutral(lvl, spine):
-            t: Term = T.Var(d - 1 - lvl)
-            for f in spine:
-                if isinstance(f, FApp):
-                    t = T.App(t, quote(f.arg, d, names))
-                elif isinstance(f, FFst):
-                    t = T.Fst(t)
-                elif isinstance(f, FSnd):
-                    t = T.Snd(t)
-                else:
-                    t = _quote_stuck(f, t, d, names)
-            return t
-    raise EvalError(f"cannot quote {type(v).__name__}")
+    rule = _QUOTE_RULES.get(type(v))
+    if rule is None:
+        raise EvalError(f"cannot quote {type(v).__name__}")
+    return rule(v, d, names)
+
+
+def _quote_enumt(v: VEnumT, d: int, names: Optional[dict]) -> Term:
+    if names and (var := _definition_var(names, v.enum, d)):
+        return var
+    return T.EnumT(quote(v.enum, d, names))
+
+
+def _quote_imu(v: VIMu, d: int, names: Optional[dict]) -> Term:
+    unit = isinstance(v.ixty, VUnit)
+    if names and unit and (var := _definition_var(names, v.fam, d)):
+        return var
+    # eta for the degenerate index: anything at Unit reads back as void
+    iq = T.Void() if unit else quote(v.index, d, names)
+    return T.IMu(quote(v.ixty, d, names), quote(v.fam, d, names), iq)
+
+
+def _quote_neutral(v: VNeutral, d: int, names: Optional[dict]) -> Term:
+    t: Term = T.Var(d - 1 - v.lvl)
+    for f in v.spine:
+        if isinstance(f, FApp):
+            t = T.App(t, quote(f.arg, d, names))
+        elif isinstance(f, FFst):
+            t = T.Fst(t)
+        elif isinstance(f, FSnd):
+            t = T.Snd(t)
+        else:
+            t = _quote_stuck(f, t, d, names)
+    return t
+
+
+# one rule per value class, keyed on the exact class, as in `eval_term`
+_QUOTE_RULES = {
+    VSet: lambda v, d, names: T.Set_(v.level),
+    VPi: lambda v, d, names: T.Pi(v.nm, quote(v.dom, d, names), quote(v.cod(fresh(d)), d + 1, names)),
+    VLam: lambda v, d, names: T.Lam(v.nm, None, quote(v.body(fresh(d)), d + 1, names)),
+    VSigma: lambda v, d, names: T.Sigma(v.nm, quote(v.dom, d, names), quote(v.cod(fresh(d)), d + 1, names)),
+    VPair: lambda v, d, names: T.Pair(quote(v.fst, d, names), quote(v.snd, d, names)),
+    VUnit: lambda v, d, names: T.Unit(),
+    VVoid: lambda v, d, names: T.Void(),
+    VUId: lambda v, d, names: T.UId(),
+    VTag: lambda v, d, names: T.Tag(v.name),
+    VEnumU: lambda v, d, names: T.EnumU(),
+    VNilE: lambda v, d, names: T.NilE(),
+    VConsE: lambda v, d, names: T.ConsE(quote(v.tag, d, names), quote(v.rest, d, names)),
+    VEnumT: _quote_enumt,
+    VZeroE: lambda v, d, names: T.ZeroE(),
+    VSucE: lambda v, d, names: T.SucE(quote(v.pred, d, names)),
+    VEq: lambda v, d, names: T.Eq(quote(v.ty, d, names), quote(v.lhs, d, names), quote(v.rhs, d, names)),
+    VRefl: lambda v, d, names: T.Refl(),
+    VIDesc: lambda v, d, names: T.IDesc(quote(v.index, d, names)),
+    VDVarI: lambda v, d, names: T.DVarI(quote(v.index, d, names)),
+    VDOne: lambda v, d, names: T.DOne(),
+    VDTimes: lambda v, d, names: T.DTimes(quote(v.lhs, d, names), quote(v.rhs, d, names)),
+    VDPi: lambda v, d, names: T.DPi(quote(v.dom, d, names), quote(v.fam, d, names)),
+    VDSigma: lambda v, d, names: T.DSigma(quote(v.dom, d, names), quote(v.fam, d, names)),
+    VDSigmaE: lambda v, d, names: T.DSigmaE(quote(v.enum, d, names), quote(v.fam, d, names)),
+    VIMu: _quote_imu,
+    VIn: lambda v, d, names: T.In(quote(v.payload, d, names)),
+    VLabelTy: lambda v, d, names: T.LabelTy(
+        v.head, tuple(quote(a, d, names) for a in v.args), tuple(quote(a, d, names) for a in v.argtys),
+        quote(v.ty, d, names),
+    ),
+    VLRet: lambda v, d, names: T.LRet(quote(v.val, d, names)),
+    VDLabelTy: lambda v, d, names: T.DLabelTy(quote_label(v.label, d, names)),
+    VDRet: lambda v, d, names: T.DRet(quote(v.enum, d, names), quote(v.fam, d, names)),
+    VNeutral: _quote_neutral,
+}
 
 
 def _quote_stuck(f: FGeneric, owner: Term, d: int, names: Optional[dict]) -> Term:
