@@ -237,7 +237,7 @@ def _infer_lam(ctx: Context, t: T.Lam) -> Value:
         _err("CannotInfer", t, "unannotated function")
     domv, _ = check_is_type(ctx, t.ann)
     body_ty = infer(ctx.extend(t.nm, domv), t.body)
-    cod = V.quote(body_ty, ctx.depth + 1)
+    cod = ctx.quote(body_ty, ctx.depth + 1)
     return V.VPi(t.nm, domv, V.Clo(ctx.env, cod))
 
 
