@@ -393,6 +393,18 @@ def main(argv=None) -> int:
 
     ns = ap.parse_args(argv)
     try:
+        code = _run(ns)
+        sys.stdout.flush()  # a reader that closed the pipe early fails it here
+    except BrokenPipeError:
+        # exit quietly; stdout now points at devnull, so that the flush at
+        # interpreter exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 2
+    return code
+
+
+def _run(ns) -> int:
+    try:
         if ns.cmd == "check":
             return run_check(ns.files, ns.show_codes, ns.emit_trace, not ns.no_recheck)
         if ns.cmd == "elab":

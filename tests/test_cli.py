@@ -2,10 +2,12 @@
 
 import io
 import os
+import subprocess
+import sys
 
 import pytest
 
-from conftest import GOLDEN, corpus_path, load_session, read_corpus
+from conftest import GOLDEN, ROOT, corpus_path, load_session, read_corpus
 
 from idt import kernel as K
 from idt.cli import Session, main, run_check, run_eval, run_repl
@@ -76,6 +78,24 @@ def test_parse_error_exit_two(tmp_path):
     buf = io.StringIO()
     code = run_check([str(p)], stdout=buf)
     assert code == 2
+
+
+def test_reader_closing_the_pipe_exits_two_quietly(tmp_path):
+    # 2,000 datatypes dump ~110 KB, more than a pipe buffer holds, so idt is
+    # still writing when the reader goes away
+    p = tmp_path / "many.idt"
+    p.write_text("".join(f"data D{i} : Set where\n  D{i} => a{i}\n  D{i} => b{i}\n\n" for i in range(2000)))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "idt.cli", "elab", str(p)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": os.path.join(ROOT, "src")},
+    )
+    assert proc.stdout.read(100).startswith(b"D0 = ")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=120) == 2
+    assert err == b""
 
 
 def test_show_codes_byte_matches_golden():
