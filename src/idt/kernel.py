@@ -447,8 +447,7 @@ def _infer_dcall(ctx: Context, t: T.DCall) -> Value:
     return V.VIDesc(V.vlabel_index_type(lv))
 
 
-# one synthesis rule per term class, keyed on the exact class: `infer` looks
-# the rule up instead of trying class patterns one by one
+# keyed on the exact class: a subclass of a term class needs its own rule
 _INFER_RULES = {
     T.Var: lambda ctx, t: (
         ctx.entry_at(t.ix).ty

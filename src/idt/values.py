@@ -640,8 +640,7 @@ def eval_term(t: Term, env: tuple) -> Value:
     return rule(t, env)
 
 
-# one rule per term class, keyed on the exact class: `eval_term` looks the
-# rule up instead of trying class patterns one by one
+# keyed on the exact class: a subclass of a term class needs its own rule
 _EVAL_RULES = {
     T.Var: lambda t, env: env[len(env) - 1 - t.ix],
     T.Set_: lambda t, env: VSet(t.level),
@@ -792,7 +791,7 @@ def _quote_neutral(v: VNeutral, d: int, names: Optional[dict]) -> Term:
     return t
 
 
-# one rule per value class, keyed on the exact class, as in `eval_term`
+# keyed on the exact class, as `_EVAL_RULES` is
 _QUOTE_RULES = {
     VSet: lambda v, d, names: T.Set_(v.level),
     VPi: lambda v, d, names: T.Pi(v.nm, quote(v.dom, d, names), quote(v.cod(fresh(d)), d + 1, names)),
