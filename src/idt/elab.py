@@ -373,7 +373,7 @@ class Elaborator:
         self.err("CheckMismatch", e.span, f"tuple against {self._type_str(ctx, want)}")
 
     def _constructor(self, ctx: Context, e, head: S.EVar, args: list, want: Value) -> Checked:
-        code = V.vapp(want.fam, want.index)
+        code = V.vapp_ground(want.fam, want.index)
         if not isinstance(code, V.VDSigmaE):
             self.err(
                 "NotAConstructorType",
@@ -474,9 +474,9 @@ def _find_constructor(code: Value, name: str, fuel: int):
         return None
     if name in tags:
         k = tags.index(name)
-        return [k], V.vapp(code.fam, V.make_numeral(k))
+        return [k], V.vapp_ground(code.fam, V.make_numeral(k))
     for k in range(len(tags)):
-        sub = V.vapp(code.fam, V.make_numeral(k))
+        sub = V.vapp_ground(code.fam, V.make_numeral(k))
         got = _find_constructor(sub, name, fuel - 1)
         if got is not None:
             return [k] + got[0], got[1]

@@ -566,7 +566,7 @@ def _check_in(ctx: Context, t: T.In, want: Value) -> Optional[Value]:
     if not isinstance(want, V.VIMu):
         _err("TypeMismatch", t, f"constructor against {V.quote(want, ctx.depth)}")
     xfam = V.imu_family(want.ixty, want.fam)
-    dv = check(ctx, t.payload, V.vinterp_i(V.vapp(want.fam, want.index), xfam))
+    dv = check(ctx, t.payload, V.vinterp_i(V.vapp_ground(want.fam, want.index), xfam))
     return None if dv is None else V.VIn(dv)
 
 

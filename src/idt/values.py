@@ -11,6 +11,15 @@ datatype without indices is a fix-point at index type `Unit`, interpreted by
 `eval_term`, `quote` and `convertible` look their rule up in a table keyed
 on the exact class of the node (`_EVAL_RULES`, `_QUOTE_RULES`, `_CONV_RULES`):
 one dictionary lookup per node, and a class without an entry is an error.
+
+Two things are computed once instead of per constructor level. A method that
+never reads its inductive hypotheses (a term lambda whose body does not
+mention its variable, as every `by case` method is) is entered without
+building them, so derived case analysis costs no recursion; whether a body
+reads its variable is remembered on the body term. And `vapp_ground`
+remembers a term closure's value at void or a closed enumeration index on
+the closure itself, so a datatype's code and each constructor's code are
+evaluated once per family, not once per node.
 """
 
 from __future__ import annotations
@@ -316,6 +325,32 @@ def vapp(f: Value, a: Value) -> Value:
     raise EvalError(f"cannot apply {type(f).__name__}")
 
 
+def vapp_ground(f: Value, a: Value) -> Value:
+    """`vapp(f, a)` where `a` is void or a closed enumeration index.
+
+    The value of a term closure at such an argument depends on nothing else,
+    so it is stored on the closure object and lives exactly as long as it.
+    """
+    if type(f) is VLam and type(f.body) is Clo:
+        key = -1 if type(a) is VVoid else numeral_of(a)
+        if key is not None:
+            memo = f.body.__dict__.setdefault("ground", {})
+            got = memo.get(key)
+            if got is None:
+                got = memo[key] = f.body(a)
+            return got
+    return vapp(f, a)
+
+
+def reads_bound(t: Term) -> bool:
+    """Whether the binder body `t` reads its bound variable `Var 0`; the
+    answer is stored on the term object (outside its compared fields)."""
+    got = t.__dict__.get("reads_bound")
+    if got is None:
+        got = t.__dict__["reads_bound"] = T.occurs(t, 0)
+    return got
+
+
 def vapps(f: Value, *args: Value) -> Value:
     for a in args:
         f = vapp(f, a)
@@ -394,7 +429,7 @@ def vinterp_i(code: Value, x: Value) -> Value:
         return VSigma("s", code.dom, PyClo(lambda s: vinterp_i(vapp(fam, s), xx)))
     if isinstance(code, VDSigmaE):
         fam, xx = code.fam, x
-        return VSigma("c", VEnumT(code.enum), PyClo(lambda c: vinterp_i(vapp(fam, c), xx)))
+        return VSigma("c", VEnumT(code.enum), PyClo(lambda c: vinterp_i(vapp_ground(fam, c), xx)))
     if isinstance(code, VNeutral):
         return _stuck(code, T.InterpIDesc, (code, x), 0)
     raise EvalError(f"indexed interp of non-code {type(code).__name__}")
@@ -413,7 +448,7 @@ def viall(code: Value, x: Value, p: Value, d: Value) -> Value:
         fam, xx, pp, dd = code.fam, x, p, d
         return VPi("s", code.dom, PyClo(lambda s: viall(vapp(fam, s), xx, pp, vapp(dd, s))))
     if isinstance(code, (VDSigma, VDSigmaE)):
-        return viall(vapp(code.fam, vfst(d)), x, p, vsnd(d))
+        return viall(vapp_ground(code.fam, vfst(d)), x, p, vsnd(d))
     if isinstance(code, VNeutral):
         return _stuck(code, T.IAllD, (code, x, p, d), 0)
     raise EvalError(f"IAll over non-code {type(code).__name__}")
@@ -433,7 +468,7 @@ def viallmap(code: Value, x: Value, p: Value, rec: Value, d: Value) -> Value:
         fam, xx, pp, rr, dd = code.fam, x, p, rec, d
         return VLam("s", PyClo(lambda s: viallmap(vapp(fam, s), xx, pp, rr, vapp(dd, s))))
     if isinstance(code, (VDSigma, VDSigmaE)):
-        return viallmap(vapp(code.fam, vfst(d)), x, p, rec, vsnd(d))
+        return viallmap(vapp_ground(code.fam, vfst(d)), x, p, rec, vsnd(d))
     if isinstance(code, VNeutral):
         return _stuck(code, T.IAllMap, (code, x, p, rec, d), 0)
     raise EvalError(f"indexed all-map over non-code {type(code).__name__}")
@@ -447,14 +482,16 @@ def imu_family(ixty: Value, fam: Value) -> Value:
 
 def viinduction(ixty: Value, fam: Value, p: Value, m: Value, i: Value, x: Value) -> Value:
     if isinstance(x, VIn):
-        code = vapp(fam, i)
-        xfam = imu_family(ixty, fam)
+        step = vapps(m, i, x.payload)
+        if type(step) is VLam and type(step.body) is Clo and not reads_bound(step.body.term):
+            # the hypotheses are dropped unread: a case analysis
+            return step.body(VVoid())
         rec = VLam(
             "i",
             PyClo(lambda i2: VLam("x", PyClo(lambda v: viinduction(ixty, fam, p, m, i2, v)))),
         )
-        hyp = viallmap(code, xfam, p, rec, x.payload)
-        return vapps(m, i, x.payload, hyp)
+        hyp = viallmap(vapp_ground(fam, i), imu_family(ixty, fam), p, rec, x.payload)
+        return vapp(step, hyp)
     if isinstance(x, VNeutral):
         return _stuck(x, T.IInduction, (ixty, fam, p, m, i, x), 5)
     raise EvalError("indexed induction on non-canonical scrutinee")
