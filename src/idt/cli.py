@@ -143,8 +143,7 @@ class Session:
 
     def eval_expr(self, text: str) -> str:
         t, ty = self.synth_expr(text)
-        nf = K.normalize(self.ctx, t)
-        return self.render_term(nf, ty)
+        return self.render_term(t, ty)
 
     def type_of(self, text: str) -> str:
         _, ty = self.synth_expr(text)
@@ -163,6 +162,8 @@ class Session:
         return t
 
     def render_term(self, t: T.Term, ty: Optional[V.Value] = None) -> str:
+        """The value of `t`: a numeral or a tag when it is one, else its
+        normal form, printed with definitions folded back into names."""
         v = self.ctx.eval(t)
         n = self._as_numeral(v, ty)
         if n is not None:
@@ -172,13 +173,13 @@ class Session:
             k = V.numeral_of(v)
             if tags is not None and k is not None and k < len(tags):
                 return f"'{tags[k]}"
-        return pp.print_term(self.resugar(t), self.ctx.names())
+        return pp.print_term(self.resugar(V.quote(v, self.ctx.depth)), self.ctx.names())
 
     def _as_numeral(self, v: V.Value, ty: Optional[V.Value]) -> Optional[int]:
         """Decimal rendering for canonical values of a Nat-shaped datatype."""
         if not (isinstance(ty, V.VIMu) and isinstance(v, V.VIn)):
             return None
-        code = V.vapp(ty.fam, ty.index)
+        code = V.vapp_ground(ty.fam, ty.index)
         view = desc.sigma_view(code)
         if view is None or view[0] != ["zero", "suc"]:
             return None
