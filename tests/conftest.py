@@ -102,6 +102,25 @@ def naming_oracle(monkeypatch):
     return named
 
 
+@pytest.fixture
+def ground_oracle(monkeypatch):
+    """Check every value `values.vapp_ground` returns, possibly remembered
+    from an earlier call, against applying the function afresh with `vapp`;
+    the list holds the arguments checked so far."""
+    real = V.vapp_ground
+    checked = []
+
+    def vapp_ground(f, a):
+        got = real(f, a)
+        # compared at a level above every variable a test context binds
+        assert V.convertible(got, V.vapp(f, a), 1 << 16), f"remembered value differs at {a}"
+        checked.append(a)
+        return got
+
+    monkeypatch.setattr(V, "vapp_ground", vapp_ground)
+    return checked
+
+
 @pytest.fixture(scope="session")
 def prelude():
     return load_session("prelude.idt")

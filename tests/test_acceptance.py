@@ -37,9 +37,10 @@ from idt.elab import ElabError, Elaborator
 
 
 # every kernel conversion the criteria make is checked against readback,
-# every value built from a term's parts against evaluating the term, and
-# every term that names a definition against the unfolded readback
-pytestmark = pytest.mark.usefixtures("conv_oracle", "value_oracle", "naming_oracle")
+# every value built from a term's parts against evaluating the term, every
+# term that names a definition against the unfolded readback, and every
+# value remembered at a ground argument against applying the function afresh
+pytestmark = pytest.mark.usefixtures("conv_oracle", "value_oracle", "naming_oracle", "ground_oracle")
 
 
 def report(n: int, ok: bool, desc_: str):

@@ -60,6 +60,21 @@ def test_too_deep_input_exit_three():
     assert "Traceback" not in out
 
 
+def test_case_analysis_of_a_deep_numeral_does_not_recurse(tmp_path):
+    # `pred` drops the hypotheses it never reads, so the stack does not grow
+    # with the numeral; building them exhausted the stack here
+    p = tmp_path / "pred.idt"
+    p.write_text("let pred (m : Nat) : Nat where\n  pred m by case m {\n"
+                 "    pred zero => zero\n    pred (suc m') => m'\n  }\n")
+    code, out = run_main(["eval", "-e", "pred 2500", corpus_path("prelude.idt"), str(p)])
+    assert (code, out) == (0, "2499\n")
+
+
+def test_recursion_over_a_large_numeral_still_fits_the_stack():
+    code, out = run_main(["eval", "-e", "plus 1000 1000", corpus_path("prelude.idt")])
+    assert (code, out) == (0, "2000\n")
+
+
 @pytest.mark.parametrize("msg", ["a broken invariant\nspanning lines", ""])
 def test_internal_assertion_exit_three(monkeypatch, msg):
     def broken(self, text):
