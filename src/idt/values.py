@@ -342,7 +342,7 @@ def vapp_ground(f: Value, a: Value) -> Value:
     return vapp(f, a)
 
 
-def reads_bound(t: Term) -> bool:
+def _reads_bound(t: Term) -> bool:
     """Whether the binder body `t` reads its bound variable `Var 0`; the
     answer is stored on the term object (outside its compared fields)."""
     got = t.__dict__.get("reads_bound")
@@ -483,7 +483,7 @@ def imu_family(ixty: Value, fam: Value) -> Value:
 def viinduction(ixty: Value, fam: Value, p: Value, m: Value, i: Value, x: Value) -> Value:
     if isinstance(x, VIn):
         step = vapps(m, i, x.payload)
-        if type(step) is VLam and type(step.body) is Clo and not reads_bound(step.body.term):
+        if type(step) is VLam and type(step.body) is Clo and not _reads_bound(step.body.term):
             # the hypotheses are dropped unread: a case analysis
             return step.body(VVoid())
         rec = VLam(
