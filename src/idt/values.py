@@ -484,7 +484,7 @@ def viinduction(ixty: Value, fam: Value, p: Value, m: Value, i: Value, x: Value)
     if isinstance(x, VIn):
         step = vapps(m, i, x.payload)
         if type(step) is VLam and type(step.body) is Clo and not _reads_bound(step.body.term):
-            # the hypotheses are dropped unread: a case analysis
+            # a case analysis: void stands in for the hypotheses the body never reads
             return step.body(VVoid())
         rec = VLam(
             "i",
