@@ -229,7 +229,7 @@ class Session:
 
 
 def _replace_subterm(t: T.Term, needle: T.Term, repl: T.Term) -> T.Term:
-    body = L.abstract_subterm(t, needle)
+    body = T.abstract(t, needle)
     return T.subst_free(body, lambda j: repl if j == 0 else T.Var(j - 1))
 
 

@@ -19,7 +19,7 @@ from . import pp
 from . import surface as S
 from . import terms as T
 from . import values as V
-from .elab import ElabError, Elaborator
+from .elab import ElabError, Elaborator, _span, _spine
 from .kernel import Context
 from .terms import Term
 from .values import Value
@@ -108,15 +108,7 @@ class ELabel:
     entries: tuple
 
     def shift(self, by: int) -> "ELabel":
-        out = []
-        for e in self.entries:
-            if isinstance(e, EParam):
-                out.append(EParam(T.shift(e.tm, by), T.shift(e.ty, by)))
-            elif isinstance(e, EIndex):
-                out.append(EIndex(T.shift(e.tm, by), T.shift(e.ty, by)))
-            else:
-                out.append(EConstr(T.shift(e.var, by), e.raw, T.shift(e.ty, by)))
-        return ELabel(self.head, tuple(out))
+        return ELabel(self.head, tuple(_eshift(e, by) for e in self.entries))
 
     def kernel_label(self, ctx: Context, el: Elaborator) -> T.DLabel:
         """The kernel form; constraint values elaborate in the given context."""
@@ -226,7 +218,7 @@ def validate_pattern(ctx: Context, el: Elaborator, label: ELabel, head: S.HeadPa
                 continue
             # under a by-refinement a bare name can be a nullary constructor
             # or an enumeration tag
-            if _matches_enum_tag(inner, ip.name, entry_v, inner.eval(entry.ty)):
+            if L._matches_enum_tag(ip.name, entry_v, inner.eval(entry.ty)):
                 out.append(entry)
                 continue
             got = _bind_refined(inner, ip.name, (), entry_v, inner.eval(entry.ty), ip.span)
@@ -288,15 +280,6 @@ def _var_name(ctx: Context, tm: Term) -> str:
     return pp.print_term(tm, ctx.names())
 
 
-def _matches_enum_tag(ctx: Context, name: str, val: Value, tyv: Value) -> bool:
-    """A by-refined enumeration index matches the pattern naming its tag."""
-    if not isinstance(tyv, V.VEnumT):
-        return False
-    tags = V.enum_tags(tyv.enum)
-    k = V.numeral_of(val)
-    return tags is not None and k is not None and k < len(tags) and tags[k] == name
-
-
 def _bind_refined(ctx: Context, ctor: str, vars_: tuple, val: Value, tyv: Value, span):
     """Bind a constructor pattern appearing at a by-refined index position."""
     try:
@@ -328,8 +311,8 @@ class DataElab:
 
     # clause groups, with an optional trailing by-block
     def elab_data_patts(self, ctx: Context, clauses: tuple, label: ELabel, depth: int = 0) -> Term:
-        if depth > 8:
-            raise ElabError("ByDepthExceeded", None, "'by' nesting deeper than 8")
+        if depth > L.MAX_BY_DEPTH:
+            raise ElabError("ByDepthExceeded", None, f"'by' nesting deeper than {L.MAX_BY_DEPTH}")
         with self.tracer.node(
             "ElabDataPatts", lambda: label.describe(ctx)
         ):
@@ -430,7 +413,7 @@ class DataElab:
             return self.elab_constraints(ctx, label)
         nm, tye = args[0]
         rest_args = args[1:]
-        spine_head, spine_args = _espine(tye)
+        spine_head, spine_args = _spine(tye)
         # recursion matching, attempted first
         if isinstance(spine_head, S.EVar) and spine_head.name == label.head:
             with self.tracer.node(
@@ -442,7 +425,7 @@ class DataElab:
         # exponentials whose codomain is recursive
         if isinstance(tye, S.EPi):
             doms, cod = _pi_spine(tye)
-            cod_head, cod_args = _espine(cod)
+            cod_head, cod_args = _spine(cod)
             if isinstance(cod_head, S.EVar) and cod_head.name == label.head:
                 with self.tracer.node(
                     "ElabArg", lambda: f"({nm} : {S.print_expr(tye)}) exponential"
@@ -453,9 +436,9 @@ class DataElab:
                         dt, dv, lvl = self.el.elab_type(inner_ctx, dty)
                         if lvl > 0:
                             raise ElabError(
-                                "CheckMismatch", _sspan(dty), "argument domains must live in Set"
+                                "CheckMismatch", _span(dty), "argument domains must live in Set"
                             )
-                        self._positivity(inner_ctx, dt, _sspan(dty))
+                        self._positivity(inner_ctx, dt, _span(dty))
                         dom_terms.append((dnm, dt))
                         inner_ctx = inner_ctx.extend(dnm, dv)
                     shifted_label = label.shift(len(dom_terms))
@@ -471,10 +454,10 @@ class DataElab:
             if lvl > 0:
                 raise ElabError(
                     "CheckMismatch",
-                    _sspan(tye),
+                    _span(tye),
                     "constructor arguments must live in Set",
                 )
-            self._positivity(ctx, tyt, _sspan(tye))
+            self._positivity(ctx, tyt, _span(tye))
             rest = self.elab_args(ctx.extend(nm, tyv), rest_args, label.shift(1))
         out = T.DSigma(tyt, T.Lam(nm, tyt, rest))
         if self.instrument:
@@ -497,7 +480,7 @@ class DataElab:
         if not isinstance(last, EConstr):
             return self._eqs(ctx, rest)
         t = self.el.check(ctx, last.raw, ctx.eval(last.ty))
-        self._positivity(ctx, t, _sspan(last.raw))
+        self._positivity(ctx, t, _span(last.raw))
         inner = self._eqs(ctx, rest)
         return T.DSigma(
             T.Eq(last.ty, last.var, t),
@@ -511,7 +494,7 @@ class DataElab:
             if len(spine_args) != len(entries):
                 raise ElabError(
                     "PatternHeadMismatch",
-                    _sspan(at),
+                    _span(at),
                     f"recursive call applies {len(spine_args)} argument(s); "
                     f"the datatype takes {len(entries)}",
                 )
@@ -523,12 +506,12 @@ class DataElab:
                     if not K.conv(ctx, ctx.eval(at_), ctx.eval(entry.tm)):
                         raise ElabError(
                             "PatternHeadMismatch",
-                            _sspan(arg),
+                            _span(arg),
                             "parameters must be the same in recursive calls",
                         )
                 else:
                     at_ = self.el.check(ctx, arg, tyv)
-                    self._positivity(ctx, at_, _sspan(arg))
+                    self._positivity(ctx, at_, _span(arg))
                     is_tm = T.Pair(is_tm, at_)
             if self.instrument:
                 K.check(ctx, is_tm, label.index_type_value(ctx))
@@ -557,25 +540,12 @@ def _elabel_from_value(label: V.VDLabel, ctx: Context) -> ELabel:
     return ELabel(label.head, tuple(entries))
 
 
-def _espine(e: S.ExtTerm):
-    args = []
-    while isinstance(e, S.EApp):
-        args.append(e.arg)
-        e = e.fn
-    args.reverse()
-    return e, args
-
-
 def _pi_spine(e: S.ExtTerm):
     doms = []
     while isinstance(e, S.EPi):
         doms.append((e.name, e.dom))
         e = e.cod
     return doms, e
-
-
-def _sspan(e) -> Optional[tuple]:
-    return getattr(e, "span", None)
 
 
 # --- whole declarations -----------------------------------------------------------
@@ -606,7 +576,7 @@ def elab_data(
             if lvl > 1:
                 raise ElabError(
                     "CheckMismatch",
-                    _sspan(tye),
+                    _span(tye),
                     "parameter types must live in Set or Set1",
                 )
             p_tys.append(tyt)
@@ -615,12 +585,12 @@ def elab_data(
         for pos, (nm, tye) in enumerate(decl.indices):
             tyt, tyv, lvl = el.elab_type(inner, tye)
             if lvl > 0:
-                raise ElabError("CheckMismatch", _sspan(tye), "index types must live in Set")
+                raise ElabError("CheckMismatch", _span(tye), "index types must live in Set")
             for earlier in range(pos):
                 if T.occurs(tyt, earlier):
                     raise ElabError(
                         "CheckMismatch",
-                        _sspan(tye),
+                        _span(tye),
                         "an index type may not depend on earlier indices",
                     )
             i_tys.append(tyt)

@@ -92,18 +92,14 @@ _VAR = pp.Notation("'var")
 
 
 def _desc_view(t: Term) -> Term:
-    if isinstance(t, T.IDesc) and isinstance(t.index, T.Unit):
-        return _DESC
-    if isinstance(t, T.DVarI) and isinstance(t.index, T.Void):
-        return _VAR
-    fields_ = getattr(t, "__dataclass_fields__", None)
-    if not fields_:
-        return t
-    kwargs = {}
-    for name in fields_:
-        x = getattr(t, name)
-        kwargs[name] = _desc_view(x) if isinstance(x, Term) else x
-    return type(t)(**kwargs)
+    def visit(u: Term, _d: int) -> Optional[Term]:
+        if isinstance(u, T.IDesc) and isinstance(u.index, T.Unit):
+            return _DESC
+        if isinstance(u, T.DVarI) and isinstance(u.index, T.Void):
+            return _VAR
+        return None
+
+    return T.map_term(t, visit)
 
 
 def _atomize(s: str) -> str:

@@ -13,10 +13,11 @@ comparison procedure.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Union
+from typing import Callable, Union
 
 from . import desc
 from . import kernel as K
+from . import labels as L
 from . import terms as T
 from . import values as V
 from .kernel import Context
@@ -46,13 +47,6 @@ def _tagged(ctx: Context, ty: Term) -> V.VIMu:
     if desc.sigma_view(V.vapp(mu.fam, mu.index)) is None:
         raise GenericsError("NotTagged", "the code is not headed by a constructor choice")
     return mu
-
-
-def _ann_lams(t: Term, anns: List[Term]) -> Term:
-    if not anns:
-        return t
-    assert isinstance(t, T.Lam)
-    return T.Lam(t.nm, anns[0], _ann_lams(t.body, anns[1:]))
 
 
 def _eliminate(mu: V.VIMu, p: Value, method, x: Value) -> Value:
@@ -106,7 +100,7 @@ def derive_case(ctx: Context, ty: Term):
         V.quote(m_ty_of(pn), d + 1),
         V.quote(mu, d + 2),
     ]
-    term = _ann_lams(term, anns)
+    term = L._ann_lams(term, anns)
     ty = T.Pi(
         "P",
         V.quote(p_ty, d),
@@ -391,7 +385,7 @@ def specialize_no_confusion(ctx: Context, name: str, ty: Term):
         ),
     )
     mu_t = V.quote(mu, d)
-    stmt = _ann_lams(V.quote(nc_v, d), [mu_t, T.shift(mu_t, 1)])
+    stmt = L._ann_lams(V.quote(nc_v, d), [mu_t, T.shift(mu_t, 1)])
     stmt_ty = T.Pi("x", mu_t, T.Pi("y", T.shift(mu_t, 1), T.Set_(1)))
     stmt_name = f"NoConfusion{name}"
 
@@ -437,7 +431,7 @@ def specialize_no_confusion(ctx: Context, name: str, ty: Term):
         ),
     )
     mu_t2 = V.quote(mu, d2)
-    proof = _ann_lams(
+    proof = L._ann_lams(
         V.quote(proof_v, d2),
         [mu_t2, T.shift(mu_t2, 1), T.Eq(T.shift(mu_t2, 2), T.Var(1), T.Var(0))],
     )

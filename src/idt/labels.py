@@ -22,63 +22,6 @@ from .terms import Term
 from .values import Value
 
 
-def label_index_type(ctx: Context, label: T.DLabel) -> Value:
-    """Index type computed from a description label telescope."""
-    return V.vlabel_index_type(V.eval_label(label, ctx.env))
-
-
-def abstract_subterm(t: Term, needle: Term) -> Term:
-    """Body of a new binder replacing every occurrence of `needle` (a term in
-    the same context as `t`) by the bound variable."""
-
-    def go(t: Term, d: int) -> Term:
-        if t == T.shift(needle, d):
-            return T.Var(d)
-        if isinstance(t, T.Var):
-            return T.Var(t.ix + 1) if t.ix >= d else t
-        if isinstance(t, T.Pi):
-            return T.Pi(t.nm, go(t.dom, d), go(t.cod, d + 1))
-        if isinstance(t, T.Lam):
-            return T.Lam(t.nm, go(t.ann, d) if t.ann is not None else None, go(t.body, d + 1))
-        if isinstance(t, T.Sigma):
-            return T.Sigma(t.nm, go(t.dom, d), go(t.cod, d + 1))
-        if isinstance(t, T.Pair):
-            ann = None
-            if t.ann is not None:
-                nm, fam = t.ann
-                ann = (nm, go(fam, d + 1))
-            return T.Pair(go(t.fst, d), go(t.snd, d), ann)
-        if isinstance(t, T.LabelTy):
-            return T.LabelTy(
-                t.head,
-                tuple(go(a, d) for a in t.args),
-                tuple(go(a, d) for a in t.argtys),
-                go(t.ty, d),
-            )
-        if isinstance(t, T.LCall):
-            return T.LCall(
-                t.head,
-                tuple(go(a, d) for a in t.args),
-                tuple(go(a, d) for a in t.argtys),
-                go(t.ty, d),
-                go(t.body, d),
-            )
-        if isinstance(t, T.DLabelTy):
-            return T.DLabelTy(T.map_label(t.label, lambda x: go(x, d)))
-        if isinstance(t, T.DCall):
-            return T.DCall(T.map_label(t.label, lambda x: go(x, d)), go(t.body, d))
-        fields_ = getattr(t, "__dataclass_fields__", None)
-        if not fields_:
-            return t
-        kwargs = {}
-        for name in fields_:
-            v = getattr(t, name)
-            kwargs[name] = go(v, d) if isinstance(v, Term) else v
-        return type(t)(**kwargs)
-
-    return go(t, 0)
-
-
 @dataclass
 class Slot:
     """One argument (or hypothesis) position of a constructor subgoal."""
@@ -127,7 +70,7 @@ def ewm_restricted(ctx: Context, kind: str, scrut_name: str, goal: Value) -> Ewm
     scrut_v = ctx.env[d - 1 - ix]
     scrut_t = ctx.quote(scrut_v)
     goal_t = ctx.quote(goal)
-    abstracted = abstract_subterm(goal_t, scrut_t)
+    abstracted = T.abstract(goal_t, scrut_t)
     if abstracted == T.shift(goal_t, 1):
         raise ElabError(
             "ScrutineeNotFree",
@@ -315,15 +258,6 @@ class _BranchShape:
             if _is_leaf(code) or isinstance(code, V.VDOne):
                 return V.vapps(bf, *acc)
             if isinstance(code, (V.VDSigma, V.VDSigmaE)):
-                def motive(p, code=code, parts=tuple(parts)):
-                    if self.has_hyp:
-                        return V.VPi(
-                            "h",
-                            self.iall(code, p),
-                            V.PyClo(lambda _h, pp2=p: self.rebuild(list(parts), pp2)),
-                        )
-                    return self.rebuild(list(parts), p)
-
                 meth = V.VLam(
                     _fam_name(code.fam, "x"),
                     V.PyClo(
@@ -337,18 +271,8 @@ class _BranchShape:
                         )
                     ),
                 )
-                split = V.vsplit(V.VLam("p", V.PyClo(motive)), meth, cursor)
-                return V.vapp(split, h) if self.has_hyp else split
+                return self._split(code, parts, cursor, meth, h)
             if isinstance(code, V.VDTimes):
-                def motive(p, code=code, parts=tuple(parts)):
-                    if self.has_hyp:
-                        return V.VPi(
-                            "h",
-                            self.iall(code, p),
-                            V.PyClo(lambda _h, pp2=p: self.rebuild(list(parts), pp2)),
-                        )
-                    return self.rebuild(list(parts), p)
-
                 def meth_body(x, r, code=code, parts=list(parts), acc=list(acc)):
                     if self.has_hyp:
                         return V.VLam(
@@ -368,11 +292,23 @@ class _BranchShape:
                         lambda x: V.VLam("r", V.PyClo(lambda r, x=x: meth_body(x, r)))
                     ),
                 )
-                split = V.vsplit(V.VLam("p", V.PyClo(motive)), meth, cursor)
-                return V.vapp(split, h) if self.has_hyp else split
+                return self._split(code, parts, cursor, meth, h)
             raise ElabError("UnsupportedScrutinee", None, "constructor code is not canonical")
 
         return V.VLam("as", V.PyClo(lambda as_v: level(self.code0, as_v, [], [as_v])))
+
+    def _split(self, code: Value, parts: list, cursor: Value, meth: Value, h) -> Value:
+        """Split `cursor` at one level, with the motive rebuilding the goal
+        from `parts`; for `rec` the motive also takes this level's hypothesis,
+        and the split is applied to `h`."""
+
+        def motive(p: Value) -> Value:
+            if self.has_hyp:
+                return V.VPi("h", self.iall(code, p), V.PyClo(lambda _h: self.rebuild(parts, p)))
+            return self.rebuild(parts, p)
+
+        split = V.vsplit(V.VLam("p", V.PyClo(motive)), meth, cursor)
+        return V.vapp(split, h) if self.has_hyp else split
 
 
 def _ewm_fix(ctx, kind, scrut_name, scrut_v, sty, motive_at) -> EwmResult:
@@ -733,11 +669,8 @@ def _validate_prog_head(ctx: Context, el: Elaborator, head: S.ProgHead, goal: V.
                 if K.conv(inner, inner.env[inner.depth - 1 - ix], argv):
                     continue
             # a bare name may also be a nullary constructor or an enum tag
-            if isinstance(argty, V.VEnumT):
-                tags = V.enum_tags(argty.enum)
-                kn = V.numeral_of(argv)
-                if tags is not None and kn is not None and kn < len(tags) and tags[kn] == pat.name:
-                    continue
+            if _matches_enum_tag(pat.name, argv, argty):
+                continue
             if _match_con_pattern(inner, pat.name, (), argv, argty, pat.span, dry=True):
                 inner = _match_con_pattern(inner, pat.name, (), argv, argty, pat.span)
                 continue
@@ -758,10 +691,19 @@ def _validate_prog_head(ctx: Context, el: Elaborator, head: S.ProgHead, goal: V.
     return inner
 
 
+def _matches_enum_tag(name: str, val: Value, tyv: Value) -> bool:
+    """A by-refined enumeration index matches the pattern naming its tag."""
+    if not isinstance(tyv, V.VEnumT):
+        return False
+    tags = V.enum_tags(tyv.enum)
+    k = V.numeral_of(val)
+    return tags is not None and k is not None and k < len(tags) and tags[k] == name
+
+
 def _match_con_pattern(ctx: Context, ctor: str, vars_: tuple, argv: Value, argty: Value, span, dry=False):
     """Match `ctor vars` against a by-refined label argument In (k, args)."""
     if not isinstance(argv, V.VIn):
-        return None if dry else None
+        return None
     payload = argv.payload
     if not isinstance(payload, V.VPair):
         return None

@@ -382,18 +382,48 @@ class DCall(Term):
 
 
 # --- de Bruijn utilities -----------------------------------------------------
+#
+# `map_term` is the one structural rebuild of a core term; shifting,
+# substitution, abstraction and the description notation view are visits
+# over it.
+
+# the field of each binding node whose terms sit under one more binder
+# (`Pair.ann` is a (name, family) pair whose family binds)
+_BINDERS = {Pi: "cod", Lam: "body", Sigma: "cod", Pair: "ann"}
 
 
-def map_label(label: DLabel, f: Callable[[Term], Term]) -> DLabel:
-    entries = []
-    for e in label.entries:
-        if isinstance(e, LParam):
-            entries.append(LParam(f(e.tm), f(e.ty)))
-        elif isinstance(e, LIndex):
-            entries.append(LIndex(f(e.tm), f(e.ty)))
-        else:
-            entries.append(LConstraint(f(e.var), f(e.tm), f(e.ty)))
-    return DLabel(label.head, tuple(entries))
+def map_term(t: Term, visit: Callable[[Term, int], Optional[Term]], depth: int = 0) -> Term:
+    """Rebuild `t` through `visit`, the one structural traversal of core terms.
+
+    visit(u, d) sees each subterm `u` and its binder depth `d` before the
+    children of `u`. A term it returns replaces `u`. When it returns None,
+    the children are rebuilt, and a node whose children did not change is
+    kept as is. Children include the terms inside tuples (label spines,
+    `Pair.ann`) and inside description-label entries.
+    """
+
+    def go(x, d: int):
+        if isinstance(x, Term):
+            u = visit(x, d)
+            if u is not None:
+                return u
+        elif isinstance(x, tuple):
+            y = tuple(go(a, d) for a in x)
+            return x if all(a is b for a, b in zip(x, y)) else y
+        fields_ = getattr(x, "__dataclass_fields__", None)
+        if not fields_:
+            return x
+        binder = _BINDERS.get(type(x))
+        kwargs = {}
+        changed = False
+        for name in fields_:
+            a = getattr(x, name)
+            b = go(a, d + 1 if name == binder else d)
+            changed = changed or b is not a
+            kwargs[name] = b
+        return type(x)(**kwargs) if changed else x
+
+    return go(t, depth)
 
 
 def map_vars(t: Term, on_var: Callable[[int, int], Term], depth: int = 0) -> Term:
@@ -403,56 +433,12 @@ def map_vars(t: Term, on_var: Callable[[int, int], Term], depth: int = 0) -> Ter
     must return a term valid at that depth.
     """
 
-    def go(t: Term, d: int) -> Term:
-        if isinstance(t, Var):
-            return on_var(t.ix, d) if t.ix >= d else t
-        if isinstance(t, Pi):
-            return Pi(t.nm, go(t.dom, d), go(t.cod, d + 1))
-        if isinstance(t, Lam):
-            return Lam(t.nm, go(t.ann, d) if t.ann is not None else None, go(t.body, d + 1))
-        if isinstance(t, Sigma):
-            return Sigma(t.nm, go(t.dom, d), go(t.cod, d + 1))
-        if isinstance(t, Pair):
-            ann = None
-            if t.ann is not None:
-                nm, fam = t.ann
-                ann = (nm, go(fam, d + 1))
-            return Pair(go(t.fst, d), go(t.snd, d), ann)
-        if isinstance(t, LabelTy):
-            return LabelTy(
-                t.head,
-                tuple(go(a, d) for a in t.args),
-                tuple(go(a, d) for a in t.argtys),
-                go(t.ty, d),
-            )
-        if isinstance(t, LCall):
-            return LCall(
-                t.head,
-                tuple(go(a, d) for a in t.args),
-                tuple(go(a, d) for a in t.argtys),
-                go(t.ty, d),
-                go(t.body, d),
-            )
-        if isinstance(t, DLabelTy):
-            return DLabelTy(map_label(t.label, lambda x: go(x, d)))
-        if isinstance(t, DCall):
-            return DCall(map_label(t.label, lambda x: go(x, d)), go(t.body, d))
-        fields_ = getattr(t, "__dataclass_fields__", None)
-        if not fields_:
-            return t
-        kwargs = {}
-        changed = False
-        for name in fields_:
-            v = getattr(t, name)
-            if isinstance(v, Term):
-                nv = go(v, d)
-                changed = changed or (nv is not v)
-                kwargs[name] = nv
-            else:
-                kwargs[name] = v
-        return type(t)(**kwargs) if changed else t
+    def visit(u: Term, d: int) -> Optional[Term]:
+        if isinstance(u, Var):
+            return on_var(u.ix, d) if u.ix >= d else u
+        return None
 
-    return go(t, depth)
+    return map_term(t, visit, depth)
 
 
 def shift(t: Term, by: int, cutoff: int = 0) -> Term:
@@ -471,13 +457,26 @@ def subst_free(t: Term, mapping: Callable[[int], Term]) -> Term:
     return map_vars(t, lambda i, d: shift(mapping(i - d), d))
 
 
-def abstract(t: Term, target: int) -> Term:
-    """Body of a new binder capturing the free variable `target` of `t`.
+def abstract(t: Term, needle: Term) -> Term:
+    """Body of a new binder replacing every occurrence of `needle` (a term in
+    the same context as `t`) by the bound variable.
 
     Every other free variable is shifted up by one to make room for the
-    binder.
+    binder; with a variable needle this is variable abstraction.
     """
-    return map_vars(t, lambda i, d: Var(d) if i - d == target else Var(i + 1))
+    needles: dict = {}  # `needle` shifted to each binder depth met
+
+    def visit(u: Term, d: int) -> Optional[Term]:
+        n = needles.get(d)
+        if n is None:
+            n = needles[d] = shift(needle, d)
+        if u == n:
+            return Var(d)
+        if isinstance(u, Var):
+            return Var(u.ix + 1) if u.ix >= d else u
+        return None
+
+    return map_term(t, visit)
 
 
 def free_vars(t: Term) -> set:

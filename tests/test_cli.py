@@ -209,6 +209,29 @@ def test_repl_commands():
     assert "3" in lines
 
 
+def test_repl_type_folds_definitions_into_names(tmp_path):
+    # `:t` prints a type with context definitions folded back into their
+    # names: all of `Tree Nat` becomes TN, and the Nat inside Vec's code Nat
+    p = tmp_path / "tree_vec.idt"
+    p.write_text(
+        "data Tree (A : Set) : Set where\n"
+        "  Tree A => leaf\n"
+        "  Tree A => node (l : Tree A) (a : A) (r : Tree A)\n"
+        "data Vec (A : Set) [n : Nat] : Set where\n"
+        "  Vec A [n = zero] => vnil\n"
+        "  Vec A [n = suc m] => vcons (m : Nat) (a : A) (vs : Vec A m)\n"
+        "let TN : Set => Tree Nat\n",
+        encoding="utf-8",
+    )
+    src = io.StringIO(":t (leaf : Tree Nat)\n:t (vnil : Vec Bool 0)\n:q\n")
+    buf = io.StringIO()
+    code = run_repl([corpus_path("prelude.idt"), str(p)], stdin=src, stdout=buf)
+    assert code == 0
+    lines = buf.getvalue().splitlines()
+    assert lines[1] == "TN"
+    assert "IDesc (Unit * Nat)" in lines[2]
+
+
 def test_session_context_rechecks_from_scratch():
     sess = load_session("prelude.idt")
     assert K.context_valid(sess.ctx)

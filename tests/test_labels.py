@@ -59,7 +59,7 @@ def nat_ty_term(sess):
 
 def test_label_index_type_base():
     label = T.DLabel("D", ())
-    assert V.quote(L.label_index_type(ctx0(), label), 0) == T.Unit()
+    assert V.quote(V.vlabel_index_type(V.eval_label(label, ctx0().env)), 0) == T.Unit()
 
 
 def test_label_index_type_param_skipped_index_contributes(sess):
@@ -68,7 +68,7 @@ def test_label_index_type_param_skipped_index_contributes(sess):
     label = T.DLabel(
         "Vec", (T.LParam(T.Var(1), T.Set_(0)), T.LIndex(T.Var(0), nat_t))
     )
-    got = V.quote(L.label_index_type(ctx, label), ctx.depth)
+    got = V.quote(V.vlabel_index_type(V.eval_label(label, ctx.env)), ctx.depth)
     want = K.normalize(ctx, T.Sigma("_", T.Unit(), T.shift(nat_t, 1)))
     assert got == want
 
@@ -81,7 +81,7 @@ def test_label_index_type_constraint_contributes(sess):
     label = T.DLabel(
         "Vec", (T.LParam(T.Var(2), T.Set_(0)), T.LConstraint(T.Var(1), suc_m, nat_t))
     )
-    got = V.quote(L.label_index_type(ctx, label), ctx.depth)
+    got = V.quote(V.vlabel_index_type(V.eval_label(label, ctx.env)), ctx.depth)
     want = K.normalize(ctx, T.Sigma("_", T.Unit(), T.shift(nat_t, 1)))
     assert got == want
 
@@ -114,7 +114,7 @@ def test_label_index_type_against_oracle(sess):
                     T.LConstraint(num_term(0), num_term(rng.randrange(3)), nat_t)
                 )
         label = T.DLabel("D", tuple(entries))
-        got = V.quote(L.label_index_type(sess.ctx, label), sess.ctx.depth)
+        got = V.quote(V.vlabel_index_type(V.eval_label(label, sess.ctx.env)), sess.ctx.depth)
         want = K.normalize(sess.ctx, oracle(entries))
         assert got == want
 
@@ -254,7 +254,7 @@ def test_ewm_assembled_checks_at_goal(sess):
 
 def test_abstract_subterm():
     t = T.App(T.Var(2), T.Lam("x", None, T.App(T.Var(3), T.Var(0))))
-    body = L.abstract_subterm(t, T.Var(2))
+    body = T.abstract(t, T.Var(2))
     assert body == T.App(T.Var(0), T.Lam("x", None, T.App(T.Var(1), T.Var(0))))
 
 

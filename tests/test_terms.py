@@ -54,9 +54,53 @@ def test_subst_shift_cancel(t):
 @given(terms())
 def test_abstract_then_substitute_roundtrip(t):
     # abstracting variable 0 and substituting it back is the identity
-    body = T.abstract(t, 0)
+    body = T.abstract(t, T.Var(0))
     restored = T.subst_free(body, lambda j: T.Var(0) if j == 0 else T.Var(j - 1))
     assert restored == t
+
+
+def subterms(t):
+    """Every subterm of `t`, visited by `map_term`."""
+    out = []
+    T.map_term(t, lambda u, _d: out.append(u))
+    return out
+
+
+@given(terms())
+def test_abstract_closed_subterm_then_substitute_roundtrip(t):
+    # abstracting any closed subterm and substituting it back is the identity
+    for s in subterms(t):
+        if T.free_vars(s):
+            continue
+        body = T.abstract(t, s)
+        restored = T.subst_free(body, lambda j: s if j == 0 else T.Var(j - 1))
+        assert restored == t
+
+
+@given(terms(), st.integers(min_value=0, max_value=2))
+def test_abstract_variable_is_variable_abstraction(t, k):
+    # a variable needle: exactly the renaming that binds free variable k and
+    # shifts every other free variable up by one
+    want = T.map_vars(t, lambda i, d: T.Var(d) if i - d == k else T.Var(i + 1))
+    assert T.abstract(t, T.Var(k)) == want
+
+
+def test_map_term_binder_depths_and_unchanged_nodes():
+    # `Pair.ann`'s family binds, label entries do not; a visit that changes
+    # nothing keeps every node as is
+    fam = T.Lam("x", None, T.App(T.Var(0), T.Var(1)))
+    t = T.Pair(T.Var(0), T.Var(1), ("x", T.App(T.Var(0), T.Var(1))))
+    assert T.shift(t, 1).ann[1] == T.App(T.Var(0), T.Var(2))
+    assert T.shift(t, 1) == T.Pair(T.Var(1), T.Var(2))
+    lbl = T.DLabelTy(T.DLabel("D", (T.LParam(T.Var(0), T.Set_(0)), T.LIndex(fam, T.Var(2)))))
+    shifted = T.shift(lbl, 1)
+    assert shifted == T.DLabelTy(
+        T.DLabel("D", (T.LParam(T.Var(1), T.Set_(0)), T.LIndex(T.shift(fam, 1), T.Var(3))))
+    )
+    assert shifted.label.entries[1].ty == T.Var(3)  # `ty` is not compared by `==`
+    assert T.free_vars(lbl) == {0, 2}
+    for u in (t, lbl, fam):
+        assert T.map_term(u, lambda _u, _d: None) is u
 
 
 @given(terms())
