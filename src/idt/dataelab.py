@@ -6,11 +6,16 @@ become 'varI codes carrying their extracted indices, index constraints
 become trailing equality codes, and a trailing `by` block elaborates
 through the restricted eliminator builder. Declarations without indices run
 through the same pipeline with the degenerate Unit index.
+
+Each judgment (`ElabData`, `ElabDataPatts`, `ElabChoices`, `ElabConstr`,
+`ElabArg`, `ElabRecArgs`, `ElabEqs`, `ElabEWM`) is a derivation step on the
+elaborator's goal stack; a tracing elaborator records them as the
+derivation that `--emit-trace` prints.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from . import kernel as K
@@ -19,84 +24,20 @@ from . import pp
 from . import surface as S
 from . import terms as T
 from . import values as V
-from .elab import ElabError, Elaborator, _span, _spine
+from .elab import ElabError, Elaborator, TraceNode, _span, _spine
 from .kernel import Context
 from .terms import Term
 from .values import Value
-
-
-@dataclass
-class TraceNode:
-    kind: str
-    text: str
-    children: list = field(default_factory=list)
-
-    def render(self, indent: int = 0) -> str:
-        pad = "  " * indent
-        lines = [f"{pad}{self.kind}: {self.text}"]
-        for c in self.children:
-            lines.append(c.render(indent + 1))
-        return "\n".join(lines)
-
-
-class Tracer:
-    """Collects the derivation tree mirroring the judgment structure."""
-
-    def __init__(self, enabled: bool):
-        self.enabled = enabled
-        self.root: Optional[TraceNode] = None
-        self._stack: list = []
-
-    def node(self, kind: str, text_fn):
-        if not self.enabled:
-            return _NullNode()
-        node = TraceNode(kind, text_fn())
-        if self._stack:
-            self._stack[-1].children.append(node)
-        else:
-            self.root = node
-        return _TracerCtx(self, node)
-
-
-class _NullNode:
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *a):
-        return False
-
-
-class _TracerCtx:
-    def __init__(self, tracer, node):
-        self.tracer = tracer
-        self.node = node
-
-    def __enter__(self):
-        self.tracer._stack.append(self.node)
-        return self.node
-
-    def __exit__(self, *a):
-        self.tracer._stack.pop()
-        return False
 
 
 # --- elaborator-side description labels -------------------------------------
 
 
 @dataclass(frozen=True)
-class EParam:
-    tm: Term
-    ty: Term
-
-
-@dataclass(frozen=True)
-class EIndex:
-    tm: Term
-    ty: Term
-
-
-@dataclass(frozen=True)
 class EConstr:
+    """A label's constraint entry. Parameters and indices are the kernel's
+    `T.LParam` and `T.LIndex`; a constraint keeps its surface value."""
+
     var: Term
     raw: S.ExtTerm  # elaborated late, under the constructor telescope
     ty: Term
@@ -114,19 +55,15 @@ class ELabel:
         """The kernel form; constraint values elaborate in the given context."""
         entries = []
         for e in self.entries:
-            if isinstance(e, EParam):
-                entries.append(T.LParam(e.tm, e.ty))
-            elif isinstance(e, EIndex):
-                entries.append(T.LIndex(e.tm, e.ty))
-            else:
-                t = el.check(ctx, e.raw, ctx.eval(e.ty))
-                entries.append(T.LConstraint(e.var, t, e.ty))
+            if isinstance(e, EConstr):
+                e = T.LConstraint(e.var, el.check(ctx, e.raw, ctx.eval(e.ty)), e.ty)
+            entries.append(e)
         return T.DLabel(self.head, tuple(entries))
 
     def index_type_value(self, ctx: Context) -> Value:
         ty: Value = V.VUnit()
         for e in self.entries:
-            if isinstance(e, EParam):
+            if isinstance(e, T.LParam):
                 continue
             ity = ctx.eval(e.ty)
             prev = ty
@@ -137,9 +74,9 @@ class ELabel:
         names = ctx.names()
         parts = [self.head]
         for e in self.entries:
-            if isinstance(e, EParam):
+            if isinstance(e, T.LParam):
                 parts.append(f"({pp.print_term(e.tm, names)})")
-            elif isinstance(e, EIndex):
+            elif isinstance(e, T.LIndex):
                 parts.append(f"[{pp.print_term(e.tm, names)}]")
             else:
                 parts.append(f"[{pp.print_term(e.var, names)} = {S.print_expr(e.raw)}]")
@@ -182,7 +119,7 @@ def validate_pattern(ctx: Context, el: Elaborator, label: ELabel, head: S.HeadPa
     out = []
     for pos, (pat, entry) in enumerate(zip(head.args, label.entries)):
         entry = _eshift(entry, shifted)
-        if isinstance(entry, EParam):
+        if isinstance(entry, T.LParam):
             if not isinstance(pat, S.PVar):
                 raise ElabError(
                     "PatternHeadMismatch",
@@ -203,7 +140,7 @@ def validate_pattern(ctx: Context, el: Elaborator, label: ELabel, head: S.HeadPa
                 getattr(pat, "span", head.span),
                 f"position {pos} is already constrained",
             )
-        assert isinstance(entry, EIndex)
+        assert isinstance(entry, T.LIndex)
         if not isinstance(pat, S.PIndex):
             raise ElabError(
                 "PatternHeadMismatch",
@@ -254,17 +191,15 @@ def validate_pattern(ctx: Context, el: Elaborator, label: ELabel, head: S.HeadPa
         if newly:
             out = [_eshift(e, newly) for e in out]
             shifted += newly
-        out.append(EIndex(V.quote(entry_v, inner.depth), T.shift(entry.ty, newly)))
+        out.append(T.LIndex(V.quote(entry_v, inner.depth), T.shift(entry.ty, newly)))
     return ELabel(label.head, tuple(out)), inner
 
 
 def _eshift(entry, by: int):
     if by == 0:
         return entry
-    if isinstance(entry, EParam):
-        return EParam(T.shift(entry.tm, by), T.shift(entry.ty, by))
-    if isinstance(entry, EIndex):
-        return EIndex(T.shift(entry.tm, by), T.shift(entry.ty, by))
+    if not isinstance(entry, EConstr):
+        return type(entry)(T.shift(entry.tm, by), T.shift(entry.ty, by))
     return EConstr(T.shift(entry.var, by), entry.raw, T.shift(entry.ty, by))
 
 
@@ -292,10 +227,9 @@ def _bind_refined(ctx: Context, ctor: str, vars_: tuple, val: Value, tyv: Value,
 
 
 class DataElab:
-    def __init__(self, el: Elaborator, self_level: int, tracer: Tracer, instrument: bool = False):
+    def __init__(self, el: Elaborator, self_level: int, instrument: bool = False):
         self.el = el
         self.self_level = self_level  # context level of the opaque self binding
-        self.tracer = tracer
         self.instrument = instrument  # assert the per-judgment typing lemmas
 
     def _self_index(self, ctx: Context) -> int:
@@ -313,9 +247,7 @@ class DataElab:
     def elab_data_patts(self, ctx: Context, clauses: tuple, label: ELabel, depth: int = 0) -> Term:
         if depth > L.MAX_BY_DEPTH:
             raise ElabError("ByDepthExceeded", None, f"'by' nesting deeper than {L.MAX_BY_DEPTH}")
-        with self.tracer.node(
-            "ElabDataPatts", lambda: label.describe(ctx)
-        ):
+        with self.el.goal(lambda: label.describe(ctx), "ElabDataPatts"):
             tag_codes: List[Tuple[str, Term]] = []
             by_clause = None
             for c in clauses:
@@ -329,7 +261,7 @@ class DataElab:
                     by_clause = c
                     continue
                 rl, cctx = validate_pattern(ctx, self.el, label, c.head)
-                with self.tracer.node("ElabChoices", lambda: rl.describe(cctx)):
+                with self.el.goal(lambda: rl.describe(cctx), "ElabChoices"):
                     tag, code = self.elab_constructor(cctx, c.ctor, rl)
                 code = L._inline_defs(cctx, ctx, code)
                 if any(tag == t0 for t0, _ in tag_codes):
@@ -378,8 +310,8 @@ class DataElab:
             if e.span is None:
                 e.span = by.span
             raise
-        with self.tracer.node(
-            "ElabEWM", lambda: f"{by.kind} {by.var} with motive over {rl.describe(cctx)}"
+        with self.el.goal(
+            lambda: f"{by.kind} {by.var} with motive over {rl.describe(cctx)}", "ElabEWM"
         ):
             branches = L._elab_branches(
                 cctx,
@@ -403,7 +335,7 @@ class DataElab:
     def elab_constructor(self, ctx: Context, ctor: S.CtorDecl, label: ELabel):
         if not T.valid_tag(ctor.name):
             raise ElabError("UnknownTag", ctor.span, f"invalid constructor name '{ctor.name}'")
-        with self.tracer.node("ElabConstr", lambda: f"{ctor.name} under {label.describe(ctx)}"):
+        with self.el.goal(lambda: f"{ctor.name} under {label.describe(ctx)}", "ElabConstr"):
             code = self.elab_args(ctx, list(ctor.args), label)
         return ctor.name, code
 
@@ -416,9 +348,7 @@ class DataElab:
         spine_head, spine_args = _spine(tye)
         # recursion matching, attempted first
         if isinstance(spine_head, S.EVar) and spine_head.name == label.head:
-            with self.tracer.node(
-                "ElabArg", lambda: f"({nm} : {S.print_expr(tye)}) recursive"
-            ):
+            with self.el.goal(lambda: f"({nm} : {S.print_expr(tye)}) recursive", "ElabArg"):
                 is_tm = self.extract_indices(ctx, spine_args, label, tye)
                 rest = self.elab_args(ctx, rest_args, label)
             return T.DTimes(T.DVarI(is_tm), rest)
@@ -427,9 +357,7 @@ class DataElab:
             doms, cod = _pi_spine(tye)
             cod_head, cod_args = _spine(cod)
             if isinstance(cod_head, S.EVar) and cod_head.name == label.head:
-                with self.tracer.node(
-                    "ElabArg", lambda: f"({nm} : {S.print_expr(tye)}) exponential"
-                ):
+                with self.el.goal(lambda: f"({nm} : {S.print_expr(tye)}) exponential", "ElabArg"):
                     inner_ctx = ctx
                     dom_terms = []
                     for dnm, dty in doms:
@@ -449,7 +377,7 @@ class DataElab:
                     rest = self.elab_args(ctx, rest_args, label)
                 return T.DTimes(code, rest)
         # ordinary argument
-        with self.tracer.node("ElabArg", lambda: f"({nm} : {S.print_expr(tye)})"):
+        with self.el.goal(lambda: f"({nm} : {S.print_expr(tye)})", "ElabArg"):
             tyt, tyv, lvl = self.el.elab_type(ctx, tye)
             if lvl > 0:
                 raise ElabError(
@@ -466,7 +394,7 @@ class DataElab:
 
     # trailing equality codes for the label's constraints
     def elab_constraints(self, ctx: Context, label: ELabel) -> Term:
-        with self.tracer.node("ElabEqs", lambda: label.describe(ctx)):
+        with self.el.goal(lambda: label.describe(ctx), "ElabEqs"):
             out = self._eqs(ctx, list(label.entries))
             if self.instrument:
                 K.check(ctx, out, V.VIDesc(label.index_type_value(ctx)))
@@ -489,7 +417,7 @@ class DataElab:
 
     # indices of a recursive call, paired left to right
     def extract_indices(self, ctx: Context, spine_args: list, label: ELabel, at) -> Term:
-        with self.tracer.node("ElabRecArgs", lambda: label.describe(ctx)):
+        with self.el.goal(lambda: label.describe(ctx), "ElabRecArgs"):
             entries = list(label.entries)
             if len(spine_args) != len(entries):
                 raise ElabError(
@@ -501,7 +429,7 @@ class DataElab:
             is_tm: Term = T.Void()
             for arg, entry in zip(spine_args, entries):
                 tyv = ctx.eval(entry.ty)
-                if isinstance(entry, EParam):
+                if isinstance(entry, T.LParam):
                     at_ = self.el.check(ctx, arg, tyv)
                     if not K.conv(ctx, ctx.eval(at_), ctx.eval(entry.tm)):
                         raise ElabError(
@@ -528,16 +456,9 @@ def _data_clause_matcher(ctx, el, sg: L.EwmSubgoal, clause: S.Clause) -> bool:
 
 
 def _elabel_from_value(label: V.VDLabel, ctx: Context) -> ELabel:
-    d = ctx.depth
-    entries = []
-    for e in label.entries:
-        if isinstance(e, V.VLParam):
-            entries.append(EParam(V.quote(e.tm, d), V.quote(e.ty, d)))
-        elif isinstance(e, V.VLIndex):
-            entries.append(EIndex(V.quote(e.tm, d), V.quote(e.ty, d)))
-        else:
-            raise ElabError("PatternHeadMismatch", None, "unexpected constraint in a by-goal")
-    return ELabel(label.head, tuple(entries))
+    if any(isinstance(e, V.VLConstraint) for e in label.entries):
+        raise ElabError("PatternHeadMismatch", None, "unexpected constraint in a by-goal")
+    return ELabel(label.head, V.quote_label(label, ctx.depth).entries)
 
 
 def _pi_spine(e: S.ExtTerm):
@@ -551,19 +472,12 @@ def _pi_spine(e: S.ExtTerm):
 # --- whole declarations -----------------------------------------------------------
 
 
-def elab_data(
-    ctx: Context,
-    decl: S.DataDecl,
-    el: Optional[Elaborator] = None,
-    trace: bool = False,
-    instrument: bool = False,
-) -> DataResult:
-    el = el or Elaborator()
-    tracer = Tracer(trace)
+def elab_data(ctx: Context, decl: S.DataDecl, trace: bool = False, instrument: bool = False) -> DataResult:
+    el = Elaborator(trace)
     if ctx.lookup(decl.name) is not None:
         raise ElabError("DuplicateName", decl.span, f"'{decl.name}' is already defined")
 
-    with tracer.node("ElabData", lambda: decl.name):
+    with el.goal(lambda: decl.name, "ElabData"):
         n0 = ctx.depth
         k = len(decl.params)
         m = len(decl.indices)
@@ -622,14 +536,14 @@ def elab_data(
         for pos, (nm, _) in enumerate(decl.params):
             ix = (k - 1 - pos) + m
             ty_t = T.shift(T.shift(p_tys[pos], (k - pos) + m), 1, cutoff=k + m)
-            entries.append(EParam(T.Var(ix), ty_t))
+            entries.append(T.LParam(T.Var(ix), ty_t))
         for pos, (nm, _) in enumerate(decl.indices):
             ix = m - 1 - pos
             ty_t = T.shift(T.shift(i_tys[pos], m - pos), 1, cutoff=k + m)
-            entries.append(EIndex(T.Var(ix), ty_t))
+            entries.append(T.LIndex(T.Var(ix), ty_t))
         label = ELabel(decl.name, tuple(entries))
 
-        de = DataElab(el, n0, tracer, instrument=instrument)
+        de = DataElab(el, n0, instrument=instrument)
         code = de.elab_data_patts(tel_ctx, decl.clauses, label)
 
         # collect constructor tags for the registry
@@ -645,7 +559,7 @@ def elab_data(
             code=code,
             tel_names=[decl.name] + [nm for nm, _ in decl.params] + [nm for nm, _ in decl.indices],
             tags=tags,
-            trace=tracer.root,
+            trace=el.root,
         )
 
 

@@ -9,13 +9,20 @@ decimal numerals.
 Checking hands back, beside the core term, its value when it was built from
 the values of its parts (constructors, tuples, tag indices, `refl`), so a
 dependent codomain is instantiated without evaluating the finished argument
-again: a numeral of size n elaborates in O(n). The goal trail holds
-unformatted goals; their text is produced only when an error is rendered.
+again: a numeral of size n elaborates in O(n).
+
+The elaborator keeps one stack of the goals in progress, each a judgment
+whose text is formatted only when it is read. A goal pushed with a rule
+name is a derivation step of the paper's judgments (`ElabData`,
+`ElabConstr`, ...): error trails leave such steps out, and an elaborator
+built with `trace=True` records them as a tree of `TraceNode`s, which is
+what `--emit-trace` prints.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
+from dataclasses import dataclass, field
 from typing import Optional
 
 from . import kernel as K
@@ -59,26 +66,57 @@ class ElabError(Exception):
         return "\n".join(lines)
 
 
-class Elaborator:
-    """Elaboration session state: the goal trail and the active definition
-    (for label-directed recursive calls)."""
+@dataclass
+class TraceNode:
+    """A recorded derivation step: its rule, its subject and the steps made
+    inside it."""
 
-    def __init__(self):
-        self.trail: list = []
+    kind: str
+    text: str
+    children: list = field(default_factory=list)
+
+    def render(self, indent: int = 0) -> str:
+        pad = "  " * indent
+        lines = [f"{pad}{self.kind}: {self.text}"]
+        for c in self.children:
+            lines.append(c.render(indent + 1))
+        return "\n".join(lines)
+
+
+class Elaborator:
+    """Elaboration session state: the goal stack, the derivation recorded
+    from it when tracing, and the active definition (for label-directed
+    recursive calls)."""
+
+    def __init__(self, trace: bool = False):
+        # goals in progress, outermost first, as (desc, rule, recorded node)
+        self.goals: list = []
+        self.trace = trace
+        self.root: Optional[TraceNode] = None  # the outermost recorded step
         self.active: Optional[str] = None
 
     @contextmanager
-    def goal(self, desc):
+    def goal(self, desc, rule: Optional[str] = None):
         """Push a goal for the extent of the block: its text, or a function
-        of no arguments that formats it."""
-        self.trail.append(desc)
+        of no arguments that formats it. A goal with a `rule` is a
+        derivation step: error trails leave it out, and when tracing it is
+        formatted at once and recorded under the innermost recorded step."""
+        node = None
+        if rule is not None and self.trace:
+            node = TraceNode(rule, desc())
+            parent = next((n for _, _, n in reversed(self.goals) if n is not None), None)
+            if parent is None:
+                self.root = node
+            else:
+                parent.children.append(node)
+        self.goals.append((desc, rule, node))
         try:
             yield
         finally:
-            self.trail.pop()
+            self.goals.pop()
 
     def err(self, kind: str, span, msg: str):
-        raise ElabError(kind, span, msg, self.trail)
+        raise ElabError(kind, span, msg, [desc for desc, rule, _ in self.goals if rule is None])
 
     def _type_str(self, ctx: Context, tv: Value) -> str:
         return pp.print_term(V.quote(tv, ctx.depth), ctx.names())

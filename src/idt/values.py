@@ -557,40 +557,6 @@ def enum_tags(enum: Value) -> Optional[list]:
     return out if isinstance(enum, VNilE) else None
 
 
-def v_alpha_eq(a: Value, b: Value) -> bool:
-    """Conservative closed-structural comparison; used by the decidable
-    enumeration equality to fire its reflexivity rule."""
-    if type(a) is not type(b):
-        return False
-    if isinstance(a, (VZeroE, VVoid, VRefl, VNilE, VDOne)):
-        return True
-    if isinstance(a, VTag):
-        return a.name == b.name
-    if isinstance(a, VSucE):
-        return v_alpha_eq(a.pred, b.pred)
-    if isinstance(a, VPair):
-        return v_alpha_eq(a.fst, b.fst) and v_alpha_eq(a.snd, b.snd)
-    if isinstance(a, VConsE):
-        return v_alpha_eq(a.tag, b.tag) and v_alpha_eq(a.rest, b.rest)
-    if isinstance(a, VIn):
-        return v_alpha_eq(a.payload, b.payload)
-    if isinstance(a, VNeutral):
-        if a.lvl != b.lvl or len(a.spine) != len(b.spine):
-            return False
-        for fa, fb in zip(a.spine, b.spine):
-            if type(fa) is not type(fb):
-                return False
-            if isinstance(fa, FApp):
-                if not v_alpha_eq(fa.arg, fb.arg):
-                    return False
-            elif isinstance(fa, (FFst, FSnd)):
-                continue
-            else:
-                return False
-        return True
-    return False
-
-
 def _empty_type() -> Value:
     return VEnumT(VNilE())
 
@@ -611,8 +577,15 @@ def _refutation(enum: Value, pos: int) -> Optional[Value]:
     return VLam("q", PyClo(lambda q: veqelim(motive, VVoid(), q)))
 
 
+# Free variables are levels below the depth of their context, and every
+# context is far shallower than this. Readback maps levels to indices
+# injectively and opens binders at levels no value mentions, so two values
+# compare equal at this level exactly when they do at their context's depth.
+_ABOVE_EVERY_CONTEXT = 1 << 60
+
+
 def vdeceq(enum: Value, lhs: Value, rhs: Value) -> Value:
-    if v_alpha_eq(lhs, rhs):
+    if convertible(lhs, rhs, _ABOVE_EVERY_CONTEXT):
         return VPair(VZeroE(), VRefl())
     nl, nr = numeral_of(lhs), numeral_of(rhs)
     if nl is not None and nr is not None and nl != nr:

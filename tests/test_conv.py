@@ -12,6 +12,7 @@ from conftest import CORPUS
 from generators import ConvPairGen
 
 from idt import kernel as K
+from idt import terms as T
 from idt import values as V
 from idt.cli import run_check
 
@@ -55,3 +56,28 @@ def test_corpus_conversions_agree_with_readback(conv_oracle, name):
     code = run_check([os.path.join(CORPUS, name)], show_codes=True, stdout=io.StringIO())
     assert code == (1 if name == "bad.idt" else 0)
     assert conv_oracle
+
+
+# --- the reflexivity rule of decidable enumeration equality -------------------------
+
+
+def stuck_switch(scrut: V.Value) -> V.Value:
+    uid = V.VLam("_", V.PyClo(lambda _v: V.VUId()))
+    return V.vswitch(V.fresh(0), uid, V.fresh(1), scrut)
+
+
+def test_deceq_of_a_stuck_switch_with_itself_is_equal():
+    n = stuck_switch(V.fresh(2))
+    assert V.vdeceq(V.fresh(3), n, n) == V.VPair(V.VZeroE(), V.VRefl())
+
+
+def test_deceq_of_different_stuck_switches_stays_stuck():
+    got = V.vdeceq(V.fresh(3), stuck_switch(V.fresh(2)), stuck_switch(V.fresh(4)))
+    assert isinstance(V.quote(got, 5), T.DecEqEnum)
+
+
+def test_deceq_of_distinct_closed_indices_refutes():
+    enum = V.VConsE(V.VTag("a"), V.VConsE(V.VTag("b"), V.VNilE()))
+    got = V.vdeceq(enum, V.make_numeral(0), V.make_numeral(1))
+    assert isinstance(got, V.VPair) and got.fst == V.make_numeral(1)
+    assert isinstance(got.snd, V.VLam)

@@ -494,3 +494,22 @@ def test_enum_indexed_datatype_by_case(sess):
     ty2, _ = el.synth(s.ctx, S.parse_expr("Q false"))
     with pytest.raises(ElabError):
         el.check(s.ctx, S.parse_expr("qt"), s.ctx.eval(ty2))
+
+
+# --- label entries --------------------------------------------------------------------
+
+
+def test_by_goal_label_reads_back_to_kernel_entries():
+    ctx = K.Context().extend("A", V.VSet(0)).extend("n", V.VUnit())
+    label = V.VDLabel("D", (V.VLParam(V.fresh(0), V.VSet(0)), V.VLIndex(V.fresh(1), V.VUnit())))
+    got = D._elabel_from_value(label, ctx)
+    assert got == D.ELabel("D", (T.LParam(T.Var(1), T.Set_(0)), T.LIndex(T.Var(0), T.Unit())))
+    assert [e.ty for e in got.entries] == [T.Set_(0), T.Unit()]
+    assert got.describe(ctx) == "D (A) [n]"
+
+
+def test_by_goal_label_with_a_constraint_is_rejected():
+    label = V.VDLabel("D", (V.VLConstraint(V.fresh(0), V.VVoid(), V.VUnit()),))
+    with pytest.raises(ElabError) as e:
+        D._elabel_from_value(label, K.Context().extend("x", V.VUnit()))
+    assert e.value.render() == "PatternHeadMismatch: unexpected constraint in a by-goal"

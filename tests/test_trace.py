@@ -9,6 +9,7 @@ import pytest
 from conftest import CORPUS, GOLDEN, ROOT
 
 from idt.cli import main
+from idt.elab import ElabError, Elaborator
 
 CORPUS_FILES = sorted(f for f in os.listdir(CORPUS) if f.endswith(".idt"))
 
@@ -56,3 +57,35 @@ def test_data_error_trail_has_goals_but_no_derivation_steps(tmp_path, flags):
         f"  while checking suc () against {NAT_TYPE}\n"
         "  while synthesizing x == suc ()\n"
     )
+
+
+# --- the goal stack -------------------------------------------------------------------
+
+
+def test_error_trails_leave_derivation_steps_out():
+    el = Elaborator(trace=True)
+    with el.goal("outer"), el.goal(lambda: "a step", "ElabData"), el.goal(lambda: "inner"):
+        with pytest.raises(ElabError) as e:
+            el.err("CheckMismatch", None, "msg")
+    assert e.value.trail == ["outer", "inner"]
+    assert el.goals == []
+
+
+def test_tracing_records_derivation_steps_only():
+    el = Elaborator(trace=True)
+    with el.goal(lambda: "d", "ElabData"):
+        with el.goal("plain"), el.goal(lambda: "c", "ElabConstr"):
+            pass
+        with el.goal(lambda: "e", "ElabEqs"):
+            pass
+    assert el.root.render() == "ElabData: d\n  ElabConstr: c\n  ElabEqs: e"
+
+
+def test_goals_are_not_formatted_unless_read():
+    def unformattable():
+        raise AssertionError("formatted")
+
+    el = Elaborator()
+    with el.goal(unformattable, "ElabData"), el.goal(unformattable):
+        pass
+    assert el.root is None
