@@ -232,6 +232,20 @@ def test_repl_type_folds_definitions_into_names(tmp_path):
     assert "IDesc (Unit * Nat)" in lines[2]
 
 
+def test_repl_display_matches_golden():
+    # the golden is a transcript: each `> command` line is followed by the
+    # one line the REPL prints for it, over corpus/nat_tree_vec.idt
+    with open(os.path.join(GOLDEN, "nat_tree_vec.repl.txt"), encoding="utf-8") as f:
+        golden = f.read()
+    cmds = [l[2:] for l in golden.splitlines() if l.startswith("> ")]
+    buf = io.StringIO()
+    code = run_repl([corpus_path("nat_tree_vec.idt")], stdin=io.StringIO("\n".join(cmds) + "\n"), stdout=buf)
+    assert code == 0
+    answers = buf.getvalue().splitlines()[1:]
+    assert len(answers) == len(cmds)
+    assert "".join(f"> {c}\n{a}\n" for c, a in zip(cmds, answers)) == golden
+
+
 def test_session_context_rechecks_from_scratch():
     sess = load_session("prelude.idt")
     assert K.context_valid(sess.ctx)
