@@ -41,6 +41,10 @@ class Session:
     registry: G.DerivingRegistry = field(default_factory=G.DerivingRegistry)
     eq_procs: dict = field(default_factory=dict)
     out: list = field(default_factory=list)
+    # `resugar`'s table: the context entries it covers, and the readback of
+    # each datatype and enumeration among them mapped to its level
+    _folded: tuple = field(default=(), init=False, repr=False, compare=False)
+    _folds: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def emit(self, line: str):
         self.out.append(line)
@@ -151,15 +155,42 @@ class Session:
         return pp.print_term(t, self.ctx.names())
 
     def resugar(self, t: T.Term) -> T.Term:
-        """Fold context definitions back into names for display."""
-        for ix in range(self.ctx.depth):
-            entry = self.ctx.entry_at(ix)
-            if entry.val is None or isinstance(entry.val, V.VNeutral):
-                continue
-            if isinstance(entry.val, (V.VIMu, V.VEnumT)):
-                needle = V.quote(entry.val, self.ctx.depth)
-                t = _replace_subterm(t, needle, T.Var(ix))
-        return t
+        """Fold context definitions back into names for display.
+
+        One pass, outermost first: a subterm that reads back the same as a
+        datatype or enumeration defined in the context becomes the variable
+        naming it, the most recent definition on duplicates."""
+        folds = self._fold_table()
+        top = self.ctx.depth - 1
+
+        def visit(u: T.Term, d: int) -> Optional[T.Term]:
+            if isinstance(u, (T.IMu, T.EnumT)):
+                lvl = folds.get(u)
+                if lvl is not None:
+                    return T.Var(top - lvl + d)
+            return None
+
+        return T.map_term(t, visit)
+
+    def _fold_table(self) -> dict:
+        """`resugar`'s table for the current context: extended by the entries
+        added since the last call, rebuilt when the context does not extend
+        the one it was built for, so each definition is read back once."""
+        entries, seen = self.ctx.entries, self._folded
+        if entries is seen:
+            return self._folds
+        n = len(seen)
+        if len(entries) < n or any(a is not b for a, b in zip(entries, seen)):
+            self._folds, n = {}, 0
+        for lvl in range(n, len(entries)):
+            val = entries[lvl].val
+            if isinstance(val, (V.VIMu, V.VEnumT)):
+                key = V.quote(val, lvl)
+                # a session defines every entry, so definitions are closed
+                assert not T.free_vars(key), f"{entries[lvl].name} is not closed"
+                self._folds[key] = lvl
+        self._folded = entries
+        return self._folds
 
     def render_term(self, t: T.Term, ty: Optional[V.Value] = None) -> str:
         """The value of `t`: a numeral or a tag when it is one, else its
@@ -226,11 +257,6 @@ class Session:
         tm2 = el.check(self.ctx, e2, ty)
         a, b = self.ctx.eval(tm1), self.ctx.eval(tm2)
         return "equal" if proc(a, b) else "not-equal"
-
-
-def _replace_subterm(t: T.Term, needle: T.Term, repl: T.Term) -> T.Term:
-    body = T.abstract(t, needle)
-    return T.subst_free(body, lambda j: repl if j == 0 else T.Var(j - 1))
 
 
 _USE_COLOR = None

@@ -99,7 +99,7 @@ class DataResult:
 # --- pattern validation ---------------------------------------------------------
 
 
-def validate_pattern(ctx: Context, el: Elaborator, label: ELabel, head: S.HeadPattern):
+def validate_pattern(ctx: Context, label: ELabel, head: S.HeadPattern):
     """Match a clause head against the label; returns (refined label, context
     extended with any constructor-pattern bindings)."""
     if head.name != label.head:
@@ -260,7 +260,7 @@ class DataElab:
                 if c.by is not None:
                     by_clause = c
                     continue
-                rl, cctx = validate_pattern(ctx, self.el, label, c.head)
+                rl, cctx = validate_pattern(ctx, label, c.head)
                 with self.el.goal(lambda: rl.describe(cctx), "ElabChoices"):
                     tag, code = self.elab_constructor(cctx, c.ctor, rl)
                 code = L._inline_defs(cctx, ctx, code)
@@ -300,7 +300,7 @@ class DataElab:
         return T.DRet(enum_t, fam)
 
     def _elab_by(self, ctx: Context, clause: S.Clause, label: ELabel, depth: int):
-        rl, cctx = validate_pattern(ctx, self.el, label, clause.head)
+        rl, cctx = validate_pattern(ctx, label, clause.head)
         by = clause.by
         klabel = rl.kernel_label(cctx, self.el)
         goal = V.VDLabelTy(V.eval_label(klabel, cctx.env))
@@ -449,7 +449,7 @@ class DataElab:
 def _data_clause_matcher(ctx, el, sg: L.EwmSubgoal, clause: S.Clause) -> bool:
     try:
         label = _elabel_from_value(sg.goal.label, ctx)
-        validate_pattern(ctx, el, label, clause.head)
+        validate_pattern(ctx, label, clause.head)
         return True
     except ElabError:
         return False

@@ -232,6 +232,14 @@ def test_repl_type_folds_definitions_into_names(tmp_path):
     assert "IDesc (Unit * Nat)" in lines[2]
 
 
+def test_repl_type_folds_an_alias_before_a_later_alias_of_its_part():
+    # folding is outermost first: a later alias of Nat does not break TN up
+    sess = load_session("nat_tree_vec.idt")
+    sess.load_text("let TN : Set => Tree Nat\nlet N2 : Set => Nat\n")
+    assert sess.type_of("(leaf : Tree Nat)") == "TN"
+    assert sess.type_of("(zero : Nat)") == "N2"
+
+
 def test_repl_display_matches_golden():
     # the golden is a transcript: each `> command` line is followed by the
     # one line the REPL prints for it, over corpus/nat_tree_vec.idt

@@ -184,6 +184,19 @@ def test_validate_pattern_unchanged_label(sess):
     assert res.tags == ["mk"]
 
 
+def test_validate_pattern_checks_the_head_against_the_label(sess):
+    ctx = sess.ctx.extend("A", V.VSet(0))
+    label = D.ELabel("T", (T.LParam(T.Var(0), T.Set_(0)),))
+    good, bad = (
+        S.parse_file(f"data T (A : Set) : Set where\n  {h} A => mk\n")[0].clauses[0].head for h in ("T", "U")
+    )
+    assert D.validate_pattern(ctx, label, good) == (label, ctx)
+    with pytest.raises(ElabError) as e:
+        D.validate_pattern(ctx, label, bad)
+    assert e.value.kind == "PatternHeadMismatch"
+    assert "clause head 'U' does not match the datatype 'T'" in e.value.msg
+
+
 def test_empty_datatype(sess):
     decl = S.parse_file("data Empty : Set where\n")[0]
     res = D.elab_data(sess.ctx, decl)
