@@ -2,6 +2,7 @@
 datatypes and enumerations a session defines, against the sequential fold
 it replaced."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,10 +12,14 @@ from idt import terms as T
 from idt import values as V
 from idt.cli import Session
 
-BASE = load_session("nat_tree_vec.idt")
-BASE.load_text("let Bool : Set => Enum {'true, 'false}\n")
-
 TAG_SETS = ["{'true, 'false}", "{'a, 'b}", "{'a, 'b, 'c}"]
+
+
+@pytest.fixture(scope="module")
+def base():
+    sess = load_session("nat_tree_vec.idt")
+    sess.load_text("let Bool : Set => Enum {'true, 'false}\n")
+    return sess
 
 
 def sequential_fold(ctx, t: T.Term) -> T.Term:
@@ -87,9 +92,9 @@ def readback(sess: Session, text: str) -> T.Term:
 
 @settings(max_examples=120, deadline=None)
 @given(script=alias_scripts())
-def test_resugar_round_trips_and_agrees_with_the_sequential_fold(script):
+def test_resugar_round_trips_and_agrees_with_the_sequential_fold(base, script):
     aliases, query = script
-    sess = Session(ctx=BASE.ctx)
+    sess = Session(ctx=base.ctx)
     for name, ty in aliases:
         sess.load_text(f"let {name} : Set => {ty}\n")
         assert sess.resugar(readback(sess, name)) == T.Var(0)  # extends the table by one entry
@@ -103,20 +108,20 @@ def test_resugar_round_trips_and_agrees_with_the_sequential_fold(script):
         assert folded == sequential_fold(sess.ctx, t)
 
 
-def test_a_context_that_is_not_an_extension_rebuilds_the_table():
-    sess = Session(ctx=BASE.ctx)
+def test_a_context_that_is_not_an_extension_rebuilds_the_table(base):
+    sess = Session(ctx=base.ctx)
     sess.load_text("let TN : Set => Tree Nat\n")
     tree_nat = readback(sess, "Tree Nat")
     assert sess.resugar(tree_nat) == T.Var(0)
-    sess.ctx = BASE.ctx
+    sess.ctx = base.ctx
     sess.load_text("let TB : Set => Tree Bool\n")
     # Var 0 is TB now, and TN is gone
     assert sess.resugar(tree_nat) == Session(ctx=sess.ctx).resugar(tree_nat) != T.Var(0)
     assert sess.resugar(readback(sess, "Tree Bool")) == T.Var(0)
 
 
-def test_the_most_recent_of_equal_definitions_names_them():
-    sess = Session(ctx=BASE.ctx)
+def test_the_most_recent_of_equal_definitions_names_them(base):
+    sess = Session(ctx=base.ctx)
     sess.load_text("let B1 : Set => Enum {'true, 'false}\n")
     assert sess.resugar(readback(sess, "Bool")) == T.Var(0)
     sess.load_text("let TB : Set => Bool\n")
