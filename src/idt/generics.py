@@ -17,7 +17,6 @@ from typing import Callable, Union
 
 from . import desc
 from . import kernel as K
-from . import labels as L
 from . import terms as T
 from . import values as V
 from .kernel import Context
@@ -30,6 +29,14 @@ class GenericsError(Exception):
         self.kind = kind
         self.msg = msg
         super().__init__(f"{kind}: {msg}")
+
+
+def _ann_lams(t: Term, anns: list) -> Term:
+    """Re-annotate the first len(anns) lambda binders of a quoted value."""
+    if not anns:
+        return t
+    assert isinstance(t, T.Lam), "expected a lambda spine"
+    return T.Lam(t.nm, anns[0], _ann_lams(t.body, anns[1:]))
 
 
 def _tagged(ctx: Context, ty: Term) -> V.VIMu:
@@ -100,7 +107,7 @@ def derive_case(ctx: Context, ty: Term):
         V.quote(m_ty_of(pn), d + 1),
         V.quote(mu, d + 2),
     ]
-    term = L._ann_lams(term, anns)
+    term = _ann_lams(term, anns)
     ty = T.Pi(
         "P",
         V.quote(p_ty, d),
@@ -385,7 +392,7 @@ def specialize_no_confusion(ctx: Context, name: str, ty: Term):
         ),
     )
     mu_t = V.quote(mu, d)
-    stmt = L._ann_lams(V.quote(nc_v, d), [mu_t, T.shift(mu_t, 1)])
+    stmt = _ann_lams(V.quote(nc_v, d), [mu_t, T.shift(mu_t, 1)])
     stmt_ty = T.Pi("x", mu_t, T.Pi("y", T.shift(mu_t, 1), T.Set_(1)))
     stmt_name = f"NoConfusion{name}"
 
@@ -431,7 +438,7 @@ def specialize_no_confusion(ctx: Context, name: str, ty: Term):
         ),
     )
     mu_t2 = V.quote(mu, d2)
-    proof = L._ann_lams(
+    proof = _ann_lams(
         V.quote(proof_v, d2),
         [mu_t2, T.shift(mu_t2, 1), T.Eq(T.shift(mu_t2, 2), T.Var(1), T.Var(0))],
     )

@@ -18,6 +18,13 @@ with that value instead of evaluating the argument again.
 `infer` and `check` look their rule up by the exact class of the term
 (`_INFER_RULES`, `_CHECK_RULES`). A class without a checking rule is checked
 by synthesis: its type is inferred and compared with `conv_le`.
+
+Elaborated `by` programs arrive beta-normal: each branch is a lambda in a
+tuple of cases or a split method, checked against the type the eliminator
+gives it. An annotated lambda in head position, which `_infer_lam`
+synthesises by reading its body's type back, comes only from the source
+program. The code of an `interpI`, `IAll` or `IAllMap` is inferred once,
+and that inference is its check (`_code_index_type`).
 """
 
 from __future__ import annotations
@@ -326,9 +333,13 @@ def _infer_dtimes(ctx: Context, t: T.DTimes) -> Value:
     return ta
 
 
-def _family_index_type(ctx: Context, code: Term, x: Term, at: Term) -> Value:
-    """Recover the index type for indexed-code forms: try the code, then the
-    family annotation."""
+def _code_index_type(ctx: Context, code: Term, x: Term, at: Term) -> Value:
+    """Check the code of an indexed-code form and return its index type.
+
+    The index type comes from the code's inferred type `IDesc I`, which
+    checks the code on the way. A code that does not synthesise (a
+    checking-only form) takes it from the family's annotation instead, and
+    is then checked against `IDesc I`."""
     try:
         cty = infer(ctx, code)
         if isinstance(cty, V.VIDesc):
@@ -337,16 +348,16 @@ def _family_index_type(ctx: Context, code: Term, x: Term, at: Term) -> Value:
         pass
     try:
         xty = infer(ctx, x)
-        if isinstance(xty, V.VPi):
-            return xty.dom
     except KernelError:
-        pass
-    _err("CannotInfer", at, "cannot determine the index type; annotate the family")
+        xty = None
+    if not isinstance(xty, V.VPi):
+        _err("CannotInfer", at, "cannot determine the index type; annotate the family")
+    check(ctx, code, V.VIDesc(xty.dom))
+    return xty.dom
 
 
 def _infer_interp(ctx: Context, t: T.InterpIDesc) -> Value:
-    ixty = _family_index_type(ctx, t.code, t.arg, t)
-    check(ctx, t.code, V.VIDesc(ixty))
+    ixty = _code_index_type(ctx, t.code, t.arg, t)
     check(ctx, t.arg, _const_pi(ixty, V.VSet(0)))
     return V.VSet(0)
 
@@ -354,8 +365,7 @@ def _infer_interp(ctx: Context, t: T.InterpIDesc) -> Value:
 def _all_motive(ctx: Context, t) -> tuple:
     """Check the code, the family and the motive of an `IAll` or an
     `IAllMap`; returns (index type, family value, motive value, level)."""
-    ixty = _family_index_type(ctx, t.code, t.fam, t)
-    check(ctx, t.code, V.VIDesc(ixty))
+    ixty = _code_index_type(ctx, t.code, t.fam, t)
     check(ctx, t.fam, _const_pi(ixty, V.VSet(0)))
     xv = ctx.eval(t.fam)
     sig = V.VSigma("i", ixty, V.PyClo(lambda i: V.vapp(xv, i)))

@@ -4,6 +4,15 @@ A definition `let f xs : T where prog` elaborates its body against the
 phantom goal type <f xs : T>; `by case x` / `by rec x` builds the
 corresponding eliminator with the motive obtained by abstracting the goal
 at the scrutinee, one subgoal per constructor (hypotheses for `rec`).
+
+The eliminator comes out beta-normal. A branch over a datatype is the
+nested `split` of the constructor's payload, with the branch body
+substituted for the body function that the split applies to the
+payload's components (`terms.instantiate`). The eliminator is built as a
+term around its tuple of branches, with its motives and codes read back
+where they sit. So the result has no lambda-headed application of its
+own, and the kernel re-checks each branch against the type the eliminator
+gives it instead of synthesising the type of an annotated redex.
 """
 
 from __future__ import annotations
@@ -40,7 +49,6 @@ class EwmSubgoal:
     arg_slots: List[Slot]
     hyp_slots: List[Slot]
     goal: Value  # refined goal, valid under the binders
-    branch_ty: Value  # full branch type at the original depth
     wrap: Callable  # fn(outer ctx, body term under the binders) -> branch term
 
 
@@ -48,14 +56,6 @@ class EwmSubgoal:
 class EwmResult:
     subgoals: List[EwmSubgoal]
     assemble: Callable[[List[Term]], Term]
-
-
-def _ann_lams(t: Term, anns: List[Term]) -> Term:
-    """Re-annotate the first len(anns) lambda binders of a quoted value."""
-    if not anns:
-        return t
-    assert isinstance(t, T.Lam), "expected a lambda spine"
-    return T.Lam(t.nm, anns[0], _ann_lams(t.body, anns[1:]))
 
 
 def ewm_restricted(ctx: Context, kind: str, scrut_name: str, goal: Value) -> EwmResult:
@@ -100,44 +100,25 @@ def _ewm_enum(ctx, kind, scrut_name, scrut_v, sty, motive_at) -> EwmResult:
     tags = V.enum_tags(sty.enum)
     if tags is None:
         raise ElabError("UnsupportedScrutinee", None, "case on an open enumeration")
-    d = ctx.depth
     subgoals = []
     for k, tag in enumerate(tags):
         g = motive_at(V.make_numeral(k))
-        subgoals.append(
-            EwmSubgoal(tag, k, False, [], [], [], g, g, lambda _c, body: body)
-        )
-    enum_v = sty.enum
+        subgoals.append(EwmSubgoal(tag, k, False, [], [], [], g, lambda _c, body: body))
     motive_v = V.VLam(scrut_name, V.PyClo(motive_at))
 
     def assemble(branches: List[Term]) -> Term:
-        def mk(bvals: List[Value]) -> Value:
-            cases: Value = V.VVoid()
-            for b in reversed(bvals):
-                cases = V.VPair(b, cases)
-            return V.vswitch(enum_v, motive_v, cases, scrut_v)
-
-        elim_v = _lam_chain(len(tags), mk)
-        elim_t = ctx.quote(elim_v)
-        anns = [ctx.quote(sg.branch_ty, d + i) for i, sg in enumerate(subgoals)]
-        elim_t = _ann_lams(elim_t, anns)
-        out = elim_t
-        for b in branches:
-            out = T.App(out, b)
-        return out
+        # switch E MOT BRANCHES x
+        return T.Switch(ctx.quote(sty.enum), ctx.quote(motive_v), _cases(branches, 0), ctx.quote(scrut_v))
 
     return EwmResult(subgoals, assemble)
 
 
-def _lam_chain(n: int, mk: Callable[[List[Value]], Value]) -> Value:
-    """n-ary host-level lambda value collecting its arguments."""
-
-    def go(acc: List[Value]) -> Value:
-        if len(acc) == n:
-            return mk(acc)
-        return V.VLam(f"b{len(acc)}", V.PyClo(lambda v, a=acc: go(a + [v])))
-
-    return go([])
+def _cases(branches: List[Term], under: int) -> Term:
+    """The tuple of the branch terms, moved under `under` more binders."""
+    out: Term = T.Void()
+    for b in reversed(branches):
+        out = T.Pair(T.shift(b, under), out)
+    return out
 
 
 def _is_leaf(code: Value) -> bool:
@@ -347,140 +328,55 @@ def _ewm_fix(ctx, kind, scrut_name, scrut_v, sty, motive_at) -> EwmResult:
         return V.viall(code, xfam, motive_v, x)
 
     subgoals = []
-    shapes = []
     for k, tag in enumerate(tags):
         code_k = V.vapp(code0.fam, V.make_numeral(k))
         shape = _BranchShape(
             code_k, k, has_hyp, interp, iall, goal_of, motive_v
         )
         binders, arg_slots, hyp_slots, refined = shape.plan(d)
-        bty = V.VPi(
-            "as",
-            interp(code_k),
-            V.PyClo(
-                lambda a, ck=code_k, kk=k: (
-                    V.VPi(
-                        "h",
-                        iall(ck, a),
-                        V.PyClo(
-                            lambda _h, aa=a, k2=kk: goal_of(
-                                V.VIn(V.VPair(V.make_numeral(k2), aa))
-                            )
-                        ),
-                    )
-                    if has_hyp
-                    else goal_of(V.VIn(V.VPair(V.make_numeral(kk), a)))
-                )
-            ),
-        )
 
-        def wrap(outer_ctx: Context, body: Term, shape=shape, binders=binders, refined=refined, ck=code_k) -> Term:
+        def wrap(outer_ctx: Context, body: Term, shape=shape, binders=binders) -> Term:
+            # the body, abstracted over the binders, is the body function
+            # that the branch applies to the binder values
             dd = outer_ctx.depth
-            anns = [outer_ctx.quote(tyv, dd + i) for i, (_nm, tyv) in enumerate(binders)]
-            bodylam = body
-            for (nm, _tyv), ann in zip(reversed(binders), reversed(anns)):
-                bodylam = T.Lam(nm, ann, bodylam)
-            bodyfn_ty: Term = outer_ctx.quote(refined, dd + len(binders))
-            for (nm, _tyv), ann in zip(reversed(binders), reversed(anns)):
-                bodyfn_ty = T.Pi(nm, ann, bodyfn_ty)
-            wrapper_v = V.VLam("bf", V.PyClo(lambda bf: shape.build(bf)))
-            # the wrapper's leading lambdas sit in inference position
-            spine_anns = [bodyfn_ty, outer_ctx.quote(interp(ck), dd + 1)]
-            if has_hyp:
-                spine_anns.append(outer_ctx.quote(iall(ck, V.fresh(dd + 1)), dd + 2))
-            wrapper_t = _ann_lams(outer_ctx.quote(wrapper_v), spine_anns)
-            return T.App(wrapper_t, bodylam)
+            for nm, _tyv in reversed(binders):
+                body = T.Lam(nm, None, body)
+            return T.instantiate(outer_ctx.quote(shape.build(V.fresh(dd)), dd + 1), (body,))
 
         subgoals.append(
-            EwmSubgoal(tag, k, has_hyp, binders, arg_slots, hyp_slots, refined, bty, wrap)
+            EwmSubgoal(tag, k, has_hyp, binders, arg_slots, hyp_slots, refined, wrap)
         )
-        shapes.append(shape)
 
     def assemble(branches: List[Term]) -> Term:
-        def mk(bvals: List[Value]) -> Value:
-            def method_body(iv, xsv, hv):
-                code_i = V.vapp(fam_v, iv)
-                tfam = code_i.fam if isinstance(code_i, V.VDSigmaE) else code0.fam
+        # iinduction FAM MOT (\i. \xs. \h. split MS (\c. \as. switch E PC BRANCHES c as) xs h) I X,
+        # with MS read back under i, xs and h, and E and PC also under c and as
+        iv = V.fresh(d)
+        code_i = V.vapp(fam_v, iv)
+        tfam = code_i.fam if isinstance(code_i, V.VDSigmaE) else code0.fam
 
-                def pc(c2: Value) -> Value:
-                    ck = V.vapp(tfam, c2)
-                    if has_hyp:
-                        return V.VPi(
-                            "a2",
-                            interp(ck),
-                            V.PyClo(
-                                lambda a2: V.VPi(
-                                    "h2",
-                                    iall(ck, a2),
-                                    V.PyClo(
-                                        lambda _h2, aa=a2: goal_of(
-                                            V.VIn(V.VPair(c2, aa)), iv
-                                        )
-                                    ),
-                                )
-                            ),
-                        )
-                    return V.VPi(
-                        "a2",
-                        interp(ck),
-                        V.PyClo(lambda a2: goal_of(V.VIn(V.VPair(c2, a2)), iv)),
-                    )
+        def pc(c2: Value) -> Value:
+            ck = V.vapp(tfam, c2)
 
-                pcv = V.VLam("c2", V.PyClo(pc))
-                cases: Value = V.VVoid()
-                for b in reversed(bvals):
-                    cases = V.VPair(b, cases)
-                mstep = V.VLam(
-                    "c",
-                    V.PyClo(
-                        lambda c: V.VLam(
-                            "as",
-                            V.PyClo(
-                                lambda a, cc=c: V.vapp(
-                                    V.vswitch(code0.enum, pcv, cases, cc), a
-                                )
-                            ),
-                        )
-                    ),
-                )
-                if has_hyp:
-                    ms = V.VLam(
-                        "q",
-                        V.PyClo(
-                            lambda q: V.VPi(
-                                "hh",
-                                iall(code_i, q),
-                                V.PyClo(lambda _h, qq=q: goal_of(V.VIn(qq), iv)),
-                            )
-                        ),
-                    )
-                    return V.vapp(V.vsplit(ms, mstep, xsv), hv)
-                ms = V.VLam("q", V.PyClo(lambda q: goal_of(V.VIn(q), iv)))
-                return V.vsplit(ms, mstep, xsv)
+            def cod(a2: Value) -> Value:
+                goal = goal_of(V.VIn(V.VPair(c2, a2)), iv)
+                return V.VPi("h2", iall(ck, a2), V.PyClo(lambda _h2: goal)) if has_hyp else goal
 
-            method = V.VLam(
-                "i",
-                V.PyClo(
-                    lambda iv: V.VLam(
-                        "xs",
-                        V.PyClo(
-                            lambda xs: V.VLam(
-                                "h", V.PyClo(lambda h, ii=iv, xx=xs: method_body(ii, xx, h))
-                            )
-                        ),
-                    )
-                ),
-            )
-            return V.viinduction(ixty, fam_v, motive_v, method, i0, scrut_v)
+            return V.VPi("a2", interp(ck), V.PyClo(cod))
 
-        elim_v = _lam_chain(len(tags), mk)
-        elim_t = ctx.quote(elim_v)
-        anns = [ctx.quote(sg.branch_ty, d + i) for i, sg in enumerate(subgoals)]
-        elim_t = _ann_lams(elim_t, anns)
-        out = elim_t
-        for b in branches:
-            out = T.App(out, b)
-        return out
+        def ms(q: Value) -> Value:
+            goal = goal_of(V.VIn(q), iv)
+            return V.VPi("hh", iall(code_i, q), V.PyClo(lambda _h: goal)) if has_hyp else goal
+
+        pcv = V.VLam("c2", V.PyClo(pc))
+        switch = T.Switch(ctx.quote(code0.enum, d + 5), ctx.quote(pcv, d + 5), _cases(branches, 5), T.Var(1))
+        step = T.Lam("c", None, T.Lam("as", None, T.App(switch, T.Var(0))))
+        split: Term = T.Split(ctx.quote(V.VLam("q", V.PyClo(ms)), d + 3), step, T.Var(1))
+        if has_hyp:
+            split = T.App(split, T.Var(0))
+        method = T.Lam("i", None, T.Lam("xs", None, T.Lam("h", None, split)))
+        return T.IInduction(
+            ctx.quote(ixty), ctx.quote(fam_v), ctx.quote(motive_v), method, ctx.quote(i0), ctx.quote(scrut_v)
+        )
 
     return EwmResult(subgoals, assemble)
 

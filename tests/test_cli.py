@@ -186,6 +186,30 @@ def test_no_recheck_flag():
     assert code == 0
 
 
+ISNIL = (
+    "\nlet isNil (A : Set) (n : Nat) (v : Vec A n) : Bool where\n"
+    "  isNil A n v by case v {\n"
+    "    isNil A n (vnil q) => 'true\n"
+    "    isNil A n (vcons m a vs q) => 'false\n"
+    "  }\n"
+)
+
+
+def test_recheck_rejects_case_over_a_constrained_index(tmp_path):
+    # `by case` over a constraint-style Vec elaborates to an ill-typed branch;
+    # only the kernel's re-check stops it. The message's de Bruijn indices
+    # follow the elaborated term's shape, so only its kind is pinned.
+    p = tmp_path / "isnil.idt"
+    p.write_text(read_corpus("vec_constrained.idt") + ISNIL, encoding="utf-8")
+    code, out = run_main(["check", "--no-recheck", str(p)])
+    assert code == 0, out
+    code, out = run_main(["check", str(p)])
+    assert code == 1
+    assert out.count("\n") == 1
+    assert out.startswith(f"{p}: error: TypeMismatch: expected ")
+    assert "Traceback" not in out
+
+
 def test_repl_commands():
     src = io.StringIO(
         ":t plus\n"

@@ -21,6 +21,14 @@ from idt.elab import ElabError
 # every readback unfolded Nat's code
 UNFOLDED_PLUS_RECHECK_CALLS = 3014
 
+PRED = (
+    "let pred (m : Nat) : Nat where\n"
+    "  pred m by case m {\n"
+    "    pred zero => zero\n"
+    "    pred (suc m') => m'\n"
+    "  }\n"
+)
+
 
 def term_nodes(t: T.Term):
     """Every term node of `t`, `t` first."""
@@ -58,16 +66,8 @@ def test_corpus_named_readbacks_are_sound(naming_oracle, name):
     assert bool(naming_oracle) == (" by " in read_corpus(name))
 
 
-def test_plus_names_nat():
-    sess, (definiens, ty) = elab_last(read_corpus("prelude.idt"), preamble=())
-    nodes = term_nodes(definiens)
-    assert len(nodes) <= 500, len(nodes)  # 2,153 with Nat unfolded
-    assert names_entry(sess, definiens, "Nat")
-    assert not any(isinstance(n, T.IMu) for n in nodes)
-
-
-def test_plus_recheck_makes_a_third_of_the_kernel_calls(monkeypatch):
-    sess, (definiens, ty) = elab_last(read_corpus("prelude.idt"), preamble=())
+def recheck_calls(monkeypatch, sess, definiens, ty) -> int:
+    """kernel.check plus kernel.infer calls of re-checking `definiens`."""
     tyv = K.check_entry_type(sess.ctx, ty)
     calls = [0]
     real_check, real_infer = K.check, K.infer
@@ -83,7 +83,32 @@ def test_plus_recheck_makes_a_third_of_the_kernel_calls(monkeypatch):
     monkeypatch.setattr(K, "check", check)
     monkeypatch.setattr(K, "infer", infer)
     K.check(sess.ctx, definiens, tyv)
-    assert calls[0] <= UNFOLDED_PLUS_RECHECK_CALLS // 3, calls[0]
+    monkeypatch.undo()
+    return calls[0]
+
+
+def test_plus_names_nat():
+    sess, (definiens, ty) = elab_last(read_corpus("prelude.idt"), preamble=())
+    nodes = term_nodes(definiens)
+    # 2,153 with Nat unfolded; 389 with the by-gadget's annotated redexes
+    assert len(nodes) <= 250, len(nodes)
+    assert names_entry(sess, definiens, "Nat")
+    assert not any(isinstance(n, T.IMu) for n in nodes)
+
+
+def test_plus_recheck_makes_a_third_of_the_kernel_calls(monkeypatch):
+    sess, (definiens, ty) = elab_last(read_corpus("prelude.idt"), preamble=())
+    # 557 calls when the by-gadget built annotated redexes
+    calls = recheck_calls(monkeypatch, sess, definiens, ty)
+    assert calls <= UNFOLDED_PLUS_RECHECK_CALLS // 3 and calls <= 320, calls
+
+
+def test_pred_term_and_recheck_counts(monkeypatch):
+    sess, (definiens, ty) = elab_last(PRED)
+    # 201 nodes and 271 calls when the by-gadget built annotated redexes
+    assert len(term_nodes(definiens)) <= 125, len(term_nodes(definiens))
+    calls = recheck_calls(monkeypatch, sess, definiens, ty)
+    assert calls <= 160, calls
 
 
 def test_loading_the_prelude_prints_nothing(monkeypatch):
