@@ -286,35 +286,10 @@ def _read_source(path: str) -> str:
         return f.read()
 
 
-def run_check(paths, show_codes=False, trace=False, recheck=True, stdout=None) -> int:
-    out = stdout or sys.stdout
-    sess = Session(recheck=recheck, trace=trace, show_codes=show_codes)
-    for path in paths:
-        try:
-            text = _read_source(path)
-        except (OSError, UnicodeDecodeError) as e:
-            print(_report(path, e), file=out)
-            return 2
-        try:
-            sess.load_text(text, path)
-        except S.ParseError as e:
-            print(_report(path, e), file=out)
-            return 2
-        except ElabError as e:
-            print(_report(path, e), file=out)
-            return 1
-        except (KernelError, G.GenericsError) as e:
-            print(_report(path, e), file=out)
-            return 1
-    for line in sess.out:
-        print(line, file=out)
-    print(f"checked {len(paths)} file(s), context has {sess.ctx.depth} entries", file=out)
-    return 0
-
-
-def run_eval(paths, expr: str, stdout=None) -> int:
-    out = stdout or sys.stdout
-    sess = Session()
+def _load_files(sess: Session, paths, out) -> Optional[int]:
+    """Load the source files `paths` into `sess` in order. On the first
+    error, report it and return the exit code: 2 for a file that cannot be
+    read or parsed, 1 for a declaration that does not check."""
     for path in paths:
         try:
             text = _read_source(path)
@@ -329,6 +304,27 @@ def run_eval(paths, expr: str, stdout=None) -> int:
         except (ElabError, KernelError, G.GenericsError) as e:
             print(_report(path, e), file=out)
             return 1
+    return None
+
+
+def run_check(paths, show_codes=False, trace=False, recheck=True, stdout=None) -> int:
+    out = stdout or sys.stdout
+    sess = Session(recheck=recheck, trace=trace, show_codes=show_codes)
+    code = _load_files(sess, paths, out)
+    if code is not None:
+        return code
+    for line in sess.out:
+        print(line, file=out)
+    print(f"checked {len(paths)} file(s), context has {sess.ctx.depth} entries", file=out)
+    return 0
+
+
+def run_eval(paths, expr: str, stdout=None) -> int:
+    out = stdout or sys.stdout
+    sess = Session()
+    code = _load_files(sess, paths, out)
+    if code is not None:
+        return code
     try:
         print(sess.eval_expr(expr), file=out)
     except S.ParseError as e:
@@ -343,17 +339,9 @@ def run_eval(paths, expr: str, stdout=None) -> int:
 def run_repl(paths, stdin=None, stdout=None) -> int:
     out = stdout or sys.stdout
     sess = Session()
-    for path in paths:
-        try:
-            text = _read_source(path)
-        except (OSError, UnicodeDecodeError) as e:
-            print(_report(path, e), file=out)
-            return 2
-        try:
-            sess.load_text(text, path)
-        except (S.ParseError, ElabError, KernelError, G.GenericsError) as e:
-            print(_report(path, e), file=out)
-            return 1
+    code = _load_files(sess, paths, out)
+    if code is not None:
+        return code
     source = stdin or sys.stdin
     print("idt repl; :q quits, :t <e> types, :eq <a> <b> compares", file=out)
     for line in source:

@@ -532,13 +532,3 @@ def _spine(e: S.ExtTerm):
 
 def _span(e) -> Optional[tuple]:
     return getattr(e, "span", None)
-
-
-def elab_synth(ctx: Context, e: S.ExtTerm):
-    """Synthesize a core term and its type from an external term."""
-    return Elaborator().synth(ctx, e)
-
-
-def elab_check(ctx: Context, e: S.ExtTerm, want: Value) -> Term:
-    """Check an external term against a type, producing a core term."""
-    return Elaborator().check(ctx, e, want)

@@ -629,17 +629,3 @@ def check_entry_type(ctx: Context, ty: Term) -> Value:
     """Validity side condition for extending a context."""
     tv, _ = check_is_type(ctx, ty)
     return tv
-
-
-def context_valid(ctx: Context) -> bool:
-    """Re-check the whole context from scratch (validity invariant)."""
-    acc = Context()
-    for e in ctx.entries:
-        ty_term = V.quote(e.ty, acc.depth)
-        tv = check_entry_type(acc, ty_term)
-        if e.val is not None:
-            check(acc, V.quote(e.val, acc.depth), tv)
-            acc = acc.extend(e.name, tv, acc.eval(V.quote(e.val, acc.depth)))
-        else:
-            acc = acc.extend(e.name, tv)
-    return True

@@ -6,13 +6,15 @@ corresponding eliminator with the motive obtained by abstracting the goal
 at the scrutinee, one subgoal per constructor (hypotheses for `rec`).
 
 The eliminator comes out beta-normal. A branch over a datatype is the
-nested `split` of the constructor's payload, with the branch body
-substituted for the body function that the split applies to the
-payload's components (`terms.instantiate`). The eliminator is built as a
-term around its tuple of branches, with its motives and codes read back
-where they sit. So the result has no lambda-headed application of its
-own, and the kernel re-checks each branch against the type the eliminator
-gives it instead of synthesising the type of an annotated redex.
+nested `split` of the constructor's payload around the branch body. The
+walk that binds the payload's components as the body's variables also
+builds that wrapper, one lambda per variable and one split per level, so
+the body goes in where it was elaborated, unchanged. The eliminator is
+built as a term around its tuple of branches, with its motives and codes
+read back where they sit. So the result has no lambda-headed application
+of its own, and the kernel re-checks each branch against the type the
+eliminator gives it instead of synthesising the type of an annotated
+redex.
 """
 
 from __future__ import annotations
@@ -37,19 +39,15 @@ class Slot:
 
     ty: Value
     proj: Value
-    recursive: bool = False
 
 
 @dataclass
 class EwmSubgoal:
     tag: Optional[str]
-    knum: int
-    has_hyp: bool
     binders: List[tuple]  # (name, type value), fresh at ctx.depth + position
-    arg_slots: List[Slot]
     hyp_slots: List[Slot]
     goal: Value  # refined goal, valid under the binders
-    wrap: Callable  # fn(outer ctx, body term under the binders) -> branch term
+    wrap: Callable  # fn(body term under the binders) -> branch term
 
 
 @dataclass
@@ -103,7 +101,7 @@ def _ewm_enum(ctx, kind, scrut_name, scrut_v, sty, motive_at) -> EwmResult:
     subgoals = []
     for k, tag in enumerate(tags):
         g = motive_at(V.make_numeral(k))
-        subgoals.append(EwmSubgoal(tag, k, False, [], [], [], g, lambda _c, body: body))
+        subgoals.append(EwmSubgoal(tag, [], [], g, lambda body: body))
     motive_v = V.VLam(scrut_name, V.PyClo(motive_at))
 
     def assemble(branches: List[Term]) -> Term:
@@ -136,7 +134,9 @@ class _BranchShape:
 
     Constructor arguments become real variables via dependent pair splits;
     for `rec`, the inductive-hypothesis tuple threads through the split
-    motives and is rebound (h) at every level.
+    motives. A level's hypothesis is bound (h) after the payload and after
+    a field; after a recursive argument it is the second component of the
+    product's hypothesis (hp).
     """
 
     def __init__(self, code: Value, knum: int, has_hyp: bool, interp, iall, goal_of, motive_v):
@@ -164,33 +164,52 @@ class _BranchShape:
             v = V.VPair(x, v)
         return self.goal_of(V.VIn(V.VPair(V.make_numeral(self.knum), v)))
 
-    def plan(self, d: int):
-        """Fresh-variable walk: binder specs, pattern slots, refined goal."""
+    def plan(self, d: int, quote: Callable[[Value, int], Term]):
+        """Fresh-variable walk from depth `d`: binder specs, hypothesis
+        slots, refined goal, and the branch wrapper. The wrapper is built
+        as the binders are, one lambda per binder and one split per level
+        read back with `quote` at its depth; `wrap(body)` puts it around a
+        body elaborated under the binders."""
         binders: list = []
-        arg_slots: List[Slot] = []
         hyp_slots: List[Slot] = []
+        parts: list = []  # the payload's fields and recursive arguments so far
+        frames: list = []  # fn(term inside) -> term, outermost first
 
         def bind(name: str, tyv: Value) -> Value:
             v = V.fresh(d + len(binders))
             binders.append((name, tyv))
+            frames.append(lambda t: T.Lam(name, None, t))
             return v
 
-        as_v = bind("as", self.interp(self.code0))
-        parts: list = []
-        cursor, code = as_v, self.code0
-        while True:
+        def split(code: Value, cursor: Value, h: Optional[Value]) -> None:
+            # the motive rebuilds the goal from the parts so far; for `rec`
+            # it also takes this level's hypothesis, and the split is
+            # applied to `h`
+            dd = d + len(binders)
+
+            def motive(p: Value) -> Value:
+                if self.has_hyp:
+                    return V.VPi("h", self.iall(code, p), V.PyClo(lambda _h: self.rebuild(parts, p)))
+                return self.rebuild(parts, p)
+
+            mot, cur = quote(V.VLam("p", V.PyClo(motive)), dd), quote(cursor, dd)
             if self.has_hyp:
-                hv = bind("h", self.iall(code, cursor))
+                ht = quote(h, dd)
+                frames.append(lambda t: T.App(T.Split(mot, t, cur), ht))
+            else:
+                frames.append(lambda t: T.Split(mot, t, cur))
+
+        cursor, code = bind("as", self.interp(self.code0)), self.code0
+        hv = bind("h", self.iall(code, cursor)) if self.has_hyp else None
+        while True:
             if _is_leaf(code):
-                arg_slots.append(
-                    Slot(self.interp(code), cursor, recursive=not isinstance(code, V.VDPi))
-                )
                 if self.has_hyp:
                     hyp_slots.append(Slot(self._leaf_hyp_ty(code, cursor), hv))
                 break
             if isinstance(code, V.VDOne):
                 break
             if isinstance(code, (V.VDSigma, V.VDSigmaE)):
+                split(code, cursor, hv)
                 dom = V.VEnumT(code.enum) if isinstance(code, V.VDSigmaE) else code.dom
                 x = bind(_fam_name(code.fam, "x"), dom)
                 nxt = V.vapp(code.fam, x)
@@ -199,97 +218,35 @@ class _BranchShape:
                         "UnsupportedScrutinee", None, "constructor code is not canonical"
                     )
                 r = bind("r", self.interp(nxt))
-                arg_slots.append(Slot(dom, x))
                 parts.append(x)
                 cursor, code = r, nxt
+                if self.has_hyp:
+                    hv = bind("h", self.iall(code, cursor))
                 continue
             if isinstance(code, V.VDTimes):
                 if not _is_leaf(code.lhs):
                     raise ElabError(
                         "UnsupportedScrutinee", None, "unexpected product shape in a code"
                     )
+                split(code, cursor, hv)
                 x = bind("x", self.interp(code.lhs))
                 r = bind("r", self.interp(code.rhs))
-                arg_slots.append(
-                    Slot(self.interp(code.lhs), x, recursive=not isinstance(code.lhs, V.VDPi))
-                )
                 parts.append(x)
                 if self.has_hyp:
                     hp = bind("hp", self.iall(code, V.VPair(x, r)))
                     hyp_slots.append(Slot(self._leaf_hyp_ty(code.lhs, x), V.vfst(hp)))
+                    hv = V.vsnd(hp)
                 cursor, code = r, code.rhs
                 continue
             raise ElabError("UnsupportedScrutinee", None, "constructor code is not canonical")
         goal = self.rebuild(parts, cursor)
-        return binders, arg_slots, hyp_slots, goal
 
-    def build(self, bf: Value) -> Value:
-        """The branch value, applying the body function to the binder values
-        in plan order."""
+        def wrap(body: Term) -> Term:
+            for frame in reversed(frames):
+                body = frame(body)
+            return body
 
-        def level(code, cursor, parts, acc):
-            if self.has_hyp:
-                return V.VLam(
-                    "h",
-                    V.PyClo(lambda h: after(code, cursor, parts, acc + [h], h)),
-                )
-            return after(code, cursor, parts, acc, None)
-
-        def after(code, cursor, parts, acc, h):
-            if _is_leaf(code) or isinstance(code, V.VDOne):
-                return V.vapps(bf, *acc)
-            if isinstance(code, (V.VDSigma, V.VDSigmaE)):
-                meth = V.VLam(
-                    _fam_name(code.fam, "x"),
-                    V.PyClo(
-                        lambda x, code=code, parts=list(parts), acc=list(acc): V.VLam(
-                            "r",
-                            V.PyClo(
-                                lambda r, x=x: level(
-                                    V.vapp(code.fam, x), r, parts + [x], acc + [x, r]
-                                )
-                            ),
-                        )
-                    ),
-                )
-                return self._split(code, parts, cursor, meth, h)
-            if isinstance(code, V.VDTimes):
-                def meth_body(x, r, code=code, parts=list(parts), acc=list(acc)):
-                    if self.has_hyp:
-                        return V.VLam(
-                            "hp",
-                            V.PyClo(
-                                lambda hp, x=x, r=r: V.vapp(
-                                    level(code.rhs, r, parts + [x], acc + [x, r, hp]),
-                                    V.vsnd(hp),
-                                )
-                            ),
-                        )
-                    return level(code.rhs, r, parts + [x], acc + [x, r])
-
-                meth = V.VLam(
-                    "x",
-                    V.PyClo(
-                        lambda x: V.VLam("r", V.PyClo(lambda r, x=x: meth_body(x, r)))
-                    ),
-                )
-                return self._split(code, parts, cursor, meth, h)
-            raise ElabError("UnsupportedScrutinee", None, "constructor code is not canonical")
-
-        return V.VLam("as", V.PyClo(lambda as_v: level(self.code0, as_v, [], [as_v])))
-
-    def _split(self, code: Value, parts: list, cursor: Value, meth: Value, h) -> Value:
-        """Split `cursor` at one level, with the motive rebuilding the goal
-        from `parts`; for `rec` the motive also takes this level's hypothesis,
-        and the split is applied to `h`."""
-
-        def motive(p: Value) -> Value:
-            if self.has_hyp:
-                return V.VPi("h", self.iall(code, p), V.PyClo(lambda _h: self.rebuild(parts, p)))
-            return self.rebuild(parts, p)
-
-        split = V.vsplit(V.VLam("p", V.PyClo(motive)), meth, cursor)
-        return V.vapp(split, h) if self.has_hyp else split
+        return binders, hyp_slots, goal, wrap
 
 
 def _ewm_fix(ctx, kind, scrut_name, scrut_v, sty, motive_at) -> EwmResult:
@@ -330,22 +287,8 @@ def _ewm_fix(ctx, kind, scrut_name, scrut_v, sty, motive_at) -> EwmResult:
     subgoals = []
     for k, tag in enumerate(tags):
         code_k = V.vapp(code0.fam, V.make_numeral(k))
-        shape = _BranchShape(
-            code_k, k, has_hyp, interp, iall, goal_of, motive_v
-        )
-        binders, arg_slots, hyp_slots, refined = shape.plan(d)
-
-        def wrap(outer_ctx: Context, body: Term, shape=shape, binders=binders) -> Term:
-            # the body, abstracted over the binders, is the body function
-            # that the branch applies to the binder values
-            dd = outer_ctx.depth
-            for nm, _tyv in reversed(binders):
-                body = T.Lam(nm, None, body)
-            return T.instantiate(outer_ctx.quote(shape.build(V.fresh(dd)), dd + 1), (body,))
-
-        subgoals.append(
-            EwmSubgoal(tag, k, has_hyp, binders, arg_slots, hyp_slots, refined, wrap)
-        )
+        shape = _BranchShape(code_k, k, has_hyp, interp, iall, goal_of, motive_v)
+        subgoals.append(EwmSubgoal(tag, *shape.plan(d, ctx.quote)))
 
     def assemble(branches: List[Term]) -> Term:
         # iinduction FAM MOT (\i. \xs. \h. split MS (\c. \as. switch E PC BRANCHES c as) xs h) I X,
@@ -389,7 +332,7 @@ def _walk_args(code: Value, cur: Value, out: List[Slot], interp) -> None:
         _walk_args(code.rhs, V.vsnd(cur), out, interp)
         return
     if isinstance(code, (V.VDVarI, V.VDPi)):
-        out.append(Slot(interp(code), cur, recursive=not isinstance(code, V.VDPi)))
+        out.append(Slot(interp(code), cur))
         return
     if isinstance(code, (V.VDSigma, V.VDSigmaE)):
         dom = V.VEnumT(code.enum) if isinstance(code, V.VDSigmaE) else code.dom
@@ -478,7 +421,7 @@ def _elab_branches(ctx: Context, el, res: EwmResult, programs: list, recurse, ma
         inner = ctx
         for nm, tyv in sg.binders:
             inner = inner.extend(f"%{nm}", tyv)
-        base_depth = inner.depth
+        base = inner
         # hypotheses enter the context as definitions so label search finds them
         for j, slot in enumerate(sg.hyp_slots):
             inner = inner.extend(f"%ih{j}", slot.ty, slot.proj)
@@ -493,8 +436,7 @@ def _elab_branches(ctx: Context, el, res: EwmResult, programs: list, recurse, ma
         p = matched[0]
         remaining.remove(p)
         body = recurse(inner, p, sg.goal)
-        body = _strip_defs(body, inner.depth - base_depth, base_depth, inner)
-        branches.append(sg.wrap(ctx, body))
+        branches.append(sg.wrap(_inline_defs(inner, base, body)))
     if remaining:
         raise ElabError(
             "PatternHeadMismatch",
@@ -504,18 +446,18 @@ def _elab_branches(ctx: Context, el, res: EwmResult, programs: list, recurse, ma
     return branches
 
 
-def _strip_defs(body: Term, ndefs: int, base_depth: int, inner: Context) -> Term:
-    """Inline trailing definition entries into `body` (innermost first)."""
-    for lvl in range(inner.depth - 1, inner.depth - 1 - ndefs, -1):
-        dval = inner.entries[lvl].val
-        assert dval is not None, "expected a definition entry"
-        dterm = inner.quote(dval, lvl)
-        body = T.subst_free(body, lambda j, dt=dterm: dt if j == 0 else T.Var(j - 1))
-    return body
-
-
 def _inline_defs(inner: Context, outer: Context, body: Term) -> Term:
-    return _strip_defs(body, inner.depth - outer.depth, outer.depth, inner)
+    """Inline into `body` the definition entries by which `inner` extends
+    `outer`, in one pass: a definition's value never mentions another
+    definition's level, so each reads back at `outer`'s depth."""
+    base, ndefs = outer.depth, inner.depth - outer.depth
+    if ndefs == 0:
+        return body
+    dterms = []
+    for e in reversed(inner.entries[base:]):
+        assert e.val is not None, "expected a definition entry"
+        dterms.append(inner.quote(e.val, base))
+    return T.subst_free(body, lambda j: dterms[j] if j < ndefs else T.Var(j - ndefs))
 
 
 def _print_value(ctx: Context, v: Value) -> str:

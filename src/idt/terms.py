@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Union
 
 
 TAG_CHARS = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_-")
@@ -455,56 +455,6 @@ def subst_free(t: Term, mapping: Callable[[int], Term]) -> Term:
     binders automatically.
     """
     return map_vars(t, lambda i, d: shift(mapping(i - d), d))
-
-
-def instantiate(t: Term, args: Sequence[Term]) -> Term:
-    """Substitute `args` for the innermost `len(args)` free variables of `t`,
-    `args[-1]` for `Var(0)`, and move the other free variables down past them.
-
-    The arguments are terms in the outer context. Where a substituted lambda
-    lands at the head of an application, it is reduced against the
-    arguments, and so is every lambda that reduction substitutes into a head
-    in turn (hereditary substitution). Redexes already in `t` or in `args`
-    stay as they are.
-    """
-    return _hereditary(t, tuple(args), 0) if args else t
-
-
-def _hereditary(t: Term, args: tuple, lift: int) -> Term:
-    """`instantiate` into a context `lift` binders deeper than the one the
-    other free variables of `t` refer to; `args` are terms in that deeper
-    context."""
-    n = len(args)
-
-    def visit(u: Term, d: int) -> Optional[Term]:
-        cls = type(u)
-        if cls is Var:
-            k = u.ix - d
-            if k < 0:
-                return u
-            return shift(args[n - 1 - k], d) if k < n else Var(u.ix - n + lift)
-        if cls is not App:
-            return None
-        spine = []
-        head: Term = u
-        while type(head) is App:
-            spine.append(head.arg)
-            head = head.fn
-        k = head.ix - d if type(head) is Var else -1
-        if not (0 <= k < n and type(args[n - 1 - k]) is Lam):
-            return None
-        # f's free variables refer to the context `d` binders out
-        f, rest, f_lift = args[n - 1 - k], [map_term(a, visit, d) for a in reversed(spine)], d
-        while rest and isinstance(f, Lam):
-            m = 0
-            while isinstance(f, Lam) and m < len(rest):
-                f, m = f.body, m + 1
-            f, rest, f_lift = _hereditary(f, tuple(rest[:m]), f_lift), rest[m:], 0
-        for a in rest:
-            f = App(f, a)
-        return f
-
-    return map_term(t, visit)
 
 
 def abstract(t: Term, needle: Term) -> Term:

@@ -32,6 +32,30 @@ def load_session(*names: str, **kw) -> Session:
     return sess
 
 
+def elab_synth(ctx: K.Context, e):
+    """Synthesize a core term and its type from an external term."""
+    return Elaborator().synth(ctx, e)
+
+
+def elab_check(ctx: K.Context, e, want: V.Value) -> T.Term:
+    """Check an external term against a type, producing a core term."""
+    return Elaborator().check(ctx, e, want)
+
+
+def context_valid(ctx: K.Context) -> bool:
+    """Re-check the whole context from scratch (validity invariant)."""
+    acc = K.Context()
+    for e in ctx.entries:
+        ty_term = V.quote(e.ty, acc.depth)
+        tv = K.check_entry_type(acc, ty_term)
+        if e.val is not None:
+            K.check(acc, V.quote(e.val, acc.depth), tv)
+            acc = acc.extend(e.name, tv, acc.eval(V.quote(e.val, acc.depth)))
+        else:
+            acc = acc.extend(e.name, tv)
+    return True
+
+
 @pytest.fixture
 def conv_oracle(monkeypatch):
     """Check every `kernel.conv` verdict against reading both sides back and

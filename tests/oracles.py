@@ -1,12 +1,14 @@
 """Reference constructions that `src/` replaced, kept as test oracles.
 
 `ewm_restricted` is the by-gadget as it was built before it produced
-beta-normal eliminators. Each eliminator is read back as a chain of
-annotated lambdas, `\\b0:T0. \\b1:T1. elim ... (b0 , b1) ...`, applied to
-the branches. Each `rec`/`case` branch over a datatype is an annotated
-wrapper applied to the body function. The annotations let the kernel
-synthesise those redexes; the value of the result is what the beta-normal
-construction must match.
+beta-normal eliminators, with a frozen copy of the branch walk it used
+(`_BranchShape`), so that the reference does not move with `labels`.
+Each eliminator is read back as a chain of annotated lambdas,
+`\\b0:T0. \\b1:T1. elim ... (b0 , b1) ...`, applied to the branches.
+Each `rec`/`case` branch over a datatype is an annotated wrapper applied
+to the body function. The annotations let the kernel synthesise those
+redexes; the value of the result is what the beta-normal construction
+must match.
 """
 
 from __future__ import annotations
@@ -83,7 +85,7 @@ def _ewm_enum(ctx, kind, scrut_name, scrut_v, sty, motive_at) -> L.EwmResult:
     subgoals, btys = [], []
     for k, tag in enumerate(tags):
         g = motive_at(V.make_numeral(k))
-        subgoals.append(L.EwmSubgoal(tag, k, False, [], [], [], g, lambda _c, body: body))
+        subgoals.append(L.EwmSubgoal(tag, [], [], g, lambda body: body))
         btys.append(g)
     motive_v = V.VLam(scrut_name, V.PyClo(motive_at))
 
@@ -94,6 +96,158 @@ def _ewm_enum(ctx, kind, scrut_name, scrut_v, sty, motive_at) -> L.EwmResult:
         return V.vswitch(sty.enum, motive_v, cases, scrut_v)
 
     return L.EwmResult(subgoals, lambda branches: _apply_annotated(ctx, mk, btys, branches))
+
+
+class _BranchShape:
+    """`labels._BranchShape` as it was before it built the branch wrapper
+    in its binder walk: `plan` binds the variables (rebinding `h` at every
+    level), and `build` walks the code again for the wrapper's value,
+    applying a body function to the binder values in plan order."""
+
+    def __init__(self, code: Value, knum: int, has_hyp: bool, interp, iall, goal_of, motive_v):
+        self.code0 = code
+        self.knum = knum
+        self.has_hyp = has_hyp
+        self.interp = interp
+        self.iall = iall
+        self.goal_of = goal_of
+        self.motive_v = motive_v
+
+    def _leaf_hyp_ty(self, code: Value, arg: Value) -> Value:
+        if isinstance(code, V.VDVarI):
+            return V.vapp(self.motive_v, V.VPair(code.index, arg))
+        # exponential: pointwise hypotheses
+        return V.VPi(
+            "s",
+            code.dom,
+            V.PyClo(lambda s: self._leaf_hyp_ty(V.vapp(code.fam, s), V.vapp(arg, s))),
+        )
+
+    def rebuild(self, parts: list, tail: Value) -> Value:
+        v = tail
+        for x in reversed(parts):
+            v = V.VPair(x, v)
+        return self.goal_of(V.VIn(V.VPair(V.make_numeral(self.knum), v)))
+
+    def plan(self, d: int):
+        """Fresh-variable walk: binder specs, pattern slots, refined goal."""
+        binders: list = []
+        hyp_slots: List[L.Slot] = []
+
+        def bind(name: str, tyv: Value) -> Value:
+            v = V.fresh(d + len(binders))
+            binders.append((name, tyv))
+            return v
+
+        as_v = bind("as", self.interp(self.code0))
+        parts: list = []
+        cursor, code = as_v, self.code0
+        while True:
+            if self.has_hyp:
+                hv = bind("h", self.iall(code, cursor))
+            if L._is_leaf(code):
+                if self.has_hyp:
+                    hyp_slots.append(L.Slot(self._leaf_hyp_ty(code, cursor), hv))
+                break
+            if isinstance(code, V.VDOne):
+                break
+            if isinstance(code, (V.VDSigma, V.VDSigmaE)):
+                dom = V.VEnumT(code.enum) if isinstance(code, V.VDSigmaE) else code.dom
+                x = bind(L._fam_name(code.fam, "x"), dom)
+                nxt = V.vapp(code.fam, x)
+                if not isinstance(nxt, (V.VDVarI, V.VDPi, V.VDOne, V.VDTimes, V.VDSigma, V.VDSigmaE)):
+                    raise ElabError(
+                        "UnsupportedScrutinee", None, "constructor code is not canonical"
+                    )
+                r = bind("r", self.interp(nxt))
+                parts.append(x)
+                cursor, code = r, nxt
+                continue
+            if isinstance(code, V.VDTimes):
+                if not L._is_leaf(code.lhs):
+                    raise ElabError(
+                        "UnsupportedScrutinee", None, "unexpected product shape in a code"
+                    )
+                x = bind("x", self.interp(code.lhs))
+                r = bind("r", self.interp(code.rhs))
+                parts.append(x)
+                if self.has_hyp:
+                    hp = bind("hp", self.iall(code, V.VPair(x, r)))
+                    hyp_slots.append(L.Slot(self._leaf_hyp_ty(code.lhs, x), V.vfst(hp)))
+                cursor, code = r, code.rhs
+                continue
+            raise ElabError("UnsupportedScrutinee", None, "constructor code is not canonical")
+        goal = self.rebuild(parts, cursor)
+        return binders, hyp_slots, goal
+
+    def build(self, bf: Value) -> Value:
+        """The branch value, applying the body function to the binder values
+        in plan order."""
+
+        def level(code, cursor, parts, acc):
+            if self.has_hyp:
+                return V.VLam(
+                    "h",
+                    V.PyClo(lambda h: after(code, cursor, parts, acc + [h], h)),
+                )
+            return after(code, cursor, parts, acc, None)
+
+        def after(code, cursor, parts, acc, h):
+            if L._is_leaf(code) or isinstance(code, V.VDOne):
+                return V.vapps(bf, *acc)
+            if isinstance(code, (V.VDSigma, V.VDSigmaE)):
+                meth = V.VLam(
+                    L._fam_name(code.fam, "x"),
+                    V.PyClo(
+                        lambda x, code=code, parts=list(parts), acc=list(acc): V.VLam(
+                            "r",
+                            V.PyClo(
+                                lambda r, x=x: level(
+                                    V.vapp(code.fam, x), r, parts + [x], acc + [x, r]
+                                )
+                            ),
+                        )
+                    ),
+                )
+                return self._split(code, parts, cursor, meth, h)
+            if isinstance(code, V.VDTimes):
+                def meth_body(x, r, code=code, parts=list(parts), acc=list(acc)):
+                    if self.has_hyp:
+                        return V.VLam(
+                            "hp",
+                            V.PyClo(
+                                lambda hp, x=x, r=r: V.vapp(
+                                    level(code.rhs, r, parts + [x], acc + [x, r, hp]),
+                                    V.vsnd(hp),
+                                )
+                            ),
+                        )
+                    return level(code.rhs, r, parts + [x], acc + [x, r])
+
+                meth = V.VLam(
+                    "x",
+                    V.PyClo(
+                        lambda x: V.VLam("r", V.PyClo(lambda r, x=x: meth_body(x, r)))
+                    ),
+                )
+                return self._split(code, parts, cursor, meth, h)
+            raise ElabError("UnsupportedScrutinee", None, "constructor code is not canonical")
+
+        return V.VLam("as", V.PyClo(lambda as_v: level(self.code0, as_v, [], [as_v])))
+
+    def _split(self, code: Value, parts: list, cursor: Value, meth: Value, h) -> Value:
+        """Split `cursor` at one level, with the motive rebuilding the goal
+        from `parts`; for `rec` the motive also takes this level's hypothesis,
+        and the split is applied to `h`."""
+
+        def motive(p: Value) -> Value:
+            if self.has_hyp:
+                return V.VPi("h", self.iall(code, p), V.PyClo(lambda _h: self.rebuild(parts, p)))
+            return self.rebuild(parts, p)
+
+        split = V.vsplit(V.VLam("p", V.PyClo(motive)), meth, cursor)
+        return V.vapp(split, h) if self.has_hyp else split
+
 
 
 def _ewm_fix(ctx, kind, scrut_name, scrut_v, sty, motive_at) -> L.EwmResult:
@@ -125,8 +279,8 @@ def _ewm_fix(ctx, kind, scrut_name, scrut_v, sty, motive_at) -> L.EwmResult:
     subgoals, btys = [], []
     for k, tag in enumerate(tags):
         code_k = V.vapp(code0.fam, V.make_numeral(k))
-        shape = L._BranchShape(code_k, k, has_hyp, interp, iall, goal_of, motive_v)
-        binders, arg_slots, hyp_slots, refined = shape.plan(d)
+        shape = _BranchShape(code_k, k, has_hyp, interp, iall, goal_of, motive_v)
+        binders, hyp_slots, refined = shape.plan(d)
 
         def branch_cod(a, ck=code_k, kk=k):
             goal = goal_of(V.VIn(V.VPair(V.make_numeral(kk), a)))
@@ -136,26 +290,23 @@ def _ewm_fix(ctx, kind, scrut_name, scrut_v, sty, motive_at) -> L.EwmResult:
 
         btys.append(V.VPi("as", interp(code_k), V.PyClo(branch_cod)))
 
-        def wrap(outer_ctx, body, shape=shape, binders=binders, refined=refined, ck=code_k):
-            dd = outer_ctx.depth
-            anns = [outer_ctx.quote(tyv, dd + i) for i, (_nm, tyv) in enumerate(binders)]
+        def wrap(body, shape=shape, binders=binders, refined=refined, ck=code_k):
+            anns = [ctx.quote(tyv, d + i) for i, (_nm, tyv) in enumerate(binders)]
             bodylam = body
             for (nm, _tyv), ann in zip(reversed(binders), reversed(anns)):
                 bodylam = T.Lam(nm, ann, bodylam)
-            bodyfn_ty: Term = outer_ctx.quote(refined, dd + len(binders))
+            bodyfn_ty: Term = ctx.quote(refined, d + len(binders))
             for (nm, _tyv), ann in zip(reversed(binders), reversed(anns)):
                 bodyfn_ty = T.Pi(nm, ann, bodyfn_ty)
             wrapper_v = V.VLam("bf", V.PyClo(lambda bf: shape.build(bf)))
             # the wrapper's leading lambdas sit in inference position
-            spine_anns = [bodyfn_ty, outer_ctx.quote(interp(ck), dd + 1)]
+            spine_anns = [bodyfn_ty, ctx.quote(interp(ck), d + 1)]
             if has_hyp:
-                spine_anns.append(outer_ctx.quote(iall(ck, V.fresh(dd + 1)), dd + 2))
-            wrapper_t = _ann_lams(outer_ctx.quote(wrapper_v), spine_anns)
+                spine_anns.append(ctx.quote(iall(ck, V.fresh(d + 1)), d + 2))
+            wrapper_t = _ann_lams(ctx.quote(wrapper_v), spine_anns)
             return T.App(wrapper_t, bodylam)
 
-        subgoals.append(
-            L.EwmSubgoal(tag, k, has_hyp, binders, arg_slots, hyp_slots, refined, wrap)
-        )
+        subgoals.append(L.EwmSubgoal(tag, binders, hyp_slots, refined, wrap))
 
     def mk(bvals: List[Value]) -> Value:
         def method_body(iv, xsv, hv):

@@ -15,6 +15,7 @@ from conftest import (
     GOLDEN,
     UNIT_DESC,
     VAR,
+    context_valid,
     corpus_path,
     elaborated_nat_code,
     enum,
@@ -166,7 +167,7 @@ def test_criterion_2_soundness_as_executable_checks():
     # corpus: every declaration's definiens re-checks (Session rechecks by default)
     for f in ("prelude.idt", "nat_tree_vec.idt", "vec_constrained.idt", "vec_computed.idt"):
         sess = load_session(f, recheck=True)
-        ok &= K.context_valid(sess.ctx)
+        ok &= context_valid(sess.ctx)
         checked += sess.ctx.depth
 
     # randomized declarations and programs

@@ -7,9 +7,8 @@ import sys
 
 import pytest
 
-from conftest import GOLDEN, ROOT, corpus_path, load_session, read_corpus
+from conftest import GOLDEN, ROOT, context_valid, corpus_path, load_session, read_corpus
 
-from idt import kernel as K
 from idt.cli import Session, main, run_check, run_eval, run_repl
 
 
@@ -51,6 +50,17 @@ def test_invalid_utf8_is_an_io_error(tmp_path, argv):
     assert code == 2
     assert out.count("\n") == 1
     assert out.startswith(f"{p}: error: ") and "can't decode byte 0xff" in out
+
+
+@pytest.mark.parametrize(
+    "argv", [["check"], ["eval", "-e", "zero"], ["repl"]], ids=["check", "eval", "repl"]
+)
+def test_parse_error_in_a_file_exits_two(tmp_path, argv):
+    p = tmp_path / "broken.idt"
+    p.write_text("data Nat : Set where\n  Nat => (\n")
+    code, out = run_main(argv + [str(p)])
+    assert code == 2
+    assert out == f"{p}:2:10: error: expected a name, found '('\n"
 
 
 def test_too_deep_input_exit_three():
@@ -280,7 +290,7 @@ def test_repl_display_matches_golden():
 
 def test_session_context_rechecks_from_scratch():
     sess = load_session("prelude.idt")
-    assert K.context_valid(sess.ctx)
+    assert context_valid(sess.ctx)
 
 
 def test_emit_trace_output():

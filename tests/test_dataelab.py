@@ -5,7 +5,17 @@ import random
 
 import pytest
 
-from conftest import UNIT_DESC, VAR, elaborated_nat_code, enum, load_session, num_term, switch_fam, tup
+from conftest import (
+    UNIT_DESC,
+    VAR,
+    context_valid,
+    elaborated_nat_code,
+    enum,
+    load_session,
+    num_term,
+    switch_fam,
+    tup,
+)
 from generators import gen_data_decl, gen_let_decl
 
 from idt import dataelab as D
@@ -436,7 +446,7 @@ def test_dependent_telescopes(sess):
     s.load_text(
         "data T4 (A : Set) (a : A) [i : A] : Set where\n  T4 A a [i = a] => mk4\n"
     )
-    assert K.context_valid(s.ctx)
+    assert context_valid(s.ctx)
     from idt.elab import Elaborator
 
     el = Elaborator()
@@ -474,7 +484,7 @@ def test_exotic_but_valid_shapes(sess):
     s.load_text(
         "data P [n : Nat] : Set where\n  P [n = plus a b] => mk (a : Nat) (b : Nat)\n"
     )
-    assert K.context_valid(s.ctx)
+    assert context_valid(s.ctx)
     from idt.elab import Elaborator
 
     el = Elaborator()
@@ -499,7 +509,7 @@ def test_enum_indexed_datatype_by_case(sess):
         "    Q [false] => qf (n : Nat)\n"
         "  }\n"
     )
-    assert K.context_valid(s.ctx)
+    assert context_valid(s.ctx)
     el = Elaborator()
     ty, _ = el.synth(s.ctx, S.parse_expr("Q true"))
     t = el.check(s.ctx, S.parse_expr("qt"), s.ctx.eval(ty))

@@ -2,13 +2,13 @@
 
 import pytest
 
-from conftest import enum, load_session, num_term
+from conftest import elab_check, elab_synth, enum, load_session, num_term
 
 from idt import kernel as K
 from idt import surface as S
 from idt import terms as T
 from idt import values as V
-from idt.elab import ElabError, Elaborator, elab_check, elab_synth
+from idt.elab import ElabError, Elaborator
 
 
 @pytest.fixture(scope="module")

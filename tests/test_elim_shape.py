@@ -1,7 +1,7 @@
 """The by-gadget builds beta-normal eliminators.
 
-`labels` substitutes each branch body into its branch wrapper, reducing
-where a substituted lambda lands at the head of an application, and
+`labels` builds each branch wrapper, its lambdas and splits, in the walk
+that binds the branch's variables, puts it around the branch body, and
 builds the eliminator around the branches. The reference is the
 redex-building construction in `oracles.py`: the new definiens must
 re-check, introduce no lambda-headed application, and have the
@@ -50,8 +50,8 @@ def audited(ewm):
     def run(ctx, kind, scrut_name, goal):
         res = ewm(ctx, kind, scrut_name, goal)
         for sg in res.subgoals:
-            def wrap(outer, body, real=sg.wrap):
-                out = real(outer, body)
+            def wrap(body, real=sg.wrap):
+                out = real(body)
                 assert lam_redexes(out) == lam_redexes(body), "wrap built a redex"
                 return out
 
@@ -172,16 +172,23 @@ def test_nested_by_programs_agree_with_the_redex_construction(monkeypatch, prelu
     assert lam_redexes(new) == 0 < lam_redexes(old)
 
 
-def test_instantiate_reduces_substituted_heads_only():
-    lam = T.Lam("x", None, T.Pair(T.Var(0), T.Var(1)))
-    # \y. b y (with b := lam) reduces; the redex already in the body stays
-    redex = T.App(T.Lam("z", None, T.Var(0)), T.Var(2))
-    t = T.Lam("y", None, T.Pair(T.App(T.Var(1), T.Var(0)), redex))
-    want = T.Pair(T.Pair(T.Var(0), T.Var(1)), T.App(T.Lam("z", None, T.Var(0)), T.Var(1)))
-    assert T.instantiate(t, [lam]) == T.Lam("y", None, want)
-    # hereditary: a lambda argument that lands at a head reduces in turn
-    apply_to_void = T.Lam("f", None, T.App(T.Var(0), T.Void()))
-    assert T.instantiate(T.App(T.Var(1), T.Var(0)), [apply_to_void, lam]) == T.Pair(T.Void(), T.Var(0))
-    # the arguments of b0, b1 are Var(1), Var(0); other variables move down
-    t = T.Pair(T.Var(0), T.Pair(T.Var(1), T.Var(5)))
-    assert T.instantiate(t, [T.Unit(), T.Void()]) == T.Pair(T.Void(), T.Pair(T.Unit(), T.Var(3)))
+SIZE = (
+    "let size (t : Tree Nat) : Nat where\n"
+    "  size t by rec t {\n"
+    "    size leaf => zero\n"
+    "    size (node l a r) => suc (plus (size l) (plus a (size r)))\n"
+    "  }\n"
+)
+
+
+def test_rec_after_a_product_agrees_with_the_redex_construction(monkeypatch):
+    # in `node (l) (a) (r)` a field follows the recursive `l`, so the split
+    # of the rest of the payload is applied to the second component of the
+    # product's hypothesis
+    sess = load_session("nat_tree_vec.idt")
+    sess.load_text(PLUS.format(k=""))
+    (decl,) = S.parse_file(SIZE)
+    new, old = assert_agrees_with_oracle(monkeypatch, sess.ctx, decl)
+    assert lam_redexes(new) == 0 < lam_redexes(old)
+    sess.process_decl(decl)
+    assert sess.eval_expr("size (node (node leaf 3 leaf) 2 leaf)") == "7"

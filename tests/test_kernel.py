@@ -2,7 +2,7 @@
 
 import pytest
 
-from conftest import enum, tup, num_term, load_session
+from conftest import context_valid, enum, tup, num_term, load_session
 from generators import TermGen
 
 from idt import kernel as K
@@ -185,7 +185,7 @@ def test_good_corpus_raises_no_kernel_error(monkeypatch):
 
 
 def test_context_validity_preserved(sess):
-    assert K.context_valid(sess.ctx)
+    assert context_valid(sess.ctx)
 
 
 def test_context_duplicate_names_rejected_by_session():

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from conftest import enum, tup, switch_fam, load_session, num_term
+from conftest import context_valid, enum, tup, switch_fam, load_session, num_term
 
 from idt import kernel as K
 from idt import labels as L
@@ -246,8 +246,8 @@ def test_ewm_assembled_checks_at_goal(sess):
 
             body = T.LRet(num_term(0))
         else:
-            body = T.LRet(V.quote(sg.arg_slots[0].proj, inner.depth))
-        branches.append(sg.wrap(ctx, body))
+            body = T.LRet(T.Var(inner.lookup("x")[0]))  # the predecessor
+        branches.append(sg.wrap(body))
     out = res.assemble(branches)
     K.check(ctx, out, goal)
 
@@ -281,7 +281,7 @@ def test_nested_by_blocks_in_programs(sess):
         for b in range(3):
             want = "'true" if a == b == 0 else "'false"
             assert s.eval_expr(f"bothZero {a} {b}") == want
-    assert K.context_valid(s.ctx)
+    assert context_valid(s.ctx)
 
 
 def test_unjustified_recursive_call_rejected(sess):
@@ -314,4 +314,4 @@ def test_program_case_on_enum_argument(sess):
     )
     assert s.eval_expr("toNat true") == "1"
     assert s.eval_expr("toNat false") == "0"
-    assert K.context_valid(s.ctx)
+    assert context_valid(s.ctx)

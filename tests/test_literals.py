@@ -6,7 +6,7 @@ import os
 
 import pytest
 
-from conftest import CORPUS, load_session
+from conftest import CORPUS, elab_check, elab_synth, load_session
 
 from idt import kernel as K
 from idt import labels as L
@@ -15,7 +15,7 @@ from idt import surface as S
 from idt import terms as T
 from idt import values as V
 from idt.cli import run_check
-from idt.elab import ElabError, elab_check, elab_synth
+from idt.elab import ElabError
 
 
 @pytest.fixture(scope="module")

@@ -6,7 +6,7 @@ import os
 
 import pytest
 
-from conftest import CORPUS, load_session, read_corpus
+from conftest import CORPUS, context_valid, load_session, read_corpus
 
 from idt import kernel as K
 from idt import labels as L
@@ -131,7 +131,7 @@ def test_rec_over_an_alias(naming_oracle):
         "  }\n"
     )
     assert sess.eval_expr("double 3") == "6"
-    assert K.context_valid(sess.ctx)
+    assert context_valid(sess.ctx)
     assert naming_oracle
 
 
@@ -159,7 +159,7 @@ def test_parameterised_datatypes_unfold(naming_oracle):
     )
     assert full.eval_expr("size Nat (node leaf 1 (node leaf 2 leaf))") == "2"
     assert full.eval_expr("pair Bool true false") == "In (#1 1 #0 In (#1 0 #1 In (#0 refl) refl) refl)"
-    assert K.context_valid(full.ctx)
+    assert context_valid(full.ctx)
 
 
 def test_a_defined_instance_names_only_itself(naming_oracle):
@@ -181,7 +181,7 @@ def test_a_defined_instance_names_only_itself(naming_oracle):
         "In (#1 In (#1 0 #1 0) #0 0)"
     )
     assert sess.eval_expr("grow leaf") == "In (#1 0 0 0)"
-    assert K.context_valid(sess.ctx)
+    assert context_valid(sess.ctx)
     assert naming_oracle
 
 
