@@ -432,6 +432,9 @@ def _run(ns) -> int:
         # internal limits, not errors in the program: exit 3
         print(_report("idt", "input nested too deeply for the Python stack"))
         return 3
+    except MemoryError:
+        print(_report("idt", "out of memory"))
+        return 3
     except V.EvalError as e:
         print(_report("idt", f"internal evaluation error: {e}"))
         return 3

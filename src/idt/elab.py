@@ -9,7 +9,9 @@ decimal numerals.
 Checking hands back, beside the core term, its value when it was built from
 the values of its parts (constructors, tuples, tag indices, `refl`), so a
 dependent codomain is instantiated without evaluating the finished argument
-again: a numeral of size n elaborates in O(n).
+again: a constructor literal of size n elaborates in O(n). A numeral against
+a datatype shaped like `Nat` skips the constructor rule: one loop builds its
+term and value bottom-up, equal to what the rule gives `suc (… zero)`.
 
 The elaborator keeps one stack of the goals in progress, each a judgment
 whose text is formatted only when it is read. A goal pushed with a rule
@@ -21,6 +23,7 @@ what `--emit-trace` prints.
 
 from __future__ import annotations
 
+import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Optional
@@ -303,10 +306,7 @@ class Elaborator:
                 return T.Tag(e.name), None
             self.err("CheckMismatch", e.span, f"tag against {self._type_str(ctx, want)}")
         if isinstance(e, S.ENum):
-            expanded: S.ExtTerm = S.EVar("zero", span=e.span)
-            for _ in range(e.value):
-                expanded = S.EApp(S.EVar("suc", span=e.span), expanded, span=e.span)
-            return self._check(ctx, expanded, want)
+            return self._numeral(ctx, e, want)
         if isinstance(e, S.ERefl):
             if isinstance(want, V.VEq):
                 if K.conv(ctx, want.lhs, want.rhs):
@@ -380,6 +380,31 @@ class Elaborator:
         body = T.Switch(T.shift(enum_t, 1), T.shift(fam_t, 1), T.shift(cases_t, 1), T.Var(0))
         return T.Lam("e", T.EnumT(enum_t), body)
 
+    def _numeral(self, ctx: Context, e: S.ENum, want: Value) -> Checked:
+        """A decimal literal `n`, which means `suc (… zero)` with `n` `suc`s.
+
+        Against a datatype at index type `Unit` whose `zero` code is `'1` and
+        whose `suc` code is `'varI () '* '1`, the term and its value are
+        built bottom-up in one loop; they equal what the constructor rule
+        gives the expansion. With `zero` or `suc` bound or being defined, or
+        against any other fix-point, the expansion is elaborated, errors
+        included."""
+        if e.value > sys.getrecursionlimit():
+            # the kernel's check and the evaluator recurse at least once per
+            # level, so such a literal cannot get through
+            raise RecursionError(f"numeral {e.value} is deeper than the Python stack")
+        if ctx.lookup("zero") is None and ctx.lookup("suc") is None and self.active not in ("zero", "suc"):
+            paths = _nat_paths(want)
+            if paths is not None:
+                return _build_numeral(e.value, *paths)
+            # a Sigma keeps the expansion: its tuple reading may succeed
+            if not isinstance(want, (V.VIMu, V.VSigma)):
+                self.err("CheckMismatch", e.span, f"numeral against {self._type_str(ctx, want)}")
+        expanded: S.ExtTerm = S.EVar("zero", span=e.span)
+        for _ in range(e.value):
+            expanded = S.EApp(S.EVar("suc", span=e.span), expanded, span=e.span)
+        return self._check(ctx, expanded, want)
+
     def _tuple(self, ctx: Context, e, items: list, want: Value) -> Checked:
         if isinstance(want, V.VUnit):
             if not items:
@@ -431,9 +456,7 @@ class Elaborator:
         path, final_code = found
         payload_want = V.vinterp_i(final_code, V.imu_family(want.ixty, want.fam))
         args_t, args_v = self._ctor_args(ctx, e, list(args), payload_want)
-        for k in reversed(path):
-            args_t, args_v = _pair(*_enum_index(k), args_t, args_v)
-        return T.In(args_t), None if args_v is None else V.VIn(args_v)
+        return _tagged([_enum_index(k) for k in path], args_t, args_v)
 
     def _ctor_args(self, ctx: Context, e, args: list, want: Value) -> Checked:
         if isinstance(want, V.VUnit):
@@ -499,6 +522,48 @@ def _enum_index(k: int) -> Checked:
     for _ in range(k):
         t = T.SucE(t)
     return t, V.make_numeral(k)
+
+
+def _nat_paths(want: Value):
+    """The tag paths of `zero` and `suc` in `want` when it is a datatype at
+    index type `Unit` whose `zero` code is `'1` and whose `suc` code is
+    `'varI () '* '1`, else None."""
+    if not (type(want) is V.VIMu and type(want.ixty) is V.VUnit and type(want.index) is V.VVoid):
+        return None
+    code = V.vapp_ground(want.fam, want.index)
+    zero, suc = _find_constructor(code, "zero", 4), _find_constructor(code, "suc", 4)
+    if zero is None or suc is None or type(zero[1]) is not V.VDOne:
+        return None
+    rec = suc[1]
+    if (
+        type(rec) is V.VDTimes
+        and type(rec.lhs) is V.VDVarI
+        and type(rec.lhs.index) is V.VVoid
+        and type(rec.rhs) is V.VDOne
+    ):
+        return zero[0], suc[0]
+    return None
+
+
+def _build_numeral(n: int, zero_path: list, suc_path: list) -> Checked:
+    """`suc (… zero)` with `n` `suc`s as the constructor rule elaborates it,
+    given the tag paths of the two constructors."""
+    zero_tags = [_enum_index(k) for k in zero_path]
+    suc_tags = [_enum_index(k) for k in suc_path]
+    void_t, void_v = T.Void(), V.VVoid()
+    t, v = _tagged(zero_tags, void_t, void_v)
+    for _ in range(n):
+        t, v = _tagged(suc_tags, T.Pair(t, void_t), V.VPair(v, void_v))
+    return t, v
+
+
+def _tagged(tags: list, args_t: Term, args_v: Optional[Value]) -> Checked:
+    """The constructor behind the tag indices `tags` (outermost first, each
+    as `_enum_index` gives it) applied to the argument tuple `args_t`, whose
+    value is `args_v` or None."""
+    for kt, kv in reversed(tags):
+        args_t, args_v = _pair(kt, kv, args_t, args_v)
+    return T.In(args_t), None if args_v is None else V.VIn(args_v)
 
 
 def _find_constructor(code: Value, name: str, fuel: int):

@@ -20,6 +20,11 @@ reads its variable is remembered on the body term. And `vapp_ground`
 remembers a term closure's value at void or a closed enumeration index on
 the closure itself, so a datatype's code and each constructor's code are
 evaluated once per family, not once per node.
+
+An elimination is evaluated scrutinee first (`switch`, `split`, `EqElim`'s
+proof, a label call's body). Its enumeration, motive or label is evaluated
+only when it is stuck, because iota reduction never reads them; values of
+well-typed terms are those of the eager rules.
 """
 
 from __future__ import annotations
@@ -650,6 +655,41 @@ def eval_term(t: Term, env: tuple) -> Value:
     return rule(t, env)
 
 
+def _eval_switch(t: T.Switch, env: tuple) -> Value:
+    scrut = eval_term(t.scrut, env)
+    cases = eval_term(t.cases, env)
+    k = numeral_of(scrut)
+    if k is None:
+        return vswitch(eval_term(t.enum, env), eval_term(t.fam, env), cases, scrut)
+    for _ in range(k):
+        cases = vsnd(cases)
+    return vfst(cases)
+
+
+def _eval_split(t: T.Split, env: tuple) -> Value:
+    scrut = eval_term(t.scrut, env)
+    if type(scrut) is VPair:
+        return vapps(eval_term(t.method, env), scrut.fst, scrut.snd)
+    return vsplit(eval_term(t.motive, env), eval_term(t.method, env), scrut)
+
+
+def _eval_eqelim(t: T.EqElim, env: tuple) -> Value:
+    proof = eval_term(t.proof, env)
+    if type(proof) is VRefl:
+        return eval_term(t.base, env)
+    return veqelim(eval_term(t.motive, env), eval_term(t.base, env), proof)
+
+
+def _eval_lcall(t: T.LCall, env: tuple) -> Value:
+    body = eval_term(t.body, env)
+    if type(body) is VLRet:
+        return body.val
+    return vlcall(
+        t.head, tuple(eval_term(a, env) for a in t.args), tuple(eval_term(a, env) for a in t.argtys),
+        eval_term(t.ty, env), body,
+    )
+
+
 # keyed on the exact class: a subclass of a term class needs its own rule
 _EVAL_RULES = {
     T.Var: lambda t, env: env[len(env) - 1 - t.ix],
@@ -672,12 +712,10 @@ _EVAL_RULES = {
     T.ZeroE: lambda t, env: VZeroE(),
     T.SucE: lambda t, env: VSucE(eval_term(t.pred, env)),
     T.PiE: lambda t, env: vpie(eval_term(t.enum, env), eval_term(t.fam, env)),
-    T.Switch: lambda t, env: vswitch(
-        eval_term(t.enum, env), eval_term(t.fam, env), eval_term(t.cases, env), eval_term(t.scrut, env)
-    ),
+    T.Switch: _eval_switch,
     T.Eq: lambda t, env: VEq(eval_term(t.ty, env), eval_term(t.lhs, env), eval_term(t.rhs, env)),
     T.Refl: lambda t, env: VRefl(),
-    T.EqElim: lambda t, env: veqelim(eval_term(t.motive, env), eval_term(t.base, env), eval_term(t.proof, env)),
+    T.EqElim: _eval_eqelim,
     T.IDesc: lambda t, env: VIDesc(eval_term(t.index, env)),
     T.DVarI: lambda t, env: VDVarI(eval_term(t.index, env)),
     T.DOne: lambda t, env: VDOne(),
@@ -699,17 +737,14 @@ _EVAL_RULES = {
         eval_term(t.ixty, env), eval_term(t.fam, env), eval_term(t.motive, env),
         eval_term(t.method, env), eval_term(t.index, env), eval_term(t.scrut, env),
     ),
-    T.Split: lambda t, env: vsplit(eval_term(t.motive, env), eval_term(t.method, env), eval_term(t.scrut, env)),
+    T.Split: _eval_split,
     T.DecEqEnum: lambda t, env: vdeceq(eval_term(t.enum, env), eval_term(t.lhs, env), eval_term(t.rhs, env)),
     T.LabelTy: lambda t, env: VLabelTy(
         t.head, tuple(eval_term(a, env) for a in t.args), tuple(eval_term(a, env) for a in t.argtys),
         eval_term(t.ty, env),
     ),
     T.LRet: lambda t, env: VLRet(eval_term(t.val, env)),
-    T.LCall: lambda t, env: vlcall(
-        t.head, tuple(eval_term(a, env) for a in t.args), tuple(eval_term(a, env) for a in t.argtys),
-        eval_term(t.ty, env), eval_term(t.body, env),
-    ),
+    T.LCall: _eval_lcall,
     T.DLabelTy: lambda t, env: VDLabelTy(eval_label(t.label, env)),
     T.DRet: lambda t, env: VDRet(eval_term(t.enum, env), eval_term(t.fam, env)),
     T.DCall: lambda t, env: vdcall(eval_label(t.label, env), eval_term(t.body, env)),

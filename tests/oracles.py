@@ -1,5 +1,9 @@
 """Reference constructions that `src/` replaced, kept as test oracles.
 
+`eager_eliminations` evaluates `switch`, `split`, `EqElim` and label calls
+by the rules the evaluator had before it read their scrutinee first: every
+field is evaluated before the elimination is tried.
+
 `ewm_restricted` is the by-gadget as it was built before it produced
 beta-normal eliminators, with a frozen copy of the branch walk it used
 (`_BranchShape`), so that the reference does not move with `labels`.
@@ -13,6 +17,7 @@ must match.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from typing import Callable, List
 
 from idt import labels as L
@@ -22,6 +27,33 @@ from idt.elab import ElabError
 from idt.kernel import Context
 from idt.terms import Term
 from idt.values import Value
+
+
+def _ev(t: Term, env: tuple) -> Value:
+    return V.eval_term(t, env)
+
+
+EAGER_RULES = {
+    T.Switch: lambda t, env: V.vswitch(_ev(t.enum, env), _ev(t.fam, env), _ev(t.cases, env), _ev(t.scrut, env)),
+    T.EqElim: lambda t, env: V.veqelim(_ev(t.motive, env), _ev(t.base, env), _ev(t.proof, env)),
+    T.Split: lambda t, env: V.vsplit(_ev(t.motive, env), _ev(t.method, env), _ev(t.scrut, env)),
+    T.LCall: lambda t, env: V.vlcall(
+        t.head, tuple(_ev(a, env) for a in t.args), tuple(_ev(a, env) for a in t.argtys),
+        _ev(t.ty, env), _ev(t.body, env),
+    ),
+}
+
+
+@contextmanager
+def eager_eliminations():
+    """Evaluate with `EAGER_RULES` inside the block. Closures evaluate their
+    bodies when applied, so read values back inside the block too."""
+    saved = {kind: V._EVAL_RULES[kind] for kind in EAGER_RULES}
+    V._EVAL_RULES.update(EAGER_RULES)
+    try:
+        yield
+    finally:
+        V._EVAL_RULES.update(saved)
 
 
 def ewm_restricted(ctx: Context, kind: str, scrut_name: str, goal: Value) -> L.EwmResult:

@@ -4,6 +4,7 @@ import io
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -70,12 +71,35 @@ def test_too_deep_input_exit_three():
     assert "Traceback" not in out
 
 
+PRED = "let pred (m : Nat) : Nat where\n  pred m by case m {\n    pred zero => zero\n    pred (suc m') => m'\n  }\n"
+
+
+def test_huge_numeral_is_refused_before_it_is_built(tmp_path):
+    # no literal deeper than the recursion limit gets through the kernel's
+    # check, so it is refused before its billion levels fill the memory
+    p = tmp_path / "pred.idt"
+    p.write_text(PRED)
+    start = time.monotonic()
+    code, out = run_main(["eval", "-e", "pred 1000000000", corpus_path("prelude.idt"), str(p)])
+    assert time.monotonic() - start < 2
+    assert (code, out) == (3, "idt: error: input nested too deeply for the Python stack\n")
+
+
+def test_out_of_memory_exit_three(monkeypatch):
+    def exhausted(self, text):
+        raise MemoryError()
+
+    monkeypatch.setattr(Session, "eval_expr", exhausted)
+    code, out = run_main(["eval", "-e", "zero", corpus_path("prelude.idt")])
+    assert (code, out) == (3, "idt: error: out of memory\n")
+    assert "Traceback" not in out
+
+
 def test_case_analysis_of_a_deep_numeral_does_not_recurse(tmp_path):
     # `pred` drops the hypotheses it never reads, so the stack does not grow
     # with the numeral; building them exhausted the stack here
     p = tmp_path / "pred.idt"
-    p.write_text("let pred (m : Nat) : Nat where\n  pred m by case m {\n"
-                 "    pred zero => zero\n    pred (suc m') => m'\n  }\n")
+    p.write_text(PRED)
     code, out = run_main(["eval", "-e", "pred 2500", corpus_path("prelude.idt"), str(p)])
     assert (code, out) == (0, "2499\n")
 

@@ -246,9 +246,26 @@ def test_error_trail_nonempty(sess):
         assert e.span is not None
 
 
-def test_numeral_sugar_requires_nat_constructors():
-    with pytest.raises(ElabError):
+def test_numeral_sugar_requires_nat_constructors(sess):
+    with pytest.raises(ElabError) as e:
         elab_check(ctx0(), se("2"), V.VUnit())
+    assert e.value.kind == "CheckMismatch"
+    assert e.value.render() == "1:1: CheckMismatch: numeral against Unit\n  while checking 2 against Unit"
+    with pytest.raises(ElabError) as e:
+        elab_synth(sess.ctx, se("(1 : Bool)"))
+    assert e.value.kind == "CheckMismatch"
+    assert e.value.render() == (
+        "1:2: CheckMismatch: numeral against Enum {'true, 'false}\n"
+        "  while checking 1 against Enum {'true, 'false}\n"
+        "  while synthesizing (1 : Bool)"
+    )
+
+
+def test_numeral_against_a_pair_type_keeps_the_tuple_reading():
+    # `1` is `suc zero`, which reads as the pair of two nullary constructors
+    s = load_session()
+    s.load_text("data Foo : Set where\n  Foo => suc\ndata Bar : Set where\n  Bar => zero\n")
+    assert s.eval_expr("(1 : (_ : Foo) * Bar)") == "(0 , 0)"
 
 
 def test_fuzzed_external_terms_soundness(sess):

@@ -15,7 +15,7 @@ from idt import surface as S
 from idt import terms as T
 from idt import values as V
 from idt.cli import run_check
-from idt.elab import ElabError
+from idt.elab import ElabError, Elaborator
 
 
 @pytest.fixture(scope="module")
@@ -127,3 +127,144 @@ def test_error_text_is_unchanged(sess, case):
     trail = e.value.trail
     assert trail and all(isinstance(g, str) for g in trail)
     assert e.value.render() == text
+
+
+# --- numerals built in one loop ----------------------------------------------------
+
+
+def constructor_calls(monkeypatch, f) -> int:
+    real = Elaborator._constructor
+    calls = [0]
+
+    def counting(self, *args):
+        calls[0] += 1
+        return real(self, *args)
+
+    monkeypatch.setattr(Elaborator, "_constructor", counting)
+    f()
+    monkeypatch.setattr(Elaborator, "_constructor", real)
+    return calls[0]
+
+
+def test_numerals_skip_the_constructor_rule(sess, monkeypatch):
+    # the expansion through `suc`/`zero` entered it 162 times here
+    assert constructor_calls(monkeypatch, lambda: sess.synth_expr("plus 80 80")) == 0
+
+
+NAT_SHAPED = (
+    "let N : Set => Nat\n"
+    "data PNat (A : Set) : Set where\n"
+    "  PNat A => zero\n"
+    "  PNat A => suc (n : PNat A)\n"
+    "data TNat : Set where\n"
+    "  TNat => top\n"
+    "  TNat => zero\n"
+    "  TNat => suc (n : TNat)\n"
+)
+
+
+def _expansion(n: int) -> S.ExtTerm:
+    e: S.ExtTerm = S.EVar("zero")
+    for _ in range(n):
+        e = S.EApp(S.EVar("suc"), e)
+    return e
+
+
+@pytest.mark.parametrize("ty", ["Nat", "N", "PNat Bool", "TNat"])
+def test_numeral_loop_equals_the_expansion(monkeypatch, ty):
+    s = load_session("prelude.idt")
+    s.load_text(NAT_SHAPED)
+    _, want, _ = Elaborator().elab_type(s.ctx, S.parse_expr(ty))
+    for n in (0, 1, 2, 3, 12, 64, 199, 200):
+        got: list = []
+        calls = constructor_calls(
+            monkeypatch, lambda: got.append(Elaborator()._check_value(s.ctx, S.ENum(n), want))
+        )
+        assert calls == 0, "the numeral took the expansion"
+        loop = got[0]
+        expanded = Elaborator()._check_value(s.ctx, _expansion(n), want)
+        assert loop == expanded
+        assert repr(loop) == repr(expanded)
+        assert V.convertible(loop[1], expanded[1], s.ctx.depth)
+        assert K.check(s.ctx, loop[0], want) == loop[1]
+
+
+BOUND_SUC = "let suc (n : Nat) : Nat => n\n"
+INAT = (
+    "data INat [n : Nat] : Set where\n"
+    "  INat [n = zero] => zero\n"
+    "  INat [n = suc m] => suc (m : Nat) (k : INat m)\n"
+)
+NAT_INNER = "IMu (\\j1. 'sigma {'zero, 'suc} (\\c1. switch {'zero, 'suc} (\\_. IDesc Unit) ('1 ('varI () '* '1)) c1)) ()"
+INAT_1 = (
+    f"IMu (\\j. 'sigma {{'zero, 'suc}} (\\c. switch {{'zero, 'suc}} (\\_. IDesc (Unit * {NAT_INNER})) "
+    f"('Sigma (snd j == 0) (\\_. '1) 'Sigma ({NAT_INNER}) "
+    "(\\m. 'varI (() , m) '* 'Sigma (snd j == In (#1 m)) (\\_. '1))) c)) (() , 1)"
+)
+
+# inputs the loop refuses: the expansion elaborates them, errors byte for byte
+REFUSED = {
+    "bound_suc": (
+        BOUND_SUC,
+        "(2 : Bool)",
+        f"1:2: CheckMismatch: expected Enum {{'true, 'false}}, got {NAT}\n"
+        "  while checking 2 against Enum {'true, 'false}\n"
+        "  while synthesizing (2 : Bool)",
+    ),
+    "bound_suc_zero": (
+        BOUND_SUC,
+        "(0 : Bool)",
+        "1:2: CannotSynthesize: unbound name 'zero'; a constructor is checking-only, "
+        "annotate with '(e : T)'\n"
+        "  while synthesizing zero\n"
+        "  while checking 0 against Enum {'true, 'false}\n"
+        "  while synthesizing (0 : Bool)",
+    ),
+    "let_suc": (
+        "let suc (n : Nat) : Nat where\n  suc n => 1\n",
+        None,
+        "2:12: NoMatchingHypothesis: recursive call to 'suc' does not match any hypothesis "
+        "in scope (no hypothesis with this arity)\n"
+        "  while synthesizing suc zero\n"
+        f"  while checking 1 against {NAT}\n"
+        f"  while realizing the programming goal <suc n : {NAT}>",
+    ),
+    "let_zero": (
+        "let zero (n : Nat) : Nat where\n  zero n => 2\n",
+        None,
+        "2:13: NoMatchingHypothesis: recursive call to 'zero' does not match any hypothesis "
+        "in scope (no hypothesis with this arity)\n"
+        "  while synthesizing zero\n"
+        f"  while checking zero against {NAT}\n"
+        f"  while checking suc zero against {NAT}\n"
+        f"  while checking 2 against {NAT}\n"
+        f"  while realizing the programming goal <zero n : {NAT}>",
+    ),
+    "indexed": (
+        INAT,
+        "(1 : INat 1)",
+        "1:2: BadTupleArity: constructor is missing arguments\n"
+        f"  while checking 1 against {INAT_1}\n"
+        "  while synthesizing (1 : INat 1)",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED))
+def test_refused_numeral_errors_are_unchanged(case):
+    setup, expr, text = REFUSED[case]
+    s = load_session("prelude.idt")
+    with pytest.raises(ElabError) as e:
+        s.load_text(setup)
+        s.eval_expr(expr)
+    assert e.value.render() == text
+
+
+def test_refused_numerals_elaborate_as_expanded():
+    s = load_session("prelude.idt")
+    s.load_text(BOUND_SUC)
+    # `suc` is the function now, and `zero` still the constructor
+    assert s.eval_expr("(2 : Nat)") == "0"
+    s = load_session("prelude.idt")
+    s.load_text(INAT)
+    assert s.eval_expr("(0 : INat 0)") == "In (#0 refl)"
