@@ -388,7 +388,9 @@ class Elaborator:
         built bottom-up in one loop; they equal what the constructor rule
         gives the expansion. With `zero` or `suc` bound or being defined, or
         against any other fix-point, the expansion is elaborated, errors
-        included."""
+        included. Against a type that is no datatype, with both names free,
+        the numeral is rejected as such. A literal deeper than the recursion
+        limit is refused before anything is built."""
         if e.value > sys.getrecursionlimit():
             # the kernel's check and the evaluator recurse at least once per
             # level, so such a literal cannot get through
