@@ -4,16 +4,18 @@ Case analysis and NoConfusion take a datatype without indices, given as the
 term of an `IMu` at index type `Unit` whose code is a constructor choice
 (such as a registered `Nat`, or `Tree` applied to `Bool`); both are built
 from indexed induction. Case analysis is induction with the hypotheses
-discarded; NoConfusion is specialized per datatype and proved by J plus the
-decidable equality of enumeration indices. The deriving mechanism walks a
-code's membership in the decidable-equality sub-universe and produces a
-comparison procedure.
+discarded. NoConfusion is specialized per datatype: a case analysis of both
+constructor tags states it, and J from the same case analysis on the
+diagonal proves it. Equality of two enumeration indices is decided by
+conversion, with a refutation by transport when they differ. The deriving
+mechanism walks a code's membership in the decidable-equality sub-universe
+and produces a comparison procedure.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable, Optional, Union
 
 from . import desc
 from . import kernel as K
@@ -39,6 +41,14 @@ def _ann_lams(t: Term, anns: list) -> Term:
     return T.Lam(t.nm, anns[0], _ann_lams(t.body, anns[1:]))
 
 
+def _lam(nm: str, body) -> Value:
+    return V.VLam(nm, V.PyClo(body))
+
+
+def _arrow(dom: Value, cod: Value) -> Value:
+    return V.VPi("_", dom, V.PyClo(lambda _v: cod))
+
+
 def _tagged(ctx: Context, ty: Term) -> V.VIMu:
     """The value of `ty`, a datatype without indices whose code is headed by
     a constructor choice."""
@@ -59,15 +69,8 @@ def _tagged(ctx: Context, ty: Term) -> V.VIMu:
 def _eliminate(mu: V.VIMu, p: Value, method, x: Value) -> Value:
     """Induction on `x : mu` into the motive `p` over `mu`, where
     `method(d, h)` gives the result for `In d` from the hypotheses `h`."""
-    motive = V.VLam("q", V.PyClo(lambda q: V.vapp(p, V.vsnd(q))))
-    m = V.VLam(
-        "i",
-        V.PyClo(
-            lambda _i: V.VLam(
-                "d", V.PyClo(lambda d: V.VLam("h", V.PyClo(lambda h, dd=d: method(dd, h))))
-            )
-        ),
-    )
+    motive = _lam("q", lambda q: V.vapp(p, V.vsnd(q)))
+    m = _lam("i", lambda _i: _lam("d", lambda d: _lam("h", lambda h: method(d, h))))
     return V.viinduction(mu.ixty, mu.fam, motive, m, mu.index, x)
 
 
@@ -80,48 +83,13 @@ def derive_case(ctx: Context, ty: Term):
     code = V.vapp(mu.fam, mu.index)
     xfam = V.imu_family(mu.ixty, mu.fam)
 
-    case_v = V.VLam(
-        "P",
-        V.PyClo(
-            lambda p: V.VLam(
-                "m",
-                V.PyClo(
-                    lambda m: V.VLam(
-                        "x", V.PyClo(lambda x: _eliminate(mu, p, lambda dd, _h: V.vapp(m, dd), x))
-                    )
-                ),
-            )
-        ),
-    )
-    p_ty = V.VPi("_", mu, V.PyClo(lambda _v: V.VSet(0)))
-    pn = V.fresh(d)
-
-    def m_ty_of(p: Value) -> Value:
-        return V.VPi(
-            "d", V.vinterp_i(code, xfam), V.PyClo(lambda dd: V.vapp(p, V.VIn(dd)))
-        )
-
-    term = V.quote(case_v, d)
-    anns = [
-        V.quote(p_ty, d),
-        V.quote(m_ty_of(pn), d + 1),
-        V.quote(mu, d + 2),
-    ]
-    term = _ann_lams(term, anns)
-    ty = T.Pi(
-        "P",
-        V.quote(p_ty, d),
-        T.Pi(
-            "m",
-            V.quote(m_ty_of(V.fresh(d)), d + 1),
-            T.Pi(
-                "x",
-                V.quote(mu, d + 2),
-                T.App(T.Var(2), T.Var(0)),
-            ),
-        ),
-    )
-    return term, ty
+    case_v = _lam("P", lambda p: _lam("m", lambda m: _lam(
+        "x", lambda x: _eliminate(mu, p, lambda dd, _h: V.vapp(m, dd), x)
+    )))
+    m_ty = V.VPi("d", V.vinterp_i(code, xfam), V.PyClo(lambda dd: V.vapp(V.fresh(d), V.VIn(dd))))
+    p_t, m_t, mu_t = V.quote(_arrow(mu, V.VSet(0)), d), V.quote(m_ty, d + 1), V.quote(mu, d + 2)
+    term = _ann_lams(V.quote(case_v, d), [p_t, m_t, mu_t])
+    return term, T.Pi("P", p_t, T.Pi("m", m_t, T.Pi("x", mu_t, T.App(T.Var(2), T.Var(0)))))
 
 
 @dataclass(frozen=True)
@@ -154,27 +122,6 @@ class Refusal:
 
 
 Witness = Union[W1, WVar, WTimes, WBranches]
-
-
-def sub_desc(code: Value) -> bool:
-    """Declarative sub-universe predicate: products, finite sums, recursive
-    positions and unit."""
-    if isinstance(code, (V.VDOne, V.VDVarI)):
-        return True
-    if isinstance(code, V.VDTimes):
-        return sub_desc(code.lhs) and sub_desc(code.rhs)
-    if isinstance(code, V.VDSigmaE):
-        view = desc.sigma_view(code)
-        if view is None:
-            return False
-        return all(sub_desc(c) for c in view[1])
-    if isinstance(code, V.VDSigma):
-        dom = code.dom
-        if not (isinstance(dom, V.VEnumT) and V.enum_tags(dom.enum) is not None):
-            return False
-        n = len(V.enum_tags(dom.enum))
-        return all(sub_desc(V.vapp(code.fam, V.make_numeral(k))) for k in range(n))
-    return False
 
 
 def eq_membership(code: Value):
@@ -252,7 +199,6 @@ class DerivableProperty:
     """A user-registrable derivable property over codes."""
 
     name: str
-    sub_desc: Callable[[Value], bool]
     membership: Callable[[Value], object]
     derive: Callable[[Value, object], object]
 
@@ -260,9 +206,7 @@ class DerivableProperty:
 class DerivingRegistry:
     def __init__(self):
         self._props = {}
-        self.register(
-            DerivableProperty("Eq", sub_desc, eq_membership, derive_eq)
-        )
+        self.register(DerivableProperty("Eq", eq_membership, derive_eq))
 
     def register(self, prop: DerivableProperty):
         if prop.name in self._props:
@@ -284,32 +228,52 @@ class DerivingRegistry:
         return prop.derive(code, w)
 
 
+def _set_lam(k: int) -> Value:
+    return _lam("_", lambda _v: V.VSet(k))
+
+
+_EMPTY = V.VEnumT(V.VNilE())
+
+
+def _refutation(enum: Value, pos: int) -> Optional[Value]:
+    """Refutation of `pos == j` for every index j of `enum` other than `pos`:
+    transport along the hypothetical proof the family that is `Unit` at `pos`
+    and empty at every other index."""
+    tags = V.enum_tags(enum)
+    if tags is None:
+        return None
+    cases: Value = V.VVoid()
+    for k in reversed(range(len(tags))):
+        cases = V.VPair(V.VUnit() if k == pos else _EMPTY, cases)
+    motive = _lam("z", lambda z: _lam("q", lambda _q: V.vswitch(enum, _set_lam(0), cases, z)))
+    return _lam("q", lambda q: V.veqelim(motive, V.VVoid(), q))
+
+
 def decide_eq_enum(ctx: Context, enum: Term, x: Term, y: Term):
-    """Run the builtin decision; returns ('equal', proof term) or
-    ('not-equal', refutation term)."""
-    v = ctx.eval(T.DecEqEnum(enum, x, y))
-    if isinstance(v, V.VPair):
-        which = V.numeral_of(v.fst)
-        if which == 0:
-            return "equal", V.quote(v.snd, ctx.depth)
-        if which == 1:
-            return "not-equal", V.quote(v.snd, ctx.depth)
-    raise GenericsError("NotCanonical", "decision did not compute; indices are not canonical")
+    """Decide whether the indices `x` and `y` of `enum` are equal; returns
+    ('equal', proof term) or ('not-equal', refutation term)."""
+    xv, yv = ctx.eval(x), ctx.eval(y)
+    if K.conv(ctx, xv, yv):
+        return "equal", T.Refl()
+    nx, ny = V.numeral_of(xv), V.numeral_of(yv)
+    refut = None if nx is None or ny is None else _refutation(ctx.eval(enum), nx)
+    if refut is None:
+        raise GenericsError("NotCanonical", "decision did not compute; indices are not canonical")
+    return "not-equal", V.quote(refut, ctx.depth)
 
 
 # --- NoConfusion ------------------------------------------------------------------
 
 
-_E2 = V.VConsE(V.VTag("equal"), V.VConsE(V.VTag("not-equal"), V.VNilE()))
-
-
-def _set_lam(k: int) -> Value:
-    return V.VLam("_", V.PyClo(lambda _v: V.VSet(k)))
-
-
 def specialize_no_confusion(ctx: Context, name: str, ty: Term):
     """Specialized NoConfusion statement and proof for a datatype without
     indices, given as the term of a tagged `IMu` at index type `Unit`.
+
+    The statement takes both payloads apart and switches on both tags. Two
+    values with the same constructor give `(P : Set) -> ((ax == ay) -> P) ->
+    P` over their fields `ax` and `ay`, which have one type there; two with
+    different constructors give `(P : Set) -> P`. The proof is J from the
+    diagonal, which the same case analysis proves.
 
     Returns [(entry name, term, type term), ...] where the proof is stated
     in the context already extended with the statement.
@@ -317,143 +281,65 @@ def specialize_no_confusion(ctx: Context, name: str, ty: Term):
     mu = _tagged(ctx, ty)
     d = ctx.depth
     code = V.vapp(mu.fam, mu.index)
-    enum = code.enum
-    tfam = code.fam
+    n = len(V.enum_tags(code.enum))
     xfam = V.imu_family(mu.ixty, mu.fam)
 
     def payload_ty(c: Value) -> Value:
-        return V.vinterp_i(V.vapp(tfam, c), xfam)
+        return V.vinterp_i(V.vapp(code.fam, c), xfam)
 
-    def transport(e: Value, cx: Value, a: Value) -> Value:
-        motive = V.VLam(
-            "c", V.PyClo(lambda c: V.VLam("q", V.PyClo(lambda _q, cc=c: payload_ty(cc))))
-        )
-        return V.veqelim(motive, a, e)
+    def on_tag(dx: Value, result, case) -> Value:
+        """Case analysis of the tag of the payload `dx`, applied to its
+        fields: case k is the function `case(k)` of the fields at tag k, and
+        the motive is `\\c. (a : payload_ty c) -> result(c, a)`."""
+        cases: Value = V.VVoid()
+        for k in reversed(range(n)):
+            cases = V.VPair(case(k), cases)
+        motive = _lam("c", lambda c: V.VPi("a", payload_ty(c), V.PyClo(lambda a: result(c, a))))
+        return V.vapp(V.vswitch(code.enum, motive, cases, V.vfst(dx)), V.vsnd(dx))
+
+    def set1(_c: Value, _a: Value) -> Value:
+        return V.VSet(1)
+
+    def statement(k: int, j: int, ax: Value, ay: Value) -> Value:
+        if k != j:
+            return V.VPi("P", V.VSet(0), V.PyClo(lambda p: p))
+        eq = V.VEq(payload_ty(V.make_numeral(k)), ax, ay)
+        return V.VPi("P", V.VSet(0), V.PyClo(lambda p: _arrow(_arrow(eq, p), p)))
 
     def nc_body(dx: Value, dy: Value) -> Value:
-        cx, ax = V.vfst(dx), V.vsnd(dx)
-        cy, ay = V.vfst(dy), V.vsnd(dy)
-        eq_ty = V.VEq(V.VEnumT(enum), cx, cy)
-        neg = V.VPi("_", eq_ty, V.PyClo(lambda _v: V.VEnumT(V.VNilE())))
-        pay = V.VLam(
-            "b",
-            V.PyClo(
-                lambda b: V.vswitch(_E2, _set_lam(0), V.VPair(eq_ty, V.VPair(neg, V.VVoid())), b)
-            ),
-        )
-        same = V.VLam(
-            "e",
-            V.PyClo(
-                lambda e: V.VPi(
-                    "P",
-                    V.VSet(0),
-                    V.PyClo(
-                        lambda p, ee=e: V.VPi(
-                            "_",
-                            V.VPi(
-                                "_",
-                                V.VEq(payload_ty(cy), transport(ee, cx, ax), ay),
-                                V.PyClo(lambda _v, pp=p: pp),
-                            ),
-                            V.PyClo(lambda _v, pp=p: pp),
-                        )
-                    ),
-                )
-            ),
-        )
-        diff = V.VLam(
-            "n",
-            V.PyClo(lambda _n: V.VPi("P", V.VSet(0), V.PyClo(lambda p: p))),
-        )
-        motive2 = V.VLam(
-            "b", V.PyClo(lambda b: V.VPi("_", V.vapp(pay, b), V.PyClo(lambda _v: V.VSet(1))))
-        )
-        dec = V.vdeceq(enum, cx, cy)
-        return V.vapp(
-            V.vswitch(_E2, motive2, V.VPair(same, V.VPair(diff, V.VVoid())), V.vfst(dec)),
-            V.vsnd(dec),
-        )
+        return on_tag(dx, set1, lambda k: _lam("ax", lambda ax: on_tag(
+            dy, set1, lambda j: _lam("ay", lambda ay: statement(k, j, ax, ay))
+        )))
 
     k1 = _set_lam(1)
-    nc_v = V.VLam(
-        "x",
-        V.PyClo(
-            lambda x: V.VLam(
-                "y",
-                V.PyClo(
-                    lambda y: _eliminate(
-                        mu,
-                        k1,
-                        lambda dx, _h: _eliminate(mu, k1, lambda dy, _h2: nc_body(dx, dy), y),
-                        x,
-                    )
-                ),
-            )
-        ),
-    )
+    nc_v = _lam("x", lambda x: _lam("y", lambda y: _eliminate(
+        mu, k1, lambda dx, _h: _eliminate(mu, k1, lambda dy, _h2: nc_body(dx, dy), y), x
+    )))
     mu_t = V.quote(mu, d)
     stmt = _ann_lams(V.quote(nc_v, d), [mu_t, T.shift(mu_t, 1)])
     stmt_ty = T.Pi("x", mu_t, T.Pi("y", T.shift(mu_t, 1), T.Set_(1)))
-    stmt_name = f"NoConfusion{name}"
 
-    # the proof lives under the statement entry
-    nc_head = V.fresh(d)  # the statement's level once appended
-    d2 = d + 1
+    # the proof lives under the statement entry, whose level is `d`
+    def nc(x: Value, y: Value) -> Value:
+        return V.vapps(V.fresh(d), x, y)
+
+    def nc_diag(c: Value, a: Value) -> Value:
+        return nc(V.VIn(V.VPair(c, a)), V.VIn(V.VPair(c, a)))
+
+    refl_k = _lam("a", lambda _a: _lam("P", lambda _p: _lam("k", lambda kk: V.vapp(kk, V.VRefl()))))
 
     def diag(x: Value) -> Value:
-        motive = V.VLam("x'", V.PyClo(lambda x2: V.vapps(nc_head, x2, x2)))
-        refl_k = V.VLam(
-            "P", V.PyClo(lambda _p: V.VLam("k", V.PyClo(lambda kk: V.vapp(kk, V.VRefl()))))
-        )
-        return _eliminate(mu, motive, lambda _d, _h: refl_k, x)
+        motive = _lam("x'", lambda x2: nc(x2, x2))
+        return _eliminate(mu, motive, lambda dx, _h: on_tag(dx, nc_diag, lambda _k: refl_k), x)
 
-    proof_v = V.VLam(
-        "x",
-        V.PyClo(
-            lambda x: V.VLam(
-                "y",
-                V.PyClo(
-                    lambda y: V.VLam(
-                        "q",
-                        V.PyClo(
-                            lambda q, xx=x, yy=y: V.veqelim(
-                                V.VLam(
-                                    "y'",
-                                    V.PyClo(
-                                        lambda y2: V.VLam(
-                                            "_",
-                                            V.PyClo(
-                                                lambda _q, y3=y2, x3=xx: V.vapps(nc_head, x3, y3)
-                                            ),
-                                        )
-                                    ),
-                                ),
-                                diag(xx),
-                                q,
-                            )
-                        ),
-                    )
-                ),
-            )
-        ),
-    )
-    mu_t2 = V.quote(mu, d2)
-    proof = _ann_lams(
-        V.quote(proof_v, d2),
-        [mu_t2, T.shift(mu_t2, 1), T.Eq(T.shift(mu_t2, 2), T.Var(1), T.Var(0))],
-    )
-    proof_ty = T.Pi(
-        "x",
-        mu_t2,
-        T.Pi(
-            "y",
-            T.shift(mu_t2, 1),
-            T.Pi(
-                "q",
-                T.Eq(T.shift(mu_t2, 2), T.Var(1), T.Var(0)),
-                T.App(T.App(T.Var(3), T.Var(2)), T.Var(1)),
-            ),
-        ),
-    )
-    proof_name = f"noConfusion{name}"
-    return [(stmt_name, stmt, stmt_ty), (proof_name, proof, proof_ty)]
+    def transport(x: Value, q: Value) -> Value:
+        motive = _lam("y'", lambda y2: _lam("_", lambda _q: nc(x, y2)))
+        return V.veqelim(motive, diag(x), q)
+
+    proof_v = _lam("x", lambda x: _lam("y", lambda _y: _lam("q", lambda q: transport(x, q))))
+    mu_t2 = V.quote(mu, d + 1)
+    eq_t = T.Eq(T.shift(mu_t2, 2), T.Var(1), T.Var(0))
+    proof = _ann_lams(V.quote(proof_v, d + 1), [mu_t2, T.shift(mu_t2, 1), eq_t])
+    nc_xy = T.App(T.App(T.Var(3), T.Var(2)), T.Var(1))
+    proof_ty = T.Pi("x", mu_t2, T.Pi("y", T.shift(mu_t2, 1), T.Pi("q", eq_t, nc_xy)))
+    return [(f"NoConfusion{name}", stmt, stmt_ty), (f"noConfusion{name}", proof, proof_ty)]

@@ -256,17 +256,6 @@ def _infer_app(ctx: Context, t: T.App) -> Value:
     return fty.cod(ctx.eval(t.arg) if argv is None else argv)
 
 
-def _infer_pair(ctx: Context, t: T.Pair) -> Value:
-    if t.ann is None:
-        _err("CannotInfer", t, "unannotated pair")
-    nm, fam = t.ann
-    aty = infer(ctx, t.fst)
-    check_is_type(ctx.extend(nm, aty), fam)
-    bty = V.Clo(ctx.env, fam)(ctx.eval(t.fst))
-    check(ctx, t.snd, bty)
-    return V.VSigma(nm, aty, V.Clo(ctx.env, fam))
-
-
 def _infer_pair_type(ctx: Context, t) -> V.VSigma:
     """The type of the pair that `Fst` or `Snd` projects."""
     pty = infer(ctx, t.pair)
@@ -423,14 +412,6 @@ def _infer_split(ctx: Context, t: T.Split) -> Value:
     return V.vapp(pv, ctx.eval(t.scrut))
 
 
-def _infer_deceq(ctx: Context, t: T.DecEqEnum) -> Value:
-    check(ctx, t.enum, V.VEnumU())
-    ev = ctx.eval(t.enum)
-    check(ctx, t.lhs, V.VEnumT(ev))
-    check(ctx, t.rhs, V.VEnumT(ev))
-    return V.vdecidable(V.VEq(V.VEnumT(ev), ctx.eval(t.lhs), ctx.eval(t.rhs)))
-
-
 def _infer_labelty(ctx: Context, t: T.LabelTy) -> Value:
     label_wf(ctx, t.head, t.args, t.argtys)
     _, lvl = infer_sort(ctx, t.ty)
@@ -471,7 +452,7 @@ _INFER_RULES = {
     T.Sigma: _infer_binder,
     T.Lam: _infer_lam,
     T.App: _infer_app,
-    T.Pair: _infer_pair,
+    T.Pair: lambda ctx, t: _err("CannotInfer", t, "unannotated pair"),
     T.Fst: lambda ctx, t: _infer_pair_type(ctx, t).dom,
     T.Snd: lambda ctx, t: _infer_pair_type(ctx, t).cod(V.vfst(ctx.eval(t.pair))),
     T.Unit: lambda ctx, t: V.VSet(0),
@@ -497,7 +478,6 @@ _INFER_RULES = {
     T.In: lambda ctx, t: _err("CannotInfer", t, "constructor form needs a checking type"),
     T.IInduction: _infer_iinduction,
     T.Split: _infer_split,
-    T.DecEqEnum: _infer_deceq,
     T.LabelTy: _infer_labelty,
     T.LRet: lambda ctx, t: _err("CannotInfer", t, "return needs a label type"),
     T.LCall: _infer_lcall,

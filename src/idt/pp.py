@@ -218,9 +218,6 @@ def _pt(t: Term, names: list, prec: int) -> str:
         case T.Split(p, m, x):
             s = " ".join(["split"] + [_pt(u, names, ATOM) for u in (p, m, x)])
             return _paren(s, APP, prec)
-        case T.DecEqEnum(e, l, r):
-            s = " ".join(["decEqEnum"] + [_pt(u, names, ATOM) for u in (e, l, r)])
-            return _paren(s, APP, prec)
         case T.LabelTy(head, args, _, ty):
             spine = " ".join([head] + [_pt(a, names, ATOM) for a in args])
             return f"<{spine} : {_pt(ty, names, ARROW)}>"

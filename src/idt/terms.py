@@ -78,13 +78,6 @@ class Sigma(Term):
 class Pair(Term):
     fst: Term
     snd: Term
-    ann: Optional[tuple] = None  # optional (nm, family-term) annotation
-
-    def __eq__(self, other):
-        return isinstance(other, Pair) and self.fst == other.fst and self.snd == other.snd
-
-    def __hash__(self):
-        return hash(("Pair", self.fst, self.snd))
 
 
 @dataclass(frozen=True)
@@ -294,15 +287,6 @@ class Split(Term):
     scrut: Term
 
 
-@dataclass(frozen=True)
-class DecEqEnum(Term):
-    """Builtin decision of equality of enumeration indices."""
-
-    enum: Term
-    lhs: Term
-    rhs: Term
-
-
 # --- labels -----------------------------------------------------------------
 
 
@@ -388,8 +372,7 @@ class DCall(Term):
 # over it.
 
 # the field of each binding node whose terms sit under one more binder
-# (`Pair.ann` is a (name, family) pair whose family binds)
-_BINDERS = {Pi: "cod", Lam: "body", Sigma: "cod", Pair: "ann"}
+_BINDERS = {Pi: "cod", Lam: "body", Sigma: "cod"}
 
 
 def map_term(t: Term, visit: Callable[[Term, int], Optional[Term]], depth: int = 0) -> Term:
@@ -398,8 +381,8 @@ def map_term(t: Term, visit: Callable[[Term, int], Optional[Term]], depth: int =
     visit(u, d) sees each subterm `u` and its binder depth `d` before the
     children of `u`. A term it returns replaces `u`. When it returns None,
     the children are rebuilt, and a node whose children did not change is
-    kept as is. Children include the terms inside tuples (label spines,
-    `Pair.ann`) and inside description-label entries.
+    kept as is. Children include the terms inside tuples (label spines) and
+    inside description-label entries.
     """
 
     def go(x, d: int):

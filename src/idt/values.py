@@ -534,7 +534,7 @@ def vdcall(label: VDLabel, body: Value) -> Value:
     raise EvalError("description call on non-return")
 
 
-# --- decidable equality of enumeration indices -------------------------------
+# --- enumeration indices -----------------------------------------------------
 
 
 def numeral_of(v: Value) -> Optional[int]:
@@ -560,63 +560,6 @@ def enum_tags(enum: Value) -> Optional[list]:
         out.append(enum.tag.name)
         enum = enum.rest
     return out if isinstance(enum, VNilE) else None
-
-
-def _empty_type() -> Value:
-    return VEnumT(VNilE())
-
-
-def _refutation(enum: Value, pos: int) -> Optional[Value]:
-    """Honest refutation term for two distinct canonical indices: transport a
-    discriminating family along the hypothetical proof."""
-    tags = enum_tags(enum)
-    if tags is None:
-        return None
-    cases: Value = VVoid()
-    for k in reversed(range(len(tags))):
-        cell = VUnit() if k == pos else _empty_type()
-        cases = VPair(cell, cases)
-    setfam = VLam("_", PyClo(lambda _v: VSet(0)))
-    discr = VLam("z", PyClo(lambda z: vswitch(enum, setfam, cases, z)))
-    motive = VLam("z", PyClo(lambda z: VLam("q", PyClo(lambda _q: vapp(discr, z)))))
-    return VLam("q", PyClo(lambda q: veqelim(motive, VVoid(), q)))
-
-
-# Free variables are levels below the depth of their context, and every
-# context is far shallower than this. Readback maps levels to indices
-# injectively and opens binders at levels no value mentions, so two values
-# compare equal at this level exactly when they do at their context's depth.
-_ABOVE_EVERY_CONTEXT = 1 << 60
-
-
-def vdeceq(enum: Value, lhs: Value, rhs: Value) -> Value:
-    if convertible(lhs, rhs, _ABOVE_EVERY_CONTEXT):
-        return VPair(VZeroE(), VRefl())
-    nl, nr = numeral_of(lhs), numeral_of(rhs)
-    if nl is not None and nr is not None and nl != nr:
-        refut = _refutation(enum, nl)
-        if refut is not None:
-            return VPair(VSucE(VZeroE()), refut)
-
-    fields = (enum, lhs, rhs)
-    for at in (1, 2, 0):
-        if isinstance(fields[at], VNeutral):
-            return _stuck(fields[at], T.DecEqEnum, fields, at)
-    for at in (1, 2):
-        inner = _stuck_inner_neutral(fields[at])
-        if inner is not None:
-            return _stuck(inner, T.DecEqEnum, fields, at)
-    raise EvalError("decidable enum equality stuck on canonical input")
-
-
-def vdecidable(prop: Value) -> Value:
-    """The type (prop + (prop -> Empty)) encoded over the {equal,not-equal}
-    enumeration; the type of DecEqEnum results."""
-    e2 = VConsE(VTag("equal"), VConsE(VTag("not-equal"), VNilE()))
-    setfam = VLam("_", PyClo(lambda _v: VSet(0)))
-    neg = VPi("_", prop, PyClo(lambda _v: _empty_type()))
-    cases = VPair(prop, VPair(neg, VVoid()))
-    return VSigma("b", VEnumT(e2), PyClo(lambda b: vswitch(e2, setfam, cases, b)))
 
 
 def vlabel_index_type(label: VDLabel) -> Value:
@@ -738,7 +681,6 @@ _EVAL_RULES = {
         eval_term(t.method, env), eval_term(t.index, env), eval_term(t.scrut, env),
     ),
     T.Split: _eval_split,
-    T.DecEqEnum: lambda t, env: vdeceq(eval_term(t.enum, env), eval_term(t.lhs, env), eval_term(t.rhs, env)),
     T.LabelTy: lambda t, env: VLabelTy(
         t.head, tuple(eval_term(a, env) for a in t.args), tuple(eval_term(a, env) for a in t.argtys),
         eval_term(t.ty, env),
@@ -1053,6 +995,6 @@ _COMPARED = {
     kind: tuple(f.compare for f in dataclasses.fields(kind))
     for kind in (
         T.PiE, T.Switch, T.EqElim, T.InterpIDesc, T.IAllD, T.IAllMap, T.IInduction, T.Split,
-        T.DecEqEnum, T.LCall, T.DCall,
+        T.LCall, T.DCall,
     )
 }

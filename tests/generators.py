@@ -323,9 +323,6 @@ class ConvPairGen:
     def _argtys(self, depth: int, scope: int) -> tuple:
         return tuple(self._one(depth, scope) for _ in range(self.rng.randrange(3)))
 
-    def _pair_ann(self, scope: int):
-        return None if self.rng.random() < 0.5 else (self._name(), self._one(0, scope + 1))
-
     def _label(self, kinds: list, tms: list, var: T.Term, scope: int) -> T.DLabel:
         """A description label; entry types are drawn afresh for each side."""
         out = []
@@ -427,7 +424,7 @@ class ConvPairGen:
         if form == 3:
             return self._node(lambda k: T.App(T.Lam(self._name(), None, k[0]), k[1]), d, s + 1, s)
         if form == 4:
-            return self._node(lambda k: T.Pair(k[0], k[1], self._pair_ann(s)), d, s, s)
+            return self._node(lambda k: T.Pair(k[0], k[1]), d, s, s)
         if form == 5:
             proj = r.choice([T.Fst, T.Snd])
             return proj(v), proj(v)
@@ -442,9 +439,10 @@ class ConvPairGen:
             args, ty = self._args(d, s), self.twin(d, s)
             return tuple(T.LCall("f", args[i], self._argtys(d, s), ty[i], v) for i in (0, 1))
         if form == 10:
-            kids = [self.twin(d, s) for _ in range(3)]
-            kids = [(self._scrut(s, True),) * 2 if r.random() < 0.3 else k for k in kids]
-            return tuple(T.DecEqEnum(*(k[i] for k in kids)) for i in (0, 1))
+            # a stuck switch applied to an argument, as NoConfusion's
+            # case analysis of a tag builds it
+            sw, arg = self._switch(d, s, neutral=True), self.twin(d, s)
+            return T.App(sw[0], arg[0]), T.App(sw[1], arg[1])
         if form == 11:
             return self._node(lambda k: T.IInduction(self._ixty(s), k[0], k[1], k[2], k[3], v), d, s, s, s, s)
         if form == 12:

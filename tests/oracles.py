@@ -13,6 +13,9 @@ Each `rec`/`case` branch over a datatype is an annotated wrapper applied
 to the body function. The annotations let the kernel synthesise those
 redexes; the value of the result is what the beta-normal construction
 must match.
+
+`sub_desc` is the declarative predicate of the decidable-equality
+sub-universe that `generics.eq_membership` decides.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Callable, List
 
+from idt import desc
 from idt import labels as L
 from idt import terms as T
 from idt import values as V
@@ -392,3 +396,24 @@ def _ewm_fix(ctx, kind, scrut_name, scrut_v, sty, motive_at) -> L.EwmResult:
         return V.viinduction(ixty, fam_v, motive_v, method, i0, scrut_v)
 
     return L.EwmResult(subgoals, lambda branches: _apply_annotated(ctx, mk, btys, branches))
+
+
+def sub_desc(code: Value) -> bool:
+    """Declarative sub-universe predicate: products, finite sums, recursive
+    positions and unit."""
+    if isinstance(code, (V.VDOne, V.VDVarI)):
+        return True
+    if isinstance(code, V.VDTimes):
+        return sub_desc(code.lhs) and sub_desc(code.rhs)
+    if isinstance(code, V.VDSigmaE):
+        view = desc.sigma_view(code)
+        if view is None:
+            return False
+        return all(sub_desc(c) for c in view[1])
+    if isinstance(code, V.VDSigma):
+        dom = code.dom
+        if not (isinstance(dom, V.VEnumT) and V.enum_tags(dom.enum) is not None):
+            return False
+        n = len(V.enum_tags(dom.enum))
+        return all(sub_desc(V.vapp(code.fam, V.make_numeral(k))) for k in range(n))
+    return False

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from conftest import CORPUS
 from generators import ConvPairGen
 
+from idt import generics as G
 from idt import kernel as K
 from idt import terms as T
 from idt import values as V
@@ -58,26 +59,40 @@ def test_corpus_conversions_agree_with_readback(conv_oracle, name):
     assert conv_oracle
 
 
-# --- the reflexivity rule of decidable enumeration equality -------------------------
+# --- deciding equality of enumeration indices by conversion ------------------------
 
 
-def stuck_switch(scrut: V.Value) -> V.Value:
-    uid = V.VLam("_", V.PyClo(lambda _v: V.VUId()))
-    return V.vswitch(V.fresh(0), uid, V.fresh(1), scrut)
+def switch_ctx() -> K.Context:
+    """e : EnumU, e2 : EnumU, cs : pi e (\\_. Enum e2), s : Enum e, t : Enum e."""
+    ctx = K.Context().extend("e", V.VEnumU()).extend("e2", V.VEnumU())
+    ctx = ctx.extend("cs", ctx.eval(T.PiE(T.Var(1), T.Lam("_", None, T.EnumT(T.Var(1))))))
+    ctx = ctx.extend("s", ctx.eval(T.EnumT(T.Var(2))))
+    return ctx.extend("t", ctx.eval(T.EnumT(T.Var(3))))
 
 
-def test_deceq_of_a_stuck_switch_with_itself_is_equal():
-    n = stuck_switch(V.fresh(2))
-    assert V.vdeceq(V.fresh(3), n, n) == V.VPair(V.VZeroE(), V.VRefl())
+def stuck_switch(scrut: T.Term) -> T.Term:
+    """`switch e (\\_. Enum e2) cs scrut` in `switch_ctx()`, an index of `e2`."""
+    return T.Switch(T.Var(4), T.Lam("_", None, T.EnumT(T.Var(4))), T.Var(2), scrut)
 
 
-def test_deceq_of_different_stuck_switches_stays_stuck():
-    got = V.vdeceq(V.fresh(3), stuck_switch(V.fresh(2)), stuck_switch(V.fresh(4)))
-    assert isinstance(V.quote(got, 5), T.DecEqEnum)
+def test_decide_eq_of_a_stuck_switch_with_itself_is_equal():
+    ctx = switch_ctx()
+    n = stuck_switch(T.Var(1))
+    assert G.decide_eq_enum(ctx, T.Var(3), n, n) == ("equal", T.Refl())
+    K.check(ctx, T.Refl(), ctx.eval(T.Eq(T.EnumT(T.Var(3)), n, n)))
 
 
-def test_deceq_of_distinct_closed_indices_refutes():
-    enum = V.VConsE(V.VTag("a"), V.VConsE(V.VTag("b"), V.VNilE()))
-    got = V.vdeceq(enum, V.make_numeral(0), V.make_numeral(1))
-    assert isinstance(got, V.VPair) and got.fst == V.make_numeral(1)
-    assert isinstance(got.snd, V.VLam)
+def test_decide_eq_of_different_stuck_switches_is_not_canonical():
+    ctx = switch_ctx()
+    with pytest.raises(G.GenericsError) as e:
+        G.decide_eq_enum(ctx, T.Var(3), stuck_switch(T.Var(1)), stuck_switch(T.Var(0)))
+    assert e.value.kind == "NotCanonical"
+
+
+def test_decide_eq_of_distinct_closed_indices_refutes():
+    ctx = K.Context()
+    enum = T.ConsE(T.Tag("a"), T.ConsE(T.Tag("b"), T.NilE()))
+    x, y = T.ZeroE(), T.SucE(T.ZeroE())
+    kind, refutation = G.decide_eq_enum(ctx, enum, x, y)
+    assert kind == "not-equal"
+    K.check(ctx, refutation, ctx.eval(T.Pi("_", T.Eq(T.EnumT(enum), x, y), T.EnumT(T.NilE()))))

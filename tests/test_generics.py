@@ -21,6 +21,8 @@ from conftest import (
     unit_mu,
 )
 
+from oracles import sub_desc
+
 from idt import generics as G
 from idt import kernel as K
 from idt import surface as S
@@ -452,23 +454,54 @@ def test_session_case_kernel_checks_and_agrees_with_induction(index_free):
         assert V.quote(got, d) == V.quote(want, d) == V.quote(x.payload, d), name
 
 
-def test_session_no_confusion_kernel_checks_and_separates_constructors(index_free):
-    name, ctx, applied = index_free
+def check_no_confusion(name: str, ctx, applied: V.VIMu, n_ctors: int):
+    """Kernel-check NoConfusion for `applied` and check that its statement
+    separates constructors over `imu_inhabitants`: `(P : Set) -> P` for
+    different ones, and an equation of the two payloads' fields, with no
+    transport, for the same one."""
     entries = G.specialize_no_confusion(ctx, name, V.quote(applied, ctx.depth))
     assert [nm for nm, _, _ in entries] == [f"NoConfusion{name}", f"noConfusion{name}"]
     ctx = extend_with(ctx, entries)
-    xs = imu_inhabitants(applied, 2, ctx)
-    tags = {V.numeral_of(V.vfst(x.payload)) for x in xs}
-    assert len(tags) > 1, name
+    xs = imu_inhabitants(applied, 2, ctx)[:8]
+
+    def tag(x):
+        return V.numeral_of(V.vfst(x.payload))
+
+    assert {tag(x) for x in xs} == set(range(n_ctors)), name
     bottom = T.Pi("P", T.Set_(0), T.Var(0))
-    for a, b in itertools.product(xs[:8], xs[:8]):
+    for a, b in itertools.product(xs, xs):
         at, bt = V.quote(a, ctx.depth), V.quote(b, ctx.depth)
         nf = K.normalize(ctx, T.App(T.App(T.Var(1), at), bt))
-        distinct = V.numeral_of(V.vfst(a.payload)) != V.numeral_of(V.vfst(b.payload))
+        distinct = tag(a) != tag(b)
         assert (nf == bottom) == distinct, name
         if not distinct:
             # Pi P. (payload == payload -> P) -> P
-            assert isinstance(nf.cod.dom, T.Pi) and isinstance(nf.cod.dom.dom, T.Eq), name
+            eq = nf.cod.dom.dom
+            assert isinstance(nf.cod.dom, T.Pi) and isinstance(eq, T.Eq), name
+            assert (eq.lhs, eq.rhs) == (at.payload.snd, bt.payload.snd), name
+
+
+def test_session_no_confusion_kernel_checks_and_separates_constructors(index_free):
+    check_no_confusion(*index_free, n_ctors=2)
+
+
+@pytest.mark.parametrize(
+    "name, n_ctors, decl",
+    [
+        ("Unary", 1, "data Unary : Set where\n  Unary => wrap (b : Bool) (c : Bool)\n"),
+        (
+            "Three",
+            3,
+            "data Three : Set where\n  Three => lf\n  Three => one (b : Bool)\n"
+            "  Three => two (l : Three) (r : Three)\n",
+        ),
+    ],
+)
+def test_no_confusion_one_and_three_constructors(name, n_ctors, decl):
+    s = load_session("nat_tree_vec.idt")
+    s.load_text("let Bool : Set => Enum {'true, 'false}")
+    s.load_text(decl)
+    check_no_confusion(name, s.ctx, s.datatypes[name].value, n_ctors)
 
 
 # --- decidable enum equality -------------------------------------------------------
@@ -482,29 +515,31 @@ def test_decide_eq_enum_examples():
     assert kind == "not-equal"
 
 
+def bare_index(k: int) -> T.Term:
+    x = T.ZeroE()
+    for _ in range(k):
+        x = T.SucE(x)
+    return x
+
+
 def test_decide_eq_enum_brute_force_agreement():
     # agreement with numeral comparison for all pairs in enums of size <= 6
     for n in range(1, 7):
         e = enum(*[f"t{i}" for i in range(n)])
         for i in range(n):
             for j in range(n):
-                x = T.ZeroE()
-                for _ in range(i):
-                    x = T.SucE(x)
-                y = T.ZeroE()
-                for _ in range(j):
-                    y = T.SucE(y)
-                kind, _ = G.decide_eq_enum(ctx0(), e, x, y)
+                kind, _ = G.decide_eq_enum(ctx0(), e, bare_index(i), bare_index(j))
                 assert kind == ("equal" if i == j else "not-equal")
 
 
 def test_decide_eq_refutation_kernel_checks():
     e = enum("a", "b", "c")
     ctx = ctx0()
-    v = ctx.eval(T.DecEqEnum(e, T.ZeroE(), T.SucE(T.ZeroE())))
-    assert isinstance(v, V.VPair)
-    ty = K.infer(ctx, T.DecEqEnum(e, T.ZeroE(), T.SucE(T.ZeroE())))
-    K.check(ctx, V.quote(v, 0), ty)
+    for i, j in itertools.permutations(range(3), 2):
+        x, y = bare_index(i), bare_index(j)
+        kind, refutation = G.decide_eq_enum(ctx, e, x, y)
+        assert kind == "not-equal"
+        K.check(ctx, refutation, ctx.eval(T.Pi("_", T.Eq(T.EnumT(e), x, y), T.EnumT(T.NilE()))))
 
 
 # --- membership and deriveEq --------------------------------------------------------
@@ -559,7 +594,7 @@ def small_codes(depth):
 def test_membership_agrees_with_sub_desc_predicate():
     for code in small_codes(2):
         w = G.eq_membership(code)
-        assert (not isinstance(w, G.Refusal)) == G.sub_desc(code)
+        assert (not isinstance(w, G.Refusal)) == sub_desc(code)
 
 
 def test_derive_eq_nat_exhaustive(sess):
@@ -648,13 +683,10 @@ def test_registry_dispatch_and_errors():
         reg.get("Unknown")
     assert e.value.kind == "UnknownProperty"
     with pytest.raises(G.GenericsError) as e:
-        reg.register(G.DerivableProperty("Eq", G.sub_desc, G.eq_membership, G.derive_eq))
+        reg.register(G.DerivableProperty("Eq", G.eq_membership, G.derive_eq))
     assert e.value.kind == "DuplicateProperty"
 
     # a fresh property: size counting, trivially derivable everywhere
-    def always(code):
-        return True
-
     def member(code):
         return ("ok",)
 
@@ -664,7 +696,7 @@ def test_registry_dispatch_and_errors():
 
         return size
 
-    reg.register(G.DerivableProperty("Size", always, member, derive))
+    reg.register(G.DerivableProperty("Size", member, derive))
     proc = reg.derive_for("Size", V.VDOne())
     assert proc(V.VVoid()) == 1
 

@@ -86,11 +86,10 @@ def test_abstract_variable_is_variable_abstraction(t, k):
 
 
 def test_map_term_binder_depths_and_unchanged_nodes():
-    # `Pair.ann`'s family binds, label entries do not; a visit that changes
-    # nothing keeps every node as is
+    # label entries do not bind; a visit that changes nothing keeps every
+    # node as is
     fam = T.Lam("x", None, T.App(T.Var(0), T.Var(1)))
-    t = T.Pair(T.Var(0), T.Var(1), ("x", T.App(T.Var(0), T.Var(1))))
-    assert T.shift(t, 1).ann[1] == T.App(T.Var(0), T.Var(2))
+    t = T.Pair(T.Var(0), T.Var(1))
     assert T.shift(t, 1) == T.Pair(T.Var(1), T.Var(2))
     lbl = T.DLabelTy(T.DLabel("D", (T.LParam(T.Var(0), T.Set_(0)), T.LIndex(fam, T.Var(2)))))
     shifted = T.shift(lbl, 1)
