@@ -227,10 +227,9 @@ def _bind_refined(ctx: Context, ctor: str, vars_: tuple, val: Value, tyv: Value,
 
 
 class DataElab:
-    def __init__(self, el: Elaborator, self_level: int, instrument: bool = False):
+    def __init__(self, el: Elaborator, self_level: int):
         self.el = el
         self.self_level = self_level  # context level of the opaque self binding
-        self.instrument = instrument  # assert the per-judgment typing lemmas
 
     def _self_index(self, ctx: Context) -> int:
         return ctx.depth - 1 - self.self_level
@@ -271,16 +270,7 @@ class DataElab:
                 tag_codes.append((tag, code))
             if by_clause is not None:
                 tag_codes.append(self._elab_by(ctx, by_clause, label, depth))
-            out = self._assemble_ret(ctx, label, tag_codes)
-            if self.instrument and not any(
-                isinstance(e, EConstr) for e in label.entries
-            ):
-                K.check(
-                    ctx,
-                    out,
-                    V.VDLabelTy(V.eval_label(label.kernel_label(ctx, self.el), ctx.env)),
-                )
-            return out
+            return self._assemble_ret(ctx, label, tag_codes)
 
     def _assemble_ret(self, ctx: Context, label: ELabel, tag_codes: list) -> Term:
         enum_t: Term = T.NilE()
@@ -387,18 +377,12 @@ class DataElab:
                 )
             self._positivity(ctx, tyt, _span(tye))
             rest = self.elab_args(ctx.extend(nm, tyv), rest_args, label.shift(1))
-        out = T.DSigma(tyt, T.Lam(nm, tyt, rest))
-        if self.instrument:
-            K.check(ctx, out, V.VIDesc(label.index_type_value(ctx)))
-        return out
+        return T.DSigma(tyt, T.Lam(nm, tyt, rest))
 
     # trailing equality codes for the label's constraints
     def elab_constraints(self, ctx: Context, label: ELabel) -> Term:
         with self.el.goal(lambda: label.describe(ctx), "ElabEqs"):
-            out = self._eqs(ctx, list(label.entries))
-            if self.instrument:
-                K.check(ctx, out, V.VIDesc(label.index_type_value(ctx)))
-            return out
+            return self._eqs(ctx, list(label.entries))
 
     def _eqs(self, ctx: Context, entries: list) -> Term:
         if not entries:
@@ -441,8 +425,6 @@ class DataElab:
                     at_ = self.el.check(ctx, arg, tyv)
                     self._positivity(ctx, at_, _span(arg))
                     is_tm = T.Pair(is_tm, at_)
-            if self.instrument:
-                K.check(ctx, is_tm, label.index_type_value(ctx))
             return is_tm
 
 
@@ -472,7 +454,7 @@ def _pi_spine(e: S.ExtTerm):
 # --- whole declarations -----------------------------------------------------------
 
 
-def elab_data(ctx: Context, decl: S.DataDecl, trace: bool = False, instrument: bool = False) -> DataResult:
+def elab_data(ctx: Context, decl: S.DataDecl, trace: bool = False) -> DataResult:
     el = Elaborator(trace)
     if ctx.lookup(decl.name) is not None:
         raise ElabError("DuplicateName", decl.span, f"'{decl.name}' is already defined")
@@ -543,7 +525,7 @@ def elab_data(ctx: Context, decl: S.DataDecl, trace: bool = False, instrument: b
             entries.append(T.LIndex(T.Var(ix), ty_t))
         label = ELabel(decl.name, tuple(entries))
 
-        de = DataElab(el, n0, instrument=instrument)
+        de = DataElab(el, n0)
         code = de.elab_data_patts(tel_ctx, decl.clauses, label)
 
         # collect constructor tags for the registry

@@ -177,7 +177,6 @@ class EParen(ExtTerm):
     """The empty tuple '()'. Non-empty parentheses are pure grouping; the
     tuple reading of an application spine is type-directed."""
 
-    inner: Optional[ExtTerm]
     span: Span = _span_field()
 
 
@@ -534,7 +533,7 @@ class Parser:
             self.next()
             if self.at_punct(")"):
                 close = self.next()
-                return EParen(None, span=(t.span[0], t.span[1], close.span[2], close.span[3]))
+                return EParen(span=(t.span[0], t.span[1], close.span[2], close.span[3]))
             inner = self.expr()
             if self.at_punct(":"):
                 self.next()
@@ -602,45 +601,35 @@ class Parser:
         t = self.peek()
         raise ParseError(f"expected a declaration, found {t.text!r}", t.span, ["data", "let"])
 
-    def _telescope_parens(self) -> tuple:
+    def _telescope(self, open_: str, close: str) -> tuple:
+        """Binder groups `open_ x y : A close ...` as ((name, type), ...)."""
         out = []
-        while self.at_punct("("):
+        while self.at_punct(open_):
             self.next()
             names = [self.expect_name()]
             while self.peek().kind == "NAME":
                 names.append(self.next())
             self.expect_punct(":")
             ty = self.expr()
-            self.expect_punct(")")
-            for nt in names:
-                out.append((nt.text, ty))
-        return tuple(out)
-
-    def _telescope_brackets(self) -> tuple:
-        out = []
-        while self.at_punct("["):
-            self.next()
-            names = [self.expect_name()]
-            while self.peek().kind == "NAME":
-                names.append(self.next())
-            self.expect_punct(":")
-            ty = self.expr()
-            self.expect_punct("]")
-            for nt in names:
-                out.append((nt.text, ty))
+            self.expect_punct(close)
+            out.extend((nt.text, ty) for nt in names)
         return tuple(out)
 
     def data_decl(self) -> DataDecl:
         kw = self.expect_kw("data")
         name = self.expect_name()
-        params = self._telescope_parens()
-        indices = self._telescope_brackets()
+        params = self._telescope("(", ")")
+        indices = self._telescope("[", "]")
         self.expect_punct(":")
         self.expect_kw("Set")
         self.expect_kw("where")
-        clauses = self._clause_block(top=True)
+        clauses = []
+        while True:
+            self.skip_seps()
+            if self.peek().kind == "EOF" or self.at_kw("data") or self.at_kw("let") or self.at_kw("deriving"):
+                break
+            clauses.append(self.clause())
         deriving = []
-        self.skip_seps()
         while self.at_kw("deriving"):
             self.next()
             deriving.append(self.expect_name().text)
@@ -649,26 +638,28 @@ class Parser:
             name.text, params, indices, tuple(clauses), tuple(deriving), span=kw.span
         )
 
-    def _clause_block(self, top: bool) -> list:
-        clauses = []
-        if not top:
-            self.expect_punct("{")
+    def _by_block(self, item) -> tuple:
+        """`by (case|rec) x { item ; ... }`, from `by`: (kind token, variable
+        token, items)."""
+        self.expect_kw("by")
+        kindt = self.peek()
+        if kindt.kind == "KW" and kindt.text in ("case", "rec"):
+            self.next()
+        else:
+            raise ParseError("expected 'case' or 'rec'", kindt.span, ["case", "rec"])
+        var = self.expect_name()
+        items = []
+        self.expect_punct("{")
         while True:
             self.skip_seps()
-            if top:
-                t = self.peek()
-                if t.kind == "EOF" or self.at_kw("data") or self.at_kw("let") or self.at_kw("deriving"):
-                    break
-            else:
-                if self.at_punct("}"):
-                    self.next()
-                    break
-            clauses.append(self.clause())
-            if not top:
-                self.skip_seps()
-                if self.at_punct(";"):
-                    self.next()
-        return clauses
+            if self.at_punct("}"):
+                self.next()
+                break
+            items.append(item())
+            self.skip_seps()
+            if self.at_punct(";"):
+                self.next()
+        return kindt, var, tuple(items)
 
     def clause(self) -> Clause:
         head = self.head_pattern()
@@ -677,15 +668,8 @@ class Parser:
             ctor = self.ctor_decl()
             return Clause(head, ctor, None, span=head.span)
         if self.at_kw("by"):
-            self.next()
-            kindt = self.peek()
-            if kindt.kind == "KW" and kindt.text in ("case", "rec"):
-                self.next()
-            else:
-                raise ParseError("expected 'case' or 'rec'", kindt.span, ["case", "rec"])
-            var = self.expect_name()
-            subs = self._clause_block(top=False)
-            return Clause(head, None, ByBlock(kindt.text, var.text, tuple(subs), span=kindt.span), span=head.span)
+            kindt, var, subs = self._by_block(self.clause)
+            return Clause(head, None, ByBlock(kindt.text, var.text, subs, span=kindt.span), span=head.span)
         t = self.peek()
         raise ParseError(f"expected '=>' or 'by' in clause, found {t.text!r}", t.span, ["=>", "by"])
 
@@ -720,23 +704,12 @@ class Parser:
 
     def ctor_decl(self) -> CtorDecl:
         name = self.expect_name()
-        args = []
-        while self.at_punct("("):
-            self.next()
-            names = [self.expect_name()]
-            while self.peek().kind == "NAME":
-                names.append(self.next())
-            self.expect_punct(":")
-            ty = self.expr()
-            self.expect_punct(")")
-            for nt in names:
-                args.append((nt.text, ty))
-        return CtorDecl(name.text, tuple(args), span=name.span)
+        return CtorDecl(name.text, self._telescope("(", ")"), span=name.span)
 
     def let_decl(self) -> LetDecl:
         kw = self.expect_kw("let")
         name = self.expect_name()
-        params = self._telescope_parens()
+        params = self._telescope("(", ")")
         self.expect_punct(":")
         ret = self.expr()
         if self.at_punct("=>"):
@@ -756,25 +729,8 @@ class Parser:
             body = self.expr()
             return PReturn(head, body, span=head.span)
         if self.at_kw("by"):
-            self.next()
-            kindt = self.peek()
-            if kindt.kind == "KW" and kindt.text in ("case", "rec"):
-                self.next()
-            else:
-                raise ParseError("expected 'case' or 'rec'", kindt.span, ["case", "rec"])
-            var = self.expect_name()
-            progs = []
-            self.expect_punct("{")
-            while True:
-                self.skip_seps()
-                if self.at_punct("}"):
-                    self.next()
-                    break
-                progs.append(self.program())
-                self.skip_seps()
-                if self.at_punct(";"):
-                    self.next()
-            return PBy(head, kindt.text, var.text, tuple(progs), span=head.span)
+            kindt, var, progs = self._by_block(self.program)
+            return PBy(head, kindt.text, var.text, progs, span=head.span)
         t = self.peek()
         raise ParseError(f"expected '=>' or 'by' in program, found {t.text!r}", t.span, ["=>", "by"])
 
@@ -838,7 +794,7 @@ def _p(e: ExtTerm, prec: int) -> str:
     if isinstance(e, ERefl):
         return "refl"
     if isinstance(e, EParen):
-        return "()" if e.inner is None else f"({_p(e.inner, _ARROW)})"
+        return "()"
     if isinstance(e, EAnn):
         return f"({_p(e.expr, _ARROW)} : {_p(e.ty, _ARROW)})"
     if isinstance(e, EApp):
@@ -874,69 +830,3 @@ def _p(e: ExtTerm, prec: int) -> str:
 
 def print_expr(e: ExtTerm) -> str:
     return _p(e, _ARROW)
-
-
-def _print_tele_parens(tele: tuple) -> str:
-    return "".join(f" ({nm} : {_p(ty, _ARROW)})" for nm, ty in tele)
-
-
-def _print_head(h: HeadPattern) -> str:
-    parts = [h.name]
-    for a in h.args:
-        if isinstance(a, PVar):
-            parts.append(a.name)
-        else:
-            p = a.pat
-            if isinstance(p, IVar):
-                parts.append(f"[{p.name}]")
-            elif isinstance(p, IConstraint):
-                parts.append(f"[{p.name} = {_p(p.value, _ARROW)}]")
-            else:
-                parts.append("[" + " ".join((p.ctor,) + p.vars) + "]")
-    return " ".join(parts)
-
-
-def _print_clause(c: Clause, indent: int) -> str:
-    pad = " " * indent
-    head = _print_head(c.head)
-    if c.ctor is not None:
-        args = "".join(f" ({nm} : {_p(ty, _ARROW)})" for nm, ty in c.ctor.args)
-        return f"{pad}{head} => {c.ctor.name}{args}"
-    b = c.by
-    sub = "\n".join(_print_clause(s, indent + 2) for s in b.clauses)
-    return f"{pad}{head} by {b.kind} {b.var} {{\n{sub}\n{pad}}}"
-
-
-def _print_prog(p: Program, indent: int) -> str:
-    pad = " " * indent
-    parts = [p.head.name]
-    for pat in p.head.pats:
-        if isinstance(pat, ProgPatVar):
-            parts.append(pat.name)
-        else:
-            parts.append("(" + " ".join((pat.ctor,) + pat.vars) + ")")
-    head = " ".join(parts)
-    if isinstance(p, PReturn):
-        return f"{pad}{head} => {_p(p.expr, _ARROW)}"
-    sub = "\n".join(_print_prog(s, indent + 2) for s in p.programs)
-    return f"{pad}{head} by {p.kind} {p.var} {{\n{sub}\n{pad}}}"
-
-
-def print_decl(d: Decl) -> str:
-    if isinstance(d, DataDecl):
-        idx = "".join(f" [{nm} : {_p(ty, _ARROW)}]" for nm, ty in d.indices)
-        lines = [f"data {d.name}{_print_tele_parens(d.params)}{idx} : Set where"]
-        for c in d.clauses:
-            lines.append(_print_clause(c, 2))
-        for prop in d.deriving:
-            lines.append(f"deriving {prop}")
-        return "\n".join(lines)
-    if isinstance(d, LetDecl):
-        lines = [f"let {d.name}{_print_tele_parens(d.params)} : {_p(d.ret, _ARROW)} where"]
-        lines.append(_print_prog(d.prog, 2))
-        return "\n".join(lines)
-    raise TypeError(f"cannot print {type(d).__name__}")
-
-
-def print_file(decls: list) -> str:
-    return "\n\n".join(print_decl(d) for d in decls) + "\n"

@@ -24,6 +24,7 @@ from conftest import (
     switch_fam,
     tup,
 )
+from decl_printer import print_decl, print_file
 from generators import TermGen, gen_data_decl, gen_let_decl
 
 from idt import dataelab as D
@@ -422,12 +423,12 @@ def test_criterion_7_kernel_and_surface_properties():
         with open(corpus_path(f), "r", encoding="utf-8") as fh:
             text = fh.read()
         decls = S.parse_file(text)
-        ok &= S.parse_file(S.print_file(decls)) == decls
+        ok &= S.parse_file(print_file(decls)) == decls
     rng = random.Random(7)
     for k in range(120):
         d = gen_data_decl(rng, f"P{k}")
-        ok &= S.parse_file(S.print_decl(d)) == [d]
+        ok &= S.parse_file(print_decl(d)) == [d]
         p = gen_let_decl(rng, f"p{k}")
-        ok &= S.parse_file(S.print_decl(p)) == [p]
+        ok &= S.parse_file(print_decl(p)) == [p]
 
     report(7, ok, f"kernel normalization idempotence and readback roundtrip on {n} >= 1000 terms; parse/print roundtrips")

@@ -2,6 +2,7 @@
 judgments, positivity, and randomized soundness."""
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -416,17 +417,46 @@ def read_nat():
     return "data Nat : Set where\n  Nat => zero\n  Nat => suc (n : Nat)\n"
 
 
-def test_per_judgment_instrumentation_on_corpus():
-    # with instrumentation on, every ElabArg / ElabEqs / ElabRecArgs /
-    # ElabDataPatts output is kernel-checked at its stated type
+def test_per_judgment_instrumentation_on_corpus(monkeypatch):
+    # every ElabDataPatts / ElabArgs / ElabEqs / ElabRecArgs output is
+    # kernel-checked at its stated type
     from conftest import read_corpus
+
+    ran = Counter()
+
+    def lemma(judgment, stated_type):
+        elaborate = getattr(D.DataElab, judgment)
+
+        def checked(de, ctx, *args):
+            out = elaborate(de, ctx, *args)
+            want = stated_type(de, ctx, *args)
+            if want is not None:
+                K.check(ctx, out, want)
+                ran[judgment] += 1
+            return out
+
+        monkeypatch.setattr(D.DataElab, judgment, checked)
+
+    def desc_of(_de, ctx, *args):
+        return V.VIDesc(args[-1].index_type_value(ctx))
+
+    def label_type(de, ctx, _clauses, label, _depth=0):
+        if any(isinstance(e, D.EConstr) for e in label.entries):
+            return None
+        return V.VDLabelTy(V.eval_label(label.kernel_label(ctx, de.el), ctx.env))
+
+    lemma("elab_data_patts", label_type)
+    lemma("elab_args", desc_of)
+    lemma("elab_constraints", desc_of)
+    lemma("extract_indices", lambda _de, ctx, _args, label, _at: label.index_type_value(ctx))
 
     ctx = K.Context()
     for d in S.parse_file(read_corpus("nat_tree_vec.idt")):
-        res = D.elab_data(ctx, d, instrument=True)
+        res = D.elab_data(ctx, d)
         tyv = K.check_entry_type(ctx, res.ty)
         K.check(ctx, res.definiens, tyv)
         ctx = ctx.extend(res.name, tyv, ctx.eval(res.definiens))
+    assert set(ran) == {"elab_data_patts", "elab_args", "elab_constraints", "extract_indices"}, ran
 
 
 def test_dependent_telescopes(sess):

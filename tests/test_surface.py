@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import read_corpus
+from decl_printer import print_decl, print_file
 
 from idt import surface as S
 
@@ -44,7 +45,7 @@ def test_parse_print_roundtrip_corpus():
     for name in ("prelude.idt", "nat_tree_vec.idt", "bad.idt", "vec_computed.idt"):
         text = read_corpus(name)
         decls = S.parse_file(text)
-        printed = S.print_file(decls)
+        printed = print_file(decls)
         assert S.parse_file(printed) == decls
 
 
@@ -79,6 +80,44 @@ def test_error_has_expected_tokens():
     with pytest.raises(S.ParseError) as err:
         S.parse_file("data Nat Set where")
     assert err.value.expected
+
+
+# malformed `data` and `let` declarations: a missing `case`/`rec` or name
+# after `by`, a missing `{` or `}`, a bad binder group; (input, message,
+# span, expected tokens)
+MALFORMED = [
+    ('data D : Set where\n  D by x { }\n', "expected 'case' or 'rec'", (2, 8, 2, 9), ['case', 'rec']),
+    ('data D : Set where\n  D by\n', "expected 'case' or 'rec'", (2, 7, 2, 7), ['case', 'rec']),
+    ('data D : Set where\n  D by rec\n', "expected a name, found '\\n'", (2, 11, 2, 11), ['NAME']),
+    ('data D : Set where\n  D by case x\n  D => c\n', "expected '{', found '\\n'", (2, 14, 2, 14), ['{']),
+    ('data D : Set where\n  D by case x {\n    D => c\n', "expected a name, found ''", (4, 1, 4, 1), ['NAME']),
+    ('data D : Set where\n  D by case x { D => c ; D by elim y { } }\n', "expected 'case' or 'rec'", (2, 31, 2, 35), ['case', 'rec']),
+    ('data D (A Set) : Set where\n  D A => c\n', "expected ':', found 'Set'", (1, 11, 1, 14), [':']),
+    ('data D (: Set) : Set where\n', "expected a name, found ':'", (1, 9, 1, 10), ['NAME']),
+    ('data D (A : Set : Set where\n', "expected ')', found ':'", (1, 17, 1, 18), [')']),
+    ('data D [n : Nat : Set where\n', "expected ']', found ':'", (1, 17, 1, 18), [']']),
+    ('data D [n Nat] : Set where\n', "expected ':', found ']'", (1, 14, 1, 15), [':']),
+    ('data D : Set where\n  D => c (x : A\n', "expected ')', found ''", (3, 1, 3, 1), [')']),
+    ('data D : Set where\n  D => c (x A)\n', "expected ':', found ')'", (2, 14, 2, 15), [':']),
+    ('data D : Set where\n  D => c [x : A]\n', "expected a name, found '['", (2, 10, 2, 11), ['NAME']),
+    ('let f (n : Nat) : Nat where\n  f n by x { }\n', "expected 'case' or 'rec'", (2, 10, 2, 11), ['case', 'rec']),
+    ('let f (n : Nat) : Nat where\n  f n by\n', "expected 'case' or 'rec'", (2, 9, 2, 9), ['case', 'rec']),
+    ('let f (n : Nat) : Nat where\n  f n by case n\n  f zero => zero\n', "expected '{', found '\\n'", (2, 16, 2, 16), ['{']),
+    ('let f (n : Nat) : Nat where\n  f n by case n {\n    f zero => zero\n', "expected a name, found ''", (4, 1, 4, 1), ['NAME']),
+    ('let f (n : Nat) : Nat where\n  f n by case n { f zero => zero ; f (suc m) by x { } }\n', "expected 'case' or 'rec'", (2, 49, 2, 50), ['case', 'rec']),
+    ('let f (n Nat) : Nat => n\n', "expected ':', found ')'", (1, 13, 1, 14), [':']),
+    ('let f (n : Nat : Nat => n\n', "expected ')', found ':'", (1, 16, 1, 17), [')']),
+    ('let f ( : Nat) : Nat => n\n', "expected a name, found ':'", (1, 9, 1, 10), ['NAME']),
+    ('let f [n : Nat] : Nat => n\n', "expected ':', found '['", (1, 7, 1, 8), [':']),
+]
+
+
+@pytest.mark.parametrize("text, msg, span, expected", MALFORMED)
+def test_malformed_declaration_errors_are_pinned(text, msg, span, expected):
+    with pytest.raises(S.ParseError) as err:
+        S.parse_file(text)
+    assert (err.value.msg, err.value.span, err.value.expected) == (msg, span, expected)
+    assert str(err.value) == f"{span[0]}:{span[1]}: {msg}"
 
 
 def test_duplicate_tags_rejected_at_elaboration():
@@ -141,5 +180,5 @@ def test_data_decl_roundtrip_generated(argspecs):
         ),
         (),
     )
-    printed = S.print_decl(d)
+    printed = print_decl(d)
     assert S.parse_file(printed) == [d]
