@@ -41,14 +41,6 @@ def _ann_lams(t: Term, anns: list) -> Term:
     return T.Lam(t.nm, anns[0], _ann_lams(t.body, anns[1:]))
 
 
-def _lam(nm: str, body) -> Value:
-    return V.VLam(nm, V.PyClo(body))
-
-
-def _arrow(dom: Value, cod: Value) -> Value:
-    return V.VPi("_", dom, V.PyClo(lambda _v: cod))
-
-
 def _tagged(ctx: Context, ty: Term) -> V.VIMu:
     """The value of `ty`, a datatype without indices whose code is headed by
     a constructor choice."""
@@ -69,8 +61,15 @@ def _tagged(ctx: Context, ty: Term) -> V.VIMu:
 def _eliminate(mu: V.VIMu, p: Value, method, x: Value) -> Value:
     """Induction on `x : mu` into the motive `p` over `mu`, where
     `method(d, h)` gives the result for `In d` from the hypotheses `h`."""
-    motive = _lam("q", lambda q: V.vapp(p, V.vsnd(q)))
-    m = _lam("i", lambda _i: _lam("d", lambda d: _lam("h", lambda h: method(d, h))))
+    motive = V.VLam("q", V.PyClo(lambda q: V.vapp(p, V.vsnd(q))))
+    m = V.VLam(
+        "i",
+        V.PyClo(
+            lambda _i: V.VLam(
+                "d", V.PyClo(lambda d: V.VLam("h", V.PyClo(lambda h, dd=d: method(dd, h))))
+            )
+        ),
+    )
     return V.viinduction(mu.ixty, mu.fam, motive, m, mu.index, x)
 
 
@@ -83,13 +82,48 @@ def derive_case(ctx: Context, ty: Term):
     code = V.vapp(mu.fam, mu.index)
     xfam = V.imu_family(mu.ixty, mu.fam)
 
-    case_v = _lam("P", lambda p: _lam("m", lambda m: _lam(
-        "x", lambda x: _eliminate(mu, p, lambda dd, _h: V.vapp(m, dd), x)
-    )))
-    m_ty = V.VPi("d", V.vinterp_i(code, xfam), V.PyClo(lambda dd: V.vapp(V.fresh(d), V.VIn(dd))))
-    p_t, m_t, mu_t = V.quote(_arrow(mu, V.VSet(0)), d), V.quote(m_ty, d + 1), V.quote(mu, d + 2)
-    term = _ann_lams(V.quote(case_v, d), [p_t, m_t, mu_t])
-    return term, T.Pi("P", p_t, T.Pi("m", m_t, T.Pi("x", mu_t, T.App(T.Var(2), T.Var(0)))))
+    case_v = V.VLam(
+        "P",
+        V.PyClo(
+            lambda p: V.VLam(
+                "m",
+                V.PyClo(
+                    lambda m: V.VLam(
+                        "x", V.PyClo(lambda x: _eliminate(mu, p, lambda dd, _h: V.vapp(m, dd), x))
+                    )
+                ),
+            )
+        ),
+    )
+    p_ty = V.VPi("_", mu, V.PyClo(lambda _v: V.VSet(0)))
+    pn = V.fresh(d)
+
+    def m_ty_of(p: Value) -> Value:
+        return V.VPi(
+            "d", V.vinterp_i(code, xfam), V.PyClo(lambda dd: V.vapp(p, V.VIn(dd)))
+        )
+
+    term = V.quote(case_v, d)
+    anns = [
+        V.quote(p_ty, d),
+        V.quote(m_ty_of(pn), d + 1),
+        V.quote(mu, d + 2),
+    ]
+    term = _ann_lams(term, anns)
+    ty = T.Pi(
+        "P",
+        V.quote(p_ty, d),
+        T.Pi(
+            "m",
+            V.quote(m_ty_of(V.fresh(d)), d + 1),
+            T.Pi(
+                "x",
+                V.quote(mu, d + 2),
+                T.App(T.Var(2), T.Var(0)),
+            ),
+        ),
+    )
+    return term, ty
 
 
 @dataclass(frozen=True)
@@ -226,6 +260,14 @@ class DerivingRegistry:
                 "DerivingUnsupported", f"cannot derive {name}: {w.reason}"
             )
         return prop.derive(code, w)
+
+
+def _lam(nm: str, body) -> Value:
+    return V.VLam(nm, V.PyClo(body))
+
+
+def _arrow(dom: Value, cod: Value) -> Value:
+    return V.VPi("_", dom, V.PyClo(lambda _v: cod))
 
 
 def _set_lam(k: int) -> Value:
