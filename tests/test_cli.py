@@ -190,6 +190,40 @@ def test_show_codes_prints_nested_indexed_codes_indexed(tmp_path):
     assert out.splitlines()[-2:] == [want, "checked 1 file(s), context has 6 entries"]
 
 
+BY_LABELS = (
+    "\ndata M (A : Set) (B : Set) [n : Nat] [b : Bool] : Set where\n"
+    "  M A B [n] [b] by case b {\n"
+    "    M A B [n] [true] => mt (a : A)\n"
+    "    M A B [n] [false] => mf (x : B) (k : Nat)\n"
+    "  }\n"
+    "data Q [b : Bool] [n : Nat] : Set where\n"
+    "  Q [b] [n] by rec n {\n"
+    "    Q [b] [zero] => qz\n"
+    "    Q [b] [suc m] => qs (q : Q b m)\n"
+    "  }\n"
+    "data T (e : Enum {}) : Set where\n"
+    "  T e by case e { }\n"
+)
+
+
+def test_show_codes_prints_by_labels_with_parameters_and_indices(tmp_path):
+    # the label of a `by` block prints its parameters in parentheses and its
+    # indices in brackets, in declaration order, in the call and the motives
+    p = tmp_path / "by_labels.idt"
+    p.write_text(read_corpus("prelude.idt") + BY_LABELS, encoding="utf-8")
+    code, out = run_main(["check", "--show-codes", str(p)])
+    assert code == 0
+    with open(os.path.join(GOLDEN, "by_labels.codes.txt"), "r", encoding="utf-8") as f:
+        assert out == f.read()
+    m, q, t = out.splitlines()[1:4]
+    assert m.startswith("M (A) (B) [n] [b] = 'sigma {elim} [elim -> (call <M (A) (B) [n] [b]> (switch ")
+    assert "(\\b1. <M (A) (B) [n] [b1]>)" in m
+    assert q.startswith("Q [b] [n] = 'sigma {elim} [elim -> (call <Q [b] [n]> (iinduction ")
+    assert "(\\p. <Q [b] [snd p]>)" in q
+    assert t == "T (e) = 'sigma {elim} [elim -> (call <T (e)> (switch {} (\\e1. <T (e1)>) () e))]"
+    assert run_main(["elab", str(p)]) == (code, out)
+
+
 def test_determinism_byte_identical():
     outs = []
     for _ in range(2):
