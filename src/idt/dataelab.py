@@ -1,11 +1,16 @@
 """Elaboration of inductive definitions down to description codes.
 
-A declaration's clauses elaborate against a description label; constructor
-argument telescopes become right-nested 'Sigma codes, recursive positions
-become 'varI codes carrying their extracted indices, index constraints
-become trailing equality codes, and a trailing `by` block elaborates
-through the restricted eliminator builder. Declarations without indices run
-through the same pipeline with the degenerate Unit index.
+A declaration's clauses elaborate against its description label, the
+programming label `<D ps is : IDesc I>` of its parameters and indices (`I`
+pairs the index types), and return the `'sigma` code of their constructors.
+Constructor argument telescopes become right-nested 'Sigma codes, recursive
+positions become 'varI codes carrying their extracted indices, index
+constraints become trailing equality codes, and a trailing `by` block
+elaborates through the restricted eliminator builder into a `call` of the
+label. Declarations without indices run through the same pipeline with the
+degenerate Unit index. The elaborator's own form of a label, `ELabel`, says
+which arguments are parameters, indices or constraints; a `by` clause head
+constrains no index, so a label that is called has no constraint.
 
 Each judgment (`ElabData`, `ElabDataPatts`, `ElabChoices`, `ElabConstr`,
 `ElabArg`, `ElabRecArgs`, `ElabEqs`, `ElabEWM`) is a derivation step on the
@@ -15,7 +20,7 @@ derivation that `--emit-trace` prints.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 from . import kernel as K
@@ -34,9 +39,25 @@ from .values import Value
 
 
 @dataclass(frozen=True)
+class LParam:
+    """A label's parameter entry: its term and type."""
+
+    tm: Term
+    ty: Term = field(compare=False)
+
+
+@dataclass(frozen=True)
+class LIndex:
+    """A label's index entry: its term and type."""
+
+    tm: Term
+    ty: Term = field(compare=False)
+
+
+@dataclass(frozen=True)
 class EConstr:
-    """A label's constraint entry. Parameters and indices are the kernel's
-    `T.LParam` and `T.LIndex`; a constraint keeps its surface value."""
+    """A label's constraint entry: an index variable and the surface value
+    a clause head constrains it to."""
 
     var: Term
     raw: S.ExtTerm  # elaborated late, under the constructor telescope
@@ -51,19 +72,30 @@ class ELabel:
     def shift(self, by: int) -> "ELabel":
         return ELabel(self.head, tuple(_eshift(e, by) for e in self.entries))
 
-    def kernel_label(self, ctx: Context, el: Elaborator) -> T.DLabel:
-        """The kernel form; constraint values elaborate in the given context."""
-        entries = []
-        for e in self.entries:
-            if isinstance(e, EConstr):
-                e = T.LConstraint(e.var, el.check(ctx, e.raw, ctx.eval(e.ty)), e.ty)
-            entries.append(e)
-        return T.DLabel(self.head, tuple(entries))
+    def kernel_label(self, ctx: Context) -> tuple:
+        """The arguments, argument types and type `IDesc I` of this label as
+        a kernel label, for a label without constraint entries."""
+        assert not any(isinstance(e, EConstr) for e in self.entries)
+        return (
+            tuple(e.tm for e in self.entries),
+            tuple(e.ty for e in self.entries),
+            T.IDesc(ctx.quote(self.index_type_value(ctx))),
+        )
+
+    def refined(self, ctx: Context, goal: V.VLabelTy) -> "ELabel":
+        """The by-branch goal `goal`, this label refined, read back with the
+        kinds of this label's entries."""
+        return ELabel(
+            self.head,
+            tuple(type(e)(ctx.quote(a), ctx.quote(aty)) for e, a, aty in zip(self.entries, goal.args, goal.argtys)),
+        )
 
     def index_type_value(self, ctx: Context) -> Value:
+        """`I`: `Unit` paired on the left with the type of each index and
+        constraint entry in turn; parameters are skipped."""
         ty: Value = V.VUnit()
         for e in self.entries:
-            if isinstance(e, T.LParam):
+            if isinstance(e, LParam):
                 continue
             ity = ctx.eval(e.ty)
             prev = ty
@@ -74,9 +106,9 @@ class ELabel:
         names = ctx.names()
         parts = [self.head]
         for e in self.entries:
-            if isinstance(e, T.LParam):
+            if isinstance(e, LParam):
                 parts.append(f"({pp.print_term(e.tm, names)})")
-            elif isinstance(e, T.LIndex):
+            elif isinstance(e, LIndex):
                 parts.append(f"[{pp.print_term(e.tm, names)}]")
             else:
                 parts.append(f"[{pp.print_term(e.var, names)} = {S.print_expr(e.raw)}]")
@@ -119,7 +151,7 @@ def validate_pattern(ctx: Context, label: ELabel, head: S.HeadPattern):
     out = []
     for pos, (pat, entry) in enumerate(zip(head.args, label.entries)):
         entry = _eshift(entry, shifted)
-        if isinstance(entry, T.LParam):
+        if isinstance(entry, LParam):
             if not isinstance(pat, S.PVar):
                 raise ElabError(
                     "PatternHeadMismatch",
@@ -140,7 +172,7 @@ def validate_pattern(ctx: Context, label: ELabel, head: S.HeadPattern):
                 getattr(pat, "span", head.span),
                 f"position {pos} is already constrained",
             )
-        assert isinstance(entry, T.LIndex)
+        assert isinstance(entry, LIndex)
         if not isinstance(pat, S.PIndex):
             raise ElabError(
                 "PatternHeadMismatch",
@@ -158,7 +190,7 @@ def validate_pattern(ctx: Context, label: ELabel, head: S.HeadPattern):
             if L._matches_enum_tag(ip.name, entry_v, inner.eval(entry.ty)):
                 out.append(entry)
                 continue
-            got = _bind_refined(inner, ip.name, (), entry_v, inner.eval(entry.ty), ip.span)
+            got = L.bind_refined(inner, ip.name, (), entry_v, inner.eval(entry.ty))
             if got is None:
                 raise ElabError(
                     "PatternHeadMismatch",
@@ -179,7 +211,7 @@ def validate_pattern(ctx: Context, label: ELabel, head: S.HeadPattern):
             out.append(EConstr(entry.tm, ip.value, entry.ty))
             continue
         assert isinstance(ip, S.IRefined)
-        got = _bind_refined(inner, ip.ctor, ip.vars, entry_v, inner.eval(entry.ty), ip.span)
+        got = L.bind_refined(inner, ip.ctor, ip.vars, entry_v, inner.eval(entry.ty))
         if got is None:
             raise ElabError(
                 "PatternHeadMismatch",
@@ -191,7 +223,7 @@ def validate_pattern(ctx: Context, label: ELabel, head: S.HeadPattern):
         if newly:
             out = [_eshift(e, newly) for e in out]
             shifted += newly
-        out.append(T.LIndex(V.quote(entry_v, inner.depth), T.shift(entry.ty, newly)))
+        out.append(LIndex(V.quote(entry_v, inner.depth), T.shift(entry.ty, newly)))
     return ELabel(label.head, tuple(out)), inner
 
 
@@ -213,14 +245,6 @@ def _var_name(ctx: Context, tm: Term) -> str:
     if isinstance(tm, T.Var):
         return ctx.entry_at(tm.ix).name
     return pp.print_term(tm, ctx.names())
-
-
-def _bind_refined(ctx: Context, ctor: str, vars_: tuple, val: Value, tyv: Value, span):
-    """Bind a constructor pattern appearing at a by-refined index position."""
-    try:
-        return L._match_con_pattern(ctx, ctor, vars_, val, tyv, span)
-    except ElabError:
-        return None
 
 
 # --- the judgments -------------------------------------------------------------
@@ -287,13 +311,17 @@ class DataElab:
             T.Var(0),
         )
         fam = T.Lam("c", T.EnumT(enum_t), fam_body)
-        return T.DRet(enum_t, fam)
+        return T.LRet(T.DSigmaE(enum_t, fam))
 
     def _elab_by(self, ctx: Context, clause: S.Clause, label: ELabel, depth: int):
         rl, cctx = validate_pattern(ctx, label, clause.head)
+        if any(isinstance(e, EConstr) for e in rl.entries):
+            raise ElabError(
+                "PatternHeadMismatch", clause.head.span, "a 'by' clause head cannot constrain an index"
+            )
         by = clause.by
-        klabel = rl.kernel_label(cctx, self.el)
-        goal = V.VDLabelTy(V.eval_label(klabel, cctx.env))
+        klabel = rl.kernel_label(cctx)
+        goal = cctx.eval(T.LabelTy(rl.head, *klabel))
         try:
             res = L.ewm_restricted(cctx, by.kind, by.var, goal)
         except ElabError as e:
@@ -308,18 +336,12 @@ class DataElab:
                 self.el,
                 res,
                 list(by.clauses),
-                lambda c2, cl, g: self._by_branch(c2, cl, g, depth),
-                _data_clause_matcher,
+                lambda c2, cl, g: self.elab_data_patts(c2, (cl,), rl.refined(c2, g), depth + 1),
+                lambda c2, _el, sg, cl: _validates(c2, rl.refined(c2, sg.goal), cl.head),
             )
-        assembled = res.assemble(branches)
-        # the eliminated goal is label-typed; wrap it back into a description
-        out = T.DCall(klabel, assembled)
+        # the eliminated goal is label-typed; the call returns its code
+        out = T.LCall(rl.head, *klabel, res.assemble(branches))
         return "elim", L._inline_defs(cctx, ctx, out)
-
-    def _by_branch(self, ctx: Context, cl: S.Clause, goal: Value, depth: int) -> Term:
-        assert isinstance(goal, V.VDLabelTy)
-        blabel = _elabel_from_value(goal.label, ctx)
-        return self.elab_data_patts(ctx, (cl,), blabel, depth + 1)
 
     # one constructor: its tag and its argument telescope's code
     def elab_constructor(self, ctx: Context, ctor: S.CtorDecl, label: ELabel):
@@ -413,7 +435,7 @@ class DataElab:
             is_tm: Term = T.Void()
             for arg, entry in zip(spine_args, entries):
                 tyv = ctx.eval(entry.ty)
-                if isinstance(entry, T.LParam):
+                if isinstance(entry, LParam):
                     at_ = self.el.check(ctx, arg, tyv)
                     if not K.conv(ctx, ctx.eval(at_), ctx.eval(entry.tm)):
                         raise ElabError(
@@ -428,19 +450,13 @@ class DataElab:
             return is_tm
 
 
-def _data_clause_matcher(ctx, el, sg: L.EwmSubgoal, clause: S.Clause) -> bool:
+def _validates(ctx: Context, label: ELabel, head: S.HeadPattern) -> bool:
+    """Whether a by-branch's clause head matches the branch's label."""
     try:
-        label = _elabel_from_value(sg.goal.label, ctx)
-        validate_pattern(ctx, label, clause.head)
+        validate_pattern(ctx, label, head)
         return True
     except ElabError:
         return False
-
-
-def _elabel_from_value(label: V.VDLabel, ctx: Context) -> ELabel:
-    if any(isinstance(e, V.VLConstraint) for e in label.entries):
-        raise ElabError("PatternHeadMismatch", None, "unexpected constraint in a by-goal")
-    return ELabel(label.head, V.quote_label(label, ctx.depth).entries)
 
 
 def _pi_spine(e: S.ExtTerm):
@@ -518,18 +534,15 @@ def elab_data(ctx: Context, decl: S.DataDecl, trace: bool = False) -> DataResult
         for pos, (nm, _) in enumerate(decl.params):
             ix = (k - 1 - pos) + m
             ty_t = T.shift(T.shift(p_tys[pos], (k - pos) + m), 1, cutoff=k + m)
-            entries.append(T.LParam(T.Var(ix), ty_t))
+            entries.append(LParam(T.Var(ix), ty_t))
         for pos, (nm, _) in enumerate(decl.indices):
             ix = m - 1 - pos
             ty_t = T.shift(T.shift(i_tys[pos], m - pos), 1, cutoff=k + m)
-            entries.append(T.LIndex(T.Var(ix), ty_t))
+            entries.append(LIndex(T.Var(ix), ty_t))
         label = ELabel(decl.name, tuple(entries))
 
         de = DataElab(el, n0)
         code = de.elab_data_patts(tel_ctx, decl.clauses, label)
-
-        # collect constructor tags for the registry
-        tags = _collect_tags(code)
 
         definiens = _build_definiens(ctx, decl, p_tys, i_tys, code, n0, k, m)
         return DataResult(
@@ -540,7 +553,7 @@ def elab_data(ctx: Context, decl: S.DataDecl, trace: bool = False) -> DataResult
             n_indices=m,
             code=code,
             tel_names=[decl.name] + [nm for nm, _ in decl.params] + [nm for nm, _ in decl.indices],
-            tags=tags,
+            tags=pp._enum_tags(code.val.enum),  # the code is `return {tags} F`
             trace=el.root,
         )
 
@@ -549,18 +562,6 @@ def _pi_rename(ty: Term, names: list) -> Term:
     if not names or not isinstance(ty, T.Pi):
         return ty
     return T.Pi(names[0], ty.dom, _pi_rename(ty.cod, names[1:]))
-
-
-def _collect_tags(code: Term) -> list:
-    if isinstance(code, T.DRet) and isinstance(code.enum, (T.ConsE, T.NilE)):
-        tags = []
-        e = code.enum
-        while isinstance(e, T.ConsE):
-            if isinstance(e.tag, T.Tag):
-                tags.append(e.tag.name)
-            e = e.rest
-        return tags
-    return []
 
 
 def _strengthen(t: Term, by: int, what: str) -> Term:
@@ -595,22 +596,20 @@ def _build_definiens(ctx, decl, p_tys, i_tys, code, n0: int, k: int, m: int) -> 
 
     code_r = T.subst_free(code, remap)
 
-    # the label under R: D <p...> [proj j]...
-    entries = []
+    # the label under R: <D (p...) [proj j]...> at IDesc idx_ty
+    args, argtys = [], []
     for pos in range(k):
-        entries.append(
-            T.LParam(T.Var(k - pos), T.shift(p_tys[pos], k + 1 - pos))
-        )
+        args.append(T.Var(k - pos))
+        argtys.append(T.shift(p_tys[pos], k + 1 - pos))
     for pos in range(m):
         proj: Term = T.Var(0)
         for _ in range(m - 1 - pos):
             proj = T.Fst(proj)
-        proj = T.Snd(proj)
-        base = _strengthen(i_tys[pos], pos, "an index type")
-        entries.append(T.LIndex(proj, T.shift(base, 1)))
-    label_r = T.DLabel(decl.name, tuple(entries))
+        args.append(T.Snd(proj))
+        argtys.append(T.shift(_strengthen(i_tys[pos], pos, "an index type"), 1))
 
-    r_term = T.Lam("j", idx_ty, T.DCall(label_r, code_r))
+    call = T.LCall(decl.name, tuple(args), tuple(argtys), T.IDesc(T.shift(idx_ty, 1)), code_r)
+    r_term = T.Lam("j", idx_ty, call)
 
     # pack the index variables into the tuple
     pack: Term = T.Void()

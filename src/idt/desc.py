@@ -8,6 +8,7 @@ is its instance at index type `Unit`. The dump of such a datatype shows the
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Optional
 
 from . import kernel as K
@@ -92,11 +93,15 @@ _VAR = pp.Notation("'var")
 
 
 def _desc_view(t: Term) -> Term:
-    def visit(u: Term, _d: int) -> Optional[Term]:
+    def visit(u: Term, d: int) -> Optional[Term]:
         if isinstance(u, T.IDesc) and isinstance(u.index, T.Unit):
             return _DESC
         if isinstance(u, T.DVarI) and isinstance(u.index, T.Void):
             return _VAR
+        if isinstance(u, (T.LabelTy, T.LCall)):
+            # a label's `IDesc Unit` stays: `pp` prints the label by its shape
+            kids = {f: T.map_term(getattr(u, f), visit, d) for f in ("args", "body") if hasattr(u, f)}
+            return dataclasses.replace(u, **kids)
         return None
 
     return T.map_term(t, visit)

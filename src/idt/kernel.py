@@ -32,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from . import pp
 from . import terms as T
 from . import values as V
 from .terms import Term
@@ -48,6 +49,11 @@ class KernelError(Exception):
 
 def _err(kind: str, term, msg: str):
     raise KernelError(kind, term, msg)
+
+
+def _show(ctx: Context, v: Value) -> str:
+    """Message text for a value: read back in `ctx` and printed with its names."""
+    return pp.print_term(ctx.quote(v), ctx.names())
 
 
 @dataclass(frozen=True)
@@ -129,7 +135,7 @@ def infer_sort(ctx: Context, t: Term) -> tuple:
     """Elaborated types: returns (type-as-value, universe level)."""
     ty = infer(ctx, t)
     if not isinstance(ty, V.VSet):
-        _err("UniverseMismatch", t, f"expected a type, its type is {V.quote(ty, ctx.depth)}")
+        _err("UniverseMismatch", t, f"expected a type, its type is {_show(ctx, ty)}")
     return ctx.eval(t), ty.level
 
 
@@ -201,28 +207,10 @@ def label_wf(ctx: Context, head: str, args: tuple, argtys: tuple):
         check(ctx, a, atyv)
 
 
-def dlabel_wf(ctx: Context, label: T.DLabel):
-    for e in label.entries:
-        if isinstance(e, T.LParam):
-            tyv, _ = check_is_type(ctx, e.ty)
-            check(ctx, e.tm, tyv)
-        elif isinstance(e, T.LIndex):
-            tyv, lvl = check_is_type(ctx, e.ty)
-            if lvl > 0:
-                _err("UniverseMismatch", e.ty, "index types must live in Set")
-            check(ctx, e.tm, tyv)
-        else:
-            tyv, lvl = check_is_type(ctx, e.ty)
-            if lvl > 0:
-                _err("UniverseMismatch", e.ty, "index types must live in Set")
-            check(ctx, e.var, tyv)
-            check(ctx, e.tm, tyv)
-
-
 def _desc_target(ctx: Context, want: Value, t: Term) -> Value:
     """For code checking: the index type I of the wanted `IDesc I`."""
     if not isinstance(want, V.VIDesc):
-        _err("TypeMismatch", t, f"expected {V.quote(want, ctx.depth)}, got a description code")
+        _err("TypeMismatch", t, f"expected {_show(ctx, want)}, got a description code")
     return want.index
 
 
@@ -251,7 +239,7 @@ def _infer_lam(ctx: Context, t: T.Lam) -> Value:
 def _infer_app(ctx: Context, t: T.App) -> Value:
     fty = infer(ctx, t.fn)
     if not isinstance(fty, V.VPi):
-        _err("NotAFunction", t, f"applied term has type {V.quote(fty, ctx.depth)}")
+        _err("NotAFunction", t, f"applied term has type {_show(ctx, fty)}")
     argv = check(ctx, t.arg, fty.dom)
     return fty.cod(ctx.eval(t.arg) if argv is None else argv)
 
@@ -260,7 +248,7 @@ def _infer_pair_type(ctx: Context, t) -> V.VSigma:
     """The type of the pair that `Fst` or `Snd` projects."""
     pty = infer(ctx, t.pair)
     if not isinstance(pty, V.VSigma):
-        _err("NotAPair", t, f"projected term has type {V.quote(pty, ctx.depth)}")
+        _err("NotAPair", t, f"projected term has type {_show(ctx, pty)}")
     return pty
 
 
@@ -426,18 +414,6 @@ def _infer_lcall(ctx: Context, t: T.LCall) -> Value:
     return tyv
 
 
-def _infer_dlabelty(ctx: Context, t: T.DLabelTy) -> Value:
-    dlabel_wf(ctx, t.label)
-    return V.VSet(1)
-
-
-def _infer_dcall(ctx: Context, t: T.DCall) -> Value:
-    dlabel_wf(ctx, t.label)
-    lv = V.eval_label(t.label, ctx.env)
-    check(ctx, t.body, V.VDLabelTy(lv))
-    return V.VIDesc(V.vlabel_index_type(lv))
-
-
 # keyed on the exact class: a subclass of a term class needs its own rule
 _INFER_RULES = {
     T.Var: lambda ctx, t: (
@@ -481,9 +457,6 @@ _INFER_RULES = {
     T.LabelTy: _infer_labelty,
     T.LRet: lambda ctx, t: _err("CannotInfer", t, "return needs a label type"),
     T.LCall: _infer_lcall,
-    T.DLabelTy: _infer_dlabelty,
-    T.DRet: lambda ctx, t: _err("CannotInfer", t, "description return needs a label type"),
-    T.DCall: _infer_dcall,
 }
 _INFER_RULES.update(
     dict.fromkeys(
@@ -503,12 +476,12 @@ def check(ctx: Context, t: Term, want: Value) -> Optional[Value]:
 def _check_by_synthesis(ctx: Context, t: Term, want: Value) -> None:
     got = infer(ctx, t)
     if not conv_le(ctx, got, want):
-        _err("TypeMismatch", t, f"expected {V.quote(want, ctx.depth)}, got {V.quote(got, ctx.depth)}")
+        _err("TypeMismatch", t, f"expected {_show(ctx, want)}, got {_show(ctx, got)}")
 
 
 def _check_lam(ctx: Context, t: T.Lam, want: Value) -> None:
     if not isinstance(want, V.VPi):
-        _err("TypeMismatch", t, f"function against {V.quote(want, ctx.depth)}")
+        _err("TypeMismatch", t, f"function against {_show(ctx, want)}")
     if t.ann is not None:
         annv, _ = check_is_type(ctx, t.ann)
         if not conv(ctx, annv, want.dom):
@@ -519,7 +492,7 @@ def _check_lam(ctx: Context, t: T.Lam, want: Value) -> None:
 
 def _check_pair(ctx: Context, t: T.Pair, want: Value) -> Optional[Value]:
     if not isinstance(want, V.VSigma):
-        _err("TypeMismatch", t, f"pair against {V.quote(want, ctx.depth)}")
+        _err("TypeMismatch", t, f"pair against {_show(ctx, want)}")
     av = check(ctx, t.fst, want.dom)
     if av is None:
         av = ctx.eval(t.fst)
@@ -536,7 +509,7 @@ def _check_void(ctx: Context, t: T.Void, want: Value) -> Optional[Value]:
 def _check_index(ctx: Context, t: Term, want: Value) -> Optional[Value]:
     """The checking rule of `ZeroE` and `SucE`: against a non-empty `EnumT`."""
     if not (isinstance(want, V.VEnumT) and isinstance(want.enum, V.VConsE)):
-        _err("TypeMismatch", t, f"enum index against {V.quote(want, ctx.depth)}")
+        _err("TypeMismatch", t, f"enum index against {_show(ctx, want)}")
     if type(t) is T.ZeroE:
         return V.VZeroE()
     nv = check(ctx, t.pred, V.VEnumT(want.enum.rest))
@@ -545,16 +518,16 @@ def _check_index(ctx: Context, t: Term, want: Value) -> Optional[Value]:
 
 def _check_refl(ctx: Context, t: T.Refl, want: Value) -> Optional[Value]:
     if not isinstance(want, V.VEq):
-        _err("TypeMismatch", t, f"refl against {V.quote(want, ctx.depth)}")
+        _err("TypeMismatch", t, f"refl against {_show(ctx, want)}")
     if conv(ctx, want.lhs, want.rhs):
         return V.VRefl()
-    sides = f"{V.quote(want.lhs, ctx.depth)} and {V.quote(want.rhs, ctx.depth)}"
+    sides = f"{_show(ctx, want.lhs)} and {_show(ctx, want.rhs)}"
     _err("TypeMismatch", t, f"refl between non-convertible sides {sides}")
 
 
 def _check_in(ctx: Context, t: T.In, want: Value) -> Optional[Value]:
     if not isinstance(want, V.VIMu):
-        _err("TypeMismatch", t, f"constructor against {V.quote(want, ctx.depth)}")
+        _err("TypeMismatch", t, f"constructor against {_show(ctx, want)}")
     xfam = V.imu_family(want.ixty, want.fam)
     dv = check(ctx, t.payload, V.vinterp_i(V.vapp_ground(want.fam, want.index), xfam))
     return None if dv is None else V.VIn(dv)
@@ -578,16 +551,8 @@ def _check_code(ctx: Context, t: Term, want: Value) -> None:
 
 def _check_lret(ctx: Context, t: T.LRet, want: Value) -> None:
     if not isinstance(want, V.VLabelTy):
-        _err("TypeMismatch", t, f"return against {V.quote(want, ctx.depth)}")
+        _err("TypeMismatch", t, f"return against {_show(ctx, want)}")
     check(ctx, t.val, want.ty)
-
-
-def _check_dret(ctx: Context, t: T.DRet, want: Value) -> None:
-    if not isinstance(want, V.VDLabelTy):
-        _err("TypeMismatch", t, f"description return against {V.quote(want, ctx.depth)}")
-    check(ctx, t.enum, V.VEnumU())
-    idx = V.vlabel_index_type(want.label)
-    check(ctx, t.fam, _const_pi(V.VEnumT(ctx.eval(t.enum)), V.VIDesc(idx)))
 
 
 # the checking rules; every other term class is checked by synthesis
@@ -600,7 +565,6 @@ _CHECK_RULES = {
     T.Refl: _check_refl,
     T.In: _check_in,
     T.LRet: _check_lret,
-    T.DRet: _check_dret,
 }
 _CHECK_RULES.update(dict.fromkeys((T.DOne, T.DVarI, T.DTimes, T.DPi, T.DSigma, T.DSigmaE), _check_code))
 

@@ -509,8 +509,9 @@ def _validate_prog_head(ctx: Context, el: Elaborator, head: S.ProgHead, goal: V.
             # a bare name may also be a nullary constructor or an enum tag
             if _matches_enum_tag(pat.name, argv, argty):
                 continue
-            if _match_con_pattern(inner, pat.name, (), argv, argty, pat.span, dry=True):
-                inner = _match_con_pattern(inner, pat.name, (), argv, argty, pat.span)
+            got = bind_refined(inner, pat.name, (), argv, argty)
+            if got is not None:
+                inner = got
                 continue
             raise ElabError(
                 "PatternHeadMismatch",
@@ -518,7 +519,7 @@ def _validate_prog_head(ctx: Context, el: Elaborator, head: S.ProgHead, goal: V.
                 f"pattern variable '{pat.name}' does not match argument {pos} of the label",
             )
         assert isinstance(pat, S.ProgPatCon)
-        res = _match_con_pattern(inner, pat.ctor, pat.vars, argv, argty, pat.span)
+        res = bind_refined(inner, pat.ctor, pat.vars, argv, argty)
         if res is None:
             raise ElabError(
                 "PatternHeadMismatch",
@@ -538,39 +539,27 @@ def _matches_enum_tag(name: str, val: Value, tyv: Value) -> bool:
     return tags is not None and k is not None and k < len(tags) and tags[k] == name
 
 
-def _match_con_pattern(ctx: Context, ctor: str, vars_: tuple, argv: Value, argty: Value, span, dry=False):
-    """Match `ctor vars` against a by-refined label argument In (k, args)."""
-    if not isinstance(argv, V.VIn):
+def bind_refined(ctx: Context, ctor: str, vars_: tuple, argv: Value, argty: Value) -> Optional[Context]:
+    """Match the pattern `ctor vars` against a by-refined label argument
+    `In (k, args)`: the context with `vars` bound to the constructor's
+    arguments, or None when the constructor or the number of variables
+    differs."""
+    if not (isinstance(argv, V.VIn) and isinstance(argv.payload, V.VPair) and isinstance(argty, V.VIMu)):
         return None
-    payload = argv.payload
-    if not isinstance(payload, V.VPair):
-        return None
-    knum = V.numeral_of(payload.fst)
+    knum = V.numeral_of(argv.payload.fst)
     if knum is None:
         return None
-    if not isinstance(argty, V.VIMu):
-        return None
     code0 = V.vapp(argty.fam, argty.index)
-    xfam = V.imu_family(argty.ixty, argty.fam)
-    interp = lambda c: V.vinterp_i(c, xfam)  # noqa: E731
     if not isinstance(code0, V.VDSigmaE):
         return None
     tags = V.enum_tags(code0.enum)
     if tags is None or knum >= len(tags) or tags[knum] != ctor:
         return None
-    code_k = V.vapp(code0.fam, V.make_numeral(knum))
+    xfam = V.imu_family(argty.ixty, argty.fam)
     slots: List[Slot] = []
-    _walk_args(code_k, payload.snd, slots, interp)
+    _walk_args(V.vapp(code0.fam, V.make_numeral(knum)), argv.payload.snd, slots, lambda c: V.vinterp_i(c, xfam))
     if len(slots) != len(vars_):
-        if dry:
-            return None
-        raise ElabError(
-            "PatternHeadMismatch",
-            span,
-            f"constructor '{ctor}' takes {len(slots)} argument(s), pattern binds {len(vars_)}",
-        )
-    if dry:
-        return True
+        return None
     inner = ctx
     for nm, slot in zip(vars_, slots):
         inner = inner.extend(nm, slot.ty, slot.proj)

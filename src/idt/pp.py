@@ -79,16 +79,28 @@ def print_term(t: Term, names: list) -> str:
     return _pt(t, list(names), ARROW)
 
 
-def _label_str(label: T.DLabel, names: list) -> str:
-    parts = [label.head]
-    for e in label.entries:
-        if isinstance(e, T.LParam):
-            parts.append(f"({_pt(e.tm, names, ARROW)})")
-        elif isinstance(e, T.LIndex):
-            parts.append(f"[{_pt(e.tm, names, ARROW)}]")
-        else:
-            parts.append(f"[{_pt(e.var, names, ARROW)} = {_pt(e.tm, names, ARROW)}]")
-    return " ".join(parts)
+def _index_count(ty: Term):
+    """How many components the index type `I` of `ty = IDesc I` has (`Unit`
+    has none, `I * J` one more than `I`), or None for another `ty`."""
+    if not isinstance(ty, T.IDesc):
+        return None
+    i, n = ty.index, 0
+    while isinstance(i, T.Sigma):
+        i, n = i.dom, n + 1
+    return n if isinstance(i, T.Unit) else None
+
+
+def _label(head: str, args: tuple, ty: Term, names: list) -> str:
+    """A label at `IDesc I`, a datatype's description label, shows its
+    parameters in parentheses and its last arguments, one per component of
+    `I`, in brackets: `<D (A) [n]>`. Any other label shows `<f a : T>`."""
+    n = _index_count(ty)
+    if n is None or n > len(args):
+        spine = " ".join([head] + [_pt(a, names, ATOM) for a in args])
+        return f"<{spine} : {_pt(ty, names, ARROW)}>"
+    k = len(args) - n
+    parts = [f"({_pt(a, names, ARROW)})" for a in args[:k]] + [f"[{_pt(a, names, ARROW)}]" for a in args[k:]]
+    return "<" + " ".join([head] + parts) + ">"
 
 
 def _pt(t: Term, names: list, prec: int) -> str:
@@ -219,19 +231,13 @@ def _pt(t: Term, names: list, prec: int) -> str:
             s = " ".join(["split"] + [_pt(u, names, ATOM) for u in (p, m, x)])
             return _paren(s, APP, prec)
         case T.LabelTy(head, args, _, ty):
-            spine = " ".join([head] + [_pt(a, names, ATOM) for a in args])
-            return f"<{spine} : {_pt(ty, names, ARROW)}>"
+            return _label(head, args, ty, names)
+        case T.LRet(T.DSigmaE(e, f)):
+            return _paren(f"return {_pt(e, names, ATOM)} {_pt(f, names, ATOM)}", APP, prec)
         case T.LRet(v):
             return _paren(f"return {_pt(v, names, ATOM)}", APP, prec)
         case T.LCall(head, args, _, ty, body):
-            spine = " ".join([head] + [_pt(a, names, ATOM) for a in args])
-            return _paren(f"call <{spine} : {_pt(ty, names, ARROW)}> {_pt(body, names, ATOM)}", APP, prec)
-        case T.DLabelTy(label):
-            return f"<{_label_str(label, names)}>"
-        case T.DRet(e, f):
-            return _paren(f"return {_pt(e, names, ATOM)} {_pt(f, names, ATOM)}", APP, prec)
-        case T.DCall(label, body):
-            return _paren(f"call <{_label_str(label, names)}> {_pt(body, names, ATOM)}", APP, prec)
+            return _paren(f"call {_label(head, args, ty, names)} {_pt(body, names, ATOM)}", APP, prec)
         case Notation(text):
             return text
     return f"<{type(t).__name__}>"

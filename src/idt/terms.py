@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
 
 TAG_CHARS = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_-")
@@ -295,7 +295,9 @@ class LabelTy(Term):
     """Programming label: a phantom type recording a definition goal.
 
     `argtys` annotates the spine for reconstruction; label identity is the
-    head plus the argument terms.
+    head plus the argument terms and the type. The goal of a datatype's
+    clauses is a label at `IDesc I` whose arguments are the parameters and
+    then the indices, and its return value is a `'sigma` code.
     """
 
     head: str
@@ -318,53 +320,6 @@ class LCall(Term):
     body: Term
 
 
-@dataclass(frozen=True)
-class LParam:
-    tm: Term
-    ty: Term = field(compare=False)
-
-
-@dataclass(frozen=True)
-class LIndex:
-    tm: Term
-    ty: Term = field(compare=False)
-
-
-@dataclass(frozen=True)
-class LConstraint:
-    var: Term
-    tm: Term
-    ty: Term = field(compare=False)
-
-
-LabelEntry = Union[LParam, LIndex, LConstraint]
-
-
-@dataclass(frozen=True)
-class DLabel:
-    head: str
-    entries: tuple  # tuple[LabelEntry, ...]
-
-
-@dataclass(frozen=True)
-class DLabelTy(Term):
-    """Description label: a phantom type around an indexed description."""
-
-    label: DLabel
-
-
-@dataclass(frozen=True)
-class DRet(Term):
-    enum: Term
-    fam: Term
-
-
-@dataclass(frozen=True)
-class DCall(Term):
-    label: DLabel
-    body: Term
-
-
 # --- de Bruijn utilities -----------------------------------------------------
 #
 # `map_term` is the one structural rebuild of a core term; shifting,
@@ -381,25 +336,22 @@ def map_term(t: Term, visit: Callable[[Term, int], Optional[Term]], depth: int =
     visit(u, d) sees each subterm `u` and its binder depth `d` before the
     children of `u`. A term it returns replaces `u`. When it returns None,
     the children are rebuilt, and a node whose children did not change is
-    kept as is. Children include the terms inside tuples (label spines) and
-    inside description-label entries.
+    kept as is. Children include the terms inside tuples (label spines).
     """
 
     def go(x, d: int):
-        if isinstance(x, Term):
-            u = visit(x, d)
-            if u is not None:
-                return u
-        elif isinstance(x, tuple):
+        if isinstance(x, tuple):
             y = tuple(go(a, d) for a in x)
             return x if all(a is b for a, b in zip(x, y)) else y
-        fields_ = getattr(x, "__dataclass_fields__", None)
-        if not fields_:
+        if not isinstance(x, Term):
             return x
+        u = visit(x, d)
+        if u is not None:
+            return u
         binder = _BINDERS.get(type(x))
         kwargs = {}
         changed = False
-        for name in fields_:
+        for name in x.__dataclass_fields__:
             a = getattr(x, name)
             b = go(a, d + 1 if name == binder else d)
             changed = changed or b is not a
@@ -466,11 +418,14 @@ def free_vars(t: Term) -> set:
     """Outer indices of the free variables of `t`."""
     out: set = set()
 
-    def collect(i: int, d: int) -> Term:
-        out.add(i - d)
-        return Var(i)
+    def collect(u: Term, d: int) -> Optional[Term]:
+        if isinstance(u, Var):
+            if u.ix >= d:
+                out.add(u.ix - d)
+            return u  # the node itself, so that nothing is rebuilt
+        return None
 
-    map_vars(t, collect)
+    map_term(t, collect)
     return out
 
 

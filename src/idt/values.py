@@ -230,42 +230,6 @@ class VLRet(Value):
     val: Value
 
 
-@dataclass(frozen=True)
-class VLParam:
-    tm: Value
-    ty: Value
-
-
-@dataclass(frozen=True)
-class VLIndex:
-    tm: Value
-    ty: Value
-
-
-@dataclass(frozen=True)
-class VLConstraint:
-    var: Value
-    tm: Value
-    ty: Value
-
-
-@dataclass(frozen=True)
-class VDLabel:
-    head: str
-    entries: tuple
-
-
-@dataclass(frozen=True)
-class VDLabelTy(Value):
-    label: VDLabel
-
-
-@dataclass(frozen=True)
-class VDRet(Value):
-    enum: Value
-    fam: Value
-
-
 # --- neutrals ----------------------------------------------------------------
 
 
@@ -288,9 +252,9 @@ class FGeneric:
     """Stuck builtin elimination, the term `kind(*fields)`.
 
     `fields` are the eliminator's arguments in the order of the term
-    constructor `kind`: values, tuples of values, description labels or a
-    head name. Field `owner_at` holds the neutral this frame extends, possibly
-    under `VSucE` wrappers; readback puts the quoted spine prefix there.
+    constructor `kind`: values, tuples of values or a label's head name.
+    Field `owner_at` holds the neutral this frame extends, possibly under
+    `VSucE` wrappers; readback puts the quoted spine prefix there.
     """
 
     __slots__ = ("kind", "fields", "owner_at")
@@ -526,14 +490,6 @@ def vlcall(head: str, args: tuple, argtys: tuple, ty: Value, body: Value) -> Val
     raise EvalError("call on non-return")
 
 
-def vdcall(label: VDLabel, body: Value) -> Value:
-    if isinstance(body, VDRet):
-        return VDSigmaE(body.enum, body.fam)
-    if isinstance(body, VNeutral):
-        return _stuck(body, T.DCall, (label, body), 1)
-    raise EvalError("description call on non-return")
-
-
 # --- enumeration indices -----------------------------------------------------
 
 
@@ -562,33 +518,7 @@ def enum_tags(enum: Value) -> Optional[list]:
     return out if isinstance(enum, VNilE) else None
 
 
-def vlabel_index_type(label: VDLabel) -> Value:
-    """The index type computed from a description label's telescope."""
-    ty: Value = VUnit()
-    for e in label.entries:
-        if isinstance(e, VLParam):
-            continue
-        ity = e.ty
-        prev = ty
-        ty = VSigma("_", prev, PyClo(lambda _v, it=ity: it))
-    return ty
-
-
 # --- evaluation ---------------------------------------------------------------
-
-
-def eval_label(label: T.DLabel, env: tuple) -> VDLabel:
-    entries = []
-    for e in label.entries:
-        if isinstance(e, T.LParam):
-            entries.append(VLParam(eval_term(e.tm, env), eval_term(e.ty, env)))
-        elif isinstance(e, T.LIndex):
-            entries.append(VLIndex(eval_term(e.tm, env), eval_term(e.ty, env)))
-        else:
-            entries.append(
-                VLConstraint(eval_term(e.var, env), eval_term(e.tm, env), eval_term(e.ty, env))
-            )
-    return VDLabel(label.head, tuple(entries))
 
 
 def eval_term(t: Term, env: tuple) -> Value:
@@ -687,9 +617,6 @@ _EVAL_RULES = {
     ),
     T.LRet: lambda t, env: VLRet(eval_term(t.val, env)),
     T.LCall: _eval_lcall,
-    T.DLabelTy: lambda t, env: VDLabelTy(eval_label(t.label, env)),
-    T.DRet: lambda t, env: VDRet(eval_term(t.enum, env), eval_term(t.fam, env)),
-    T.DCall: lambda t, env: vdcall(eval_label(t.label, env), eval_term(t.body, env)),
 }
 
 
@@ -719,20 +646,6 @@ def _definition_var(names: dict, key: Value, d: int) -> Optional[Term]:
     if hit is not None and hit[0] is key and hit[1] < d:
         return T.Var(d - 1 - hit[1])
     return None
-
-
-def quote_label(label: VDLabel, d: int, names: Optional[dict] = None) -> T.DLabel:
-    entries = []
-    for e in label.entries:
-        if isinstance(e, VLParam):
-            entries.append(T.LParam(quote(e.tm, d, names), quote(e.ty, d, names)))
-        elif isinstance(e, VLIndex):
-            entries.append(T.LIndex(quote(e.tm, d, names), quote(e.ty, d, names)))
-        else:
-            entries.append(
-                T.LConstraint(quote(e.var, d, names), quote(e.tm, d, names), quote(e.ty, d, names))
-            )
-    return T.DLabel(label.head, tuple(entries))
 
 
 def quote(v: Value, d: int, names: Optional[dict] = None) -> Term:
@@ -811,8 +724,6 @@ _QUOTE_RULES = {
         quote(v.ty, d, names),
     ),
     VLRet: lambda v, d, names: T.LRet(quote(v.val, d, names)),
-    VDLabelTy: lambda v, d, names: T.DLabelTy(quote_label(v.label, d, names)),
-    VDRet: lambda v, d, names: T.DRet(quote(v.enum, d, names), quote(v.fam, d, names)),
     VNeutral: _quote_neutral,
 }
 
@@ -830,8 +741,6 @@ def _quote_stuck(f: FGeneric, owner: Term, d: int, names: Optional[dict]) -> Ter
             args.append(quote(x, d, names))
         elif isinstance(x, tuple):
             args.append(tuple(quote(a, d, names) for a in x))
-        elif isinstance(x, VDLabel):
-            args.append(quote_label(x, d, names))
         else:
             args.append(x)  # a label head
     return f.kind(*args)
@@ -845,10 +754,10 @@ def convertible(a: Value, b: Value, d: int) -> bool:
 
     The comparison stops at the first mismatch and opens a pair of closures
     only when they differ, under one fresh variable. It ignores exactly what
-    term equality ignores (binder names, the `ixty` of `IMu` and `IInduction`,
-    the argument types of labels and the entry types of description labels)
-    and keeps readback's one eta rule: at index type `Unit`, every index of
-    `IMu` reads back as void.
+    term equality ignores (binder names, the `ixty` of `IMu` and `IInduction`
+    and the argument types of labels, description labels included) and keeps
+    readback's one eta rule: at index type `Unit`, every index of `IMu` reads
+    back as void.
     """
     while a is not b:
         cls = type(a)
@@ -905,19 +814,6 @@ def _conv_imu(a: VIMu, b: VIMu, d: int) -> bool:
     return convertible(a.index, b.index, d)
 
 
-def _conv_label(a: VDLabel, b: VDLabel, d: int) -> bool:
-    if a.head != b.head or len(a.entries) != len(b.entries):
-        return False
-    for x, y in zip(a.entries, b.entries):
-        if type(x) is not type(y):
-            return False
-        if isinstance(x, VLConstraint) and not convertible(x.var, y.var, d):
-            return False
-        if not convertible(x.tm, y.tm, d):
-            return False
-    return True
-
-
 def _conv_neutral(a: VNeutral, b: VNeutral, d: int) -> bool:
     if a.lvl != b.lvl or len(a.spine) != len(b.spine):
         return False
@@ -954,9 +850,6 @@ def _conv_stuck(x: FGeneric, y: FGeneric, d: int) -> bool:
         elif isinstance(f, tuple):
             if not _conv_all(f, g, d):
                 return False
-        elif isinstance(f, VDLabel):
-            if not _conv_label(f, g, d):
-                return False
         elif f != g:  # label heads
             return False
     return True
@@ -984,8 +877,6 @@ _CONV_RULES = {
     VIMu: _conv_imu,
     VLabelTy: lambda a, b, d: a.head == b.head and _conv_all(a.args, b.args, d) and convertible(a.ty, b.ty, d),
     VLRet: _conv_fields("val"),
-    VDLabelTy: lambda a, b, d: _conv_label(a.label, b.label, d),
-    VDRet: _conv_fields("enum", "fam"),
     VNeutral: _conv_neutral,
 }
 _CONV_RULES.update(dict.fromkeys((VUnit, VVoid, VUId, VEnumU, VNilE, VZeroE, VRefl, VDOne), _same))
@@ -993,8 +884,5 @@ _CONV_RULES.update(dict.fromkeys((VUnit, VVoid, VUId, VEnumU, VNilE, VZeroE, VRe
 # which fields of each stuck-elimination term take part in term equality
 _COMPARED = {
     kind: tuple(f.compare for f in dataclasses.fields(kind))
-    for kind in (
-        T.PiE, T.Switch, T.EqElim, T.InterpIDesc, T.IAllD, T.IAllMap, T.IInduction, T.Split,
-        T.LCall, T.DCall,
-    )
+    for kind in (T.PiE, T.Switch, T.EqElim, T.InterpIDesc, T.IAllD, T.IAllMap, T.IInduction, T.Split, T.LCall)
 }

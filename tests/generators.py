@@ -253,7 +253,7 @@ class ConvPairGen:
     Both sides evaluate twin terms in one environment of `n_free` free
     variables. The twins differ in what term equality ignores (binder names,
     lambda and pair annotations, the `ixty` of IMu and IInduction, label
-    argument and entry types) and, with probability `p_diff` per node, in
+    argument types) and, with probability `p_diff` per node, in
     something it does not, so that both verdicts occur. Twins sometimes share
     one term object, which gives closures with the same body and environment.
 
@@ -322,19 +322,6 @@ class ConvPairGen:
 
     def _argtys(self, depth: int, scope: int) -> tuple:
         return tuple(self._one(depth, scope) for _ in range(self.rng.randrange(3)))
-
-    def _label(self, kinds: list, tms: list, var: T.Term, scope: int) -> T.DLabel:
-        """A description label; entry types are drawn afresh for each side."""
-        out = []
-        for kind, tm in zip(kinds, tms):
-            ty = self._one(0, scope)
-            if kind == "param":
-                out.append(T.LParam(tm, ty))
-            elif kind == "index":
-                out.append(T.LIndex(tm, ty))
-            else:
-                out.append(T.LConstraint(var, tm, ty))
-        return T.DLabel("D", tuple(out))
 
     # -- twins --
 
@@ -406,7 +393,7 @@ class ConvPairGen:
             (T.SucE, 1),
             (T.Eq, 3),
             (r.choice([T.IDesc, T.DVarI, T.In, T.LRet]), 1),
-            (r.choice([T.DTimes, T.DPi, T.DSigma, T.DSigmaE, T.DRet]), 2),
+            (r.choice([T.DTimes, T.DPi, T.DSigma, T.DSigmaE, lambda e, f: T.LRet(T.DSigmaE(e, f))]), 2),
             (lambda *k: T.EqElim(*k, v), 2),
             (lambda *k: T.Split(*k, v), 2),
             (lambda *k: T.PiE(v, *k), 1),
@@ -414,7 +401,7 @@ class ConvPairGen:
             (lambda *k: T.IAllD(v, *k), 3),
             (lambda *k: T.IAllMap(v, *k), 4),
         ]
-        form = r.randrange(14 + len(plain))
+        form = r.randrange(13 + len(plain))
         if form == 0:
             return self._node(lambda k: T.Pi(self._name(), k[0], k[1]), d, s, s + 1)
         if form == 1:
@@ -432,11 +419,14 @@ class ConvPairGen:
             return self._node(lambda k: T.IMu(self._ixty(s), k[0], k[1]), d, s, s)
         if form == 7:
             return self._switch(d, s, neutral=r.random() < 0.5)
-        if form == 8:
+        if form in (8, 9):
+            # a label type or a stuck call; half of them are description
+            # labels, at `IDesc I`
             args, ty = self._args(d, s), self.twin(d, s)
-            return tuple(T.LabelTy("f", args[i], self._argtys(d, s), ty[i]) for i in (0, 1))
-        if form == 9:
-            args, ty = self._args(d, s), self.twin(d, s)
+            if r.random() < 0.5:
+                ty = (T.IDesc(ty[0]), T.IDesc(ty[1]))
+            if form == 8:
+                return tuple(T.LabelTy("f", args[i], self._argtys(d, s), ty[i]) for i in (0, 1))
             return tuple(T.LCall("f", args[i], self._argtys(d, s), ty[i], v) for i in (0, 1))
         if form == 10:
             # a stuck switch applied to an argument, as NoConfusion's
@@ -449,16 +439,7 @@ class ConvPairGen:
             # interpreting a concrete code builds host-side closures
             code = lambda k: T.DTimes(T.DVarI(k[0]), T.DSigma(k[1], T.Lam("_", None, T.DOne())))  # noqa: E731
             return self._node(lambda k: T.InterpIDesc(code(k), v), d, s, s)
-        if form == 13:
-            entry = lambda: r.choice(("param", "index", "constraint"))  # noqa: E731
-            kinds = [entry() for _ in range(r.randrange(3))]
-            kinds = (kinds, [entry() if r.random() < self.p_diff else k for k in kinds])
-            tms = [self.twin(d, s) for _ in kinds[0]]
-            labels = [self._label(kinds[i], [t[i] for t in tms], v, s) for i in (0, 1)]
-            if r.random() < 0.5:
-                return T.DLabelTy(labels[0]), T.DLabelTy(labels[1])
-            return T.DCall(labels[0], v), T.DCall(labels[1], v)
-        ctor, arity = plain[form - 14]
+        ctor, arity = plain[form - 13]
         return self._node(lambda k: ctor(*k), d, *([s] * arity))
 
     def _leaf(self, scope: int) -> T.Term:

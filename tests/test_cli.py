@@ -265,8 +265,7 @@ ISNIL = (
 
 def test_recheck_rejects_case_over_a_constrained_index(tmp_path):
     # `by case` over a constraint-style Vec elaborates to an ill-typed branch;
-    # only the kernel's re-check stops it. The message's de Bruijn indices
-    # follow the elaborated term's shape, so only its kind is pinned.
+    # only the kernel's re-check stops it
     p = tmp_path / "isnil.idt"
     p.write_text(read_corpus("vec_constrained.idt") + ISNIL, encoding="utf-8")
     code, out = run_main(["check", "--no-recheck", str(p)])
@@ -276,6 +275,36 @@ def test_recheck_rejects_case_over_a_constrained_index(tmp_path):
     assert out.count("\n") == 1
     assert out.startswith(f"{p}: error: TypeMismatch: expected ")
     assert "Traceback" not in out
+
+
+def test_kernel_message_prints_terms(tmp_path):
+    # the re-check's rejection of the same program prints its terms as the
+    # printer does, with the context's names, on one short line
+    p = tmp_path / "isnil.idt"
+    p.write_text(read_corpus("vec_constrained.idt") + ISNIL, encoding="utf-8")
+    code, out = run_main(["check", str(p)])
+    assert code == 1
+    assert out.count("\n") == 1 and len(out.encode()) < 1000
+    assert "IMu(" not in out
+    assert out.rstrip().endswith("'Sigma (snd j == In (#1 m)) (\\_. '1)))) c)) (fst p)")
+    assert "c)) (() , n), got IMu (" in out
+
+
+@pytest.mark.parametrize(
+    "enum, branches",
+    [("{}", "{ }"), ("{'t}", "{\n    W e [n] => w\n  }")],
+    ids=["no-branches", "branches"],
+)
+def test_by_clause_head_constraint_rejected(tmp_path, enum, branches):
+    p = tmp_path / "w.idt"
+    p.write_text(
+        read_corpus("prelude.idt")
+        + f"\ndata W (e : Enum {enum}) [n : Nat] : Set where\n  W e [n = zero] by case e {branches}\n",
+        encoding="utf-8",
+    )
+    code, out = run_main(["check", str(p)])
+    assert code == 1
+    assert out == f"{p}: error: 21:3: PatternHeadMismatch: a 'by' clause head cannot constrain an index\n"
 
 
 def test_repl_commands():

@@ -197,7 +197,7 @@ def test_validate_pattern_unchanged_label(sess):
 
 def test_validate_pattern_checks_the_head_against_the_label(sess):
     ctx = sess.ctx.extend("A", V.VSet(0))
-    label = D.ELabel("T", (T.LParam(T.Var(0), T.Set_(0)),))
+    label = D.ELabel("T", (D.LParam(T.Var(0), T.Set_(0)),))
     good, bad = (
         S.parse_file(f"data T (A : Set) : Set where\n  {h} A => mk\n")[0].clauses[0].head for h in ("T", "U")
     )
@@ -440,10 +440,8 @@ def test_per_judgment_instrumentation_on_corpus(monkeypatch):
     def desc_of(_de, ctx, *args):
         return V.VIDesc(args[-1].index_type_value(ctx))
 
-    def label_type(de, ctx, _clauses, label, _depth=0):
-        if any(isinstance(e, D.EConstr) for e in label.entries):
-            return None
-        return V.VDLabelTy(V.eval_label(label.kernel_label(ctx, de.el), ctx.env))
+    def label_type(_de, ctx, _clauses, label, _depth=0):
+        return ctx.eval(T.LabelTy(label.head, *label.kernel_label(ctx)))
 
     lemma("elab_data_patts", label_type)
     lemma("elab_args", desc_of)
@@ -552,17 +550,39 @@ def test_enum_indexed_datatype_by_case(sess):
 # --- label entries --------------------------------------------------------------------
 
 
-def test_by_goal_label_reads_back_to_kernel_entries():
-    ctx = K.Context().extend("A", V.VSet(0)).extend("n", V.VUnit())
-    label = V.VDLabel("D", (V.VLParam(V.fresh(0), V.VSet(0)), V.VLIndex(V.fresh(1), V.VUnit())))
-    got = D._elabel_from_value(label, ctx)
-    assert got == D.ELabel("D", (T.LParam(T.Var(1), T.Set_(0)), T.LIndex(T.Var(0), T.Unit())))
-    assert [e.ty for e in got.entries] == [T.Set_(0), T.Unit()]
-    assert got.describe(ctx) == "D (A) [n]"
+def test_by_goal_label_reads_back_to_kernel_entries(sess, monkeypatch):
+    # a by-branch's goal, a label at `IDesc I`, reads back as a label with the
+    # entry kinds of the clause's own label
+    labels = []
+    elab_data_patts = D.DataElab.elab_data_patts
+
+    def record(de, ctx, clauses, label, depth=0):
+        labels.append((label, label.describe(ctx)))
+        return elab_data_patts(de, ctx, clauses, label, depth)
+
+    monkeypatch.setattr(D.DataElab, "elab_data_patts", record)
+    decl = S.parse_file(
+        "data D (A : Set) [n : Nat] : Set where\n"
+        "  D A [n] by case n {\n"
+        "    D A [zero] => dz\n"
+        "    D A [suc m] => ds (a : A)\n"
+        "  }\n"
+    )[0]
+    D.elab_data(sess.ctx, decl)
+    top, zero, suc = labels
+    assert top[1] == "D (A) [n]"
+    assert (zero[1], suc[1]) == ("D (A) [In (#0 , %as)]", "D (A) [In (#1 , %x , %r)]")
+    for label, _ in (zero, suc):
+        assert [type(e) for e in label.entries] == [D.LParam, D.LIndex]
+        assert label.entries[0].ty == T.Set_(0)
 
 
-def test_by_goal_label_with_a_constraint_is_rejected():
-    label = V.VDLabel("D", (V.VLConstraint(V.fresh(0), V.VVoid(), V.VUnit()),))
-    with pytest.raises(ElabError) as e:
-        D._elabel_from_value(label, K.Context().extend("x", V.VUnit()))
-    assert e.value.render() == "PatternHeadMismatch: unexpected constraint in a by-goal"
+def test_by_goal_label_with_a_constraint_is_rejected(sess):
+    # a `by` clause head cannot constrain an index, with branches or without
+    for enum, branches in (("{}", "{ }"), ("{'t}", "{\n    W e [n] => w\n  }")):
+        decl = S.parse_file(
+            f"data W (e : Enum {enum}) [n : Nat] : Set where\n  W e [n = zero] by case e {branches}\n"
+        )[0]
+        with pytest.raises(ElabError) as e:
+            D.elab_data(sess.ctx, decl)
+        assert e.value.render() == "2:3: PatternHeadMismatch: a 'by' clause head cannot constrain an index"

@@ -6,6 +6,7 @@ import pytest
 
 from conftest import context_valid, enum, tup, switch_fam, load_session, num_term
 
+from idt import dataelab as D
 from idt import kernel as K
 from idt import labels as L
 from idt import surface as S
@@ -32,12 +33,15 @@ def test_lcall_lret_iota():
     assert K.normalize(ctx0(), t) == T.Void()
 
 
+def desc_call(en, fam):
+    """A description label's call/return: `call <D : IDesc Unit> (return ('sigma E F))`."""
+    return T.LCall("D", (), (), T.IDesc(T.Unit()), T.LRet(T.DSigmaE(en, fam)))
+
+
 def test_dcall_dret_iota():
     en = enum("a", "b")
     fam = switch_fam(en, tup(T.DOne(), T.DOne()), T.IDesc(T.Unit()))
-    label = T.DLabel("D", ())
-    t = T.DCall(label, T.DRet(en, fam))
-    got = K.normalize(ctx0(), t)
+    got = K.normalize(ctx0(), desc_call(en, fam))
     want = K.normalize(ctx0(), T.DSigmaE(en, fam))
     assert got == want
 
@@ -46,44 +50,36 @@ def test_call_return_iota_as_defeq_property():
     for tags in (("a",), ("a", "b"), ("x", "y", "z")):
         en = enum(*tags)
         fam = switch_fam(en, tup(*(T.DOne() for _ in tags)), T.IDesc(T.Unit()))
-        label = T.DLabel("D", ())
-        assert K.def_eq(ctx0(), T.DCall(label, T.DRet(en, fam)), T.DSigmaE(en, fam))
+        assert K.def_eq(ctx0(), desc_call(en, fam), T.DSigmaE(en, fam))
 
 
 # --- label index types -----------------------------------------------------------
 
 
-def nat_ty_term(sess):
-    return V.quote(sess.datatypes["Nat"].value, sess.ctx.depth)
+def index_type(label, ctx):
+    return V.quote(label.index_type_value(ctx), ctx.depth)
 
 
 def test_label_index_type_base():
-    label = T.DLabel("D", ())
-    assert V.quote(V.vlabel_index_type(V.eval_label(label, ctx0().env)), 0) == T.Unit()
+    assert index_type(D.ELabel("D", ()), ctx0()) == T.Unit()
 
 
 def test_label_index_type_param_skipped_index_contributes(sess):
     ctx = sess.ctx.extend("A", V.VSet(0)).extend("n", sess.datatypes["Nat"].value)
     nat_t = V.quote(sess.datatypes["Nat"].value, ctx.depth)
-    label = T.DLabel(
-        "Vec", (T.LParam(T.Var(1), T.Set_(0)), T.LIndex(T.Var(0), nat_t))
-    )
-    got = V.quote(V.vlabel_index_type(V.eval_label(label, ctx.env)), ctx.depth)
+    label = D.ELabel("Vec", (D.LParam(T.Var(1), T.Set_(0)), D.LIndex(T.Var(0), nat_t)))
     want = K.normalize(ctx, T.Sigma("_", T.Unit(), T.shift(nat_t, 1)))
-    assert got == want
+    assert index_type(label, ctx) == want
 
 
 def test_label_index_type_constraint_contributes(sess):
     ctx = sess.ctx.extend("A", V.VSet(0)).extend("n", sess.datatypes["Nat"].value)
     ctx = ctx.extend("m", sess.datatypes["Nat"].value)
     nat_t = V.quote(sess.datatypes["Nat"].value, ctx.depth)
-    suc_m = T.In(T.Pair(T.SucE(T.ZeroE()), T.Pair(T.Var(0), T.Void())))
-    label = T.DLabel(
-        "Vec", (T.LParam(T.Var(2), T.Set_(0)), T.LConstraint(T.Var(1), suc_m, nat_t))
-    )
-    got = V.quote(V.vlabel_index_type(V.eval_label(label, ctx.env)), ctx.depth)
+    suc_m = S.parse_expr("suc m")
+    label = D.ELabel("Vec", (D.LParam(T.Var(2), T.Set_(0)), D.EConstr(T.Var(1), suc_m, nat_t)))
     want = K.normalize(ctx, T.Sigma("_", T.Unit(), T.shift(nat_t, 1)))
-    assert got == want
+    assert index_type(label, ctx) == want
 
 
 def test_label_index_type_against_oracle(sess):
@@ -96,7 +92,7 @@ def test_label_index_type_against_oracle(sess):
     def oracle(entries):
         ty = T.Unit()
         for e in entries:
-            if isinstance(e, T.LParam):
+            if isinstance(e, D.LParam):
                 continue
             ty = T.Sigma("_", ty, T.shift(e.ty, 1))
         return ty
@@ -106,15 +102,12 @@ def test_label_index_type_against_oracle(sess):
         for _ in range(rng.randrange(0, 5)):
             kind = rng.randrange(3)
             if kind == 0:
-                entries.append(T.LParam(T.Unit(), T.Set_(0)))
+                entries.append(D.LParam(T.Unit(), T.Set_(0)))
             elif kind == 1:
-                entries.append(T.LIndex(num_term(rng.randrange(3)), nat_t))
+                entries.append(D.LIndex(num_term(rng.randrange(3)), nat_t))
             else:
-                entries.append(
-                    T.LConstraint(num_term(0), num_term(rng.randrange(3)), nat_t)
-                )
-        label = T.DLabel("D", tuple(entries))
-        got = V.quote(V.vlabel_index_type(V.eval_label(label, sess.ctx.env)), sess.ctx.depth)
+                entries.append(D.EConstr(num_term(0), S.parse_expr(str(rng.randrange(3))), nat_t))
+        got = index_type(D.ELabel("D", tuple(entries)), sess.ctx)
         want = K.normalize(sess.ctx, oracle(entries))
         assert got == want
 

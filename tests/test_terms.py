@@ -86,17 +86,17 @@ def test_abstract_variable_is_variable_abstraction(t, k):
 
 
 def test_map_term_binder_depths_and_unchanged_nodes():
-    # label entries do not bind; a visit that changes nothing keeps every
+    # a label's spines do not bind; a visit that changes nothing keeps every
     # node as is
     fam = T.Lam("x", None, T.App(T.Var(0), T.Var(1)))
     t = T.Pair(T.Var(0), T.Var(1))
     assert T.shift(t, 1) == T.Pair(T.Var(1), T.Var(2))
-    lbl = T.DLabelTy(T.DLabel("D", (T.LParam(T.Var(0), T.Set_(0)), T.LIndex(fam, T.Var(2)))))
+    lbl = T.LabelTy("D", (T.Var(0), fam), (T.Set_(0), T.Var(2)), T.IDesc(T.Sigma("_", T.Unit(), T.Var(3))))
     shifted = T.shift(lbl, 1)
-    assert shifted == T.DLabelTy(
-        T.DLabel("D", (T.LParam(T.Var(1), T.Set_(0)), T.LIndex(T.shift(fam, 1), T.Var(3))))
+    assert shifted == T.LabelTy(
+        "D", (T.Var(1), T.shift(fam, 1)), (T.Set_(0), T.Var(3)), T.IDesc(T.Sigma("_", T.Unit(), T.Var(4)))
     )
-    assert shifted.label.entries[1].ty == T.Var(3)  # `ty` is not compared by `==`
+    assert shifted.argtys[1] == T.Var(3)  # `argtys` is not compared by `==`
     assert T.free_vars(lbl) == {0, 2}
     for u in (t, lbl, fam):
         assert T.map_term(u, lambda _u, _d: None) is u
