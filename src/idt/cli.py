@@ -5,7 +5,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass, field
 from typing import Optional
 
 from . import dataelab as D
@@ -21,30 +20,31 @@ from .elab import ElabError, Elaborator
 from .kernel import Context, KernelError
 
 
-@dataclass
 class DataInfo:
-    name: str
-    n_params: int
-    n_indices: int
-    tags: list
-    ty_value: V.Value
-    value: V.Value
+    def __init__(self, name: str, n_params: int, n_indices: int, tags: list, ty_value: V.Value, value: V.Value):
+        self.name = name
+        self.n_params = n_params
+        self.n_indices = n_indices
+        self.tags = tags
+        self.ty_value = ty_value
+        self.value = value
 
 
-@dataclass
 class Session:
-    recheck: bool = True
-    trace: bool = False
-    show_codes: bool = False
-    ctx: Context = field(default_factory=Context)
-    datatypes: dict = field(default_factory=dict)
-    registry: G.DerivingRegistry = field(default_factory=G.DerivingRegistry)
-    eq_procs: dict = field(default_factory=dict)
-    out: list = field(default_factory=list)
-    # `resugar`'s table: the context entries it covers, and the readback of
-    # each datatype and enumeration among them mapped to its level
-    _folded: tuple = field(default=(), init=False, repr=False, compare=False)
-    _folds: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    def __init__(self, recheck: bool = True, trace: bool = False, show_codes: bool = False,
+                 ctx: Optional[Context] = None):
+        self.recheck = recheck
+        self.trace = trace
+        self.show_codes = show_codes
+        self.ctx = Context() if ctx is None else ctx
+        self.datatypes = {}
+        self.registry = G.DerivingRegistry()
+        self.eq_procs = {}
+        self.out = []
+        # `resugar`'s table: the context entries it covers, and the readback
+        # of each datatype and enumeration among them mapped to its level
+        self._folded = ()
+        self._folds = {}
 
     def emit(self, line: str):
         self.out.append(line)
@@ -62,9 +62,7 @@ class Session:
 
     def _declare_data(self, d: S.DataDecl):
         res = D.elab_data(self.ctx, d, trace=self.trace)
-        tyv = K.check_entry_type(self.ctx, res.ty)
-        if self.recheck:
-            K.check(self.ctx, res.definiens, tyv)
+        tyv = self._recheck(res.definiens, res.ty, d.span)
         value = self.ctx.eval(res.definiens)
         self.ctx = self.ctx.extend(res.name, tyv, value)
         self.datatypes[res.name] = DataInfo(
@@ -130,10 +128,21 @@ class Session:
         if self.ctx.lookup(d.name) is not None:
             raise ElabError("DuplicateName", d.span, f"'{d.name}' is already defined")
         definiens, tyt = L.elab_define(self.ctx, d)
-        tyv = K.check_entry_type(self.ctx, tyt)
-        if self.recheck:
-            K.check(self.ctx, definiens, tyv)
+        tyv = self._recheck(definiens, tyt, d.span)
         self.ctx = self.ctx.extend(d.name, tyv, self.ctx.eval(definiens))
+
+    def _recheck(self, definiens: T.Term, ty: T.Term, span) -> V.Value:
+        """The value of a declaration's type `ty` once the kernel has checked
+        it and, when re-checking, `definiens` against it. A kernel error is
+        located at the declaration, `span`."""
+        try:
+            tyv = K.check_entry_type(self.ctx, ty)
+            if self.recheck:
+                K.check(self.ctx, definiens, tyv)
+        except KernelError as e:
+            e.span = span
+            raise
+        return tyv
 
     # -- evaluation -------------------------------------------------------------
 
@@ -277,6 +286,8 @@ def _report(path: str, err) -> str:
         return f"{path}: {head}: {err.render()}"
     if isinstance(err, S.ParseError):
         return f"{path}:{err.span[0]}:{err.span[1]}: {head}: {err.msg}"
+    if isinstance(err, KernelError) and err.span:
+        return f"{path}:{err.span[0]}:{err.span[1]}: {head}: {err}"
     return f"{path}: {head}: {err}"
 
 

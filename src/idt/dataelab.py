@@ -20,7 +20,6 @@ derivation that `--emit-trace` prints.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 from . import kernel as K
@@ -31,6 +30,7 @@ from . import terms as T
 from . import values as V
 from .elab import ElabError, Elaborator, TraceNode, _span, _spine
 from .kernel import Context
+from .record import Record, field
 from .terms import Term
 from .values import Value
 
@@ -38,24 +38,21 @@ from .values import Value
 # --- elaborator-side description labels -------------------------------------
 
 
-@dataclass(frozen=True)
-class LParam:
+class LParam(Record):
     """A label's parameter entry: its term and type."""
 
     tm: Term
     ty: Term = field(compare=False)
 
 
-@dataclass(frozen=True)
-class LIndex:
+class LIndex(Record):
     """A label's index entry: its term and type."""
 
     tm: Term
     ty: Term = field(compare=False)
 
 
-@dataclass(frozen=True)
-class EConstr:
+class EConstr(Record):
     """A label's constraint entry: an index variable and the surface value
     a clause head constrains it to."""
 
@@ -64,8 +61,7 @@ class EConstr:
     ty: Term
 
 
-@dataclass(frozen=True)
-class ELabel:
+class ELabel(Record):
     head: str
     entries: tuple
 
@@ -115,17 +111,18 @@ class ELabel:
         return " ".join(parts)
 
 
-@dataclass
 class DataResult:
-    name: str
-    definiens: Term  # at the outer context
-    ty: Term
-    n_params: int
-    n_indices: int
-    code: Term  # at the telescope context (with the opaque self binding)
-    tel_names: list
-    tags: list
-    trace: Optional[TraceNode]
+    def __init__(self, name: str, definiens: Term, ty: Term, n_params: int, n_indices: int, code: Term,
+                 tel_names: list, tags: list, trace: Optional[TraceNode]):
+        self.name = name
+        self.definiens = definiens  # at the outer context
+        self.ty = ty
+        self.n_params = n_params
+        self.n_indices = n_indices
+        self.code = code  # at the telescope context (with the opaque self binding)
+        self.tel_names = tel_names
+        self.tags = tags
+        self.trace = trace
 
 
 # --- pattern validation ---------------------------------------------------------

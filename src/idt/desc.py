@@ -8,7 +8,6 @@ is its instance at index type `Unit`. The dump of such a datatype shows the
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Optional
 
 from . import kernel as K
@@ -98,10 +97,11 @@ def _desc_view(t: Term) -> Term:
             return _DESC
         if isinstance(u, T.DVarI) and isinstance(u.index, T.Void):
             return _VAR
-        if isinstance(u, (T.LabelTy, T.LCall)):
-            # a label's `IDesc Unit` stays: `pp` prints the label by its shape
-            kids = {f: T.map_term(getattr(u, f), visit, d) for f in ("args", "body") if hasattr(u, f)}
-            return dataclasses.replace(u, **kids)
+        # a label's `IDesc Unit` stays: `pp` prints the label by its shape
+        if isinstance(u, T.LabelTy):
+            return T.LabelTy(u.head, T.map_term(u.args, visit, d), u.argtys, u.ty)
+        if isinstance(u, T.LCall):
+            return T.LCall(u.head, T.map_term(u.args, visit, d), u.argtys, u.ty, T.map_term(u.body, visit, d))
         return None
 
     return T.map_term(t, visit)

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from typing import Optional
 
 from . import kernel as K
@@ -45,15 +44,25 @@ Checked = tuple[Term, Optional[Value]]
 class ElabError(Exception):
     """An elaboration failure and the goals in progress when it was raised.
 
-    A goal is its text or a function that formats it; functions are called
-    only when the trail is read or rendered."""
+    The message and each goal are a text or a function that formats it;
+    functions are called only when the message or the trail is read, so an
+    error that is caught and dropped formats nothing."""
 
-    def __init__(self, kind: str, span, msg: str, trail=None):
+    def __init__(self, kind: str, span, msg, trail=None):
         self.kind = kind
         self.span = span
-        self.msg = msg
+        self._msg = msg
         self._goals = list(trail) if trail else []
-        super().__init__(f"{kind}: {msg}")
+        super().__init__(kind)
+
+    def __str__(self) -> str:
+        return f"{self.kind}: {self.msg}"
+
+    @property
+    def msg(self) -> str:
+        if not isinstance(self._msg, str):
+            self._msg = self._msg()
+        return self._msg
 
     @property
     def trail(self) -> list:
@@ -69,14 +78,14 @@ class ElabError(Exception):
         return "\n".join(lines)
 
 
-@dataclass
 class TraceNode:
     """A recorded derivation step: its rule, its subject and the steps made
     inside it."""
 
-    kind: str
-    text: str
-    children: list = field(default_factory=list)
+    def __init__(self, kind: str, text: str):
+        self.kind = kind
+        self.text = text
+        self.children = []
 
     def render(self, indent: int = 0) -> str:
         pad = "  " * indent
@@ -118,7 +127,7 @@ class Elaborator:
         finally:
             self.goals.pop()
 
-    def err(self, kind: str, span, msg: str):
+    def err(self, kind: str, span, msg):
         raise ElabError(kind, span, msg, [desc for desc, rule, _ in self.goals if rule is None])
 
     def _type_str(self, ctx: Context, tv: Value) -> str:
@@ -443,18 +452,17 @@ class Elaborator:
             self.err(
                 "NotAConstructorType",
                 e.span if hasattr(e, "span") else None,
-                f"the target type does not expose a choice of constructors "
-                f"({self._type_str(ctx, want)})",
+                lambda: f"the target type does not expose a choice of constructors ({self._type_str(ctx, want)})",
             )
         found = _find_constructor(code, head.name, 4)
         if found is None:
-            tags = V.enum_tags(code.enum)
-            self.err(
-                "UnknownTag",
-                head.span,
-                f"'{head.name}' is not a constructor of {self._type_str(ctx, want)}"
-                + (f" (constructors: {', '.join(tags)})" if tags else ""),
-            )
+
+            def msg():
+                tags = V.enum_tags(code.enum)
+                listed = f" (constructors: {', '.join(tags)})" if tags else ""
+                return f"'{head.name}' is not a constructor of {self._type_str(ctx, want)}{listed}"
+
+            self.err("UnknownTag", head.span, msg)
         path, final_code = found
         payload_want = V.vinterp_i(final_code, V.imu_family(want.ixty, want.fam))
         args_t, args_v = self._ctor_args(ctx, e, list(args), payload_want)

@@ -14,7 +14,6 @@ and produces a comparison procedure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 from . import desc
@@ -22,6 +21,7 @@ from . import kernel as K
 from . import terms as T
 from . import values as V
 from .kernel import Context
+from .record import Record
 from .terms import Term
 from .values import Value
 
@@ -126,32 +126,27 @@ def derive_case(ctx: Context, ty: Term):
     return term, ty
 
 
-@dataclass(frozen=True)
-class W1:
+class W1(Record):
     pass
 
 
-@dataclass(frozen=True)
-class WVar:
+class WVar(Record):
     pass
 
 
-@dataclass(frozen=True)
-class WTimes:
+class WTimes(Record):
     lhs: object
     rhs: object
 
 
-@dataclass(frozen=True)
-class WBranches:
+class WBranches(Record):
     """Finite choice: per-branch witnesses ('sigma, or 'Sigma over an
     enumeration)."""
 
     subs: tuple
 
 
-@dataclass(frozen=True)
-class Refusal:
+class Refusal(Record):
     reason: str
 
 
@@ -228,13 +223,13 @@ def derive_eq(code: Value, witness: Witness) -> Callable[[Value, Value], bool]:
     return eq_top
 
 
-@dataclass
 class DerivableProperty:
     """A user-registrable derivable property over codes."""
 
-    name: str
-    membership: Callable[[Value], object]
-    derive: Callable[[Value, object], object]
+    def __init__(self, name: str, membership: Callable[[Value], object], derive: Callable[[Value, object], object]):
+        self.name = name
+        self.membership = membership
+        self.derive = derive
 
 
 class DerivingRegistry:

@@ -29,12 +29,12 @@ and that inference is its check (`_code_index_type`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from . import pp
 from . import terms as T
 from . import values as V
+from .record import Record
 from .terms import Term
 from .values import Value
 
@@ -44,6 +44,7 @@ class KernelError(Exception):
         self.kind = kind
         self.term = term
         self.msg = msg
+        self.span = None  # the declaration being re-checked, if the driver knows it
         super().__init__(f"{kind}: {msg}")
 
 
@@ -56,8 +57,7 @@ def _show(ctx: Context, v: Value) -> str:
     return pp.print_term(ctx.quote(v), ctx.names())
 
 
-@dataclass(frozen=True)
-class Entry:
+class Entry(Record):
     name: str
     ty: Value
     val: Optional[Value]  # None for declarations

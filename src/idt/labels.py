@@ -19,7 +19,6 @@ redex.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, List, Optional
 
 from . import kernel as K
@@ -33,27 +32,27 @@ from .terms import Term
 from .values import Value
 
 
-@dataclass
 class Slot:
     """One argument (or hypothesis) position of a constructor subgoal."""
 
-    ty: Value
-    proj: Value
+    def __init__(self, ty: Value, proj: Value):
+        self.ty = ty
+        self.proj = proj
 
 
-@dataclass
 class EwmSubgoal:
-    tag: Optional[str]
-    binders: List[tuple]  # (name, type value), fresh at ctx.depth + position
-    hyp_slots: List[Slot]
-    goal: Value  # refined goal, valid under the binders
-    wrap: Callable  # fn(body term under the binders) -> branch term
+    def __init__(self, tag: Optional[str], binders: List[tuple], hyp_slots: List[Slot], goal: Value, wrap: Callable):
+        self.tag = tag
+        self.binders = binders  # (name, type value), fresh at ctx.depth + position
+        self.hyp_slots = hyp_slots
+        self.goal = goal  # refined goal, valid under the binders
+        self.wrap = wrap  # fn(body term under the binders) -> branch term
 
 
-@dataclass
 class EwmResult:
-    subgoals: List[EwmSubgoal]
-    assemble: Callable[[List[Term]], Term]
+    def __init__(self, subgoals: List[EwmSubgoal], assemble: Callable[[List[Term]], Term]):
+        self.subgoals = subgoals
+        self.assemble = assemble
 
 
 def ewm_restricted(ctx: Context, kind: str, scrut_name: str, goal: Value) -> EwmResult:

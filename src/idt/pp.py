@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import terms as T
 from .terms import Term
 
@@ -67,7 +65,6 @@ def _closed_numeral(t: Term):
         return None
 
 
-@dataclass(frozen=True)
 class Notation(Term):
     """A print-only atom shown as its text, for notations such as the Desc
     view of code dumps; it is never evaluated."""

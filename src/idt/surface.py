@@ -7,8 +7,9 @@ ignored. `by` bodies are brace-delimited.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional, Union
+
+from .record import Record, field
 
 
 Span = tuple  # (line, col, end_line, end_col), 1-based
@@ -32,8 +33,7 @@ KEYWORDS = {
 PUNCT = ["=>", "->", "==", "(", ")", "[", "]", "{", "}", ":", ";", ",", ".", "\\", "=", "*"]
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(Record):
     kind: str  # NAME KW TAG NUM PUNCT SEP EOF
     text: str
     span: Span
@@ -116,8 +116,7 @@ def lex(src: str) -> list:
 # --- external terms -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ExtTerm:
+class ExtTerm(Record):
     pass
 
 
@@ -125,27 +124,23 @@ def _span_field():
     return field(default=None, compare=False)
 
 
-@dataclass(frozen=True)
 class EVar(ExtTerm):
     name: str
     span: Span = _span_field()
 
 
-@dataclass(frozen=True)
 class EApp(ExtTerm):
     fn: ExtTerm
     arg: ExtTerm
     span: Span = _span_field()
 
 
-@dataclass(frozen=True)
 class ELam(ExtTerm):
     name: str
     body: ExtTerm
     span: Span = _span_field()
 
 
-@dataclass(frozen=True)
 class EPi(ExtTerm):
     name: str
     dom: ExtTerm
@@ -153,7 +148,6 @@ class EPi(ExtTerm):
     span: Span = _span_field()
 
 
-@dataclass(frozen=True)
 class ESigma(ExtTerm):
     name: str
     dom: ExtTerm
@@ -161,18 +155,15 @@ class ESigma(ExtTerm):
     span: Span = _span_field()
 
 
-@dataclass(frozen=True)
 class ESet(ExtTerm):
     level: int
     span: Span = _span_field()
 
 
-@dataclass(frozen=True)
 class EUnit(ExtTerm):
     span: Span = _span_field()
 
 
-@dataclass(frozen=True)
 class EParen(ExtTerm):
     """The empty tuple '()'. Non-empty parentheses are pure grouping; the
     tuple reading of an application spine is type-directed."""
@@ -180,50 +171,42 @@ class EParen(ExtTerm):
     span: Span = _span_field()
 
 
-@dataclass(frozen=True)
 class EEnumLit(ExtTerm):
     tags: tuple
     span: Span = _span_field()
 
 
-@dataclass(frozen=True)
 class EAltsLit(ExtTerm):
     alts: tuple  # ((tag, expr), ...)
     span: Span = _span_field()
 
 
-@dataclass(frozen=True)
 class ETag(ExtTerm):
     name: str
     span: Span = _span_field()
 
 
-@dataclass(frozen=True)
 class EEnumT(ExtTerm):
     arg: ExtTerm
     span: Span = _span_field()
 
 
-@dataclass(frozen=True)
 class EEq(ExtTerm):
     lhs: ExtTerm
     rhs: ExtTerm
     span: Span = _span_field()
 
 
-@dataclass(frozen=True)
 class ERefl(ExtTerm):
     span: Span = _span_field()
 
 
-@dataclass(frozen=True)
 class EAnn(ExtTerm):
     expr: ExtTerm
     ty: ExtTerm
     span: Span = _span_field()
 
 
-@dataclass(frozen=True)
 class ENum(ExtTerm):
     value: int
     span: Span = _span_field()
@@ -232,70 +215,60 @@ class ENum(ExtTerm):
 # --- declarations ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IVar:
+class IVar(Record):
     name: str
     span: Span = _span_field()
 
 
-@dataclass(frozen=True)
-class IConstraint:
+class IConstraint(Record):
     name: str
     value: ExtTerm
     span: Span = _span_field()
 
 
-@dataclass(frozen=True)
-class IRefined:
+class IRefined(Record):
     ctor: str
     vars: tuple
     span: Span = _span_field()
 
 
-@dataclass(frozen=True)
-class PVar:
+class PVar(Record):
     name: str
     span: Span = _span_field()
 
 
-@dataclass(frozen=True)
-class PIndex:
+class PIndex(Record):
     pat: Union[IVar, IConstraint, IRefined]
     span: Span = _span_field()
 
 
-@dataclass(frozen=True)
-class HeadPattern:
+class HeadPattern(Record):
     name: str
     args: tuple  # PVar | PIndex
     span: Span = _span_field()
 
 
-@dataclass(frozen=True)
-class CtorDecl:
+class CtorDecl(Record):
     name: str
     args: tuple  # ((name, ExtTerm), ...)
     span: Span = _span_field()
 
 
-@dataclass(frozen=True)
-class Clause:
+class Clause(Record):
     head: HeadPattern
     ctor: Optional[CtorDecl]
     by: Optional["ByBlock"]
     span: Span = _span_field()
 
 
-@dataclass(frozen=True)
-class ByBlock:
+class ByBlock(Record):
     kind: str  # "case" | "rec"
     var: str
     clauses: tuple
     span: Span = _span_field()
 
 
-@dataclass(frozen=True)
-class DataDecl:
+class DataDecl(Record):
     name: str
     params: tuple  # ((name, ExtTerm), ...)
     indices: tuple
@@ -304,35 +277,30 @@ class DataDecl:
     span: Span = _span_field()
 
 
-@dataclass(frozen=True)
-class ProgPatVar:
+class ProgPatVar(Record):
     name: str
     span: Span = _span_field()
 
 
-@dataclass(frozen=True)
-class ProgPatCon:
+class ProgPatCon(Record):
     ctor: str
     vars: tuple
     span: Span = _span_field()
 
 
-@dataclass(frozen=True)
-class ProgHead:
+class ProgHead(Record):
     name: str
     pats: tuple
     span: Span = _span_field()
 
 
-@dataclass(frozen=True)
-class PReturn:
+class PReturn(Record):
     head: ProgHead
     expr: ExtTerm
     span: Span = _span_field()
 
 
-@dataclass(frozen=True)
-class PBy:
+class PBy(Record):
     head: ProgHead
     kind: str
     var: str
@@ -343,8 +311,7 @@ class PBy:
 Program = Union[PReturn, PBy]
 
 
-@dataclass(frozen=True)
-class LetDecl:
+class LetDecl(Record):
     name: str
     params: tuple  # ((name, ExtTerm), ...)
     ret: ExtTerm

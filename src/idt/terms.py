@@ -7,9 +7,10 @@ alpha-equality.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Optional
+
+from .record import Record, field
 
 
 TAG_CHARS = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_-")
@@ -22,17 +23,14 @@ def valid_tag(name: str) -> bool:
     return bool(name) and all(c in TAG_CHARS for c in name)
 
 
-@dataclass(frozen=True)
-class Term:
-    pass
+class Term(Record):
+    __slots__ = ("__dict__",)  # `values._reads_bound` caches on binder bodies
 
 
-@dataclass(frozen=True)
 class Var(Term):
     ix: int
 
 
-@dataclass(frozen=True)
 class Set_(Term):
     level: int  # 0, 1 or 2
 
@@ -40,14 +38,12 @@ class Set_(Term):
         assert self.level in (0, 1, 2), f"bad universe level {self.level}"
 
 
-@dataclass(frozen=True)
 class Pi(Term):
     nm: str = field(compare=False)
     dom: Term
     cod: Term  # binds one
 
 
-@dataclass(frozen=True)
 class Lam(Term):
     nm: str = field(compare=False)
     ann: Optional[Term]  # optional domain annotation, ignored by equality
@@ -61,51 +57,42 @@ class Lam(Term):
         return hash(("Lam", self.body))
 
 
-@dataclass(frozen=True)
 class App(Term):
     fn: Term
     arg: Term
 
 
-@dataclass(frozen=True)
 class Sigma(Term):
     nm: str = field(compare=False)
     dom: Term
     cod: Term  # binds one
 
 
-@dataclass(frozen=True)
 class Pair(Term):
     fst: Term
     snd: Term
 
 
-@dataclass(frozen=True)
 class Fst(Term):
     pair: Term
 
 
-@dataclass(frozen=True)
 class Snd(Term):
     pair: Term
 
 
-@dataclass(frozen=True)
 class Unit(Term):
     pass
 
 
-@dataclass(frozen=True)
 class Void(Term):
     """The unit inhabitant (the diamond)."""
 
 
-@dataclass(frozen=True)
 class UId(Term):
     pass
 
 
-@dataclass(frozen=True)
 class Tag(Term):
     name: str
 
@@ -113,38 +100,31 @@ class Tag(Term):
         assert valid_tag(self.name), f"bad tag name {self.name!r}"
 
 
-@dataclass(frozen=True)
 class EnumU(Term):
     pass
 
 
-@dataclass(frozen=True)
 class NilE(Term):
     pass
 
 
-@dataclass(frozen=True)
 class ConsE(Term):
     tag: Term
     rest: Term
 
 
-@dataclass(frozen=True)
 class EnumT(Term):
     enum: Term
 
 
-@dataclass(frozen=True)
 class ZeroE(Term):
     pass
 
 
-@dataclass(frozen=True)
 class SucE(Term):
     pred: Term
 
 
-@dataclass(frozen=True)
 class PiE(Term):
     """The small pi type of lookup tuples over an enumeration."""
 
@@ -152,7 +132,6 @@ class PiE(Term):
     fam: Term
 
 
-@dataclass(frozen=True)
 class Switch(Term):
     enum: Term
     fam: Term
@@ -160,19 +139,16 @@ class Switch(Term):
     scrut: Term
 
 
-@dataclass(frozen=True)
 class Eq(Term):
     ty: Term
     lhs: Term
     rhs: Term
 
 
-@dataclass(frozen=True)
 class Refl(Term):
     pass
 
 
-@dataclass(frozen=True)
 class EqElim(Term):
     """J eliminator; the equation's endpoints are synthesized from `proof`."""
 
@@ -184,52 +160,43 @@ class EqElim(Term):
 # --- descriptions -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class IDesc(Term):
     index: Term
 
 
-@dataclass(frozen=True)
 class DVarI(Term):
     index: Term
 
 
-@dataclass(frozen=True)
 class DOne(Term):
     pass
 
 
-@dataclass(frozen=True)
 class DTimes(Term):
     lhs: Term
     rhs: Term
 
 
-@dataclass(frozen=True)
 class DPi(Term):
     dom: Term
     fam: Term  # a function from dom into the description universe
 
 
-@dataclass(frozen=True)
 class DSigma(Term):
     dom: Term
     fam: Term
 
 
-@dataclass(frozen=True)
 class DSigmaE(Term):
     enum: Term
     fam: Term  # a function from EnumT enum into the description universe
 
 
-@dataclass(frozen=True)
 class InterpIDesc(Term):
     code: Term
     arg: Term  # an index-family of types
 
 
-@dataclass(frozen=True)
 class IAllD(Term):
     """Inductive-hypothesis type over a description payload."""
 
@@ -239,7 +206,6 @@ class IAllD(Term):
     payload: Term
 
 
-@dataclass(frozen=True)
 class IAllMap(Term):
     """Builds the IAllD inhabitant from a recursor; backs induction's ι-rule."""
 
@@ -250,7 +216,6 @@ class IAllMap(Term):
     payload: Term
 
 
-@dataclass(frozen=True)
 class IMu(Term):
     """Fix-point of an index-to-description function.
 
@@ -263,12 +228,10 @@ class IMu(Term):
     index: Term
 
 
-@dataclass(frozen=True)
 class In(Term):
     payload: Term
 
 
-@dataclass(frozen=True)
 class IInduction(Term):
     ixty: Term = field(compare=False)
     fam: Term
@@ -278,7 +241,6 @@ class IInduction(Term):
     scrut: Term
 
 
-@dataclass(frozen=True)
 class Split(Term):
     """Dependent pair eliminator (needed in the absence of surjective pairing)."""
 
@@ -290,7 +252,6 @@ class Split(Term):
 # --- labels -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class LabelTy(Term):
     """Programming label: a phantom type recording a definition goal.
 
@@ -306,12 +267,10 @@ class LabelTy(Term):
     ty: Term
 
 
-@dataclass(frozen=True)
 class LRet(Term):
     val: Term
 
 
-@dataclass(frozen=True)
 class LCall(Term):
     head: str
     args: tuple
@@ -349,14 +308,14 @@ def map_term(t: Term, visit: Callable[[Term, int], Optional[Term]], depth: int =
         if u is not None:
             return u
         binder = _BINDERS.get(type(x))
-        kwargs = {}
+        args = []
         changed = False
-        for name in x.__dataclass_fields__:
+        for name in x._fields:
             a = getattr(x, name)
             b = go(a, d + 1 if name == binder else d)
             changed = changed or b is not a
-            kwargs[name] = b
-        return type(x)(**kwargs) if changed else x
+            args.append(b)
+        return type(x)(*args) if changed else x
 
     return go(t, depth)
 

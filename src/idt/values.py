@@ -29,12 +29,11 @@ well-typed terms are those of the eager rules.
 
 from __future__ import annotations
 
-import dataclasses
 import sys
-from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from . import terms as T
+from .record import Record, field
 from .terms import Term
 
 sys.setrecursionlimit(max(sys.getrecursionlimit(), 20000))
@@ -44,14 +43,14 @@ class EvalError(Exception):
     """Internal evaluator invariant violation (ill-typed input)."""
 
 
-@dataclass(frozen=True)
-class Value:
+class Value(Record):
     pass
 
 
-@dataclass(frozen=True)
-class Clo:
+class Clo(Record):
     """Defunctionalized closure: a term body in its environment."""
+
+    __slots__ = ("__dict__",)  # `vapp_ground`'s memo
 
     env: tuple
     term: Term
@@ -72,152 +71,125 @@ class PyClo:
         return self.fn(v)
 
 
-@dataclass(frozen=True)
 class VSet(Value):
     level: int
 
 
-@dataclass(frozen=True)
 class VPi(Value):
     nm: str
     dom: Value
     cod: object  # closure
 
 
-@dataclass(frozen=True)
 class VLam(Value):
     nm: str
     body: object  # closure
 
 
-@dataclass(frozen=True)
 class VSigma(Value):
     nm: str
     dom: Value
     cod: object
 
 
-@dataclass(frozen=True)
 class VPair(Value):
     fst: Value
     snd: Value
 
 
-@dataclass(frozen=True)
 class VUnit(Value):
     pass
 
 
-@dataclass(frozen=True)
 class VVoid(Value):
     pass
 
 
-@dataclass(frozen=True)
 class VUId(Value):
     pass
 
 
-@dataclass(frozen=True)
 class VTag(Value):
     name: str
 
 
-@dataclass(frozen=True)
 class VEnumU(Value):
     pass
 
 
-@dataclass(frozen=True)
 class VNilE(Value):
     pass
 
 
-@dataclass(frozen=True)
 class VConsE(Value):
     tag: Value
     rest: Value
 
 
-@dataclass(frozen=True)
 class VEnumT(Value):
     enum: Value
 
 
-@dataclass(frozen=True)
 class VZeroE(Value):
     pass
 
 
-@dataclass(frozen=True)
 class VSucE(Value):
     pred: Value
 
 
-@dataclass(frozen=True)
 class VEq(Value):
     ty: Value
     lhs: Value
     rhs: Value
 
 
-@dataclass(frozen=True)
 class VRefl(Value):
     pass
 
 
-@dataclass(frozen=True)
 class VIDesc(Value):
     index: Value
 
 
-@dataclass(frozen=True)
 class VDVarI(Value):
     index: Value
 
 
-@dataclass(frozen=True)
 class VDOne(Value):
     pass
 
 
-@dataclass(frozen=True)
 class VDTimes(Value):
     lhs: Value
     rhs: Value
 
 
-@dataclass(frozen=True)
 class VDPi(Value):
     dom: Value
     fam: Value
 
 
-@dataclass(frozen=True)
 class VDSigma(Value):
     dom: Value
     fam: Value
 
 
-@dataclass(frozen=True)
 class VDSigmaE(Value):
     enum: Value
     fam: Value
 
 
-@dataclass(frozen=True)
 class VIMu(Value):
     ixty: Value = field(compare=False)
     fam: Value
     index: Value
 
 
-@dataclass(frozen=True)
 class VIn(Value):
     payload: Value
 
 
-@dataclass(frozen=True)
 class VLabelTy(Value):
     head: str
     args: tuple
@@ -225,7 +197,6 @@ class VLabelTy(Value):
     ty: Value
 
 
-@dataclass(frozen=True)
 class VLRet(Value):
     val: Value
 
@@ -233,18 +204,15 @@ class VLRet(Value):
 # --- neutrals ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FApp:
+class FApp(Record):
     arg: Value
 
 
-@dataclass(frozen=True)
-class FFst:
+class FFst(Record):
     pass
 
 
-@dataclass(frozen=True)
-class FSnd:
+class FSnd(Record):
     pass
 
 
@@ -265,7 +233,6 @@ class FGeneric:
         self.owner_at = owner_at
 
 
-@dataclass(frozen=True)
 class VNeutral(Value):
     lvl: int
     spine: tuple = ()
@@ -883,6 +850,6 @@ _CONV_RULES.update(dict.fromkeys((VUnit, VVoid, VUId, VEnumU, VNilE, VZeroE, VRe
 
 # which fields of each stuck-elimination term take part in term equality
 _COMPARED = {
-    kind: tuple(f.compare for f in dataclasses.fields(kind))
+    kind: tuple(f in kind._compared for f in kind._fields)
     for kind in (T.PiE, T.Switch, T.EqElim, T.InterpIDesc, T.IAllD, T.IAllMap, T.IInduction, T.Split, T.LCall)
 }

@@ -255,7 +255,7 @@ def test_criterion_5_constructor_sugar_on_families():
 def _contains_refl(t) -> bool:
     if isinstance(t, T.Refl):
         return True
-    fields_ = getattr(t, "__dataclass_fields__", None)
+    fields_ = getattr(t, "_fields", None)
     if not fields_:
         return False
     return any(

@@ -273,7 +273,9 @@ def test_recheck_rejects_case_over_a_constrained_index(tmp_path):
     code, out = run_main(["check", str(p)])
     assert code == 1
     assert out.count("\n") == 1
-    assert out.startswith(f"{p}: error: TypeMismatch: expected ")
+    # located at the `let isNil` declaration, as a parse error is
+    line = read_corpus("vec_constrained.idt").count("\n") + 2
+    assert out.startswith(f"{p}:{line}:1: error: TypeMismatch: expected ")
     assert "Traceback" not in out
 
 

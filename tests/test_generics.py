@@ -25,6 +25,7 @@ from oracles import sub_desc
 
 from idt import generics as G
 from idt import kernel as K
+from idt import pp
 from idt import surface as S
 from idt import terms as T
 from idt import values as V
@@ -672,6 +673,35 @@ def test_deriving_on_family_unsupported():
             "data V (A : Set) [n : Nat] : Set where\n  V A [n = zero] => mk\nderiving Eq\n"
         )
     assert e.value.kind == "DerivingUnsupported"
+
+
+def test_eq_on_trees_prints_no_term(monkeypatch):
+    """`:eq` on two constructor terms probes each type with a derived
+    equality in turn, and the probes' errors are dropped: they format no
+    message, so no term is printed."""
+    s = Session()
+    s.load_text(
+        "data Nat : Set where\n  Nat => zero\n  Nat => suc (n : Nat)\nderiving Eq\n"
+        "let Bool : Set => Enum {'true, 'false}\n"
+        "data BTree : Set where\n  BTree => bleaf\n  BTree => bnode (l : BTree) (b : Bool) (r : BTree)\nderiving Eq\n"
+    )
+    printed = []
+    real = pp.print_term
+    monkeypatch.setattr(pp, "print_term", lambda t, names: printed.append(t) or real(t, names))
+    tree = "bnode (bnode bleaf 'true bleaf) 'false bleaf"
+    assert s.eq_command(tree, tree) == "equal"
+    assert s.eq_command(tree, "bnode bleaf 'false bleaf") == "not-equal"
+    assert printed == []
+
+
+def test_constructor_error_message_is_formatted_when_read():
+    s = Session()
+    s.load_text("data Nat : Set where\n  Nat => zero\n  Nat => suc (n : Nat)\n")
+    with pytest.raises(ElabError) as e:
+        s.eval_expr("(bleaf : Nat)")
+    assert e.value.msg.startswith("'bleaf' is not a constructor of IMu (")
+    assert e.value.msg.endswith(" (constructors: zero, suc)")
+    assert str(e.value) == f"UnknownTag: {e.value.msg}"
 
 
 # --- the registry ---------------------------------------------------------------------

@@ -33,7 +33,7 @@ PRED = (
 def term_nodes(t: T.Term):
     """Every term node of `t`, `t` first."""
     out = [t]
-    for name in t.__dataclass_fields__:
+    for name in t._fields:
         x = getattr(t, name)
         for y in x if isinstance(x, tuple) else (x,):
             if isinstance(y, T.Term):

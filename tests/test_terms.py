@@ -109,7 +109,7 @@ def test_alpha_equality_ignores_names(t):
             return T.Lam("zz", t.ann, rename(t.body))
         if isinstance(t, T.Pi):
             return T.Pi("ww", rename(t.dom), rename(t.cod))
-        fields_ = getattr(t, "__dataclass_fields__", None)
+        fields_ = getattr(t, "_fields", None)
         if not fields_:
             return t
         kwargs = {}
