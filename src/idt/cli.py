@@ -41,10 +41,6 @@ class Session:
         self.registry = G.DerivingRegistry()
         self.eq_procs = {}
         self.out = []
-        # `resugar`'s table: the context entries it covers, and the readback
-        # of each datatype and enumeration among them mapped to its level
-        self._folded = ()
-        self._folds = {}
 
     def emit(self, line: str):
         self.out.append(line)
@@ -160,50 +156,15 @@ class Session:
 
     def type_of(self, text: str) -> str:
         _, ty = self.synth_expr(text)
-        t = self.resugar(V.quote(ty, self.ctx.depth))
-        return pp.print_term(t, self.ctx.names())
+        return pp.print_term(self.resugar(ty), self.ctx.names())
 
-    def resugar(self, t: T.Term) -> T.Term:
-        """Fold context definitions back into names for display.
-
-        One pass, outermost first: a subterm that reads back the same as a
-        datatype or enumeration defined in the context becomes the variable
-        naming it, the most recent definition on duplicates."""
-        folds = self._fold_table()
-        top = self.ctx.depth - 1
-
-        def visit(u: T.Term, d: int) -> Optional[T.Term]:
-            if isinstance(u, (T.IMu, T.EnumT)):
-                lvl = folds.get(u)
-                if lvl is not None:
-                    return T.Var(top - lvl + d)
-            return None
-
-        return T.map_term(t, visit)
-
-    def _fold_table(self) -> dict:
-        """`resugar`'s table for the current context: extended by the entries
-        added since the last call, rebuilt when the context does not extend
-        the one it was built for, so each definition is read back once."""
-        entries, seen = self.ctx.entries, self._folded
-        if entries is seen:
-            return self._folds
-        n = len(seen)
-        if len(entries) < n or any(a is not b for a, b in zip(entries, seen)):
-            self._folds, n = {}, 0
-        for lvl in range(n, len(entries)):
-            val = entries[lvl].val
-            if isinstance(val, (V.VIMu, V.VEnumT)):
-                key = V.quote(val, lvl)
-                # a session defines every entry, so definitions are closed
-                assert not T.free_vars(key), f"{entries[lvl].name} is not closed"
-                self._folds[key] = lvl
-        self._folded = entries
-        return self._folds
+    def resugar(self, v: V.Value) -> T.Term:
+        """`v` read back for display, naming the context's definitions."""
+        return self.ctx.quote(v)
 
     def render_term(self, t: T.Term, ty: Optional[V.Value] = None) -> str:
         """The value of `t`: a numeral or a tag when it is one, else its
-        normal form, printed with definitions folded back into names."""
+        normal form, printed with the context's definitions named."""
         v = self.ctx.eval(t)
         n = self._as_numeral(v, ty)
         if n is not None:
@@ -213,7 +174,7 @@ class Session:
             k = V.numeral_of(v)
             if tags is not None and k is not None and k < len(tags):
                 return f"'{tags[k]}"
-        return pp.print_term(self.resugar(V.quote(v, self.ctx.depth)), self.ctx.names())
+        return pp.print_term(self.resugar(v), self.ctx.names())
 
     def _as_numeral(self, v: V.Value, ty: Optional[V.Value]) -> Optional[int]:
         """Decimal rendering for canonical values of a Nat-shaped datatype."""
@@ -272,11 +233,11 @@ _USE_COLOR = None
 
 
 def _color(s: str, code: str) -> str:
+    """`s` in the colour `code` when reports go to a terminal (they are
+    printed to stdout) and `NO_COLOR` is unset."""
     global _USE_COLOR
     if _USE_COLOR is None:
-        _USE_COLOR = sys.stderr.isatty() and not os.environ.get("NO_COLOR") and not os.environ.get(
-            "IDT_NO_COLOR"
-        )
+        _USE_COLOR = sys.stdout.isatty() and not os.environ.get("NO_COLOR")
     return f"\x1b[{code}m{s}\x1b[0m" if _USE_COLOR else s
 
 

@@ -28,7 +28,6 @@ from contextlib import contextmanager
 from typing import Optional
 
 from . import kernel as K
-from . import pp
 from . import surface as S
 from . import terms as T
 from . import values as V
@@ -130,9 +129,6 @@ class Elaborator:
     def err(self, kind: str, span, msg):
         raise ElabError(kind, span, msg, [desc for desc, rule, _ in self.goals if rule is None])
 
-    def _type_str(self, ctx: Context, tv: Value) -> str:
-        return pp.print_term(V.quote(tv, ctx.depth), ctx.names())
-
     # -- synthesis --
 
     def synth(self, ctx: Context, e: S.ExtTerm):
@@ -163,7 +159,7 @@ class Elaborator:
                     self.err(
                         "NotAFunction",
                         _span(a) or _span(e),
-                        f"applied term has type {self._type_str(ctx, ty)}",
+                        f"applied term has type {K.show(ctx, ty)}",
                     )
                 at, av = self._check_value(ctx, a, ty.dom)
                 t = T.App(t, at)
@@ -267,20 +263,20 @@ class Elaborator:
     def _check_value(self, ctx: Context, e: S.ExtTerm, want: Value) -> Checked:
         """`check`, also returning the term's value when it was built from
         the values of its parts."""
-        with self.goal(lambda: f"checking {S.print_expr(e)} against {self._type_str(ctx, want)}"):
+        with self.goal(lambda: f"checking {S.print_expr(e)} against {K.show(ctx, want)}"):
             return self._check(ctx, e, want)
 
     def _check(self, ctx: Context, e: S.ExtTerm, want: Value) -> Checked:
         if isinstance(e, S.ELam):
             if not isinstance(want, V.VPi):
-                self.err("CheckMismatch", e.span, f"function against {self._type_str(ctx, want)}")
+                self.err("CheckMismatch", e.span, f"function against {K.show(ctx, want)}")
             inner = ctx.extend(e.name, want.dom)
             body = self.check(inner, e.body, want.cod(V.fresh(ctx.depth)))
             return T.Lam(e.name, ctx.quote(want.dom), body), None
         if isinstance(e, S.EParen):
             if isinstance(want, (V.VSigma, V.VUnit)):
                 return self._tuple(ctx, e, [], want)
-            self.err("CheckMismatch", e.span, f"'()' against {self._type_str(ctx, want)}")
+            self.err("CheckMismatch", e.span, f"'()' against {K.show(ctx, want)}")
         if isinstance(e, S.EApp) and isinstance(want, (V.VSigma, V.VUnit)):
             # the LISP-inspired tuple reading of an application spine, with the
             # plain application as the fallback
@@ -298,7 +294,7 @@ class Elaborator:
         if isinstance(e, S.EEnumLit):
             if isinstance(want, V.VEnumU):
                 return self._enum_lit(e), None
-            self.err("CheckMismatch", e.span, f"enumeration against {self._type_str(ctx, want)}")
+            self.err("CheckMismatch", e.span, f"enumeration against {K.show(ctx, want)}")
         if isinstance(e, S.EAltsLit):
             return self._alts_lit(ctx, e, want), None
         if isinstance(e, S.ETag):
@@ -313,7 +309,7 @@ class Elaborator:
                 self.err("UnknownTag", e.span, f"tag '{e.name}' is not in the enumeration")
             if isinstance(want, V.VUId):
                 return T.Tag(e.name), None
-            self.err("CheckMismatch", e.span, f"tag against {self._type_str(ctx, want)}")
+            self.err("CheckMismatch", e.span, f"tag against {K.show(ctx, want)}")
         if isinstance(e, S.ENum):
             return self._numeral(ctx, e, want)
         if isinstance(e, S.ERefl):
@@ -324,10 +320,9 @@ class Elaborator:
                     "CheckMismatch",
                     e.span,
                     "refl between non-convertible sides "
-                    f"{pp.print_term(V.quote(want.lhs, ctx.depth), ctx.names())} and "
-                    f"{pp.print_term(V.quote(want.rhs, ctx.depth), ctx.names())}",
+                    f"{K.show(ctx, want.lhs)} and {K.show(ctx, want.rhs)}",
                 )
-            self.err("CheckMismatch", e.span, f"refl against {self._type_str(ctx, want)}")
+            self.err("CheckMismatch", e.span, f"refl against {K.show(ctx, want)}")
         # constructor sugar: an unbound head applied against a tagged fix-point
         head, args = _spine(e)
         if (
@@ -342,7 +337,7 @@ class Elaborator:
             self.err(
                 "CheckMismatch",
                 _span(e),
-                f"expected {self._type_str(ctx, want)}, got {self._type_str(ctx, got)}",
+                f"expected {K.show(ctx, want)}, got {K.show(ctx, got)}",
             )
         return t, None
 
@@ -364,7 +359,7 @@ class Elaborator:
             self.err(
                 "CheckMismatch",
                 e.span,
-                f"eliminator literal against {self._type_str(ctx, want)}",
+                f"eliminator literal against {K.show(ctx, want)}",
             )
         tags = V.enum_tags(want.dom.enum)
         if tags is None:
@@ -410,7 +405,7 @@ class Elaborator:
                 return _build_numeral(e.value, *paths)
             # a Sigma keeps the expansion: its tuple reading may succeed
             if not isinstance(want, (V.VIMu, V.VSigma)):
-                self.err("CheckMismatch", e.span, f"numeral against {self._type_str(ctx, want)}")
+                self.err("CheckMismatch", e.span, f"numeral against {K.show(ctx, want)}")
         expanded: S.ExtTerm = S.EVar("zero", span=e.span)
         for _ in range(e.value):
             expanded = S.EApp(S.EVar("suc", span=e.span), expanded, span=e.span)
@@ -444,7 +439,7 @@ class Elaborator:
             else:
                 b, bv = self._tuple(ctx, e, items[1:], rest_want)
             return _pair(a, av, b, bv)
-        self.err("CheckMismatch", e.span, f"tuple against {self._type_str(ctx, want)}")
+        self.err("CheckMismatch", e.span, f"tuple against {K.show(ctx, want)}")
 
     def _constructor(self, ctx: Context, e, head: S.EVar, args: list, want: Value) -> Checked:
         code = V.vapp_ground(want.fam, want.index)
@@ -452,7 +447,7 @@ class Elaborator:
             self.err(
                 "NotAConstructorType",
                 e.span if hasattr(e, "span") else None,
-                lambda: f"the target type does not expose a choice of constructors ({self._type_str(ctx, want)})",
+                lambda: f"the target type does not expose a choice of constructors ({K.show(ctx, want)})",
             )
         found = _find_constructor(code, head.name, 4)
         if found is None:
@@ -460,7 +455,7 @@ class Elaborator:
             def msg():
                 tags = V.enum_tags(code.enum)
                 listed = f" (constructors: {', '.join(tags)})" if tags else ""
-                return f"'{head.name}' is not a constructor of {self._type_str(ctx, want)}{listed}"
+                return f"'{head.name}' is not a constructor of {K.show(ctx, want)}{listed}"
 
             self.err("UnknownTag", head.span, msg)
         path, final_code = found
@@ -484,8 +479,7 @@ class Elaborator:
                         "CheckMismatch",
                         _span(e),
                         "index constraint not satisfied: "
-                        f"{pp.print_term(V.quote(want.dom.lhs, ctx.depth), ctx.names())} /= "
-                        f"{pp.print_term(V.quote(want.dom.rhs, ctx.depth), ctx.names())}",
+                        f"{K.show(ctx, want.dom.lhs)} /= {K.show(ctx, want.dom.rhs)}",
                     )
             elif args:
                 a, av = self._check_value(ctx, args.pop(0), want.dom)
@@ -505,7 +499,7 @@ class Elaborator:
             "BadTupleArity",
             _span(e),
             f"constructor arity mismatch ({len(args)} argument(s) left for "
-            f"{self._type_str(ctx, want)})",
+            f"{K.show(ctx, want)})",
         )
 
     # -- helpers --
@@ -517,7 +511,7 @@ class Elaborator:
             self.err(
                 "CheckMismatch",
                 _span(e),
-                f"expected a type, got something of type {self._type_str(ctx, ty)}",
+                f"expected a type, got something of type {K.show(ctx, ty)}",
             )
         return t, ctx.eval(t), ty.level
 

@@ -52,8 +52,9 @@ def _err(kind: str, term, msg: str):
     raise KernelError(kind, term, msg)
 
 
-def _show(ctx: Context, v: Value) -> str:
-    """Message text for a value: read back in `ctx` and printed with its names."""
+def show(ctx: Context, v: Value) -> str:
+    """Message text for a value, read back by `ctx.quote` (so naming the
+    definitions of `ctx`); every message that shows a value uses it."""
     return pp.print_term(ctx.quote(v), ctx.names())
 
 
@@ -84,7 +85,7 @@ class Context:
         if val is None:
             bound, named = V.fresh(self.depth), self.named
         else:
-            bound, named = val, V.name_definition(self.named, ty, val, self.depth)
+            bound, named = val, V.name_definition(self.named, ty, val, self.env)
         return Context(self.entries + (Entry(name, ty, val),), self.env + (bound,), named)
 
     def quote(self, v: Value, d: Optional[int] = None) -> Term:
@@ -135,7 +136,7 @@ def infer_sort(ctx: Context, t: Term) -> tuple:
     """Elaborated types: returns (type-as-value, universe level)."""
     ty = infer(ctx, t)
     if not isinstance(ty, V.VSet):
-        _err("UniverseMismatch", t, f"expected a type, its type is {_show(ctx, ty)}")
+        _err("UniverseMismatch", t, f"expected a type, its type is {show(ctx, ty)}")
     return ctx.eval(t), ty.level
 
 
@@ -210,7 +211,7 @@ def label_wf(ctx: Context, head: str, args: tuple, argtys: tuple):
 def _desc_target(ctx: Context, want: Value, t: Term) -> Value:
     """For code checking: the index type I of the wanted `IDesc I`."""
     if not isinstance(want, V.VIDesc):
-        _err("TypeMismatch", t, f"expected {_show(ctx, want)}, got a description code")
+        _err("TypeMismatch", t, f"expected {show(ctx, want)}, got a description code")
     return want.index
 
 
@@ -239,7 +240,7 @@ def _infer_lam(ctx: Context, t: T.Lam) -> Value:
 def _infer_app(ctx: Context, t: T.App) -> Value:
     fty = infer(ctx, t.fn)
     if not isinstance(fty, V.VPi):
-        _err("NotAFunction", t, f"applied term has type {_show(ctx, fty)}")
+        _err("NotAFunction", t, f"applied term has type {show(ctx, fty)}")
     argv = check(ctx, t.arg, fty.dom)
     return fty.cod(ctx.eval(t.arg) if argv is None else argv)
 
@@ -248,7 +249,7 @@ def _infer_pair_type(ctx: Context, t) -> V.VSigma:
     """The type of the pair that `Fst` or `Snd` projects."""
     pty = infer(ctx, t.pair)
     if not isinstance(pty, V.VSigma):
-        _err("NotAPair", t, f"projected term has type {_show(ctx, pty)}")
+        _err("NotAPair", t, f"projected term has type {show(ctx, pty)}")
     return pty
 
 
@@ -476,12 +477,12 @@ def check(ctx: Context, t: Term, want: Value) -> Optional[Value]:
 def _check_by_synthesis(ctx: Context, t: Term, want: Value) -> None:
     got = infer(ctx, t)
     if not conv_le(ctx, got, want):
-        _err("TypeMismatch", t, f"expected {_show(ctx, want)}, got {_show(ctx, got)}")
+        _err("TypeMismatch", t, f"expected {show(ctx, want)}, got {show(ctx, got)}")
 
 
 def _check_lam(ctx: Context, t: T.Lam, want: Value) -> None:
     if not isinstance(want, V.VPi):
-        _err("TypeMismatch", t, f"function against {_show(ctx, want)}")
+        _err("TypeMismatch", t, f"function against {show(ctx, want)}")
     if t.ann is not None:
         annv, _ = check_is_type(ctx, t.ann)
         if not conv(ctx, annv, want.dom):
@@ -492,7 +493,7 @@ def _check_lam(ctx: Context, t: T.Lam, want: Value) -> None:
 
 def _check_pair(ctx: Context, t: T.Pair, want: Value) -> Optional[Value]:
     if not isinstance(want, V.VSigma):
-        _err("TypeMismatch", t, f"pair against {_show(ctx, want)}")
+        _err("TypeMismatch", t, f"pair against {show(ctx, want)}")
     av = check(ctx, t.fst, want.dom)
     if av is None:
         av = ctx.eval(t.fst)
@@ -509,7 +510,7 @@ def _check_void(ctx: Context, t: T.Void, want: Value) -> Optional[Value]:
 def _check_index(ctx: Context, t: Term, want: Value) -> Optional[Value]:
     """The checking rule of `ZeroE` and `SucE`: against a non-empty `EnumT`."""
     if not (isinstance(want, V.VEnumT) and isinstance(want.enum, V.VConsE)):
-        _err("TypeMismatch", t, f"enum index against {_show(ctx, want)}")
+        _err("TypeMismatch", t, f"enum index against {show(ctx, want)}")
     if type(t) is T.ZeroE:
         return V.VZeroE()
     nv = check(ctx, t.pred, V.VEnumT(want.enum.rest))
@@ -518,16 +519,16 @@ def _check_index(ctx: Context, t: Term, want: Value) -> Optional[Value]:
 
 def _check_refl(ctx: Context, t: T.Refl, want: Value) -> Optional[Value]:
     if not isinstance(want, V.VEq):
-        _err("TypeMismatch", t, f"refl against {_show(ctx, want)}")
+        _err("TypeMismatch", t, f"refl against {show(ctx, want)}")
     if conv(ctx, want.lhs, want.rhs):
         return V.VRefl()
-    sides = f"{_show(ctx, want.lhs)} and {_show(ctx, want.rhs)}"
+    sides = f"{show(ctx, want.lhs)} and {show(ctx, want.rhs)}"
     _err("TypeMismatch", t, f"refl between non-convertible sides {sides}")
 
 
 def _check_in(ctx: Context, t: T.In, want: Value) -> Optional[Value]:
     if not isinstance(want, V.VIMu):
-        _err("TypeMismatch", t, f"constructor against {_show(ctx, want)}")
+        _err("TypeMismatch", t, f"constructor against {show(ctx, want)}")
     xfam = V.imu_family(want.ixty, want.fam)
     dv = check(ctx, t.payload, V.vinterp_i(V.vapp_ground(want.fam, want.index), xfam))
     return None if dv is None else V.VIn(dv)
@@ -551,7 +552,7 @@ def _check_code(ctx: Context, t: Term, want: Value) -> None:
 
 def _check_lret(ctx: Context, t: T.LRet, want: Value) -> None:
     if not isinstance(want, V.VLabelTy):
-        _err("TypeMismatch", t, f"return against {_show(ctx, want)}")
+        _err("TypeMismatch", t, f"return against {show(ctx, want)}")
     check(ctx, t.val, want.ty)
 
 

@@ -22,7 +22,6 @@ from __future__ import annotations
 from typing import Callable, List, Optional
 
 from . import kernel as K
-from . import pp
 from . import surface as S
 from . import terms as T
 from . import values as V
@@ -86,8 +85,7 @@ def ewm_restricted(ctx: Context, kind: str, scrut_name: str, goal: Value) -> Ewm
     raise ElabError(
         "UnsupportedScrutinee",
         None,
-        f"cannot eliminate '{scrut_name}' of type "
-        f"{_print_value(ctx, sty)}",
+        f"cannot eliminate '{scrut_name}' of type {K.show(ctx, sty)}",
     )
 
 
@@ -386,7 +384,7 @@ def elab_define(ctx: Context, decl: S.LetDecl, el: Optional[Elaborator] = None):
 def _elab_program(ctx: Context, el: Elaborator, prog, goal: V.VLabelTy, depth: int) -> Term:
     if depth > MAX_BY_DEPTH:
         raise ElabError("ByDepthExceeded", _pspan(prog), f"'by' nesting deeper than {MAX_BY_DEPTH}")
-    with el.goal(lambda: f"realizing the programming goal {_print_value(ctx, goal)}"):
+    with el.goal(lambda: f"realizing the programming goal {K.show(ctx, goal)}"):
         ctx2 = _validate_prog_head(ctx, el, prog.head, goal)
         if isinstance(prog, S.PReturn):
             body = el.check(ctx2, prog.expr, goal.ty)
@@ -457,11 +455,6 @@ def _inline_defs(inner: Context, outer: Context, body: Term) -> Term:
         assert e.val is not None, "expected a definition entry"
         dterms.append(inner.quote(e.val, base))
     return T.subst_free(body, lambda j: dterms[j] if j < ndefs else T.Var(j - ndefs))
-
-
-def _print_value(ctx: Context, v: Value) -> str:
-    """Message text for a value: its normal form, definitions unfolded."""
-    return pp.print_term(V.quote(v, ctx.depth), ctx.names())
 
 
 def _pspan(p) -> Optional[tuple]:

@@ -18,11 +18,12 @@ the fields are set; methods the class defines itself are kept. `_fields` is
 the tuple of field names, `_compared` that of the compared ones.
 
 No source is generated. Each class gets `__slots__` for its own fields (a
-class that caches on its instances adds a `"__dict__"` slot). `__init__` is a
-closure for the class's number of fields that sets each slot through its
-member descriptor, with its parameters renamed to the field names: Python
-binds keywords and defaults and rejects a wrong call itself, and the common
-call, every field positional, does no more than set the slots.
+class that caches on its instances adds a named slot, which the cache sets
+with `object.__setattr__`). `__init__` is a closure for the class's number
+of fields that sets each slot through its member descriptor, with its
+parameters renamed to the field names: Python binds keywords and defaults
+and rejects a wrong call itself, and the common call, every field
+positional, does no more than set the slots.
 """
 
 from __future__ import annotations

@@ -24,7 +24,7 @@ def valid_tag(name: str) -> bool:
 
 
 class Term(Record):
-    __slots__ = ("__dict__",)  # `values._reads_bound` caches on binder bodies
+    __slots__ = ("reads_bound",)  # set by `values._reads_bound` on binder bodies
 
 
 class Var(Term):

@@ -50,7 +50,7 @@ class Value(Record):
 class Clo(Record):
     """Defunctionalized closure: a term body in its environment."""
 
-    __slots__ = ("__dict__",)  # `vapp_ground`'s memo
+    __slots__ = ("ground",)  # `vapp_ground`'s memo
 
     env: tuple
     term: Term
@@ -270,7 +270,11 @@ def vapp_ground(f: Value, a: Value) -> Value:
     if type(f) is VLam and type(f.body) is Clo:
         key = -1 if type(a) is VVoid else numeral_of(a)
         if key is not None:
-            memo = f.body.__dict__.setdefault("ground", {})
+            try:
+                memo = f.body.ground
+            except AttributeError:
+                memo = {}
+                object.__setattr__(f.body, "ground", memo)
             got = memo.get(key)
             if got is None:
                 got = memo[key] = f.body(a)
@@ -281,10 +285,12 @@ def vapp_ground(f: Value, a: Value) -> Value:
 def _reads_bound(t: Term) -> bool:
     """Whether the binder body `t` reads its bound variable `Var 0`; the
     answer is stored on the term object (outside its compared fields)."""
-    got = t.__dict__.get("reads_bound")
-    if got is None:
-        got = t.__dict__["reads_bound"] = T.occurs(t, 0)
-    return got
+    try:
+        return t.reads_bound
+    except AttributeError:
+        got = T.occurs(t, 0)
+        object.__setattr__(t, "reads_bound", got)
+        return got
 
 
 def vapps(f: Value, *args: Value) -> Value:
@@ -590,24 +596,42 @@ _EVAL_RULES = {
 # --- readback -----------------------------------------------------------------
 
 
-def name_definition(names: dict, ty: Value, val: Value, lvl: int) -> dict:
-    """The `quote` table `names` with the definition `val : ty` at level
-    `lvl` added if it is a datatype without index or an enumeration in
-    `Set 0`, which is exactly the universe their unfolded forms infer; else
-    `names` itself. The table maps the identity of the datatype's family or
-    of the enumeration to that object and the level."""
-    if not (isinstance(ty, VSet) and ty.level == 0):
+def name_definition(names: dict, ty: Value, val: Value, env: tuple) -> dict:
+    """The `quote` table `names` with the definition `val : ty`, made in
+    `env`, added if readback can recognise it; else `names`. Its type must
+    be a telescope ending in `Set 0`. Without arguments, a datatype at index
+    type `Unit` or an enumeration is keyed by its family or enumeration
+    object. With `n` arguments, what a `data` declaration builds is keyed by
+    its family closure's term: applied to fresh variables, it is a fix-point
+    whose family closes over exactly `env` and them, at the pair of the last
+    `m` of them. An entry is (key, level, parameters `n - m`, indices `m`)."""
+    lvl, xs = len(env), ()
+    while type(ty) is VPi:
+        xs += (fresh(lvl + len(xs)),)
+        ty = ty.cod(xs[-1])
+    if not (type(ty) is VSet and ty.level == 0):
         return names
-    if isinstance(val, VIMu) and isinstance(val.ixty, VUnit):
-        key = val.fam
-    elif isinstance(val, VEnumT):
-        key = val.enum
-    else:
+    if not xs:
+        if isinstance(val, VIMu) and isinstance(val.ixty, VUnit):
+            key = val.fam
+        elif isinstance(val, VEnumT):
+            key = val.enum
+        else:
+            return names
+        return {**names, id(key): (key, lvl, 0, 0)}
+    val = vapps(val, *xs)
+    if not (type(val) is VIMu and type(val.fam) is VLam and type(val.fam.body) is Clo):
         return names
-    return {**names, id(key): (key, lvl)}
+    fenv, m, index = val.fam.body.env, 0, val.index
+    if len(fenv) != lvl + len(xs) or any(a is not b for a, b in zip(fenv, env + xs)):
+        return names
+    while type(index) is VPair:
+        index, m = index.fst, m + 1
+    key = val.fam.body.term
+    return {**names, id(key): (key, lvl, len(xs) - m, m)}
 
 
-def _definition_var(names: dict, key: Value, d: int) -> Optional[Term]:
+def _definition_var(names: dict, key: object, d: int) -> Optional[Term]:
     """The variable at depth `d` of the definition `names` holds for `key`."""
     hit = names.get(id(key))
     if hit is not None and hit[0] is key and hit[1] < d:
@@ -615,14 +639,35 @@ def _definition_var(names: dict, key: Value, d: int) -> Optional[Term]:
     return None
 
 
+def _named_instance(v: VIMu, d: int, names: dict) -> Optional[Term]:
+    """`D ps is` for a fix-point whose family closure is that of the datatype
+    definition `D`: the parameters come from the closure's environment, the
+    indices from the components of `v.index` (a recursive position shares
+    the family of the instance it sits in). None when the index is not a
+    pair of the definition's number of indices."""
+    clo = v.fam.body if type(v.fam) is VLam else None
+    if type(clo) is not Clo or (var := _definition_var(names, clo.term, d)) is None:
+        return None
+    _, lvl, k, m = names[id(clo.term)]
+    index, ixs = v.index, ()
+    for _ in range(m):
+        if type(index) is not VPair:
+            return None
+        index, ixs = index.fst, (index.snd,) + ixs
+    for a in clo.env[lvl : lvl + k] + ixs:
+        var = T.App(var, quote(a, d, names))
+    return var
+
+
 def quote(v: Value, d: int, names: Optional[dict] = None) -> Term:
     """Read `v` back as a term at depth `d`.
 
     With a table from `name_definition`, a datatype or enumeration whose
     family or enumeration is the very object of a definition at a level below
-    `d` reads back as that definition's variable, and evaluating the variable
-    gives a value with the same readback. Without one, definitions are
-    unfolded: the normal form."""
+    `d` reads back as that definition's variable, and an instance of a
+    datatype definition as `D ps is`; evaluating the result gives a value
+    with the same readback. Without a table, definitions are unfolded: the
+    normal form."""
     rule = _QUOTE_RULES.get(type(v))
     if rule is None:
         raise EvalError(f"cannot quote {type(v).__name__}")
@@ -637,8 +682,10 @@ def _quote_enumt(v: VEnumT, d: int, names: Optional[dict]) -> Term:
 
 def _quote_imu(v: VIMu, d: int, names: Optional[dict]) -> Term:
     unit = isinstance(v.ixty, VUnit)
-    if names and unit and (var := _definition_var(names, v.fam, d)):
-        return var
+    if names:
+        var = (_definition_var(names, v.fam, d) if unit else None) or _named_instance(v, d, names)
+        if var is not None:
+            return var
     # eta for the degenerate index: anything at Unit reads back as void
     iq = T.Void() if unit else quote(v.index, d, names)
     return T.IMu(quote(v.ixty, d, names), quote(v.fam, d, names), iq)

@@ -10,6 +10,7 @@ import pytest
 
 from conftest import GOLDEN, ROOT, context_valid, corpus_path, load_session, read_corpus
 
+from idt import cli
 from idt.cli import Session, main, run_check, run_eval, run_repl
 
 
@@ -33,6 +34,36 @@ def test_check_bad_exit_one_nonpositive(capsys):
     code = run_check([corpus_path("bad.idt")], stdout=buf)
     assert code == 1
     assert "NonPositive" in buf.getvalue()
+
+
+class TtyIO(io.StringIO):
+    def isatty(self):
+        return True
+
+
+@pytest.mark.parametrize(
+    "stdout_tty, stderr_tty, env, colored",
+    [
+        (True, False, {}, True),
+        (False, True, {}, False),
+        (True, True, {"NO_COLOR": "1"}, False),
+        (True, False, {"IDT_NO_COLOR": "1"}, True),
+    ],
+    ids=["stdout-tty", "stderr-tty", "no-color", "old-alias-ignored"],
+)
+def test_error_colour_follows_stdout(monkeypatch, stdout_tty, stderr_tty, env, colored):
+    # reports are printed to stdout, so whether stdout is a terminal decides
+    monkeypatch.setattr(cli, "_USE_COLOR", None)
+    for name in ("NO_COLOR", "IDT_NO_COLOR"):
+        monkeypatch.delenv(name, raising=False)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    out = TtyIO() if stdout_tty else io.StringIO()
+    monkeypatch.setattr(sys, "stdout", out)
+    monkeypatch.setattr(sys, "stderr", TtyIO() if stderr_tty else io.StringIO())
+    assert main(["check", corpus_path("bad.idt")]) == 1
+    assert (": \x1b[31;1merror\x1b[0m: " in out.getvalue()) == colored
+    assert ("\x1b[" in out.getvalue()) == colored
 
 
 def test_check_missing_file_exit_two():
@@ -288,8 +319,10 @@ def test_kernel_message_prints_terms(tmp_path):
     assert code == 1
     assert out.count("\n") == 1 and len(out.encode()) < 1000
     assert "IMu(" not in out
+    # the expected type names Vec; the index `fst p` is not a pair, so the
+    # type found unfolds
+    assert ": TypeMismatch: expected Vec A n, got IMu (" in out
     assert out.rstrip().endswith("'Sigma (snd j == In (#1 m)) (\\_. '1)))) c)) (fst p)")
-    assert "c)) (() , n), got IMu (" in out
 
 
 @pytest.mark.parametrize(
@@ -333,8 +366,8 @@ def test_repl_commands():
 
 
 def test_repl_type_folds_definitions_into_names(tmp_path):
-    # `:t` prints a type with context definitions folded back into their
-    # names: all of `Tree Nat` becomes TN, and the Nat inside Vec's code Nat
+    # `:t` prints a type with the context's definitions named: an instance of
+    # a parameterised or indexed datatype as `D ps is`, an alias by its name
     p = tmp_path / "tree_vec.idt"
     p.write_text(
         "data Tree (A : Set) : Set where\n"
@@ -346,21 +379,21 @@ def test_repl_type_folds_definitions_into_names(tmp_path):
         "let TN : Set => Tree Nat\n",
         encoding="utf-8",
     )
-    src = io.StringIO(":t (leaf : Tree Nat)\n:t (vnil : Vec Bool 0)\n:q\n")
+    src = io.StringIO(":t (leaf : Tree Nat)\n:t (vnil : Vec Bool 0)\n:t (leaf : TN)\n:q\n")
     buf = io.StringIO()
     code = run_repl([corpus_path("prelude.idt"), str(p)], stdin=src, stdout=buf)
     assert code == 0
-    lines = buf.getvalue().splitlines()
-    assert lines[1] == "TN"
-    assert "IDesc (Unit * Nat)" in lines[2]
+    assert buf.getvalue().splitlines()[1:] == ["Tree Nat", "Vec Bool 0", "TN"]
 
 
 def test_repl_type_folds_an_alias_before_a_later_alias_of_its_part():
-    # folding is outermost first: a later alias of Nat does not break TN up
+    # a name goes with an object: a later alias of Nat does not break TN up,
+    # and names the Nat inside a `Tree Nat` built afresh
     sess = load_session("nat_tree_vec.idt")
     sess.load_text("let TN : Set => Tree Nat\nlet N2 : Set => Nat\n")
-    assert sess.type_of("(leaf : Tree Nat)") == "TN"
+    assert sess.type_of("(leaf : TN)") == "TN"
     assert sess.type_of("(zero : Nat)") == "N2"
+    assert sess.type_of("(leaf : Tree Nat)") == "Tree N2"
 
 
 def test_repl_display_matches_golden():

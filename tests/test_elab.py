@@ -255,8 +255,8 @@ def test_numeral_sugar_requires_nat_constructors(sess):
         elab_synth(sess.ctx, se("(1 : Bool)"))
     assert e.value.kind == "CheckMismatch"
     assert e.value.render() == (
-        "1:2: CheckMismatch: numeral against Enum {'true, 'false}\n"
-        "  while checking 1 against Enum {'true, 'false}\n"
+        "1:2: CheckMismatch: numeral against Bool\n"
+        "  while checking 1 against Bool\n"
         "  while synthesizing (1 : Bool)"
     )
 

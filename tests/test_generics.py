@@ -699,8 +699,7 @@ def test_constructor_error_message_is_formatted_when_read():
     s.load_text("data Nat : Set where\n  Nat => zero\n  Nat => suc (n : Nat)\n")
     with pytest.raises(ElabError) as e:
         s.eval_expr("(bleaf : Nat)")
-    assert e.value.msg.startswith("'bleaf' is not a constructor of IMu (")
-    assert e.value.msg.endswith(" (constructors: zero, suc)")
+    assert e.value.msg == "'bleaf' is not a constructor of Nat (constructors: zero, suc)"
     assert str(e.value) == f"UnknownTag: {e.value.msg}"
 
 

@@ -1,12 +1,13 @@
-"""Elaborated terms name the datatypes and enumerations defined in the
-context instead of unfolding their codes; messages still print normal forms."""
+"""Readback names the datatypes and enumerations defined in the context
+instead of unfolding their codes, an instance of a parameterised or indexed
+datatype as `D ps is`; elaborated terms, messages and `:t` all use it."""
 
 import io
 import os
 
 import pytest
 
-from conftest import CORPUS, context_valid, load_session, read_corpus
+from conftest import CORPUS, context_valid, load_session, nat_value, num_term, read_corpus
 
 from idt import kernel as K
 from idt import labels as L
@@ -135,7 +136,7 @@ def test_rec_over_an_alias(naming_oracle):
     assert naming_oracle
 
 
-def test_parameterised_datatypes_unfold(naming_oracle):
+def test_parameterised_datatypes_are_named(naming_oracle):
     text = (
         "data Tree (A : Set) : Set where\n"
         "  Tree A => leaf\n"
@@ -147,8 +148,8 @@ def test_parameterised_datatypes_unfold(naming_oracle):
         "  }\n"
     )
     sess, (definiens, _) = elab_last(text)
-    assert names_entry(sess, definiens, "Nat")
-    assert any(isinstance(n, T.IMu) for n in term_nodes(definiens))  # Tree A
+    assert names_entry(sess, definiens, "Nat") and names_entry(sess, definiens, "Tree")
+    assert not any(isinstance(n, T.IMu) for n in term_nodes(definiens))
     full = load_session("prelude.idt")
     full.load_text(text)
     full.load_text(
@@ -159,7 +160,120 @@ def test_parameterised_datatypes_unfold(naming_oracle):
     )
     assert full.eval_expr("size Nat (node leaf 1 (node leaf 2 leaf))") == "2"
     assert full.eval_expr("pair Bool true false") == "In (#1 1 #0 In (#1 0 #1 In (#0 refl) refl) refl)"
+    assert full.type_of("pair") == "(A : Set) -> A -> A -> Vec A 2"
     assert context_valid(full.ctx)
+
+
+@pytest.mark.parametrize(
+    "query, shown",
+    [("(leaf : Tree Nat)", "Tree Nat"), ("(leaf : Tree (Tree Bool))", "Tree (Tree Bool)"),
+     ("(\\t. \\u. zero : Tree Nat -> Tree Bool -> Nat)", "Tree Nat -> Tree Bool -> Nat")],
+)
+def test_instances_of_a_parameterised_datatype_are_named(naming_oracle, corpus_session, query, shown):
+    sess = Session(ctx=corpus_session.ctx)
+    sess.load_text("let Bool : Set => Enum {'true, 'false}\n")
+    assert sess.type_of(query) == shown
+    assert naming_oracle
+
+
+@pytest.mark.parametrize("style", ["vec_constrained.idt", "vec_computed.idt"])
+def test_instances_of_an_indexed_datatype_are_named(naming_oracle, style):
+    sess = load_session(style)
+    sess.load_text("let TB : Set => Enum {'tt, 'ff}\n")
+    assert sess.type_of("(vnil : Vec TB 0)") == "Vec TB 0"
+    assert sess.type_of("(vnil : Vec TB zero)") == "Vec TB 0"
+    assert sess.type_of("Vec TB") == "Nat -> Set"
+    assert naming_oracle
+
+
+def test_indices_read_back_in_order(naming_oracle):
+    sess = load_session("vec_constrained.idt")
+    sess.load_text(
+        "data Two (A : Set) [i : Nat] [b : Bool] : Set where\n"
+        "  Two A [i = zero] [b = 'true] => t0\n"
+        "  Two A [i = suc k] [b = 'false] => t1 (k : Nat) (x : A) (r : Two A k 'true)\n"
+    )
+    # an enumeration index prints as its position
+    assert sess.type_of("(t0 : Two Nat 0 'true)") == "Two Nat 0 #0"
+    assert sess.type_of("(t1 0 zero t0 : Two Nat 1 'false)") == "Two Nat 1 #1"
+    assert naming_oracle
+
+
+def vcons_argument_types(sess: Session):
+    """The context `A : Set, n : Nat, m : Nat` after `sess`, and the types of
+    the arguments of `vcons` in `Vec A n`, applied to `m` for its first."""
+    ctx = sess.ctx
+    ctx = ctx.extend("A", V.VSet(0)).extend("n", nat_value(sess)).extend("m", nat_value(sess))
+    a, n, m = (V.fresh(ctx.depth - k) for k in (3, 2, 1))
+    vec = V.vapps(sess.datatypes["Vec"].value, a, n)
+    code = V.vapp(vec.fam, vec.index)
+    args = V.vinterp_i(V.vapp(code.fam, V.make_numeral(1)), V.imu_family(vec.ixty, vec.fam))
+    tys = []
+    while isinstance(args, V.VSigma):
+        tys.append(args.dom)
+        args = args.cod(m)
+    return ctx, tys
+
+
+def test_a_definition_over_an_instance_names_only_its_own_objects(naming_oracle):
+    # `W n` builds `Vec`'s family from Bool and n: W is no datatype
+    # definition, so `Vec TB 0` keeps its name, and `W 0` reads as `Vec Bool 0`
+    sess = load_session("vec_constrained.idt")
+    sess.load_text(
+        "let W (n : Nat) : Set => Vec Bool n\n"
+        "let V0 : Set => Vec Bool 0\n"
+        "let TB : Set => Enum {'tt, 'ff}\n"
+    )
+    assert sess.type_of("(vnil : Vec TB 0)") == "Vec TB 0"
+    assert sess.type_of("(vnil : W 0)") == "Vec Bool 0"
+    assert sess.type_of("(vnil : V0)") == "Vec Bool 0"  # an alias at a non-Unit index is not named
+    assert sess.type_of("W") == "Nat -> Set"
+    assert naming_oracle
+
+
+def test_a_recursive_position_reads_back_at_its_own_index(naming_oracle):
+    # `vs : Vec A m` shares the family object of `Vec A n`; its index is m
+    sess = load_session("vec_constrained.idt")
+    ctx, tys = vcons_argument_types(sess)
+    assert [K.show(ctx, ty) for ty in tys[:3]] == ["Nat", "A", "Vec A m"]
+    assert naming_oracle
+    # the same in a real branch, whose constructor arguments are binders named `%m`, ...
+    with pytest.raises(ElabError) as e:
+        sess.load_text(
+            "let isNil (A : Set) (n : Nat) (v : Vec A n) : Bool where\n"
+            "  isNil A n v by case v {\n"
+            "    isNil A n (vnil q) => 'true\n"
+            "    isNil A n (vcons m a vs q) => vs\n"
+            "  }\n"
+        )
+    assert e.value.msg == "expected Bool, got Vec A %m"
+
+
+def test_an_index_that_is_not_a_pair_unfolds(naming_oracle):
+    sess = load_session("vec_constrained.idt")
+    ctx = sess.ctx.extend("A", V.VSet(0))
+    vec = V.vapps(sess.datatypes["Vec"].value, V.fresh(ctx.depth - 1), ctx.eval(num_term(0)))
+    pty = V.VSigma("_", vec.ixty, V.PyClo(lambda _: nat_value(sess)))
+    ctx = ctx.extend("p", pty)
+    stuck = V.VIMu(vec.ixty, vec.fam, V.vfst(V.fresh(ctx.depth - 1)))
+    t = ctx.quote(stuck)
+    assert isinstance(t, T.IMu) and t.index == T.Fst(T.Var(0))
+    assert K.show(ctx, stuck).endswith(" (fst p)")
+    assert ctx.quote(V.VIMu(vec.ixty, vec.fam, vec.index)) == T.App(T.App(T.Var(2), T.Var(1)), num_term(0))
+    assert naming_oracle
+
+
+def test_a_mismatch_against_nat_names_nat():
+    sess = load_session("prelude.idt")
+    with pytest.raises(ElabError) as e:
+        sess.load_text("let bad : Nat => 'true\n")
+    text = e.value.render()
+    assert text == (
+        "1:18: CheckMismatch: tag against Nat\n"
+        "  while checking 'true against Nat\n"
+        "  while realizing the programming goal <bad : Nat>"
+    )
+    assert all(len(line.encode()) < 200 for line in text.splitlines())
 
 
 def test_a_defined_instance_names_only_itself(naming_oracle):
@@ -216,10 +330,13 @@ def test_case_over_bool_names_bool():
     assert not any(isinstance(n, T.EnumT) for n in term_nodes(definiens))
 
 
-def test_messages_print_normal_forms():
+def test_messages_name_definitions():
     sess = load_session("prelude.idt")
     d = S.parse_file("let f (b : Bool) : Nat where\n  f b => b\n")[0]
     with pytest.raises(ElabError) as e:
         L.elab_define(sess.ctx, d)
-    text = e.value.render()
-    assert "{'true, 'false}" in text and "'sigma {'zero, 'suc}" in text
+    assert e.value.render() == (
+        "2:10: CheckMismatch: expected Nat, got Bool\n"
+        "  while checking b against Nat\n"
+        "  while realizing the programming goal <f b : Nat>"
+    )
