@@ -16,7 +16,7 @@ from . import pp
 from . import surface as S
 from . import terms as T
 from . import values as V
-from .elab import ElabError, Elaborator
+from .elab import ElabError, Elaborator, _nat_paths
 from .kernel import Context, KernelError
 
 
@@ -177,25 +177,20 @@ class Session:
         return pp.print_term(self.resugar(v), self.ctx.names())
 
     def _as_numeral(self, v: V.Value, ty: Optional[V.Value]) -> Optional[int]:
-        """Decimal rendering for canonical values of a Nat-shaped datatype."""
-        if not (isinstance(ty, V.VIMu) and isinstance(v, V.VIn)):
+        """The decimal literal that elaborates to `v`, a canonical value of
+        a datatype whose `zero` and `suc` the elaborator's numerals build."""
+        paths = _nat_paths(ty) if isinstance(v, V.VIn) else None
+        if paths is None:
             return None
-        code = V.vapp_ground(ty.fam, ty.index)
-        view = desc.sigma_view(code)
-        if view is None or view[0] != ["zero", "suc"]:
-            return None
+        zero, suc = paths
         n = 0
-        while True:
-            if not isinstance(v, V.VIn) or not isinstance(v.payload, V.VPair):
-                return None
-            c = V.numeral_of(v.payload.fst)
-            if c == 0 and isinstance(v.payload.snd, V.VVoid):
-                return n
-            if c == 1 and isinstance(v.payload.snd, V.VPair):
-                n += 1
-                v = v.payload.snd.fst
-                continue
-            return None
+        while isinstance(v, V.VIn):
+            fields = _after_tags(v.payload, suc)
+            if not isinstance(fields, V.VPair):
+                return n if _after_tags(v.payload, zero) is not None else None
+            n += 1
+            v = fields.fst
+        return None
 
     def eq_command(self, t1: str, t2: str) -> str:
         el = Elaborator()
@@ -227,6 +222,15 @@ class Session:
         tm2 = el.check(self.ctx, e2, ty)
         a, b = self.ctx.eval(tm1), self.ctx.eval(tm2)
         return "equal" if proc(a, b) else "not-equal"
+
+
+def _after_tags(payload: V.Value, path: list) -> Optional[V.Value]:
+    """The fields of `payload` when its tags are the positions `path`."""
+    for k in path:
+        if not isinstance(payload, V.VPair) or V.numeral_of(payload.fst) != k:
+            return None
+        payload = payload.snd
+    return payload
 
 
 _USE_COLOR = None
@@ -273,7 +277,7 @@ def _load_files(sess: Session, paths, out) -> Optional[int]:
         except S.ParseError as e:
             print(_report(path, e), file=out)
             return 2
-        except (ElabError, KernelError, G.GenericsError) as e:
+        except (ElabError, KernelError) as e:
             print(_report(path, e), file=out)
             return 1
     return None
@@ -336,7 +340,7 @@ def run_repl(paths, stdin=None, stdout=None) -> int:
                 print("ok", file=out)
             else:
                 print(sess.eval_expr(line), file=out)
-        except (S.ParseError, ElabError, KernelError, G.GenericsError) as e:
+        except (S.ParseError, ElabError, KernelError) as e:
             print(_report("<repl>", e), file=out)
     return 0
 

@@ -1,29 +1,20 @@
-"""Generic constructions over elaborated codes.
+"""The deriving mechanism over elaborated codes.
 
-Case analysis and NoConfusion take a datatype without indices, given as the
-term of an `IMu` at index type `Unit` whose code is a constructor choice
-(such as a registered `Nat`, or `Tree` applied to `Bool`); both are built
-from indexed induction. Case analysis is induction with the hypotheses
-discarded. NoConfusion is specialized per datatype: a case analysis of both
-constructor tags states it, and J from the same case analysis on the
-diagonal proves it. Equality of two enumeration indices is decided by
-conversion, with a refutation by transport when they differ. The deriving
-mechanism walks a code's membership in the decidable-equality sub-universe
-and produces a comparison procedure.
+`deriving Eq` walks a datatype's code once. A code in the decidable-equality
+sub-universe ('1, 'varI, '*, and finite choices: 'sigma, or 'Sigma over an
+enumeration) gives a comparison procedure for its canonical inhabitants;
+any other code is refused with the first reason met, depth-first.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Union
+from typing import Callable
 
 from . import desc
-from . import kernel as K
-from . import terms as T
 from . import values as V
-from .kernel import Context
-from .record import Record
-from .terms import Term
 from .values import Value
+
+Compare = Callable[[Value, Value], bool]
 
 
 class GenericsError(Exception):
@@ -33,350 +24,56 @@ class GenericsError(Exception):
         super().__init__(f"{kind}: {msg}")
 
 
-def _ann_lams(t: Term, anns: list) -> Term:
-    """Re-annotate the first len(anns) lambda binders of a quoted value."""
-    if not anns:
-        return t
-    assert isinstance(t, T.Lam), "expected a lambda spine"
-    return T.Lam(t.nm, anns[0], _ann_lams(t.body, anns[1:]))
-
-
-def _tagged(ctx: Context, ty: Term) -> V.VIMu:
-    """The value of `ty`, a datatype without indices whose code is headed by
-    a constructor choice."""
-    try:
-        K.check(ctx, ty, V.VSet(0))
-    except K.KernelError as e:
-        raise GenericsError("NotTagged", f"the term is not a datatype ({e.msg})") from None
-    mu = ctx.eval(ty)
-    if not isinstance(mu, V.VIMu):
-        raise GenericsError("NotTagged", "the type is not a fix-point of a code")
-    if not isinstance(mu.ixty, V.VUnit):
-        raise GenericsError("Indexed", "the datatype has indices; only index type Unit is supported")
-    if desc.sigma_view(V.vapp(mu.fam, mu.index)) is None:
-        raise GenericsError("NotTagged", "the code is not headed by a constructor choice")
-    return mu
-
-
-def _eliminate(mu: V.VIMu, p: Value, method, x: Value) -> Value:
-    """Induction on `x : mu` into the motive `p` over `mu`, where
-    `method(d, h)` gives the result for `In d` from the hypotheses `h`."""
-    motive = V.VLam("q", V.PyClo(lambda q: V.vapp(p, V.vsnd(q))))
-    m = V.VLam(
-        "i",
-        V.PyClo(
-            lambda _i: V.VLam(
-                "d", V.PyClo(lambda d: V.VLam("h", V.PyClo(lambda h, dd=d: method(dd, h))))
-            )
-        ),
-    )
-    return V.viinduction(mu.ixty, mu.fam, motive, m, mu.index, x)
-
-
-def derive_case(ctx: Context, ty: Term):
-    """Case analysis for a datatype without indices, given as the term of a
-    tagged `IMu` at index type `Unit`: induction with the inductive
-    hypothesis dropped. Returns (term, type term)."""
-    mu = _tagged(ctx, ty)
-    d = ctx.depth
-    code = V.vapp(mu.fam, mu.index)
-    xfam = V.imu_family(mu.ixty, mu.fam)
-
-    case_v = V.VLam(
-        "P",
-        V.PyClo(
-            lambda p: V.VLam(
-                "m",
-                V.PyClo(
-                    lambda m: V.VLam(
-                        "x", V.PyClo(lambda x: _eliminate(mu, p, lambda dd, _h: V.vapp(m, dd), x))
-                    )
-                ),
-            )
-        ),
-    )
-    p_ty = V.VPi("_", mu, V.PyClo(lambda _v: V.VSet(0)))
-    pn = V.fresh(d)
-
-    def m_ty_of(p: Value) -> Value:
-        return V.VPi(
-            "d", V.vinterp_i(code, xfam), V.PyClo(lambda dd: V.vapp(p, V.VIn(dd)))
-        )
-
-    term = V.quote(case_v, d)
-    anns = [
-        V.quote(p_ty, d),
-        V.quote(m_ty_of(pn), d + 1),
-        V.quote(mu, d + 2),
-    ]
-    term = _ann_lams(term, anns)
-    ty = T.Pi(
-        "P",
-        V.quote(p_ty, d),
-        T.Pi(
-            "m",
-            V.quote(m_ty_of(V.fresh(d)), d + 1),
-            T.Pi(
-                "x",
-                V.quote(mu, d + 2),
-                T.App(T.Var(2), T.Var(0)),
-            ),
-        ),
-    )
-    return term, ty
-
-
-class W1(Record):
-    pass
-
-
-class WVar(Record):
-    pass
-
-
-class WTimes(Record):
-    lhs: object
-    rhs: object
-
-
-class WBranches(Record):
-    """Finite choice: per-branch witnesses ('sigma, or 'Sigma over an
-    enumeration)."""
-
-    subs: tuple
-
-
-class Refusal(Record):
-    reason: str
-
-
-Witness = Union[W1, WVar, WTimes, WBranches]
-
-
-def eq_membership(code: Value):
-    """Decision procedure for membership in the decidable-equality
-    sub-universe; returns a witness or a refusal."""
-    if isinstance(code, V.VDOne):
-        return W1()
-    if isinstance(code, V.VDVarI):
-        return WVar()
-    if isinstance(code, V.VDTimes):
-        lw = eq_membership(code.lhs)
-        if isinstance(lw, Refusal):
-            return lw
-        rw = eq_membership(code.rhs)
-        if isinstance(rw, Refusal):
-            return rw
-        return WTimes(lw, rw)
-    if isinstance(code, V.VDSigmaE):
-        view = desc.sigma_view(code)
-        if view is None:
-            return Refusal("constructor choice over a non-canonical enumeration")
-        subs = []
-        for c in view[1]:
-            w = eq_membership(c)
-            if isinstance(w, Refusal):
-                return w
-            subs.append(w)
-        return WBranches(tuple(subs))
-    if isinstance(code, V.VDSigma):
-        dom = code.dom
-        if isinstance(dom, V.VEnumT):
-            tags = V.enum_tags(dom.enum)
-            if tags is not None:
-                subs = []
-                for k in range(len(tags)):
-                    w = eq_membership(V.vapp(code.fam, V.make_numeral(k)))
-                    if isinstance(w, Refusal):
-                        return w
-                    subs.append(w)
-                return WBranches(tuple(subs))
-        return Refusal("'Sigma over a non-enumeration domain")
-    if isinstance(code, V.VDPi):
-        return Refusal("'Pi codes admit no decidable equality")
-    return Refusal("the code is not canonical")
-
-
-def derive_eq(code: Value, witness: Witness) -> Callable[[Value, Value], bool]:
-    """Total comparison of canonical inhabitants, following the witness."""
+def derive_eq(code: Value) -> Compare:
+    """Total comparison of the canonical inhabitants of the datatype whose
+    code is `code`; raises `DerivingUnsupported` for a code outside the
+    decidable-equality sub-universe."""
 
     def eq_top(x: Value, y: Value) -> bool:
         assert isinstance(x, V.VIn) and isinstance(y, V.VIn), "comparison needs canonical values"
-        return walk(witness, x.payload, y.payload)
+        return eq_payload(x.payload, y.payload)
 
-    def walk(w: Witness, x: Value, y: Value) -> bool:
-        if isinstance(w, W1):
-            return True
-        if isinstance(w, WVar):
-            return eq_top(x, y)
-        if isinstance(w, WTimes):
-            return walk(w.lhs, V.vfst(x), V.vfst(y)) and walk(w.rhs, V.vsnd(x), V.vsnd(y))
-        if isinstance(w, WBranches):
-            cx = V.numeral_of(V.vfst(x))
-            cy = V.numeral_of(V.vfst(y))
+    def refuse(reason: str):
+        raise GenericsError("DerivingUnsupported", f"cannot derive Eq: {reason}")
+
+    def walk(c: Value) -> Compare:
+        if isinstance(c, V.VDOne):
+            return lambda _x, _y: True
+        if isinstance(c, V.VDVarI):
+            return eq_top
+        if isinstance(c, V.VDTimes):
+            lhs, rhs = walk(c.lhs), walk(c.rhs)
+            return lambda x, y: lhs(V.vfst(x), V.vfst(y)) and rhs(V.vsnd(x), V.vsnd(y))
+        if isinstance(c, V.VDSigmaE):
+            view = desc.sigma_view(c)
+            if view is None:
+                refuse("constructor choice over a non-canonical enumeration")
+            return branches([walk(b) for b in view[1]])
+        if isinstance(c, V.VDSigma):
+            tags = V.enum_tags(c.dom.enum) if isinstance(c.dom, V.VEnumT) else None
+            if tags is None:
+                refuse("'Sigma over a non-enumeration domain")
+            return branches([walk(V.vapp(c.fam, V.make_numeral(k))) for k in range(len(tags))])
+        if isinstance(c, V.VDPi):
+            refuse("'Pi codes admit no decidable equality")
+        refuse("the code is not canonical")
+
+    def branches(subs: list) -> Compare:
+        def eq(x: Value, y: Value) -> bool:
+            cx, cy = V.numeral_of(V.vfst(x)), V.numeral_of(V.vfst(y))
             assert cx is not None and cy is not None, "comparison needs canonical values"
-            if cx != cy:
-                return False
-            return walk(w.subs[cx], V.vsnd(x), V.vsnd(y))
-        raise GenericsError("DerivingUnsupported", f"bad witness {w!r}")
+            return cx == cy and subs[cx](V.vsnd(x), V.vsnd(y))
 
+        return eq
+
+    eq_payload = walk(code)
     return eq_top
 
 
-class DerivableProperty:
-    """A user-registrable derivable property over codes."""
-
-    def __init__(self, name: str, membership: Callable[[Value], object], derive: Callable[[Value, object], object]):
-        self.name = name
-        self.membership = membership
-        self.derive = derive
-
-
 class DerivingRegistry:
-    def __init__(self):
-        self._props = {}
-        self.register(DerivableProperty("Eq", eq_membership, derive_eq))
+    """The properties `deriving` names: `Eq` alone."""
 
-    def register(self, prop: DerivableProperty):
-        if prop.name in self._props:
-            raise GenericsError("DuplicateProperty", f"'{prop.name}' is already registered")
-        self._props[prop.name] = prop
-
-    def get(self, name: str) -> DerivableProperty:
-        if name not in self._props:
+    def derive_for(self, name: str, code: Value) -> Compare:
+        if name != "Eq":
             raise GenericsError("UnknownProperty", f"no derivable property '{name}'")
-        return self._props[name]
-
-    def derive_for(self, name: str, code: Value):
-        prop = self.get(name)
-        w = prop.membership(code)
-        if isinstance(w, Refusal):
-            raise GenericsError(
-                "DerivingUnsupported", f"cannot derive {name}: {w.reason}"
-            )
-        return prop.derive(code, w)
-
-
-def _lam(nm: str, body) -> Value:
-    return V.VLam(nm, V.PyClo(body))
-
-
-def _arrow(dom: Value, cod: Value) -> Value:
-    return V.VPi("_", dom, V.PyClo(lambda _v: cod))
-
-
-def _set_lam(k: int) -> Value:
-    return _lam("_", lambda _v: V.VSet(k))
-
-
-_EMPTY = V.VEnumT(V.VNilE())
-
-
-def _refutation(enum: Value, pos: int) -> Optional[Value]:
-    """Refutation of `pos == j` for every index j of `enum` other than `pos`:
-    transport along the hypothetical proof the family that is `Unit` at `pos`
-    and empty at every other index."""
-    tags = V.enum_tags(enum)
-    if tags is None:
-        return None
-    cases: Value = V.VVoid()
-    for k in reversed(range(len(tags))):
-        cases = V.VPair(V.VUnit() if k == pos else _EMPTY, cases)
-    motive = _lam("z", lambda z: _lam("q", lambda _q: V.vswitch(enum, _set_lam(0), cases, z)))
-    return _lam("q", lambda q: V.veqelim(motive, V.VVoid(), q))
-
-
-def decide_eq_enum(ctx: Context, enum: Term, x: Term, y: Term):
-    """Decide whether the indices `x` and `y` of `enum` are equal; returns
-    ('equal', proof term) or ('not-equal', refutation term)."""
-    xv, yv = ctx.eval(x), ctx.eval(y)
-    if K.conv(ctx, xv, yv):
-        return "equal", T.Refl()
-    nx, ny = V.numeral_of(xv), V.numeral_of(yv)
-    refut = None if nx is None or ny is None else _refutation(ctx.eval(enum), nx)
-    if refut is None:
-        raise GenericsError("NotCanonical", "decision did not compute; indices are not canonical")
-    return "not-equal", V.quote(refut, ctx.depth)
-
-
-# --- NoConfusion ------------------------------------------------------------------
-
-
-def specialize_no_confusion(ctx: Context, name: str, ty: Term):
-    """Specialized NoConfusion statement and proof for a datatype without
-    indices, given as the term of a tagged `IMu` at index type `Unit`.
-
-    The statement takes both payloads apart and switches on both tags. Two
-    values with the same constructor give `(P : Set) -> ((ax == ay) -> P) ->
-    P` over their fields `ax` and `ay`, which have one type there; two with
-    different constructors give `(P : Set) -> P`. The proof is J from the
-    diagonal, which the same case analysis proves.
-
-    Returns [(entry name, term, type term), ...] where the proof is stated
-    in the context already extended with the statement.
-    """
-    mu = _tagged(ctx, ty)
-    d = ctx.depth
-    code = V.vapp(mu.fam, mu.index)
-    n = len(V.enum_tags(code.enum))
-    xfam = V.imu_family(mu.ixty, mu.fam)
-
-    def payload_ty(c: Value) -> Value:
-        return V.vinterp_i(V.vapp(code.fam, c), xfam)
-
-    def on_tag(dx: Value, result, case) -> Value:
-        """Case analysis of the tag of the payload `dx`, applied to its
-        fields: case k is the function `case(k)` of the fields at tag k, and
-        the motive is `\\c. (a : payload_ty c) -> result(c, a)`."""
-        cases: Value = V.VVoid()
-        for k in reversed(range(n)):
-            cases = V.VPair(case(k), cases)
-        motive = _lam("c", lambda c: V.VPi("a", payload_ty(c), V.PyClo(lambda a: result(c, a))))
-        return V.vapp(V.vswitch(code.enum, motive, cases, V.vfst(dx)), V.vsnd(dx))
-
-    def set1(_c: Value, _a: Value) -> Value:
-        return V.VSet(1)
-
-    def statement(k: int, j: int, ax: Value, ay: Value) -> Value:
-        if k != j:
-            return V.VPi("P", V.VSet(0), V.PyClo(lambda p: p))
-        eq = V.VEq(payload_ty(V.make_numeral(k)), ax, ay)
-        return V.VPi("P", V.VSet(0), V.PyClo(lambda p: _arrow(_arrow(eq, p), p)))
-
-    def nc_body(dx: Value, dy: Value) -> Value:
-        return on_tag(dx, set1, lambda k: _lam("ax", lambda ax: on_tag(
-            dy, set1, lambda j: _lam("ay", lambda ay: statement(k, j, ax, ay))
-        )))
-
-    k1 = _set_lam(1)
-    nc_v = _lam("x", lambda x: _lam("y", lambda y: _eliminate(
-        mu, k1, lambda dx, _h: _eliminate(mu, k1, lambda dy, _h2: nc_body(dx, dy), y), x
-    )))
-    mu_t = V.quote(mu, d)
-    stmt = _ann_lams(V.quote(nc_v, d), [mu_t, T.shift(mu_t, 1)])
-    stmt_ty = T.Pi("x", mu_t, T.Pi("y", T.shift(mu_t, 1), T.Set_(1)))
-
-    # the proof lives under the statement entry, whose level is `d`
-    def nc(x: Value, y: Value) -> Value:
-        return V.vapps(V.fresh(d), x, y)
-
-    def nc_diag(c: Value, a: Value) -> Value:
-        return nc(V.VIn(V.VPair(c, a)), V.VIn(V.VPair(c, a)))
-
-    refl_k = _lam("a", lambda _a: _lam("P", lambda _p: _lam("k", lambda kk: V.vapp(kk, V.VRefl()))))
-
-    def diag(x: Value) -> Value:
-        motive = _lam("x'", lambda x2: nc(x2, x2))
-        return _eliminate(mu, motive, lambda dx, _h: on_tag(dx, nc_diag, lambda _k: refl_k), x)
-
-    def transport(x: Value, q: Value) -> Value:
-        motive = _lam("y'", lambda y2: _lam("_", lambda _q: nc(x, y2)))
-        return V.veqelim(motive, diag(x), q)
-
-    proof_v = _lam("x", lambda x: _lam("y", lambda _y: _lam("q", lambda q: transport(x, q))))
-    mu_t2 = V.quote(mu, d + 1)
-    eq_t = T.Eq(T.shift(mu_t2, 2), T.Var(1), T.Var(0))
-    proof = _ann_lams(V.quote(proof_v, d + 1), [mu_t2, T.shift(mu_t2, 1), eq_t])
-    nc_xy = T.App(T.App(T.Var(3), T.Var(2)), T.Var(1))
-    proof_ty = T.Pi("x", mu_t2, T.Pi("y", T.shift(mu_t2, 1), T.Pi("q", eq_t, nc_xy)))
-    return [(f"NoConfusion{name}", stmt, stmt_ty), (f"noConfusion{name}", proof, proof_ty)]
+        return derive_eq(code)

@@ -15,7 +15,8 @@ redexes; the value of the result is what the beta-normal construction
 must match.
 
 `sub_desc` is the declarative predicate of the decidable-equality
-sub-universe that `generics.eq_membership` decides.
+sub-universe: `generics.derive_eq` derives a comparison exactly for the
+codes it holds of.
 """
 
 from __future__ import annotations

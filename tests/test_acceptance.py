@@ -11,6 +11,7 @@ import random
 
 import pytest
 
+import constructions as C
 from conftest import (
     GOLDEN,
     UNIT_DESC,
@@ -278,7 +279,7 @@ def test_criterion_6_generics(corpus):
     for _, mu in index_free:
         ctx = sess.ctx
         mu_t = V.quote(mu, ctx.depth)
-        case_t, case_ty = G.derive_case(ctx, mu_t)
+        case_t, case_ty = C.derive_case(ctx, mu_t)
         tyv = K.check_entry_type(ctx, case_ty)
         K.check(ctx, case_t, tyv)
         ctx = ctx.extend("case", tyv, ctx.eval(case_t))
@@ -313,7 +314,7 @@ def test_criterion_6_generics(corpus):
     # normal forms distinguish all constructor pairs
     for name, mu in index_free:
         ctx = sess.ctx
-        entries = G.specialize_no_confusion(ctx, name, V.quote(mu, ctx.depth))
+        entries = C.specialize_no_confusion(ctx, name, V.quote(mu, ctx.depth))
         for nm, tm, tyt in entries:
             tyv = K.check_entry_type(ctx, tyt)
             K.check(ctx, tm, tyv)
@@ -331,9 +332,7 @@ def test_criterion_6_generics(corpus):
     # (c) deriveEq agrees with the structural oracle
     natv = sess.datatypes["Nat"].value
     code_v = V.vapp(natv.fam, natv.index)
-    w = G.eq_membership(code_v)
-    ok &= not isinstance(w, G.Refusal)
-    eq = G.derive_eq(code_v, w)
+    eq = G.derive_eq(code_v)  # raises on a refusal
     vals = [sess.ctx.eval(num_term(k)) for k in range(7)]
     d = sess.ctx.depth
     for a in vals:
@@ -343,9 +342,7 @@ def test_criterion_6_generics(corpus):
     tree_ty, _ = el.synth(sess.ctx, S.parse_expr("Tree Bool"))
     tree_v = sess.ctx.eval(tree_ty)
     tcode = V.vapp(tree_v.fam, tree_v.index)
-    tw = G.eq_membership(tcode)
-    ok &= not isinstance(tw, G.Refusal)
-    teq = G.derive_eq(tcode, tw)
+    teq = G.derive_eq(tcode)
 
     # exhaustive Tree Bool inhabitants of depth <= 3
     def all_trees(depth):
@@ -378,7 +375,7 @@ def test_criterion_6_generics(corpus):
                 mismatches += 1
     ok &= mismatches == 0
 
-    # (d) membership refuses 'Pi and the pipeline reports it at the declaration
+    # (d) deriving Eq refuses 'Pi and the pipeline reports it at the declaration
     brouwer = V.VDSigmaE(
         sess.ctx.eval(enum("z", "sup")),
         sess.ctx.eval(
@@ -389,7 +386,11 @@ def test_criterion_6_generics(corpus):
             )
         ),
     )
-    ok &= isinstance(G.eq_membership(brouwer), G.Refusal)
+    try:
+        G.derive_eq(brouwer)
+        ok = False
+    except G.GenericsError as e:
+        ok &= e.kind == "DerivingUnsupported" and "'Pi" in e.msg
     s2 = Session()
     s2.load_text("data Nat : Set where\n  Nat => zero\n  Nat => suc (n : Nat)\n")
     try:

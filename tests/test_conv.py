@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import constructions as C
 from conftest import CORPUS
 from generators import ConvPairGen
 
@@ -78,14 +79,14 @@ def stuck_switch(scrut: T.Term) -> T.Term:
 def test_decide_eq_of_a_stuck_switch_with_itself_is_equal():
     ctx = switch_ctx()
     n = stuck_switch(T.Var(1))
-    assert G.decide_eq_enum(ctx, T.Var(3), n, n) == ("equal", T.Refl())
+    assert C.decide_eq_enum(ctx, T.Var(3), n, n) == ("equal", T.Refl())
     K.check(ctx, T.Refl(), ctx.eval(T.Eq(T.EnumT(T.Var(3)), n, n)))
 
 
 def test_decide_eq_of_different_stuck_switches_is_not_canonical():
     ctx = switch_ctx()
     with pytest.raises(G.GenericsError) as e:
-        G.decide_eq_enum(ctx, T.Var(3), stuck_switch(T.Var(1)), stuck_switch(T.Var(0)))
+        C.decide_eq_enum(ctx, T.Var(3), stuck_switch(T.Var(1)), stuck_switch(T.Var(0)))
     assert e.value.kind == "NotCanonical"
 
 
@@ -93,6 +94,6 @@ def test_decide_eq_of_distinct_closed_indices_refutes():
     ctx = K.Context()
     enum = T.ConsE(T.Tag("a"), T.ConsE(T.Tag("b"), T.NilE()))
     x, y = T.ZeroE(), T.SucE(T.ZeroE())
-    kind, refutation = G.decide_eq_enum(ctx, enum, x, y)
+    kind, refutation = C.decide_eq_enum(ctx, enum, x, y)
     assert kind == "not-equal"
     K.check(ctx, refutation, ctx.eval(T.Pi("_", T.Eq(T.EnumT(enum), x, y), T.EnumT(T.NilE()))))

@@ -1,11 +1,13 @@
-"""Generic constructions: case, NoConfusion, decidable enum equality, and
-the deriving mechanism."""
+"""Constructions on constructors (case, NoConfusion, decidable enum
+equality), which `constructions` builds for the tests, and the deriving
+mechanism of `generics`."""
 
 import itertools
 import os
 
 import pytest
 
+import constructions as C
 from conftest import (
     CORPUS,
     UNIT_DESC,
@@ -107,16 +109,16 @@ def mu_inhabitants(code_v: V.Value, depth: int):
 def test_derive_case_not_tagged(sess):
     # a code without a constructor choice
     with pytest.raises(G.GenericsError) as e:
-        G.derive_case(ctx0(), unit_mu(T.DOne()))
+        C.derive_case(ctx0(), unit_mu(T.DOne()))
     assert e.value.kind == "NotTagged"
     # a code rather than a datatype
     with pytest.raises(G.GenericsError) as e:
-        G.derive_case(ctx0(), VAR)
+        C.derive_case(ctx0(), VAR)
     assert e.value.kind == "NotTagged"
     # a datatype with indices
     ctx = sess.ctx
     vec = V.vapps(sess.datatypes["Vec"].value, V.VUnit(), ctx.eval(num_term(2)))
-    for derive in (G.derive_case, lambda c, t: G.specialize_no_confusion(c, "Vec", t)):
+    for derive in (C.derive_case, lambda c, t: C.specialize_no_confusion(c, "Vec", t)):
         with pytest.raises(G.GenericsError) as e:
             derive(ctx, V.quote(vec, ctx.depth))
         assert e.value.kind == "Indexed"
@@ -124,7 +126,7 @@ def test_derive_case_not_tagged(sess):
 
 def test_case_nat_iota_drops_hypothesis():
     ctx = ctx0()
-    case_t, case_ty = G.derive_case(ctx, Nat)
+    case_t, case_ty = C.derive_case(ctx, Nat)
     tyv = K.check_entry_type(ctx, case_ty)
     K.check(ctx, case_t, tyv)
     ctx = ctx.extend("caseN", tyv, ctx.eval(case_t))
@@ -142,7 +144,7 @@ def test_case_tree_picks_branch(sess):
     en = enum("leaf", "node")
     tree = unit_mu(tree_code(V.quote(boolv, 0)))
     ctx = ctx0()
-    case_t, case_ty = G.derive_case(ctx, tree)
+    case_t, case_ty = C.derive_case(ctx, tree)
     tyv = K.check_entry_type(ctx, case_ty)
     K.check(ctx, case_t, tyv)
     leaf = T.In(T.Pair(T.ZeroE(), T.Void()))
@@ -177,7 +179,7 @@ def test_case_induction_agreement_desc_level(sess):
     for code in (NatD, treed):
         ctx = ctx0()
         mu = unit_mu(code)
-        case_t, case_ty = G.derive_case(ctx, mu)
+        case_t, case_ty = C.derive_case(ctx, mu)
         tyv = K.check_entry_type(ctx, case_ty)
         ctx = ctx.extend("case", tyv, ctx.eval(case_t))
         P = T.Lam("_", mu, T.Unit())
@@ -307,7 +309,7 @@ def extend_with(ctx, entries):
 
 @pytest.fixture(scope="module")
 def nc_nat():
-    return extend_with(ctx0(), G.specialize_no_confusion(ctx0(), "Nat", Nat))
+    return extend_with(ctx0(), C.specialize_no_confusion(ctx0(), "Nat", Nat))
 
 
 def test_no_confusion_kernel_checks(nc_nat):
@@ -368,7 +370,7 @@ def test_no_confusion_proof_computes(nc_nat):
 def test_no_confusion_tree(sess):
     boolv = sess.ctx.env[sess.ctx.depth - 1 - sess.ctx.lookup("Bool")[0]]
     tree = unit_mu(tree_code(V.quote(boolv, 0)))
-    ctx = extend_with(ctx0(), G.specialize_no_confusion(ctx0(), "Tree", tree))
+    ctx = extend_with(ctx0(), C.specialize_no_confusion(ctx0(), "Tree", tree))
     leaf = T.In(T.Pair(T.ZeroE(), T.Void()))
     node = T.In(T.Pair(T.SucE(T.ZeroE()), T.Pair(leaf, T.Pair(T.ZeroE(), T.Pair(leaf, T.Void())))))
     stmt = T.Var(1)
@@ -434,7 +436,7 @@ def index_free(request):
 
 def test_session_case_kernel_checks_and_agrees_with_induction(index_free):
     name, ctx, applied = index_free
-    case_t, case_ty = G.derive_case(ctx, V.quote(applied, ctx.depth))
+    case_t, case_ty = C.derive_case(ctx, V.quote(applied, ctx.depth))
     tyv = K.check_entry_type(ctx, case_ty)
     K.check(ctx, case_t, tyv)
     case_v = ctx.eval(case_t)
@@ -460,7 +462,7 @@ def check_no_confusion(name: str, ctx, applied: V.VIMu, n_ctors: int):
     separates constructors over `imu_inhabitants`: `(P : Set) -> P` for
     different ones, and an equation of the two payloads' fields, with no
     transport, for the same one."""
-    entries = G.specialize_no_confusion(ctx, name, V.quote(applied, ctx.depth))
+    entries = C.specialize_no_confusion(ctx, name, V.quote(applied, ctx.depth))
     assert [nm for nm, _, _ in entries] == [f"NoConfusion{name}", f"noConfusion{name}"]
     ctx = extend_with(ctx, entries)
     xs = imu_inhabitants(applied, 2, ctx)[:8]
@@ -510,9 +512,9 @@ def test_no_confusion_one_and_three_constructors(name, n_ctors, decl):
 
 def test_decide_eq_enum_examples():
     e = enum("a", "b")
-    kind, proof = G.decide_eq_enum(ctx0(), e, T.ZeroE(), T.ZeroE())
+    kind, proof = C.decide_eq_enum(ctx0(), e, T.ZeroE(), T.ZeroE())
     assert kind == "equal" and proof == T.Refl()
-    kind, _ = G.decide_eq_enum(ctx0(), e, T.ZeroE(), T.SucE(T.ZeroE()))
+    kind, _ = C.decide_eq_enum(ctx0(), e, T.ZeroE(), T.SucE(T.ZeroE()))
     assert kind == "not-equal"
 
 
@@ -529,7 +531,7 @@ def test_decide_eq_enum_brute_force_agreement():
         e = enum(*[f"t{i}" for i in range(n)])
         for i in range(n):
             for j in range(n):
-                kind, _ = G.decide_eq_enum(ctx0(), e, bare_index(i), bare_index(j))
+                kind, _ = C.decide_eq_enum(ctx0(), e, bare_index(i), bare_index(j))
                 assert kind == ("equal" if i == j else "not-equal")
 
 
@@ -538,7 +540,7 @@ def test_decide_eq_refutation_kernel_checks():
     ctx = ctx0()
     for i, j in itertools.permutations(range(3), 2):
         x, y = bare_index(i), bare_index(j)
-        kind, refutation = G.decide_eq_enum(ctx, e, x, y)
+        kind, refutation = C.decide_eq_enum(ctx, e, x, y)
         assert kind == "not-equal"
         K.check(ctx, refutation, ctx.eval(T.Pi("_", T.Eq(T.EnumT(e), x, y), T.EnumT(T.NilE()))))
 
@@ -546,9 +548,20 @@ def test_decide_eq_refutation_kernel_checks():
 # --- membership and deriveEq --------------------------------------------------------
 
 
+def eq_refusal(code: V.Value):
+    """The reason `derive_eq` refuses `code` for, or None when it derives a
+    comparison."""
+    try:
+        G.derive_eq(code)
+    except G.GenericsError as e:
+        assert e.kind == "DerivingUnsupported" and e.msg.startswith("cannot derive Eq: ")
+        return e.msg[len("cannot derive Eq: "):]
+    return None
+
+
 def test_eq_membership_examples():
-    assert not isinstance(G.eq_membership(ctx0().eval(NatD)), G.Refusal)
-    assert not isinstance(G.eq_membership(V.VDOne()), G.Refusal)
+    assert eq_refusal(ctx0().eval(NatD)) is None
+    assert eq_refusal(V.VDOne()) is None
     brouwer = T.DSigmaE(
         enum("z", "sup"),
         switch_fam(
@@ -557,14 +570,14 @@ def test_eq_membership_examples():
             UNIT_DESC,
         ),
     )
-    r = G.eq_membership(ctx0().eval(brouwer))
-    assert isinstance(r, G.Refusal) and "'Pi" in r.reason
+    r = eq_refusal(ctx0().eval(brouwer))
+    assert r is not None and "'Pi" in r
 
 
 def test_eq_membership_sigma_non_enum_domain(sess):
     nat = sess.datatypes["Nat"].value
     code = V.VDSigma(nat, V.VLam("_", V.PyClo(lambda _v: V.VDOne())))
-    assert isinstance(G.eq_membership(code), G.Refusal)
+    assert eq_refusal(code) == "'Sigma over a non-enumeration domain"
 
 
 def small_codes(depth):
@@ -594,17 +607,33 @@ def small_codes(depth):
 
 def test_membership_agrees_with_sub_desc_predicate():
     for code in small_codes(2):
-        w = G.eq_membership(code)
-        assert (not isinstance(w, G.Refusal)) == sub_desc(code)
+        assert (eq_refusal(code) is None) == sub_desc(code)
+        if sub_desc(code):
+            eq = G.derive_eq(code)
+            xs = mu_inhabitants(code, 2)[:8]
+            for a, b in itertools.product(xs, xs):
+                assert eq(a, b) == (V.quote(a, 0) == V.quote(b, 0))
+
+
+def test_derive_eq_refuses_with_the_first_reason_depth_first():
+    pi = V.VDPi(V.VUnit(), V.VLam("_", V.PyClo(lambda _v: V.VDVarI(V.VVoid()))))
+    sigma = V.VDSigma(V.VUnit(), V.VLam("_", V.PyClo(lambda _v: V.VDOne())))
+    assert eq_refusal(V.VDTimes(pi, sigma)) == "'Pi codes admit no decidable equality"
+    assert eq_refusal(V.VDTimes(sigma, pi)) == "'Sigma over a non-enumeration domain"
+    e2 = V.VConsE(V.VTag("p"), V.VConsE(V.VTag("q"), V.VNilE()))
+    both = V.VDSigma(V.VEnumT(e2), V.VLam("c", V.PyClo(lambda c: pi if V.numeral_of(c) else V.VDOne())))
+    assert eq_refusal(V.VDTimes(V.VDVarI(V.VVoid()), both)) == "'Pi codes admit no decidable equality"
+    assert eq_refusal(V.VDSigmaE(V.VNeutral(0, ()), both.fam)) == (
+        "constructor choice over a non-canonical enumeration"
+    )
+    assert eq_refusal(V.VSet(0)) == "the code is not canonical"
 
 
 def test_derive_eq_nat_exhaustive(sess):
     info = sess.datatypes["Nat"]
     applied = info.value
     code = V.vapp(applied.fam, applied.index)
-    w = G.eq_membership(code)
-    assert not isinstance(w, G.Refusal)
-    eq = G.derive_eq(code, w)
+    eq = G.derive_eq(code)
     vals = [sess.ctx.eval(num_term(k)) for k in range(7)]
     for i, a in enumerate(vals):
         for j, b in enumerate(vals):
@@ -619,9 +648,7 @@ def test_derive_eq_tree_bool(sess):
     tree_v = sess.ctx.eval(tree_ty)
     assert isinstance(tree_v, V.VIMu)
     code = V.vapp(tree_v.fam, tree_v.index)
-    w = G.eq_membership(code)
-    assert not isinstance(w, G.Refusal)
-    eq = G.derive_eq(code, w)
+    eq = G.derive_eq(code)
 
     # build trees directly at the value level for an exhaustive depth-3 set
     tt = sess.ctx.eval(el.check(sess.ctx, S.parse_expr("true"), sess.ctx.eval(bool_ty)))
@@ -663,6 +690,17 @@ def test_deriving_unsupported_at_declaration():
             "data Ord : Set where\n  Ord => oz\n  Ord => sup (f : Nat -> Ord)\nderiving Eq\n"
         )
     assert e.value.kind == "DerivingUnsupported"
+
+
+def test_deriving_refusal_names_the_datatype_and_the_reason():
+    s = Session()
+    s.load_text("data Nat : Set where\n  Nat => zero\n  Nat => suc (n : Nat)\n")
+    with pytest.raises(ElabError) as e:
+        s.load_text("data Ord : Set where\n  Ord => oz\n  Ord => sup (f : Nat -> Ord)\nderiving Eq\n")
+    assert e.value.msg == "Ord: cannot derive Eq: 'Pi codes admit no decidable equality"
+    with pytest.raises(ElabError) as e:
+        s.load_text("data U : Set where\n  U => u\nderiving Show\n")
+    assert (e.value.kind, e.value.msg) == ("DerivingUnsupported", "U: no derivable property 'Show'")
 
 
 def test_deriving_on_family_unsupported():
@@ -709,25 +747,11 @@ def test_constructor_error_message_is_formatted_when_read():
 def test_registry_dispatch_and_errors():
     reg = G.DerivingRegistry()
     with pytest.raises(G.GenericsError) as e:
-        reg.get("Unknown")
+        reg.derive_for("Unknown", V.VDOne())
     assert e.value.kind == "UnknownProperty"
-    with pytest.raises(G.GenericsError) as e:
-        reg.register(G.DerivableProperty("Eq", G.eq_membership, G.derive_eq))
-    assert e.value.kind == "DuplicateProperty"
-
-    # a fresh property: size counting, trivially derivable everywhere
-    def member(code):
-        return ("ok",)
-
-    def derive(code, w):
-        def size(x):
-            return 1
-
-        return size
-
-    reg.register(G.DerivableProperty("Size", member, derive))
-    proc = reg.derive_for("Size", V.VDOne())
-    assert proc(V.VVoid()) == 1
+    assert e.value.msg == "no derivable property 'Unknown'"
+    unit = V.VIn(V.VVoid())
+    assert reg.derive_for("Eq", V.VDOne())(unit, unit)
 
 
 def test_registry_refusal_routes_to_error():

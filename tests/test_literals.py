@@ -261,3 +261,33 @@ def test_refused_numerals_elaborate_as_expanded():
     s = load_session("prelude.idt")
     s.load_text(INAT)
     assert s.eval_expr("(0 : INat 0)") == "In (#0 refl)"
+
+
+ODD = (
+    "data Odd : Set where\n"
+    "  Odd => zero\n"
+    "  Odd => suc (n : Odd) (b : Bool)\n"
+)
+
+
+@pytest.mark.parametrize("ty", ["Nat", "N", "PNat Bool", "TNat"])
+def test_values_print_as_the_numerals_that_elaborate_to_them(ty):
+    s = load_session("prelude.idt")
+    s.load_text(NAT_SHAPED)
+    for n in (0, 1, 2, 17):
+        expanded = "zero"
+        for _ in range(n):
+            expanded = f"suc ({expanded})"
+        assert s.eval_expr(f"({expanded} : {ty})") == s.eval_expr(f"({n} : {ty})") == str(n)
+
+
+def test_only_the_numeral_rule_makes_a_numeral():
+    s = load_session("prelude.idt")
+    s.load_text(NAT_SHAPED)
+    # a value with a constructor the numeral loop never builds
+    assert not s.eval_expr("(suc top : TNat)").isdigit()
+    # `zero` and `suc` by name, but `suc` has a field beside the recursive one
+    s.load_text(ODD)
+    assert not s.eval_expr("(suc (suc zero 'true) 'false : Odd)").isdigit()
+    with pytest.raises(ElabError):
+        s.eval_expr("(2 : Odd)")

@@ -20,7 +20,6 @@ from conftest import ROOT, load_session, read_corpus
 from generators import ConvPairGen, TermGen, gen_data_decl, gen_let_decl
 
 from idt import dataelab as D
-from idt import generics as G
 from idt import pp
 from idt import record as R
 from idt import surface as S
@@ -120,9 +119,6 @@ def corpus_roots() -> list:
             roots.append(V.quote(e.ty, lvl))
             if e.val is not None:
                 roots.append(V.quote(e.val, lvl))
-        for info in (i for i in sess.datatypes.values() if i.n_indices == 0):
-            applied = V.vapps(info.value, *(V.fresh(ctx.depth + k) for k in range(info.n_params)))
-            roots.append(G.eq_membership(V.vapp(applied.fam, applied.index)))
     return roots
 
 
@@ -156,7 +152,6 @@ def handmade_roots() -> list:
         D.ELabel("D", (D.LParam(T.Var(1), T.Set_(0)), D.LIndex(nat, T.Unit()), D.EConstr(nat, S.ENum(0), T.Unit()))),
         pp.Notation("Desc"),
         V.VNeutral(0, (V.FFst(), V.FSnd(), V.FApp(V.VVoid()))),
-        G.Refusal("no"),
         R.Record(),
         T.Term(),
         V.Value(),
@@ -178,7 +173,7 @@ def _outcome(f):
 
 def test_every_record_class_is_sampled(nodes):
     assert set(CLASSES) - {type(x) for x in nodes} == set()
-    assert len(CLASSES) == 122  # the base and the 121 node classes
+    assert len(CLASSES) == 117  # the base and the 116 node classes
 
 
 def test_record_agrees_with_its_twin(nodes):
