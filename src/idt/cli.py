@@ -45,12 +45,12 @@ class Session:
     def emit(self, line: str):
         self.out.append(line)
 
-    def load_text(self, text: str, path: str = "<input>"):
+    def load_text(self, text: str):
         decls = S.parse_file(text)
         for d in decls:
-            self.process_decl(d, path)
+            self.process_decl(d)
 
-    def process_decl(self, d, path: str = "<input>"):
+    def process_decl(self, d):
         if isinstance(d, S.DataDecl):
             self._declare_data(d)
         else:
@@ -273,7 +273,7 @@ def _load_files(sess: Session, paths, out) -> Optional[int]:
             print(_report(path, e), file=out)
             return 2
         try:
-            sess.load_text(text, path)
+            sess.load_text(text)
         except S.ParseError as e:
             print(_report(path, e), file=out)
             return 2

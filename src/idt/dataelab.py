@@ -28,7 +28,7 @@ from . import pp
 from . import surface as S
 from . import terms as T
 from . import values as V
-from .elab import ElabError, Elaborator, TraceNode, _span, _spine
+from .elab import ElabError, Elaborator, TraceNode, _span, _unapply
 from .kernel import Context
 from .record import Record, field
 from .terms import Term
@@ -112,14 +112,13 @@ class ELabel(Record):
 
 
 class DataResult:
-    def __init__(self, name: str, definiens: Term, ty: Term, n_params: int, n_indices: int, code: Term,
+    def __init__(self, name: str, definiens: Term, ty: Term, n_params: int, n_indices: int,
                  tel_names: list, tags: list, trace: Optional[TraceNode]):
         self.name = name
         self.definiens = definiens  # at the outer context
         self.ty = ty
         self.n_params = n_params
         self.n_indices = n_indices
-        self.code = code  # at the telescope context (with the opaque self binding)
         self.tel_names = tel_names
         self.tags = tags
         self.trace = trace
@@ -354,17 +353,17 @@ class DataElab:
             return self.elab_constraints(ctx, label)
         nm, tye = args[0]
         rest_args = args[1:]
-        spine_head, spine_args = _spine(tye)
+        app_head, app_args = _unapply(tye)
         # recursion matching, attempted first
-        if isinstance(spine_head, S.EVar) and spine_head.name == label.head:
+        if isinstance(app_head, S.EVar) and app_head.name == label.head:
             with self.el.goal(lambda: f"({nm} : {S.print_expr(tye)}) recursive", "ElabArg"):
-                is_tm = self.extract_indices(ctx, spine_args, label, tye)
+                is_tm = self.extract_indices(ctx, app_args, label, tye)
                 rest = self.elab_args(ctx, rest_args, label)
             return T.DTimes(T.DVarI(is_tm), rest)
         # exponentials whose codomain is recursive
         if isinstance(tye, S.EPi):
-            doms, cod = _pi_spine(tye)
-            cod_head, cod_args = _spine(cod)
+            doms, cod = _unpi(tye)
+            cod_head, cod_args = _unapply(cod)
             if isinstance(cod_head, S.EVar) and cod_head.name == label.head:
                 with self.el.goal(lambda: f"({nm} : {S.print_expr(tye)}) exponential", "ElabArg"):
                     inner_ctx = ctx
@@ -419,18 +418,18 @@ class DataElab:
         )
 
     # indices of a recursive call, paired left to right
-    def extract_indices(self, ctx: Context, spine_args: list, label: ELabel, at) -> Term:
+    def extract_indices(self, ctx: Context, app_args: list, label: ELabel, at) -> Term:
         with self.el.goal(lambda: label.describe(ctx), "ElabRecArgs"):
             entries = list(label.entries)
-            if len(spine_args) != len(entries):
+            if len(app_args) != len(entries):
                 raise ElabError(
                     "PatternHeadMismatch",
                     _span(at),
-                    f"recursive call applies {len(spine_args)} argument(s); "
+                    f"recursive call applies {len(app_args)} argument(s); "
                     f"the datatype takes {len(entries)}",
                 )
             is_tm: Term = T.Void()
-            for arg, entry in zip(spine_args, entries):
+            for arg, entry in zip(app_args, entries):
                 tyv = ctx.eval(entry.ty)
                 if isinstance(entry, LParam):
                     at_ = self.el.check(ctx, arg, tyv)
@@ -456,7 +455,7 @@ def _validates(ctx: Context, label: ELabel, head: S.HeadPattern) -> bool:
         return False
 
 
-def _pi_spine(e: S.ExtTerm):
+def _unpi(e: S.ExtTerm):
     doms = []
     while isinstance(e, S.EPi):
         doms.append((e.name, e.dom))
@@ -548,7 +547,6 @@ def elab_data(ctx: Context, decl: S.DataDecl, trace: bool = False) -> DataResult
             ty=d_ty,
             n_params=k,
             n_indices=m,
-            code=code,
             tel_names=[decl.name] + [nm for nm, _ in decl.params] + [nm for nm, _ in decl.indices],
             tags=pp._enum_tags(code.val.enum),  # the code is `return {tags} F`
             trace=el.root,

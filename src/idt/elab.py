@@ -150,7 +150,7 @@ class Elaborator:
             ix, entry = hit
             return T.Var(ix), entry.ty
         if isinstance(e, S.EApp):
-            head, args = _spine(e)
+            head, args = _unapply(e)
             if isinstance(head, S.EVar) and ctx.lookup(head.name) is None and self.active == head.name:
                 return self._recursive_call(ctx, e, args)
             t, ty = self.synth(ctx, head)
@@ -278,9 +278,9 @@ class Elaborator:
                 return self._tuple(ctx, e, [], want)
             self.err("CheckMismatch", e.span, f"'()' against {K.show(ctx, want)}")
         if isinstance(e, S.EApp) and isinstance(want, (V.VSigma, V.VUnit)):
-            # the LISP-inspired tuple reading of an application spine, with the
+            # the LISP-inspired tuple reading of an application, with the
             # plain application as the fallback
-            head, args = _spine(e)
+            head, args = _unapply(e)
             try:
                 return self._tuple(ctx, e, [head] + args, want)
             except ElabError as tuple_err:
@@ -324,7 +324,7 @@ class Elaborator:
                 )
             self.err("CheckMismatch", e.span, f"refl against {K.show(ctx, want)}")
         # constructor sugar: an unbound head applied against a tagged fix-point
-        head, args = _spine(e)
+        head, args = _unapply(e)
         if (
             isinstance(head, S.EVar)
             and ctx.lookup(head.name) is None
@@ -590,7 +590,7 @@ def _find_constructor(code: Value, name: str, fuel: int):
     return None
 
 
-def _spine(e: S.ExtTerm):
+def _unapply(e: S.ExtTerm):
     args: list = []
     while isinstance(e, S.EApp):
         args.append(e.arg)

@@ -5,10 +5,10 @@ the fix-point `IMu Unit R ()`, so constructors, inductive hypotheses and
 induction all have their indexed rules only.
 
 Judgmental equality compares values structurally (`values.convertible`):
-neutrals by head level and then frame by frame, binders under one fresh
-variable, with exactly the verdict of reading both sides back and comparing
-the terms for alpha-equality. Universes are three fixed levels with
-cumulativity as a subtyping check at conversion points.
+variables by level, stuck eliminations by kind and then field by field,
+binders under one fresh variable, with exactly the verdict of reading both
+sides back and comparing the terms for alpha-equality. Universes are three
+fixed levels with cumulativity as a subtyping check at conversion points.
 
 `check` returns the value of the term it checked when it built that value
 from the values of the parts (pairs, constructors, `()`, enumeration

@@ -93,8 +93,8 @@ def _label(head: str, args: tuple, ty: Term, names: list) -> str:
     `I`, in brackets: `<D (A) [n]>`. Any other label shows `<f a : T>`."""
     n = _index_count(ty)
     if n is None or n > len(args):
-        spine = " ".join([head] + [_pt(a, names, ATOM) for a in args])
-        return f"<{spine} : {_pt(ty, names, ARROW)}>"
+        call = " ".join([head] + [_pt(a, names, ATOM) for a in args])
+        return f"<{call} : {_pt(ty, names, ARROW)}>"
     k = len(args) - n
     parts = [f"({_pt(a, names, ARROW)})" for a in args[:k]] + [f"[{_pt(a, names, ARROW)}]" for a in args[k:]]
     return "<" + " ".join([head] + parts) + ">"
@@ -129,12 +129,12 @@ def _pt(t: Term, names: list, prec: int) -> str:
             s = f"\\{nm}. {_pt(body, names + [nm], ARROW)}"
             return _paren(s, ARROW, prec)
         case T.App(_, _):
-            spine = []
+            rev_args = []
             while isinstance(t, T.App):
-                spine.append(t.arg)
+                rev_args.append(t.arg)
                 t = t.fn
             head = _pt(t, names, ATOM)
-            args = " ".join(_pt(a, names, ATOM) for a in reversed(spine))
+            args = " ".join(_pt(a, names, ATOM) for a in reversed(rev_args))
             return _paren(f"{head} {args}", APP, prec)
         case T.Pair(_, _):
             items, tail = _tuple_items(t)

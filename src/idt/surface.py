@@ -166,7 +166,7 @@ class EUnit(ExtTerm):
 
 class EParen(ExtTerm):
     """The empty tuple '()'. Non-empty parentheses are pure grouping; the
-    tuple reading of an application spine is type-directed."""
+    tuple reading of an application is type-directed."""
 
     span: Span = _span_field()
 

@@ -255,7 +255,7 @@ class Split(Term):
 class LabelTy(Term):
     """Programming label: a phantom type recording a definition goal.
 
-    `argtys` annotates the spine for reconstruction; label identity is the
+    `argtys` annotates the arguments for reconstruction; label identity is the
     head plus the argument terms and the type. The goal of a datatype's
     clauses is a label at `IDesc I` whose arguments are the parameters and
     then the indices, and its return value is a `'sigma` code.
@@ -295,7 +295,7 @@ def map_term(t: Term, visit: Callable[[Term, int], Optional[Term]], depth: int =
     visit(u, d) sees each subterm `u` and its binder depth `d` before the
     children of `u`. A term it returns replaces `u`. When it returns None,
     the children are rebuilt, and a node whose children did not change is
-    kept as is. Children include the terms inside tuples (label spines).
+    kept as is. Children include the terms inside tuples (label arguments).
     """
 
     def go(x, d: int):

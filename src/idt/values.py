@@ -1,8 +1,9 @@
 """Semantic values and evaluation.
 
-Terms evaluate into weak-head-normal values with closures for binders;
-stuck eliminations form neutral spines headed by a variable. Readback
-(`quote`) turns a value back into a beta/iota-normal term.
+Terms evaluate into weak-head-normal values with closures for binders. A
+neutral is a variable (`VVar`) or an elimination stuck on a neutral
+(`VStuck`), kept as its term class and fields. Readback (`quote`) turns a
+value back into a beta/iota-normal term.
 
 There is one universe of descriptions, the indexed one (`IDesc I`): a
 datatype without indices is a fix-point at index type `Unit`, interpreted by
@@ -204,60 +205,39 @@ class VLRet(Value):
 # --- neutrals ----------------------------------------------------------------
 
 
-class FApp(Record):
-    arg: Value
-
-
-class FFst(Record):
-    pass
-
-
-class FSnd(Record):
-    pass
-
-
-class FGeneric:
-    """Stuck builtin elimination, the term `kind(*fields)`.
-
-    `fields` are the eliminator's arguments in the order of the term
-    constructor `kind`: values, tuples of values or a label's head name.
-    Field `owner_at` holds the neutral this frame extends, possibly under
-    `VSucE` wrappers; readback puts the quoted spine prefix there.
-    """
-
-    __slots__ = ("kind", "fields", "owner_at")
-
-    def __init__(self, kind: type, fields: tuple, owner_at: int):
-        self.kind = kind
-        self.fields = fields
-        self.owner_at = owner_at
-
-
 class VNeutral(Value):
+    """A variable, or an elimination stuck on a neutral."""
+
+
+class VVar(VNeutral):
     lvl: int
-    spine: tuple = ()
 
 
-def fresh(lvl: int) -> VNeutral:
-    return VNeutral(lvl)
+class VStuck(VNeutral):
+    """The stuck elimination `kind(*fields)`: `kind` is `T.App`, `T.Fst`,
+    `T.Snd` or a builtin eliminator, and `fields` are its arguments in the
+    order of that term class (values, tuples of values or a label's head).
+    The neutral it is stuck on is one of them, under `VSucE`s for `switch`."""
+
+    kind: type
+    fields: tuple
+
+
+# eliminations stuck on their first field, which readback and conversion loop through
+_CHAINED = (T.App, T.Fst, T.Snd)
+
+
+fresh = VVar  # the variable at a level
 
 
 # --- elimination helpers ------------------------------------------------------
-
-
-def _extend(n: VNeutral, frame) -> VNeutral:
-    return VNeutral(n.lvl, n.spine + (frame,))
-
-
-def _stuck(owner: VNeutral, kind: type, fields: tuple, owner_at: int) -> VNeutral:
-    return _extend(owner, FGeneric(kind, fields, owner_at))
 
 
 def vapp(f: Value, a: Value) -> Value:
     if isinstance(f, VLam):
         return f.body(a)
     if isinstance(f, VNeutral):
-        return _extend(f, FApp(a))
+        return VStuck(T.App, (f, a))
     raise EvalError(f"cannot apply {type(f).__name__}")
 
 
@@ -303,7 +283,7 @@ def vfst(p: Value) -> Value:
     if isinstance(p, VPair):
         return p.fst
     if isinstance(p, VNeutral):
-        return _extend(p, FFst())
+        return VStuck(T.Fst, (p,))
     raise EvalError(f"cannot project {type(p).__name__}")
 
 
@@ -311,15 +291,8 @@ def vsnd(p: Value) -> Value:
     if isinstance(p, VPair):
         return p.snd
     if isinstance(p, VNeutral):
-        return _extend(p, FSnd())
+        return VStuck(T.Snd, (p,))
     raise EvalError(f"cannot project {type(p).__name__}")
-
-
-def _stuck_inner_neutral(v: Value) -> Optional[VNeutral]:
-    """Find a neutral inside a canonical-headed numeral-ish value."""
-    while isinstance(v, VSucE):
-        v = v.pred
-    return v if isinstance(v, VNeutral) else None
 
 
 def vswitch(enum: Value, fam: Value, cases: Value, scrut: Value) -> Value:
@@ -332,12 +305,11 @@ def vswitch(enum: Value, fam: Value, cases: Value, scrut: Value) -> Value:
             vsnd(cases),
             scrut.pred,
         )
-    fields = (enum, fam, cases, scrut)
-    owner = _stuck_inner_neutral(scrut)
-    if owner is not None:
-        return _stuck(owner, T.Switch, fields, 3)
-    if isinstance(enum, VNeutral):
-        return _stuck(enum, T.Switch, fields, 0)
+    n = scrut
+    while isinstance(n, VSucE):
+        n = n.pred
+    if isinstance(n, VNeutral) or isinstance(enum, VNeutral):
+        return VStuck(T.Switch, (enum, fam, cases, scrut))
     raise EvalError("switch stuck on non-neutral scrutinee")
 
 
@@ -350,7 +322,7 @@ def vpie(enum: Value, fam: Value) -> Value:
         rest = enum.rest
         return VSigma("_", head, PyClo(lambda _v: vpie(rest, rest_fam)))
     if isinstance(enum, VNeutral):
-        return _stuck(enum, T.PiE, (enum, fam), 0)
+        return VStuck(T.PiE, (enum, fam))
     raise EvalError("pi-enum on non-enumeration")
 
 
@@ -373,7 +345,7 @@ def vinterp_i(code: Value, x: Value) -> Value:
         fam, xx = code.fam, x
         return VSigma("c", VEnumT(code.enum), PyClo(lambda c: vinterp_i(vapp_ground(fam, c), xx)))
     if isinstance(code, VNeutral):
-        return _stuck(code, T.InterpIDesc, (code, x), 0)
+        return VStuck(T.InterpIDesc, (code, x))
     raise EvalError(f"indexed interp of non-code {type(code).__name__}")
 
 
@@ -392,7 +364,7 @@ def viall(code: Value, x: Value, p: Value, d: Value) -> Value:
     if isinstance(code, (VDSigma, VDSigmaE)):
         return viall(vapp_ground(code.fam, vfst(d)), x, p, vsnd(d))
     if isinstance(code, VNeutral):
-        return _stuck(code, T.IAllD, (code, x, p, d), 0)
+        return VStuck(T.IAllD, (code, x, p, d))
     raise EvalError(f"IAll over non-code {type(code).__name__}")
 
 
@@ -412,7 +384,7 @@ def viallmap(code: Value, x: Value, p: Value, rec: Value, d: Value) -> Value:
     if isinstance(code, (VDSigma, VDSigmaE)):
         return viallmap(vapp_ground(code.fam, vfst(d)), x, p, rec, vsnd(d))
     if isinstance(code, VNeutral):
-        return _stuck(code, T.IAllMap, (code, x, p, rec, d), 0)
+        return VStuck(T.IAllMap, (code, x, p, rec, d))
     raise EvalError(f"indexed all-map over non-code {type(code).__name__}")
 
 
@@ -435,7 +407,7 @@ def viinduction(ixty: Value, fam: Value, p: Value, m: Value, i: Value, x: Value)
         hyp = viallmap(vapp_ground(fam, i), imu_family(ixty, fam), p, rec, x.payload)
         return vapp(step, hyp)
     if isinstance(x, VNeutral):
-        return _stuck(x, T.IInduction, (ixty, fam, p, m, i, x), 5)
+        return VStuck(T.IInduction, (ixty, fam, p, m, i, x))
     raise EvalError("indexed induction on non-canonical scrutinee")
 
 
@@ -443,7 +415,7 @@ def vsplit(p: Value, m: Value, scrut: Value) -> Value:
     if isinstance(scrut, VPair):
         return vapps(m, scrut.fst, scrut.snd)
     if isinstance(scrut, VNeutral):
-        return _stuck(scrut, T.Split, (p, m, scrut), 2)
+        return VStuck(T.Split, (p, m, scrut))
     raise EvalError("split on non-pair")
 
 
@@ -451,7 +423,7 @@ def veqelim(motive: Value, base: Value, proof: Value) -> Value:
     if isinstance(proof, VRefl):
         return base
     if isinstance(proof, VNeutral):
-        return _stuck(proof, T.EqElim, (motive, base, proof), 2)
+        return VStuck(T.EqElim, (motive, base, proof))
     raise EvalError("eq-elim on non-proof")
 
 
@@ -459,7 +431,7 @@ def vlcall(head: str, args: tuple, argtys: tuple, ty: Value, body: Value) -> Val
     if isinstance(body, VLRet):
         return body.val
     if isinstance(body, VNeutral):
-        return _stuck(body, T.LCall, (head, args, argtys, ty, body), 4)
+        return VStuck(T.LCall, (head, args, argtys, ty, body))
     raise EvalError("call on non-return")
 
 
@@ -691,18 +663,25 @@ def _quote_imu(v: VIMu, d: int, names: Optional[dict]) -> Term:
     return T.IMu(quote(v.ixty, d, names), quote(v.fam, d, names), iq)
 
 
-def _quote_neutral(v: VNeutral, d: int, names: Optional[dict]) -> Term:
-    t: Term = T.Var(d - 1 - v.lvl)
-    for f in v.spine:
-        if isinstance(f, FApp):
-            t = T.App(t, quote(f.arg, d, names))
-        elif isinstance(f, FFst):
-            t = T.Fst(t)
-        elif isinstance(f, FSnd):
-            t = T.Snd(t)
-        else:
-            t = _quote_stuck(f, t, d, names)
+def _quote_stuck(v: VStuck, d: int, names: Optional[dict]) -> Term:
+    """`kind(*quoted fields)`. A chain of applications and projections is
+    read back in a loop from its head, so its length costs no stack."""
+    if v.kind not in _CHAINED:
+        return v.kind(*(_quote_field(x, d, names) for x in v.fields))
+    outer = []
+    while type(v) is VStuck and v.kind in _CHAINED:
+        outer.append(v)
+        v = v.fields[0]
+    t = quote(v, d, names)
+    for e in reversed(outer):
+        t = e.kind(t, *(quote(x, d, names) for x in e.fields[1:]))
     return t
+
+
+def _quote_field(x, d: int, names: Optional[dict]):
+    if isinstance(x, tuple):
+        return tuple(quote(a, d, names) for a in x)
+    return quote(x, d, names) if isinstance(x, Value) else x  # else a label head
 
 
 # keyed on the exact class, as `_EVAL_RULES` is
@@ -738,26 +717,9 @@ _QUOTE_RULES = {
         quote(v.ty, d, names),
     ),
     VLRet: lambda v, d, names: T.LRet(quote(v.val, d, names)),
-    VNeutral: _quote_neutral,
+    VVar: lambda v, d, names: T.Var(d - 1 - v.lvl),
+    VStuck: _quote_stuck,
 }
-
-
-def _quote_stuck(f: FGeneric, owner: Term, d: int, names: Optional[dict]) -> Term:
-    """Read back a stuck elimination around its quoted spine prefix."""
-    args = []
-    for at, x in enumerate(f.fields):
-        if at == f.owner_at:
-            while isinstance(x, VSucE):
-                owner = T.SucE(owner)
-                x = x.pred
-            args.append(owner)
-        elif isinstance(x, Value):
-            args.append(quote(x, d, names))
-        elif isinstance(x, tuple):
-            args.append(tuple(quote(a, d, names) for a in x))
-        else:
-            args.append(x)  # a label head
-    return f.kind(*args)
 
 
 # --- conversion ---------------------------------------------------------------
@@ -785,6 +747,10 @@ def convertible(a: Value, b: Value, d: int) -> bool:
             a, b = a.snd, b.snd
         elif cls is VSucE:
             a, b = a.pred, b.pred
+        elif cls is VStuck and a.kind in _CHAINED:
+            if not _conv_stuck(a, b, d, 1):
+                return False
+            a, b = a.fields[0], b.fields[0]
         else:
             rule = _CONV_RULES.get(cls)
             if rule is None:
@@ -828,37 +794,15 @@ def _conv_imu(a: VIMu, b: VIMu, d: int) -> bool:
     return convertible(a.index, b.index, d)
 
 
-def _conv_neutral(a: VNeutral, b: VNeutral, d: int) -> bool:
-    if a.lvl != b.lvl or len(a.spine) != len(b.spine):
+def _conv_stuck(a: VStuck, b: VStuck, d: int, start: int = 0) -> bool:
+    """Whether `a` and `b` are eliminations of one kind whose compared fields
+    from `start` on are convertible."""
+    if a.kind is not b.kind:
         return False
-    for x, y in zip(a.spine, b.spine):
-        if x is y:
+    for f, g, compared in zip(a.fields[start:], b.fields[start:], _COMPARED[a.kind][start:]):
+        if not compared:
             continue
-        cls = type(x)
-        if cls is not type(y):
-            return False
-        if cls is FApp:
-            if not convertible(x.arg, y.arg, d):
-                return False
-        elif cls is FGeneric and not _conv_stuck(x, y, d):
-            return False
-    return True
-
-
-def _conv_stuck(x: FGeneric, y: FGeneric, d: int) -> bool:
-    """Compare two stuck frames whose spine prefixes are compared already."""
-    if x.kind is not y.kind or x.owner_at != y.owner_at:
-        return False
-    for at, (f, g, compared) in enumerate(zip(x.fields, y.fields, _COMPARED[x.kind])):
-        if at == x.owner_at:
-            # the owner is the spine prefix; only its VSucE wrappers are left
-            while isinstance(f, VSucE) and isinstance(g, VSucE):
-                f, g = f.pred, g.pred
-            if isinstance(f, VSucE) or isinstance(g, VSucE):
-                return False
-        elif not compared:
-            continue
-        elif isinstance(f, Value):
+        if isinstance(f, Value):
             if not convertible(f, g, d):
                 return False
         elif isinstance(f, tuple):
@@ -891,12 +835,10 @@ _CONV_RULES = {
     VIMu: _conv_imu,
     VLabelTy: lambda a, b, d: a.head == b.head and _conv_all(a.args, b.args, d) and convertible(a.ty, b.ty, d),
     VLRet: _conv_fields("val"),
-    VNeutral: _conv_neutral,
+    VVar: lambda a, b, d: a.lvl == b.lvl,
+    VStuck: _conv_stuck,
 }
 _CONV_RULES.update(dict.fromkeys((VUnit, VVoid, VUId, VEnumU, VNilE, VZeroE, VRefl, VDOne), _same))
 
-# which fields of each stuck-elimination term take part in term equality
-_COMPARED = {
-    kind: tuple(f in kind._compared for f in kind._fields)
-    for kind in (T.PiE, T.Switch, T.EqElim, T.InterpIDesc, T.IAllD, T.IAllMap, T.IInduction, T.Split, T.LCall)
-}
+# which fields of each term class take part in term equality
+_COMPARED = {kind: tuple(f in kind._compared for f in kind._fields) for kind in _EVAL_RULES}

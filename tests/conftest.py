@@ -28,7 +28,7 @@ def read_corpus(name: str) -> str:
 def load_session(*names: str, **kw) -> Session:
     sess = Session(**kw)
     for n in names:
-        sess.load_text(read_corpus(n), n)
+        sess.load_text(read_corpus(n))
     return sess
 
 

@@ -260,11 +260,13 @@ class ConvPairGen:
     `pair(kind)` forces the outermost shape: `switch_suc` (stuck on a
     suc-wrapped neutral scrutinee), `switch_enum` (stuck on a neutral
     enumeration), `imu_unit` (a Unit-indexed IMu against a non-Unit one),
-    `label_argtys` (label types that differ only in argument types) and
-    `lam_names` (lambdas that differ only in binder names and annotations).
+    `label_argtys` (label types that differ only in argument types),
+    `lam_names` (lambdas that differ only in binder names and annotations)
+    and `app_spine` (a variable applied to 1-4 arguments, where a third of
+    the twins differ in their number of arguments and a third in one).
     """
 
-    KINDS = ("any", "switch_suc", "switch_enum", "imu_unit", "label_argtys", "lam_names")
+    KINDS = ("any", "switch_suc", "switch_enum", "imu_unit", "label_argtys", "lam_names", "app_spine")
 
     def __init__(self, seed: int, n_free: int = 3, p_diff: float = 0.1):
         self.rng = random.Random(seed)
@@ -350,6 +352,23 @@ class ConvPairGen:
         if kind == "lam_names":
             body = self._alike(depth - 1, s + 1)
             return tuple(T.Lam(self._name(), self._maybe(1, s), body[side]) for side in (0, 1))
+        if kind == "app_spine":
+            args = [self._alike(depth - 1, s) for _ in range(4)]
+            n1 = n2 = r.randint(1, 4)
+            change = r.randrange(3)
+            if change == 1:
+                n2 = r.choice([n for n in range(1, 5) if n != n1])
+            elif change == 2:
+                k = r.randrange(n1)
+                args[k] = (args[k][0], self._one(depth - 1, s))
+            head = self._var(s)
+            out = []
+            for side, n in ((0, n1), (1, n2)):
+                t = head
+                for a in args[:n]:
+                    t = T.App(t, a[side])
+                out.append(t)
+            return tuple(out)
         return self.twin(depth, s)
 
     def _alike(self, depth: int, scope: int):

@@ -53,6 +53,23 @@ def test_conv_pairs_give_both_verdicts(kind):
     assert verdicts[True] >= 20 and verdicts[False] >= 20, verdicts
 
 
+def test_a_long_application_chain_reads_back_and_converts_without_stack():
+    def applied(n: int):
+        v = V.fresh(0)
+        for k in range(n):
+            v = V.vapp(v, V.make_numeral(k % 3))
+        return v
+
+    a, b, longer = applied(20000), applied(20000), applied(20001)
+    t = V.quote(a, 1)
+    for _ in range(20000):
+        assert type(t) is T.App
+        t = t.fn
+    assert t == T.Var(0)
+    assert V.convertible(a, b, 1)
+    assert not V.convertible(a, longer, 1) and not V.convertible(longer, a, 1)
+
+
 @pytest.mark.parametrize("name", sorted(f for f in os.listdir(CORPUS) if f.endswith(".idt")))
 def test_corpus_conversions_agree_with_readback(conv_oracle, name):
     code = run_check([os.path.join(CORPUS, name)], show_codes=True, stdout=io.StringIO())

@@ -77,7 +77,7 @@ def test_corpus_definitions_agree_with_the_eager_rules(monkeypatch, name):
 
     monkeypatch.setattr(L, "elab_define", elab_define)
     monkeypatch.setattr(D, "elab_data", elab_data)
-    Session().load_text(read_corpus(name), name)
+    Session().load_text(read_corpus(name))
     assert elaborated
     for ctx, t, ty_t in elaborated:
         assert_agrees_with_eager(ctx, t, ty_t)

@@ -386,7 +386,7 @@ def test_no_confusion_tree(sess):
 def _load(corpus_file: str) -> Session:
     s = Session()
     try:
-        s.load_text(read_corpus(corpus_file), corpus_file)
+        s.load_text(read_corpus(corpus_file))
     except ElabError:
         pass  # the declarations before a rejected one stay registered
     return s
@@ -623,7 +623,7 @@ def test_derive_eq_refuses_with_the_first_reason_depth_first():
     e2 = V.VConsE(V.VTag("p"), V.VConsE(V.VTag("q"), V.VNilE()))
     both = V.VDSigma(V.VEnumT(e2), V.VLam("c", V.PyClo(lambda c: pi if V.numeral_of(c) else V.VDOne())))
     assert eq_refusal(V.VDTimes(V.VDVarI(V.VVoid()), both)) == "'Pi codes admit no decidable equality"
-    assert eq_refusal(V.VDSigmaE(V.VNeutral(0, ()), both.fam)) == (
+    assert eq_refusal(V.VDSigmaE(V.fresh(0), both.fam)) == (
         "constructor choice over a non-canonical enumeration"
     )
     assert eq_refusal(V.VSet(0)) == "the code is not canonical"

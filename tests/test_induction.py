@@ -27,7 +27,7 @@ def eager_viinduction(ixty, fam, p, m, i, x):
         hyp = V.viallmap(V.vapp(fam, i), V.imu_family(ixty, fam), p, rec, x.payload)
         return V.vapps(m, i, x.payload, hyp)
     assert isinstance(x, V.VNeutral)
-    return V._stuck(x, T.IInduction, (ixty, fam, p, m, i, x), 5)
+    return V.VStuck(T.IInduction, (ixty, fam, p, m, i, x))
 
 
 def method(body: T.Term) -> T.Term:
