@@ -6,11 +6,13 @@ pairs the index types), and return the `'sigma` code of their constructors.
 Constructor argument telescopes become right-nested 'Sigma codes, recursive
 positions become 'varI codes carrying their extracted indices, index
 constraints become trailing equality codes, and a trailing `by` block
-elaborates through the restricted eliminator builder into a `call` of the
-label. Declarations without indices run through the same pipeline with the
-degenerate Unit index. The elaborator's own form of a label, `ELabel`, says
-which arguments are parameters, indices or constraints; a `by` clause head
-constrains no index, so a label that is called has no constraint.
+elaborates through `labels.elab_by`, the `by` step programs take too,
+into a `call` of the label; clause heads match through `labels.match_head`
+as program heads do. Declarations without indices run through the same
+pipeline with the degenerate Unit index. The elaborator's own form of a
+label, `ELabel`, says which arguments are parameters, indices or
+constraints; a `by` clause head constrains no index, so a label that is
+called has no constraint.
 
 Each judgment (`ElabData`, `ElabDataPatts`, `ElabChoices`, `ElabConstr`,
 `ElabArg`, `ElabRecArgs`, `ElabEqs`, `ElabEWM`) is a derivation step on the
@@ -127,99 +129,55 @@ class DataResult:
 # --- pattern validation ---------------------------------------------------------
 
 
-def validate_pattern(ctx: Context, label: ELabel, head: S.HeadPattern):
-    """Match a clause head against the label; returns (refined label, context
-    extended with any constructor-pattern bindings)."""
+def validate_pattern(ctx: Context, label: ELabel, head: S.Head):
+    """Match a clause head against the label through `labels.match_head`;
+    returns (refined label, context extended with any constructor-pattern
+    bindings). A parameter position takes a bare name and an index position
+    a bracketed pattern, where `[n = e]` matches as the name `n` and
+    constrains that index to `e`."""
     if head.name != label.head:
         raise ElabError(
             "PatternHeadMismatch",
             head.span,
             f"clause head '{head.name}' does not match the datatype '{label.head}'",
         )
-    if len(head.args) != len(label.entries):
+    if len(head.pats) != len(label.entries):
         raise ElabError(
             "PatternHeadMismatch",
             head.span,
-            f"clause head has {len(head.args)} argument(s); the label has {len(label.entries)}",
+            f"clause head has {len(head.pats)} argument(s); the label has {len(label.entries)}",
         )
-    inner = ctx
-    shifted = 0
+    pats, constraints = [], []
+    for pos, (pat, entry) in enumerate(zip(head.pats, label.entries)):
+        if isinstance(pat, S.PIndex) != isinstance(entry, LIndex):
+            raise ElabError(
+                "PatternHeadMismatch",
+                pat.span,
+                f"index position {pos} must be written in brackets"
+                if isinstance(entry, LIndex)
+                else f"position {pos} is a parameter and must repeat the declared variable",
+            )
+        pat = pat.pat if isinstance(pat, S.PIndex) else pat
+        constraints.append(pat.value if isinstance(pat, S.PConstraint) else None)
+        if isinstance(pat, S.PConstraint):
+            # under a by-refinement the index is no longer a variable
+            if not isinstance(entry.tm, T.Var):
+                raise ElabError(
+                    "PatternHeadMismatch", pat.span, f"refined index position {pos} cannot be constrained"
+                )
+            pat = S.PVar(pat.name, span=pat.span)
+        pats.append(pat)
+    goal = V.VLabelTy(
+        label.head,
+        tuple(ctx.eval(e.tm) for e in label.entries),
+        tuple(ctx.eval(e.ty) for e in label.entries),
+        V.VIDesc(label.index_type_value(ctx)),
+    )
+    inner = L.match_head(ctx, S.Head(head.name, tuple(pats), span=head.span), goal)
     out = []
-    for pos, (pat, entry) in enumerate(zip(head.args, label.entries)):
-        entry = _eshift(entry, shifted)
-        if isinstance(entry, LParam):
-            if not isinstance(pat, S.PVar):
-                raise ElabError(
-                    "PatternHeadMismatch",
-                    getattr(pat, "span", head.span),
-                    f"position {pos} is a parameter and must repeat the declared variable",
-                )
-            if not _is_var_named(inner, entry.tm, pat.name):
-                raise ElabError(
-                    "PatternHeadMismatch",
-                    pat.span,
-                    f"parameter position {pos} must be '{_var_name(inner, entry.tm)}', got '{pat.name}'",
-                )
-            out.append(entry)
-            continue
-        if isinstance(entry, EConstr):
-            raise ElabError(
-                "PatternHeadMismatch",
-                getattr(pat, "span", head.span),
-                f"position {pos} is already constrained",
-            )
-        assert isinstance(entry, LIndex)
-        if not isinstance(pat, S.PIndex):
-            raise ElabError(
-                "PatternHeadMismatch",
-                getattr(pat, "span", head.span),
-                f"index position {pos} must be written in brackets",
-            )
-        ip = pat.pat
-        entry_v = inner.eval(entry.tm)
-        if isinstance(ip, S.IVar):
-            if _is_var_named(inner, entry.tm, ip.name):
-                out.append(entry)
-                continue
-            # under a by-refinement a bare name can be a nullary constructor
-            # or an enumeration tag
-            if L._matches_enum_tag(ip.name, entry_v, inner.eval(entry.ty)):
-                out.append(entry)
-                continue
-            got = L.bind_refined(inner, ip.name, (), entry_v, inner.eval(entry.ty))
-            if got is None:
-                raise ElabError(
-                    "PatternHeadMismatch",
-                    ip.span,
-                    f"index position {pos} expects '{pp.print_term(entry.tm, inner.names())}', got '{ip.name}'",
-                )
-            inner = got
-            out.append(entry)
-            continue
-        if isinstance(ip, S.IConstraint):
-            if not _is_var_named(inner, entry.tm, ip.name):
-                raise ElabError(
-                    "PatternHeadMismatch",
-                    ip.span,
-                    f"constraint must name the index variable "
-                    f"'{_var_name(inner, entry.tm)}', got '{ip.name}'",
-                )
-            out.append(EConstr(entry.tm, ip.value, entry.ty))
-            continue
-        assert isinstance(ip, S.IRefined)
-        got = L.bind_refined(inner, ip.ctor, ip.vars, entry_v, inner.eval(entry.ty))
-        if got is None:
-            raise ElabError(
-                "PatternHeadMismatch",
-                ip.span,
-                f"constructor pattern '{ip.ctor}' does not match index position {pos}",
-            )
-        newly = got.depth - inner.depth
-        inner = got
-        if newly:
-            out = [_eshift(e, newly) for e in out]
-            shifted += newly
-        out.append(LIndex(V.quote(entry_v, inner.depth), T.shift(entry.ty, newly)))
+    for entry, value, argv in zip(label.entries, constraints, goal.args):
+        tm, ty = V.quote(argv, inner.depth), T.shift(entry.ty, inner.depth - ctx.depth)
+        out.append(type(entry)(tm, ty) if value is None else EConstr(tm, value, ty))
     return ELabel(label.head, tuple(out)), inner
 
 
@@ -229,18 +187,6 @@ def _eshift(entry, by: int):
     if not isinstance(entry, EConstr):
         return type(entry)(T.shift(entry.tm, by), T.shift(entry.ty, by))
     return EConstr(T.shift(entry.var, by), entry.raw, T.shift(entry.ty, by))
-
-
-def _is_var_named(ctx: Context, tm: Term, name: str) -> bool:
-    if not isinstance(tm, T.Var):
-        return False
-    return ctx.entry_at(tm.ix).name == name
-
-
-def _var_name(ctx: Context, tm: Term) -> str:
-    if isinstance(tm, T.Var):
-        return ctx.entry_at(tm.ix).name
-    return pp.print_term(tm, ctx.names())
 
 
 # --- the judgments -------------------------------------------------------------
@@ -264,8 +210,6 @@ class DataElab:
 
     # clause groups, with an optional trailing by-block
     def elab_data_patts(self, ctx: Context, clauses: tuple, label: ELabel, depth: int = 0) -> Term:
-        if depth > L.MAX_BY_DEPTH:
-            raise ElabError("ByDepthExceeded", None, f"'by' nesting deeper than {L.MAX_BY_DEPTH}")
         with self.el.goal(lambda: label.describe(ctx), "ElabDataPatts"):
             tag_codes: List[Tuple[str, Term]] = []
             by_clause = None
@@ -276,16 +220,16 @@ class DataElab:
                         c.head.span,
                         "clauses after a 'by' block are not supported",
                     )
-                if c.by is not None:
+                if isinstance(c.body, S.ByBlock):
                     by_clause = c
                     continue
                 rl, cctx = validate_pattern(ctx, label, c.head)
                 with self.el.goal(lambda: rl.describe(cctx), "ElabChoices"):
-                    tag, code = self.elab_constructor(cctx, c.ctor, rl)
+                    tag, code = self.elab_constructor(cctx, c.body, rl)
                 code = L._inline_defs(cctx, ctx, code)
                 if any(tag == t0 for t0, _ in tag_codes):
                     raise ElabError(
-                        "DuplicateConstructor", c.ctor.span, f"duplicate constructor '{tag}'"
+                        "DuplicateConstructor", c.body.span, f"duplicate constructor '{tag}'"
                     )
                 tag_codes.append((tag, code))
             if by_clause is not None:
@@ -315,28 +259,22 @@ class DataElab:
             raise ElabError(
                 "PatternHeadMismatch", clause.head.span, "a 'by' clause head cannot constrain an index"
             )
-        by = clause.by
+        by = clause.body
         klabel = rl.kernel_label(cctx)
-        goal = cctx.eval(T.LabelTy(rl.head, *klabel))
-        try:
-            res = L.ewm_restricted(cctx, by.kind, by.var, goal)
-        except ElabError as e:
-            if e.span is None:
-                e.span = by.span
-            raise
         with self.el.goal(
             lambda: f"{by.kind} {by.var} with motive over {rl.describe(cctx)}", "ElabEWM"
         ):
-            branches = L._elab_branches(
+            elim = L.elab_by(
                 cctx,
-                self.el,
-                res,
-                list(by.clauses),
+                by,
+                by.span,
+                cctx.eval(T.LabelTy(rl.head, *klabel)),
+                depth,
                 lambda c2, cl, g: self.elab_data_patts(c2, (cl,), rl.refined(c2, g), depth + 1),
-                lambda c2, _el, sg, cl: _validates(c2, rl.refined(c2, sg.goal), cl.head),
+                lambda c2, h, g: validate_pattern(c2, rl.refined(c2, g), h),
             )
         # the eliminated goal is label-typed; the call returns its code
-        out = T.LCall(rl.head, *klabel, res.assemble(branches))
+        out = T.LCall(rl.head, *klabel, elim)
         return "elim", L._inline_defs(cctx, ctx, out)
 
     # one constructor: its tag and its argument telescope's code
@@ -444,15 +382,6 @@ class DataElab:
                     self._positivity(ctx, at_, _span(arg))
                     is_tm = T.Pair(is_tm, at_)
             return is_tm
-
-
-def _validates(ctx: Context, label: ELabel, head: S.HeadPattern) -> bool:
-    """Whether a by-branch's clause head matches the branch's label."""
-    try:
-        validate_pattern(ctx, label, head)
-        return True
-    except ElabError:
-        return False
 
 
 def _unpi(e: S.ExtTerm):

@@ -5,6 +5,10 @@ phantom goal type <f xs : T>; `by case x` / `by rec x` builds the
 corresponding eliminator with the motive obtained by abstracting the goal
 at the scrutinee, one subgoal per constructor (hypotheses for `rec`).
 
+`data` clauses share the two steps around a label: `match_head` reads a
+clause head against a label, and `elab_by` takes a clause's `by` step,
+giving each subgoal the one clause whose head matches it.
+
 The eliminator comes out beta-normal. A branch over a datatype is the
 nested `split` of the constructor's payload around the branch body. The
 walk that binds the payload's components as the body's variables also
@@ -368,7 +372,7 @@ def elab_define(ctx: Context, decl: S.LetDecl, el: Optional[Elaborator] = None):
     prev_active = el.active
     el.active = decl.name
     try:
-        body = _elab_program(inner, el, decl.prog, goal, depth=0)
+        body = _elab_clause(inner, el, decl.prog, goal, depth=0)
     finally:
         el.active = prev_active
 
@@ -381,39 +385,39 @@ def elab_define(ctx: Context, decl: S.LetDecl, el: Optional[Elaborator] = None):
     return definiens, ty
 
 
-def _elab_program(ctx: Context, el: Elaborator, prog, goal: V.VLabelTy, depth: int) -> Term:
-    if depth > MAX_BY_DEPTH:
-        raise ElabError("ByDepthExceeded", _pspan(prog), f"'by' nesting deeper than {MAX_BY_DEPTH}")
+def _elab_clause(ctx: Context, el: Elaborator, clause: S.Clause, goal: V.VLabelTy, depth: int) -> Term:
     with el.goal(lambda: f"realizing the programming goal {K.show(ctx, goal)}"):
-        ctx2 = _validate_prog_head(ctx, el, prog.head, goal)
-        if isinstance(prog, S.PReturn):
-            body = el.check(ctx2, prog.expr, goal.ty)
-            body = _inline_defs(ctx2, ctx, body)
-            return T.LRet(body)
-        assert isinstance(prog, S.PBy)
-        try:
-            res = ewm_restricted(ctx2, prog.kind, prog.var, goal)
-        except ElabError as e:
-            if e.span is None:
-                e.span = _pspan(prog)
-            raise
-        branches = _elab_branches(
-            ctx2,
-            el,
-            res,
-            list(prog.programs),
-            lambda c, p, g: _elab_program(c, el, p, g, depth + 1),
-            _prog_pattern_matcher,
-        )
-        out = res.assemble(branches)
+        ctx2 = match_head(ctx, clause.head, goal)
+        if isinstance(clause.body, S.ByBlock):
+            out = elab_by(
+                ctx2,
+                clause.body,
+                clause.head.span,
+                goal,
+                depth,
+                lambda c, cl, g: _elab_clause(c, el, cl, g, depth + 1),
+                match_head,
+            )
+        else:
+            out = T.LRet(el.check(ctx2, clause.body, goal.ty))
         return _inline_defs(ctx2, ctx, out)
 
 
-def _elab_branches(ctx: Context, el, res: EwmResult, programs: list, recurse, matcher) -> list:
-    """Distribute nested programs over the subgoals in order and elaborate
-    each branch, with constructor arguments bound as real variables."""
+def elab_by(ctx: Context, by: S.ByBlock, span, goal: V.VLabelTy, depth: int, recurse, validate) -> Term:
+    """The `by` step of a clause at `goal`, `depth` blocks deep: the
+    eliminator of `by.var`, with each subgoal's branch elaborated by
+    `recurse(ctx, clause, goal)` from the one clause whose head
+    `validate(ctx, head, goal)` accepts (it raises on a mismatch) and
+    constructor arguments bound as real variables. Errors without a place
+    of their own are located at `span`."""
+    try:
+        res = ewm_restricted(ctx, by.kind, by.var, goal)
+    except ElabError as e:
+        if e.span is None:
+            e.span = span
+        raise
     branches = []
-    remaining = list(programs)
+    remaining = list(by.clauses)
     for sg in res.subgoals:
         inner = ctx
         for nm, tyv in sg.binders:
@@ -422,25 +426,35 @@ def _elab_branches(ctx: Context, el, res: EwmResult, programs: list, recurse, ma
         # hypotheses enter the context as definitions so label search finds them
         for j, slot in enumerate(sg.hyp_slots):
             inner = inner.extend(f"%ih{j}", slot.ty, slot.proj)
-        matched = [p for p in remaining if matcher(inner, el, sg, p)]
+        matched = [c for c in remaining if _head_matches(validate, inner, c.head, sg.goal)]
         if len(matched) != 1:
-            have = ", ".join(_phead_name(p) for p in remaining) or "none"
+            have = ", ".join(c.head.name for c in remaining) or "none"
             raise ElabError(
                 "PatternHeadMismatch",
-                _pspan(remaining[0]) if remaining else None,
+                remaining[0].head.span if remaining else span,
                 f"expected exactly one branch for constructor '{sg.tag}' (have: {have})",
             )
-        p = matched[0]
-        remaining.remove(p)
-        body = recurse(inner, p, sg.goal)
+        c = matched[0]
+        if depth >= MAX_BY_DEPTH:
+            raise ElabError("ByDepthExceeded", c.head.span, f"'by' nesting deeper than {MAX_BY_DEPTH}")
+        remaining.remove(c)
+        body = recurse(inner, c, sg.goal)
         branches.append(sg.wrap(_inline_defs(inner, base, body)))
     if remaining:
         raise ElabError(
             "PatternHeadMismatch",
-            _pspan(remaining[0]),
-            f"branch '{_phead_name(remaining[0])}' matches no constructor of the scrutinee",
+            remaining[0].head.span,
+            f"branch '{remaining[0].head.name}' matches no constructor of the scrutinee",
         )
-    return branches
+    return res.assemble(branches)
+
+
+def _head_matches(validate, ctx: Context, head: S.Head, goal: V.VLabelTy) -> bool:
+    try:
+        validate(ctx, head, goal)
+        return True
+    except ElabError:
+        return False
 
 
 def _inline_defs(inner: Context, outer: Context, body: Term) -> Term:
@@ -457,27 +471,12 @@ def _inline_defs(inner: Context, outer: Context, body: Term) -> Term:
     return T.subst_free(body, lambda j: dterms[j] if j < ndefs else T.Var(j - ndefs))
 
 
-def _pspan(p) -> Optional[tuple]:
-    return getattr(getattr(p, "head", None), "span", None)
-
-
-def _phead_name(p) -> str:
-    return p.head.name
-
-
-def _prog_pattern_matcher(ctx: Context, el, sg: EwmSubgoal, prog) -> bool:
-    """A nested program belongs to a subgoal iff its head validates against
-    the subgoal's refined goal."""
-    try:
-        _validate_prog_head(ctx, el, prog.head, sg.goal)
-        return True
-    except ElabError:
-        return False
-
-
-def _validate_prog_head(ctx: Context, el: Elaborator, head: S.ProgHead, goal: V.VLabelTy) -> Context:
-    """Match a program head pattern against the computed label, binding
-    constructor-pattern variables to payload projections."""
+def match_head(ctx: Context, head: S.Head, goal: V.VLabelTy) -> Context:
+    """Match a clause head against a label, position by position: a name
+    matches the argument that the name in scope stands for, or a nullary
+    constructor or enumeration tag the argument is refined to; `c xs`
+    matches an argument refined to the constructor `c` and binds `xs` to
+    its arguments. Returns the context extended with those bindings."""
     if head.name != goal.head:
         raise ElabError(
             "PatternHeadMismatch",
@@ -492,33 +491,28 @@ def _validate_prog_head(ctx: Context, el: Elaborator, head: S.ProgHead, goal: V.
         )
     inner = ctx
     for pos, (pat, argv, argty) in enumerate(zip(head.pats, goal.args, goal.argtys)):
-        if isinstance(pat, S.ProgPatVar):
+        if isinstance(pat, S.PVar):
             hit = inner.lookup(pat.name)
-            if hit is not None:
-                ix, entry = hit
-                if K.conv(inner, inner.env[inner.depth - 1 - ix], argv):
-                    continue
-            # a bare name may also be a nullary constructor or an enum tag
+            if hit is not None and K.conv(inner, inner.env[inner.depth - 1 - hit[0]], argv):
+                continue
             if _matches_enum_tag(pat.name, argv, argty):
                 continue
             got = bind_refined(inner, pat.name, (), argv, argty)
-            if got is not None:
-                inner = got
-                continue
-            raise ElabError(
-                "PatternHeadMismatch",
-                pat.span,
-                f"pattern variable '{pat.name}' does not match argument {pos} of the label",
-            )
-        assert isinstance(pat, S.ProgPatCon)
-        res = bind_refined(inner, pat.ctor, pat.vars, argv, argty)
-        if res is None:
-            raise ElabError(
-                "PatternHeadMismatch",
-                pat.span,
-                f"constructor pattern '({pat.ctor} ...)' does not match argument {pos}",
-            )
-        inner = res
+            if got is None:
+                raise ElabError(
+                    "PatternHeadMismatch",
+                    pat.span,
+                    f"pattern variable '{pat.name}' does not match argument {pos} of the label",
+                )
+        else:
+            got = bind_refined(inner, pat.ctor, pat.vars, argv, argty)
+            if got is None:
+                raise ElabError(
+                    "PatternHeadMismatch",
+                    pat.span,
+                    f"constructor pattern '{pat.ctor}' does not match argument {pos}",
+                )
+        inner = got
     return inner
 
 

@@ -215,36 +215,33 @@ class ENum(ExtTerm):
 # --- declarations ---------------------------------------------------------------
 
 
-class IVar(Record):
-    name: str
-    span: Span = _span_field()
-
-
-class IConstraint(Record):
-    name: str
-    value: ExtTerm
-    span: Span = _span_field()
-
-
-class IRefined(Record):
-    ctor: str
-    vars: tuple
-    span: Span = _span_field()
-
-
 class PVar(Record):
     name: str
     span: Span = _span_field()
 
 
-class PIndex(Record):
-    pat: Union[IVar, IConstraint, IRefined]
+class PCon(Record):
+    ctor: str
+    vars: tuple
     span: Span = _span_field()
 
 
-class HeadPattern(Record):
+class PConstraint(Record):
     name: str
-    args: tuple  # PVar | PIndex
+    value: ExtTerm
+    span: Span = _span_field()
+
+
+class PIndex(Record):
+    """A bracketed pattern, at an index position of a `data` head."""
+
+    pat: Union[PVar, PCon, PConstraint]
+    span: Span = _span_field()
+
+
+class Head(Record):
+    name: str
+    pats: tuple  # PVar | PCon | PIndex
     span: Span = _span_field()
 
 
@@ -254,18 +251,19 @@ class CtorDecl(Record):
     span: Span = _span_field()
 
 
-class Clause(Record):
-    head: HeadPattern
-    ctor: Optional[CtorDecl]
-    by: Optional["ByBlock"]
-    span: Span = _span_field()
-
-
 class ByBlock(Record):
     kind: str  # "case" | "rec"
     var: str
     clauses: tuple
     span: Span = _span_field()
+
+
+class Clause(Record):
+    """`head => body` or `head by ...`: a `data` clause's body is a
+    `CtorDecl`, a `let` clause's an expression."""
+
+    head: Head
+    body: Union[CtorDecl, ExtTerm, ByBlock]
 
 
 class DataDecl(Record):
@@ -277,45 +275,11 @@ class DataDecl(Record):
     span: Span = _span_field()
 
 
-class ProgPatVar(Record):
-    name: str
-    span: Span = _span_field()
-
-
-class ProgPatCon(Record):
-    ctor: str
-    vars: tuple
-    span: Span = _span_field()
-
-
-class ProgHead(Record):
-    name: str
-    pats: tuple
-    span: Span = _span_field()
-
-
-class PReturn(Record):
-    head: ProgHead
-    expr: ExtTerm
-    span: Span = _span_field()
-
-
-class PBy(Record):
-    head: ProgHead
-    kind: str
-    var: str
-    programs: tuple
-    span: Span = _span_field()
-
-
-Program = Union[PReturn, PBy]
-
-
 class LetDecl(Record):
     name: str
     params: tuple  # ((name, ExtTerm), ...)
     ret: ExtTerm
-    prog: Program
+    prog: Clause
     span: Span = _span_field()
 
 
@@ -595,7 +559,7 @@ class Parser:
             self.skip_seps()
             if self.peek().kind == "EOF" or self.at_kw("data") or self.at_kw("let") or self.at_kw("deriving"):
                 break
-            clauses.append(self.clause())
+            clauses.append(self.clause(True))
         deriving = []
         while self.at_kw("deriving"):
             self.next()
@@ -605,69 +569,67 @@ class Parser:
             name.text, params, indices, tuple(clauses), tuple(deriving), span=kw.span
         )
 
-    def _by_block(self, item) -> tuple:
-        """`by (case|rec) x { item ; ... }`, from `by`: (kind token, variable
-        token, items)."""
-        self.expect_kw("by")
+    def clause(self, data: bool) -> Clause:
+        """A `data` clause (`data`) or a `let` clause, with its `by` block's
+        clauses of the same form."""
+        head = self.head(data)
+        if self.at_punct("=>"):
+            self.next()
+            return Clause(head, self.ctor_decl() if data else self.expr())
+        if not self.at_kw("by"):
+            t = self.peek()
+            raise ParseError(f"expected '=>' or 'by' in clause, found {t.text!r}", t.span, ["=>", "by"])
+        self.next()
         kindt = self.peek()
         if kindt.kind == "KW" and kindt.text in ("case", "rec"):
             self.next()
         else:
             raise ParseError("expected 'case' or 'rec'", kindt.span, ["case", "rec"])
         var = self.expect_name()
-        items = []
+        subs = []
         self.expect_punct("{")
         while True:
             self.skip_seps()
             if self.at_punct("}"):
                 self.next()
                 break
-            items.append(item())
+            subs.append(self.clause(data))
             self.skip_seps()
             if self.at_punct(";"):
                 self.next()
-        return kindt, var, tuple(items)
+        return Clause(head, ByBlock(kindt.text, var.text, tuple(subs), span=kindt.span))
 
-    def clause(self) -> Clause:
-        head = self.head_pattern()
-        if self.at_punct("=>"):
-            self.next()
-            ctor = self.ctor_decl()
-            return Clause(head, ctor, None, span=head.span)
-        if self.at_kw("by"):
-            kindt, var, subs = self._by_block(self.clause)
-            return Clause(head, None, ByBlock(kindt.text, var.text, subs, span=kindt.span), span=head.span)
-        t = self.peek()
-        raise ParseError(f"expected '=>' or 'by' in clause, found {t.text!r}", t.span, ["=>", "by"])
-
-    def head_pattern(self) -> HeadPattern:
+    def head(self, data: bool) -> Head:
+        """`NAME pat...`. A `data` head brackets its index patterns,
+        `[n]`, `[n = e]` or `[c xs]`; a `let` head parenthesises its
+        constructor patterns, `(c xs)`."""
         name = self.expect_name()
-        args = []
+        open_, close = ("[", "]") if data else ("(", ")")
+        pats = []
         while True:
             t = self.peek()
             if t.kind == "NAME":
                 self.next()
-                args.append(PVar(t.text, span=t.span))
-            elif self.at_punct("["):
-                self.next()
-                first = self.expect_name()
-                if self.at_punct("="):
-                    self.next()
-                    value = self.expr()
-                    close = self.expect_punct("]")
-                    args.append(PIndex(IConstraint(first.text, value, span=first.span), span=t.span))
-                else:
-                    vars_ = []
-                    while self.peek().kind == "NAME":
-                        vars_.append(self.next().text)
-                    self.expect_punct("]")
-                    if vars_:
-                        args.append(PIndex(IRefined(first.text, tuple(vars_), span=first.span), span=t.span))
-                    else:
-                        args.append(PIndex(IVar(first.text, span=first.span), span=t.span))
-            else:
+                pats.append(PVar(t.text, span=t.span))
+                continue
+            if not self.at_punct(open_):
                 break
-        return HeadPattern(name.text, tuple(args), span=name.span)
+            self.next()
+            first = self.expect_name()
+            if data and self.at_punct("="):
+                self.next()
+                pat = PConstraint(first.text, self.expr(), span=first.span)
+            else:
+                vars_ = []
+                while self.peek().kind == "NAME":
+                    vars_.append(self.next().text)
+                if vars_ or not data:
+                    pat = PCon(first.text, tuple(vars_), span=first.span)
+                else:
+                    pat = PVar(first.text, span=first.span)
+            self.expect_punct(close)
+            pats.append(PIndex(pat, span=t.span) if data else pat)
+        return Head(name.text, tuple(pats), span=name.span)
 
     def ctor_decl(self) -> CtorDecl:
         name = self.expect_name()
@@ -681,45 +643,11 @@ class Parser:
         ret = self.expr()
         if self.at_punct("=>"):
             self.next()
-            body = self.expr()
-            head = ProgHead(name.text, tuple(ProgPatVar(nm) for nm, _ in params), span=name.span)
-            return LetDecl(name.text, params, ret, PReturn(head, body, span=name.span), span=kw.span)
+            head = Head(name.text, tuple(PVar(nm) for nm, _ in params), span=name.span)
+            return LetDecl(name.text, params, ret, Clause(head, self.expr()), span=kw.span)
         self.expect_kw("where")
         self.skip_seps()
-        prog = self.program()
-        return LetDecl(name.text, params, ret, prog, span=kw.span)
-
-    def program(self) -> Program:
-        head = self.prog_head()
-        if self.at_punct("=>"):
-            self.next()
-            body = self.expr()
-            return PReturn(head, body, span=head.span)
-        if self.at_kw("by"):
-            kindt, var, progs = self._by_block(self.program)
-            return PBy(head, kindt.text, var.text, progs, span=head.span)
-        t = self.peek()
-        raise ParseError(f"expected '=>' or 'by' in program, found {t.text!r}", t.span, ["=>", "by"])
-
-    def prog_head(self) -> ProgHead:
-        name = self.expect_name()
-        pats = []
-        while True:
-            t = self.peek()
-            if t.kind == "NAME":
-                self.next()
-                pats.append(ProgPatVar(t.text, span=t.span))
-            elif self.at_punct("("):
-                self.next()
-                ctor = self.expect_name()
-                vars_ = []
-                while self.peek().kind == "NAME":
-                    vars_.append(self.next().text)
-                self.expect_punct(")")
-                pats.append(ProgPatCon(ctor.text, tuple(vars_), span=ctor.span))
-            else:
-                break
-        return ProgHead(name.text, tuple(pats), span=name.span)
+        return LetDecl(name.text, params, ret, self.clause(False), span=kw.span)
 
 
 def _espan(e: ExtTerm) -> Optional[Span]:

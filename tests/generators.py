@@ -151,17 +151,17 @@ def gen_data_decl(rng: random.Random, name: str) -> S.DataDecl:
                 idx = S.EVar(bound[0]) if bound and rng.random() < 0.7 else S.ENum(rng.randrange(2))
                 args.append((f"a{j}", arg_type(bound, idx_expr=idx)))
             refined = (
-                S.IRefined(variant, tuple(idx_vars)) if idx_vars else S.IVar(variant)
+                S.PCon(variant, tuple(idx_vars)) if idx_vars else S.PVar(variant)
             )
-            head = S.HeadPattern(
+            head = S.Head(
                 name,
                 tuple([S.PVar(p) for p, _ in params]) + (S.PIndex(refined),),
             )
-            sub.append(S.Clause(head, S.CtorDecl(tag, tuple(args)), None))
-        head = S.HeadPattern(
-            name, tuple([S.PVar(p) for p, _ in params]) + (S.PIndex(S.IVar("n")),)
+            sub.append(S.Clause(head, S.CtorDecl(tag, tuple(args))))
+        head = S.Head(
+            name, tuple([S.PVar(p) for p, _ in params]) + (S.PIndex(S.PVar("n")),)
         )
-        clauses.append(S.Clause(head, None, S.ByBlock(by_kind, "n", tuple(sub))))
+        clauses.append(S.Clause(head, S.ByBlock(by_kind, "n", tuple(sub))))
     else:
         for i in range(n_cons):
             tag = fresh_tag(f"mk{i}")
@@ -186,9 +186,9 @@ def gen_data_decl(rng: random.Random, name: str) -> S.DataDecl:
                     val: S.ExtTerm = S.EApp(S.EVar("suc"), S.EVar(prev_nats[0]))
                 else:
                     val = S.ENum(rng.randrange(3))
-                pargs.append(S.PIndex(S.IConstraint("n", val)))
-            head = S.HeadPattern(name, tuple(pargs))
-            clauses.append(S.Clause(head, S.CtorDecl(tag, tuple(args)), None))
+                pargs.append(S.PIndex(S.PConstraint("n", val)))
+            head = S.Head(name, tuple(pargs))
+            clauses.append(S.Clause(head, S.CtorDecl(tag, tuple(args))))
     return S.DataDecl(name, params, indices, tuple(clauses), ())
 
 
@@ -202,7 +202,7 @@ def gen_let_decl(rng: random.Random, name: str) -> S.LetDecl:
             name,
             (("x", S.EVar("Nat")),),
             S.EVar("Nat"),
-            S.PReturn(S.ProgHead(name, (S.ProgPatVar("x"),)), body),
+            S.Clause(S.Head(name, (S.PVar("x"),)), body),
         )
     if shape == 1:
         # case analysis
@@ -212,13 +212,15 @@ def gen_let_decl(rng: random.Random, name: str) -> S.LetDecl:
             name,
             (("x", S.EVar("Nat")),),
             S.EVar("Nat"),
-            S.PBy(
-                S.ProgHead(name, (S.ProgPatVar("x"),)),
-                "case",
-                "x",
-                (
-                    S.PReturn(S.ProgHead(name, (S.ProgPatVar("zero"),)), z_body),
-                    S.PReturn(S.ProgHead(name, (S.ProgPatCon("suc", ("m",)),)), s_body),
+            S.Clause(
+                S.Head(name, (S.PVar("x"),)),
+                S.ByBlock(
+                    "case",
+                    "x",
+                    (
+                        S.Clause(S.Head(name, (S.PVar("zero"),)), z_body),
+                        S.Clause(S.Head(name, (S.PCon("suc", ("m",)),)), s_body),
+                    ),
                 ),
             ),
         )
@@ -230,14 +232,14 @@ def gen_let_decl(rng: random.Random, name: str) -> S.LetDecl:
         name,
         (("x", S.EVar("Nat")), ("y", S.EVar("Nat"))),
         S.EVar("Nat"),
-        S.PBy(
-            S.ProgHead(name, (S.ProgPatVar("x"), S.ProgPatVar("y"))),
-            "rec",
-            "x",
-            (
-                S.PReturn(S.ProgHead(name, (S.ProgPatVar("zero"), S.ProgPatVar("y"))), S.EVar("y")),
-                S.PReturn(
-                    S.ProgHead(name, (S.ProgPatCon("suc", ("m",)), S.ProgPatVar("y"))), step
+        S.Clause(
+            S.Head(name, (S.PVar("x"), S.PVar("y"))),
+            S.ByBlock(
+                "rec",
+                "x",
+                (
+                    S.Clause(S.Head(name, (S.PVar("zero"), S.PVar("y"))), S.EVar("y")),
+                    S.Clause(S.Head(name, (S.PCon("suc", ("m",)), S.PVar("y"))), step),
                 ),
             ),
         ),

@@ -336,24 +336,23 @@ def test_by_depth_limit(sess):
             args = []
             for i, nm in enumerate(idx_names):
                 if i < level:
-                    args.append(S.PIndex(S.IRefined("zero", ())))
+                    args.append(S.PIndex(S.PCon("zero", ())))
                 elif i == level:
                     args.append(S.PIndex(at_level))
                 else:
-                    args.append(S.PIndex(S.IVar(nm)))
-            return S.HeadPattern("W", tuple(args))
+                    args.append(S.PIndex(S.PVar(nm)))
+            return S.Head("W", tuple(args))
 
         def clause(level):
             if level == n_levels - 1:
-                return S.Clause(head(level, S.IVar(idx_names[level])), S.CtorDecl("leaf", ()), None)
+                return S.Clause(head(level, S.PVar(idx_names[level])), S.CtorDecl("leaf", ()))
             # the zero branch continues casing the next index; the suc branch
             # terminates with a constructor
             inner = clause(level + 1)
-            zb = S.Clause(head(level, S.IRefined("zero", ())), inner.ctor, inner.by)
-            sb = S.Clause(head(level, S.IRefined("suc", (f"m{level}",))), S.CtorDecl(f"c{level}", ()), None)
+            zb = S.Clause(head(level, S.PCon("zero", ())), inner.body)
+            sb = S.Clause(head(level, S.PCon("suc", (f"m{level}",))), S.CtorDecl(f"c{level}", ()))
             return S.Clause(
-                head(level, S.IVar(idx_names[level])),
-                None,
+                head(level, S.PVar(idx_names[level])),
                 S.ByBlock("case", idx_names[level], (zb, sb)),
             )
 

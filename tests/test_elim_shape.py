@@ -153,7 +153,7 @@ def test_generated_lets_agree_with_the_redex_construction(prelude_ctx, seed):
     decl = gen_let_decl(random.Random(seed), "g")
     with pytest.MonkeyPatch.context() as mp:
         new, _ = assert_agrees_with_oracle(mp, prelude_ctx, decl)
-    if isinstance(decl.prog, S.PBy):
+    if isinstance(decl.prog.body, S.ByBlock):
         assert lam_redexes(new) == 0
 
 

@@ -308,3 +308,143 @@ def test_program_case_on_enum_argument(sess):
     assert s.eval_expr("toNat true") == "1"
     assert s.eval_expr("toNat false") == "0"
     assert context_valid(s.ctx)
+
+
+# --- one clause form for `data` and `let` -------------------------------------------
+
+
+def elab_verdict(sess, text: str):
+    """The ElabError that elaborating the one declaration of `text` after
+    the session raises, or None when it is accepted."""
+    (decl,) = S.parse_file(text)
+    try:
+        if isinstance(decl, S.DataDecl):
+            D.elab_data(sess.ctx, decl)
+        else:
+            L.elab_define(sess.ctx, decl)
+    except ElabError as e:
+        return e
+    return None
+
+
+@pytest.mark.parametrize(
+    "zero_k, suc, suc_k, accepted",
+    [
+        ("k", "m", "k", True),
+        # the second `k` is the one the first pattern binds, not the index
+        ("k", "k", "k", False),
+        ("k", "m", "m", False),
+        ("j", "m", "k", False),
+    ],
+)
+def test_data_and_let_heads_read_names_by_scope(sess, zero_k, suc, suc_k, accepted):
+    data = (
+        "data D [j k : Nat] : Set where\n"
+        "  D [j] [k] by case j {\n"
+        f"    D [zero] [{zero_k}] => a\n"
+        f"    D [suc {suc}] [{suc_k}] => b\n"
+        "  }\n"
+    )
+    let = (
+        "let g (j : Nat) (k : Nat) : Nat where\n"
+        "  g j k by case j {\n"
+        f"    g zero {zero_k} => zero\n"
+        f"    g (suc {suc}) {suc_k} => k\n"
+        "  }\n"
+    )
+    verdicts = [elab_verdict(sess, text) for text in (data, let)]
+    assert [v is None for v in verdicts] == [accepted, accepted]
+    if not accepted:
+        assert [v.kind for v in verdicts] == ["PatternHeadMismatch"] * 2
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "let f (x : Nat) : Nat where\n  f x by case x { f zero => zero }\n",
+        "data W [n : Nat] : Set where\n  W [n] by case n { W [zero] => a }\n",
+    ],
+    ids=["let", "data"],
+)
+def test_by_block_missing_a_constructor_is_located(sess, text):
+    e = elab_verdict(sess, text)
+    assert e.kind == "PatternHeadMismatch"
+    assert e.msg == "expected exactly one branch for constructor 'suc' (have: none)"
+    # the head of the `by` clause in a program, the `case` of its block in a datatype
+    assert e.span[:2] == ((2, 3) if text.startswith("let") else (2, 12))
+
+
+def nested_by(form: str, levels: int) -> tuple:
+    """A declaration whose zero branches case on the next of `levels` Nat
+    arguments, `levels` `by` blocks deep, and the (line, column) of its
+    innermost branch's head."""
+    lines = [
+        f"data W [n0 : Nat]{''.join(f' [n{i} : Nat]' for i in range(1, levels))} : Set where"
+        if form == "data"
+        else f"let w{''.join(f' (n{i} : Nat)' for i in range(levels))} : Nat where"
+    ]
+
+    def pat(p: str) -> str:
+        if form == "data":
+            return f"[{p}]"
+        return f"({p})" if " " in p else p
+
+    def head(level: int, at: str) -> str:
+        ps = ["zero" if i < level else at if i == level else f"n{i}" for i in range(levels)]
+        return " ".join(["W" if form == "data" else "w"] + [pat(p) for p in ps])
+
+    def block(level: int, h: str, pad: str):
+        if level == levels:
+            lines.append(f"{pad}{h} => {'leaf' if form == 'data' else 'zero'}")
+            return
+        lines.append(f"{pad}{h} by case n{level} {{")
+        block(level + 1, head(level, "zero"), pad + "  ")
+        lines.append(f"{pad}  {head(level, f'suc m{level}')} => {f'c{level}' if form == 'data' else 'zero'}")
+        lines.append(f"{pad}}}")
+
+    block(0, head(0, "n0"), "  ")
+    leaf = next(i for i, ln in enumerate(lines) if ln.endswith(("=> leaf", "=> zero")))
+    return "\n".join(lines) + "\n", (leaf + 1, len(lines[leaf]) - len(lines[leaf].lstrip()) + 1)
+
+
+@pytest.mark.parametrize("form", ["data", "let"])
+def test_by_depth_limit_is_located(sess, form):
+    text, _ = nested_by(form, L.MAX_BY_DEPTH)
+    assert elab_verdict(sess, text) is None
+    text, leaf = nested_by(form, L.MAX_BY_DEPTH + 1)
+    e = elab_verdict(sess, text)
+    assert e.kind == "ByDepthExceeded"
+    assert e.span[:2] == leaf
+
+
+@pytest.mark.parametrize(
+    "clause, span, msg",
+    [
+        ("P B [n] => p", (2, 5), "pattern variable 'B' does not match argument 0 of the label"),
+        ("P A [m] => p", (2, 8), "pattern variable 'm' does not match argument 1 of the label"),
+        ("P A [m = zero] => p", (2, 8), "pattern variable 'm' does not match argument 1 of the label"),
+        ("P A [suc m] => p", (2, 8), "constructor pattern 'suc' does not match argument 1"),
+    ],
+    ids=["parameter", "index", "constraint", "constructor"],
+)
+def test_data_head_mismatches_use_the_shared_messages(sess, clause, span, msg):
+    e = elab_verdict(sess, f"data P (A : Set) [n : Nat] : Set where\n  {clause}\n")
+    assert (e.kind, e.span[:2], e.msg) == ("PatternHeadMismatch", span, msg)
+
+
+def test_let_constructor_pattern_message(sess):
+    e = elab_verdict(sess, "let f (x : Nat) : Nat where\n  f (suc m) => m\n")
+    assert (e.span[:2], e.msg) == ((2, 6), "constructor pattern 'suc' does not match argument 0")
+
+
+def test_a_refined_index_cannot_be_constrained(sess):
+    # `zero` names the refined index as a nullary constructor, not a variable
+    e = elab_verdict(
+        sess,
+        "data W [n : Nat] : Set where\n"
+        "  W [n] by case n {\n"
+        "    W [zero = zero] => a\n"
+        "    W [suc m] => b\n"
+        "  }\n",
+    )
+    assert e.kind == "PatternHeadMismatch"

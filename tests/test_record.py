@@ -175,7 +175,7 @@ def _outcome(f):
 
 def test_every_record_class_is_sampled(nodes):
     assert set(CLASSES) - {type(x) for x in nodes} == set()
-    assert len(CLASSES) == 116  # the base and the 115 node classes
+    assert len(CLASSES) == 110  # the base and the 109 node classes
 
 
 def test_record_agrees_with_its_twin(nodes):

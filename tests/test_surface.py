@@ -17,8 +17,8 @@ def test_parse_nat_decl_structure():
     d = decls[0]
     assert isinstance(d, S.DataDecl)
     assert d.name == "Nat" and len(d.clauses) == 2
-    assert d.clauses[0].ctor.name == "zero"
-    assert d.clauses[1].ctor.args[0][0] == "n"
+    assert d.clauses[0].body.name == "zero"
+    assert d.clauses[1].body.args[0][0] == "n"
 
 
 def test_parse_constrained_vec():
@@ -31,9 +31,9 @@ def test_parse_constrained_vec():
     assert d.params == (("A", S.ESet(0)),)
     assert len(d.indices) == 1
     con = d.clauses[1]
-    pat = con.head.args[1].pat
-    assert isinstance(pat, S.IConstraint) and pat.name == "n"
-    assert len(con.ctor.args) == 3
+    pat = con.head.pats[1].pat
+    assert isinstance(pat, S.PConstraint) and pat.name == "n"
+    assert len(con.body.args) == 3
 
 
 def test_parse_empty_file():
@@ -176,9 +176,20 @@ def test_data_decl_roundtrip_generated(argspecs):
         (("A", S.ESet(0)),),
         (),
         (
-            S.Clause(S.HeadPattern("D", (S.PVar("A"),)), S.CtorDecl("mk", args), None),
+            S.Clause(S.Head("D", (S.PVar("A"),)), S.CtorDecl("mk", args)),
         ),
         (),
     )
     printed = print_decl(d)
     assert S.parse_file(printed) == [d]
+
+
+def test_missing_clause_body_is_a_parse_error_in_both_forms():
+    for text, at in [
+        ("let f (x : Nat) : Nat where\n  f x\n", (2, 6)),
+        ("data D : Set where\n  D D\n", (2, 6)),
+    ]:
+        with pytest.raises(S.ParseError) as e:
+            S.parse_file(text)
+        assert e.value.msg.startswith("expected '=>' or 'by' in clause, found ")
+        assert e.value.span[:2] == at
