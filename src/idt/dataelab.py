@@ -3,16 +3,17 @@
 A declaration's clauses elaborate against its description label, the
 programming label `<D ps is : IDesc I>` of its parameters and indices (`I`
 pairs the index types), and return the `'sigma` code of their constructors.
+The label is the kernel's label value, `values.VLabelTy`, as for a program:
+its first `n_params` arguments are the parameters, and a clause's index
+constraints travel beside it as (position, surface expression) pairs.
 Constructor argument telescopes become right-nested 'Sigma codes, recursive
 positions become 'varI codes carrying their extracted indices, index
 constraints become trailing equality codes, and a trailing `by` block
 elaborates through `labels.elab_by`, the `by` step programs take too,
 into a `call` of the label; clause heads match through `labels.match_head`
 as program heads do. Declarations without indices run through the same
-pipeline with the degenerate Unit index. The elaborator's own form of a
-label, `ELabel`, says which arguments are parameters, indices or
-constraints; a `by` clause head constrains no index, so a label that is
-called has no constraint.
+pipeline with the degenerate Unit index. A `by` clause head constrains no
+index, so a label that is called has no constraint.
 
 Each judgment (`ElabData`, `ElabDataPatts`, `ElabChoices`, `ElabConstr`,
 `ElabArg`, `ElabRecArgs`, `ElabEqs`, `ElabEWM`) is a derivation step on the
@@ -32,85 +33,8 @@ from . import terms as T
 from . import values as V
 from .elab import ElabError, Elaborator, TraceNode, _span, _unapply
 from .kernel import Context
-from .record import Record, field
 from .terms import Term
 from .values import Value
-
-
-# --- elaborator-side description labels -------------------------------------
-
-
-class LParam(Record):
-    """A label's parameter entry: its term and type."""
-
-    tm: Term
-    ty: Term = field(compare=False)
-
-
-class LIndex(Record):
-    """A label's index entry: its term and type."""
-
-    tm: Term
-    ty: Term = field(compare=False)
-
-
-class EConstr(Record):
-    """A label's constraint entry: an index variable and the surface value
-    a clause head constrains it to."""
-
-    var: Term
-    raw: S.ExtTerm  # elaborated late, under the constructor telescope
-    ty: Term
-
-
-class ELabel(Record):
-    head: str
-    entries: tuple
-
-    def shift(self, by: int) -> "ELabel":
-        return ELabel(self.head, tuple(_eshift(e, by) for e in self.entries))
-
-    def kernel_label(self, ctx: Context) -> tuple:
-        """The arguments, argument types and type `IDesc I` of this label as
-        a kernel label, for a label without constraint entries."""
-        assert not any(isinstance(e, EConstr) for e in self.entries)
-        return (
-            tuple(e.tm for e in self.entries),
-            tuple(e.ty for e in self.entries),
-            T.IDesc(ctx.quote(self.index_type_value(ctx))),
-        )
-
-    def refined(self, ctx: Context, goal: V.VLabelTy) -> "ELabel":
-        """The by-branch goal `goal`, this label refined, read back with the
-        kinds of this label's entries."""
-        return ELabel(
-            self.head,
-            tuple(type(e)(ctx.quote(a), ctx.quote(aty)) for e, a, aty in zip(self.entries, goal.args, goal.argtys)),
-        )
-
-    def index_type_value(self, ctx: Context) -> Value:
-        """`I`: `Unit` paired on the left with the type of each index and
-        constraint entry in turn; parameters are skipped."""
-        ty: Value = V.VUnit()
-        for e in self.entries:
-            if isinstance(e, LParam):
-                continue
-            ity = ctx.eval(e.ty)
-            prev = ty
-            ty = V.VSigma("_", prev, V.PyClo(lambda _v, it=ity: it))
-        return ty
-
-    def describe(self, ctx: Context) -> str:
-        names = ctx.names()
-        parts = [self.head]
-        for e in self.entries:
-            if isinstance(e, LParam):
-                parts.append(f"({pp.print_term(e.tm, names)})")
-            elif isinstance(e, LIndex):
-                parts.append(f"[{pp.print_term(e.tm, names)}]")
-            else:
-                parts.append(f"[{pp.print_term(e.var, names)} = {S.print_expr(e.raw)}]")
-        return " ".join(parts)
 
 
 class DataResult:
@@ -129,73 +53,57 @@ class DataResult:
 # --- pattern validation ---------------------------------------------------------
 
 
-def validate_pattern(ctx: Context, label: ELabel, head: S.Head):
-    """Match a clause head against the label through `labels.match_head`;
-    returns (refined label, context extended with any constructor-pattern
-    bindings). A parameter position takes a bare name and an index position
-    a bracketed pattern, where `[n = e]` matches as the name `n` and
-    constrains that index to `e`."""
-    if head.name != label.head:
+def validate_pattern(ctx: Context, n_params: int, goal: V.VLabelTy, head: S.Head):
+    """Match a clause head against the label `goal`, whose first `n_params`
+    arguments are parameters, through `labels.match_head`; returns (the
+    head's constraints as (position, surface expression) pairs, context
+    extended with any constructor-pattern bindings). A parameter position
+    takes a bare name and an index position a bracketed pattern, where
+    `[n = e]` matches as the name `n` and constrains that index to `e`."""
+    if head.name != goal.head:
         raise ElabError(
             "PatternHeadMismatch",
             head.span,
-            f"clause head '{head.name}' does not match the datatype '{label.head}'",
+            f"clause head '{head.name}' does not match the datatype '{goal.head}'",
         )
-    if len(head.pats) != len(label.entries):
+    if len(head.pats) != len(goal.args):
         raise ElabError(
             "PatternHeadMismatch",
             head.span,
-            f"clause head has {len(head.pats)} argument(s); the label has {len(label.entries)}",
+            f"clause head has {len(head.pats)} argument(s); the label has {len(goal.args)}",
         )
     pats, constraints = [], []
-    for pos, (pat, entry) in enumerate(zip(head.pats, label.entries)):
-        if isinstance(pat, S.PIndex) != isinstance(entry, LIndex):
+    for pos, (pat, argv) in enumerate(zip(head.pats, goal.args)):
+        is_index = pos >= n_params
+        if isinstance(pat, S.PIndex) != is_index:
             raise ElabError(
                 "PatternHeadMismatch",
                 pat.span,
                 f"index position {pos} must be written in brackets"
-                if isinstance(entry, LIndex)
+                if is_index
                 else f"position {pos} is a parameter and must repeat the declared variable",
             )
         pat = pat.pat if isinstance(pat, S.PIndex) else pat
-        constraints.append(pat.value if isinstance(pat, S.PConstraint) else None)
         if isinstance(pat, S.PConstraint):
             # under a by-refinement the index is no longer a variable
-            if not isinstance(entry.tm, T.Var):
+            if not isinstance(argv, V.VVar):
                 raise ElabError(
                     "PatternHeadMismatch", pat.span, f"refined index position {pos} cannot be constrained"
                 )
+            constraints.append((pos, pat.value))
             pat = S.PVar(pat.name, span=pat.span)
         pats.append(pat)
-    goal = V.VLabelTy(
-        label.head,
-        tuple(ctx.eval(e.tm) for e in label.entries),
-        tuple(ctx.eval(e.ty) for e in label.entries),
-        V.VIDesc(label.index_type_value(ctx)),
-    )
-    inner = L.match_head(ctx, S.Head(head.name, tuple(pats), span=head.span), goal)
-    out = []
-    for entry, value, argv in zip(label.entries, constraints, goal.args):
-        tm, ty = V.quote(argv, inner.depth), T.shift(entry.ty, inner.depth - ctx.depth)
-        out.append(type(entry)(tm, ty) if value is None else EConstr(tm, value, ty))
-    return ELabel(label.head, tuple(out)), inner
-
-
-def _eshift(entry, by: int):
-    if by == 0:
-        return entry
-    if not isinstance(entry, EConstr):
-        return type(entry)(T.shift(entry.tm, by), T.shift(entry.ty, by))
-    return EConstr(T.shift(entry.var, by), entry.raw, T.shift(entry.ty, by))
+    return tuple(constraints), L.match_head(ctx, S.Head(head.name, tuple(pats), span=head.span), goal)
 
 
 # --- the judgments -------------------------------------------------------------
 
 
 class DataElab:
-    def __init__(self, el: Elaborator, self_level: int):
+    def __init__(self, el: Elaborator, self_level: int, n_params: int):
         self.el = el
         self.self_level = self_level  # context level of the opaque self binding
+        self.n_params = n_params  # the label's leading parameter arguments
 
     def _self_index(self, ctx: Context) -> int:
         return ctx.depth - 1 - self.self_level
@@ -208,9 +116,26 @@ class DataElab:
                 "recursive occurrence in a non-recursive position",
             )
 
-    # clause groups, with an optional trailing by-block
-    def elab_data_patts(self, ctx: Context, clauses: tuple, label: ELabel, depth: int = 0) -> Term:
-        with self.el.goal(lambda: label.describe(ctx), "ElabDataPatts"):
+    def describe(self, ctx: Context, goal: V.VLabelTy, constraints: tuple = ()) -> str:
+        """The label as a clause head writes it: parameters in parentheses,
+        indices in brackets, a constrained index as `[n = e]`."""
+        names, constrained = ctx.names(), dict(constraints)
+        parts = [goal.head]
+        for pos, argv in enumerate(goal.args):
+            arg = pp.print_term(ctx.quote(argv), names)
+            if pos < self.n_params:
+                parts.append(f"({arg})")
+            elif pos in constrained:
+                parts.append(f"[{arg} = {S.print_expr(constrained[pos])}]")
+            else:
+                parts.append(f"[{arg}]")
+        return " ".join(parts)
+
+    # clause groups, with an optional trailing by-block; `match` is the head
+    # match of the one clause a `by` step chose, which is not matched again
+    def elab_data_patts(self, ctx: Context, clauses: tuple, goal: V.VLabelTy, depth: int = 0,
+                        match: Optional[tuple] = None) -> Term:
+        with self.el.goal(lambda: self.describe(ctx, goal), "ElabDataPatts"):
             tag_codes: List[Tuple[str, Term]] = []
             by_clause = None
             for c in clauses:
@@ -223,9 +148,9 @@ class DataElab:
                 if isinstance(c.body, S.ByBlock):
                     by_clause = c
                     continue
-                rl, cctx = validate_pattern(ctx, label, c.head)
-                with self.el.goal(lambda: rl.describe(cctx), "ElabChoices"):
-                    tag, code = self.elab_constructor(cctx, c.body, rl)
+                constraints, cctx = match or validate_pattern(ctx, self.n_params, goal, c.head)
+                with self.el.goal(lambda: self.describe(cctx, goal, constraints), "ElabChoices"):
+                    tag, code = self.elab_constructor(cctx, c.body, goal, constraints)
                 code = L._inline_defs(cctx, ctx, code)
                 if any(tag == t0 for t0, _ in tag_codes):
                     raise ElabError(
@@ -233,17 +158,17 @@ class DataElab:
                     )
                 tag_codes.append((tag, code))
             if by_clause is not None:
-                tag_codes.append(self._elab_by(ctx, by_clause, label, depth))
-            return self._assemble_ret(ctx, label, tag_codes)
+                tag_codes.append(self._elab_by(ctx, by_clause, goal, depth, match))
+            return self._assemble_ret(ctx, goal, tag_codes)
 
-    def _assemble_ret(self, ctx: Context, label: ELabel, tag_codes: list) -> Term:
+    def _assemble_ret(self, ctx: Context, goal: V.VLabelTy, tag_codes: list) -> Term:
         enum_t: Term = T.NilE()
         for tag, _ in reversed(tag_codes):
             enum_t = T.ConsE(T.Tag(tag), enum_t)
         cases: Term = T.Void()
         for _, code in reversed(tag_codes):
             cases = T.Pair(code, cases)
-        idx_ty = V.quote(label.index_type_value(ctx), ctx.depth)
+        idx_ty = V.quote(goal.ty.index, ctx.depth)
         fam_body = T.Switch(
             T.shift(enum_t, 1),
             T.Lam("_", None, T.IDesc(T.shift(idx_ty, 2))),
@@ -253,56 +178,56 @@ class DataElab:
         fam = T.Lam("c", T.EnumT(enum_t), fam_body)
         return T.LRet(T.DSigmaE(enum_t, fam))
 
-    def _elab_by(self, ctx: Context, clause: S.Clause, label: ELabel, depth: int):
-        rl, cctx = validate_pattern(ctx, label, clause.head)
-        if any(isinstance(e, EConstr) for e in rl.entries):
+    def _elab_by(self, ctx: Context, clause: S.Clause, goal: V.VLabelTy, depth: int, match: Optional[tuple]):
+        constraints, cctx = match or validate_pattern(ctx, self.n_params, goal, clause.head)
+        if constraints:
             raise ElabError(
                 "PatternHeadMismatch", clause.head.span, "a 'by' clause head cannot constrain an index"
             )
         by = clause.body
-        klabel = rl.kernel_label(cctx)
         with self.el.goal(
-            lambda: f"{by.kind} {by.var} with motive over {rl.describe(cctx)}", "ElabEWM"
+            lambda: f"{by.kind} {by.var} with motive over {self.describe(cctx, goal)}", "ElabEWM"
         ):
             elim = L.elab_by(
                 cctx,
                 by,
                 by.span,
-                cctx.eval(T.LabelTy(rl.head, *klabel)),
+                goal,
                 depth,
-                lambda c2, cl, g: self.elab_data_patts(c2, (cl,), rl.refined(c2, g), depth + 1),
-                lambda c2, h, g: validate_pattern(c2, rl.refined(c2, g), h),
+                lambda c2, cl, g, m: self.elab_data_patts(c2, (cl,), g, depth + 1, m),
+                lambda c2, h, g: validate_pattern(c2, self.n_params, g, h),
             )
         # the eliminated goal is label-typed; the call returns its code
-        out = T.LCall(rl.head, *klabel, elim)
+        label = cctx.quote(goal)
+        out = T.LCall(label.head, label.args, label.argtys, label.ty, elim)
         return "elim", L._inline_defs(cctx, ctx, out)
 
     # one constructor: its tag and its argument telescope's code
-    def elab_constructor(self, ctx: Context, ctor: S.CtorDecl, label: ELabel):
+    def elab_constructor(self, ctx: Context, ctor: S.CtorDecl, goal: V.VLabelTy, constraints: tuple):
         if not T.valid_tag(ctor.name):
             raise ElabError("UnknownTag", ctor.span, f"invalid constructor name '{ctor.name}'")
-        with self.el.goal(lambda: f"{ctor.name} under {label.describe(ctx)}", "ElabConstr"):
-            code = self.elab_args(ctx, list(ctor.args), label)
+        with self.el.goal(lambda: f"{ctor.name} under {self.describe(ctx, goal, constraints)}", "ElabConstr"):
+            code = self.elab_args(ctx, list(ctor.args), goal, constraints)
         return ctor.name, code
 
     # the argument telescope: recursion-first, then exponentials, then fields
-    def elab_args(self, ctx: Context, args: list, label: ELabel) -> Term:
+    def elab_args(self, ctx: Context, args: list, goal: V.VLabelTy, constraints: tuple) -> Term:
         if not args:
-            return self.elab_constraints(ctx, label)
+            return self.elab_constraints(ctx, goal, constraints)
         nm, tye = args[0]
         rest_args = args[1:]
         app_head, app_args = _unapply(tye)
         # recursion matching, attempted first
-        if isinstance(app_head, S.EVar) and app_head.name == label.head:
+        if isinstance(app_head, S.EVar) and app_head.name == goal.head:
             with self.el.goal(lambda: f"({nm} : {S.print_expr(tye)}) recursive", "ElabArg"):
-                is_tm = self.extract_indices(ctx, app_args, label, tye)
-                rest = self.elab_args(ctx, rest_args, label)
+                is_tm = self.extract_indices(ctx, app_args, goal, constraints, tye)
+                rest = self.elab_args(ctx, rest_args, goal, constraints)
             return T.DTimes(T.DVarI(is_tm), rest)
         # exponentials whose codomain is recursive
         if isinstance(tye, S.EPi):
             doms, cod = _unpi(tye)
             cod_head, cod_args = _unapply(cod)
-            if isinstance(cod_head, S.EVar) and cod_head.name == label.head:
+            if isinstance(cod_head, S.EVar) and cod_head.name == goal.head:
                 with self.el.goal(lambda: f"({nm} : {S.print_expr(tye)}) exponential", "ElabArg"):
                     inner_ctx = ctx
                     dom_terms = []
@@ -315,12 +240,11 @@ class DataElab:
                         self._positivity(inner_ctx, dt, _span(dty))
                         dom_terms.append((dnm, dt))
                         inner_ctx = inner_ctx.extend(dnm, dv)
-                    shifted_label = label.shift(len(dom_terms))
-                    is_tm = self.extract_indices(inner_ctx, cod_args, shifted_label, cod)
+                    is_tm = self.extract_indices(inner_ctx, cod_args, goal, constraints, cod)
                     code: Term = T.DVarI(is_tm)
                     for dnm, dt in reversed(dom_terms):
                         code = T.DPi(dt, T.Lam(dnm, dt, code))
-                    rest = self.elab_args(ctx, rest_args, label)
+                    rest = self.elab_args(ctx, rest_args, goal, constraints)
                 return T.DTimes(code, rest)
         # ordinary argument
         with self.el.goal(lambda: f"({nm} : {S.print_expr(tye)})", "ElabArg"):
@@ -332,53 +256,45 @@ class DataElab:
                     "constructor arguments must live in Set",
                 )
             self._positivity(ctx, tyt, _span(tye))
-            rest = self.elab_args(ctx.extend(nm, tyv), rest_args, label.shift(1))
+            rest = self.elab_args(ctx.extend(nm, tyv), rest_args, goal, constraints)
         return T.DSigma(tyt, T.Lam(nm, tyt, rest))
 
-    # trailing equality codes for the label's constraints
-    def elab_constraints(self, ctx: Context, label: ELabel) -> Term:
-        with self.el.goal(lambda: label.describe(ctx), "ElabEqs"):
-            return self._eqs(ctx, list(label.entries))
+    # trailing equality codes for the clause's constraints
+    def elab_constraints(self, ctx: Context, goal: V.VLabelTy, constraints: tuple) -> Term:
+        with self.el.goal(lambda: self.describe(ctx, goal, constraints), "ElabEqs"):
+            return self._eqs(ctx, goal, constraints)
 
-    def _eqs(self, ctx: Context, entries: list) -> Term:
-        if not entries:
+    def _eqs(self, ctx: Context, goal: V.VLabelTy, constraints: tuple) -> Term:
+        if not constraints:
             return T.DOne()
-        last = entries[-1]
-        rest = entries[:-1]
-        if not isinstance(last, EConstr):
-            return self._eqs(ctx, rest)
-        t = self.el.check(ctx, last.raw, ctx.eval(last.ty))
-        self._positivity(ctx, t, _span(last.raw))
-        inner = self._eqs(ctx, rest)
-        return T.DSigma(
-            T.Eq(last.ty, last.var, t),
-            T.Lam("_", T.Eq(last.ty, last.var, t), T.shift(inner, 1)),
-        )
+        pos, raw = constraints[-1]
+        t = self.el.check(ctx, raw, goal.argtys[pos])
+        self._positivity(ctx, t, _span(raw))
+        inner = self._eqs(ctx, goal, constraints[:-1])
+        eq = T.Eq(ctx.quote(goal.argtys[pos]), ctx.quote(goal.args[pos]), t)
+        return T.DSigma(eq, T.Lam("_", eq, T.shift(inner, 1)))
 
     # indices of a recursive call, paired left to right
-    def extract_indices(self, ctx: Context, app_args: list, label: ELabel, at) -> Term:
-        with self.el.goal(lambda: label.describe(ctx), "ElabRecArgs"):
-            entries = list(label.entries)
-            if len(app_args) != len(entries):
+    def extract_indices(self, ctx: Context, app_args: list, goal: V.VLabelTy, constraints: tuple, at) -> Term:
+        with self.el.goal(lambda: self.describe(ctx, goal, constraints), "ElabRecArgs"):
+            if len(app_args) != len(goal.args):
                 raise ElabError(
                     "PatternHeadMismatch",
                     _span(at),
                     f"recursive call applies {len(app_args)} argument(s); "
-                    f"the datatype takes {len(entries)}",
+                    f"the datatype takes {len(goal.args)}",
                 )
             is_tm: Term = T.Void()
-            for arg, entry in zip(app_args, entries):
-                tyv = ctx.eval(entry.ty)
-                if isinstance(entry, LParam):
-                    at_ = self.el.check(ctx, arg, tyv)
-                    if not K.conv(ctx, ctx.eval(at_), ctx.eval(entry.tm)):
+            for pos, (arg, argv, tyv) in enumerate(zip(app_args, goal.args, goal.argtys)):
+                at_ = self.el.check(ctx, arg, tyv)
+                if pos < self.n_params:
+                    if not K.conv(ctx, ctx.eval(at_), argv):
                         raise ElabError(
                             "PatternHeadMismatch",
                             _span(arg),
                             "parameters must be the same in recursive calls",
                         )
                 else:
-                    at_ = self.el.check(ctx, arg, tyv)
                     self._positivity(ctx, at_, _span(arg))
                     is_tm = T.Pair(is_tm, at_)
             return is_tm
@@ -455,19 +371,16 @@ def elab_data(ctx: Context, decl: S.DataDecl, trace: bool = False) -> DataResult
             tyv = tel_ctx.eval(T.shift(i_tys[pos], 1, cutoff=k + pos))
             tel_ctx = tel_ctx.extend(nm, tyv)
 
-        entries = []
-        for pos, (nm, _) in enumerate(decl.params):
-            ix = (k - 1 - pos) + m
-            ty_t = T.shift(T.shift(p_tys[pos], (k - pos) + m), 1, cutoff=k + m)
-            entries.append(LParam(T.Var(ix), ty_t))
-        for pos, (nm, _) in enumerate(decl.indices):
-            ix = m - 1 - pos
-            ty_t = T.shift(T.shift(i_tys[pos], m - pos), 1, cutoff=k + m)
-            entries.append(LIndex(T.Var(ix), ty_t))
-        label = ELabel(decl.name, tuple(entries))
+        # the description label <D ps is : IDesc I>: the telescope's
+        # variables at their types, `I` pairing the index types on the left
+        tel = tel_ctx.entries[n0 + 1:]
+        index_ty: Value = V.VUnit()
+        for e in tel[k:]:
+            index_ty = V.VSigma("_", index_ty, V.PyClo(lambda _v, ity=e.ty: ity))
+        goal = V.VLabelTy(decl.name, tel_ctx.env[n0 + 1:], tuple(e.ty for e in tel), V.VIDesc(index_ty))
 
-        de = DataElab(el, n0)
-        code = de.elab_data_patts(tel_ctx, decl.clauses, label)
+        de = DataElab(el, n0, k)
+        code = de.elab_data_patts(tel_ctx, decl.clauses, goal)
 
         definiens = _build_definiens(ctx, decl, p_tys, i_tys, code, n0, k, m)
         return DataResult(

@@ -385,9 +385,14 @@ def elab_define(ctx: Context, decl: S.LetDecl, el: Optional[Elaborator] = None):
     return definiens, ty
 
 
-def _elab_clause(ctx: Context, el: Elaborator, clause: S.Clause, goal: V.VLabelTy, depth: int) -> Term:
+def _elab_clause(
+    ctx: Context, el: Elaborator, clause: S.Clause, goal: V.VLabelTy, depth: int, ctx2: Optional[Context] = None
+) -> Term:
+    """A clause at `goal`; `ctx2`, when given, is its head's match, which
+    the `by` step that chose the clause has made."""
     with el.goal(lambda: f"realizing the programming goal {K.show(ctx, goal)}"):
-        ctx2 = match_head(ctx, clause.head, goal)
+        if ctx2 is None:
+            ctx2 = match_head(ctx, clause.head, goal)
         if isinstance(clause.body, S.ByBlock):
             out = elab_by(
                 ctx2,
@@ -395,7 +400,7 @@ def _elab_clause(ctx: Context, el: Elaborator, clause: S.Clause, goal: V.VLabelT
                 clause.head.span,
                 goal,
                 depth,
-                lambda c, cl, g: _elab_clause(c, el, cl, g, depth + 1),
+                lambda c, cl, g, m: _elab_clause(c, el, cl, g, depth + 1, m),
                 match_head,
             )
         else:
@@ -406,10 +411,12 @@ def _elab_clause(ctx: Context, el: Elaborator, clause: S.Clause, goal: V.VLabelT
 def elab_by(ctx: Context, by: S.ByBlock, span, goal: V.VLabelTy, depth: int, recurse, validate) -> Term:
     """The `by` step of a clause at `goal`, `depth` blocks deep: the
     eliminator of `by.var`, with each subgoal's branch elaborated by
-    `recurse(ctx, clause, goal)` from the one clause whose head
-    `validate(ctx, head, goal)` accepts (it raises on a mismatch) and
-    constructor arguments bound as real variables. Errors without a place
-    of their own are located at `span`."""
+    `recurse(ctx, clause, goal, match)` from the one clause whose head
+    `validate(ctx, head, goal)` accepts, `match` being what it returned
+    (it raises on a mismatch), and constructor arguments bound as real
+    variables. When no clause matches, the message gives the first
+    clause's reason. Errors without a place of their own are located at
+    `span`."""
     try:
         res = ewm_restricted(ctx, by.kind, by.var, goal)
     except ElabError as e:
@@ -426,19 +433,25 @@ def elab_by(ctx: Context, by: S.ByBlock, span, goal: V.VLabelTy, depth: int, rec
         # hypotheses enter the context as definitions so label search finds them
         for j, slot in enumerate(sg.hyp_slots):
             inner = inner.extend(f"%ih{j}", slot.ty, slot.proj)
-        matched = [c for c in remaining if _head_matches(validate, inner, c.head, sg.goal)]
+        matched, reasons = [], []
+        for c in remaining:
+            try:
+                matched.append((c, validate(inner, c.head, sg.goal)))
+            except ElabError as e:
+                reasons.append(e.msg)
         if len(matched) != 1:
             have = ", ".join(c.head.name for c in remaining) or "none"
+            why = f"; first clause: {reasons[0]}" if reasons and not matched else ""
             raise ElabError(
                 "PatternHeadMismatch",
                 remaining[0].head.span if remaining else span,
-                f"expected exactly one branch for constructor '{sg.tag}' (have: {have})",
+                f"expected exactly one branch for constructor '{sg.tag}' (have: {have}){why}",
             )
-        c = matched[0]
+        c, match = matched[0]
         if depth >= MAX_BY_DEPTH:
             raise ElabError("ByDepthExceeded", c.head.span, f"'by' nesting deeper than {MAX_BY_DEPTH}")
         remaining.remove(c)
-        body = recurse(inner, c, sg.goal)
+        body = recurse(inner, c, sg.goal, match)
         branches.append(sg.wrap(_inline_defs(inner, base, body)))
     if remaining:
         raise ElabError(
@@ -447,14 +460,6 @@ def elab_by(ctx: Context, by: S.ByBlock, span, goal: V.VLabelTy, depth: int, rec
             f"branch '{remaining[0].head.name}' matches no constructor of the scrutinee",
         )
     return res.assemble(branches)
-
-
-def _head_matches(validate, ctx: Context, head: S.Head, goal: V.VLabelTy) -> bool:
-    try:
-        validate(ctx, head, goal)
-        return True
-    except ElabError:
-        return False
 
 
 def _inline_defs(inner: Context, outer: Context, body: Term) -> Term:

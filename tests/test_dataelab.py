@@ -1,6 +1,7 @@
 """Elaboration of inductive definitions: the worked-example codes, the
 judgments, positivity, and randomized soundness."""
 
+import os
 import random
 from collections import Counter
 
@@ -197,13 +198,13 @@ def test_validate_pattern_unchanged_label(sess):
 
 def test_validate_pattern_checks_the_head_against_the_label(sess):
     ctx = sess.ctx.extend("A", V.VSet(0))
-    label = D.ELabel("T", (D.LParam(T.Var(0), T.Set_(0)),))
+    goal = V.VLabelTy("T", (V.fresh(ctx.depth - 1),), (V.VSet(0),), V.VIDesc(V.VUnit()))
     good, bad = (
         S.parse_file(f"data T (A : Set) : Set where\n  {h} A => mk\n")[0].clauses[0].head for h in ("T", "U")
     )
-    assert D.validate_pattern(ctx, label, good) == (label, ctx)
+    assert D.validate_pattern(ctx, 1, goal, good) == ((), ctx)
     with pytest.raises(ElabError) as e:
-        D.validate_pattern(ctx, label, bad)
+        D.validate_pattern(ctx, 1, goal, bad)
     assert e.value.kind == "PatternHeadMismatch"
     assert "clause head 'U' does not match the datatype 'T'" in e.value.msg
 
@@ -418,8 +419,11 @@ def read_nat():
 
 def test_per_judgment_instrumentation_on_corpus(monkeypatch):
     # every ElabDataPatts / ElabArgs / ElabEqs / ElabRecArgs output is
-    # kernel-checked at its stated type
-    from conftest import read_corpus
+    # kernel-checked at its stated type: the label `goal`, its type
+    # `IDesc I`, and `I`, over every corpus file that checks and 50
+    # generated declarations
+    from idt.cli import Session
+    from conftest import CORPUS, read_corpus
 
     ran = Counter()
 
@@ -436,24 +440,24 @@ def test_per_judgment_instrumentation_on_corpus(monkeypatch):
 
         monkeypatch.setattr(D.DataElab, judgment, checked)
 
-    def desc_of(_de, ctx, *args):
-        return V.VIDesc(args[-1].index_type_value(ctx))
+    lemma("elab_data_patts", lambda _de, _ctx, _clauses, goal, *_: goal)
+    lemma("elab_args", lambda _de, _ctx, _args, goal, _constraints: goal.ty)
+    lemma("elab_constraints", lambda _de, _ctx, goal, _constraints: goal.ty)
+    lemma("extract_indices", lambda _de, _ctx, _args, goal, _constraints, _at: goal.ty.index)
 
-    def label_type(_de, ctx, _clauses, label, _depth=0):
-        return ctx.eval(T.LabelTy(label.head, *label.kernel_label(ctx)))
-
-    lemma("elab_data_patts", label_type)
-    lemma("elab_args", desc_of)
-    lemma("elab_constraints", desc_of)
-    lemma("extract_indices", lambda _de, ctx, _args, label, _at: label.index_type_value(ctx))
-
-    ctx = K.Context()
-    for d in S.parse_file(read_corpus("nat_tree_vec.idt")):
-        res = D.elab_data(ctx, d)
-        tyv = K.check_entry_type(ctx, res.ty)
-        K.check(ctx, res.definiens, tyv)
-        ctx = ctx.extend(res.name, tyv, ctx.eval(res.definiens))
+    names = sorted(f for f in os.listdir(CORPUS) if f.endswith(".idt") and f != "bad.idt")
+    assert len(names) >= 4
+    for name in names:
+        s = Session()
+        s.load_text(read_corpus(name))
     assert set(ran) == {"elab_data_patts", "elab_args", "elab_constraints", "extract_indices"}, ran
+    on_corpus = sum(ran.values())
+    s = load_session("prelude.idt")
+    for seed in range(50):
+        decl = gen_data_decl(random.Random(seed), f"G{seed}")
+        res = D.elab_data(s.ctx, decl)
+        K.check(s.ctx, res.definiens, K.check_entry_type(s.ctx, res.ty))
+    assert sum(ran.values()) > on_corpus + 50, ran
 
 
 def test_dependent_telescopes(sess):
@@ -546,7 +550,7 @@ def test_enum_indexed_datatype_by_case(sess):
         el.check(s.ctx, S.parse_expr("qt"), s.ctx.eval(ty2))
 
 
-# --- label entries --------------------------------------------------------------------
+# --- by-branch labels -----------------------------------------------------------------
 
 
 def test_by_goal_label_reads_back_to_kernel_entries(sess, monkeypatch):
@@ -555,9 +559,9 @@ def test_by_goal_label_reads_back_to_kernel_entries(sess, monkeypatch):
     labels = []
     elab_data_patts = D.DataElab.elab_data_patts
 
-    def record(de, ctx, clauses, label, depth=0):
-        labels.append((label, label.describe(ctx)))
-        return elab_data_patts(de, ctx, clauses, label, depth)
+    def record(de, ctx, clauses, goal, depth=0, match=None):
+        labels.append((ctx, goal, de.describe(ctx, goal)))
+        return elab_data_patts(de, ctx, clauses, goal, depth, match)
 
     monkeypatch.setattr(D.DataElab, "elab_data_patts", record)
     decl = S.parse_file(
@@ -569,11 +573,14 @@ def test_by_goal_label_reads_back_to_kernel_entries(sess, monkeypatch):
     )[0]
     D.elab_data(sess.ctx, decl)
     top, zero, suc = labels
-    assert top[1] == "D (A) [n]"
-    assert (zero[1], suc[1]) == ("D (A) [In (#0 , %as)]", "D (A) [In (#1 , %x , %r)]")
-    for label, _ in (zero, suc):
-        assert [type(e) for e in label.entries] == [D.LParam, D.LIndex]
-        assert label.entries[0].ty == T.Set_(0)
+    assert top[2] == "D (A) [n]"
+    assert (zero[2], suc[2]) == ("D (A) [In (#0 , %as)]", "D (A) [In (#1 , %x , %r)]")
+    nat = sess.datatypes["Nat"].value
+    for ctx, goal, _ in (zero, suc):
+        assert goal.head == "D" and len(goal.args) == 2
+        assert goal.argtys[0] == V.VSet(0)
+        assert K.conv(ctx, goal.argtys[1], nat)
+        assert K.conv(ctx, goal.ty, V.VIDesc(V.VSigma("_", V.VUnit(), V.PyClo(lambda _v: nat))))
 
 
 def test_by_goal_label_with_a_constraint_is_rejected(sess):

@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from conftest import context_valid, enum, tup, switch_fam, load_session, num_term
+from conftest import context_valid, enum, tup, switch_fam, load_session, num_term, read_corpus
+from generators import gen_data_decl
 
 from idt import dataelab as D
 from idt import kernel as K
@@ -56,60 +57,63 @@ def test_call_return_iota_as_defeq_property():
 # --- label index types -----------------------------------------------------------
 
 
-def index_type(label, ctx):
-    return V.quote(label.index_type_value(ctx), ctx.depth)
+def index_type(sess, decl) -> T.Term:
+    """`I`, the index type of the label that `elab_data` elaborates the
+    clauses of `decl` (a declaration or its text) against, read back."""
+    if isinstance(decl, str):
+        (decl,) = S.parse_file(decl)
+    seen = []
+    elab_data_patts = D.DataElab.elab_data_patts
+
+    def record(de, ctx, clauses, goal, depth=0, match=None):
+        seen.append(V.quote(goal.ty.index, ctx.depth))
+        return elab_data_patts(de, ctx, clauses, goal, depth, match)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(D.DataElab, "elab_data_patts", record)
+        D.elab_data(sess.ctx, decl)
+    return seen[0]
 
 
-def test_label_index_type_base():
-    assert index_type(D.ELabel("D", ()), ctx0()) == T.Unit()
+def nat_pair(sess) -> T.Term:
+    """`Unit * Nat` with Nat unfolded, a closed term."""
+    nat_t = V.quote(sess.datatypes["Nat"].value, 0)
+    return T.Sigma("_", T.Unit(), nat_t)
+
+
+def test_label_index_type_base(sess):
+    assert index_type(sess, "data D : Set where\n  D => d\n") == T.Unit()
 
 
 def test_label_index_type_param_skipped_index_contributes(sess):
-    ctx = sess.ctx.extend("A", V.VSet(0)).extend("n", sess.datatypes["Nat"].value)
-    nat_t = V.quote(sess.datatypes["Nat"].value, ctx.depth)
-    label = D.ELabel("Vec", (D.LParam(T.Var(1), T.Set_(0)), D.LIndex(T.Var(0), nat_t)))
-    want = K.normalize(ctx, T.Sigma("_", T.Unit(), T.shift(nat_t, 1)))
-    assert index_type(label, ctx) == want
+    got = index_type(sess, "data V (A : Set) [n : Nat] : Set where\n  V A [n] => mk (a : A)\n")
+    assert got == nat_pair(sess)
 
 
 def test_label_index_type_constraint_contributes(sess):
-    ctx = sess.ctx.extend("A", V.VSet(0)).extend("n", sess.datatypes["Nat"].value)
-    ctx = ctx.extend("m", sess.datatypes["Nat"].value)
-    nat_t = V.quote(sess.datatypes["Nat"].value, ctx.depth)
-    suc_m = S.parse_expr("suc m")
-    label = D.ELabel("Vec", (D.LParam(T.Var(2), T.Set_(0)), D.EConstr(T.Var(1), suc_m, nat_t)))
-    want = K.normalize(ctx, T.Sigma("_", T.Unit(), T.shift(nat_t, 1)))
-    assert index_type(label, ctx) == want
+    got = index_type(sess, "data V (A : Set) [n : Nat] : Set where\n  V A [n = suc m] => mk (m : Nat)\n")
+    assert got == nat_pair(sess)
 
 
 def test_label_index_type_against_oracle(sess):
-    # property: the index type is the left-nested product of the index and
-    # constraint entry types, built by an independent recursion
-    rng = random.Random(5)
-    nat = sess.datatypes["Nat"].value
-    nat_t = V.quote(nat, sess.ctx.depth)
+    # property: the index type is the left-nested product of the declared
+    # index types, elaborated on their own and built by an independent
+    # recursion
+    from idt.elab import Elaborator
 
-    def oracle(entries):
+    def oracle(decl):
         ty = T.Unit()
-        for e in entries:
-            if isinstance(e, D.LParam):
-                continue
-            ty = T.Sigma("_", ty, T.shift(e.ty, 1))
-        return ty
+        for _, tye in decl.indices:
+            tyt, _, _ = Elaborator().elab_type(sess.ctx, tye)
+            ty = T.Sigma("_", ty, T.shift(tyt, 1))
+        return K.normalize(sess.ctx, ty)
 
-    for _ in range(25):
-        entries = []
-        for _ in range(rng.randrange(0, 5)):
-            kind = rng.randrange(3)
-            if kind == 0:
-                entries.append(D.LParam(T.Unit(), T.Set_(0)))
-            elif kind == 1:
-                entries.append(D.LIndex(num_term(rng.randrange(3)), nat_t))
-            else:
-                entries.append(D.EConstr(num_term(0), S.parse_expr(str(rng.randrange(3))), nat_t))
-        got = index_type(D.ELabel("D", tuple(entries)), sess.ctx)
-        want = K.normalize(sess.ctx, oracle(entries))
-        assert got == want
+    kinds = set()
+    for seed in range(40):
+        decl = gen_data_decl(random.Random(seed), f"G{seed}")
+        kinds.add((len(decl.params) > 0, len(decl.indices) > 0))
+        assert index_type(sess, decl) == oracle(decl)
+    assert kinds == {(False, False), (False, True), (True, False), (True, True)}
 
 
 # --- program elaboration -----------------------------------------------------------
@@ -448,3 +452,66 @@ def test_a_refined_index_cannot_be_constrained(sess):
         "  }\n",
     )
     assert e.kind == "PatternHeadMismatch"
+
+
+def by_block(head: str, first: str, rest: str) -> str:
+    """A one-`by`-block declaration after the prelude: `data W [n : Nat]`
+    when `head` is `W`, `let f (n : Nat) : Nat` when it is `f`."""
+    decl = "data W [n : Nat] : Set where" if head == "W" else "let f (n : Nat) : Nat where"
+    return f"{decl}\n  {head} {'[n]' if head == 'W' else 'n'} by case n {{\n    {first}\n    {rest}\n  }}\n"
+
+
+@pytest.mark.parametrize(
+    "text, msg",
+    [
+        (
+            by_block("W", "W [zero] [n] => a", "W [suc m] => b"),
+            "3:5: PatternHeadMismatch: expected exactly one branch for constructor 'zero' (have: W, W); "
+            "first clause: clause head has 2 argument(s); the label has 1",
+        ),
+        (
+            by_block("W", "W [zero = zero] => a", "W [suc m] => b"),
+            "3:5: PatternHeadMismatch: expected exactly one branch for constructor 'zero' (have: W, W); "
+            "first clause: refined index position 0 cannot be constrained",
+        ),
+        (
+            by_block("f", "f zero zero => zero", "f (suc m) => m"),
+            "3:5: PatternHeadMismatch: expected exactly one branch for constructor 'zero' (have: f, f); "
+            "first clause: clause head has 2 argument(s), the label has 1",
+        ),
+        (
+            # two clauses match: ambiguous, with no first-clause reason
+            by_block("W", "W [zero] => a", "W [zero] => b\n    W [suc m] => c"),
+            "3:5: PatternHeadMismatch: expected exactly one branch for constructor 'zero' (have: W, W, W)",
+        ),
+    ],
+    ids=["data-arity", "data-refined-constraint", "let-arity", "ambiguous"],
+)
+def test_an_unmatched_branch_says_why_its_first_clause_failed(sess, text, msg):
+    assert elab_verdict(sess, text).render() == msg
+
+
+def test_by_step_matches_each_chosen_head_once(monkeypatch):
+    # a block of k branches matches every remaining head against each
+    # subgoal, k(k+1)/2 matches, and hands the chosen head's match to its
+    # branch, which does not match it again
+    from idt.cli import Session
+
+    calls = {"validate_pattern": 0, "match_head": 0}
+
+    def counted(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(D, "validate_pattern")
+    counted(L, "match_head")
+    Session().load_text(read_corpus("nat_tree_vec.idt"))
+    assert calls["validate_pattern"] == 10  # 12 when each branch re-matched its head
+    calls["match_head"] = 0
+    Session().load_text(read_corpus("prelude.idt"))
+    assert calls["match_head"] == 9  # 11 when each branch re-matched its head
