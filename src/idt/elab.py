@@ -193,7 +193,7 @@ class Elaborator:
             rt = self.check(ctx, e.rhs, lty)
             tyt = ctx.quote(lty)
             try:
-                _, lvl = K.infer_sort(ctx, tyt)
+                _, lvl = K.check_is_type(ctx, tyt)
             except KernelError:
                 lvl = 0
             return T.Eq(tyt, lt, rt), V.VSet(lvl)

@@ -23,8 +23,10 @@ Elaborated `by` programs arrive beta-normal: each branch is a lambda in a
 tuple of cases or a split method, checked against the type the eliminator
 gives it. An annotated lambda in head position, which `_infer_lam`
 synthesises by reading its body's type back, comes only from the source
-program. The code of an `interpI`, `IAll` or `IAllMap` is inferred once,
-and that inference is its check (`_code_index_type`).
+program. Each judgment has one rule: a motive's lambdas check against its
+domains and the universe its body's type ends in is its level
+(`_motive_check`); the code formers only check, so the code of an `interpI`,
+`IAll` or `IAllMap` is neutral and its inferred `IDesc I` is its check.
 """
 
 from __future__ import annotations
@@ -132,64 +134,41 @@ def def_eq(ctx: Context, t: Term, u: Term) -> bool:
     return conv(ctx, ctx.eval(t), ctx.eval(u))
 
 
-def infer_sort(ctx: Context, t: Term) -> tuple:
+def check_is_type(ctx: Context, t: Term, max_level: int = 2) -> tuple:
     """Elaborated types: returns (type-as-value, universe level)."""
     ty = infer(ctx, t)
     if not isinstance(ty, V.VSet):
         _err("UniverseMismatch", t, f"expected a type, its type is {show(ctx, ty)}")
+    if ty.level > max_level:
+        _err("UniverseMismatch", t, f"type lives at level {ty.level}, needed at most {max_level}")
     return ctx.eval(t), ty.level
 
 
-def check_is_type(ctx: Context, t: Term, max_level: int = 2) -> tuple:
-    tv, lvl = infer_sort(ctx, t)
-    if lvl > max_level:
-        _err("UniverseMismatch", t, f"type lives at level {lvl}, needed at most {max_level}")
-    return tv, lvl
-
-
-def _motive_check(ctx: Context, p: Term, dom_maker) -> tuple:
-    """Check a motive against dom -> Set k for the smallest admissible k;
-    returns (motive value, k). dom_maker(k) builds the candidate Pi type.
-
-    A lambda motive gets its level from one inference of its body. Other
-    motives, and every failure, go through the tries at k = 0, 1, 2, whose
-    last error is the one reported."""
-    k = _lambda_motive_level(ctx, p, dom_maker(0))
-    if k is not None:
-        return ctx.eval(p), k
-    last = None
-    for k in (0, 1, 2):
-        want = dom_maker(k)
-        try:
-            check(ctx, p, want)
-            return ctx.eval(p), k
-        except KernelError as e:
-            last = e
-    raise last if last is not None else KernelError("TypeMismatch", p, "motive")
-
-
-def _lambda_motive_level(ctx: Context, p: Term, want: Value) -> Optional[int]:
-    """The smallest k at which the lambda `p` checks against `want` with its
-    final `Set 0` raised to `Set k`, or None if that takes the full check.
-
-    The binders are checked as `check` would; the body then checks against
-    `Set k` exactly when it infers `Set j` with j <= k, since none of the
-    checking-only forms has a universe as its type."""
-    try:
-        while isinstance(p, T.Lam) and isinstance(want, V.VPi):
-            if p.ann is not None:
-                annv, _ = check_is_type(ctx, p.ann)
-                if not conv(ctx, annv, want.dom):
-                    return None
-            x = V.fresh(ctx.depth)
-            ctx = ctx.extend(p.nm, want.dom)
-            want, p = want.cod(x), p.body
-        if not isinstance(want, V.VSet):
-            return None
-        got = infer(ctx, p)
-    except KernelError:
-        return None
-    return got.level if isinstance(got, V.VSet) else None
+def _motive_check(ctx: Context, p: Term, want: Value) -> tuple:
+    """Check a motive against `want`, a Pi type ending in `Set 0`, letting
+    it end in any universe; returns (motive value, that universe's level).
+    The lambdas `p` opens check against the domains of `want` as in
+    `_check_lam`; the rest is inferred once, and its type must take the
+    domains left over and end in a universe."""
+    outer, motive = ctx, p
+    while isinstance(p, T.Lam) and isinstance(want, V.VPi):
+        if p.ann is not None:
+            annv, _ = check_is_type(ctx, p.ann)
+            if not conv(ctx, annv, want.dom):
+                _err("TypeMismatch", p, "annotation disagrees with the expected domain")
+        x = V.fresh(ctx.depth)
+        ctx = ctx.extend(p.nm, want.dom)
+        want, p = want.cod(x), p.body
+    got = infer(ctx, p)
+    while isinstance(want, V.VPi):
+        if not (isinstance(got, V.VPi) and conv(ctx, got.dom, want.dom)):
+            _err("TypeMismatch", p, f"expected a motive over {show(ctx, want.dom)}, got {show(ctx, got)}")
+        x = V.fresh(ctx.depth)
+        ctx = ctx.extend(got.nm, want.dom)
+        want, got = want.cod(x), got.cod(x)
+    if not isinstance(got, V.VSet):
+        _err("UniverseMismatch", p, f"expected a type, its type is {show(ctx, got)}")
+    return outer.eval(motive), got.level
 
 
 def _pi_to(dom: Value, mk_cod) -> Value:
@@ -208,13 +187,6 @@ def label_wf(ctx: Context, head: str, args: tuple, argtys: tuple):
         check(ctx, a, atyv)
 
 
-def _desc_target(ctx: Context, want: Value, t: Term) -> Value:
-    """For code checking: the index type I of the wanted `IDesc I`."""
-    if not isinstance(want, V.VIDesc):
-        _err("TypeMismatch", t, f"expected {show(ctx, want)}, got a description code")
-    return want.index
-
-
 def infer(ctx: Context, t: Term) -> Value:
     rule = _INFER_RULES.get(type(t))
     if rule is None:
@@ -223,8 +195,8 @@ def infer(ctx: Context, t: Term) -> Value:
 
 
 def _infer_binder(ctx: Context, t) -> Value:
-    domv, j = infer_sort(ctx, t.dom)
-    _, k = infer_sort(ctx.extend(t.nm, domv), t.cod)
+    domv, j = check_is_type(ctx, t.dom)
+    _, k = check_is_type(ctx.extend(t.nm, domv), t.cod)
     return V.VSet(max(j, k))
 
 
@@ -269,7 +241,7 @@ def _enum_motive(ctx: Context, t) -> tuple:
     returns (enumeration value, motive value, motive level)."""
     check(ctx, t.enum, V.VEnumU())
     ev = ctx.eval(t.enum)
-    pv, k = _motive_check(ctx, t.fam, lambda k: _const_pi(V.VEnumT(ev), V.VSet(k)))
+    pv, k = _motive_check(ctx, t.fam, _const_pi(V.VEnumT(ev), V.VSet(0)))
     return ev, pv, k
 
 
@@ -293,7 +265,7 @@ def _infer_eqelim(ctx: Context, t: T.EqElim) -> Value:
         _err("TypeMismatch", t, "eliminating a non-equation")
     a, lhs = qty.ty, qty.lhs
 
-    mv, _ = _motive_check(ctx, t.motive, lambda k: _pi_to(a, lambda y: _const_pi(V.VEq(a, lhs, y), V.VSet(k))))
+    mv, _ = _motive_check(ctx, t.motive, _pi_to(a, lambda y: _const_pi(V.VEq(a, lhs, y), V.VSet(0))))
     check(ctx, t.base, V.vapps(mv, lhs, V.VRefl()))
     return V.vapps(mv, qty.rhs, ctx.eval(t.proof))
 
@@ -303,39 +275,20 @@ def _infer_idesc(ctx: Context, t: T.IDesc) -> Value:
     return V.VSet(1)
 
 
-def _infer_dtimes(ctx: Context, t: T.DTimes) -> Value:
-    ta = infer(ctx, t.lhs)
-    if not isinstance(ta, V.VIDesc):
-        _err("TypeMismatch", t, "product of non-codes")
-    check(ctx, t.rhs, ta)
-    return ta
+def _code_index_type(ctx: Context, code: Term) -> Value:
+    """The index type I of the code of an `interpI`, `IAll` or `IAllMap`.
 
-
-def _code_index_type(ctx: Context, code: Term, x: Term, at: Term) -> Value:
-    """Check the code of an indexed-code form and return its index type.
-
-    The index type comes from the code's inferred type `IDesc I`, which
-    checks the code on the way. A code that does not synthesise (a
-    checking-only form) takes it from the family's annotation instead, and
-    is then checked against `IDesc I`."""
-    try:
-        cty = infer(ctx, code)
-        if isinstance(cty, V.VIDesc):
-            return cty.index
-    except KernelError:
-        pass
-    try:
-        xty = infer(ctx, x)
-    except KernelError:
-        xty = None
-    if not isinstance(xty, V.VPi):
-        _err("CannotInfer", at, "cannot determine the index type; annotate the family")
-    check(ctx, code, V.VIDesc(xty.dom))
-    return xty.dom
+    The code's inferred type `IDesc I` gives it, and that inference is the
+    code's check. Canonical codes only check, so the code is neutral: a
+    variable or a stuck elimination, as readback leaves it."""
+    cty = infer(ctx, code)
+    if not isinstance(cty, V.VIDesc):
+        _err("TypeMismatch", code, f"expected a description code, got {show(ctx, cty)}")
+    return cty.index
 
 
 def _infer_interp(ctx: Context, t: T.InterpIDesc) -> Value:
-    ixty = _code_index_type(ctx, t.code, t.arg, t)
+    ixty = _code_index_type(ctx, t.code)
     check(ctx, t.arg, _const_pi(ixty, V.VSet(0)))
     return V.VSet(0)
 
@@ -343,11 +296,11 @@ def _infer_interp(ctx: Context, t: T.InterpIDesc) -> Value:
 def _all_motive(ctx: Context, t) -> tuple:
     """Check the code, the family and the motive of an `IAll` or an
     `IAllMap`; returns (index type, family value, motive value, level)."""
-    ixty = _code_index_type(ctx, t.code, t.fam, t)
+    ixty = _code_index_type(ctx, t.code)
     check(ctx, t.fam, _const_pi(ixty, V.VSet(0)))
     xv = ctx.eval(t.fam)
     sig = V.VSigma("i", ixty, V.PyClo(lambda i: V.vapp(xv, i)))
-    pv, k = _motive_check(ctx, t.motive, lambda k: _const_pi(sig, V.VSet(k)))
+    pv, k = _motive_check(ctx, t.motive, _const_pi(sig, V.VSet(0)))
     return ixty, xv, pv, k
 
 
@@ -377,7 +330,7 @@ def _infer_iinduction(ctx: Context, t: T.IInduction) -> Value:
     rv = ctx.eval(t.fam)
     xfam = V.imu_family(iv, rv)
     sig = V.VSigma("i", iv, V.PyClo(lambda j: V.VIMu(iv, rv, j)))
-    pv, _ = _motive_check(ctx, t.motive, lambda k: _const_pi(sig, V.VSet(k)))
+    pv, _ = _motive_check(ctx, t.motive, _const_pi(sig, V.VSet(0)))
     method_ty = _pi_to(
         iv,
         lambda i2: _pi_to(
@@ -396,14 +349,14 @@ def _infer_split(ctx: Context, t: T.Split) -> Value:
     sty = infer(ctx, t.scrut)
     if not isinstance(sty, V.VSigma):
         _err("NotAPair", t, "splitting a non-pair")
-    pv, _ = _motive_check(ctx, t.motive, lambda k: _const_pi(sty, V.VSet(k)))
+    pv, _ = _motive_check(ctx, t.motive, _const_pi(sty, V.VSet(0)))
     check(ctx, t.method, _pi_to(sty.dom, lambda a: _pi_to(sty.cod(a), lambda b: V.vapp(pv, V.VPair(a, b)))))
     return V.vapp(pv, ctx.eval(t.scrut))
 
 
 def _infer_labelty(ctx: Context, t: T.LabelTy) -> Value:
     label_wf(ctx, t.head, t.args, t.argtys)
-    _, lvl = infer_sort(ctx, t.ty)
+    _, lvl = check_is_type(ctx, t.ty)
     return V.VSet(lvl)
 
 
@@ -446,8 +399,6 @@ _INFER_RULES = {
     T.Refl: lambda ctx, t: _err("CannotInfer", t, "refl needs a checking type"),
     T.EqElim: _infer_eqelim,
     T.IDesc: _infer_idesc,
-    T.DVarI: lambda ctx, t: V.VIDesc(infer(ctx, t.index)),
-    T.DTimes: _infer_dtimes,
     T.InterpIDesc: _infer_interp,
     T.IAllD: _infer_iall,
     T.IAllMap: _infer_iallmap,
@@ -461,7 +412,7 @@ _INFER_RULES = {
 }
 _INFER_RULES.update(
     dict.fromkeys(
-        (T.DOne, T.DPi, T.DSigma, T.DSigmaE, T.ZeroE, T.SucE),
+        (T.DOne, T.DVarI, T.DTimes, T.DPi, T.DSigma, T.DSigmaE, T.ZeroE, T.SucE),
         lambda ctx, t: _err("CannotInfer", t, "checking-only form in synthesis position"),
     )
 )
@@ -536,7 +487,9 @@ def _check_in(ctx: Context, t: T.In, want: Value) -> Optional[Value]:
 
 def _check_code(ctx: Context, t: Term, want: Value) -> None:
     """The checking rule of every description code: against `IDesc I`."""
-    ixty, cls = _desc_target(ctx, want, t), type(t)
+    if not isinstance(want, V.VIDesc):
+        _err("TypeMismatch", t, f"expected {show(ctx, want)}, got a description code")
+    ixty, cls = want.index, type(t)
     if cls is T.DVarI:
         check(ctx, t.index, ixty)
     elif cls is T.DTimes:

@@ -342,6 +342,64 @@ def test_by_clause_head_constraint_rejected(tmp_path, enum, branches):
     assert out == f"{p}: error: 21:3: PatternHeadMismatch: a 'by' clause head cannot constrain an index\n"
 
 
+# declarations that no corpus file gets wrong, each checked after the prelude
+# as a file of its own, with the one located line `idt check` prints
+UNREACHED_ERRORS = {
+    "parameter-level": (
+        "data D (F : Set1 -> Set1) : Set where\n  D F => c\n",
+        "1:13: CheckMismatch: parameter types must live in Set or Set1",
+    ),
+    "index-level": (
+        "data D [A : Set] : Set where\n  D [A] => c\n",
+        "1:13: CheckMismatch: index types must live in Set",
+    ),
+    "dependent-index": (
+        "data D [n : Nat] [p : n == n] : Set where\n  D [n] [p] => c\n",
+        "1:23: CheckMismatch: an index type may not depend on earlier indices",
+    ),
+    "argument-level": (
+        "data D : Set where\n  D => c (A : Set)\n",
+        "2:15: CheckMismatch: constructor arguments must live in Set",
+    ),
+    "argument-domain-level": (
+        "data D : Set where\n  D => c (f : Set -> D)\n",
+        "2:15: CheckMismatch: argument domains must live in Set",
+    ),
+    "index-without-brackets": (
+        "data D (A : Set) [n : Nat] : Set where\n  D A n => c\n",
+        "2:7: PatternHeadMismatch: index position 1 must be written in brackets",
+    ),
+    "parameter-in-brackets": (
+        "data D (A : Set) [n : Nat] : Set where\n  D [A] [n] => c\n",
+        "2:5: PatternHeadMismatch: position 0 is a parameter and must repeat the declared variable",
+    ),
+    "branch-of-no-constructor": (
+        "let f (n : Nat) : Nat where\n  f n by case n {\n"
+        "    f zero => zero\n    f (suc m) => m\n    f (foo m) => m\n  }\n",
+        "5:5: PatternHeadMismatch: branch 'f' matches no constructor of the scrutinee",
+    ),
+}
+
+
+@pytest.mark.parametrize("src, msg", UNREACHED_ERRORS.values(), ids=UNREACHED_ERRORS.keys())
+def test_located_error_after_the_prelude(tmp_path, src, msg):
+    p = tmp_path / "d.idt"
+    p.write_text(src, encoding="utf-8")
+    code, out = run_main(["check", corpus_path("prelude.idt"), str(p)])
+    assert code == 1
+    assert out == f"{p}: error: {msg}\n"
+
+
+def test_repl_eq_errors():
+    src = io.StringIO(":eq (\\x. x) (\\x. x)\n:eq true true\n")
+    buf = io.StringIO()
+    assert run_repl([corpus_path("prelude.idt")], stdin=src, stdout=buf) == 0
+    assert buf.getvalue().splitlines()[1:] == [
+        "<repl>: error: CannotSynthesize: cannot determine a type; annotate with (e : T)",
+        "<repl>: error: DerivingUnsupported: no derived equality registered for this type",
+    ]
+
+
 def test_repl_commands():
     src = io.StringIO(
         ":t plus\n"

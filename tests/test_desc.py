@@ -230,7 +230,10 @@ def test_induction_recursive_unfolding():
     MSTEP = T.Lam(
         "c", None, T.Lam("a", None, T.App(T.Switch(En, PC, tup(B0, BS), T.Var(1)), T.Var(0)))
     )
-    MS = T.Lam("p", None, T.Pi("hh", T.IAllD(natd, natx, to_nat, T.Var(0)), nat))
+    # the split motive's code is the stuck one the by-gadget builds: code
+    # formers only check, so the code of an `IAll` must be neutral
+    ms_all = T.IAllD(T.App(fam, T.Fst(T.Var(0))), natx, to_nat, T.Snd(T.Var(0)))
+    MS = T.Lam("p", None, T.Pi("hh", ms_all, nat))
     METHOD = T.Lam(
         "i", None, T.Lam("d", None, T.Lam("h", None, T.App(T.Split(MS, MSTEP, T.Var(1)), T.Var(0))))
     )

@@ -136,7 +136,7 @@ AB = enum("a", "b")
 
 
 def test_variable_motive_checks_at_level_zero():
-    # not a lambda: the level comes from trying k = 0, 1, 2 in turn
+    # not a lambda: the whole motive is inferred and its type ends in Set0
     ctx = ctx0().extend("P", V.VPi("_", V.VEnumT(ctx0().eval(AB)), V.PyClo(lambda _v: V.VSet(0))))
     assert K.infer(ctx, T.PiE(AB, T.Var(0))) == V.VSet(0)
 
@@ -150,14 +150,15 @@ def test_lambda_motive_level_is_its_body_sort(body, level):
 @pytest.mark.parametrize(
     "motive, text",
     [
-        (T.Lam("x", None, T.Var(0)), "TypeMismatch: expected Set2, got Enum {'a, 'b}"),
+        (T.Lam("x", None, T.Var(0)), "UniverseMismatch: expected a type, its type is Enum {'a, 'b}"),
         (T.Lam("x", T.Unit(), T.Set_(0)), "TypeMismatch: annotation disagrees with the expected domain"),
-        (T.Lam("x", None, T.Lam("y", None, T.Set_(0))), "TypeMismatch: function against Set2"),
+        (T.Lam("x", None, T.Lam("y", None, T.Set_(0))), "CannotInfer: unannotated function"),
         (T.Lam("x", None, T.Set_(2)), "UniverseMismatch: the top universe has no type"),
-        (T.Void(), "TypeMismatch: expected Enum {'a, 'b} -> Set2, got Unit"),
+        (T.Void(), "TypeMismatch: expected a motive over Enum {'a, 'b}, got Unit"),
     ],
+    ids=["body-not-a-type", "annotation", "extra-lambda", "top-universe", "not-a-function"],
 )
-def test_ill_typed_motive_reports_the_last_try(motive, text):
+def test_ill_typed_motive_reports_its_premise(motive, text):
     with pytest.raises(K.KernelError) as e:
         K.infer(ctx0(), T.PiE(AB, motive))
     assert str(e.value) == text
