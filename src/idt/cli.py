@@ -1,8 +1,13 @@
-"""Driver: file checking, the declaration pipeline, evaluation and the REPL."""
+"""Driver: file checking, the declaration pipeline, evaluation and the REPL.
+
+`main` may be called any number of times in one process; it builds its
+command-line parser at the first call and reuses it after that.
+"""
 
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from typing import Optional
@@ -360,7 +365,10 @@ def _split_two(s: str):
     return None
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The `idt` command line, built once: at the first `main` call, not at
+    import, so that a process which never calls `main` never pays for it."""
     ap = argparse.ArgumentParser(prog="idt", description="small dependently-typed language")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
@@ -381,8 +389,11 @@ def main(argv=None) -> int:
 
     p_repl = sub.add_parser("repl", help="interactive session")
     p_repl.add_argument("files", nargs="*")
+    return ap
 
-    ns = ap.parse_args(argv)
+
+def main(argv=None) -> int:
+    ns = _parser().parse_args(argv)
     try:
         code = _run(ns)
         sys.stdout.flush()  # a reader that closed the pipe early fails it here

@@ -170,7 +170,7 @@ class DataElab:
             cases = T.Pair(code, cases)
         idx_ty = V.quote(goal.ty.index, ctx.depth)
         fam_body = T.Switch(
-            T.shift(enum_t, 1),
+            enum_t,  # closed
             T.Lam("_", None, T.IDesc(T.shift(idx_ty, 2))),
             T.shift(cases, 1),
             T.Var(0),
@@ -410,13 +410,14 @@ def _strengthen(t: Term, by: int, what: str) -> Term:
 
 
 def _build_definiens(ctx, decl, p_tys, i_tys, code, n0: int, k: int, m: int) -> Term:
-    # index tuple type at depth n0+k (below the index binders)
+    # index tuple type at [ctx, params, indices]; each index type sits one
+    # binder below them, there and as a type of the label's arguments
+    i_tys_j = [T.shift(_strengthen(tyt, pos, "an index type"), m + 1) for pos, tyt in enumerate(i_tys)]
     idx_ty: Term = T.Unit()
-    for pos, tyt in enumerate(i_tys):
-        base = _strengthen(tyt, pos, "an index type")
-        idx_ty = T.Sigma("_", idx_ty, T.shift(base, 1))
+    for tyt in i_tys_j:
+        idx_ty = T.Sigma("_", idx_ty, tyt)
 
-    # code lives at [ctx, D, params, indices]; move it to [ctx, params, j]
+    # code lives at [ctx, D, params, indices]; move it to [ctx, params, indices, j]
     def remap(old: int) -> Term:
         if old < m:
             t: Term = T.Var(0)
@@ -424,26 +425,26 @@ def _build_definiens(ctx, decl, p_tys, i_tys, code, n0: int, k: int, m: int) -> 
                 t = T.Fst(t)
             return T.Snd(t)
         if old < m + k:
-            return T.Var(old - m + 1)
+            return T.Var(old + 1)
         if old == m + k:
             raise ElabError(
                 "NonPositive", decl.span, "recursive occurrence survived into the code"
             )
-        return T.Var(old - m)
+        return T.Var(old)
 
     code_r = T.subst_free(code, remap)
 
-    # the label under R: <D (p...) [proj j]...> at IDesc idx_ty
+    # the label under j: <D (p...) [proj j]...> at IDesc idx_ty
     args, argtys = [], []
     for pos in range(k):
-        args.append(T.Var(k - pos))
-        argtys.append(T.shift(p_tys[pos], k + 1 - pos))
+        args.append(T.Var(m + k - pos))
+        argtys.append(T.shift(p_tys[pos], m + k + 1 - pos))
     for pos in range(m):
         proj: Term = T.Var(0)
         for _ in range(m - 1 - pos):
             proj = T.Fst(proj)
         args.append(T.Snd(proj))
-        argtys.append(T.shift(_strengthen(i_tys[pos], pos, "an index type"), 1))
+        argtys.append(i_tys_j[pos])
 
     call = T.LCall(decl.name, tuple(args), tuple(argtys), T.IDesc(T.shift(idx_ty, 1)), code_r)
     r_term = T.Lam("j", idx_ty, call)
@@ -453,8 +454,7 @@ def _build_definiens(ctx, decl, p_tys, i_tys, code, n0: int, k: int, m: int) -> 
     for pos in range(m):
         pack = T.Pair(pack, T.Var(m - 1 - pos))
 
-    body = T.IMu(T.shift(idx_ty, m), T.shift(r_term, m), pack)
-    out = body
+    out = T.IMu(idx_ty, r_term, pack)
     for pos in reversed(range(m)):
         out = T.Lam(decl.indices[pos][0], i_tys[pos], out)
     for pos in reversed(range(k)):

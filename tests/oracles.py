@@ -14,6 +14,11 @@ to the body function. The annotations let the kernel synthesise those
 redexes; the value of the result is what the beta-normal construction
 must match.
 
+`definiens_two_pass` builds a datatype's definiens as `dataelab` did
+before it remapped the code in one pass: the code is moved to
+`[ctx, params, j]`, wrapped in the label call and its lambda, and that
+lambda and the index tuple type are shifted again under the index binders.
+
 `sub_desc` is the declarative predicate of the decidable-equality
 sub-universe: `generics.derive_eq` derives a comparison exactly for the
 codes it holds of.
@@ -397,6 +402,52 @@ def _ewm_fix(ctx, kind, scrut_name, scrut_v, sty, motive_at) -> L.EwmResult:
         return V.viinduction(ixty, fam_v, motive_v, method, i0, scrut_v)
 
     return L.EwmResult(subgoals, lambda branches: _apply_annotated(ctx, mk, btys, branches))
+
+
+def definiens_two_pass(decl, p_tys: List[Term], i_tys: List[Term], code: Term, k: int, m: int) -> Term:
+    """The definiens of `decl` from its code at `[ctx, D, params, indices]`
+    (the arguments `dataelab._build_definiens` receives), built in two passes."""
+
+    def strengthen(t: Term, by: int) -> Term:
+        return T.map_vars(t, lambda i, d: T.Var(i - by))
+
+    idx_ty: Term = T.Unit()
+    for pos, tyt in enumerate(i_tys):
+        idx_ty = T.Sigma("_", idx_ty, T.shift(strengthen(tyt, pos), 1))
+
+    def remap(old: int) -> Term:
+        if old < m:
+            t: Term = T.Var(0)
+            for _ in range(old):
+                t = T.Fst(t)
+            return T.Snd(t)
+        if old < m + k:
+            return T.Var(old - m + 1)
+        assert old > m + k, "recursive occurrence in the code"
+        return T.Var(old - m)
+
+    code_r = T.subst_free(code, remap)
+    args, argtys = [], []
+    for pos in range(k):
+        args.append(T.Var(k - pos))
+        argtys.append(T.shift(p_tys[pos], k + 1 - pos))
+    for pos in range(m):
+        proj: Term = T.Var(0)
+        for _ in range(m - 1 - pos):
+            proj = T.Fst(proj)
+        args.append(T.Snd(proj))
+        argtys.append(T.shift(strengthen(i_tys[pos], pos), 1))
+    call = T.LCall(decl.name, tuple(args), tuple(argtys), T.IDesc(T.shift(idx_ty, 1)), code_r)
+    r_term = T.Lam("j", idx_ty, call)
+    pack: Term = T.Void()
+    for pos in range(m):
+        pack = T.Pair(pack, T.Var(m - 1 - pos))
+    out: Term = T.IMu(T.shift(idx_ty, m), T.shift(r_term, m), pack)
+    for pos in reversed(range(m)):
+        out = T.Lam(decl.indices[pos][0], i_tys[pos], out)
+    for pos in reversed(range(k)):
+        out = T.Lam(decl.params[pos][0], p_tys[pos], out)
+    return out
 
 
 def sub_desc(code: Value) -> bool:

@@ -160,6 +160,66 @@ def test_parse_error_exit_two(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        ([], 2),
+        (["eval", corpus_path("prelude.idt")], 2),
+        (["prove", corpus_path("prelude.idt")], 2),
+        (["--help"], 0),
+    ],
+    ids=["no-subcommand", "eval-without-expr", "unknown-subcommand", "help"],
+)
+def test_usage_paths_leave_main_as_on_a_first_call(capsys, argv, code):
+    # every call of main parses with the same parser; a usage error or
+    # --help on the way prints the same text each time and changes nothing
+    # for a later call
+    def check_prelude():
+        assert main(["check", corpus_path("prelude.idt")]) == 0
+        return capsys.readouterr()
+
+    first = check_prelude()
+    texts = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as e:
+            main(argv)
+        assert e.value.code == code
+        texts.append(capsys.readouterr())
+    assert texts[0] == texts[1]
+    shown, silent = (texts[0].out, texts[0].err) if code == 0 else (texts[0].err, texts[0].out)
+    assert shown.startswith("usage: idt") and silent == ""
+    assert check_prelude() == first
+
+
+def test_main_builds_its_parser_once_per_process():
+    # the parser is one ArgumentParser and one per subcommand: built at the
+    # first call of main, not at import and not again
+    script = """if True:
+        import argparse, contextlib, io, sys
+        built = []
+        init = argparse.ArgumentParser.__init__
+        def counting(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+        argparse.ArgumentParser.__init__ = counting
+        import idt.cli
+        on_import = len(built)
+        for _ in range(3):
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert idt.cli.main(["check", sys.argv[1]]) == 0
+        print(on_import, len(built))
+    """
+    r = subprocess.run(
+        [sys.executable, "-c", script, corpus_path("prelude.idt")],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": os.path.join(ROOT, "src")},
+        timeout=120,
+    )
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.split() == ["0", "5"]
+
+
 def test_reader_closing_the_pipe_exits_two_quietly(tmp_path):
     # 2,000 datatypes dump ~110 KB, more than a pipe buffer holds, so idt is
     # still writing when the reader goes away

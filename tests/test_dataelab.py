@@ -4,8 +4,11 @@ judgments, positivity, and randomized soundness."""
 import os
 import random
 from collections import Counter
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     UNIT_DESC,
@@ -19,6 +22,7 @@ from conftest import (
     tup,
 )
 from generators import gen_data_decl, gen_let_decl
+from oracles import definiens_two_pass
 
 from idt import dataelab as D
 from idt import desc
@@ -389,6 +393,30 @@ def test_random_declarations_recheck(seed):
         tyv = K.check_entry_type(sess.ctx, ty)
         K.check(sess.ctx, definiens, tyv)
         sess.ctx = sess.ctx.extend(decl.name, tyv, sess.ctx.eval(definiens))
+
+
+@pytest.fixture(scope="module")
+def prelude():
+    return load_session("prelude.idt")
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_definiens_matches_the_two_pass_construction(prelude, seed):
+    # the code is remapped straight under the index binders; the definiens
+    # is the one the two-pass construction builds from the same code
+    build = D._build_definiens
+    seen = []
+
+    def spy(ctx, decl, p_tys, i_tys, code, n0, k, m):
+        out = build(ctx, decl, p_tys, i_tys, code, n0, k, m)
+        seen.append((definiens_two_pass(decl, p_tys, i_tys, code, k, m), out))
+        return out
+
+    with mock.patch.object(D, "_build_definiens", spy):
+        D.elab_data(prelude.ctx, gen_data_decl(random.Random(seed), "G"))
+    ((want, got),) = seen
+    assert repr(got) == repr(want)
 
 
 # --- trace ------------------------------------------------------------------------------
