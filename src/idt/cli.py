@@ -65,6 +65,10 @@ class Session:
         res = D.elab_data(self.ctx, d, trace=self.trace)
         tyv = self._recheck(res.definiens, res.ty, d.span)
         value = self.ctx.eval(res.definiens)
+        if isinstance(value, V.VIMu) and V.own_binder_only(value.fam.body):
+            # a closed family: the value closes over its normal form, the
+            # term that `by` blocks over the datatype share
+            value = self.ctx.eval(self.ctx.quote(value))
         self.ctx = self.ctx.extend(res.name, tyv, value)
         self.datatypes[res.name] = DataInfo(
             res.name, res.n_params, res.n_indices, res.tags, tyv, value

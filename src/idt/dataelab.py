@@ -168,7 +168,7 @@ class DataElab:
         cases: Term = T.Void()
         for _, code in reversed(tag_codes):
             cases = T.Pair(code, cases)
-        idx_ty = V.quote(goal.ty.index, ctx.depth)
+        idx_ty = ctx.quote(goal.ty.index)
         fam_body = T.Switch(
             enum_t,  # closed
             T.Lam("_", None, T.IDesc(T.shift(idx_ty, 2))),
@@ -382,7 +382,7 @@ def elab_data(ctx: Context, decl: S.DataDecl, trace: bool = False) -> DataResult
         de = DataElab(el, n0, k)
         code = de.elab_data_patts(tel_ctx, decl.clauses, goal)
 
-        definiens = _build_definiens(ctx, decl, p_tys, i_tys, code, n0, k, m)
+        definiens = _build_definiens(decl, p_tys, i_tys, code, k, m)
         return DataResult(
             name=decl.name,
             definiens=definiens,
@@ -401,18 +401,12 @@ def _pi_rename(ty: Term, names: list) -> Term:
     return T.Pi(names[0], ty.dom, _pi_rename(ty.cod, names[1:]))
 
 
-def _strengthen(t: Term, by: int, what: str) -> Term:
-    """Shift down by `by`, requiring that the dropped range is unused."""
-    for j in range(by):
-        if T.occurs(t, j):
-            raise ElabError("CheckMismatch", None, f"{what} may not depend on local binders")
-    return T.map_vars(t, lambda i, d: T.Var(i - by))
-
-
-def _build_definiens(ctx, decl, p_tys, i_tys, code, n0: int, k: int, m: int) -> Term:
+def _build_definiens(decl, p_tys, i_tys, code, k: int, m: int) -> Term:
     # index tuple type at [ctx, params, indices]; each index type sits one
-    # binder below them, there and as a type of the label's arguments
-    i_tys_j = [T.shift(_strengthen(tyt, pos, "an index type"), m + 1) for pos, tyt in enumerate(i_tys)]
+    # binder below them, there and as a type of the label's arguments. An
+    # index type mentions no earlier index (`elab_data` rejects that), so it
+    # moves down past them
+    i_tys_j = [T.shift(T.shift(tyt, -pos), m + 1) for pos, tyt in enumerate(i_tys)]
     idx_ty: Term = T.Unit()
     for tyt in i_tys_j:
         idx_ty = T.Sigma("_", idx_ty, tyt)

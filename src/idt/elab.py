@@ -193,7 +193,7 @@ class Elaborator:
             rt = self.check(ctx, e.rhs, lty)
             tyt = ctx.quote(lty)
             try:
-                _, lvl = K.check_is_type(ctx, tyt)
+                lvl = K.type_level(ctx, tyt)
             except KernelError:
                 lvl = 0
             return T.Eq(tyt, lt, rt), V.VSet(lvl)

@@ -134,14 +134,21 @@ def def_eq(ctx: Context, t: Term, u: Term) -> bool:
     return conv(ctx, ctx.eval(t), ctx.eval(u))
 
 
-def check_is_type(ctx: Context, t: Term, max_level: int = 2) -> tuple:
-    """Elaborated types: returns (type-as-value, universe level)."""
+def type_level(ctx: Context, t: Term, max_level: int = 2) -> int:
+    """Check that `t` is a type at a level up to `max_level`; returns that
+    level. The judgment for a type whose value is not needed."""
     ty = infer(ctx, t)
     if not isinstance(ty, V.VSet):
         _err("UniverseMismatch", t, f"expected a type, its type is {show(ctx, ty)}")
     if ty.level > max_level:
         _err("UniverseMismatch", t, f"type lives at level {ty.level}, needed at most {max_level}")
-    return ctx.eval(t), ty.level
+    return ty.level
+
+
+def check_is_type(ctx: Context, t: Term, max_level: int = 2) -> tuple:
+    """Elaborated types: returns (type-as-value, universe level)."""
+    lvl = type_level(ctx, t, max_level)
+    return ctx.eval(t), lvl
 
 
 def _motive_check(ctx: Context, p: Term, want: Value) -> tuple:
@@ -179,12 +186,18 @@ def _const_pi(dom: Value, cod: Value) -> Value:
     return V.VPi("_", dom, V.PyClo(lambda _v: cod))
 
 
-def label_wf(ctx: Context, head: str, args: tuple, argtys: tuple):
+def label_wf(ctx: Context, head: str, args: tuple, argtys: tuple) -> tuple:
+    """Check a label's arguments against their types; returns what `check`
+    gave for each argument (its value when it built one, else None) and the
+    values of their types."""
     if len(args) != len(argtys):
         _err("TypeMismatch", None, f"label {head}: {len(args)} args but {len(argtys)} types")
+    built, tyvs = [], []
     for a, aty in zip(args, argtys):
         atyv, _ = check_is_type(ctx, aty)
-        check(ctx, a, atyv)
+        built.append(check(ctx, a, atyv))
+        tyvs.append(atyv)
+    return built, tuple(tyvs)
 
 
 def infer(ctx: Context, t: Term) -> Value:
@@ -196,7 +209,7 @@ def infer(ctx: Context, t: Term) -> Value:
 
 def _infer_binder(ctx: Context, t) -> Value:
     domv, j = check_is_type(ctx, t.dom)
-    _, k = check_is_type(ctx.extend(t.nm, domv), t.cod)
+    k = type_level(ctx.extend(t.nm, domv), t.cod)
     return V.VSet(max(j, k))
 
 
@@ -271,7 +284,7 @@ def _infer_eqelim(ctx: Context, t: T.EqElim) -> Value:
 
 
 def _infer_idesc(ctx: Context, t: T.IDesc) -> Value:
-    check_is_type(ctx, t.index, max_level=0)
+    type_level(ctx, t.index, max_level=0)
     return V.VSet(1)
 
 
@@ -356,15 +369,14 @@ def _infer_split(ctx: Context, t: T.Split) -> Value:
 
 def _infer_labelty(ctx: Context, t: T.LabelTy) -> Value:
     label_wf(ctx, t.head, t.args, t.argtys)
-    _, lvl = check_is_type(ctx, t.ty)
-    return V.VSet(lvl)
+    return V.VSet(type_level(ctx, t.ty))
 
 
 def _infer_lcall(ctx: Context, t: T.LCall) -> Value:
-    label_wf(ctx, t.head, t.args, t.argtys)
+    built, tyvs = label_wf(ctx, t.head, t.args, t.argtys)
     tyv, _ = check_is_type(ctx, t.ty)
-    lab = V.VLabelTy(t.head, tuple(ctx.eval(a) for a in t.args), tuple(ctx.eval(a) for a in t.argtys), tyv)
-    check(ctx, t.body, lab)
+    argvs = tuple(ctx.eval(a) if v is None else v for a, v in zip(t.args, built))
+    check(ctx, t.body, V.VLabelTy(t.head, argvs, tyvs, tyv))
     return tyv
 
 
@@ -480,8 +492,7 @@ def _check_refl(ctx: Context, t: T.Refl, want: Value) -> Optional[Value]:
 def _check_in(ctx: Context, t: T.In, want: Value) -> Optional[Value]:
     if not isinstance(want, V.VIMu):
         _err("TypeMismatch", t, f"constructor against {show(ctx, want)}")
-    xfam = V.imu_family(want.ixty, want.fam)
-    dv = check(ctx, t.payload, V.vinterp_i(V.vapp_ground(want.fam, want.index), xfam))
+    dv = check(ctx, t.payload, V.payload_type(want.ixty, want.fam, want.index))
     return None if dv is None else V.VIn(dv)
 
 

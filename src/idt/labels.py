@@ -319,10 +319,22 @@ def _ewm_fix(ctx, kind, scrut_name, scrut_v, sty, motive_at) -> EwmResult:
             split = T.App(split, T.Var(0))
         method = T.Lam("i", None, T.Lam("xs", None, T.Lam("h", None, split)))
         return T.IInduction(
-            ctx.quote(ixty), ctx.quote(fam_v), ctx.quote(motive_v), method, ctx.quote(i0), ctx.quote(scrut_v)
+            ctx.quote(ixty), _family_term(ctx, fam_v), ctx.quote(motive_v), method, ctx.quote(i0),
+            ctx.quote(scrut_v),
         )
 
     return EwmResult(subgoals, assemble)
+
+
+def _family_term(ctx: Context, fam: Value) -> Term:
+    """The family of an eliminator over the fix-point of `fam`. A declared
+    datatype's family closure holds its normal form, so when that term reads
+    no variable but its binder, the eliminator shares it instead of reading
+    it back: the kernel then finds the two families equal without opening
+    them."""
+    if type(fam) is V.VLam and type(fam.body) is V.Clo and V.own_binder_only(fam.body):
+        return T.Lam(fam.nm, None, fam.body.term)
+    return ctx.quote(fam)
 
 
 def _walk_args(code: Value, cur: Value, out: List[Slot], interp) -> None:

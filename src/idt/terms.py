@@ -24,7 +24,8 @@ def valid_tag(name: str) -> bool:
 
 
 class Term(Record):
-    __slots__ = ("reads_bound",)  # set by `values._reads_bound` on binder bodies
+    # set on binder bodies by `values._reads_bound` and `values.own_binder_only`
+    __slots__ = ("reads_bound", "reads_outer")
 
 
 class Var(Term):

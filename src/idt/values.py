@@ -13,14 +13,27 @@ datatype without indices is a fix-point at index type `Unit`, interpreted by
 on the exact class of the node (`_EVAL_RULES`, `_QUOTE_RULES`, `_CONV_RULES`):
 one dictionary lookup per node, and a class without an entry is an error.
 
-Two things are computed once instead of per constructor level. A method that
-never reads its inductive hypotheses (a term lambda whose body does not
+Three things are computed once instead of per constructor level. A method
+that never reads its inductive hypotheses (a term lambda whose body does not
 mention its variable, as every `by case` method is) is entered without
 building them, so derived case analysis costs no recursion; whether a body
-reads its variable is remembered on the body term. And `vapp_ground`
-remembers a term closure's value at void or a closed enumeration index on
-the closure itself, so a datatype's code and each constructor's code are
-evaluated once per family, not once per node.
+reads its variable is remembered on the body term. `vapp_ground` remembers
+a term closure's value at void or a closed enumeration index on the closure
+itself, so a datatype's code and each constructor's code are evaluated once
+per family, not once per node; `payload_type` remembers the type of a
+constructor's payload there too, and the codomain of a `'sigma` code's
+interpretation remembers it for each closed tag.
+
+A datatype's code is shared, not copied: a declared datatype's family
+closure holds its normal form, and an eliminator over it puts that very
+term in its family. Two closures over one term that reads no variable but
+its own binder are equal without being opened (`_conv_clo`); whether a term
+reads an outer variable is remembered on it as well.
+
+Only the branch that is taken is evaluated: a `switch` on a known index
+whose cases are a written tuple evaluates the chosen case alone, and a
+`split` of a pair whose method is two written lambdas binds the components
+in the environment of the inner body without building closures.
 
 An elimination is evaluated scrutinee first (`switch`, `split`, `EqElim`'s
 proof, a label call's body). Its enumeration, motive or label is evaluated
@@ -51,7 +64,7 @@ class Value(Record):
 class Clo(Record):
     """Defunctionalized closure: a term body in its environment."""
 
-    __slots__ = ("ground",)  # `vapp_ground`'s memo
+    __slots__ = ("ground", "payloads")  # the memos of `vapp_ground` and `payload_type`
 
     env: tuple
     term: Term
@@ -241,25 +254,53 @@ def vapp(f: Value, a: Value) -> Value:
     raise EvalError(f"cannot apply {type(f).__name__}")
 
 
+def _ground_key(f: Value, a: Value) -> Optional[int]:
+    """The key under which a term closure `f` remembers its value at `a`:
+    -1 for void, k for the closed enumeration index k, None otherwise."""
+    if type(f) is VLam and type(f.body) is Clo:
+        return -1 if type(a) is VVoid else numeral_of(a)
+    return None
+
+
+def _memo(clo: Clo, slot: str) -> dict:
+    """The memo dictionary in `slot` of `clo`, made on first use."""
+    try:
+        return getattr(clo, slot)
+    except AttributeError:
+        memo = {}
+        object.__setattr__(clo, slot, memo)
+        return memo
+
+
 def vapp_ground(f: Value, a: Value) -> Value:
     """`vapp(f, a)` where `a` is void or a closed enumeration index.
 
     The value of a term closure at such an argument depends on nothing else,
     so it is stored on the closure object and lives exactly as long as it.
     """
-    if type(f) is VLam and type(f.body) is Clo:
-        key = -1 if type(a) is VVoid else numeral_of(a)
-        if key is not None:
-            try:
-                memo = f.body.ground
-            except AttributeError:
-                memo = {}
-                object.__setattr__(f.body, "ground", memo)
-            got = memo.get(key)
-            if got is None:
-                got = memo[key] = f.body(a)
-            return got
-    return vapp(f, a)
+    key = _ground_key(f, a)
+    if key is None:
+        return vapp(f, a)
+    memo = _memo(f.body, "ground")
+    got = memo.get(key)
+    if got is None:
+        got = memo[key] = f.body(a)
+    return got
+
+
+def payload_type(ixty: Value, fam: Value, index: Value) -> Value:
+    """The type of the payload of a constructor of `IMu ixty fam index`: the
+    code at `index` interpreted at the family `\\j. IMu ixty fam j`. At void
+    or a closed enumeration index it is stored on the family closure, as
+    `vapp_ground` stores the code."""
+    key = _ground_key(fam, index)
+    if key is None:
+        return vinterp_i(vapp(fam, index), imu_family(ixty, fam))
+    memo = _memo(fam.body, "payloads")
+    got = memo.get(key)
+    if got is None:
+        got = memo[key] = vinterp_i(vapp_ground(fam, index), imu_family(ixty, fam))
+    return got
 
 
 def _reads_bound(t: Term) -> bool:
@@ -271,6 +312,19 @@ def _reads_bound(t: Term) -> bool:
         got = T.occurs(t, 0)
         object.__setattr__(t, "reads_bound", got)
         return got
+
+
+def own_binder_only(clo: Clo) -> bool:
+    """Whether the term of `clo` reads no variable but its own binder, so
+    that its values do not depend on the environment; the answer is stored
+    on the term object, as `_reads_bound`'s is."""
+    t = clo.term
+    try:
+        return not t.reads_outer
+    except AttributeError:
+        got = any(j > 0 for j in T.free_vars(t))
+        object.__setattr__(t, "reads_outer", got)
+        return not got
 
 
 def vapps(f: Value, *args: Value) -> Value:
@@ -342,11 +396,27 @@ def vinterp_i(code: Value, x: Value) -> Value:
         fam, xx = code.fam, x
         return VSigma("s", code.dom, PyClo(lambda s: vinterp_i(vapp(fam, s), xx)))
     if isinstance(code, VDSigmaE):
-        fam, xx = code.fam, x
-        return VSigma("c", VEnumT(code.enum), PyClo(lambda c: vinterp_i(vapp_ground(fam, c), xx)))
+        return VSigma("c", VEnumT(code.enum), PyClo(_tag_codomain(code.fam, x)))
     if isinstance(code, VNeutral):
         return VStuck(T.InterpIDesc, (code, x))
     raise EvalError(f"indexed interp of non-code {type(code).__name__}")
+
+
+def _tag_codomain(fam: Value, x: Value) -> Callable[[Value], Value]:
+    """The codomain of a `'sigma` code's interpretation: the payload type of
+    the constructor at each tag, remembered for each closed tag."""
+    memo: dict = {}
+
+    def cod(c: Value) -> Value:
+        k = numeral_of(c)
+        if k is None:
+            return vinterp_i(vapp_ground(fam, c), x)
+        got = memo.get(k)
+        if got is None:
+            got = memo[k] = vinterp_i(vapp_ground(fam, c), x)
+        return got
+
+    return cod
 
 
 def viall(code: Value, x: Value, p: Value, d: Value) -> Value:
@@ -474,20 +544,32 @@ def eval_term(t: Term, env: tuple) -> Value:
 
 
 def _eval_switch(t: T.Switch, env: tuple) -> Value:
+    """At the index k, only the k-th case of a written tuple is evaluated."""
     scrut = eval_term(t.scrut, env)
-    cases = eval_term(t.cases, env)
     k = numeral_of(scrut)
     if k is None:
+        cases = eval_term(t.cases, env)
         return vswitch(eval_term(t.enum, env), eval_term(t.fam, env), cases, scrut)
+    cases = t.cases
+    while k and type(cases) is T.Pair:
+        cases, k = cases.snd, k - 1
+    if type(cases) is T.Pair:
+        return eval_term(cases.fst, env)
+    cases = eval_term(cases, env)
     for _ in range(k):
         cases = vsnd(cases)
     return vfst(cases)
 
 
 def _eval_split(t: T.Split, env: tuple) -> Value:
+    """A method of two written lambdas takes the pair's components straight
+    into its body's environment."""
     scrut = eval_term(t.scrut, env)
     if type(scrut) is VPair:
-        return vapps(eval_term(t.method, env), scrut.fst, scrut.snd)
+        m = t.method
+        if type(m) is T.Lam and type(m.body) is T.Lam:
+            return eval_term(m.body.body, env + (scrut.fst, scrut.snd))
+        return vapps(eval_term(m, env), scrut.fst, scrut.snd)
     return vsplit(eval_term(t.motive, env), eval_term(t.method, env), scrut)
 
 
@@ -760,7 +842,12 @@ def convertible(a: Value, b: Value, d: int) -> bool:
 
 
 def _conv_clo(f, g, d: int) -> bool:
-    if f is g or (type(f) is Clo and type(g) is Clo and f.term is g.term and f.env is g.env):
+    """Two closures over one term are equal without being opened when they
+    share their environment, or when the term reads no variable but its own
+    binder (a datatype's family, which every `by` block over it shares)."""
+    if f is g or (
+        type(f) is Clo and type(g) is Clo and f.term is g.term and (f.env is g.env or own_binder_only(f))
+    ):
         return True
     x = fresh(d)
     return convertible(f(x), g(x), d + 1)

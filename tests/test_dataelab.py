@@ -408,8 +408,8 @@ def test_definiens_matches_the_two_pass_construction(prelude, seed):
     build = D._build_definiens
     seen = []
 
-    def spy(ctx, decl, p_tys, i_tys, code, n0, k, m):
-        out = build(ctx, decl, p_tys, i_tys, code, n0, k, m)
+    def spy(decl, p_tys, i_tys, code, k, m):
+        out = build(decl, p_tys, i_tys, code, k, m)
         seen.append((definiens_two_pass(decl, p_tys, i_tys, code, k, m), out))
         return out
 

@@ -10,6 +10,7 @@ import pytest
 
 from conftest import CORPUS, context_valid, load_session, nat_value, num_term, read_corpus
 
+from idt import dataelab as D
 from idt import kernel as K
 from idt import labels as L
 from idt import pp
@@ -98,6 +99,22 @@ def test_plus_names_nat():
     assert len(nodes) <= 250, len(nodes)
     assert names_entry(sess, definiens, "Nat")
     assert not any(isinstance(n, T.IMu) for n in nodes)
+
+
+@pytest.mark.parametrize("name", ["Vec", "Vect"])
+def test_a_data_index_type_names_nat(name):
+    # the label's index type `Unit * Nat` reads back naming Nat: Vect's
+    # definiens inlined Nat's code three times, Vec's once
+    sess = Session()
+    for d in S.parse_file(read_corpus("nat_tree_vec.idt")):
+        if d.name == name:
+            break
+        sess.process_decl(d)
+    definiens = D.elab_data(sess.ctx, d).definiens
+    mus = [n for n in term_nodes(definiens) if isinstance(n, T.IMu)]
+    # the datatype's own fix-point, under its parameter and its index
+    assert len(mus) == 1 and mus[0] is definiens.body.body
+    assert names_entry(sess, definiens, "Nat")
 
 
 def test_plus_recheck_makes_a_third_of_the_kernel_calls(monkeypatch):
