@@ -80,54 +80,44 @@ class Session:
         for prop in d.deriving:
             self._derive(d, res, prop)
 
-    def _code_dump(self, res: D.DataResult) -> str:
-        # rebuild the telescope context for printing
-        ctx = self.ctx
+    def _opened_code(self, res: D.DataResult):
+        """The context extended with the parameters and indices of `res`'s
+        datatype, and its code there: the datatype's type and its value are
+        opened at the same fresh variables."""
         info = self.datatypes[res.name]
-        head = res.name
-        tel = ctx
-        names = res.tel_names[1:]
-        # reconstruct binders from the registered type
-        tyv = info.ty_value
-        shown = []
-        for nm in names:
+        tel, tyv, applied = self.ctx, info.ty_value, info.value
+        for nm in res.tel_names[1:]:
             assert isinstance(tyv, V.VPi)
             tel = tel.extend(nm, tyv.dom)
-            tyv = tyv.cod(V.fresh(tel.depth - 1))
-            shown.append(nm)
-        applied = info.value
-        for k in range(res.n_params + res.n_indices):
-            lvl = ctx.depth + k
-            applied = V.vapp(applied, V.fresh(lvl))
+            x = V.fresh(tel.depth - 1)
+            tyv, applied = tyv.cod(x), V.vapp(applied, x)
         assert isinstance(applied, V.VIMu)
-        code_v = V.vapp(applied.fam, applied.index)
-        code_t = V.quote(code_v, tel.depth)
+        return tel, V.vapp(applied.fam, applied.index)
+
+    def _code_dump(self, res: D.DataResult) -> str:
+        tel, code = self._opened_code(res)
+        code_t = V.quote(code, tel.depth)
         binders = "".join(
             f" ({nm})" if i < res.n_params else f" [{nm}]"
-            for i, nm in enumerate(shown)
+            for i, nm in enumerate(res.tel_names[1:])
         )
-        return f"{head}{binders} = {desc.print_code(tel, code_t, unindexed=res.n_indices == 0)}"
+        return f"{res.name}{binders} = {desc.print_code(tel, code_t, unindexed=res.n_indices == 0)}"
 
     def _derive(self, d: S.DataDecl, res: D.DataResult, prop: str):
-        info = self.datatypes[res.name]
         if res.n_indices > 0:
             raise ElabError(
                 "DerivingUnsupported",
                 d.span,
                 f"deriving {prop} is restricted to datatypes without indices",
             )
-        applied = info.value
-        for k in range(res.n_params):
-            applied = V.vapp(applied, V.fresh(self.ctx.depth + k))
-        assert isinstance(applied, V.VIMu)
-        code_v = V.vapp(applied.fam, applied.index)
+        _, code = self._opened_code(res)
         try:
-            artifact = self.registry.derive_for(prop, code_v)
+            artifact = self.registry.derive_for(prop, code)
         except G.GenericsError as e:
             raise ElabError("DerivingUnsupported", d.span, f"{res.name}: {e.msg}") from None
         if prop == "Eq" and res.n_params == 0:
             # a zero-parameter datatype's value is itself the type to compare at
-            self.eq_procs[res.name] = (info.value, artifact)
+            self.eq_procs[res.name] = (self.datatypes[res.name].value, artifact)
 
     def _declare_let(self, d: S.LetDecl):
         if self.ctx.lookup(d.name) is not None:
@@ -156,7 +146,7 @@ class Session:
         el = Elaborator()
         t, ty = el.synth(self.ctx, e)
         if self.recheck:
-            K.check(self.ctx, t, ty)  # synthesis soundness, enforced in debug
+            K.check(self.ctx, t, ty)  # synthesis soundness, checked whenever re-checking is on
         return t, ty
 
     def eval_expr(self, text: str) -> str:

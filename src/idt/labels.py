@@ -9,6 +9,12 @@ at the scrutinee, one subgoal per constructor (hypotheses for `rec`).
 clause head against a label, and `elab_by` takes a clause's `by` step,
 giving each subgoal the one clause whose head matches it.
 
+The by-gadget knows a datatype's code only through `values`: it reads the
+constructors' codes with `vapp_ground`, a branch's hypothesis types are
+`viall` of the codes, and a constructor pattern binds the fields of the
+payload type that `payload_type` memoises, the type that the kernel checks
+the payload against.
+
 The eliminator comes out beta-normal. A branch over a datatype is the
 nested `split` of the constructor's payload around the branch body. The
 walk that binds the payload's components as the body's variables also
@@ -140,24 +146,13 @@ class _BranchShape:
     product's hypothesis (hp).
     """
 
-    def __init__(self, code: Value, knum: int, has_hyp: bool, interp, iall, goal_of, motive_v):
+    def __init__(self, code: Value, knum: int, has_hyp: bool, interp, iall, goal_of):
         self.code0 = code
         self.knum = knum
         self.has_hyp = has_hyp
         self.interp = interp
         self.iall = iall
         self.goal_of = goal_of
-        self.motive_v = motive_v
-
-    def _leaf_hyp_ty(self, code: Value, arg: Value) -> Value:
-        if isinstance(code, V.VDVarI):
-            return V.vapp(self.motive_v, V.VPair(code.index, arg))
-        # exponential: pointwise hypotheses
-        return V.VPi(
-            "s",
-            code.dom,
-            V.PyClo(lambda s: self._leaf_hyp_ty(V.vapp(code.fam, s), V.vapp(arg, s))),
-        )
 
     def rebuild(self, parts: list, tail: Value) -> Value:
         v = tail
@@ -202,11 +197,7 @@ class _BranchShape:
 
         cursor, code = bind("as", self.interp(self.code0)), self.code0
         hv = bind("h", self.iall(code, cursor)) if self.has_hyp else None
-        while True:
-            if _is_leaf(code):
-                if self.has_hyp:
-                    hyp_slots.append(Slot(self._leaf_hyp_ty(code, cursor), hv))
-                break
+        while True:  # a constructor's telescope ends in '1
             if isinstance(code, V.VDOne):
                 break
             if isinstance(code, (V.VDSigma, V.VDSigmaE)):
@@ -214,7 +205,7 @@ class _BranchShape:
                 dom = V.VEnumT(code.enum) if isinstance(code, V.VDSigmaE) else code.dom
                 x = bind(_fam_name(code.fam, "x"), dom)
                 nxt = V.vapp(code.fam, x)
-                if not isinstance(nxt, (V.VDVarI, V.VDPi, V.VDOne, V.VDTimes, V.VDSigma, V.VDSigmaE)):
+                if not isinstance(nxt, (V.VDOne, V.VDTimes, V.VDSigma, V.VDSigmaE)):
                     raise ElabError(
                         "UnsupportedScrutinee", None, "constructor code is not canonical"
                     )
@@ -235,7 +226,7 @@ class _BranchShape:
                 parts.append(x)
                 if self.has_hyp:
                     hp = bind("hp", self.iall(code, V.VPair(x, r)))
-                    hyp_slots.append(Slot(self._leaf_hyp_ty(code.lhs, x), V.vfst(hp)))
+                    hyp_slots.append(Slot(self.iall(code.lhs, x), V.vfst(hp)))
                     hv = V.vsnd(hp)
                 cursor, code = r, code.rhs
                 continue
@@ -253,7 +244,7 @@ class _BranchShape:
 def _ewm_fix(ctx, kind, scrut_name, scrut_v, sty, motive_at) -> EwmResult:
     d = ctx.depth
     ixty, fam_v, i0 = sty.ixty, sty.fam, sty.index
-    code0 = V.vapp(fam_v, i0)
+    code0 = V.vapp_ground(fam_v, i0)
     xfam = V.imu_family(ixty, fam_v)
     if not isinstance(code0, V.VDSigmaE):
         raise ElabError(
@@ -287,19 +278,17 @@ def _ewm_fix(ctx, kind, scrut_name, scrut_v, sty, motive_at) -> EwmResult:
 
     subgoals = []
     for k, tag in enumerate(tags):
-        code_k = V.vapp(code0.fam, V.make_numeral(k))
-        shape = _BranchShape(code_k, k, has_hyp, interp, iall, goal_of, motive_v)
+        code_k = V.vapp_ground(code0.fam, V.make_numeral(k))
+        shape = _BranchShape(code_k, k, has_hyp, interp, iall, goal_of)
         subgoals.append(EwmSubgoal(tag, *shape.plan(d, ctx.quote)))
 
     def assemble(branches: List[Term]) -> Term:
         # iinduction FAM MOT (\i. \xs. \h. split MS (\c. \as. switch E PC BRANCHES c as) xs h) I X,
         # with MS read back under i, xs and h, and E and PC also under c and as
-        iv = V.fresh(d)
-        code_i = V.vapp(fam_v, iv)
-        tfam = code_i.fam if isinstance(code_i, V.VDSigmaE) else code0.fam
+        iv = V.fresh(d)  # `probe` is the code at iv
 
         def pc(c2: Value) -> Value:
-            ck = V.vapp(tfam, c2)
+            ck = V.vapp(probe.fam, c2)
 
             def cod(a2: Value) -> Value:
                 goal = goal_of(V.VIn(V.VPair(c2, a2)), iv)
@@ -309,7 +298,7 @@ def _ewm_fix(ctx, kind, scrut_name, scrut_v, sty, motive_at) -> EwmResult:
 
         def ms(q: Value) -> Value:
             goal = goal_of(V.VIn(q), iv)
-            return V.VPi("hh", iall(code_i, q), V.PyClo(lambda _h: goal)) if has_hyp else goal
+            return V.VPi("hh", iall(probe, q), V.PyClo(lambda _h: goal)) if has_hyp else goal
 
         pcv = V.VLam("c2", V.PyClo(pc))
         switch = T.Switch(ctx.quote(code0.enum, d + 5), ctx.quote(pcv, d + 5), _cases(branches, 5), T.Var(1))
@@ -335,24 +324,6 @@ def _family_term(ctx: Context, fam: Value) -> Term:
     if type(fam) is V.VLam and type(fam.body) is V.Clo and V.own_binder_only(fam.body):
         return T.Lam(fam.nm, None, fam.body.term)
     return ctx.quote(fam)
-
-
-def _walk_args(code: Value, cur: Value, out: List[Slot], interp) -> None:
-    if isinstance(code, V.VDOne):
-        return
-    if isinstance(code, V.VDTimes):
-        _walk_args(code.lhs, V.vfst(cur), out, interp)
-        _walk_args(code.rhs, V.vsnd(cur), out, interp)
-        return
-    if isinstance(code, (V.VDVarI, V.VDPi)):
-        out.append(Slot(interp(code), cur))
-        return
-    if isinstance(code, (V.VDSigma, V.VDSigmaE)):
-        dom = V.VEnumT(code.enum) if isinstance(code, V.VDSigmaE) else code.dom
-        out.append(Slot(dom, V.vfst(cur)))
-        _walk_args(V.vapp(code.fam, V.vfst(cur)), V.vsnd(cur), out, interp)
-        return
-    raise ElabError("UnsupportedScrutinee", None, "constructor code is not canonical")
 
 
 # --- program elaboration --------------------------------------------------------
@@ -552,15 +523,20 @@ def bind_refined(ctx: Context, ctor: str, vars_: tuple, argv: Value, argty: Valu
     knum = V.numeral_of(argv.payload.fst)
     if knum is None:
         return None
-    code0 = V.vapp(argty.fam, argty.index)
+    code0 = V.vapp_ground(argty.fam, argty.index)
     if not isinstance(code0, V.VDSigmaE):
         return None
     tags = V.enum_tags(code0.enum)
     if tags is None or knum >= len(tags) or tags[knum] != ctor:
         return None
-    xfam = V.imu_family(argty.ixty, argty.fam)
+    # the constructor's fields, read off its payload type: a datatype's
+    # constructor telescopes end in '1, so that type is a chain of Sigmas
+    want = V.payload_type(argty.ixty, argty.fam, argty.index).cod(argv.payload.fst)
+    args = argv.payload.snd
     slots: List[Slot] = []
-    _walk_args(V.vapp(code0.fam, V.make_numeral(knum)), argv.payload.snd, slots, lambda c: V.vinterp_i(c, xfam))
+    while isinstance(want, V.VSigma):
+        slots.append(Slot(want.dom, V.vfst(args)))
+        want, args = want.cod(V.vfst(args)), V.vsnd(args)
     if len(slots) != len(vars_):
         return None
     inner = ctx

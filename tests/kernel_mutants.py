@@ -159,6 +159,31 @@ MUTANTS = [
         "        sv, _ = check_is_type(ctx, t.dom)",
     ),
     ("pi/sigma: family unchecked", "        check(ctx, t.fam, _const_pi(sv, want))\n", ""),
+    # the checking rules of the introduction forms, and labels
+    (
+        "lambda: against any type",
+        '    if not isinstance(want, V.VPi):\n        _err("TypeMismatch", t, f"function',
+        '    if False:\n        _err("TypeMismatch", t, f"function',
+    ),
+    (
+        "lambda: annotation ignored",
+        "        annv, _ = check_is_type(ctx, t.ann)\n        if not conv(ctx, annv, want.dom):",
+        "        annv, _ = check_is_type(ctx, t.ann)\n        if False:",
+    ),
+    (
+        "pair: against any type",
+        '    if not isinstance(want, V.VSigma):\n        _err("TypeMismatch", t, f"pair',
+        '    if False:\n        _err("TypeMismatch", t, f"pair',
+    ),
+    (
+        "enum index: into an empty enumeration",
+        "    if not (isinstance(want, V.VEnumT) and isinstance(want.enum, V.VConsE)):",
+        "    if not isinstance(want, V.VEnumT):",
+    ),
+    ("refl: against any type", "    if not isinstance(want, V.VEq):", "    if False:"),
+    ("In: against any type", "    if not isinstance(want, V.VIMu):", "    if False:"),
+    ("return: against any type", "    if not isinstance(want, V.VLabelTy):", "    if False:"),
+    ("label: arity unchecked", "    if len(args) != len(argtys):", "    if False:"),
 ]
 
 

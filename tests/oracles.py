@@ -14,6 +14,10 @@ to the body function. The annotations let the kernel synthesise those
 redexes; the value of the result is what the beta-normal construction
 must match.
 
+`constructor_fields` binds a constructor's fields as `labels.bind_refined`
+did before it read them off `values.payload_type`: by its own walk over the
+constructor's code (`walk_args`).
+
 `definiens_two_pass` builds a datatype's definiens as `dataelab` did
 before it remapped the code in one pass: the code is moved to
 `[ctx, params, j]`, wrapped in the label call and its lambda, and that
@@ -402,6 +406,37 @@ def _ewm_fix(ctx, kind, scrut_name, scrut_v, sty, motive_at) -> L.EwmResult:
         return V.viinduction(ixty, fam_v, motive_v, method, i0, scrut_v)
 
     return L.EwmResult(subgoals, lambda branches: _apply_annotated(ctx, mk, btys, branches))
+
+
+def walk_args(code: Value, cur: Value, out: List[L.Slot], interp) -> None:
+    """The fields of the payload `cur` of a constructor with code `code`,
+    appended to `out` in order, each with its type and its projection."""
+    if isinstance(code, V.VDOne):
+        return
+    if isinstance(code, V.VDTimes):
+        walk_args(code.lhs, V.vfst(cur), out, interp)
+        walk_args(code.rhs, V.vsnd(cur), out, interp)
+        return
+    if isinstance(code, (V.VDVarI, V.VDPi)):
+        out.append(L.Slot(interp(code), cur))
+        return
+    if isinstance(code, (V.VDSigma, V.VDSigmaE)):
+        dom = V.VEnumT(code.enum) if isinstance(code, V.VDSigmaE) else code.dom
+        out.append(L.Slot(dom, V.vfst(cur)))
+        walk_args(V.vapp(code.fam, V.vfst(cur)), V.vsnd(cur), out, interp)
+        return
+    raise ElabError("UnsupportedScrutinee", None, "constructor code is not canonical")
+
+
+def constructor_fields(argv: Value, argty: V.VIMu) -> List[L.Slot]:
+    """The fields of the constructor value `argv = In (k, args)` of type
+    `argty`, walked off the code of its constructor `k`."""
+    code0 = V.vapp(argty.fam, argty.index)
+    xfam = V.imu_family(argty.ixty, argty.fam)
+    code_k = V.vapp(code0.fam, argv.payload.fst)
+    out: List[L.Slot] = []
+    walk_args(code_k, argv.payload.snd, out, lambda c: V.vinterp_i(c, xfam))
+    return out
 
 
 def definiens_two_pass(decl, p_tys: List[Term], i_tys: List[Term], code: Term, k: int, m: int) -> Term:

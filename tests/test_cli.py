@@ -433,6 +433,10 @@ UNREACHED_ERRORS = {
         "data D (A : Set) [n : Nat] : Set where\n  D [A] [n] => c\n",
         "2:5: PatternHeadMismatch: position 0 is a parameter and must repeat the declared variable",
     ),
+    "invalid-constructor-name": (
+        "data T : Set where\n  T => c'\n",
+        "2:8: UnknownTag: invalid constructor name 'c''",
+    ),
     "branch-of-no-constructor": (
         "let f (n : Nat) : Nat where\n  f n by case n {\n"
         "    f zero => zero\n    f (suc m) => m\n    f (foo m) => m\n  }\n",

@@ -192,3 +192,37 @@ def test_rec_after_a_product_agrees_with_the_redex_construction(monkeypatch):
     assert lam_redexes(new) == 0 < lam_redexes(old)
     sess.process_decl(decl)
     assert sess.eval_expr("size (node (node leaf 3 leaf) 2 leaf)") == "7"
+
+
+ORD = (
+    "data Ord : Set where\n"
+    "  Ord => oz\n"
+    "  Ord => olim (g : Nat -> Ord)\n"
+)
+ISZ = (
+    "let isz (o : Ord) : Bool where\n"
+    "  isz o by rec o {\n"
+    "    isz oz => 'true\n"
+    "    isz (olim g) => 'false\n"
+    "  }\n"
+)
+
+
+def test_rec_over_a_function_field_agrees_with_the_redex_construction(monkeypatch):
+    # the hypothesis of `olim g` is pointwise, `(s : Nat) -> motive (g s)`:
+    # the `'Pi` case of `IAll`
+    sess = load_session("prelude.idt")
+    sess.load_text(ORD)
+    (decl,) = S.parse_file(ISZ)
+    new, old = assert_agrees_with_oracle(monkeypatch, sess.ctx, decl)
+    assert lam_redexes(new) == 0 < lam_redexes(old)
+    sess.process_decl(decl)
+    assert sess.eval_expr("isz oz") == "'true"
+    assert sess.eval_expr("isz (olim (\\n. oz))") == "'false"
+    ord_v = sess.datatypes["Ord"].value
+    ctx = sess.ctx.extend("o", ord_v)
+    goal = V.VLabelTy("isz", (ctx.env[-1],), (ord_v,), V.VUnit())
+    _, olim = L.ewm_restricted(ctx, "rec", "o", goal).subgoals
+    (hyp,) = olim.hyp_slots
+    assert isinstance(hyp.ty, V.VPi)
+    assert isinstance(hyp.ty.cod(V.fresh(ctx.depth + len(olim.binders))), V.VLabelTy)

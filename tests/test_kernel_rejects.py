@@ -5,8 +5,9 @@ that exactly one premise of one rule rejects it. The good term must pass
 and the bad one must raise `KernelError` with the pinned kind and message.
 The cases cover the sorts, the universe levels of binders and codes, every
 rule with a motive (`PiE`, `Switch`, `EqElim`, `IAll`, `IAllMap`,
-`iinduction`, `split`), the rules of the code forms and the survivors of
-earlier mutation runs. `tests/kernel_mutants.py` deletes each of these
+`iinduction`, `split`), the rules of the code forms, the checking rules of
+the introduction forms, the arity of a label and the survivors of earlier
+mutation runs. `tests/kernel_mutants.py` deletes each of these
 premises from a copy of `kernel.py` in turn and expects this file to fail.
 """
 
@@ -179,6 +180,21 @@ CASES = [
     ("sigma-domain-is-a-type", T.DSigma(U, lam("x", ONE)), T.DSigma(TT, lam("x", ONE)), IDESC_U, NOT_A_TYPE + "Unit"),
     ("sigma-family", T.DSigma(U, lam("x", ONE)), T.DSigma(U, lam("x", TT)), IDESC_U,
      "TypeMismatch: expected IDesc Unit, got Unit"),
+    # the checking rules of the introduction forms, each against a type of
+    # another former; a Sigma and a Pi have the fields the other rule reads
+    ("lambda-against-non-Pi", T.Pair(TT, TT), lam("x", TT), T.Sigma("x", U, U),
+     "TypeMismatch: function against Unit * Unit"),
+    ("lambda-annotation", lam("x", TT, ann=U), lam("x", TT, ann=T.UId()), T.Pi("x", U, U), ANNOTATION),
+    ("pair-against-non-Sigma", lam("x", TT), T.Pair(TT, TT), T.Pi("x", U, U),
+     "TypeMismatch: pair against Unit -> Unit"),
+    ("enum-index-out-of-range", T.SucE(T.ZeroE()), T.SucE(T.SucE(T.ZeroE())), T.EnumT(AB),
+     "TypeMismatch: enum index against Enum {}"),
+    ("refl-against-non-Eq", TT, T.Refl(), U, "TypeMismatch: refl against Unit"),
+    ("In-against-non-IMu", TT, T.In(TT), U, "TypeMismatch: constructor against Unit"),
+    ("return-against-non-label", TT, T.LRet(TT), U, "TypeMismatch: return against Unit"),
+    # labels: one type per argument
+    ("label-arity", T.LabelTy("f", (TT,), (U,), U), T.LabelTy("f", (TT,), (), U), None,
+     "TypeMismatch: label f: 1 args but 0 types"),
 ]
 
 

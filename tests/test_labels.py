@@ -3,7 +3,10 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import oracles
 from conftest import context_valid, enum, tup, switch_fam, load_session, num_term, read_corpus
 from generators import gen_data_decl
 
@@ -13,6 +16,7 @@ from idt import labels as L
 from idt import surface as S
 from idt import terms as T
 from idt import values as V
+from idt.cli import Session
 from idt.elab import ElabError
 
 
@@ -247,6 +251,41 @@ def test_ewm_assembled_checks_at_goal(sess):
         branches.append(sg.wrap(body))
     out = res.assemble(branches)
     K.check(ctx, out, goal)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_constructor_patterns_bind_the_fields_of_the_code_walk(sess, seed):
+    # property: matching `c vs` against an argument that `by case` refined
+    # to the constructor `c` binds each field, with its type and its value,
+    # as a walk over the constructor's code does
+    decl = gen_data_decl(random.Random(seed), "G")
+    assume(not decl.indices)
+    s = Session(ctx=sess.ctx)
+    s.process_decl(decl)
+    info = s.datatypes["G"]
+    ctx, tyv, applied = s.ctx, info.ty_value, info.value
+    for nm, _ in decl.params:
+        ctx = ctx.extend(nm, tyv.dom)
+        x = V.fresh(ctx.depth - 1)
+        tyv, applied = tyv.cod(x), V.vapp(applied, x)
+    ctx = ctx.extend("x", applied)
+    goal = V.VLabelTy("f", (ctx.env[-1],), (applied,), V.VUnit())
+    for sg in L.ewm_restricted(ctx, "case", "x", goal).subgoals:
+        inner = ctx
+        for nm, ty in sg.binders:
+            inner = inner.extend(nm, ty)
+        (argv,), (argty,) = sg.goal.args, sg.goal.argtys
+        want = oracles.constructor_fields(argv, argty)
+        names = tuple(f"v{j}" for j in range(len(want)))
+        assert L.bind_refined(inner, sg.tag, names + ("extra",), argv, argty) is None
+        got = L.bind_refined(inner, sg.tag, names, argv, argty)
+        assert got.entries[: inner.depth] == inner.entries
+        bound = got.entries[inner.depth :]
+        assert [e.name for e in bound] == list(names)
+        for e, slot in zip(bound, want):
+            assert got.quote(e.ty) == got.quote(slot.ty)
+            assert got.quote(e.val) == got.quote(slot.proj)
 
 
 def test_abstract_subterm():

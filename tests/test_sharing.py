@@ -6,7 +6,8 @@ over it puts that very family term into its eliminator, so the kernel finds
 the two families equal without opening their closures. The payload type of
 a constructor at a ground index is computed once per family, and a written
 tuple of cases or a method of two written lambdas evaluates only what the
-scrutinee selects.
+scrutinee selects. The by-gadget reads a datatype's codes through the same
+memo, so a `by case` evaluates each constructor's code once.
 """
 
 from hypothesis import assume, given, settings
@@ -119,6 +120,19 @@ def test_plus_80_80_evaluates_only_the_branches_taken(monkeypatch):
     assert sess.eval_expr("plus 80 80") == "160"
     # 3,843 when every case of a switch and every split method was evaluated
     assert calls[0] <= 3200, calls[0]
+
+
+def test_a_wide_by_case_evaluates_each_constructor_code_once(monkeypatch):
+    k = 64
+    sess = load_session("prelude.idt")
+    sess.load_text("data W : Set where\n" + "".join(f"  W => c{i} (b : Bool)\n" for i in range(k)))
+    branches = "".join(f"    f (c{i} b) => b\n" for i in range(k))
+    calls = counting(monkeypatch, V, "eval_term")
+    sess.load_text(f"let f (w : W) : Bool where\n  f w by case w {{\n{branches}  }}\n")
+    # 295,595 when the by-gadget applied the family to each tag afresh
+    assert calls[0] <= 25000, calls[0]
+    monkeypatch.undo()
+    assert sess.eval_expr(f"f (c{k - 1} true)") == "'true"
 
 
 def test_a_switch_evaluates_the_chosen_case_only():
