@@ -351,12 +351,8 @@ def elab_data(ctx: Context, decl: S.DataDecl, trace: bool = False) -> DataResult
 
         # declared type and the opaque self binding
         d_ty: Term = T.Set_(0)
-        for tyt in reversed([T.shift(t, 0) for t in i_tys]):
-            d_ty = T.Pi("_", tyt, d_ty)
-        for pos in reversed(range(k)):
-            d_ty = T.Pi(decl.params[pos][0], p_tys[pos], d_ty)
-        # name binders properly
-        d_ty = _pi_rename(d_ty, [nm for nm, _ in decl.params] + [nm for nm, _ in decl.indices])
+        for (nm, _), tyt in reversed(list(zip((*decl.params, *decl.indices), p_tys + i_tys))):
+            d_ty = T.Pi(nm, tyt, d_ty)
         d_ty_v = ctx.eval(d_ty)
         ctx_d = ctx.extend(decl.name, d_ty_v)
 
@@ -395,12 +391,6 @@ def elab_data(ctx: Context, decl: S.DataDecl, trace: bool = False) -> DataResult
         )
 
 
-def _pi_rename(ty: Term, names: list) -> Term:
-    if not names or not isinstance(ty, T.Pi):
-        return ty
-    return T.Pi(names[0], ty.dom, _pi_rename(ty.cod, names[1:]))
-
-
 def _build_definiens(decl, p_tys, i_tys, code, k: int, m: int) -> Term:
     # index tuple type at [ctx, params, indices]; each index type sits one
     # binder below them, there and as a type of the label's arguments. An
@@ -411,7 +401,8 @@ def _build_definiens(decl, p_tys, i_tys, code, k: int, m: int) -> Term:
     for tyt in i_tys_j:
         idx_ty = T.Sigma("_", idx_ty, tyt)
 
-    # code lives at [ctx, D, params, indices]; move it to [ctx, params, indices, j]
+    # code lives at [ctx, D, params, indices]; move it to [ctx, params, indices, j].
+    # `DataElab._positivity` has kept D (at m + k) out of it
     def remap(old: int) -> Term:
         if old < m:
             t: Term = T.Var(0)
@@ -420,10 +411,6 @@ def _build_definiens(decl, p_tys, i_tys, code, k: int, m: int) -> Term:
             return T.Snd(t)
         if old < m + k:
             return T.Var(old + 1)
-        if old == m + k:
-            raise ElabError(
-                "NonPositive", decl.span, "recursive occurrence survived into the code"
-            )
         return T.Var(old)
 
     code_r = T.subst_free(code, remap)

@@ -13,6 +13,10 @@ again: a constructor literal of size n elaborates in O(n). A numeral against
 a datatype shaped like `Nat` skips the constructor rule: one loop builds its
 term and value bottom-up, equal to what the rule gives `suc (… zero)`.
 
+A datatype's code comes only from `dataelab`, so the constructor rule takes
+it to be a `'sigma` over a closed enumeration of constructors, one layer
+more for each `by` block, below that block's constructor `elim`.
+
 The elaborator keeps one stack of the goals in progress, each a judgment
 whose text is formatted only when it is read. A goal pushed with a rule
 name is a derivation step of the paper's judgments (`ElabData`,
@@ -362,8 +366,6 @@ class Elaborator:
                 f"eliminator literal against {K.show(ctx, want)}",
             )
         tags = V.enum_tags(want.dom.enum)
-        if tags is None:
-            self.err("CheckMismatch", e.span, "eliminator literal against an open enumeration")
         given = [tg for tg, _ in e.alts]
         if given != tags:
             self.err(
@@ -443,13 +445,8 @@ class Elaborator:
 
     def _constructor(self, ctx: Context, e, head: S.EVar, args: list, want: Value) -> Checked:
         code = V.vapp_ground(want.fam, want.index)
-        if not isinstance(code, V.VDSigmaE):
-            self.err(
-                "NotAConstructorType",
-                e.span if hasattr(e, "span") else None,
-                lambda: f"the target type does not expose a choice of constructors ({K.show(ctx, want)})",
-            )
-        found = _find_constructor(code, head.name, 4)
+        assert isinstance(code, V.VDSigmaE), "a code is a 'sigma at every index"
+        found = _find_constructor(code, head.name)
         if found is None:
 
             def msg():
@@ -489,12 +486,10 @@ class Elaborator:
                 av = ctx.eval(a)
             rest, rest_v = self._ctor_args(ctx, e, args, want.cod(av))
             return _pair(a, av, rest, rest_v)
-        # terminal non-telescope payload (bare recursive position and friends)
+        # a payload type stuck on its index, such as that of `elim`, the
+        # constructor a `by` clause adds, at an index its block cannot split
         if len(args) == 1:
             return self._check_value(ctx, args[0], want)
-        if not args and isinstance(want, V.VEq):
-            if K.conv(ctx, want.lhs, want.rhs):
-                return T.Refl(), V.VRefl()
         self.err(
             "BadTupleArity",
             _span(e),
@@ -535,7 +530,7 @@ def _nat_paths(want: Value):
     if not (type(want) is V.VIMu and type(want.ixty) is V.VUnit and type(want.index) is V.VVoid):
         return None
     code = V.vapp_ground(want.fam, want.index)
-    zero, suc = _find_constructor(code, "zero", 4), _find_constructor(code, "suc", 4)
+    zero, suc = _find_constructor(code, "zero"), _find_constructor(code, "suc")
     if zero is None or suc is None or type(zero[1]) is not V.VDOne:
         return None
     rec = suc[1]
@@ -570,21 +565,21 @@ def _tagged(tags: list, args_t: Term, args_v: Optional[Value]) -> Checked:
     return T.In(args_t), None if args_v is None else V.VIn(args_v)
 
 
-def _find_constructor(code: Value, name: str, fuel: int):
+def _find_constructor(code: Value, name: str):
     """Position path of a constructor through (possibly layered) tagged
-    codes; computed-style datatypes wrap the choice in an elimination
-    singleton."""
-    if fuel <= 0 or not isinstance(code, V.VDSigmaE):
+    codes, with the constructor's own code: a `by` clause adds a layer, the
+    constructor `elim` whose code is the choice the block makes. Codes are
+    finite, so the search ends; an `elim` at an index the block cannot
+    split has a stuck code and no constructors."""
+    if not isinstance(code, V.VDSigmaE):
         return None
     tags = V.enum_tags(code.enum)
-    if tags is None:
-        return None
     if name in tags:
         k = tags.index(name)
         return [k], V.vapp_ground(code.fam, V.make_numeral(k))
     for k in range(len(tags)):
         sub = V.vapp_ground(code.fam, V.make_numeral(k))
-        got = _find_constructor(sub, name, fuel - 1)
+        got = _find_constructor(sub, name)
         if got is not None:
             return [k] + got[0], got[1]
     return None

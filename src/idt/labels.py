@@ -13,7 +13,11 @@ The by-gadget knows a datatype's code only through `values`: it reads the
 constructors' codes with `vapp_ground`, a branch's hypothesis types are
 `viall` of the codes, and a constructor pattern binds the fields of the
 payload type that `payload_type` memoises, the type that the kernel checks
-the payload against.
+the payload against. It trusts the shape `dataelab` gives every code: a
+`'sigma` over one closed enumeration at every index, each constructor's
+telescope ending in `'1` with only recursive leaves left of `'*`. The one
+code it cannot split is the stuck code of `elim` at an index its block
+cannot split.
 
 The eliminator comes out beta-normal. A branch over a datatype is the
 nested `split` of the constructor's payload around the branch body. The
@@ -91,7 +95,7 @@ def ewm_restricted(ctx: Context, kind: str, scrut_name: str, goal: Value) -> Ewm
     if isinstance(sty, V.VEnumT):
         return _ewm_enum(ctx, kind, scrut_name, scrut_v, sty, motive_at)
     if isinstance(sty, V.VIMu):
-        return _ewm_fix(ctx, kind, scrut_name, scrut_v, sty, motive_at)
+        return _ewm_fix(ctx, kind, scrut_v, sty, motive_at)
     raise ElabError(
         "UnsupportedScrutinee",
         None,
@@ -103,8 +107,7 @@ def _ewm_enum(ctx, kind, scrut_name, scrut_v, sty, motive_at) -> EwmResult:
     if kind != "case":
         raise ElabError("UnsupportedScrutinee", None, "'rec' on an enumeration; use 'case'")
     tags = V.enum_tags(sty.enum)
-    if tags is None:
-        raise ElabError("UnsupportedScrutinee", None, "case on an open enumeration")
+    assert tags is not None, "an enumeration type is closed: the surface cannot name EnumU"
     subgoals = []
     for k, tag in enumerate(tags):
         g = motive_at(V.make_numeral(k))
@@ -124,10 +127,6 @@ def _cases(branches: List[Term], under: int) -> Term:
     for b in reversed(branches):
         out = T.Pair(T.shift(b, under), out)
     return out
-
-
-def _is_leaf(code: Value) -> bool:
-    return isinstance(code, (V.VDVarI, V.VDPi))
 
 
 def _fam_name(fam: Value, default: str) -> str:
@@ -205,21 +204,13 @@ class _BranchShape:
                 dom = V.VEnumT(code.enum) if isinstance(code, V.VDSigmaE) else code.dom
                 x = bind(_fam_name(code.fam, "x"), dom)
                 nxt = V.vapp(code.fam, x)
-                if not isinstance(nxt, (V.VDOne, V.VDTimes, V.VDSigma, V.VDSigmaE)):
-                    raise ElabError(
-                        "UnsupportedScrutinee", None, "constructor code is not canonical"
-                    )
                 r = bind("r", self.interp(nxt))
                 parts.append(x)
                 cursor, code = r, nxt
                 if self.has_hyp:
                     hv = bind("h", self.iall(code, cursor))
                 continue
-            if isinstance(code, V.VDTimes):
-                if not _is_leaf(code.lhs):
-                    raise ElabError(
-                        "UnsupportedScrutinee", None, "unexpected product shape in a code"
-                    )
+            if isinstance(code, V.VDTimes):  # a recursive leaf on the left
                 split(code, cursor, hv)
                 x = bind("x", self.interp(code.lhs))
                 r = bind("r", self.interp(code.rhs))
@@ -241,27 +232,13 @@ class _BranchShape:
         return binders, hyp_slots, goal, wrap
 
 
-def _ewm_fix(ctx, kind, scrut_name, scrut_v, sty, motive_at) -> EwmResult:
+def _ewm_fix(ctx, kind, scrut_v, sty, motive_at) -> EwmResult:
     d = ctx.depth
     ixty, fam_v, i0 = sty.ixty, sty.fam, sty.index
-    code0 = V.vapp_ground(fam_v, i0)
+    code0, probe = V.vapp_ground(fam_v, i0), V.vapp(fam_v, V.fresh(d))
+    assert isinstance(code0, V.VDSigmaE) and isinstance(probe, V.VDSigmaE), "a code is a 'sigma at every index"
     xfam = V.imu_family(ixty, fam_v)
-    if not isinstance(code0, V.VDSigmaE):
-        raise ElabError(
-            "UnsupportedScrutinee",
-            None,
-            f"the type of '{scrut_name}' does not expose a choice of constructors",
-        )
     tags = V.enum_tags(code0.enum)
-    if tags is None:
-        raise ElabError("UnsupportedScrutinee", None, "constructor enumeration is not canonical")
-    probe = V.vapp(fam_v, V.fresh(d))
-    if not (isinstance(probe, V.VDSigmaE) and V.enum_tags(probe.enum) == tags):
-        raise ElabError(
-            "UnsupportedScrutinee",
-            None,
-            "the choice of constructors varies with the index",
-        )
 
     has_hyp = kind == "rec"
 

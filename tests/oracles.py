@@ -144,6 +144,10 @@ def _ewm_enum(ctx, kind, scrut_name, scrut_v, sty, motive_at) -> L.EwmResult:
     return L.EwmResult(subgoals, lambda branches: _apply_annotated(ctx, mk, btys, branches))
 
 
+def _is_leaf(code: Value) -> bool:
+    return isinstance(code, (V.VDVarI, V.VDPi))
+
+
 class _BranchShape:
     """`labels._BranchShape` as it was before it built the branch wrapper
     in its binder walk: `plan` binds the variables (rebinding `h` at every
@@ -191,7 +195,7 @@ class _BranchShape:
         while True:
             if self.has_hyp:
                 hv = bind("h", self.iall(code, cursor))
-            if L._is_leaf(code):
+            if _is_leaf(code):
                 if self.has_hyp:
                     hyp_slots.append(L.Slot(self._leaf_hyp_ty(code, cursor), hv))
                 break
@@ -210,7 +214,7 @@ class _BranchShape:
                 cursor, code = r, nxt
                 continue
             if isinstance(code, V.VDTimes):
-                if not L._is_leaf(code.lhs):
+                if not _is_leaf(code.lhs):
                     raise ElabError(
                         "UnsupportedScrutinee", None, "unexpected product shape in a code"
                     )
@@ -239,7 +243,7 @@ class _BranchShape:
             return after(code, cursor, parts, acc, None)
 
         def after(code, cursor, parts, acc, h):
-            if L._is_leaf(code) or isinstance(code, V.VDOne):
+            if _is_leaf(code) or isinstance(code, V.VDOne):
                 return V.vapps(bf, *acc)
             if isinstance(code, (V.VDSigma, V.VDSigmaE)):
                 meth = V.VLam(

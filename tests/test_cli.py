@@ -437,6 +437,10 @@ UNREACHED_ERRORS = {
         "data T : Set where\n  T => c'\n",
         "2:8: UnknownTag: invalid constructor name 'c''",
     ),
+    "unknown-scrutinee": (
+        "let f (n : Nat) : Nat where\n  f n by case zz {\n    f zero => zero\n  }\n",
+        "2:3: UnsupportedScrutinee: unknown scrutinee 'zz'",
+    ),
     "branch-of-no-constructor": (
         "let f (n : Nat) : Nat where\n  f n by case n {\n"
         "    f zero => zero\n    f (suc m) => m\n    f (foo m) => m\n  }\n",
@@ -452,6 +456,46 @@ def test_located_error_after_the_prelude(tmp_path, src, msg):
     code, out = run_main(["check", corpus_path("prelude.idt"), str(p)])
     assert code == 1
     assert out == f"{p}: error: {msg}\n"
+
+
+# programs over `Vec` of corpus/vec_computed.idt, whose code at an index
+# `n` is stuck on `n` below its one constructor `elim`: the first line
+# `idt check` prints, cut where it would print that code
+COMPUTED_INDEX_ERRORS = {
+    "case-on-a-stuck-code": (
+        "let isNil (A : Set) (n : Nat) (v : Vec A n) : Bool where\n"
+        "  isNil A n v by case v {\n    isNil A n vnil => 'true\n    isNil A n (vcons a vs) => 'false\n  }\n",
+        "2:3: UnsupportedScrutinee: constructor code is not canonical",
+    ),
+    "elim-at-a-stuck-index": (
+        "let f (A : Set) (n : Nat) : Vec A n => elim\n",
+        "1:40: BadTupleArity: constructor arity mismatch (0 argument(s) left for interpI (call <Vec (A) [n]> ",
+    ),
+    "elim-applied-at-a-stuck-index": (
+        "let f (A : Set) (n : Nat) (y : Nat) : Vec A n => elim y\n",
+        "1:55: CheckMismatch: expected interpI (call <Vec (A) [n]> ",
+    ),
+}
+
+
+@pytest.mark.parametrize("src, msg", COMPUTED_INDEX_ERRORS.values(), ids=COMPUTED_INDEX_ERRORS.keys())
+def test_located_error_over_a_computed_index(tmp_path, src, msg):
+    p = tmp_path / "d.idt"
+    p.write_text(src, encoding="utf-8")
+    code, out = run_main(["check", corpus_path("vec_computed.idt"), str(p)])
+    assert code == 1
+    assert out.splitlines()[0].startswith(f"{p}: error: {msg}")
+
+
+def test_eval_parse_error_exit_two():
+    code, out = run_main(["eval", "-e", "plus (", corpus_path("prelude.idt")])
+    assert (code, out) == (2, "<expr>:1:7: error: unexpected token ''\n")
+
+
+def test_repl_skips_blank_lines_and_pins_eq_usage():
+    buf = io.StringIO()
+    assert run_repl([corpus_path("prelude.idt")], stdin=io.StringIO("\n:eq zero\n:q\n"), stdout=buf) == 0
+    assert buf.getvalue().splitlines()[1:] == ["usage: :eq <t1> <t2>"]
 
 
 def test_repl_eq_errors():

@@ -460,6 +460,17 @@ def test_by_depth_limit_is_located(sess, form):
     assert e.span[:2] == leaf
 
 
+@pytest.mark.parametrize("levels", [4, L.MAX_BY_DEPTH])
+def test_a_constructor_under_nested_by_blocks_is_found(levels):
+    # each `by` block is one more `elim` layer of the code above the
+    # constructors of its branches; the search descends all of them
+    text, _ = nested_by("data", levels)
+    s = load_session("prelude.idt")
+    s.load_text(text)
+    s.load_text(f"let x : W{' 0' * levels} => leaf\nlet y : W{' 0' * (levels - 1)} 1 => c{levels - 1}\n")
+    assert s.type_of("x") == "W" + " 0" * levels
+
+
 @pytest.mark.parametrize(
     "clause, span, msg",
     [

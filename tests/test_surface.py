@@ -109,6 +109,14 @@ MALFORMED = [
     ('let f (n : Nat : Nat => n\n', "expected ')', found ':'", (1, 16, 1, 17), [')']),
     ('let f ( : Nat) : Nat => n\n', "expected a name, found ':'", (1, 9, 1, 10), ['NAME']),
     ('let f [n : Nat] : Nat => n\n', "expected ':', found '['", (1, 7, 1, 8), [':']),
+    ("let x : Nat => '\n", "empty tag", (1, 16, 1, 17), []),
+    ('let x : Nat => @\n', "unexpected character '@'", (1, 16, 1, 17), []),
+    ('data D : Set\n  D => c\n', "expected 'where', found '\\n'", (1, 13, 1, 13), ['where']),
+    ('let x : Nat => where\n', "unexpected keyword 'where'", (1, 16, 1, 21), []),
+    ("let x : Enum {'a, ->} => 'a\n", "expected a tag", (1, 19, 1, 21), ['TAG']),
+    ("let f : Bool -> Bool => ['a -> x, 3 -> y]\n", "expected a tag", (1, 35, 1, 36), ['TAG']),
+    ('let x : Nat => )\n', "unexpected token ')'", (1, 16, 1, 17), []),
+    ('foo\n', "expected a declaration, found 'foo'", (1, 1, 1, 4), ['data', 'let']),
 ]
 
 
@@ -118,6 +126,12 @@ def test_malformed_declaration_errors_are_pinned(text, msg, span, expected):
         S.parse_file(text)
     assert (err.value.msg, err.value.span, err.value.expected) == (msg, span, expected)
     assert str(err.value) == f"{span[0]}:{span[1]}: {msg}"
+
+
+def test_trailing_input_after_an_expression_is_pinned():
+    with pytest.raises(S.ParseError) as err:
+        S.parse_expr("x )")
+    assert (err.value.msg, err.value.span, str(err.value)) == ("trailing input ')'", (1, 3, 1, 4), "1:3: trailing input ')'")
 
 
 def test_duplicate_tags_rejected_at_elaboration():
