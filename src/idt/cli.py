@@ -26,11 +26,7 @@ from .kernel import Context, KernelError
 
 
 class DataInfo:
-    def __init__(self, name: str, n_params: int, n_indices: int, tags: list, ty_value: V.Value, value: V.Value):
-        self.name = name
-        self.n_params = n_params
-        self.n_indices = n_indices
-        self.tags = tags
+    def __init__(self, ty_value: V.Value, value: V.Value):
         self.ty_value = ty_value
         self.value = value
 
@@ -70,9 +66,7 @@ class Session:
             # term that `by` blocks over the datatype share
             value = self.ctx.eval(self.ctx.quote(value))
         self.ctx = self.ctx.extend(res.name, tyv, value)
-        self.datatypes[res.name] = DataInfo(
-            res.name, res.n_params, res.n_indices, res.tags, tyv, value
-        )
+        self.datatypes[res.name] = DataInfo(tyv, value)
         if self.show_codes:
             self.emit(self._code_dump(res))
         if self.trace and res.trace is not None:

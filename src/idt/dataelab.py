@@ -4,14 +4,15 @@ A declaration's clauses elaborate against its description label, the
 programming label `<D ps is : IDesc I>` of its parameters and indices (`I`
 pairs the index types), and return the `'sigma` code of their constructors.
 The label is the kernel's label value, `values.VLabelTy`, as for a program:
-its first `n_params` arguments are the parameters, and a clause's index
-constraints travel beside it as (position, surface expression) pairs.
-Constructor argument telescopes become right-nested 'Sigma codes, recursive
-positions become 'varI codes carrying their extracted indices, index
-constraints become trailing equality codes, and a trailing `by` block
-elaborates through `labels.elab_by`, the `by` step programs take too,
-into a `call` of the label; clause heads match through `labels.match_head`
-as program heads do. Declarations without indices run through the same
+its last arguments, one per component of `I`, are the indices and the rest
+the parameters (`labels.param_count`). Clause heads match through
+`labels.match_head` as program heads do, and a clause's index constraints,
+which the match reads off its head, travel beside it as (position, surface
+expression) pairs. Constructor argument telescopes become right-nested
+'Sigma codes, recursive positions become 'varI codes carrying their
+extracted indices, index constraints become trailing equality codes, and a
+trailing `by` block elaborates through `labels.elab_by`, the `by` step
+programs take too, into a `call` of the label. Declarations without indices run through the same
 pipeline with the degenerate Unit index. A `by` clause head constrains no
 index, so a label that is called has no constraint.
 
@@ -39,71 +40,23 @@ from .values import Value
 
 class DataResult:
     def __init__(self, name: str, definiens: Term, ty: Term, n_params: int, n_indices: int,
-                 tel_names: list, tags: list, trace: Optional[TraceNode]):
+                 tel_names: list, trace: Optional[TraceNode]):
         self.name = name
         self.definiens = definiens  # at the outer context
         self.ty = ty
         self.n_params = n_params
         self.n_indices = n_indices
         self.tel_names = tel_names
-        self.tags = tags
         self.trace = trace
-
-
-# --- pattern validation ---------------------------------------------------------
-
-
-def validate_pattern(ctx: Context, n_params: int, goal: V.VLabelTy, head: S.Head):
-    """Match a clause head against the label `goal`, whose first `n_params`
-    arguments are parameters, through `labels.match_head`; returns (the
-    head's constraints as (position, surface expression) pairs, context
-    extended with any constructor-pattern bindings). A parameter position
-    takes a bare name and an index position a bracketed pattern, where
-    `[n = e]` matches as the name `n` and constrains that index to `e`."""
-    if head.name != goal.head:
-        raise ElabError(
-            "PatternHeadMismatch",
-            head.span,
-            f"clause head '{head.name}' does not match the datatype '{goal.head}'",
-        )
-    if len(head.pats) != len(goal.args):
-        raise ElabError(
-            "PatternHeadMismatch",
-            head.span,
-            f"clause head has {len(head.pats)} argument(s); the label has {len(goal.args)}",
-        )
-    pats, constraints = [], []
-    for pos, (pat, argv) in enumerate(zip(head.pats, goal.args)):
-        is_index = pos >= n_params
-        if isinstance(pat, S.PIndex) != is_index:
-            raise ElabError(
-                "PatternHeadMismatch",
-                pat.span,
-                f"index position {pos} must be written in brackets"
-                if is_index
-                else f"position {pos} is a parameter and must repeat the declared variable",
-            )
-        pat = pat.pat if isinstance(pat, S.PIndex) else pat
-        if isinstance(pat, S.PConstraint):
-            # under a by-refinement the index is no longer a variable
-            if not isinstance(argv, V.VVar):
-                raise ElabError(
-                    "PatternHeadMismatch", pat.span, f"refined index position {pos} cannot be constrained"
-                )
-            constraints.append((pos, pat.value))
-            pat = S.PVar(pat.name, span=pat.span)
-        pats.append(pat)
-    return tuple(constraints), L.match_head(ctx, S.Head(head.name, tuple(pats), span=head.span), goal)
 
 
 # --- the judgments -------------------------------------------------------------
 
 
 class DataElab:
-    def __init__(self, el: Elaborator, self_level: int, n_params: int):
+    def __init__(self, el: Elaborator, self_level: int):
         self.el = el
         self.self_level = self_level  # context level of the opaque self binding
-        self.n_params = n_params  # the label's leading parameter arguments
 
     def _self_index(self, ctx: Context) -> int:
         return ctx.depth - 1 - self.self_level
@@ -119,11 +72,11 @@ class DataElab:
     def describe(self, ctx: Context, goal: V.VLabelTy, constraints: tuple = ()) -> str:
         """The label as a clause head writes it: parameters in parentheses,
         indices in brackets, a constrained index as `[n = e]`."""
-        names, constrained = ctx.names(), dict(constraints)
+        names, constrained, n_params = ctx.names(), dict(constraints), L.param_count(goal)
         parts = [goal.head]
         for pos, argv in enumerate(goal.args):
             arg = pp.print_term(ctx.quote(argv), names)
-            if pos < self.n_params:
+            if pos < n_params:
                 parts.append(f"({arg})")
             elif pos in constrained:
                 parts.append(f"[{arg} = {S.print_expr(constrained[pos])}]")
@@ -148,7 +101,7 @@ class DataElab:
                 if isinstance(c.body, S.ByBlock):
                     by_clause = c
                     continue
-                constraints, cctx = match or validate_pattern(ctx, self.n_params, goal, c.head)
+                constraints, cctx = match or L.match_head(ctx, c.head, goal)
                 with self.el.goal(lambda: self.describe(cctx, goal, constraints), "ElabChoices"):
                     tag, code = self.elab_constructor(cctx, c.body, goal, constraints)
                 code = L._inline_defs(cctx, ctx, code)
@@ -179,7 +132,7 @@ class DataElab:
         return T.LRet(T.DSigmaE(enum_t, fam))
 
     def _elab_by(self, ctx: Context, clause: S.Clause, goal: V.VLabelTy, depth: int, match: Optional[tuple]):
-        constraints, cctx = match or validate_pattern(ctx, self.n_params, goal, clause.head)
+        constraints, cctx = match or L.match_head(ctx, clause.head, goal)
         if constraints:
             raise ElabError(
                 "PatternHeadMismatch", clause.head.span, "a 'by' clause head cannot constrain an index"
@@ -195,7 +148,6 @@ class DataElab:
                 goal,
                 depth,
                 lambda c2, cl, g, m: self.elab_data_patts(c2, (cl,), g, depth + 1, m),
-                lambda c2, h, g: validate_pattern(c2, self.n_params, g, h),
             )
         # the eliminated goal is label-typed; the call returns its code
         label = cctx.quote(goal)
@@ -285,9 +237,10 @@ class DataElab:
                     f"the datatype takes {len(goal.args)}",
                 )
             is_tm: Term = T.Void()
+            n_params = L.param_count(goal)
             for pos, (arg, argv, tyv) in enumerate(zip(app_args, goal.args, goal.argtys)):
                 at_ = self.el.check(ctx, arg, tyv)
-                if pos < self.n_params:
+                if pos < n_params:
                     if not K.conv(ctx, ctx.eval(at_), argv):
                         raise ElabError(
                             "PatternHeadMismatch",
@@ -375,7 +328,7 @@ def elab_data(ctx: Context, decl: S.DataDecl, trace: bool = False) -> DataResult
             index_ty = V.VSigma("_", index_ty, V.PyClo(lambda _v, ity=e.ty: ity))
         goal = V.VLabelTy(decl.name, tel_ctx.env[n0 + 1:], tuple(e.ty for e in tel), V.VIDesc(index_ty))
 
-        de = DataElab(el, n0, k)
+        de = DataElab(el, n0)
         code = de.elab_data_patts(tel_ctx, decl.clauses, goal)
 
         definiens = _build_definiens(decl, p_tys, i_tys, code, k, m)
@@ -386,7 +339,6 @@ def elab_data(ctx: Context, decl: S.DataDecl, trace: bool = False) -> DataResult
             n_params=k,
             n_indices=m,
             tel_names=[decl.name] + [nm for nm, _ in decl.params] + [nm for nm, _ in decl.indices],
-            tags=pp._enum_tags(code.val.enum),  # the code is `return {tags} F`
             trace=el.root,
         )
 

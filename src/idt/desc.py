@@ -84,7 +84,7 @@ def _fam(fam: Value, depth: int, names: list, unindexed: bool) -> str:
 def _term(v: Value, depth: int, names: list, unindexed: bool) -> str:
     """A value inside a code, printed as an atom."""
     t = V.quote(v, depth)
-    return _atomize(pp.print_term(_desc_view(t) if unindexed else t, names))
+    return pp.print_term(_desc_view(t) if unindexed else t, names, pp.ATOM)
 
 
 _DESC = pp.Notation("Desc")
@@ -106,11 +106,3 @@ def _desc_view(t: Term) -> Term:
 
     return T.map_term(t, visit)
 
-
-def _atomize(s: str) -> str:
-    if s and (s[0] in "([{'\\" or " " not in s):
-        # already atomic or self-delimiting
-        if " " in s and s[0] not in "([{":
-            return f"({s})"
-        return s
-    return f"({s})"

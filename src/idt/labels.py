@@ -7,7 +7,11 @@ at the scrutinee, one subgoal per constructor (hypotheses for `rec`).
 
 `data` clauses share the two steps around a label: `match_head` reads a
 clause head against a label, and `elab_by` takes a clause's `by` step,
-giving each subgoal the one clause whose head matches it.
+giving each subgoal the one clause whose head matches it. A datatype's
+description label `<D ps is : IDesc I>` says by its type which arguments
+are indices (`param_count`), so `match_head` applies the rules of a `data`
+head there itself: bare parameters, bracketed indices and `[n = e]`
+constraints.
 
 The by-gadget knows a datatype's code only through `values`: it reads the
 constructors' codes with `vapp_ground`, a branch's hypothesis types are
@@ -135,103 +139,6 @@ def _fam_name(fam: Value, default: str) -> str:
     return default
 
 
-class _BranchShape:
-    """The nested-split decomposition of one constructor's payload.
-
-    Constructor arguments become real variables via dependent pair splits;
-    for `rec`, the inductive-hypothesis tuple threads through the split
-    motives. A level's hypothesis is bound (h) after the payload and after
-    a field; after a recursive argument it is the second component of the
-    product's hypothesis (hp).
-    """
-
-    def __init__(self, code: Value, knum: int, has_hyp: bool, interp, iall, goal_of):
-        self.code0 = code
-        self.knum = knum
-        self.has_hyp = has_hyp
-        self.interp = interp
-        self.iall = iall
-        self.goal_of = goal_of
-
-    def rebuild(self, parts: list, tail: Value) -> Value:
-        v = tail
-        for x in reversed(parts):
-            v = V.VPair(x, v)
-        return self.goal_of(V.VIn(V.VPair(V.make_numeral(self.knum), v)))
-
-    def plan(self, d: int, quote: Callable[[Value, int], Term]):
-        """Fresh-variable walk from depth `d`: binder specs, hypothesis
-        slots, refined goal, and the branch wrapper. The wrapper is built
-        as the binders are, one lambda per binder and one split per level
-        read back with `quote` at its depth; `wrap(body)` puts it around a
-        body elaborated under the binders."""
-        binders: list = []
-        hyp_slots: List[Slot] = []
-        parts: list = []  # the payload's fields and recursive arguments so far
-        frames: list = []  # fn(term inside) -> term, outermost first
-
-        def bind(name: str, tyv: Value) -> Value:
-            v = V.fresh(d + len(binders))
-            binders.append((name, tyv))
-            frames.append(lambda t: T.Lam(name, None, t))
-            return v
-
-        def split(code: Value, cursor: Value, h: Optional[Value]) -> None:
-            # the motive rebuilds the goal from the parts so far; for `rec`
-            # it also takes this level's hypothesis, and the split is
-            # applied to `h`
-            dd = d + len(binders)
-
-            def motive(p: Value) -> Value:
-                if self.has_hyp:
-                    return V.VPi("h", self.iall(code, p), V.PyClo(lambda _h: self.rebuild(parts, p)))
-                return self.rebuild(parts, p)
-
-            mot, cur = quote(V.VLam("p", V.PyClo(motive)), dd), quote(cursor, dd)
-            if self.has_hyp:
-                ht = quote(h, dd)
-                frames.append(lambda t: T.App(T.Split(mot, t, cur), ht))
-            else:
-                frames.append(lambda t: T.Split(mot, t, cur))
-
-        cursor, code = bind("as", self.interp(self.code0)), self.code0
-        hv = bind("h", self.iall(code, cursor)) if self.has_hyp else None
-        while True:  # a constructor's telescope ends in '1
-            if isinstance(code, V.VDOne):
-                break
-            if isinstance(code, (V.VDSigma, V.VDSigmaE)):
-                split(code, cursor, hv)
-                dom = V.VEnumT(code.enum) if isinstance(code, V.VDSigmaE) else code.dom
-                x = bind(_fam_name(code.fam, "x"), dom)
-                nxt = V.vapp(code.fam, x)
-                r = bind("r", self.interp(nxt))
-                parts.append(x)
-                cursor, code = r, nxt
-                if self.has_hyp:
-                    hv = bind("h", self.iall(code, cursor))
-                continue
-            if isinstance(code, V.VDTimes):  # a recursive leaf on the left
-                split(code, cursor, hv)
-                x = bind("x", self.interp(code.lhs))
-                r = bind("r", self.interp(code.rhs))
-                parts.append(x)
-                if self.has_hyp:
-                    hp = bind("hp", self.iall(code, V.VPair(x, r)))
-                    hyp_slots.append(Slot(self.iall(code.lhs, x), V.vfst(hp)))
-                    hv = V.vsnd(hp)
-                cursor, code = r, code.rhs
-                continue
-            raise ElabError("UnsupportedScrutinee", None, "constructor code is not canonical")
-        goal = self.rebuild(parts, cursor)
-
-        def wrap(body: Term) -> Term:
-            for frame in reversed(frames):
-                body = frame(body)
-            return body
-
-        return binders, hyp_slots, goal, wrap
-
-
 def _ewm_fix(ctx, kind, scrut_v, sty, motive_at) -> EwmResult:
     d = ctx.depth
     ixty, fam_v, i0 = sty.ixty, sty.fam, sty.index
@@ -253,11 +160,90 @@ def _ewm_fix(ctx, kind, scrut_v, sty, motive_at) -> EwmResult:
     def iall(code: Value, x: Value) -> Value:
         return V.viall(code, xfam, motive_v, x)
 
-    subgoals = []
-    for k, tag in enumerate(tags):
-        code_k = V.vapp_ground(code0.fam, V.make_numeral(k))
-        shape = _BranchShape(code_k, k, has_hyp, interp, iall, goal_of)
-        subgoals.append(EwmSubgoal(tag, *shape.plan(d, ctx.quote)))
+    def rebuild(knum: int, parts: list, tail: Value) -> Value:
+        v = tail
+        for x in reversed(parts):
+            v = V.VPair(x, v)
+        return goal_of(V.VIn(V.VPair(V.make_numeral(knum), v)))
+
+    def plan(tag: str, knum: int, code: Value) -> EwmSubgoal:
+        """The subgoal of constructor `knum`, whose payload has the code
+        `code`, by a walk of fresh variables from depth `d`.
+
+        Constructor arguments become real variables via dependent pair
+        splits; for `rec`, the inductive-hypothesis tuple threads through
+        the split motives. A level's hypothesis is bound (h) after the
+        payload and after a field; after a recursive argument it is the
+        second component of the product's hypothesis (hp). The branch
+        wrapper is built as the binders are, one lambda per binder and one
+        split per level read back at its depth; `wrap(body)` puts it around
+        a body elaborated under the binders."""
+        binders: list = []
+        hyp_slots: List[Slot] = []
+        parts: list = []  # the payload's fields and recursive arguments so far
+        frames: list = []  # fn(term inside) -> term, outermost first
+
+        def bind(name: str, tyv: Value) -> Value:
+            v = V.fresh(d + len(binders))
+            binders.append((name, tyv))
+            frames.append(lambda t: T.Lam(name, None, t))
+            return v
+
+        def split(code: Value, cursor: Value, h: Optional[Value]) -> None:
+            # the motive rebuilds the goal from the parts so far; for `rec`
+            # it also takes this level's hypothesis, and the split is
+            # applied to `h`
+            dd = d + len(binders)
+
+            def motive(p: Value) -> Value:
+                if has_hyp:
+                    return V.VPi("h", iall(code, p), V.PyClo(lambda _h: rebuild(knum, parts, p)))
+                return rebuild(knum, parts, p)
+
+            mot, cur = ctx.quote(V.VLam("p", V.PyClo(motive)), dd), ctx.quote(cursor, dd)
+            if has_hyp:
+                ht = ctx.quote(h, dd)
+                frames.append(lambda t: T.App(T.Split(mot, t, cur), ht))
+            else:
+                frames.append(lambda t: T.Split(mot, t, cur))
+
+        cursor = bind("as", interp(code))
+        hv = bind("h", iall(code, cursor)) if has_hyp else None
+        while True:  # a constructor's telescope ends in '1
+            if isinstance(code, V.VDOne):
+                break
+            if isinstance(code, (V.VDSigma, V.VDSigmaE)):
+                split(code, cursor, hv)
+                dom = V.VEnumT(code.enum) if isinstance(code, V.VDSigmaE) else code.dom
+                x = bind(_fam_name(code.fam, "x"), dom)
+                nxt = V.vapp(code.fam, x)
+                r = bind("r", interp(nxt))
+                parts.append(x)
+                cursor, code = r, nxt
+                if has_hyp:
+                    hv = bind("h", iall(code, cursor))
+                continue
+            if isinstance(code, V.VDTimes):  # a recursive leaf on the left
+                split(code, cursor, hv)
+                x = bind("x", interp(code.lhs))
+                r = bind("r", interp(code.rhs))
+                parts.append(x)
+                if has_hyp:
+                    hp = bind("hp", iall(code, V.VPair(x, r)))
+                    hyp_slots.append(Slot(iall(code.lhs, x), V.vfst(hp)))
+                    hv = V.vsnd(hp)
+                cursor, code = r, code.rhs
+                continue
+            raise ElabError("UnsupportedScrutinee", None, "constructor code is not canonical")
+
+        def wrap(body: Term) -> Term:
+            for frame in reversed(frames):
+                body = frame(body)
+            return body
+
+        return EwmSubgoal(tag, binders, hyp_slots, rebuild(knum, parts, cursor), wrap)
+
+    subgoals = [plan(tag, k, V.vapp_ground(code0.fam, V.make_numeral(k))) for k, tag in enumerate(tags)]
 
     def assemble(branches: List[Term]) -> Term:
         # iinduction FAM MOT (\i. \xs. \h. split MS (\c. \as. switch E PC BRANCHES c as) xs h) I X,
@@ -346,13 +332,12 @@ def elab_define(ctx: Context, decl: S.LetDecl, el: Optional[Elaborator] = None):
 
 
 def _elab_clause(
-    ctx: Context, el: Elaborator, clause: S.Clause, goal: V.VLabelTy, depth: int, ctx2: Optional[Context] = None
+    ctx: Context, el: Elaborator, clause: S.Clause, goal: V.VLabelTy, depth: int, match: Optional[tuple] = None
 ) -> Term:
-    """A clause at `goal`; `ctx2`, when given, is its head's match, which
+    """A clause at `goal`; `match`, when given, is its head's match, which
     the `by` step that chose the clause has made."""
     with el.goal(lambda: f"realizing the programming goal {K.show(ctx, goal)}"):
-        if ctx2 is None:
-            ctx2 = match_head(ctx, clause.head, goal)
+        _, ctx2 = match or match_head(ctx, clause.head, goal)
         if isinstance(clause.body, S.ByBlock):
             out = elab_by(
                 ctx2,
@@ -361,22 +346,20 @@ def _elab_clause(
                 goal,
                 depth,
                 lambda c, cl, g, m: _elab_clause(c, el, cl, g, depth + 1, m),
-                match_head,
             )
         else:
             out = T.LRet(el.check(ctx2, clause.body, goal.ty))
         return _inline_defs(ctx2, ctx, out)
 
 
-def elab_by(ctx: Context, by: S.ByBlock, span, goal: V.VLabelTy, depth: int, recurse, validate) -> Term:
+def elab_by(ctx: Context, by: S.ByBlock, span, goal: V.VLabelTy, depth: int, recurse) -> Term:
     """The `by` step of a clause at `goal`, `depth` blocks deep: the
     eliminator of `by.var`, with each subgoal's branch elaborated by
     `recurse(ctx, clause, goal, match)` from the one clause whose head
-    `validate(ctx, head, goal)` accepts, `match` being what it returned
-    (it raises on a mismatch), and constructor arguments bound as real
-    variables. When no clause matches, the message gives the first
-    clause's reason. Errors without a place of their own are located at
-    `span`."""
+    `match_head` accepts, `match` being what it returned, and constructor
+    arguments bound as real variables. When no clause matches, the message
+    gives the first clause's reason. Errors without a place of their own
+    are located at `span`."""
     try:
         res = ewm_restricted(ctx, by.kind, by.var, goal)
     except ElabError as e:
@@ -396,7 +379,7 @@ def elab_by(ctx: Context, by: S.ByBlock, span, goal: V.VLabelTy, depth: int, rec
         matched, reasons = [], []
         for c in remaining:
             try:
-                matched.append((c, validate(inner, c.head, sg.goal)))
+                matched.append((c, match_head(inner, c.head, sg.goal)))
             except ElabError as e:
                 reasons.append(e.msg)
         if len(matched) != 1:
@@ -436,26 +419,52 @@ def _inline_defs(inner: Context, outer: Context, body: Term) -> Term:
     return T.subst_free(body, lambda j: dterms[j] if j < ndefs else T.Var(j - ndefs))
 
 
-def match_head(ctx: Context, head: S.Head, goal: V.VLabelTy) -> Context:
+def param_count(goal: V.VLabelTy) -> Optional[int]:
+    """How many of a description label's arguments are parameters: the
+    label `<D ps is : IDesc I>` ends in one index per component of `I`
+    (`Unit` has none, `I * J` one more than `I`). None at a program's
+    label."""
+    if not isinstance(goal.ty, V.VIDesc):
+        return None
+    i, n = goal.ty.index, 0
+    while isinstance(i, V.VSigma):
+        i, n = i.dom, n + 1
+    return len(goal.args) - n
+
+
+def match_head(ctx: Context, head: S.Head, goal: V.VLabelTy) -> tuple:
     """Match a clause head against a label, position by position: a name
     matches the argument that the name in scope stands for, or a nullary
     constructor or enumeration tag the argument is refined to; `c xs`
     matches an argument refined to the constructor `c` and binds `xs` to
-    its arguments. Returns the context extended with those bindings."""
+    its arguments. At a description label a parameter position takes a
+    bare name and an index position a bracketed pattern, where `[n = e]`
+    matches as the name `n` and constrains that index to `e`. Returns (the
+    head's constraints as (position, surface expression) pairs, the context
+    extended with the bindings)."""
+    n_params = param_count(goal)
+    # a `data` head keeps its own wording
+    what, sep = ("label", ",") if n_params is None else ("datatype", ";")
     if head.name != goal.head:
         raise ElabError(
             "PatternHeadMismatch",
             head.span,
-            f"clause head '{head.name}' does not match the label '{goal.head}'",
+            f"clause head '{head.name}' does not match the {what} '{goal.head}'",
         )
     if len(head.pats) != len(goal.args):
         raise ElabError(
             "PatternHeadMismatch",
             head.span,
-            f"clause head has {len(head.pats)} argument(s), the label has {len(goal.args)}",
+            f"clause head has {len(head.pats)} argument(s){sep} the label has {len(goal.args)}",
         )
+    pats, constraints = head.pats, []
+    if n_params is not None:
+        pats = [
+            _unbracket(pos, pat, argv, pos >= n_params, constraints)
+            for pos, (pat, argv) in enumerate(zip(head.pats, goal.args))
+        ]
     inner = ctx
-    for pos, (pat, argv, argty) in enumerate(zip(head.pats, goal.args, goal.argtys)):
+    for pos, (pat, argv, argty) in enumerate(zip(pats, goal.args, goal.argtys)):
         if isinstance(pat, S.PVar):
             hit = inner.lookup(pat.name)
             if hit is not None and K.conv(inner, inner.env[inner.depth - 1 - hit[0]], argv):
@@ -478,7 +487,33 @@ def match_head(ctx: Context, head: S.Head, goal: V.VLabelTy) -> Context:
                     f"constructor pattern '{pat.ctor}' does not match argument {pos}",
                 )
         inner = got
-    return inner
+    return tuple(constraints), inner
+
+
+def _unbracket(pos: int, pat, argv: Value, is_index: bool, constraints: list):
+    """The pattern that a `data` head's pattern at `pos` matches as: an
+    index's bracketed pattern, with `[n = e]` read as `n` and its constraint
+    added to `constraints`, or a parameter's bare name."""
+    if isinstance(pat, S.PIndex) != is_index:
+        raise ElabError(
+            "PatternHeadMismatch",
+            pat.span,
+            f"index position {pos} must be written in brackets"
+            if is_index
+            else f"position {pos} is a parameter and must repeat the declared variable",
+        )
+    if not is_index:
+        return pat
+    pat = pat.pat
+    if isinstance(pat, S.PConstraint):
+        # under a by-refinement the index is no longer a variable
+        if not isinstance(argv, V.VVar):
+            raise ElabError(
+                "PatternHeadMismatch", pat.span, f"refined index position {pos} cannot be constrained"
+            )
+        constraints.append((pos, pat.value))
+        return S.PVar(pat.name, span=pat.span)
+    return pat
 
 
 def _matches_enum_tag(name: str, val: Value, tyv: Value) -> bool:
@@ -497,12 +532,9 @@ def bind_refined(ctx: Context, ctor: str, vars_: tuple, argv: Value, argty: Valu
     differs."""
     if not (isinstance(argv, V.VIn) and isinstance(argv.payload, V.VPair) and isinstance(argty, V.VIMu)):
         return None
-    knum = V.numeral_of(argv.payload.fst)
-    if knum is None:
-        return None
-    code0 = V.vapp_ground(argty.fam, argty.index)
-    if not isinstance(code0, V.VDSigmaE):
-        return None
+    knum, code0 = V.numeral_of(argv.payload.fst), V.vapp_ground(argty.fam, argty.index)
+    assert knum is not None, "a `by` step refines an argument to a constructor tag's numeral"
+    assert isinstance(code0, V.VDSigmaE), "a code is a 'sigma at every index"
     tags = V.enum_tags(code0.enum)
     if tags is None or knum >= len(tags) or tags[knum] != ctor:
         return None

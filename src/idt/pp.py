@@ -72,8 +72,10 @@ class Notation(Term):
     text: str
 
 
-def print_term(t: Term, names: list) -> str:
-    return _pt(t, list(names), ARROW)
+def print_term(t: Term, names: list, prec: int = ARROW) -> str:
+    """`t` under `names`, in parentheses unless it binds at least as tightly
+    as `prec` (`ATOM` for an argument, `ARROW`, the default, for none)."""
+    return _pt(t, list(names), prec)
 
 
 def _index_count(ty: Term):

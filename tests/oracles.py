@@ -149,10 +149,11 @@ def _is_leaf(code: Value) -> bool:
 
 
 class _BranchShape:
-    """`labels._BranchShape` as it was before it built the branch wrapper
-    in its binder walk: `plan` binds the variables (rebinding `h` at every
-    level), and `build` walks the code again for the wrapper's value,
-    applying a body function to the binder values in plan order."""
+    """The branch walk of `labels._ewm_fix`, then a class of its own, as it
+    was before it built the branch wrapper in its binder walk: `plan`
+    binds the variables (rebinding `h` at every level), and `build` walks
+    the code again for the wrapper's value, applying a body function to
+    the binder values in plan order."""
 
     def __init__(self, code: Value, knum: int, has_hyp: bool, interp, iall, goal_of, motive_v):
         self.code0 = code

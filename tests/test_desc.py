@@ -349,3 +349,23 @@ def test_print_code_desc_view_of_nested_codes():
         " (\\n. '1)"
     )
     assert "IDesc Unit" in desc.print_code(ctx0(), nested_nat)
+
+
+def test_print_code_parenthesises_dependent_and_arrow_domains():
+    # a field's type is printed as an argument of 'Sigma, so a dependent or
+    # arrow type is parenthesised even when its text starts with one
+    ctx = ctx0().extend("A", V.VSet(0))
+    dep = T.Pi("n", T.Var(0), T.Eq(T.Var(1), T.Var(0), T.Var(0)))
+    arrow = T.Pi("_", T.Pi("_", T.Var(0), T.Var(1)), T.Var(1))
+    for ty, want in ((dep, "(n : A) -> n == n"), (arrow, "(A -> A) -> A")):
+        code = T.DSigma(ty, T.Lam("f", ty, T.DOne()))
+        assert desc.print_code(ctx, code) == f"'Sigma ({want}) (\\f. '1)"
+
+
+def test_show_codes_parenthesises_a_dependent_field_type():
+    s = load_session("nat_tree_vec.idt", show_codes=True)
+    s.out.clear()
+    s.load_text("data P : Set where\n  P => mk (f : (n : Nat) -> n == n)\n")
+    (dump,) = s.out
+    assert dump.startswith("P = 'sigma {mk} [mk -> 'Sigma ((n : IMu (\\j. 'sigma {'zero, 'suc} ")
+    assert dump.endswith(" ()) -> n == n) (\\f. '1)]")

@@ -392,6 +392,16 @@ def _load(corpus_file: str) -> Session:
     return s
 
 
+def _data_decls(corpus_file: str) -> dict:
+    """The first `data` declaration of each name in `corpus_file`, the one
+    that a Session registers."""
+    found = {}
+    for d in S.parse_file(read_corpus(corpus_file)):
+        if isinstance(d, S.DataDecl):
+            found.setdefault(d.name, d)
+    return found
+
+
 def _index_free_datatypes():
     """(corpus file, name) of each datatype without indices that a Session
     registers from the corpus, once per name."""
@@ -399,8 +409,9 @@ def _index_free_datatypes():
     for f in sorted(os.listdir(CORPUS)):
         if not f.endswith(".idt"):
             continue
-        for name, info in _load(f).datatypes.items():
-            if info.n_indices == 0:
+        decls = _data_decls(f)
+        for name in _load(f).datatypes:
+            if not decls[name].indices:
                 found.setdefault(name, f)
     return sorted((f, name) for name, f in found.items())
 
@@ -420,9 +431,8 @@ def registered(corpus_file: str, name: str):
         s.load_text("let Bool : Set => Enum {'true, 'false}")
     ctx = s.ctx
     boolv = ctx.eval(T.Var(ctx.lookup("Bool")[0]))
-    info = s.datatypes[name]
-    applied = info.value
-    for _ in range(info.n_params):
+    applied = s.datatypes[name].value
+    for _ in _data_decls(corpus_file)[name].params:
         applied = V.vapp(applied, boolv)
     assert isinstance(applied, V.VIMu) and isinstance(applied.ixty, V.VUnit)
     return ctx, applied
