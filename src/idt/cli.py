@@ -1,5 +1,8 @@
 """Driver: file checking, the declaration pipeline, evaluation and the REPL.
 
+A `Session` keeps what it declares only in its context. `:eq` compares two
+closed values of a datatype with a derived `Eq` by conversion.
+
 `main` may be called any number of times in one process; it builds its
 command-line parser at the first call and reuses it after that.
 """
@@ -25,12 +28,6 @@ from .elab import ElabError, Elaborator, _nat_paths
 from .kernel import Context, KernelError
 
 
-class DataInfo:
-    def __init__(self, ty_value: V.Value, value: V.Value):
-        self.ty_value = ty_value
-        self.value = value
-
-
 class Session:
     def __init__(self, recheck: bool = True, trace: bool = False, show_codes: bool = False,
                  ctx: Optional[Context] = None):
@@ -38,9 +35,8 @@ class Session:
         self.trace = trace
         self.show_codes = show_codes
         self.ctx = Context() if ctx is None else ctx
-        self.datatypes = {}
         self.registry = G.DerivingRegistry()
-        self.eq_procs = {}
+        self.eq_procs = []  # the types with a derived `Eq`
         self.out = []
 
     def emit(self, line: str):
@@ -66,7 +62,6 @@ class Session:
             # term that `by` blocks over the datatype share
             value = self.ctx.eval(self.ctx.quote(value))
         self.ctx = self.ctx.extend(res.name, tyv, value)
-        self.datatypes[res.name] = DataInfo(tyv, value)
         if self.show_codes:
             self.emit(self._code_dump(res))
         if self.trace and res.trace is not None:
@@ -78,8 +73,8 @@ class Session:
         """The context extended with the parameters and indices of `res`'s
         datatype, and its code there: the datatype's type and its value are
         opened at the same fresh variables."""
-        info = self.datatypes[res.name]
-        tel, tyv, applied = self.ctx, info.ty_value, info.value
+        _, entry = self.ctx.lookup(res.name)
+        tel, tyv, applied = self.ctx, entry.ty, entry.val
         for nm in res.tel_names[1:]:
             assert isinstance(tyv, V.VPi)
             tel = tel.extend(nm, tyv.dom)
@@ -106,12 +101,12 @@ class Session:
             )
         _, code = self._opened_code(res)
         try:
-            artifact = self.registry.derive_for(prop, code)
+            self.registry.derive_for(prop, code)
         except G.GenericsError as e:
             raise ElabError("DerivingUnsupported", d.span, f"{res.name}: {e.msg}") from None
         if prop == "Eq" and res.n_params == 0:
             # a zero-parameter datatype's value is itself the type to compare at
-            self.eq_procs[res.name] = (self.datatypes[res.name].value, artifact)
+            self.eq_procs.append(self.ctx.lookup(res.name)[1].val)
 
     def _declare_let(self, d: S.LetDecl):
         if self.ctx.lookup(d.name) is not None:
@@ -186,35 +181,30 @@ class Session:
         return None
 
     def eq_command(self, t1: str, t2: str) -> str:
+        """Decide whether two closed values of a type with a derived `Eq`
+        are equal: they are when they are convertible. An expression that
+        does not synthesise its type is tried at each such type in turn."""
         el = Elaborator()
         e1, e2 = S.parse_expr(t1), S.parse_expr(t2)
-        ty = None
         try:
             tm1, ty = el.synth(self.ctx, e1)
         except ElabError:
-            tm1 = None
-        if ty is None:
-            for name, (tyv, _) in self.eq_procs.items():
+            ty = None
+        for tyv in self.eq_procs:
+            if ty is None:
                 try:
-                    tm1 = el.check(self.ctx, e1, tyv)
-                    ty = tyv
-                    break
+                    tm1, ty = el.check(self.ctx, e1, tyv), tyv
                 except ElabError:
                     continue
-        if ty is None:
-            raise ElabError("CannotSynthesize", None, "cannot determine a type; annotate with (e : T)")
-        proc = None
-        for name, (tyv, p) in self.eq_procs.items():
             if K.conv(self.ctx, tyv, ty):
-                proc = p
                 break
-        if proc is None:
-            raise ElabError(
-                "DerivingUnsupported", None, "no derived equality registered for this type"
-            )
+        else:
+            if ty is None:
+                raise ElabError("CannotSynthesize", None, "cannot determine a type; annotate with (e : T)")
+            raise ElabError("DerivingUnsupported", None, "no derived equality registered for this type")
         tm2 = el.check(self.ctx, e2, ty)
         a, b = self.ctx.eval(tm1), self.ctx.eval(tm2)
-        return "equal" if proc(a, b) else "not-equal"
+        return "equal" if K.conv(self.ctx, a, b) else "not-equal"
 
 
 def _after_tags(payload: V.Value, path: list) -> Optional[V.Value]:

@@ -325,7 +325,7 @@ def elab_data(ctx: Context, decl: S.DataDecl, trace: bool = False) -> DataResult
         tel = tel_ctx.entries[n0 + 1:]
         index_ty: Value = V.VUnit()
         for e in tel[k:]:
-            index_ty = V.VSigma("_", index_ty, V.PyClo(lambda _v, ity=e.ty: ity))
+            index_ty = V.VSigma("_", index_ty, lambda _v, ity=e.ty: ity)
         goal = V.VLabelTy(decl.name, tel_ctx.env[n0 + 1:], tuple(e.ty for e in tel), V.VIDesc(index_ty))
 
         de = DataElab(el, n0)

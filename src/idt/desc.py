@@ -59,26 +59,23 @@ def _pc(v: Value, depth: int, names: list, prec: int, unindexed: bool) -> str:
         return f"({s})" if prec >= 2 else s
     if isinstance(v, V.VDSigmaE):
         view = sigma_view(v)
-        if view is not None:
-            tags, codes = view
-            alts = ", ".join(f"{t} -> {_pc(c, depth, names, 1, unindexed)}" for t, c in zip(tags, codes))
-            s = "'sigma {" + ",".join(tags) + "} [" + alts + "]"
-            return f"({s})" if prec >= 2 else s
-        s = f"'sigma {_term(v.enum, depth, names, unindexed)} {_fam(v.fam, depth, names, unindexed)}"
+        assert view is not None, "dataelab builds every 'sigma over an enumeration literal"
+        tags, codes = view
+        alts = ", ".join(f"{t} -> {_pc(c, depth, names, 1, unindexed)}" for t, c in zip(tags, codes))
+        s = "'sigma {" + ",".join(tags) + "} [" + alts + "]"
         return f"({s})" if prec >= 2 else s
     # neutral or exotic: fall back to the generic term printer
     return _term(v, depth, names, unindexed)
 
 
 def _fam(fam: Value, depth: int, names: list, unindexed: bool) -> str:
-    if isinstance(fam, V.VLam):
-        nm = fam.nm or "_"
-        if nm != "_":
-            while nm in names:
-                nm = nm + "'"
-        body = _pc(fam.body(V.fresh(depth)), depth + 1, names + [nm], 1, unindexed)
-        return f"(\\{nm}. {body})"
-    return _term(fam, depth, names, unindexed)
+    assert isinstance(fam, V.VLam), "dataelab builds every 'Pi and 'Sigma family as a lambda"
+    nm = fam.nm or "_"
+    if nm != "_":
+        while nm in names:
+            nm = nm + "'"
+    body = _pc(fam.body(V.fresh(depth)), depth + 1, names + [nm], 1, unindexed)
+    return f"(\\{nm}. {body})"
 
 
 def _term(v: Value, depth: int, names: list, unindexed: bool) -> str:

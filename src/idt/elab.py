@@ -35,7 +35,7 @@ from . import kernel as K
 from . import surface as S
 from . import terms as T
 from . import values as V
-from .kernel import Context, KernelError
+from .kernel import Context
 from .terms import Term
 from .values import Value
 
@@ -182,8 +182,6 @@ class Elaborator:
             codt, _, k = self.elab_type(ctx.extend(e.name, domv), e.cod)
             return T.Sigma(e.name, domt, codt), V.VSet(max(j, k))
         if isinstance(e, S.ESet):
-            if e.level >= 2:
-                self.err("CannotSynthesize", e.span, "the top universe has no type")
             return T.Set_(e.level), V.VSet(e.level + 1)
         if isinstance(e, S.EUnit):
             return T.Unit(), V.VSet(0)
@@ -196,11 +194,7 @@ class Elaborator:
                 self.err("CannotSynthesize", e.span, "propositional equality is between values")
             rt = self.check(ctx, e.rhs, lty)
             tyt = ctx.quote(lty)
-            try:
-                lvl = K.type_level(ctx, tyt)
-            except KernelError:
-                lvl = 0
-            return T.Eq(tyt, lt, rt), V.VSet(lvl)
+            return T.Eq(tyt, lt, rt), V.VSet(K.type_level(ctx, tyt))
         if isinstance(e, S.ETag):
             return T.Tag(e.name), V.VUId()
         if isinstance(e, S.EParen):
@@ -414,6 +408,7 @@ class Elaborator:
         return self._check(ctx, expanded, want)
 
     def _tuple(self, ctx: Context, e, items: list, want: Value) -> Checked:
+        """The tuple `items` against `want`, a Sigma or a Unit type."""
         if isinstance(want, V.VUnit):
             if not items:
                 return T.Void(), V.VVoid()
@@ -425,23 +420,21 @@ class Elaborator:
                 e.span,
                 f"{len(items)} component(s) left over against Unit",
             )
-        if isinstance(want, V.VSigma):
-            if not items:
-                self.err("BadTupleArity", e.span, "missing components against a pair type")
-            a, av = self._check_value(ctx, items[0], want.dom)
-            if av is None:
-                av = ctx.eval(a)
-            rest_want = want.cod(av)
-            if len(items) == 1 and not isinstance(rest_want, (V.VSigma, V.VUnit)):
-                self.err("BadTupleArity", e.span, "missing component against a pair type")
-            if len(items) >= 2 and not isinstance(rest_want, (V.VSigma, V.VUnit)):
-                if len(items) != 2:
-                    self.err("BadTupleArity", e.span, "too many components")
-                b, bv = self._check_value(ctx, items[1], rest_want)
-            else:
-                b, bv = self._tuple(ctx, e, items[1:], rest_want)
-            return _pair(a, av, b, bv)
-        self.err("CheckMismatch", e.span, f"tuple against {K.show(ctx, want)}")
+        if not items:
+            self.err("BadTupleArity", e.span, "missing components against a pair type")
+        a, av = self._check_value(ctx, items[0], want.dom)
+        if av is None:
+            av = ctx.eval(a)
+        rest_want = want.cod(av)
+        if len(items) == 1 and not isinstance(rest_want, (V.VSigma, V.VUnit)):
+            self.err("BadTupleArity", e.span, "missing component against a pair type")
+        if len(items) >= 2 and not isinstance(rest_want, (V.VSigma, V.VUnit)):
+            if len(items) != 2:
+                self.err("BadTupleArity", e.span, "too many components")
+            b, bv = self._check_value(ctx, items[1], rest_want)
+        else:
+            b, bv = self._tuple(ctx, e, items[1:], rest_want)
+        return _pair(a, av, b, bv)
 
     def _constructor(self, ctx: Context, e, head: S.EVar, args: list, want: Value) -> Checked:
         code = V.vapp_ground(want.fam, want.index)

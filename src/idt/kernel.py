@@ -111,9 +111,6 @@ class Context:
     def eval(self, t: Term) -> Value:
         return V.eval_term(t, self.env)
 
-    def __repr__(self):
-        return f"Context({', '.join(e.name for e in self.entries)})"
-
 
 def normalize(ctx: Context, t: Term) -> Term:
     return V.quote(ctx.eval(t), ctx.depth)
@@ -179,11 +176,11 @@ def _motive_check(ctx: Context, p: Term, want: Value) -> tuple:
 
 
 def _pi_to(dom: Value, mk_cod) -> Value:
-    return V.VPi("x", dom, V.PyClo(mk_cod))
+    return V.VPi("x", dom, mk_cod)
 
 
 def _const_pi(dom: Value, cod: Value) -> Value:
-    return V.VPi("_", dom, V.PyClo(lambda _v: cod))
+    return V.VPi("_", dom, lambda _v: cod)
 
 
 def label_wf(ctx: Context, head: str, args: tuple, argtys: tuple) -> tuple:
@@ -312,7 +309,7 @@ def _all_motive(ctx: Context, t) -> tuple:
     ixty = _code_index_type(ctx, t.code)
     check(ctx, t.fam, _const_pi(ixty, V.VSet(0)))
     xv = ctx.eval(t.fam)
-    sig = V.VSigma("i", ixty, V.PyClo(lambda i: V.vapp(xv, i)))
+    sig = V.VSigma("i", ixty, lambda i: V.vapp(xv, i))
     pv, k = _motive_check(ctx, t.motive, _const_pi(sig, V.VSet(0)))
     return ixty, xv, pv, k
 
@@ -342,7 +339,7 @@ def _infer_iinduction(ctx: Context, t: T.IInduction) -> Value:
     check(ctx, t.fam, _const_pi(iv, V.VIDesc(iv)))
     rv = ctx.eval(t.fam)
     xfam = V.imu_family(iv, rv)
-    sig = V.VSigma("i", iv, V.PyClo(lambda j: V.VIMu(iv, rv, j)))
+    sig = V.VSigma("i", iv, lambda j: V.VIMu(iv, rv, j))
     pv, _ = _motive_check(ctx, t.motive, _const_pi(sig, V.VSet(0)))
     method_ty = _pi_to(
         iv,

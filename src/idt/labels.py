@@ -116,7 +116,7 @@ def _ewm_enum(ctx, kind, scrut_name, scrut_v, sty, motive_at) -> EwmResult:
     for k, tag in enumerate(tags):
         g = motive_at(V.make_numeral(k))
         subgoals.append(EwmSubgoal(tag, [], [], g, lambda body: body))
-    motive_v = V.VLam(scrut_name, V.PyClo(motive_at))
+    motive_v = V.VLam(scrut_name, motive_at)
 
     def assemble(branches: List[Term]) -> Term:
         # switch E MOT BRANCHES x
@@ -149,7 +149,7 @@ def _ewm_fix(ctx, kind, scrut_v, sty, motive_at) -> EwmResult:
 
     has_hyp = kind == "rec"
 
-    motive_v = V.VLam("p", V.PyClo(lambda p: motive_at(V.vsnd(p))))
+    motive_v = V.VLam("p", lambda p: motive_at(V.vsnd(p)))
 
     def goal_of(v: Value, i: Value = i0) -> Value:
         return V.vapp(motive_v, V.VPair(i, v))
@@ -197,10 +197,10 @@ def _ewm_fix(ctx, kind, scrut_v, sty, motive_at) -> EwmResult:
 
             def motive(p: Value) -> Value:
                 if has_hyp:
-                    return V.VPi("h", iall(code, p), V.PyClo(lambda _h: rebuild(knum, parts, p)))
+                    return V.VPi("h", iall(code, p), lambda _h: rebuild(knum, parts, p))
                 return rebuild(knum, parts, p)
 
-            mot, cur = ctx.quote(V.VLam("p", V.PyClo(motive)), dd), ctx.quote(cursor, dd)
+            mot, cur = ctx.quote(V.VLam("p", motive), dd), ctx.quote(cursor, dd)
             if has_hyp:
                 ht = ctx.quote(h, dd)
                 frames.append(lambda t: T.App(T.Split(mot, t, cur), ht))
@@ -255,18 +255,18 @@ def _ewm_fix(ctx, kind, scrut_v, sty, motive_at) -> EwmResult:
 
             def cod(a2: Value) -> Value:
                 goal = goal_of(V.VIn(V.VPair(c2, a2)), iv)
-                return V.VPi("h2", iall(ck, a2), V.PyClo(lambda _h2: goal)) if has_hyp else goal
+                return V.VPi("h2", iall(ck, a2), lambda _h2: goal) if has_hyp else goal
 
-            return V.VPi("a2", interp(ck), V.PyClo(cod))
+            return V.VPi("a2", interp(ck), cod)
 
         def ms(q: Value) -> Value:
             goal = goal_of(V.VIn(q), iv)
-            return V.VPi("hh", iall(probe, q), V.PyClo(lambda _h: goal)) if has_hyp else goal
+            return V.VPi("hh", iall(probe, q), lambda _h: goal) if has_hyp else goal
 
-        pcv = V.VLam("c2", V.PyClo(pc))
+        pcv = V.VLam("c2", pc)
         switch = T.Switch(ctx.quote(code0.enum, d + 5), ctx.quote(pcv, d + 5), _cases(branches, 5), T.Var(1))
         step = T.Lam("c", None, T.Lam("as", None, T.App(switch, T.Var(0))))
-        split: Term = T.Split(ctx.quote(V.VLam("q", V.PyClo(ms)), d + 3), step, T.Var(1))
+        split: Term = T.Split(ctx.quote(V.VLam("q", ms), d + 3), step, T.Var(1))
         if has_hyp:
             split = T.App(split, T.Var(0))
         method = T.Lam("i", None, T.Lam("xs", None, T.Lam("h", None, split)))
@@ -471,7 +471,7 @@ def match_head(ctx: Context, head: S.Head, goal: V.VLabelTy) -> tuple:
                 continue
             if _matches_enum_tag(pat.name, argv, argty):
                 continue
-            got = bind_refined(inner, pat.name, (), argv, argty)
+            got = bind_refined(inner, pat.name, (), argv, argty, pat.span)
             if got is None:
                 raise ElabError(
                     "PatternHeadMismatch",
@@ -479,7 +479,7 @@ def match_head(ctx: Context, head: S.Head, goal: V.VLabelTy) -> tuple:
                     f"pattern variable '{pat.name}' does not match argument {pos} of the label",
                 )
         else:
-            got = bind_refined(inner, pat.ctor, pat.vars, argv, argty)
+            got = bind_refined(inner, pat.ctor, pat.vars, argv, argty, pat.span)
             if got is None:
                 raise ElabError(
                     "PatternHeadMismatch",
@@ -525,11 +525,11 @@ def _matches_enum_tag(name: str, val: Value, tyv: Value) -> bool:
     return tags is not None and k is not None and k < len(tags) and tags[k] == name
 
 
-def bind_refined(ctx: Context, ctor: str, vars_: tuple, argv: Value, argty: Value) -> Optional[Context]:
-    """Match the pattern `ctor vars` against a by-refined label argument
-    `In (k, args)`: the context with `vars` bound to the constructor's
-    arguments, or None when the constructor or the number of variables
-    differs."""
+def bind_refined(ctx: Context, ctor: str, vars_: tuple, argv: Value, argty: Value, span) -> Optional[Context]:
+    """Match the pattern `ctor vars` at `span` against a by-refined label
+    argument `In (k, args)`: the context with `vars` bound to the
+    constructor's arguments, or None when the constructor differs. A wrong
+    number of variables is an error."""
     if not (isinstance(argv, V.VIn) and isinstance(argv.payload, V.VPair) and isinstance(argty, V.VIMu)):
         return None
     knum, code0 = V.numeral_of(argv.payload.fst), V.vapp_ground(argty.fam, argty.index)
@@ -547,7 +547,7 @@ def bind_refined(ctx: Context, ctor: str, vars_: tuple, argv: Value, argty: Valu
         slots.append(Slot(want.dom, V.vfst(args)))
         want, args = want.cod(V.vfst(args)), V.vsnd(args)
     if len(slots) != len(vars_):
-        return None
+        raise ElabError("PatternHeadMismatch", span, f"constructor '{ctor}' takes {len(slots)} argument(s)")
     inner = ctx
     for nm, slot in zip(vars_, slots):
         inner = inner.extend(nm, slot.ty, slot.proj)

@@ -62,7 +62,8 @@ class Value(Record):
 
 
 class Clo(Record):
-    """Defunctionalized closure: a term body in its environment."""
+    """Defunctionalized closure: a term body in its environment. The
+    builtin iota rules close over values with plain Python functions."""
 
     __slots__ = ("ground", "payloads")  # the memos of `vapp_ground` and `payload_type`
 
@@ -71,18 +72,6 @@ class Clo(Record):
 
     def __call__(self, v: Value) -> Value:
         return eval_term(self.term, self.env + (v,))
-
-
-class PyClo:
-    """Host-language closure, used by the builtin iota rules."""
-
-    __slots__ = ("fn",)
-
-    def __init__(self, fn: Callable[[Value], Value]):
-        self.fn = fn
-
-    def __call__(self, v: Value) -> Value:
-        return self.fn(v)
 
 
 class VSet(Value):
@@ -355,7 +344,7 @@ def vswitch(enum: Value, fam: Value, cases: Value, scrut: Value) -> Value:
     if isinstance(scrut, VSucE) and isinstance(enum, VConsE):
         return vswitch(
             enum.rest,
-            VLam("k", PyClo(lambda k: vapp(fam, VSucE(k)))),
+            VLam("k", lambda k: vapp(fam, VSucE(k))),
             vsnd(cases),
             scrut.pred,
         )
@@ -372,9 +361,9 @@ def vpie(enum: Value, fam: Value) -> Value:
         return VUnit()
     if isinstance(enum, VConsE):
         head = vapp(fam, VZeroE())
-        rest_fam = VLam("k", PyClo(lambda k: vapp(fam, VSucE(k))))
+        rest_fam = VLam("k", lambda k: vapp(fam, VSucE(k)))
         rest = enum.rest
-        return VSigma("_", head, PyClo(lambda _v: vpie(rest, rest_fam)))
+        return VSigma("_", head, lambda _v: vpie(rest, rest_fam))
     if isinstance(enum, VNeutral):
         return VStuck(T.PiE, (enum, fam))
     raise EvalError("pi-enum on non-enumeration")
@@ -388,15 +377,15 @@ def vinterp_i(code: Value, x: Value) -> Value:
     if isinstance(code, VDTimes):
         left = vinterp_i(code.lhs, x)
         rhs, xx = code.rhs, x
-        return VSigma("_", left, PyClo(lambda _v: vinterp_i(rhs, xx)))
+        return VSigma("_", left, lambda _v: vinterp_i(rhs, xx))
     if isinstance(code, VDPi):
         fam, xx = code.fam, x
-        return VPi("s", code.dom, PyClo(lambda s: vinterp_i(vapp(fam, s), xx)))
+        return VPi("s", code.dom, lambda s: vinterp_i(vapp(fam, s), xx))
     if isinstance(code, VDSigma):
         fam, xx = code.fam, x
-        return VSigma("s", code.dom, PyClo(lambda s: vinterp_i(vapp(fam, s), xx)))
+        return VSigma("s", code.dom, lambda s: vinterp_i(vapp(fam, s), xx))
     if isinstance(code, VDSigmaE):
-        return VSigma("c", VEnumT(code.enum), PyClo(_tag_codomain(code.fam, x)))
+        return VSigma("c", VEnumT(code.enum), _tag_codomain(code.fam, x))
     if isinstance(code, VNeutral):
         return VStuck(T.InterpIDesc, (code, x))
     raise EvalError(f"indexed interp of non-code {type(code).__name__}")
@@ -427,10 +416,10 @@ def viall(code: Value, x: Value, p: Value, d: Value) -> Value:
     if isinstance(code, VDTimes):
         left = viall(code.lhs, x, p, vfst(d))
         rhs, rest = code.rhs, vsnd(d)
-        return VSigma("_", left, PyClo(lambda _v, xx=x, pp=p: viall(rhs, xx, pp, rest)))
+        return VSigma("_", left, lambda _v, xx=x, pp=p: viall(rhs, xx, pp, rest))
     if isinstance(code, VDPi):
         fam, xx, pp, dd = code.fam, x, p, d
-        return VPi("s", code.dom, PyClo(lambda s: viall(vapp(fam, s), xx, pp, vapp(dd, s))))
+        return VPi("s", code.dom, lambda s: viall(vapp(fam, s), xx, pp, vapp(dd, s)))
     if isinstance(code, (VDSigma, VDSigmaE)):
         return viall(vapp_ground(code.fam, vfst(d)), x, p, vsnd(d))
     if isinstance(code, VNeutral):
@@ -450,7 +439,7 @@ def viallmap(code: Value, x: Value, p: Value, rec: Value, d: Value) -> Value:
         )
     if isinstance(code, VDPi):
         fam, xx, pp, rr, dd = code.fam, x, p, rec, d
-        return VLam("s", PyClo(lambda s: viallmap(vapp(fam, s), xx, pp, rr, vapp(dd, s))))
+        return VLam("s", lambda s: viallmap(vapp(fam, s), xx, pp, rr, vapp(dd, s)))
     if isinstance(code, (VDSigma, VDSigmaE)):
         return viallmap(vapp_ground(code.fam, vfst(d)), x, p, rec, vsnd(d))
     if isinstance(code, VNeutral):
@@ -461,7 +450,7 @@ def viallmap(code: Value, x: Value, p: Value, rec: Value, d: Value) -> Value:
 def imu_family(ixty: Value, fam: Value) -> Value:
     """The family `\\j. IMu ixty fam j` that the recursive positions of the
     codes of `fam` interpret to."""
-    return VLam("j", PyClo(lambda j: VIMu(ixty, fam, j)))
+    return VLam("j", lambda j: VIMu(ixty, fam, j))
 
 
 def viinduction(ixty: Value, fam: Value, p: Value, m: Value, i: Value, x: Value) -> Value:
@@ -472,7 +461,7 @@ def viinduction(ixty: Value, fam: Value, p: Value, m: Value, i: Value, x: Value)
             return step.body(VVoid())
         rec = VLam(
             "i",
-            PyClo(lambda i2: VLam("x", PyClo(lambda v: viinduction(ixty, fam, p, m, i2, v)))),
+            lambda i2: VLam("x", lambda v: viinduction(ixty, fam, p, m, i2, v)),
         )
         hyp = viallmap(vapp_ground(fam, i), imu_family(ixty, fam), p, rec, x.payload)
         return vapp(step, hyp)

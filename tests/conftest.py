@@ -207,8 +207,15 @@ def unit_mu(code):
     return T.IMu(T.Unit(), unit_fam(code), T.Void())
 
 
+def datatype(sess: Session, name: str) -> K.Entry:
+    """The context entry of the datatype `name` declared in `sess`: its type
+    `.ty` and its value `.val`."""
+    _, entry = sess.ctx.lookup(name)
+    return entry
+
+
 def nat_value(sess: Session):
-    return sess.datatypes["Nat"].value
+    return datatype(sess, "Nat").val
 
 
 def num_term(k: int) -> T.Term:

@@ -49,13 +49,11 @@ def _tagged(ctx: Context, ty: Term) -> V.VIMu:
 def _eliminate(mu: V.VIMu, p: Value, method, x: Value) -> Value:
     """Induction on `x : mu` into the motive `p` over `mu`, where
     `method(d, h)` gives the result for `In d` from the hypotheses `h`."""
-    motive = V.VLam("q", V.PyClo(lambda q: V.vapp(p, V.vsnd(q))))
+    motive = V.VLam("q", lambda q: V.vapp(p, V.vsnd(q)))
     m = V.VLam(
         "i",
-        V.PyClo(
-            lambda _i: V.VLam(
-                "d", V.PyClo(lambda d: V.VLam("h", V.PyClo(lambda h, dd=d: method(dd, h))))
-            )
+        lambda _i: V.VLam(
+            "d", lambda d: V.VLam("h", lambda h, dd=d: method(dd, h))
         ),
     )
     return V.viinduction(mu.ixty, mu.fam, motive, m, mu.index, x)
@@ -72,23 +70,19 @@ def derive_case(ctx: Context, ty: Term):
 
     case_v = V.VLam(
         "P",
-        V.PyClo(
-            lambda p: V.VLam(
-                "m",
-                V.PyClo(
-                    lambda m: V.VLam(
-                        "x", V.PyClo(lambda x: _eliminate(mu, p, lambda dd, _h: V.vapp(m, dd), x))
-                    )
-                ),
-            )
+        lambda p: V.VLam(
+            "m",
+            lambda m: V.VLam(
+                "x", lambda x: _eliminate(mu, p, lambda dd, _h: V.vapp(m, dd), x)
+            ),
         ),
     )
-    p_ty = V.VPi("_", mu, V.PyClo(lambda _v: V.VSet(0)))
+    p_ty = V.VPi("_", mu, lambda _v: V.VSet(0))
     pn = V.fresh(d)
 
     def m_ty_of(p: Value) -> Value:
         return V.VPi(
-            "d", V.vinterp_i(code, xfam), V.PyClo(lambda dd: V.vapp(p, V.VIn(dd)))
+            "d", V.vinterp_i(code, xfam), lambda dd: V.vapp(p, V.VIn(dd))
         )
 
     term = V.quote(case_v, d)
@@ -115,11 +109,11 @@ def derive_case(ctx: Context, ty: Term):
 
 
 def _lam(nm: str, body) -> Value:
-    return V.VLam(nm, V.PyClo(body))
+    return V.VLam(nm, body)
 
 
 def _arrow(dom: Value, cod: Value) -> Value:
-    return V.VPi("_", dom, V.PyClo(lambda _v: cod))
+    return V.VPi("_", dom, lambda _v: cod)
 
 
 def _set_lam(k: int) -> Value:
@@ -188,7 +182,7 @@ def specialize_no_confusion(ctx: Context, name: str, ty: Term):
         cases: Value = V.VVoid()
         for k in reversed(range(n)):
             cases = V.VPair(case(k), cases)
-        motive = _lam("c", lambda c: V.VPi("a", payload_ty(c), V.PyClo(lambda a: result(c, a))))
+        motive = _lam("c", lambda c: V.VPi("a", payload_ty(c), lambda a: result(c, a)))
         return V.vapp(V.vswitch(code.enum, motive, cases, V.vfst(dx)), V.vsnd(dx))
 
     def set1(_c: Value, _a: Value) -> Value:
@@ -196,9 +190,9 @@ def specialize_no_confusion(ctx: Context, name: str, ty: Term):
 
     def statement(k: int, j: int, ax: Value, ay: Value) -> Value:
         if k != j:
-            return V.VPi("P", V.VSet(0), V.PyClo(lambda p: p))
+            return V.VPi("P", V.VSet(0), lambda p: p)
         eq = V.VEq(payload_ty(V.make_numeral(k)), ax, ay)
-        return V.VPi("P", V.VSet(0), V.PyClo(lambda p: _arrow(_arrow(eq, p), p)))
+        return V.VPi("P", V.VSet(0), lambda p: _arrow(_arrow(eq, p), p))
 
     def nc_body(dx: Value, dy: Value) -> Value:
         return on_tag(dx, set1, lambda k: _lam("ax", lambda ax: on_tag(

@@ -2,6 +2,8 @@
 
 import random
 
+from conftest import datatype
+
 from idt import kernel as K
 from idt import surface as S
 from idt import terms as T
@@ -16,7 +18,7 @@ class TermGen:
         self.sess = sess
         self.rng = random.Random(seed)
         self.ctx = sess.ctx
-        self.nat = sess.datatypes["Nat"].value
+        self.nat = datatype(sess, "Nat").val
         ix, entry = self.ctx.lookup("plus")
         self.plus_ix = ix
         self.bool_enum = V.VConsE(V.VTag("tt"), V.VConsE(V.VTag("ff"), V.VNilE()))
@@ -35,7 +37,7 @@ class TermGen:
         return opts
 
     def _const(self, v):
-        return V.PyClo(lambda _x: v)
+        return lambda _x: v
 
     def pick_type(self, depth: int) -> V.Value:
         return self.rng.choice(self.type_palette(depth))()

@@ -24,8 +24,7 @@ before it remapped the code in one pass: the code is moved to
 lambda and the index tuple type are shifted again under the index binders.
 
 `sub_desc` is the declarative predicate of the decidable-equality
-sub-universe: `generics.derive_eq` derives a comparison exactly for the
-codes it holds of.
+sub-universe: `generics.derive_eq` accepts exactly the codes it holds of.
 """
 
 from __future__ import annotations
@@ -99,7 +98,7 @@ def _lam_chain(n: int, mk: Callable[[List[Value]], Value]) -> Value:
     def go(acc: List[Value]) -> Value:
         if len(acc) == n:
             return mk(acc)
-        return V.VLam(f"b{len(acc)}", V.PyClo(lambda v, a=acc: go(a + [v])))
+        return V.VLam(f"b{len(acc)}", lambda v, a=acc: go(a + [v]))
 
     return go([])
 
@@ -133,7 +132,7 @@ def _ewm_enum(ctx, kind, scrut_name, scrut_v, sty, motive_at) -> L.EwmResult:
         g = motive_at(V.make_numeral(k))
         subgoals.append(L.EwmSubgoal(tag, [], [], g, lambda body: body))
         btys.append(g)
-    motive_v = V.VLam(scrut_name, V.PyClo(motive_at))
+    motive_v = V.VLam(scrut_name, motive_at)
 
     def mk(bvals: List[Value]) -> Value:
         cases: Value = V.VVoid()
@@ -171,7 +170,7 @@ class _BranchShape:
         return V.VPi(
             "s",
             code.dom,
-            V.PyClo(lambda s: self._leaf_hyp_ty(V.vapp(code.fam, s), V.vapp(arg, s))),
+            lambda s: self._leaf_hyp_ty(V.vapp(code.fam, s), V.vapp(arg, s)),
         )
 
     def rebuild(self, parts: list, tail: Value) -> Value:
@@ -239,7 +238,7 @@ class _BranchShape:
             if self.has_hyp:
                 return V.VLam(
                     "h",
-                    V.PyClo(lambda h: after(code, cursor, parts, acc + [h], h)),
+                    lambda h: after(code, cursor, parts, acc + [h], h),
                 )
             return after(code, cursor, parts, acc, None)
 
@@ -249,15 +248,11 @@ class _BranchShape:
             if isinstance(code, (V.VDSigma, V.VDSigmaE)):
                 meth = V.VLam(
                     L._fam_name(code.fam, "x"),
-                    V.PyClo(
-                        lambda x, code=code, parts=list(parts), acc=list(acc): V.VLam(
-                            "r",
-                            V.PyClo(
-                                lambda r, x=x: level(
-                                    V.vapp(code.fam, x), r, parts + [x], acc + [x, r]
-                                )
-                            ),
-                        )
+                    lambda x, code=code, parts=list(parts), acc=list(acc): V.VLam(
+                        "r",
+                        lambda r, x=x: level(
+                            V.vapp(code.fam, x), r, parts + [x], acc + [x, r]
+                        ),
                     ),
                 )
                 return self._split(code, parts, cursor, meth, h)
@@ -266,25 +261,21 @@ class _BranchShape:
                     if self.has_hyp:
                         return V.VLam(
                             "hp",
-                            V.PyClo(
-                                lambda hp, x=x, r=r: V.vapp(
-                                    level(code.rhs, r, parts + [x], acc + [x, r, hp]),
-                                    V.vsnd(hp),
-                                )
+                            lambda hp, x=x, r=r: V.vapp(
+                                level(code.rhs, r, parts + [x], acc + [x, r, hp]),
+                                V.vsnd(hp),
                             ),
                         )
                     return level(code.rhs, r, parts + [x], acc + [x, r])
 
                 meth = V.VLam(
                     "x",
-                    V.PyClo(
-                        lambda x: V.VLam("r", V.PyClo(lambda r, x=x: meth_body(x, r)))
-                    ),
+                    lambda x: V.VLam("r", lambda r, x=x: meth_body(x, r)),
                 )
                 return self._split(code, parts, cursor, meth, h)
             raise ElabError("UnsupportedScrutinee", None, "constructor code is not canonical")
 
-        return V.VLam("as", V.PyClo(lambda as_v: level(self.code0, as_v, [], [as_v])))
+        return V.VLam("as", lambda as_v: level(self.code0, as_v, [], [as_v]))
 
     def _split(self, code: Value, parts: list, cursor: Value, meth: Value, h) -> Value:
         """Split `cursor` at one level, with the motive rebuilding the goal
@@ -293,10 +284,10 @@ class _BranchShape:
 
         def motive(p: Value) -> Value:
             if self.has_hyp:
-                return V.VPi("h", self.iall(code, p), V.PyClo(lambda _h: self.rebuild(parts, p)))
+                return V.VPi("h", self.iall(code, p), lambda _h: self.rebuild(parts, p))
             return self.rebuild(parts, p)
 
-        split = V.vsplit(V.VLam("p", V.PyClo(motive)), meth, cursor)
+        split = V.vsplit(V.VLam("p", motive), meth, cursor)
         return V.vapp(split, h) if self.has_hyp else split
 
 
@@ -316,7 +307,7 @@ def _ewm_fix(ctx, kind, scrut_name, scrut_v, sty, motive_at) -> L.EwmResult:
         raise ElabError("UnsupportedScrutinee", None, "the choice of constructors varies")
 
     has_hyp = kind == "rec"
-    motive_v = V.VLam("p", V.PyClo(lambda p: motive_at(V.vsnd(p))))
+    motive_v = V.VLam("p", lambda p: motive_at(V.vsnd(p)))
 
     def goal_of(v: Value, i: Value = i0) -> Value:
         return V.vapp(motive_v, V.VPair(i, v))
@@ -336,10 +327,10 @@ def _ewm_fix(ctx, kind, scrut_name, scrut_v, sty, motive_at) -> L.EwmResult:
         def branch_cod(a, ck=code_k, kk=k):
             goal = goal_of(V.VIn(V.VPair(V.make_numeral(kk), a)))
             if has_hyp:
-                return V.VPi("h", iall(ck, a), V.PyClo(lambda _h: goal))
+                return V.VPi("h", iall(ck, a), lambda _h: goal)
             return goal
 
-        btys.append(V.VPi("as", interp(code_k), V.PyClo(branch_cod)))
+        btys.append(V.VPi("as", interp(code_k), branch_cod))
 
         def wrap(body, shape=shape, binders=binders, refined=refined, ck=code_k):
             anns = [ctx.quote(tyv, d + i) for i, (_nm, tyv) in enumerate(binders)]
@@ -349,7 +340,7 @@ def _ewm_fix(ctx, kind, scrut_name, scrut_v, sty, motive_at) -> L.EwmResult:
             bodyfn_ty: Term = ctx.quote(refined, d + len(binders))
             for (nm, _tyv), ann in zip(reversed(binders), reversed(anns)):
                 bodyfn_ty = T.Pi(nm, ann, bodyfn_ty)
-            wrapper_v = V.VLam("bf", V.PyClo(lambda bf: shape.build(bf)))
+            wrapper_v = V.VLam("bf", lambda bf: shape.build(bf))
             # the wrapper's leading lambdas sit in inference position
             spine_anns = [bodyfn_ty, ctx.quote(interp(ck), d + 1)]
             if has_hyp:
@@ -370,42 +361,36 @@ def _ewm_fix(ctx, kind, scrut_name, scrut_v, sty, motive_at) -> L.EwmResult:
                 def cod(a2):
                     goal = goal_of(V.VIn(V.VPair(c2, a2)), iv)
                     if has_hyp:
-                        return V.VPi("h2", iall(ck, a2), V.PyClo(lambda _h2: goal))
+                        return V.VPi("h2", iall(ck, a2), lambda _h2: goal)
                     return goal
 
-                return V.VPi("a2", interp(ck), V.PyClo(cod))
+                return V.VPi("a2", interp(ck), cod)
 
             cases: Value = V.VVoid()
             for b in reversed(bvals):
                 cases = V.VPair(b, cases)
-            pcv = V.VLam("c2", V.PyClo(pc))
+            pcv = V.VLam("c2", pc)
             mstep = V.VLam(
                 "c",
-                V.PyClo(
-                    lambda c: V.VLam(
-                        "as", V.PyClo(lambda a: V.vapp(V.vswitch(code0.enum, pcv, cases, c), a))
-                    )
+                lambda c: V.VLam(
+                    "as", lambda a: V.vapp(V.vswitch(code0.enum, pcv, cases, c), a)
                 ),
             )
             if has_hyp:
                 ms = V.VLam(
                     "q",
-                    V.PyClo(
-                        lambda q: V.VPi(
-                            "hh", iall(code_i, q), V.PyClo(lambda _h: goal_of(V.VIn(q), iv))
-                        )
+                    lambda q: V.VPi(
+                        "hh", iall(code_i, q), lambda _h: goal_of(V.VIn(q), iv)
                     ),
                 )
                 return V.vapp(V.vsplit(ms, mstep, xsv), hv)
-            ms = V.VLam("q", V.PyClo(lambda q: goal_of(V.VIn(q), iv)))
+            ms = V.VLam("q", lambda q: goal_of(V.VIn(q), iv))
             return V.vsplit(ms, mstep, xsv)
 
         method = V.VLam(
             "i",
-            V.PyClo(
-                lambda iv: V.VLam(
-                    "xs", V.PyClo(lambda xs: V.VLam("h", V.PyClo(lambda h: method_body(iv, xs, h))))
-                )
+            lambda iv: V.VLam(
+                "xs", lambda xs: V.VLam("h", lambda h: method_body(iv, xs, h))
             ),
         )
         return V.viinduction(ixty, fam_v, motive_v, method, i0, scrut_v)

@@ -96,7 +96,7 @@ def test_parse_error_in_a_file_exits_two(tmp_path, argv):
 
 
 def test_too_deep_input_exit_three():
-    code, out = run_main(["eval", "-e", "plus 3000 3000", corpus_path("prelude.idt")])
+    code, out = run_main(["eval", "-e", "plus 8000 8000", corpus_path("prelude.idt")])
     assert code == 3
     assert out.count("\n") == 1 and "nested too deeply" in out
     assert "Traceback" not in out
@@ -456,6 +456,75 @@ def test_located_error_after_the_prelude(tmp_path, src, msg):
     code, out = run_main(["check", corpus_path("prelude.idt"), str(p)])
     assert code == 1
     assert out == f"{p}: error: {msg}\n"
+
+
+# `idt eval -e` after the prelude: what it prints for expressions that
+# synthesise a tag or an enumeration, and its located message for ones that
+# do not elaborate
+EVAL_AFTER_PRELUDE = {
+    "tag": ("'a", 0, "'a"),
+    "enumeration": ("{'a, 'b}", 0, "{'a, 'b}"),
+    "equality-of-types": (
+        "Nat == Nat",
+        1,
+        "1:1: CannotSynthesize: propositional equality is between values\n  while synthesizing Nat == Nat",
+    ),
+    "enumeration-at-a-datatype": (
+        "({'a} : Nat)",
+        1,
+        "1:2: CheckMismatch: enumeration against Nat\n"
+        "  while checking {'a} against Nat\n  while synthesizing ({'a} : Nat)",
+    ),
+    "refl-at-a-datatype": (
+        "(refl : Nat)",
+        1,
+        "1:2: CheckMismatch: refl against Nat\n  while checking refl against Nat\n  while synthesizing (refl : Nat)",
+    ),
+    "eliminator-at-a-datatype": (
+        "([a -> zero] : Nat)",
+        1,
+        "1:2: CheckMismatch: eliminator literal against Nat\n"
+        "  while checking [a -> zero] against Nat\n  while synthesizing ([a -> zero] : Nat)",
+    ),
+    "empty-tuple-at-a-pair": (
+        "(() : Nat * Nat)",
+        1,
+        "1:2: BadTupleArity: missing components against a pair type\n"
+        "  while checking () against Nat * Nat\n  while synthesizing (() : Nat * Nat)",
+    ),
+    "tuple-missing-a-component": (
+        "(zero zero : Nat * Nat * Nat)",
+        1,
+        "1:2: BadTupleArity: missing component against a pair type\n"
+        "  while checking zero zero against Nat * Nat * Nat\n  while synthesizing (zero zero : Nat * Nat * Nat)",
+    ),
+    "tuple-with-too-many-components": (
+        "(zero zero zero : Nat * Nat)",
+        1,
+        "1:2: BadTupleArity: too many components\n"
+        "  while checking zero zero zero against Nat * Nat\n  while synthesizing (zero zero zero : Nat * Nat)",
+    ),
+    "annotation-not-a-type": (
+        "(zero : plus)",
+        1,
+        "1:9: CheckMismatch: expected a type, got something of type Nat -> Nat -> Nat\n"
+        "  while synthesizing (zero : plus)",
+    ),
+}
+
+
+@pytest.mark.parametrize("expr, code, text", EVAL_AFTER_PRELUDE.values(), ids=EVAL_AFTER_PRELUDE.keys())
+def test_eval_after_the_prelude(expr, code, text):
+    got = run_main(["eval", "-e", expr, corpus_path("prelude.idt")])
+    assert got == (code, (f"<expr>: error: {text}" if code else text) + "\n")
+
+
+def test_code_dump_primes_a_binder_that_shadows_a_definition(tmp_path):
+    p = tmp_path / "t.idt"
+    p.write_text("data T : Set where\n  T => mk (Nat : Enum {'a})\n", encoding="utf-8")
+    code, out = run_main(["elab", corpus_path("prelude.idt"), str(p)])
+    assert code == 0
+    assert "T = 'sigma {mk} [mk -> 'Sigma (Enum {'a}) (\\Nat'. '1)]\n" in out
 
 
 # programs over `Vec` of corpus/vec_computed.idt, whose code at an index

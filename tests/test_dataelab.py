@@ -14,6 +14,7 @@ from conftest import (
     UNIT_DESC,
     VAR,
     context_valid,
+    datatype,
     elaborated_nat_code,
     enum,
     load_session,
@@ -42,10 +43,10 @@ def sess():
 def applied_code(sess, name, *argtexts):
     """The datatype's code value and a context holding fresh binders for the
     declaration telescope."""
-    info = sess.datatypes[name]
+    info = datatype(sess, name)
     ctx = sess.ctx
-    tyv = info.ty_value
-    applied = info.value
+    tyv = info.ty
+    applied = info.val
     names = []
     k = 0
     while isinstance(tyv, V.VPi):
@@ -60,7 +61,7 @@ def applied_code(sess, name, *argtexts):
 
 
 def nat_term(sess, ctx):
-    return V.quote(sess.datatypes["Nat"].value, ctx.depth)
+    return V.quote(datatype(sess, "Nat").val, ctx.depth)
 
 
 # --- worked-example code reproduction --------------------------------------------------
@@ -124,9 +125,9 @@ def test_constrained_vec_code_shape(sess):
 
 def test_computed_vec_code_at_canonical_indices(sess):
     # code_-> applied at 0, 1, 2 computes to the per-index constructor choices
-    info = sess.datatypes["Vect"]
+    info = datatype(sess, "Vect")
     ctx = sess.ctx.extend("A", V.VSet(0))
-    applied = V.vapps(info.value, V.fresh(sess.ctx.depth))
+    applied = V.vapps(info.val, V.fresh(sess.ctx.depth))
     assert isinstance(applied, V.VPi) is False or True
     # applied is a function over the index; grab the family
     vect_a = applied
@@ -612,12 +613,12 @@ def test_by_goal_label_reads_back_to_kernel_entries(sess, monkeypatch):
     top, zero, suc = labels
     assert top[2] == "D (A) [n]"
     assert (zero[2], suc[2]) == ("D (A) [In (#0 , %as)]", "D (A) [In (#1 , %x , %r)]")
-    nat = sess.datatypes["Nat"].value
+    nat = datatype(sess, "Nat").val
     for ctx, goal, _ in (zero, suc):
         assert goal.head == "D" and len(goal.args) == 2
         assert goal.argtys[0] == V.VSet(0)
         assert K.conv(ctx, goal.argtys[1], nat)
-        assert K.conv(ctx, goal.ty, V.VIDesc(V.VSigma("_", V.VUnit(), V.PyClo(lambda _v: nat))))
+        assert K.conv(ctx, goal.ty, V.VIDesc(V.VSigma("_", V.VUnit(), lambda _v: nat)))
 
 
 def test_by_goal_label_with_a_constraint_is_rejected(sess):

@@ -3,7 +3,7 @@ elimination principle, and the code dump printer."""
 
 import pytest
 
-from conftest import UNIT_DESC, VAR, bare_nat_code, enum, load_session, switch_fam, tup, unit_fam, unit_mu
+from conftest import UNIT_DESC, VAR, bare_nat_code, datatype, enum, load_session, switch_fam, tup, unit_fam, unit_mu
 
 from idt import desc
 from idt import kernel as K
@@ -43,7 +43,7 @@ def test_interp_natd_unfolds_by_hand():
     # oracle: unfold the clauses manually — a 'sigma interprets to a pair of
     # the tag index and the payload computed by the lookup; at the family
     # \_. Unit both payloads land at Unit, via different clauses
-    v = V.vinterp_i(ctx0().eval(NatD), V.VLam("_", V.PyClo(lambda _: V.VUnit())))
+    v = V.vinterp_i(ctx0().eval(NatD), V.VLam("_", lambda _: V.VUnit()))
     assert isinstance(v, V.VSigma)
     assert isinstance(v.dom, V.VEnumT)
     assert V.enum_tags(v.dom.enum) == ["zero", "suc"]
@@ -57,7 +57,7 @@ def test_interp_natd_unfolds_by_hand():
 
 def test_interp_idesc_var_clause():
     # 'var <(), m> interprets to X <(), m>
-    ctx = ctx0().extend("X", V.VPi("_", V.VSigma("_", V.VUnit(), V.PyClo(lambda _: V.VUnit())), V.PyClo(lambda _: V.VSet(0))))
+    ctx = ctx0().extend("X", V.VPi("_", V.VSigma("_", V.VUnit(), lambda _: V.VUnit()), lambda _: V.VSet(0)))
     ctx = ctx.extend("m", V.VUnit())
     code = T.DVarI(T.Pair(T.Void(), T.Var(0)))
     got = K.normalize(ctx, T.InterpIDesc(code, T.Var(1)))
@@ -65,22 +65,22 @@ def test_interp_idesc_var_clause():
 
 
 def test_interp_idesc_unit_clause():
-    ctx = ctx0().extend("X", V.VPi("_", V.VUnit(), V.PyClo(lambda _: V.VSet(0))))
+    ctx = ctx0().extend("X", V.VPi("_", V.VUnit(), lambda _: V.VSet(0)))
     assert K.normalize(ctx, T.InterpIDesc(T.DOne(), T.Var(0))) == T.Unit()
 
 
 def test_interp_constrained_vec_telescope(sess):
     # unfold code_= at a neutral index: the vnil branch is the constrained
     # Sigma telescope
-    ctx = sess.ctx.extend("n", sess.datatypes["Nat"].value)
+    ctx = sess.ctx.extend("n", datatype(sess, "Nat").val)
     vec = sess.ctx.lookup("Vec")
-    vecv = sess.datatypes["Vec"].value
+    vecv = datatype(sess, "Vec").val
     applied = V.vapps(vecv, V.VUnit(), V.fresh(sess.ctx.depth))
     assert isinstance(applied, V.VIMu)
     code = V.vapp(applied.fam, applied.index)
     tags, branches = desc.sigma_view(code)
     assert tags == ["vnil", "vcons"]
-    xfam = V.VLam("j", V.PyClo(lambda j: V.VIMu(applied.ixty, applied.fam, j)))
+    xfam = V.VLam("j", lambda j: V.VIMu(applied.ixty, applied.fam, j))
     vnil_ty = V.vinterp_i(branches[0], xfam)
     # Sigma (n == zero) (\_. Unit)
     assert isinstance(vnil_ty, V.VSigma)
@@ -101,10 +101,10 @@ def oracle_all(code: V.Value, x: V.Value, p: V.Value, d: V.Value) -> V.Value:
     if isinstance(code, V.VDTimes):
         left = oracle_all(code.lhs, x, p, V.vfst(d))
         right = oracle_all(code.rhs, x, p, V.vsnd(d))
-        return V.VSigma("_", left, V.PyClo(lambda _v: right))
+        return V.VSigma("_", left, lambda _v: right)
     if isinstance(code, V.VDPi):
         return V.VPi(
-            "s", code.dom, V.PyClo(lambda s: oracle_all(V.vapp(code.fam, s), x, p, V.vapp(d, s)))
+            "s", code.dom, lambda s: oracle_all(V.vapp(code.fam, s), x, p, V.vapp(d, s))
         )
     if isinstance(code, (V.VDSigma, V.VDSigmaE)):
         return oracle_all(V.vapp(code.fam, V.vfst(d)), x, p, V.vsnd(d))
@@ -115,7 +115,7 @@ def motive_ctx():
     """P : (Sigma Unit (\\_. Nat)) -> Set, the motive over index-value pairs."""
     ctx = ctx0()
     dom = ctx.eval(T.Sigma("i", T.Unit(), T.shift(Nat, 1)))
-    return ctx.extend("P", V.VPi("_", dom, V.PyClo(lambda _: V.VSet(0))))
+    return ctx.extend("P", V.VPi("_", dom, lambda _: V.VSet(0)))
 
 
 def test_all_unit_clause():
@@ -194,7 +194,7 @@ def test_induction_zero_case_no_hypotheses():
         V.VPi(
             "d",
             V.vinterp_i(ctx0().eval(NatD), ctx0().eval(NatX)),
-            V.PyClo(lambda _d: V.VUnit()),
+            lambda _d: V.VUnit(),
         ),
     )
     P = T.Lam("_", None, T.Unit())
@@ -275,7 +275,7 @@ def test_induction_computes_on_corpus_inhabitants(sess):
     from idt import surface as S
 
     ctx = sess.ctx
-    natv = sess.datatypes["Nat"].value
+    natv = datatype(sess, "Nat").val
     assert isinstance(natv, V.VIMu)
     el = Elaborator()
     terms = [el.check(ctx, S.parse_expr(str(k)), natv) for k in range(5)]

@@ -2,7 +2,7 @@
 
 import pytest
 
-from conftest import elab_check, elab_synth, enum, load_session, num_term
+from conftest import datatype, elab_check, elab_synth, enum, load_session, num_term
 
 from idt import kernel as K
 from idt import surface as S
@@ -70,7 +70,7 @@ def test_check_mismatch():
 
 
 def test_check_constructor_on_nat(sess):
-    nat = sess.datatypes["Nat"].value
+    nat = datatype(sess, "Nat").val
     t = elab_check(sess.ctx, se("suc zero"), nat)
     assert t == T.In(T.Pair(T.SucE(T.ZeroE()), T.Pair(T.In(T.Pair(T.ZeroE(), T.Void())), T.Void())))
     K.check(sess.ctx, t, nat)
@@ -105,10 +105,10 @@ def test_tuple_application_fallback(sess):
         ctx_pi := V.VPi(
             "x",
             V.VUnit(),
-            V.PyClo(lambda _x: V.VSigma("_", V.VUnit(), V.PyClo(lambda _y: V.VUnit()))),
+            lambda _x: V.VSigma("_", V.VUnit(), lambda _y: V.VUnit()),
         ),
     )
-    t = elab_check(ctx, se("f ()"), V.VSigma("_", V.VUnit(), V.PyClo(lambda _y: V.VUnit())))
+    t = elab_check(ctx, se("f ()"), V.VSigma("_", V.VUnit(), lambda _y: V.VUnit()))
     assert t == T.App(T.Var(0), T.Void())
 
 
@@ -135,7 +135,7 @@ def test_tag_unknown():
 
 def test_eliminator_literal_elaborates_to_switch():
     ev = ctx0().eval(enum("a", "b"))
-    want = V.VPi("e", V.VEnumT(ev), V.PyClo(lambda _e: V.VUId()))
+    want = V.VPi("e", V.VEnumT(ev), lambda _e: V.VUId())
     t = elab_check(ctx0(), se("[a -> 't, b -> 'u]"), want)
     K.check(ctx0(), t, want)
     # applying it picks the right branch
@@ -145,7 +145,7 @@ def test_eliminator_literal_elaborates_to_switch():
 
 def test_eliminator_literal_tag_mismatch():
     ev = ctx0().eval(enum("a", "b"))
-    want = V.VPi("e", V.VEnumT(ev), V.PyClo(lambda _e: V.VUId()))
+    want = V.VPi("e", V.VEnumT(ev), lambda _e: V.VUId())
     with pytest.raises(ElabError) as e:
         elab_check(ctx0(), se("[b -> 't, a -> 'u]"), want)
     assert e.value.kind == "UnknownTag"
@@ -232,14 +232,14 @@ def test_sugar_conservativity(sess):
     want = sess.ctx.eval(cases[0][1])
     assert elab_check(sess.ctx, se(cases[0][0]), want) == cases[0][2]
     assert elab_check(sess.ctx, se("()"), V.VUnit()) == T.Void()
-    nat = sess.datatypes["Nat"].value
+    nat = datatype(sess, "Nat").val
     two = sess.ctx.eval(num_term(2))
     assert elab_check(sess.ctx, se("refl"), V.VEq(nat, two, two)) == T.Refl()
 
 
 def test_error_trail_nonempty(sess):
     try:
-        elab_check(sess.ctx, se("plus (\\x. x) 1"), sess.datatypes["Nat"].value)
+        elab_check(sess.ctx, se("plus (\\x. x) 1"), datatype(sess, "Nat").val)
         assert False
     except ElabError as e:
         assert e.trail, "judgment trail should not be empty"

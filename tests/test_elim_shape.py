@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import CORPUS, load_session, read_corpus
+from conftest import CORPUS, datatype, load_session, read_corpus
 from generators import gen_let_decl
 
 from idt import dataelab as D
@@ -219,7 +219,7 @@ def test_rec_over_a_function_field_agrees_with_the_redex_construction(monkeypatc
     sess.process_decl(decl)
     assert sess.eval_expr("isz oz") == "'true"
     assert sess.eval_expr("isz (olim (\\n. oz))") == "'false"
-    ord_v = sess.datatypes["Ord"].value
+    ord_v = datatype(sess, "Ord").val
     ctx = sess.ctx.extend("o", ord_v)
     goal = V.VLabelTy("isz", (ctx.env[-1],), (ord_v,), V.VUnit())
     _, olim = L.ewm_restricted(ctx, "rec", "o", goal).subgoals

@@ -13,6 +13,7 @@ from conftest import (
     UNIT_DESC,
     VAR,
     bare_nat_code,
+    datatype,
     enum,
     load_session,
     num_term,
@@ -117,7 +118,7 @@ def test_derive_case_not_tagged(sess):
     assert e.value.kind == "NotTagged"
     # a datatype with indices
     ctx = sess.ctx
-    vec = V.vapps(sess.datatypes["Vec"].value, V.VUnit(), ctx.eval(num_term(2)))
+    vec = V.vapps(datatype(sess, "Vec").val, V.VUnit(), ctx.eval(num_term(2)))
     for derive in (C.derive_case, lambda c, t: C.specialize_no_confusion(c, "Vec", t)):
         with pytest.raises(G.GenericsError) as e:
             derive(ctx, V.quote(vec, ctx.depth))
@@ -243,9 +244,9 @@ def test_case_induction_agreement_indexed_level(sess):
     # the same agreement for the registered (indexed) datatypes: an
     # iinduction whose method ignores the hypothesis behaves as a case
     for name in ("Nat", "Tree", "Vec", "Vect"):
-        info = sess.datatypes[name]
+        info = datatype(sess, name)
         ctx = sess.ctx
-        applied = info.value
+        applied = info.val
         if name in ("Tree", "Vec", "Vect"):
             bix, _ = ctx.lookup("Bool")
             applied = V.vapp(applied, ctx.env[ctx.depth - 1 - bix])
@@ -256,13 +257,11 @@ def test_case_induction_agreement_indexed_level(sess):
         assert xs, name
         fam, ixty, index_v = applied.fam, applied.ixty, applied.index
         # constant motive: both sides land at void
-        motive = V.VLam("p", V.PyClo(lambda _p: V.VUnit()))
+        motive = V.VLam("p", lambda _p: V.VUnit())
         case_method = V.VLam(
             "i",
-            V.PyClo(
-                lambda _i: V.VLam(
-                    "xs", V.PyClo(lambda _x: V.VLam("h", V.PyClo(lambda _h: V.VVoid())))
-                )
+            lambda _i: V.VLam(
+                "xs", lambda _x: V.VLam("h", lambda _h: V.VVoid())
             ),
         )
         for x in xs[:30]:
@@ -270,27 +269,21 @@ def test_case_induction_agreement_indexed_level(sess):
             assert isinstance(lhs, V.VVoid)
         # a discriminating motive over constructor indices
         code = V.vapp(fam, index_v)
-        tagfam = V.VLam("p", V.PyClo(lambda _p: V.VEnumT(V.VNilE()) and V.VUId()))
+        tagfam = V.VLam("p", lambda _p: V.VEnumT(V.VNilE()) and V.VUId())
         disc = V.VLam(
             "i",
-            V.PyClo(
-                lambda _i: V.VLam(
-                    "xs",
-                    V.PyClo(
-                        lambda xsv: V.VLam(
-                            "h",
-                            V.PyClo(
-                                lambda _h, xx=xsv: V.VTag(
-                                    f"c{V.numeral_of(V.vfst(xx))}"
-                                )
-                            ),
-                        )
+            lambda _i: V.VLam(
+                "xs",
+                lambda xsv: V.VLam(
+                    "h",
+                    lambda _h, xx=xsv: V.VTag(
+                        f"c{V.numeral_of(V.vfst(xx))}"
                     ),
-                )
+                ),
             ),
         )
         for x in xs[:30]:
-            got = V.viinduction(ixty, fam, V.VLam("p", V.PyClo(lambda _p: V.VUId())), disc, index_v, x)
+            got = V.viinduction(ixty, fam, V.VLam("p", lambda _p: V.VUId()), disc, index_v, x)
             want = V.VTag(f"c{V.numeral_of(V.vfst(x.payload))}")
             assert got == want, name
 
@@ -409,9 +402,9 @@ def _index_free_datatypes():
     for f in sorted(os.listdir(CORPUS)):
         if not f.endswith(".idt"):
             continue
-        decls = _data_decls(f)
-        for name in _load(f).datatypes:
-            if not decls[name].indices:
+        ctx = _load(f).ctx
+        for name, d in _data_decls(f).items():
+            if ctx.lookup(name) is not None and not d.indices:
                 found.setdefault(name, f)
     return sorted((f, name) for name, f in found.items())
 
@@ -431,7 +424,7 @@ def registered(corpus_file: str, name: str):
         s.load_text("let Bool : Set => Enum {'true, 'false}")
     ctx = s.ctx
     boolv = ctx.eval(T.Var(ctx.lookup("Bool")[0]))
-    applied = s.datatypes[name].value
+    applied = datatype(s, name).val
     for _ in _data_decls(corpus_file)[name].params:
         applied = V.vapp(applied, boolv)
     assert isinstance(applied, V.VIMu) and isinstance(applied.ixty, V.VUnit)
@@ -452,11 +445,11 @@ def test_session_case_kernel_checks_and_agrees_with_induction(index_free):
     case_v = ctx.eval(case_t)
     # a method that returns the payload it is given, and its
     # hypothesis-dropping induction
-    motive = V.VLam("x", V.PyClo(lambda _x: V.VUnit()))
-    method = V.VLam("d", V.PyClo(lambda d: d))
-    ind_motive = V.VLam("q", V.PyClo(lambda _q: V.VUnit()))
+    motive = V.VLam("x", lambda _x: V.VUnit())
+    method = V.VLam("d", lambda d: d)
+    ind_motive = V.VLam("q", lambda _q: V.VUnit())
     ind_method = V.VLam(
-        "i", V.PyClo(lambda _i: V.VLam("d", V.PyClo(lambda d: V.VLam("h", V.PyClo(lambda _h, dd=d: dd)))))
+        "i", lambda _i: V.VLam("d", lambda d: V.VLam("h", lambda _h, dd=d: dd))
     )
     xs = imu_inhabitants(applied, 4, ctx)
     assert len(xs) > 4, name
@@ -514,7 +507,7 @@ def test_no_confusion_one_and_three_constructors(name, n_ctors, decl):
     s = load_session("nat_tree_vec.idt")
     s.load_text("let Bool : Set => Enum {'true, 'false}")
     s.load_text(decl)
-    check_no_confusion(name, s.ctx, s.datatypes[name].value, n_ctors)
+    check_no_confusion(name, s.ctx, datatype(s, name).val, n_ctors)
 
 
 # --- decidable enum equality -------------------------------------------------------
@@ -559,8 +552,8 @@ def test_decide_eq_refutation_kernel_checks():
 
 
 def eq_refusal(code: V.Value):
-    """The reason `derive_eq` refuses `code` for, or None when it derives a
-    comparison."""
+    """The reason `derive_eq` refuses `code` for, or None when it accepts
+    it."""
     try:
         G.derive_eq(code)
     except G.GenericsError as e:
@@ -585,8 +578,8 @@ def test_eq_membership_examples():
 
 
 def test_eq_membership_sigma_non_enum_domain(sess):
-    nat = sess.datatypes["Nat"].value
-    code = V.VDSigma(nat, V.VLam("_", V.PyClo(lambda _v: V.VDOne())))
+    nat = datatype(sess, "Nat").val
+    code = V.VDSigma(nat, V.VLam("_", lambda _v: V.VDOne()))
     assert eq_refusal(code) == "'Sigma over a non-enumeration domain"
 
 
@@ -604,14 +597,12 @@ def small_codes(depth):
         for b in smaller[:3]:
             fam = V.VLam(
                 "c",
-                V.PyClo(
-                    lambda c, aa=a, bb=b: V.vswitch(
-                        e2, V.VLam("_", V.PyClo(lambda _v: V.VIDesc(V.VUnit()))), V.VPair(aa, V.VPair(bb, V.VVoid())), c
-                    )
+                lambda c, aa=a, bb=b: V.vswitch(
+                    e2, V.VLam("_", lambda _v: V.VIDesc(V.VUnit())), V.VPair(aa, V.VPair(bb, V.VVoid())), c
                 ),
             )
             out.append(V.VDSigmaE(e2, fam))
-    out.append(V.VDPi(V.VUnit(), V.VLam("_", V.PyClo(lambda _v: V.VDVarI(V.VVoid())))))
+    out.append(V.VDPi(V.VUnit(), V.VLam("_", lambda _v: V.VDVarI(V.VVoid()))))
     return out
 
 
@@ -619,19 +610,19 @@ def test_membership_agrees_with_sub_desc_predicate():
     for code in small_codes(2):
         assert (eq_refusal(code) is None) == sub_desc(code)
         if sub_desc(code):
-            eq = G.derive_eq(code)
+            # `:eq` decides a member's equality by conversion
             xs = mu_inhabitants(code, 2)[:8]
             for a, b in itertools.product(xs, xs):
-                assert eq(a, b) == (V.quote(a, 0) == V.quote(b, 0))
+                assert K.conv(K.Context(), a, b) == (V.quote(a, 0) == V.quote(b, 0))
 
 
 def test_derive_eq_refuses_with_the_first_reason_depth_first():
-    pi = V.VDPi(V.VUnit(), V.VLam("_", V.PyClo(lambda _v: V.VDVarI(V.VVoid()))))
-    sigma = V.VDSigma(V.VUnit(), V.VLam("_", V.PyClo(lambda _v: V.VDOne())))
+    pi = V.VDPi(V.VUnit(), V.VLam("_", lambda _v: V.VDVarI(V.VVoid())))
+    sigma = V.VDSigma(V.VUnit(), V.VLam("_", lambda _v: V.VDOne()))
     assert eq_refusal(V.VDTimes(pi, sigma)) == "'Pi codes admit no decidable equality"
     assert eq_refusal(V.VDTimes(sigma, pi)) == "'Sigma over a non-enumeration domain"
     e2 = V.VConsE(V.VTag("p"), V.VConsE(V.VTag("q"), V.VNilE()))
-    both = V.VDSigma(V.VEnumT(e2), V.VLam("c", V.PyClo(lambda c: pi if V.numeral_of(c) else V.VDOne())))
+    both = V.VDSigma(V.VEnumT(e2), V.VLam("c", lambda c: pi if V.numeral_of(c) else V.VDOne()))
     assert eq_refusal(V.VDTimes(V.VDVarI(V.VVoid()), both)) == "'Pi codes admit no decidable equality"
     assert eq_refusal(V.VDSigmaE(V.fresh(0), both.fam)) == (
         "constructor choice over a non-canonical enumeration"
@@ -640,15 +631,14 @@ def test_derive_eq_refuses_with_the_first_reason_depth_first():
 
 
 def test_derive_eq_nat_exhaustive(sess):
-    info = sess.datatypes["Nat"]
-    applied = info.value
-    code = V.vapp(applied.fam, applied.index)
-    eq = G.derive_eq(code)
+    applied = datatype(sess, "Nat").val
+    assert G.derive_eq(V.vapp(applied.fam, applied.index)) is None
     vals = [sess.ctx.eval(num_term(k)) for k in range(7)]
     for i, a in enumerate(vals):
         for j, b in enumerate(vals):
             structural = V.quote(a, sess.ctx.depth) == V.quote(b, sess.ctx.depth)
-            assert eq(a, b) == structural == (i == j)
+            assert K.conv(sess.ctx, a, b) == structural == (i == j)
+            assert sess.eq_command(str(i), str(j)) == ("equal" if structural else "not-equal")
 
 
 def test_derive_eq_tree_bool(sess):
@@ -657,8 +647,7 @@ def test_derive_eq_tree_bool(sess):
     tree_ty, _ = el.synth(sess.ctx, S.parse_expr("Tree Bool"))
     tree_v = sess.ctx.eval(tree_ty)
     assert isinstance(tree_v, V.VIMu)
-    code = V.vapp(tree_v.fam, tree_v.index)
-    eq = G.derive_eq(code)
+    assert G.derive_eq(V.vapp(tree_v.fam, tree_v.index)) is None
 
     # build trees directly at the value level for an exhaustive depth-3 set
     tt = sess.ctx.eval(el.check(sess.ctx, S.parse_expr("true"), sess.ctx.eval(bool_ty)))
@@ -689,7 +678,7 @@ def test_derive_eq_tree_bool(sess):
     for a in vals[:25]:
         for b in vals[:25]:
             structural = V.quote(a, d) == V.quote(b, d)
-            assert eq(a, b) == structural
+            assert K.conv(sess.ctx, a, b) == structural
 
 
 def test_deriving_unsupported_at_declaration():
@@ -760,13 +749,12 @@ def test_registry_dispatch_and_errors():
         reg.derive_for("Unknown", V.VDOne())
     assert e.value.kind == "UnknownProperty"
     assert e.value.msg == "no derivable property 'Unknown'"
-    unit = V.VIn(V.VVoid())
-    assert reg.derive_for("Eq", V.VDOne())(unit, unit)
+    assert reg.derive_for("Eq", V.VDOne()) is None  # accepted: nothing raised
 
 
 def test_registry_refusal_routes_to_error():
     reg = G.DerivingRegistry()
-    brouwer = V.VDPi(V.VUnit(), V.VLam("_", V.PyClo(lambda _v: V.VDVarI(V.VVoid()))))
+    brouwer = V.VDPi(V.VUnit(), V.VLam("_", lambda _v: V.VDVarI(V.VVoid())))
     with pytest.raises(G.GenericsError) as e:
         reg.derive_for("Eq", brouwer)
     assert e.value.kind == "DerivingUnsupported"

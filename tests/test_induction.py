@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import CORPUS, load_session
+from conftest import CORPUS, datatype, load_session
 from test_generics import imu_inhabitants
 
 from idt import terms as T
@@ -22,7 +22,7 @@ def eager_viinduction(ixty, fam, p, m, i, x):
     if isinstance(x, V.VIn):
         rec = V.VLam(
             "i",
-            V.PyClo(lambda i2: V.VLam("x", V.PyClo(lambda v: eager_viinduction(ixty, fam, p, m, i2, v)))),
+            lambda i2: V.VLam("x", lambda v: eager_viinduction(ixty, fam, p, m, i2, v)),
         )
         hyp = V.viallmap(V.vapp(fam, i), V.imu_family(ixty, fam), p, rec, x.payload)
         return V.vapps(m, i, x.payload, hyp)
@@ -99,7 +99,7 @@ def test_induction_agrees_with_eager_hypotheses(sess, name, m, depth, pick):
 
 # a host-language method is opaque, so its hypotheses are built even unread
 PY_IGNORING = V.VLam(
-    "i", V.PyClo(lambda _i: V.VLam("xs", V.PyClo(lambda xs: V.VLam("h", V.PyClo(lambda _h, xs=xs: xs)))))
+    "i", lambda _i: V.VLam("xs", lambda xs: V.VLam("h", lambda _h, xs=xs: xs))
 )
 
 
@@ -144,7 +144,7 @@ def test_corpus_ground_codes_agree_with_vapp(ground_oracle, name):
 
 
 def test_ground_values_are_remembered_on_the_closure(sess):
-    nat = sess.datatypes["Nat"].value
+    nat = datatype(sess, "Nat").val
     code = V.vapp_ground(nat.fam, nat.index)
     assert V.vapp_ground(nat.fam, V.VVoid()) is code
     assert V.vapp_ground(code.fam, V.make_numeral(1)) is V.vapp_ground(code.fam, V.VSucE(V.VZeroE()))

@@ -2,7 +2,7 @@
 
 import pytest
 
-from conftest import context_valid, enum, tup, num_term, load_session
+from conftest import context_valid, datatype, enum, load_session, num_term, tup
 from generators import TermGen
 
 from idt import kernel as K
@@ -45,7 +45,7 @@ def test_check_void_unit():
 
 
 def test_check_refl_nat_2_2(sess):
-    nat = sess.datatypes["Nat"].value
+    nat = datatype(sess, "Nat").val
     two = sess.ctx.eval(num_term(2))
     K.check(sess.ctx, T.Refl(), V.VEq(nat, two, two))
     with pytest.raises(K.KernelError):
@@ -123,7 +123,7 @@ def test_eqelim_computes():
 
 def test_split_computes():
     p = T.Pair(T.Void(), T.Tag("a"))
-    pty = V.VSigma("_", V.VUnit(), V.PyClo(lambda _v: V.VUId()))
+    pty = V.VSigma("_", V.VUnit(), lambda _v: V.VUId())
     ctx = ctx0().extend("p", pty)
     m = T.Lam("a", None, T.Lam("b", None, T.Var(0)))
     mot = T.Lam("q", None, T.UId())
@@ -137,7 +137,7 @@ AB = enum("a", "b")
 
 def test_variable_motive_checks_at_level_zero():
     # not a lambda: the whole motive is inferred and its type ends in Set0
-    ctx = ctx0().extend("P", V.VPi("_", V.VEnumT(ctx0().eval(AB)), V.PyClo(lambda _v: V.VSet(0))))
+    ctx = ctx0().extend("P", V.VPi("_", V.VEnumT(ctx0().eval(AB)), lambda _v: V.VSet(0)))
     assert K.infer(ctx, T.PiE(AB, T.Var(0))) == V.VSet(0)
 
 
@@ -227,7 +227,7 @@ def test_defeq_congruence_generated(sess):
     # defEq t u implies defEq C[t] C[u] for randomly chosen one-hole contexts
     import random as _random
 
-    nat = sess.datatypes["Nat"].value
+    nat = datatype(sess, "Nat").val
     plus_ix, _ = sess.ctx.lookup("plus")
     contexts = [
         lambda u: T.Pair(u, T.Void()),

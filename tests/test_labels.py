@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import context_valid, enum, tup, switch_fam, load_session, num_term, read_corpus
+from conftest import context_valid, datatype, enum, load_session, num_term, read_corpus, switch_fam, tup
 from generators import gen_data_decl
 
 from idt import dataelab as D
@@ -81,7 +81,7 @@ def index_type(sess, decl) -> T.Term:
 
 def nat_pair(sess) -> T.Term:
     """`Unit * Nat` with Nat unfolded, a closed term."""
-    nat_t = V.quote(sess.datatypes["Nat"].value, 0)
+    nat_t = V.quote(datatype(sess, "Nat").val, 0)
     return T.Sigma("_", T.Unit(), nat_t)
 
 
@@ -179,9 +179,9 @@ def test_define_extends_context_with_checked_entry(sess):
 
 
 def test_ewm_rec_on_nat_two_subgoals_with_hypothesis(sess):
-    ctx = sess.ctx.extend("m", sess.datatypes["Nat"].value)
-    ctx = ctx.extend("n", sess.datatypes["Nat"].value)
-    nat = sess.datatypes["Nat"].value
+    ctx = sess.ctx.extend("m", datatype(sess, "Nat").val)
+    ctx = ctx.extend("n", datatype(sess, "Nat").val)
+    nat = datatype(sess, "Nat").val
     goal = V.VLabelTy(
         "plus",
         (ctx.env[ctx.depth - 2], ctx.env[ctx.depth - 1]),
@@ -215,7 +215,7 @@ def test_ewm_unsupported_scrutinee(sess):
 
 
 def test_ewm_scrutinee_not_free(sess):
-    ctx = sess.ctx.extend("m", sess.datatypes["Nat"].value)
+    ctx = sess.ctx.extend("m", datatype(sess, "Nat").val)
     goal = V.VLabelTy("f", (), (), V.VUnit())
     with pytest.raises(ElabError) as e:
         L.ewm_restricted(ctx, "rec", "m", goal)
@@ -233,8 +233,8 @@ def test_ewm_rec_on_enum_rejected(sess):
 
 def test_ewm_assembled_checks_at_goal(sess):
     # every corpus use site re-checks; exercise a fresh one directly
-    ctx = sess.ctx.extend("m", sess.datatypes["Nat"].value)
-    nat = sess.datatypes["Nat"].value
+    ctx = sess.ctx.extend("m", datatype(sess, "Nat").val)
+    nat = datatype(sess, "Nat").val
     goal = V.VLabelTy("pred", (ctx.env[-1],), (nat,), nat)
     res = L.ewm_restricted(ctx, "case", "m", goal)
     branches = []
@@ -263,8 +263,8 @@ def test_constructor_patterns_bind_the_fields_of_the_code_walk(sess, seed):
     assume(not decl.indices)
     s = Session(ctx=sess.ctx)
     s.process_decl(decl)
-    info = s.datatypes["G"]
-    ctx, tyv, applied = s.ctx, info.ty_value, info.value
+    info = datatype(s, "G")
+    ctx, tyv, applied = s.ctx, info.ty, info.val
     for nm, _ in decl.params:
         ctx = ctx.extend(nm, tyv.dom)
         x = V.fresh(ctx.depth - 1)
@@ -278,8 +278,10 @@ def test_constructor_patterns_bind_the_fields_of_the_code_walk(sess, seed):
         (argv,), (argty,) = sg.goal.args, sg.goal.argtys
         want = oracles.constructor_fields(argv, argty)
         names = tuple(f"v{j}" for j in range(len(want)))
-        assert L.bind_refined(inner, sg.tag, names + ("extra",), argv, argty) is None
-        got = L.bind_refined(inner, sg.tag, names, argv, argty)
+        with pytest.raises(ElabError) as e:
+            L.bind_refined(inner, sg.tag, names + ("extra",), argv, argty, None)
+        assert e.value.msg == f"constructor '{sg.tag}' takes {len(want)} argument(s)"
+        got = L.bind_refined(inner, sg.tag, names, argv, argty, None)
         assert got.entries[: inner.depth] == inner.entries
         bound = got.entries[inner.depth :]
         assert [e.name for e in bound] == list(names)
@@ -557,6 +559,22 @@ def by_block(head: str, first: str, rest: str) -> str:
 )
 def test_an_unmatched_branch_says_why_its_first_clause_failed(sess, text, msg):
     assert elab_verdict(sess, text).render() == msg
+
+
+@pytest.mark.parametrize(
+    "head, pat",
+    [("W", "[suc]"), ("W", "[suc m k]"), ("f", "suc"), ("f", "(suc)"), ("f", "(suc m k)")],
+    ids=["data-bare", "data-bracketed", "let-bare", "let-parenthesised", "let-too-many"],
+)
+def test_a_refined_constructor_with_the_wrong_arity_says_so(sess, head, pat):
+    # the pattern names the constructor the index is refined to, with a
+    # number of variables other than its fields
+    first = "W [zero] => a" if head == "W" else "f zero => zero"
+    e = elab_verdict(sess, by_block(head, first, f"{head} {pat} => {'b' if head == 'W' else 'zero'}"))
+    assert e.render() == (
+        f"4:5: PatternHeadMismatch: expected exactly one branch for constructor 'suc' (have: {head}); "
+        "first clause: constructor 'suc' takes 1 argument(s)"
+    )
 
 
 def test_by_step_matches_each_chosen_head_once(monkeypatch):

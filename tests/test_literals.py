@@ -6,7 +6,7 @@ import os
 
 import pytest
 
-from conftest import CORPUS, elab_check, elab_synth, load_session
+from conftest import CORPUS, datatype, elab_check, elab_synth, load_session
 
 from idt import kernel as K
 from idt import labels as L
@@ -51,12 +51,12 @@ def test_successful_elaboration_formats_no_goal_text(sess, monkeypatch):
     monkeypatch.setattr(pp, "print_term", refuse)
     monkeypatch.setattr(S, "print_expr", refuse)
     sess.synth_expr("plus (plus 3 4) 12")
-    nat = sess.datatypes["Nat"].value
+    nat = datatype(sess, "Nat").val
     elab_check(sess.ctx, S.parse_expr("suc (suc 5)"), nat)
 
 
 def test_kernel_check_returns_the_value_of_a_literal(sess):
-    nat = sess.datatypes["Nat"].value
+    nat = datatype(sess, "Nat").val
     t = elab_check(sess.ctx, S.parse_expr("7"), nat)
     v = K.check(sess.ctx, t, nat)
     assert v is not None
@@ -80,7 +80,7 @@ NAT = "Nat"
 
 
 def _elab_nat(text):
-    return lambda s: elab_check(s.ctx, S.parse_expr(text), s.datatypes["Nat"].value)
+    return lambda s: elab_check(s.ctx, S.parse_expr(text), datatype(s, "Nat").val)
 
 
 ERRORS = {

@@ -8,7 +8,7 @@ import re
 
 import pytest
 
-from conftest import CORPUS, context_valid, load_session, nat_value, num_term, read_corpus
+from conftest import CORPUS, context_valid, datatype, load_session, nat_value, num_term, read_corpus
 
 from idt import dataelab as D
 from idt import kernel as K
@@ -225,7 +225,7 @@ def vcons_argument_types(sess: Session):
     ctx = sess.ctx
     ctx = ctx.extend("A", V.VSet(0)).extend("n", nat_value(sess)).extend("m", nat_value(sess))
     a, n, m = (V.fresh(ctx.depth - k) for k in (3, 2, 1))
-    vec = V.vapps(sess.datatypes["Vec"].value, a, n)
+    vec = V.vapps(datatype(sess, "Vec").val, a, n)
     code = V.vapp(vec.fam, vec.index)
     args = V.vinterp_i(V.vapp(code.fam, V.make_numeral(1)), V.imu_family(vec.ixty, vec.fam))
     tys = []
@@ -272,8 +272,8 @@ def test_a_recursive_position_reads_back_at_its_own_index(naming_oracle):
 def test_an_index_that_is_not_a_pair_unfolds(naming_oracle):
     sess = load_session("vec_constrained.idt")
     ctx = sess.ctx.extend("A", V.VSet(0))
-    vec = V.vapps(sess.datatypes["Vec"].value, V.fresh(ctx.depth - 1), ctx.eval(num_term(0)))
-    pty = V.VSigma("_", vec.ixty, V.PyClo(lambda _: nat_value(sess)))
+    vec = V.vapps(datatype(sess, "Vec").val, V.fresh(ctx.depth - 1), ctx.eval(num_term(0)))
+    pty = V.VSigma("_", vec.ixty, lambda _: nat_value(sess))
     ctx = ctx.extend("p", pty)
     stuck = V.VIMu(vec.ixty, vec.fam, V.vfst(V.fresh(ctx.depth - 1)))
     t = ctx.quote(stuck)
@@ -321,7 +321,7 @@ def test_a_defined_instance_names_only_itself(naming_oracle):
 
 def test_naming_rule():
     sess = load_session("prelude.idt")
-    ctx, nat = sess.ctx, sess.datatypes["Nat"].value
+    ctx, nat = sess.ctx, datatype(sess, "Nat").val
     ix, _ = ctx.lookup("Nat")
     assert ctx.quote(nat) == T.Var(ix)
     assert ctx.quote(nat, ctx.depth + 2) == T.Var(ix + 2)

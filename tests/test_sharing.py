@@ -13,7 +13,7 @@ memo, so a `by case` evaluates each constructor's code once.
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import elab_check, load_session, read_corpus
+from conftest import datatype, elab_check, load_session, read_corpus
 from generators import ConvPairGen
 from test_naming import PRED
 
@@ -55,7 +55,7 @@ def test_a_by_block_shares_the_family_term_of_its_datatype():
     for d in decls[:-1]:
         sess.process_decl(d)
     definiens, _ = L.elab_define(sess.ctx, decls[-1])  # plus, by rec over Nat
-    nat = sess.datatypes["Nat"].value
+    nat = datatype(sess, "Nat").val
     (fam,) = iinduction_families(definiens)
     assert isinstance(fam, T.Lam) and fam.body is nat.fam.body.term
     # the kernel compares the two families without opening either closure
@@ -79,7 +79,7 @@ def test_a_parameterised_family_is_read_back():
     )[0]
     definiens, _ = L.elab_define(sess.ctx, d)
     (fam,) = iinduction_families(definiens)
-    tree = V.vapp(sess.datatypes["Tree"].value, V.fresh(sess.ctx.depth))
+    tree = V.vapp(datatype(sess, "Tree").val, V.fresh(sess.ctx.depth))
     # Tree's family reads its parameter, so it is no shared object
     assert not V.own_binder_only(tree.fam.body) and fam.body is not tree.fam.body.term
 
@@ -87,7 +87,7 @@ def test_a_parameterised_family_is_read_back():
 def test_checking_a_literal_builds_one_payload_type_per_level(monkeypatch):
     sess = load_session("prelude.idt")
     sess.load_text(PRED)
-    nat = sess.datatypes["Nat"].value
+    nat = datatype(sess, "Nat").val
     for n in (10, 40, 80):
         t = elab_check(sess.ctx, S.parse_expr(f"pred {n}"), nat)
         calls = counting(monkeypatch, V, "vinterp_i")
@@ -99,7 +99,7 @@ def test_checking_a_literal_builds_one_payload_type_per_level(monkeypatch):
 
 def test_payload_types_are_remembered_on_the_family():
     sess = load_session("nat_tree_vec.idt")
-    nat = sess.datatypes["Nat"].value
+    nat = datatype(sess, "Nat").val
     ty = V.payload_type(nat.ixty, nat.fam, nat.index)
     assert V.payload_type(nat.ixty, nat.fam, V.VVoid()) is ty
     fresh = V.vinterp_i(V.vapp(nat.fam, nat.index), V.imu_family(nat.ixty, nat.fam))
@@ -110,7 +110,7 @@ def test_payload_types_are_remembered_on_the_family():
     assert ty.cod(suc) is ty.cod(V.VSucE(V.VZeroE())) and ty.cod(suc) is not ty.cod(V.VZeroE())
     assert V.convertible(ty.cod(suc), fresh.cod(suc), d)
     # an open index is interpreted afresh
-    vec = V.vapps(sess.datatypes["Vec"].value, V.fresh(d), V.fresh(d + 1))
+    vec = V.vapps(datatype(sess, "Vec").val, V.fresh(d), V.fresh(d + 1))
     assert V.payload_type(vec.ixty, vec.fam, vec.index) is not V.payload_type(vec.ixty, vec.fam, vec.index)
 
 
