@@ -57,7 +57,7 @@ class Session:
         res = D.elab_data(self.ctx, d, trace=self.trace)
         tyv = self._recheck(res.definiens, res.ty, d.span)
         value = self.ctx.eval(res.definiens)
-        if isinstance(value, V.VIMu) and V.own_binder_only(value.fam.body):
+        if isinstance(value, V.VIMu) and res.closed:
             # a closed family: the value closes over its normal form, the
             # term that `by` blocks over the datatype share
             value = self.ctx.eval(self.ctx.quote(value))
@@ -85,12 +85,11 @@ class Session:
 
     def _code_dump(self, res: D.DataResult) -> str:
         tel, code = self._opened_code(res)
-        code_t = V.quote(code, tel.depth)
         binders = "".join(
             f" ({nm})" if i < res.n_params else f" [{nm}]"
             for i, nm in enumerate(res.tel_names[1:])
         )
-        return f"{res.name}{binders} = {desc.print_code(tel, code_t, unindexed=res.n_indices == 0)}"
+        return f"{res.name}{binders} = {desc.print_code(tel, code, unindexed=res.n_indices == 0)}"
 
     def _derive(self, d: S.DataDecl, res: D.DataResult, prop: str):
         if res.n_indices > 0:

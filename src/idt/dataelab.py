@@ -24,6 +24,7 @@ derivation that `--emit-trace` prints.
 
 from __future__ import annotations
 
+import math
 from typing import List, Optional, Tuple
 
 from . import kernel as K
@@ -39,10 +40,11 @@ from .values import Value
 
 
 class DataResult:
-    def __init__(self, name: str, definiens: Term, ty: Term, n_params: int, n_indices: int,
+    def __init__(self, name: str, definiens: Term, closed: bool, ty: Term, n_params: int, n_indices: int,
                  tel_names: list, trace: Optional[TraceNode]):
         self.name = name
         self.definiens = definiens  # at the outer context
+        self.closed = closed  # whether its family reads no variable but its own binder
         self.ty = ty
         self.n_params = n_params
         self.n_indices = n_indices
@@ -85,10 +87,17 @@ class DataElab:
         return " ".join(parts)
 
     # clause groups, with an optional trailing by-block; `match` is the head
-    # match of the one clause a `by` step chose, which is not matched again
+    # match of the one clause a `by` step chose, which is not matched again.
+    # Each constructor's code is elaborated under the binder `c` of the
+    # family that `_assemble_ret` puts it in, so that it is built where it
+    # lands: `%c`, which no clause can name, stands for that binder
     def elab_data_patts(self, ctx: Context, clauses: tuple, goal: V.VLabelTy, depth: int = 0,
                         match: Optional[tuple] = None) -> Term:
         with self.el.goal(lambda: self.describe(ctx, goal), "ElabDataPatts"):
+            enum_v: Value = V.VNilE()
+            for c in reversed(clauses):
+                enum_v = V.VConsE(V.VTag(c.body.name if isinstance(c.body, S.CtorDecl) else "elim"), enum_v)
+            ctx_c = ctx.extend("%c", V.VEnumT(enum_v))
             tag_codes: List[Tuple[str, Term]] = []
             by_clause = None
             for c in clauses:
@@ -101,38 +110,40 @@ class DataElab:
                 if isinstance(c.body, S.ByBlock):
                     by_clause = c
                     continue
-                constraints, cctx = match or L.match_head(ctx, c.head, goal)
+                constraints, cctx = _under_binder(ctx, ctx_c, match) or L.match_head(ctx_c, c.head, goal)
                 with self.el.goal(lambda: self.describe(cctx, goal, constraints), "ElabChoices"):
                     tag, code = self.elab_constructor(cctx, c.body, goal, constraints)
-                code = L._inline_defs(cctx, ctx, code)
+                code = L._inline_defs(cctx, ctx_c, code)
                 if any(tag == t0 for t0, _ in tag_codes):
                     raise ElabError(
                         "DuplicateConstructor", c.body.span, f"duplicate constructor '{tag}'"
                     )
                 tag_codes.append((tag, code))
             if by_clause is not None:
-                tag_codes.append(self._elab_by(ctx, by_clause, goal, depth, match))
+                tag_codes.append(self._elab_by(ctx, ctx_c, by_clause, goal, depth, match))
             return self._assemble_ret(ctx, goal, tag_codes)
 
     def _assemble_ret(self, ctx: Context, goal: V.VLabelTy, tag_codes: list) -> Term:
+        """`return ('sigma E (\\c. switch E (\\_. IDesc I) CODES c))`, with the
+        codes already under `c`."""
         enum_t: Term = T.NilE()
         for tag, _ in reversed(tag_codes):
             enum_t = T.ConsE(T.Tag(tag), enum_t)
         cases: Term = T.Void()
         for _, code in reversed(tag_codes):
             cases = T.Pair(code, cases)
-        idx_ty = ctx.quote(goal.ty.index)
         fam_body = T.Switch(
             enum_t,  # closed
-            T.Lam("_", None, T.IDesc(T.shift(idx_ty, 2))),
-            T.shift(cases, 1),
+            T.Lam("_", None, T.IDesc(ctx.quote(goal.ty.index, ctx.depth + 2))),
+            cases,
             T.Var(0),
         )
         fam = T.Lam("c", T.EnumT(enum_t), fam_body)
         return T.LRet(T.DSigmaE(enum_t, fam))
 
-    def _elab_by(self, ctx: Context, clause: S.Clause, goal: V.VLabelTy, depth: int, match: Optional[tuple]):
-        constraints, cctx = match or L.match_head(ctx, clause.head, goal)
+    def _elab_by(self, ctx: Context, ctx_c: Context, clause: S.Clause, goal: V.VLabelTy, depth: int,
+                 match: Optional[tuple]):
+        constraints, cctx = _under_binder(ctx, ctx_c, match) or L.match_head(ctx_c, clause.head, goal)
         if constraints:
             raise ElabError(
                 "PatternHeadMismatch", clause.head.span, "a 'by' clause head cannot constrain an index"
@@ -152,7 +163,7 @@ class DataElab:
         # the eliminated goal is label-typed; the call returns its code
         label = cctx.quote(goal)
         out = T.LCall(label.head, label.args, label.argtys, label.ty, elim)
-        return "elim", L._inline_defs(cctx, ctx, out)
+        return "elim", L._inline_defs(cctx, ctx_c, out)
 
     # one constructor: its tag and its argument telescope's code
     def elab_constructor(self, ctx: Context, ctor: S.CtorDecl, goal: V.VLabelTy, constraints: tuple):
@@ -222,9 +233,12 @@ class DataElab:
         pos, raw = constraints[-1]
         t = self.el.check(ctx, raw, goal.argtys[pos])
         self._positivity(ctx, t, _span(raw))
-        inner = self._eqs(ctx, goal, constraints[:-1])
+        # the earlier constraints sit under the binder of this one's proof,
+        # `%_`, which they cannot name
+        proof_ty = V.VEq(goal.argtys[pos], goal.args[pos], ctx.eval(t))
+        inner = self._eqs(ctx.extend("%_", proof_ty), goal, constraints[:-1])
         eq = T.Eq(ctx.quote(goal.argtys[pos]), ctx.quote(goal.args[pos]), t)
-        return T.DSigma(eq, T.Lam("_", eq, T.shift(inner, 1)))
+        return T.DSigma(eq, T.Lam("_", eq, inner))
 
     # indices of a recursive call, paired left to right
     def extract_indices(self, ctx: Context, app_args: list, goal: V.VLabelTy, constraints: tuple, at) -> Term:
@@ -251,6 +265,17 @@ class DataElab:
                     self._positivity(ctx, at_, _span(arg))
                     is_tm = T.Pair(is_tm, at_)
             return is_tm
+
+
+def _under_binder(ctx: Context, ctx_c: Context, match: Optional[tuple]) -> Optional[tuple]:
+    """`match`, a head match at `ctx`, moved onto `ctx_c`, which extends
+    `ctx` by one binder: its definitions mention nothing of that binder."""
+    if match is None:
+        return None
+    constraints, cctx = match
+    for e in cctx.entries[ctx.depth:]:
+        ctx_c = ctx_c.extend(e.name, e.ty, e.val)
+    return constraints, ctx_c
 
 
 def _unpi(e: S.ExtTerm):
@@ -292,13 +317,12 @@ def elab_data(ctx: Context, decl: S.DataDecl, trace: bool = False) -> DataResult
             tyt, tyv, lvl = el.elab_type(inner, tye)
             if lvl > 0:
                 raise ElabError("CheckMismatch", _span(tye), "index types must live in Set")
-            for earlier in range(pos):
-                if T.occurs(tyt, earlier):
-                    raise ElabError(
-                        "CheckMismatch",
-                        _span(tye),
-                        "an index type may not depend on earlier indices",
-                    )
+            if T.occurs(tyt, 0, pos):
+                raise ElabError(
+                    "CheckMismatch",
+                    _span(tye),
+                    "an index type may not depend on earlier indices",
+                )
             i_tys.append(tyt)
             inner = inner.extend(nm, tyv)
 
@@ -311,14 +335,10 @@ def elab_data(ctx: Context, decl: S.DataDecl, trace: bool = False) -> DataResult
 
         # the opaque self binding sits between the outer context and the
         # telescope, so context references cross it while telescope-internal
-        # references do not
+        # references do not: each type is evaluated without it
         tel_ctx = ctx_d
-        for pos, (nm, _) in enumerate(decl.params):
-            tyv = tel_ctx.eval(T.shift(p_tys[pos], 1, cutoff=pos))
-            tel_ctx = tel_ctx.extend(nm, tyv)
-        for pos, (nm, _) in enumerate(decl.indices):
-            tyv = tel_ctx.eval(T.shift(i_tys[pos], 1, cutoff=k + pos))
-            tel_ctx = tel_ctx.extend(nm, tyv)
+        for nm, tyt in zip((*(nm for nm, _ in decl.params), *(nm for nm, _ in decl.indices)), p_tys + i_tys):
+            tel_ctx = tel_ctx.extend(nm, V.eval_term(tyt, ctx.env + tel_ctx.env[n0 + 1:]))
 
         # the description label <D ps is : IDesc I>: the telescope's
         # variables at their types, `I` pairing the index types on the left
@@ -331,10 +351,11 @@ def elab_data(ctx: Context, decl: S.DataDecl, trace: bool = False) -> DataResult
         de = DataElab(el, n0)
         code = de.elab_data_patts(tel_ctx, decl.clauses, goal)
 
-        definiens = _build_definiens(decl, p_tys, i_tys, code, k, m)
+        definiens, closed = _build_definiens(decl, p_tys, i_tys, code, k, m)
         return DataResult(
             name=decl.name,
             definiens=definiens,
+            closed=closed,
             ty=d_ty,
             n_params=k,
             n_indices=m,
@@ -343,29 +364,40 @@ def elab_data(ctx: Context, decl: S.DataDecl, trace: bool = False) -> DataResult
         )
 
 
-def _build_definiens(decl, p_tys, i_tys, code, k: int, m: int) -> Term:
+def _build_definiens(decl, p_tys, i_tys, code, k: int, m: int) -> tuple:
+    """(The datatype's definiens, whether its family reads no variable but
+    its own binder `j`)."""
     # index tuple type at [ctx, params, indices]; each index type sits one
     # binder below them, there and as a type of the label's arguments. An
     # index type mentions no earlier index (`elab_data` rejects that), so it
     # moves down past them
-    i_tys_j = [T.shift(T.shift(tyt, -pos), m + 1) for pos, tyt in enumerate(i_tys)]
+    i_tys_j = [T.shift(tyt, m + 1 - pos) for pos, tyt in enumerate(i_tys)]
     idx_ty: Term = T.Unit()
     for tyt in i_tys_j:
         idx_ty = T.Sigma("_", idx_ty, tyt)
+    # under j, the label reads the parameters, and the index types what
+    # they mention
+    reads_outer = k > 0 or any(T.occurs(tyt, 0, math.inf) for tyt in i_tys)
 
-    # code lives at [ctx, D, params, indices]; move it to [ctx, params, indices, j].
+    # code lives at [ctx, D, params, indices]; move it to [ctx, params, indices, j]
+    # in the one walk over it, an index becoming its projection of j.
     # `DataElab._positivity` has kept D (at m + k) out of it
-    def remap(old: int) -> Term:
+    def remap(u: Term, d: int) -> Optional[Term]:
+        nonlocal reads_outer
+        if type(u) is not T.Var:
+            return None
+        old = u.ix - d
+        if old < 0:
+            return u
         if old < m:
-            t: Term = T.Var(0)
+            t: Term = T.Var(d)
             for _ in range(old):
                 t = T.Fst(t)
             return T.Snd(t)
-        if old < m + k:
-            return T.Var(old + 1)
-        return T.Var(old)
+        reads_outer = True
+        return T.Var(u.ix + 1) if old < m + k else u
 
-    code_r = T.subst_free(code, remap)
+    code_r = T.map_term(code, remap)
 
     # the label under j: <D (p...) [proj j]...> at IDesc idx_ty
     args, argtys = [], []
@@ -392,4 +424,4 @@ def _build_definiens(decl, p_tys, i_tys, code, k: int, m: int) -> Term:
         out = T.Lam(decl.indices[pos][0], i_tys[pos], out)
     for pos in reversed(range(k)):
         out = T.Lam(decl.params[pos][0], p_tys[pos], out)
-    return out
+    return out, not reads_outer

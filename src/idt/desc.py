@@ -28,9 +28,10 @@ def sigma_view(code: Value) -> Optional[tuple]:
     return tags, [V.vapp(code.fam, V.make_numeral(k)) for k in range(len(tags))]
 
 
-def print_code(ctx: K.Context, code: Term, names: Optional[list] = None, unindexed: bool = False) -> str:
-    """Dump grammar: '1, A '* B, 'Pi S (\\x. T), 'Sigma S (\\x. T),
-    'sigma {t0,...,tk} [t0 -> D0, ..., tk -> Dk], 'varI i.
+def print_code(ctx: K.Context, code: Value, names: Optional[list] = None, unindexed: bool = False) -> str:
+    """The code value `code`, at `ctx`, in the dump grammar: '1, A '* B,
+    'Pi S (\\x. T), 'Sigma S (\\x. T), 'sigma {t0,...,tk} [t0 -> D0, ...,
+    tk -> Dk], 'varI i.
 
     `unindexed` selects the Desc view for the code of a datatype without
     indices: in its codes at index type `Unit`, the recursive positions
@@ -38,7 +39,7 @@ def print_code(ctx: K.Context, code: Term, names: Optional[list] = None, unindex
     other index types, such as a nested `Vec`, keep their indexed form."""
     if names is None:
         names = ctx.names()
-    return _pc(ctx.eval(code), ctx.depth, list(names), 1, unindexed)
+    return _pc(code, ctx.depth, list(names), 1, unindexed)
 
 
 def _pc(v: Value, depth: int, names: list, prec: int, unindexed: bool) -> str:

@@ -31,6 +31,7 @@ domains and the universe its body's type ends in is its level
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Optional
 
 from . import pp
@@ -70,25 +71,38 @@ class Context:
     """Ordered typing context; entries are declarations or definitions.
 
     `named` is the table of the datatypes and enumerations defined in the
-    context, for `quote`; `extend` maintains it."""
+    context, for `quote`; `extend` maintains it. `levels` maps each name to
+    the levels at which some extension of the same empty context binds it,
+    in ascending order; `extend` adds to it in place, so every context that
+    shares it finds a name without scanning its entries."""
 
-    __slots__ = ("entries", "env", "named")
+    __slots__ = ("entries", "env", "named", "levels")
 
-    def __init__(self, entries: tuple = (), env: tuple = (), named: Optional[dict] = None):
+    def __init__(self, entries: tuple = (), env: tuple = (), named: Optional[dict] = None,
+                 levels: Optional[dict] = None):
         self.entries = entries
         self.env = env
         self.named = {} if named is None else named
+        self.levels = {} if levels is None else levels
 
     @property
     def depth(self) -> int:
         return len(self.entries)
 
     def extend(self, name: str, ty: Value, val: Optional[Value] = None) -> "Context":
+        lvl = len(self.entries)
         if val is None:
-            bound, named = V.fresh(self.depth), self.named
+            bound, named = V.fresh(lvl), self.named
         else:
             bound, named = val, V.name_definition(self.named, ty, val, self.env)
-        return Context(self.entries + (Entry(name, ty, val),), self.env + (bound,), named)
+        seen = self.levels.setdefault(name, [])
+        if not seen or seen[-1] < lvl:
+            seen.append(lvl)
+        else:
+            i = bisect_left(seen, lvl)
+            if seen[i] != lvl:
+                seen.insert(i, lvl)
+        return Context(self.entries + (Entry(name, ty, val),), self.env + (bound,), named, self.levels)
 
     def quote(self, v: Value, d: Optional[int] = None) -> Term:
         """Read `v` back at depth `d` (this context's by default), naming the
@@ -96,10 +110,19 @@ class Context:
         return V.quote(v, self.depth if d is None else d, self.named)
 
     def lookup(self, name: str):
-        """Innermost entry with this name, as (de Bruijn index, entry)."""
-        for ix, e in enumerate(reversed(self.entries)):
-            if e.name == name:
-                return ix, e
+        """Innermost entry with this name, as (de Bruijn index, entry): the
+        highest level below the depth at which this context binds it. A
+        sibling extension may have bound the name at a level where this
+        context has another entry, so each candidate level is checked."""
+        seen = self.levels.get(name)
+        if seen:
+            entries, d = self.entries, len(self.entries)
+            i = bisect_left(seen, d)
+            while i:
+                i -= 1
+                e = entries[seen[i]]
+                if e.name == name:
+                    return d - 1 - seen[i], e
         return None
 
     def entry_at(self, ix: int) -> Entry:

@@ -82,10 +82,8 @@ def ewm_restricted(ctx: Context, kind: str, scrut_name: str, goal: Value) -> Ewm
     ix, entry = hit
     d = ctx.depth
     scrut_v = ctx.env[d - 1 - ix]
-    scrut_t = ctx.quote(scrut_v)
-    goal_t = ctx.quote(goal)
-    abstracted = T.abstract(goal_t, scrut_t)
-    if abstracted == T.shift(goal_t, 1):
+    abstracted, occurs = T.abstract(ctx.quote(goal), ctx.quote(scrut_v))
+    if not occurs:
         raise ElabError(
             "ScrutineeNotFree",
             None,
@@ -120,16 +118,16 @@ def _ewm_enum(ctx, kind, scrut_name, scrut_v, sty, motive_at) -> EwmResult:
 
     def assemble(branches: List[Term]) -> Term:
         # switch E MOT BRANCHES x
-        return T.Switch(ctx.quote(sty.enum), ctx.quote(motive_v), _cases(branches, 0), ctx.quote(scrut_v))
+        return T.Switch(ctx.quote(sty.enum), ctx.quote(motive_v), _cases(branches), ctx.quote(scrut_v))
 
     return EwmResult(subgoals, assemble)
 
 
-def _cases(branches: List[Term], under: int) -> Term:
-    """The tuple of the branch terms, moved under `under` more binders."""
+def _cases(branches: List[Term]) -> Term:
+    """The tuple of the branch terms."""
     out: Term = T.Void()
     for b in reversed(branches):
-        out = T.Pair(T.shift(b, under), out)
+        out = T.Pair(b, out)
     return out
 
 
@@ -166,9 +164,22 @@ def _ewm_fix(ctx, kind, scrut_v, sty, motive_at) -> EwmResult:
             v = V.VPair(x, v)
         return goal_of(V.VIn(V.VPair(V.make_numeral(knum), v)))
 
+    # the branches sit under the method's binders `\i. \xs. \h.` and its
+    # step's `\c. \as.` (see `assemble`), so each subgoal binds these first
+    # and its branch is built where it lands
+    iv, cv = V.fresh(d), V.fresh(d + 3)  # `probe` is the code at iv
+    method_binders = [
+        ("i", ixty),
+        ("xs", interp(probe)),
+        ("h", iall(probe, V.fresh(d + 1))),
+        ("c", V.VEnumT(probe.enum)),
+        ("as", interp(V.vapp(probe.fam, cv))),
+    ]
+
     def plan(tag: str, knum: int, code: Value) -> EwmSubgoal:
         """The subgoal of constructor `knum`, whose payload has the code
-        `code`, by a walk of fresh variables from depth `d`.
+        `code`, by a walk of fresh variables from below the method's
+        binders.
 
         Constructor arguments become real variables via dependent pair
         splits; for `rec`, the inductive-hypothesis tuple threads through
@@ -178,7 +189,7 @@ def _ewm_fix(ctx, kind, scrut_v, sty, motive_at) -> EwmResult:
         wrapper is built as the binders are, one lambda per binder and one
         split per level read back at its depth; `wrap(body)` puts it around
         a body elaborated under the binders."""
-        binders: list = []
+        binders: list = list(method_binders)
         hyp_slots: List[Slot] = []
         parts: list = []  # the payload's fields and recursive arguments so far
         frames: list = []  # fn(term inside) -> term, outermost first
@@ -248,8 +259,6 @@ def _ewm_fix(ctx, kind, scrut_v, sty, motive_at) -> EwmResult:
     def assemble(branches: List[Term]) -> Term:
         # iinduction FAM MOT (\i. \xs. \h. split MS (\c. \as. switch E PC BRANCHES c as) xs h) I X,
         # with MS read back under i, xs and h, and E and PC also under c and as
-        iv = V.fresh(d)  # `probe` is the code at iv
-
         def pc(c2: Value) -> Value:
             ck = V.vapp(probe.fam, c2)
 
@@ -264,7 +273,7 @@ def _ewm_fix(ctx, kind, scrut_v, sty, motive_at) -> EwmResult:
             return V.VPi("hh", iall(probe, q), lambda _h: goal) if has_hyp else goal
 
         pcv = V.VLam("c2", pc)
-        switch = T.Switch(ctx.quote(code0.enum, d + 5), ctx.quote(pcv, d + 5), _cases(branches, 5), T.Var(1))
+        switch = T.Switch(ctx.quote(code0.enum, d + 5), ctx.quote(pcv, d + 5), _cases(branches), T.Var(1))
         step = T.Lam("c", None, T.Lam("as", None, T.App(switch, T.Var(0))))
         split: Term = T.Split(ctx.quote(V.VLam("q", ms), d + 3), step, T.Var(1))
         if has_hyp:
@@ -357,17 +366,21 @@ def elab_by(ctx: Context, by: S.ByBlock, span, goal: V.VLabelTy, depth: int, rec
     eliminator of `by.var`, with each subgoal's branch elaborated by
     `recurse(ctx, clause, goal, match)` from the one clause whose head
     `match_head` accepts, `match` being what it returned, and constructor
-    arguments bound as real variables. When no clause matches, the message
-    gives the first clause's reason. Errors without a place of their own
-    are located at `span`."""
+    arguments bound as real variables. A subgoal tries only the clauses
+    that name its constructor where the goal is split and those that name
+    none there (`_clauses_by_constructor`); the others cannot match it.
+    When no clause matches, the message gives the first clause's reason.
+    Errors without a place of their own are located at `span`."""
     try:
         res = ewm_restricted(ctx, by.kind, by.var, goal)
     except ElabError as e:
         if e.span is None:
             e.span = span
         raise
+    keyed = _clauses_by_constructor(ctx, by, goal)
     branches = []
     remaining = list(by.clauses)
+    left = {id(c) for c in remaining}
     for sg in res.subgoals:
         inner = ctx
         for nm, tyv in sg.binders:
@@ -376,12 +389,11 @@ def elab_by(ctx: Context, by: S.ByBlock, span, goal: V.VLabelTy, depth: int, rec
         # hypotheses enter the context as definitions so label search finds them
         for j, slot in enumerate(sg.hyp_slots):
             inner = inner.extend(f"%ih{j}", slot.ty, slot.proj)
-        matched, reasons = [], []
-        for c in remaining:
-            try:
-                matched.append((c, match_head(inner, c.head, sg.goal)))
-            except ElabError as e:
-                reasons.append(e.msg)
+        pool = remaining if keyed is None else keyed.get(sg.tag, []) + keyed[None]
+        matched, reasons = _matches(inner, [c for c in pool if id(c) in left], sg.goal)
+        if len(matched) != 1 and pool is not remaining:
+            # the same verdict from every clause left, in order, for the message
+            matched, reasons = _matches(inner, remaining, sg.goal)
         if len(matched) != 1:
             have = ", ".join(c.head.name for c in remaining) or "none"
             why = f"; first clause: {reasons[0]}" if reasons and not matched else ""
@@ -394,6 +406,7 @@ def elab_by(ctx: Context, by: S.ByBlock, span, goal: V.VLabelTy, depth: int, rec
         if depth >= MAX_BY_DEPTH:
             raise ElabError("ByDepthExceeded", c.head.span, f"'by' nesting deeper than {MAX_BY_DEPTH}")
         remaining.remove(c)
+        left.discard(id(c))
         body = recurse(inner, c, sg.goal, match)
         branches.append(sg.wrap(_inline_defs(inner, base, body)))
     if remaining:
@@ -403,6 +416,50 @@ def elab_by(ctx: Context, by: S.ByBlock, span, goal: V.VLabelTy, depth: int, rec
             f"branch '{remaining[0].head.name}' matches no constructor of the scrutinee",
         )
     return res.assemble(branches)
+
+
+def _matches(ctx: Context, clauses: list, goal: V.VLabelTy) -> tuple:
+    """([(clause, its match)] for the clauses whose head `match_head`
+    accepts at `ctx` and `goal`, [the messages of the others])."""
+    matched, reasons = [], []
+    for c in clauses:
+        try:
+            matched.append((c, match_head(ctx, c.head, goal)))
+        except ElabError as e:
+            reasons.append(e.msg)
+    return matched, reasons
+
+
+def _clauses_by_constructor(ctx: Context, by: S.ByBlock, goal: V.VLabelTy) -> Optional[dict]:
+    """The clauses of `by` keyed by the constructor or tag that each head
+    names at the split position, the first argument of `goal` that is the
+    scrutinee itself, or by None where it names none. A head names `c`
+    there by a pattern `c xs`, or by a bare `c` that is not in scope at that
+    position: neither matches a subgoal of another constructor. None when
+    no argument is the scrutinee."""
+    ix, _ = ctx.lookup(by.var)
+    scrut_v = ctx.env[ctx.depth - 1 - ix]
+    pos = next((p for p, argv in enumerate(goal.args) if argv is scrut_v), None)
+    if pos is None:
+        return None
+    keyed: dict = {None: []}
+    for c in by.clauses:
+        keyed.setdefault(_constructor_at(ctx, c.head, pos), []).append(c)
+    return keyed
+
+
+def _constructor_at(ctx: Context, head: S.Head, pos: int) -> Optional[str]:
+    if len(head.pats) <= pos:
+        return None
+    pats = [p.pat if isinstance(p, S.PIndex) else p for p in head.pats[: pos + 1]]
+    pat = pats[-1]
+    if isinstance(pat, S.PCon):
+        return pat.ctor
+    if isinstance(pat, S.PVar) and ctx.lookup(pat.name) is None:
+        # the variables that the earlier patterns bind are in scope too
+        if not any(isinstance(p, S.PCon) and pat.name in p.vars for p in pats[:-1]):
+            return pat.name
+    return None
 
 
 def _inline_defs(inner: Context, outer: Context, body: Term) -> Term:
@@ -443,19 +500,17 @@ def match_head(ctx: Context, head: S.Head, goal: V.VLabelTy) -> tuple:
     head's constraints as (position, surface expression) pairs, the context
     extended with the bindings)."""
     n_params = param_count(goal)
-    # a `data` head keeps its own wording
-    what, sep = ("label", ",") if n_params is None else ("datatype", ";")
     if head.name != goal.head:
         raise ElabError(
             "PatternHeadMismatch",
             head.span,
-            f"clause head '{head.name}' does not match the {what} '{goal.head}'",
+            f"clause head '{head.name}' does not match the label '{goal.head}'",
         )
     if len(head.pats) != len(goal.args):
         raise ElabError(
             "PatternHeadMismatch",
             head.span,
-            f"clause head has {len(head.pats)} argument(s){sep} the label has {len(goal.args)}",
+            f"clause head has {len(head.pats)} argument(s); the label has {len(goal.args)}",
         )
     pats, constraints = head.pats, []
     if n_params is not None:

@@ -284,7 +284,7 @@ class LCall(Term):
 #
 # `map_term` is the one structural rebuild of a core term; shifting,
 # substitution, abstraction and the description notation view are visits
-# over it.
+# over it. `occurs` is the one read-only scan.
 
 # the field of each binding node whose terms sit under one more binder
 _BINDERS = {Pi: "cod", Lam: "body", Sigma: "cod"}
@@ -347,47 +347,83 @@ def subst_free(t: Term, mapping: Callable[[int], Term]) -> Term:
     """Replace every free Var (outer index j, at depth 0) by mapping(j).
 
     mapping returns a term in the new outer context; it is shifted under
-    binders automatically.
+    binders automatically, once per outer index and binder depth met.
     """
-    return map_vars(t, lambda i, d: shift(mapping(i - d), d))
+    images: dict = {}
+
+    def on_var(i: int, d: int) -> Term:
+        got = images.get((i - d, d))
+        if got is None:
+            got = images[i - d, d] = shift(mapping(i - d), d)
+        return got
+
+    return map_vars(t, on_var)
 
 
-def abstract(t: Term, needle: Term) -> Term:
-    """Body of a new binder replacing every occurrence of `needle` (a term in
-    the same context as `t`) by the bound variable.
+def abstract(t: Term, needle: Term) -> tuple:
+    """(the body of a new binder replacing every occurrence of `needle`, a
+    term in the same context as `t`, by the bound variable; whether there
+    was one).
 
     Every other free variable is shifted up by one to make room for the
-    binder; with a variable needle this is variable abstraction.
+    binder; with a variable needle this is variable abstraction. Without an
+    occurrence the body is `t` shifted by one.
     """
     needles: dict = {}  # `needle` shifted to each binder depth met
+    found = False
 
     def visit(u: Term, d: int) -> Optional[Term]:
+        nonlocal found
         n = needles.get(d)
         if n is None:
             n = needles[d] = shift(needle, d)
         if u == n:
+            found = True
             return Var(d)
         if isinstance(u, Var):
             return Var(u.ix + 1) if u.ix >= d else u
         return None
 
-    return map_term(t, visit)
+    body = map_term(t, visit)
+    return body, found
 
 
-def free_vars(t: Term) -> set:
-    """Outer indices of the free variables of `t`."""
-    out: set = set()
-
-    def collect(u: Term, d: int) -> Optional[Term]:
-        if isinstance(u, Var):
-            if u.ix >= d:
-                out.add(u.ix - d)
-            return u  # the node itself, so that nothing is rebuilt
-        return None
-
-    map_term(t, collect)
-    return out
+def _term_fields(cls) -> tuple:
+    """(name, whether it binds) of each field of `cls` that may hold a term
+    or a tuple of terms: every field not declared a `str` or an `int`."""
+    declared: dict = {}
+    for base in reversed(cls.__mro__):
+        declared.update(getattr(base, "__annotations__", {}))
+    binder = _BINDERS.get(cls)
+    return tuple((n, n == binder) for n in cls._fields if declared.get(n) not in ("str", "int"))
 
 
-def occurs(t: Term, target: int) -> bool:
-    return target in free_vars(t)
+_TERM_FIELDS: dict = {}
+
+
+def occurs(t: Term, lo: int, hi: Optional[float] = None) -> bool:
+    """Whether `t` reads a free variable whose outer index is `lo`, or, with
+    `hi`, at least `lo` and below `hi`. A read-only scan that stops at the
+    first such variable."""
+    if hi is None:
+        hi = lo + 1
+
+    def go(x, d: int) -> bool:
+        cls = type(x)
+        if cls is Var:
+            return lo <= x.ix - d < hi
+        if cls is tuple:
+            for a in x:
+                if go(a, d):
+                    return True
+            return False
+        kids = _TERM_FIELDS.get(cls)
+        if kids is None:
+            kids = _TERM_FIELDS[cls] = _term_fields(cls)
+        for name, binds in kids:
+            a = getattr(x, name)
+            if a is not None and go(a, d + 1 if binds else d):
+                return True
+        return False
+
+    return go(t, 0)

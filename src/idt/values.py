@@ -43,6 +43,7 @@ well-typed terms are those of the eager rules.
 
 from __future__ import annotations
 
+import math
 import sys
 from typing import Callable, Optional
 
@@ -311,7 +312,7 @@ def own_binder_only(clo: Clo) -> bool:
     try:
         return not t.reads_outer
     except AttributeError:
-        got = any(j > 0 for j in T.free_vars(t))
+        got = T.occurs(t, 1, math.inf)
         object.__setattr__(t, "reads_outer", got)
         return not got
 

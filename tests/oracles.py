@@ -77,7 +77,7 @@ def ewm_restricted(ctx: Context, kind: str, scrut_name: str, goal: Value) -> L.E
     ix, entry = hit
     scrut_v = ctx.env[ctx.depth - 1 - ix]
     goal_t = ctx.quote(goal)
-    abstracted = T.abstract(goal_t, ctx.quote(scrut_v))
+    abstracted, _ = T.abstract(goal_t, ctx.quote(scrut_v))
     if abstracted == T.shift(goal_t, 1):
         raise ElabError("ScrutineeNotFree", None, f"'{scrut_name}' does not occur in the goal")
 

@@ -1,6 +1,7 @@
 """Elaboration of inductive definitions: the worked-example codes, the
 judgments, positivity, and randomized soundness."""
 
+import math
 import os
 import random
 from collections import Counter
@@ -220,7 +221,7 @@ def test_match_head_checks_a_data_head_against_the_label(sess):
     with pytest.raises(ElabError) as e:
         L.match_head(ctx, bad, goal)
     assert e.value.kind == "PatternHeadMismatch"
-    assert "clause head 'U' does not match the datatype 'T'" in e.value.msg
+    assert "clause head 'U' does not match the label 'T'" in e.value.msg
 
 
 def test_empty_datatype(sess):
@@ -420,13 +421,18 @@ def test_definiens_matches_the_two_pass_construction(prelude, seed):
 
     def spy(decl, p_tys, i_tys, code, k, m):
         out = build(decl, p_tys, i_tys, code, k, m)
-        seen.append((definiens_two_pass(decl, p_tys, i_tys, code, k, m), out))
+        seen.append((definiens_two_pass(decl, p_tys, i_tys, code, k, m), out, k + m))
         return out
 
     with mock.patch.object(D, "_build_definiens", spy):
         D.elab_data(prelude.ctx, gen_data_decl(random.Random(seed), "G"))
-    ((want, got),) = seen
+    ((want, (got, closed), n),) = seen
     assert repr(got) == repr(want)
+    # the walk that moves the code reports whether the family reads a
+    # variable other than its own binder, as a scan of the family finds
+    for _ in range(n):
+        want = want.body
+    assert closed == (not T.occurs(want.fam.body, 1, math.inf))
 
 
 # --- trace ------------------------------------------------------------------------------

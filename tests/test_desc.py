@@ -296,19 +296,20 @@ def test_induction_computes_on_corpus_inhabitants(sess):
 
 
 # --- printer -------------------------------------------------------------------------
+# `print_code` prints a code value; these tests evaluate their code terms first
 
 
 def test_print_code_golden_natd():
-    assert desc.print_code(ctx0(), NatD) == "'sigma {zero,suc} [zero -> '1, suc -> 'varI ()]"
+    assert desc.print_code(ctx0(), ctx0().eval(NatD)) == "'sigma {zero,suc} [zero -> '1, suc -> 'varI ()]"
 
 
 def test_print_code_desc_view_natd():
-    got = desc.print_code(ctx0(), NatD, unindexed=True)
+    got = desc.print_code(ctx0(), ctx0().eval(NatD), unindexed=True)
     assert got == "'sigma {zero,suc} [zero -> '1, suc -> 'var]"
 
 
 def test_print_code_golden_one():
-    assert desc.print_code(ctx0(), T.DOne()) == "'1"
+    assert desc.print_code(ctx0(), V.VDOne()) == "'1"
 
 
 def test_print_code_tree_shape():
@@ -325,7 +326,7 @@ def test_print_code_tree_shape():
             UNIT_DESC,
         ),
     )
-    out = desc.print_code(ctx, tree, unindexed=True)
+    out = desc.print_code(ctx, ctx.eval(tree), unindexed=True)
     assert out == "'sigma {leaf,node} [leaf -> '1, node -> 'var '* 'Sigma A (\\_. 'var '* '1)]"
 
 
@@ -340,15 +341,15 @@ def test_print_code_desc_view_of_nested_codes():
         T.Pair(T.Void(), T.Void()),
     )
     code = T.DSigma(inner, T.Lam("x", inner, T.DTimes(VAR, T.DOne())))
-    assert desc.print_code(ctx0(), code, unindexed=True) == (
+    assert desc.print_code(ctx0(), ctx0().eval(code), unindexed=True) == (
         "'Sigma (IMu (\\j. 'varI (() , snd j) '* '1) (())) (\\x. 'var '* '1)"
     )
     nested_nat = T.DSigma(Nat, T.Lam("n", Nat, T.DOne()))
-    assert desc.print_code(ctx0(), nested_nat, unindexed=True) == (
+    assert desc.print_code(ctx0(), ctx0().eval(nested_nat), unindexed=True) == (
         "'Sigma (IMu (\\_. 'sigma {'zero, 'suc} (\\c. switch {'zero, 'suc} (\\_. Desc) ('1 'var) c)) ())"
         " (\\n. '1)"
     )
-    assert "IDesc Unit" in desc.print_code(ctx0(), nested_nat)
+    assert "IDesc Unit" in desc.print_code(ctx0(), ctx0().eval(nested_nat))
 
 
 def test_print_code_parenthesises_dependent_and_arrow_domains():
@@ -359,7 +360,7 @@ def test_print_code_parenthesises_dependent_and_arrow_domains():
     arrow = T.Pi("_", T.Pi("_", T.Var(0), T.Var(1)), T.Var(1))
     for ty, want in ((dep, "(n : A) -> n == n"), (arrow, "(A -> A) -> A")):
         code = T.DSigma(ty, T.Lam("f", ty, T.DOne()))
-        assert desc.print_code(ctx, code) == f"'Sigma ({want}) (\\f. '1)"
+        assert desc.print_code(ctx, ctx.eval(code)) == f"'Sigma ({want}) (\\f. '1)"
 
 
 def test_show_codes_parenthesises_a_dependent_field_type():

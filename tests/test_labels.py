@@ -292,8 +292,9 @@ def test_constructor_patterns_bind_the_fields_of_the_code_walk(sess, seed):
 
 def test_abstract_subterm():
     t = T.App(T.Var(2), T.Lam("x", None, T.App(T.Var(3), T.Var(0))))
-    body = T.abstract(t, T.Var(2))
-    assert body == T.App(T.Var(0), T.Lam("x", None, T.App(T.Var(1), T.Var(0))))
+    assert T.abstract(t, T.Var(2)) == (T.App(T.Var(0), T.Lam("x", None, T.App(T.Var(1), T.Var(0)))), True)
+    # without an occurrence the body is the term shifted, and abstract says so
+    assert T.abstract(t, T.Var(5)) == (T.shift(t, 1), False)
 
 
 def test_nested_by_blocks_in_programs(sess):
@@ -547,7 +548,7 @@ def by_block(head: str, first: str, rest: str) -> str:
         (
             by_block("f", "f zero zero => zero", "f (suc m) => m"),
             "3:5: PatternHeadMismatch: expected exactly one branch for constructor 'zero' (have: f, f); "
-            "first clause: clause head has 2 argument(s), the label has 1",
+            "first clause: clause head has 2 argument(s); the label has 1",
         ),
         (
             # two clauses match: ambiguous, with no first-clause reason
@@ -577,23 +578,48 @@ def test_a_refined_constructor_with_the_wrong_arity_says_so(sess, head, pat):
     )
 
 
-def test_by_step_matches_each_chosen_head_once(monkeypatch):
-    # a block of k branches matches every remaining head against each
-    # subgoal, k(k+1)/2 matches, and hands the chosen head's match to its
-    # branch, which does not match it again
-    from idt.cli import Session
-
-    calls = 0
+def count_match_head(monkeypatch) -> list:
+    calls = [0]
     real = L.match_head
 
     def counted(*args):
-        nonlocal calls
-        calls += 1
+        calls[0] += 1
         return real(*args)
 
     monkeypatch.setattr(L, "match_head", counted)
+    return calls
+
+
+def test_by_step_matches_each_chosen_head_once(monkeypatch):
+    # each subgoal of a block matches only the heads that name its
+    # constructor, and hands the chosen head's match to its branch, which
+    # does not match it again
+    from idt.cli import Session
+
+    calls = count_match_head(monkeypatch)
     Session().load_text(read_corpus("nat_tree_vec.idt"))
-    assert calls == 10  # 12 when each branch re-matched its head
-    calls = 0
+    # 10 when each subgoal matched every head left, 12 when each branch
+    # also re-matched its head
+    assert calls[0] == 9
+    calls[0] = 0
     Session().load_text(read_corpus("prelude.idt"))
-    assert calls == 9  # 11 when each branch re-matched its head
+    assert calls[0] == 8  # 9, and 11
+
+
+@pytest.mark.parametrize("k", [64, 128])
+@pytest.mark.parametrize("form", ["fields", "nullary"])
+def test_a_wide_by_case_matches_at_most_two_heads_per_constructor(monkeypatch, k, form):
+    # k(k+1)/2 + 1 matches when every subgoal tried every clause left
+    from idt.cli import Session
+
+    sess = Session()
+    sess.load_text(read_corpus("prelude.idt"))
+    field = " (b : Bool)" if form == "fields" else ""
+    sess.load_text("data W : Set where\n" + "".join(f"  W => c{i}{field}\n" for i in range(k)))
+    pat = "(c{i} b)" if form == "fields" else "c{i}"
+    branches = "".join(f"    f {pat.format(i=i)} => 'true\n" for i in reversed(range(k)))
+    calls = count_match_head(monkeypatch)
+    sess.load_text(f"let f (w : W) : Bool where\n  f w by case w {{\n{branches}  }}\n")
+    assert calls[0] <= 2 * k, calls[0]
+    monkeypatch.undo()
+    assert sess.eval_expr(f"f c{k // 2}" if form == "nullary" else f"f (c{k // 2} true)") == "'true"

@@ -48,7 +48,7 @@ def names_entry(sess: Session, t: T.Term, name: str) -> bool:
     """Whether `t`, a term in the session's context, mentions the entry
     `name` as a variable."""
     ix, _ = sess.ctx.lookup(name)
-    return ix in T.free_vars(t)
+    return T.occurs(t, ix)
 
 
 def elab_last(text: str, preamble=("prelude.idt",)):

@@ -1,5 +1,7 @@
 """de Bruijn machinery: shifting, substitution, abstraction."""
 
+import math
+
 from hypothesis import given, strategies as st
 
 from idt import terms as T
@@ -54,7 +56,8 @@ def test_subst_shift_cancel(t):
 @given(terms())
 def test_abstract_then_substitute_roundtrip(t):
     # abstracting variable 0 and substituting it back is the identity
-    body = T.abstract(t, T.Var(0))
+    body, found = T.abstract(t, T.Var(0))
+    assert found == T.occurs(t, 0)
     restored = T.subst_free(body, lambda j: T.Var(0) if j == 0 else T.Var(j - 1))
     assert restored == t
 
@@ -70,9 +73,10 @@ def subterms(t):
 def test_abstract_closed_subterm_then_substitute_roundtrip(t):
     # abstracting any closed subterm and substituting it back is the identity
     for s in subterms(t):
-        if T.free_vars(s):
+        if T.occurs(s, 0, math.inf):
             continue
-        body = T.abstract(t, s)
+        body, found = T.abstract(t, s)
+        assert found
         restored = T.subst_free(body, lambda j: s if j == 0 else T.Var(j - 1))
         assert restored == t
 
@@ -82,7 +86,7 @@ def test_abstract_variable_is_variable_abstraction(t, k):
     # a variable needle: exactly the renaming that binds free variable k and
     # shifts every other free variable up by one
     want = T.map_vars(t, lambda i, d: T.Var(d) if i - d == k else T.Var(i + 1))
-    assert T.abstract(t, T.Var(k)) == want
+    assert T.abstract(t, T.Var(k)) == (want, T.occurs(t, k))
 
 
 def test_map_term_binder_depths_and_unchanged_nodes():
@@ -97,7 +101,7 @@ def test_map_term_binder_depths_and_unchanged_nodes():
         "D", (T.Var(1), T.shift(fam, 1)), (T.Set_(0), T.Var(3)), T.IDesc(T.Sigma("_", T.Unit(), T.Var(4)))
     )
     assert shifted.argtys[1] == T.Var(3)  # `argtys` is not compared by `==`
-    assert T.free_vars(lbl) == {0, 2}
+    assert [j for j in range(5) if T.occurs(lbl, j)] == [0, 2]
     for u in (t, lbl, fam):
         assert T.map_term(u, lambda _u, _d: None) is u
 
@@ -123,9 +127,13 @@ def test_alpha_equality_ignores_names(t):
 
 def test_free_vars_examples():
     t = T.Lam("x", None, T.App(T.Var(0), T.App(T.Var(2), T.Var(1))))
-    assert T.free_vars(t) == {0, 1}
+    assert [j for j in range(5) if T.occurs(t, j)] == [0, 1]
     assert T.occurs(t, 1)
     assert not T.occurs(t, 5)
+    # a range of outer indices, and the fields that equality ignores
+    assert T.occurs(t, 1, math.inf) and not T.occurs(t, 2, math.inf)
+    assert T.occurs(T.Lam("x", T.Var(3), T.Var(0)), 3)
+    assert T.occurs(T.IMu(T.Var(1), T.Unit(), T.Void()), 1)
 
 
 def test_tag_validity():
