@@ -389,10 +389,10 @@ def elab_by(ctx: Context, by: S.ByBlock, span, goal: V.VLabelTy, depth: int, rec
         # hypotheses enter the context as definitions so label search finds them
         for j, slot in enumerate(sg.hyp_slots):
             inner = inner.extend(f"%ih{j}", slot.ty, slot.proj)
-        pool = remaining if keyed is None else keyed.get(sg.tag, []) + keyed[None]
-        matched, reasons = _matches(inner, [c for c in pool if id(c) in left], sg.goal)
-        if len(matched) != 1 and pool is not remaining:
-            # the same verdict from every clause left, in order, for the message
+        pool = [c for c in keyed.get(sg.tag, []) + keyed[None] if id(c) in left]
+        matched, reasons = _matches(inner, pool, sg.goal)
+        if len(matched) != 1:
+            # every clause left, in order, for the message
             matched, reasons = _matches(inner, remaining, sg.goal)
         if len(matched) != 1:
             have = ", ".join(c.head.name for c in remaining) or "none"
@@ -430,26 +430,24 @@ def _matches(ctx: Context, clauses: list, goal: V.VLabelTy) -> tuple:
     return matched, reasons
 
 
-def _clauses_by_constructor(ctx: Context, by: S.ByBlock, goal: V.VLabelTy) -> Optional[dict]:
-    """The clauses of `by` keyed by the constructor or tag that each head
-    names at the split position, the first argument of `goal` that is the
-    scrutinee itself, or by None where it names none. A head names `c`
-    there by a pattern `c xs`, or by a bare `c` that is not in scope at that
-    position: neither matches a subgoal of another constructor. None when
-    no argument is the scrutinee."""
+def _clauses_by_constructor(ctx: Context, by: S.ByBlock, goal: V.VLabelTy) -> dict:
+    """The clauses of `by`, in order, keyed by the constructor or tag that
+    each head names at the split position, the first argument of `goal`
+    that is the scrutinee itself, or by None where it names none (all, when
+    no argument is the scrutinee). A head names `c` there by a pattern
+    `c xs`, or by a bare `c` that is not in scope at that position: neither
+    matches a subgoal of another constructor."""
     ix, _ = ctx.lookup(by.var)
     scrut_v = ctx.env[ctx.depth - 1 - ix]
     pos = next((p for p, argv in enumerate(goal.args) if argv is scrut_v), None)
-    if pos is None:
-        return None
     keyed: dict = {None: []}
     for c in by.clauses:
         keyed.setdefault(_constructor_at(ctx, c.head, pos), []).append(c)
     return keyed
 
 
-def _constructor_at(ctx: Context, head: S.Head, pos: int) -> Optional[str]:
-    if len(head.pats) <= pos:
+def _constructor_at(ctx: Context, head: S.Head, pos: Optional[int]) -> Optional[str]:
+    if pos is None or len(head.pats) <= pos:
         return None
     pats = [p.pat if isinstance(p, S.PIndex) else p for p in head.pats[: pos + 1]]
     pat = pats[-1]

@@ -578,6 +578,51 @@ def test_a_refined_constructor_with_the_wrong_arity_says_so(sess, head, pat):
     )
 
 
+NESTED = "let f (m : Nat) (n : Nat) : Nat where\n  f m n by case m {\n    f zero n => n\n    f (suc k) n by case n {\n"
+
+
+@pytest.mark.parametrize(
+    "text, msg",
+    [
+        (
+            # no argument of the label is the scrutinee `k`
+            "let f (m : Nat) : Nat where\n  f m by rec m {\n    f zero => zero\n"
+            "    f (suc k) by case k {\n      f (suc k) => k\n    }\n  }\n",
+            "4:5: PatternHeadMismatch: expected exactly one branch for constructor 'suc' (have: none)",
+        ),
+        (
+            # the first head stops before the split position
+            "let f (m : Nat) (n : Nat) : Nat where\n  f m n by case n {\n    f m => zero\n    f m (suc k) => k\n  }\n",
+            "3:5: PatternHeadMismatch: expected exactly one branch for constructor 'zero' (have: f, f); "
+            "first clause: clause head has 1 argument(s); the label has 2",
+        ),
+        (
+            # at the split position `k` is the variable the first pattern binds
+            NESTED + "      f (suc k) k => k\n      f (suc k) (suc j) => j\n    }\n  }\n",
+            "5:7: PatternHeadMismatch: expected exactly one branch for constructor 'zero' (have: f, f); "
+            "first clause: pattern variable 'k' does not match argument 1 of the label",
+        ),
+        (
+            # `zero` names the constructor at the split position; a name in
+            # scope, `true`, names no constructor there
+            NESTED + "      f (suc k) zero => k\n      f (suc k) (suc j) => j\n    }\n  }\n"
+            "let g (b : Bool) : Bool where\n  g b by case b {\n    g false => true\n    g true => false\n  }\n",
+            None,
+        ),
+    ],
+    ids=["scrutinee-not-an-argument", "head-too-short", "bound-by-an-earlier-pattern", "accepted"],
+)
+def test_heads_that_name_no_constructor_at_the_split_are_tried_on_every_subgoal(text, msg):
+    sess = load_session("prelude.idt")
+    if msg is None:
+        sess.load_text(text)
+        assert [sess.eval_expr(e) for e in ("f 3 0", "f 3 5", "g true")] == ["2", "4", "'false"]
+        return
+    with pytest.raises(ElabError) as e:
+        sess.load_text(text)
+    assert e.value.render() == msg
+
+
 def count_match_head(monkeypatch) -> list:
     calls = [0]
     real = L.match_head
