@@ -321,8 +321,9 @@ def map_term(t: Term, visit: Callable[[Term, int], Optional[Term]], depth: int =
     return go(t, depth)
 
 
-def map_vars(t: Term, on_var: Callable[[int, int], Term], depth: int = 0) -> Term:
-    """Rebuild `t`, replacing each free Var(i) (i >= depth) by on_var(i, depth).
+def map_vars(t: Term, on_var: Callable[[int, int], Term]) -> Term:
+    """Rebuild `t`, replacing each free Var(i) under d binders (i >= d) by
+    on_var(i, d).
 
     on_var receives the raw index and the binder depth at the occurrence and
     must return a term valid at that depth.
@@ -333,14 +334,14 @@ def map_vars(t: Term, on_var: Callable[[int, int], Term], depth: int = 0) -> Ter
             return on_var(u.ix, d) if u.ix >= d else u
         return None
 
-    return map_term(t, visit, depth)
+    return map_term(t, visit)
 
 
-def shift(t: Term, by: int, cutoff: int = 0) -> Term:
-    """Shift free variables at or above `cutoff` by `by`."""
+def shift(t: Term, by: int) -> Term:
+    """Shift the free variables of `t` by `by`."""
     if by == 0:
         return t
-    return map_vars(t, lambda i, d: Var(i + by), cutoff)
+    return map_vars(t, lambda i, d: Var(i + by))
 
 
 def subst_free(t: Term, mapping: Callable[[int], Term]) -> Term:
