@@ -28,7 +28,7 @@ def sigma_view(code: Value) -> Optional[tuple]:
     return tags, [V.vapp(code.fam, V.make_numeral(k)) for k in range(len(tags))]
 
 
-def print_code(ctx: K.Context, code: Value, names: Optional[list] = None, unindexed: bool = False) -> str:
+def print_code(ctx: K.Context, code: Value, unindexed: bool = False) -> str:
     """The code value `code`, at `ctx`, in the dump grammar: '1, A '* B,
     'Pi S (\\x. T), 'Sigma S (\\x. T), 'sigma {t0,...,tk} [t0 -> D0, ...,
     tk -> Dk], 'varI i.
@@ -37,9 +37,7 @@ def print_code(ctx: K.Context, code: Value, names: Optional[list] = None, uninde
     indices: in its codes at index type `Unit`, the recursive positions
     `'varI ()` print as `'var` and `IDesc Unit` prints as `Desc`. Codes at
     other index types, such as a nested `Vec`, keep their indexed form."""
-    if names is None:
-        names = ctx.names()
-    return _pc(code, ctx.depth, list(names), 1, unindexed)
+    return _pc(code, ctx.depth, list(ctx.names()), 1, unindexed)
 
 
 def _pc(v: Value, depth: int, names: list, prec: int, unindexed: bool) -> str:
