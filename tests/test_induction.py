@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import CORPUS, datatype, load_session
+from conftest import CORPUS, datatype, load_session, num_term
+from test_elim_shape import ORD
 from test_generics import imu_inhabitants
 
 from idt import terms as T
@@ -210,3 +211,87 @@ def test_numeral_elaboration_work_per_level_is_bounded(prelude_with_pred, monkey
     small = eval_calls(monkeypatch, lambda: sess.synth_expr("plus 40 40"))
     large = eval_calls(monkeypatch, lambda: sess.synth_expr("plus 80 80"))
     assert large - small <= 4 * 80, (small, large)
+
+
+# --- pointwise hypotheses -------------------------------------------------------------
+
+# \i. \xs. \h. switch {'oz, 'olim} (\_. Unit) (xs , ((fst h) 2 , (fst h) 0) , ()) (fst xs):
+# at `olim g` the hypothesis is the pair of the pointwise `\s. rec (g s)` and
+# void, and the method applies the first at two arguments
+ORD_ENUM = T.ConsE(T.Tag("oz"), T.ConsE(T.Tag("olim"), T.NilE()))
+APPLYING = method(
+    T.Switch(
+        ORD_ENUM,
+        T.Lam("_", None, T.Unit()),
+        T.Pair(
+            T.Var(1),
+            T.Pair(T.Pair(T.App(T.Fst(T.Var(0)), num_term(2)), T.App(T.Fst(T.Var(0)), num_term(0))), T.Void()),
+        ),
+        T.Fst(T.Var(1)),
+    )
+)
+ORDINALS = (
+    "oz",
+    "olim (\\n. oz)",
+    "olim (\\n. olim (\\m. oz))",
+    "olim (\\n. olim (\\m. olim (\\k. oz)))",
+)
+
+
+@pytest.fixture(scope="module")
+def ord_sess():
+    s = load_session("prelude.idt")
+    s.load_text(ORD)
+    return s
+
+
+def ord_values(sess):
+    """Closed ordinals, and `olim g` for a variable `g : Nat -> Ord`, whose
+    pointwise hypotheses are stuck."""
+    ctx = sess.ctx
+    out = []
+    for text in ORDINALS:
+        t, _ = sess.synth_expr(f"({text} : Ord)")
+        out.append(ctx.eval(t))
+    g = V.fresh(ctx.depth)
+    out.append(V.VIn(V.VPair(V.make_numeral(1), V.VPair(g, V.VVoid()))))
+    return out
+
+
+def test_pointwise_hypotheses_agree_with_eager_induction(ord_sess):
+    ctx = ord_sess.ctx
+    ord_v = datatype(ord_sess, "Ord").val
+    d = ctx.depth + 1  # one more for `g`
+    for x in ord_values(ord_sess):
+        for m in (APPLYING, READING["payload_and_hyps"], IGNORING["payload"]):
+            args = (ord_v.ixty, ord_v.fam, ctx.eval(T.Lam("p", None, T.Unit())), ctx.eval(m), ord_v.index, x)
+            assert V.quote(V.viinduction(*args), d) == V.quote(eager_viinduction(*args), d)
+
+
+def nat_int(v: V.Value) -> int:
+    """The Python integer of a closed `Nat` value."""
+    n = 0
+    while V.numeral_of(v.payload.fst) == 1:
+        v, n = v.payload.snd.fst, n + 1
+    return n
+
+
+def test_pointwise_hypotheses_are_built_when_applied(ord_sess):
+    # host-level functions record where they are applied: each application of
+    # the pointwise hypothesis applies `g` there and nowhere else, inner
+    # inductions first, as the method's pair is evaluated left to right
+    ctx = ord_sess.ctx
+    ord_v = datatype(ord_sess, "Ord").val
+    seen = []
+
+    def olim(name: str, g) -> V.Value:
+        fn = V.VLam("n", lambda n: seen.append((name, nat_int(n))) or g(n))
+        return V.VIn(V.VPair(V.make_numeral(1), V.VPair(fn, V.VVoid())))
+
+    oz = V.VIn(V.VPair(V.make_numeral(0), V.VVoid()))
+    inner = olim("inner", lambda n: oz)
+    outer = olim("outer", lambda n: inner)
+    args = (ord_v.ixty, ord_v.fam, ctx.eval(T.Lam("p", None, T.Unit())), ctx.eval(APPLYING), ord_v.index, outer)
+    got = V.viinduction(*args)
+    assert seen == [("outer", 2), ("inner", 2), ("inner", 0), ("outer", 0), ("inner", 2), ("inner", 0)]
+    assert V.quote(got, ctx.depth) == V.quote(eager_viinduction(*args), ctx.depth)
