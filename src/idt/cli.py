@@ -130,16 +130,16 @@ class Session:
     # -- evaluation -------------------------------------------------------------
 
     def synth_expr(self, text: str):
-        e = S.parse_expr(text)
-        el = Elaborator()
-        t, ty = el.synth(self.ctx, e)
+        t, ty = Elaborator().synth(self.ctx, S.parse_expr(text))
         if self.recheck:
             K.check(self.ctx, t, ty)  # synthesis soundness, checked whenever re-checking is on
         return t, ty
 
     def eval_expr(self, text: str) -> str:
-        t, ty = self.synth_expr(text)
-        return self.render_term(t, ty)
+        t, ty = Elaborator().synth(self.ctx, S.parse_expr(text))
+        # the re-check builds the value from the values of what it checked
+        value = K.check_value(self.ctx, t, ty) if self.recheck else None
+        return self.render_term(t, ty, value)
 
     def type_of(self, text: str) -> str:
         _, ty = self.synth_expr(text)
@@ -149,10 +149,11 @@ class Session:
         """`v` read back for display, naming the context's definitions."""
         return self.ctx.quote(v)
 
-    def render_term(self, t: T.Term, ty: Optional[V.Value] = None) -> str:
-        """The value of `t`: a numeral or a tag when it is one, else its
-        normal form, printed with the context's definitions named."""
-        v = self.ctx.eval(t)
+    def render_term(self, t: T.Term, ty: Optional[V.Value] = None, value: Optional[V.Value] = None) -> str:
+        """The value of `t` (`value`, when the caller has it): a numeral or
+        a tag when it is one, else its normal form, printed with the
+        context's definitions named."""
+        v = self.ctx.eval(t) if value is None else value
         n = self._as_numeral(v, ty)
         if n is not None:
             return str(n)

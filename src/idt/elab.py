@@ -27,7 +27,6 @@ what `--emit-trace` prints.
 
 from __future__ import annotations
 
-import sys
 from contextlib import contextmanager
 from typing import Optional
 
@@ -42,6 +41,11 @@ from .values import Value
 # a checked term with its value when that was built from the values of its
 # parts, else None
 Checked = tuple[Term, Optional[Value]]
+
+# the deepest decimal literal: each level costs a few hundred bytes in each
+# of its term, its value and what evaluation builds from it, so `plus
+# 100000 100000` takes seconds and a deeper literal only fills the memory
+MAX_NUMERAL = 100_000
 
 
 class ElabError(Exception):
@@ -167,7 +171,9 @@ class Elaborator:
                     )
                 at, av = self._check_value(ctx, a, ty.dom)
                 t = T.App(t, at)
-                ty = ty.cod(ctx.eval(at) if av is None else av)
+                if av is None and V.reads_arg(ty.cod):
+                    av = ctx.eval(at)
+                ty = ty.cod(av)
             return t, ty
         if isinstance(e, S.EAnn):
             tyt, tyv, _ = self.elab_type(ctx, e.ty)
@@ -389,12 +395,10 @@ class Elaborator:
         gives the expansion. With `zero` or `suc` bound or being defined, or
         against any other fix-point, the expansion is elaborated, errors
         included. Against a type that is no datatype, with both names free,
-        the numeral is rejected as such. A literal deeper than the recursion
-        limit is refused before anything is built."""
-        if e.value > sys.getrecursionlimit():
-            # the kernel's check and the evaluator recurse at least once per
-            # level, so such a literal cannot get through
-            raise RecursionError(f"numeral {e.value} is deeper than the Python stack")
+        the numeral is rejected as such. A literal deeper than `MAX_NUMERAL`
+        is refused before anything is built."""
+        if e.value > MAX_NUMERAL:
+            raise RecursionError(f"numeral {e.value} is deeper than {MAX_NUMERAL} levels")
         if ctx.lookup("zero") is None and ctx.lookup("suc") is None and self.active not in ("zero", "suc"):
             paths = _nat_paths(want)
             if paths is not None:

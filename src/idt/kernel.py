@@ -13,7 +13,11 @@ fixed levels with cumulativity as a subtyping check at conversion points.
 `check` returns the value of the term it checked when it built that value
 from the values of the parts (pairs, constructors, `()`, enumeration
 indices, `refl`), and None otherwise; a dependent codomain is instantiated
-with that value instead of evaluating the argument again.
+with that value instead of evaluating the argument again, and a codomain
+that does not read its variable gets no value at all. `check_value` also
+builds the value of an application from those of its head and arguments.
+The rules of the introduction forms run as one loop (`_check_intro`), so a
+literal's depth costs no Python stack.
 
 `infer` and `check` look their rule up by the exact class of the term
 (`_INFER_RULES`, `_CHECK_RULES`). A class without a checking rule is checked
@@ -32,7 +36,7 @@ domains and the universe its body's type ends in is its level
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Optional
+from typing import Callable, Optional
 
 from . import pp
 from . import terms as T
@@ -67,6 +71,22 @@ class Entry(Record):
     val: Optional[Value]  # None for declarations
 
 
+class LazyEntry:
+    """A declaration whose type is computed when something first reads it."""
+
+    __slots__ = ("name", "_ty", "_make")
+    val = None
+
+    def __init__(self, name: str, make_ty: Callable[[], Value]):
+        self.name, self._ty, self._make = name, None, make_ty
+
+    @property
+    def ty(self) -> Value:
+        if self._make is not None:
+            self._ty, self._make = self._make(), None
+        return self._ty
+
+
 class Context:
     """Ordered typing context; entries are declarations or definitions.
 
@@ -89,7 +109,10 @@ class Context:
     def depth(self) -> int:
         return len(self.entries)
 
-    def extend(self, name: str, ty: Value, val: Optional[Value] = None) -> "Context":
+    def extend(self, name: str, ty: Value | Callable[[], Value], val: Optional[Value] = None) -> "Context":
+        """This context with `name` declared at the type `ty`, or defined as
+        `val` of it. The type of a declaration may be given as a function of
+        no arguments, called when something first reads the type."""
         lvl = len(self.entries)
         if val is None:
             bound, named = V.fresh(lvl), self.named
@@ -102,7 +125,8 @@ class Context:
             i = bisect_left(seen, lvl)
             if seen[i] != lvl:
                 seen.insert(i, lvl)
-        return Context(self.entries + (Entry(name, ty, val),), self.env + (bound,), named, self.levels)
+        entry = LazyEntry(name, ty) if callable(ty) else Entry(name, ty, val)
+        return Context(self.entries + (entry,), self.env + (bound,), named, self.levels)
 
     def quote(self, v: Value, d: Optional[int] = None) -> Term:
         """Read `v` back at depth `d` (this context's by default), naming the
@@ -243,11 +267,33 @@ def _infer_lam(ctx: Context, t: T.Lam) -> Value:
 
 
 def _infer_app(ctx: Context, t: T.App) -> Value:
-    fty = infer(ctx, t.fn)
-    if not isinstance(fty, V.VPi):
-        _err("NotAFunction", t, f"applied term has type {show(ctx, fty)}")
-    argv = check(ctx, t.arg, fty.dom)
-    return fty.cod(ctx.eval(t.arg) if argv is None else argv)
+    return _infer_spine(ctx, t, False)[0]
+
+
+def _infer_spine(ctx: Context, t: T.App, with_value: bool) -> tuple:
+    """The type of the application spine `t`, inferred from its head
+    outwards, and with `with_value` also its value: the head's value applied
+    to each argument's value from `check_value`. Without it, an argument
+    whose check built no value is evaluated only when the codomain reads it:
+    a term closure whose body does not read its variable never does."""
+    apps = []
+    while type(t) is T.App:
+        apps.append(t)
+        t = t.fn
+    fty = infer(ctx, t)
+    fv = ctx.eval(t) if with_value else None
+    for app in reversed(apps):
+        if not isinstance(fty, V.VPi):
+            _err("NotAFunction", app, f"applied term has type {show(ctx, fty)}")
+        if with_value:
+            argv = check_value(ctx, app.arg, fty.dom)
+            fv = V.vapp(fv, argv)
+        else:
+            argv = check(ctx, app.arg, fty.dom)
+            if argv is None and V.reads_arg(fty.cod):
+                argv = ctx.eval(app.arg)
+        fty = fty.cod(argv)
+    return fty, fv
 
 
 def _infer_pair_type(ctx: Context, t) -> V.VSigma:
@@ -457,8 +503,24 @@ def check(ctx: Context, t: Term, want: Value) -> Optional[Value]:
     return _CHECK_RULES.get(type(t), _check_by_synthesis)(ctx, t, want)
 
 
-def _check_by_synthesis(ctx: Context, t: Term, want: Value) -> None:
-    got = infer(ctx, t)
+def check_value(ctx: Context, t: Term, want: Value) -> Value:
+    """`check`, returning the value of `t` whatever its class: that of an
+    application comes from `_infer_spine`, built from the values that its
+    arguments' checks gave, and any other term whose check built no value
+    is evaluated."""
+    if type(t) is T.App:
+        got, v = _infer_spine(ctx, t, True)
+        _check_by_synthesis(ctx, t, want, got)
+        return v
+    v = check(ctx, t, want)
+    return ctx.eval(t) if v is None else v
+
+
+def _check_by_synthesis(ctx: Context, t: Term, want: Value, got: Optional[Value] = None) -> None:
+    """Checking by synthesis: the type of `t` (`got`, when the caller has
+    inferred it) is convertible to `want` up to cumulativity."""
+    if got is None:
+        got = infer(ctx, t)
     if not conv_le(ctx, got, want):
         _err("TypeMismatch", t, f"expected {show(ctx, want)}, got {show(ctx, got)}")
 
@@ -474,32 +536,6 @@ def _check_lam(ctx: Context, t: T.Lam, want: Value) -> None:
     check(inner, t.body, want.cod(V.fresh(ctx.depth)))
 
 
-def _check_pair(ctx: Context, t: T.Pair, want: Value) -> Optional[Value]:
-    if not isinstance(want, V.VSigma):
-        _err("TypeMismatch", t, f"pair against {show(ctx, want)}")
-    av = check(ctx, t.fst, want.dom)
-    if av is None:
-        av = ctx.eval(t.fst)
-    bv = check(ctx, t.snd, want.cod(av))
-    return None if bv is None else V.VPair(av, bv)
-
-
-def _check_void(ctx: Context, t: T.Void, want: Value) -> Optional[Value]:
-    if isinstance(want, V.VUnit):
-        return V.VVoid()
-    return _check_by_synthesis(ctx, t, want)  # for the mismatch message
-
-
-def _check_index(ctx: Context, t: Term, want: Value) -> Optional[Value]:
-    """The checking rule of `ZeroE` and `SucE`: against a non-empty `EnumT`."""
-    if not (isinstance(want, V.VEnumT) and isinstance(want.enum, V.VConsE)):
-        _err("TypeMismatch", t, f"enum index against {show(ctx, want)}")
-    if type(t) is T.ZeroE:
-        return V.VZeroE()
-    nv = check(ctx, t.pred, V.VEnumT(want.enum.rest))
-    return None if nv is None else V.VSucE(nv)
-
-
 def _check_refl(ctx: Context, t: T.Refl, want: Value) -> Optional[Value]:
     if not isinstance(want, V.VEq):
         _err("TypeMismatch", t, f"refl against {show(ctx, want)}")
@@ -509,11 +545,62 @@ def _check_refl(ctx: Context, t: T.Refl, want: Value) -> Optional[Value]:
     _err("TypeMismatch", t, f"refl between non-convertible sides {sides}")
 
 
-def _check_in(ctx: Context, t: T.In, want: Value) -> Optional[Value]:
-    if not isinstance(want, V.VIMu):
-        _err("TypeMismatch", t, f"constructor against {show(ctx, want)}")
-    dv = check(ctx, t.payload, V.payload_type(want.ixty, want.fam, want.index))
-    return None if dv is None else V.VIn(dv)
+def _check_intro(ctx: Context, t: Term, want: Value) -> Optional[Value]:
+    """The checking rules of the introduction forms `In`, `Pair`, `ZeroE`,
+    `SucE` and `Void`, run as one loop over an explicit stack, so that a
+    constructor literal costs no Python stack however deep it is.
+
+    Going down, each node is checked against its type as its rule says: a
+    constructor's payload against the payload type of its fix-point, a
+    pair's first component against the domain, an index's predecessor
+    against the rest of its enumeration; a subterm of another class is
+    checked by `check`. Coming up, each node builds its value from its
+    parts' (None when a part built none), and a pair's second component is
+    checked against the codomain at the first's value, evaluated when its
+    check built none."""
+    stack: list = []  # nodes awaiting a part's value, innermost last: (node, x, second)
+    while True:
+        cls = type(t)
+        if cls is T.In:
+            if not isinstance(want, V.VIMu):
+                _err("TypeMismatch", t, f"constructor against {show(ctx, want)}")
+            stack.append((t, None, False))
+            t, want = t.payload, V.payload_type(want.ixty, want.fam, want.index)
+            continue
+        if cls is T.Pair:
+            if not isinstance(want, V.VSigma):
+                _err("TypeMismatch", t, f"pair against {show(ctx, want)}")
+            stack.append((t, want, False))
+            t, want = t.fst, want.dom
+            continue
+        if cls is T.ZeroE or cls is T.SucE:
+            if not (isinstance(want, V.VEnumT) and isinstance(want.enum, V.VConsE)):
+                _err("TypeMismatch", t, f"enum index against {show(ctx, want)}")
+            if cls is T.SucE:
+                stack.append((t, None, False))
+                t, want = t.pred, V.VEnumT(want.enum.rest)
+                continue
+            v = V.VZeroE()
+        elif cls is T.Void:
+            v = V.VVoid() if isinstance(want, V.VUnit) else _check_by_synthesis(ctx, t, want)
+        else:
+            v = check(ctx, t, want)
+        # hand `v` up to the nodes that await it, up to a pair whose second
+        # component is still to check
+        while stack:
+            node, x, second = stack.pop()
+            if second:  # x is the value of the pair's first component
+                if v is not None:
+                    v = V.VPair(x, v)
+            elif type(node) is T.Pair:  # x is the pair's type
+                av = ctx.eval(node.fst) if v is None else v
+                stack.append((node, av, True))
+                t, want = node.snd, x.cod(av)
+                break
+            elif v is not None:
+                v = V.VIn(v) if type(node) is T.In else V.VSucE(v)
+        else:
+            return v
 
 
 def _check_code(ctx: Context, t: Term, want: Value) -> None:
@@ -543,14 +630,10 @@ def _check_lret(ctx: Context, t: T.LRet, want: Value) -> None:
 # the checking rules; every other term class is checked by synthesis
 _CHECK_RULES = {
     T.Lam: _check_lam,
-    T.Pair: _check_pair,
-    T.Void: _check_void,
-    T.ZeroE: _check_index,
-    T.SucE: _check_index,
     T.Refl: _check_refl,
-    T.In: _check_in,
     T.LRet: _check_lret,
 }
+_CHECK_RULES.update(dict.fromkeys((T.In, T.Pair, T.ZeroE, T.SucE, T.Void), _check_intro))
 _CHECK_RULES.update(dict.fromkeys((T.DOne, T.DVarI, T.DTimes, T.DPi, T.DSigma, T.DSigmaE), _check_code))
 
 

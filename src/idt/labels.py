@@ -60,7 +60,9 @@ class Slot:
 class EwmSubgoal:
     def __init__(self, tag: Optional[str], binders: List[tuple], hyp_slots: List[Slot], goal: Value, wrap: Callable):
         self.tag = tag
-        self.binders = binders  # (name, type value), fresh at ctx.depth + position
+        # (name, type value or a function of no arguments that computes it),
+        # fresh at ctx.depth + position
+        self.binders = binders
         self.hyp_slots = hyp_slots
         self.goal = goal  # refined goal, valid under the binders
         self.wrap = wrap  # fn(body term under the binders) -> branch term
@@ -166,14 +168,15 @@ def _ewm_fix(ctx, kind, scrut_v, sty, motive_at) -> EwmResult:
 
     # the branches sit under the method's binders `\i. \xs. \h.` and its
     # step's `\c. \as.` (see `assemble`), so each subgoal binds these first
-    # and its branch is built where it lands
+    # and its branch is built where it lands; no branch names `xs`, `h` or
+    # `as`, so their types are computed only if something reads them
     iv, cv = V.fresh(d), V.fresh(d + 3)  # `probe` is the code at iv
     method_binders = [
         ("i", ixty),
-        ("xs", interp(probe)),
-        ("h", iall(probe, V.fresh(d + 1))),
+        ("xs", lambda: interp(probe)),
+        ("h", lambda: iall(probe, V.fresh(d + 1))),
         ("c", V.VEnumT(probe.enum)),
-        ("as", interp(V.vapp(probe.fam, cv))),
+        ("as", lambda: interp(V.vapp(probe.fam, cv))),
     ]
 
     def plan(tag: str, knum: int, code: Value) -> EwmSubgoal:

@@ -30,6 +30,10 @@ term in its family. Two closures over one term that reads no variable but
 its own binder are equal without being opened (`_conv_clo`); whether a term
 reads an outer variable is remembered on it as well.
 
+Induction builds its hypotheses eagerly on an explicit stack: `viallmap`
+walks a payload's code in a loop and runs the induction at each recursive
+position on the same stack, so the depth of the data costs no Python stack.
+
 Only the branch that is taken is evaluated: a `switch` on a known index
 whose cases are a written tuple evaluates the chosen case alone, and a
 `split` of a pair whose method is two written lambdas binds the components
@@ -304,6 +308,14 @@ def _reads_bound(t: Term) -> bool:
         return got
 
 
+def reads_arg(cod) -> bool:
+    """Whether the codomain `cod` of a Pi type may read its argument: a term
+    closure does when its body reads its variable (`_reads_bound`), a
+    host-level function may always. A caller that finds it does not may
+    instantiate `cod` at None, which nothing then reads."""
+    return type(cod) is not Clo or _reads_bound(cod.term)
+
+
 def own_binder_only(clo: Clo) -> bool:
     """Whether the term of `clo` reads no variable but its own binder, so
     that its values do not depend on the environment; the answer is stored
@@ -429,23 +441,63 @@ def viall(code: Value, x: Value, p: Value, d: Value) -> Value:
 
 
 def viallmap(code: Value, x: Value, p: Value, rec: Value, d: Value) -> Value:
-    if isinstance(code, VDVarI):
-        return vapp(vapp(rec, code.index), d)
-    if isinstance(code, VDOne):
-        return VVoid()
-    if isinstance(code, VDTimes):
-        return VPair(
-            viallmap(code.lhs, x, p, rec, vfst(d)),
-            viallmap(code.rhs, x, p, rec, vsnd(d)),
-        )
-    if isinstance(code, VDPi):
-        fam, xx, pp, rr, dd = code.fam, x, p, rec, d
-        return VLam("s", lambda s: viallmap(vapp(fam, s), xx, pp, rr, vapp(dd, s)))
-    if isinstance(code, (VDSigma, VDSigmaE)):
-        return viallmap(vapp_ground(code.fam, vfst(d)), x, p, rec, vsnd(d))
-    if isinstance(code, VNeutral):
-        return VStuck(T.IAllMap, (code, x, p, rec, d))
-    raise EvalError(f"indexed all-map over non-code {type(code).__name__}")
+    """The hypotheses `rec` gives the recursive positions of the payload `d`
+    of code `code`, walked on an explicit stack. When `rec` is an
+    induction's own (`_Induction`), the induction at a recursive position
+    that holds a constructor runs on that stack too: its method is entered,
+    its payload's hypotheses are walked, and the method is applied to them,
+    so that evaluation through `'varI` positions costs no Python stack. A
+    `'Pi` position's hypotheses stay a function, built pointwise when it
+    is applied."""
+    ind = rec.body if type(rec) is VLam and type(rec.body) is _Induction else None
+    stack: list = []  # frames awaiting a value, innermost last: (kind, a, b)
+    while True:
+        if isinstance(code, VDVarI):
+            if ind is not None and type(d) is VIn:
+                v, step = _enter(ind.m, code.index, d.payload)
+                if step is not None:
+                    stack.append((_APPLY, step, None))
+                    code, d = vapp_ground(ind.fam, code.index), d.payload
+                    continue
+            else:
+                v = vapp(vapp(rec, code.index), d)
+        elif isinstance(code, VDOne):
+            v = VVoid()
+        elif isinstance(code, VDTimes):
+            stack.append((_RIGHT, code.rhs, vsnd(d)))
+            code, d = code.lhs, vfst(d)
+            continue
+        elif isinstance(code, VDPi):
+            v = _pointwise(code.fam, x, p, rec, d)
+        elif isinstance(code, (VDSigma, VDSigmaE)):
+            code, d = vapp_ground(code.fam, vfst(d)), vsnd(d)
+            continue
+        elif isinstance(code, VNeutral):
+            v = VStuck(T.IAllMap, (code, x, p, rec, d))
+        else:
+            raise EvalError(f"indexed all-map over non-code {type(code).__name__}")
+        # hand `v` to the frames that await it, up to one with a walk left
+        while stack:
+            kind, a, b = stack.pop()
+            if kind is _RIGHT:
+                stack.append((_PAIR, v, None))
+                code, d = a, b
+                break
+            v = VPair(a, v) if kind is _PAIR else a(v)
+        else:
+            return v
+
+
+# what a frame of `viallmap` does with the value it awaits: walk the right
+# component of a product (whose payload it holds) after the left, pair the
+# left's value with the right's, or apply an entered method to its hypotheses
+_RIGHT, _PAIR, _APPLY = "right", "pair", "apply"
+
+
+def _pointwise(fam: Value, x: Value, p: Value, rec: Value, d: Value) -> Value:
+    """The hypotheses of a `'Pi` position of family `fam` holding the
+    function `d`: at each argument, those of `d` there."""
+    return VLam("s", lambda s: viallmap(vapp(fam, s), x, p, rec, vapp(d, s)))
 
 
 def imu_family(ixty: Value, fam: Value) -> Value:
@@ -454,18 +506,49 @@ def imu_family(ixty: Value, fam: Value) -> Value:
     return VLam("j", lambda j: VIMu(ixty, fam, j))
 
 
+class _Induction:
+    """The body of an induction's hypotheses function `\\i. \\x. iinduction
+    ixty fam p m i x`, which `viallmap` recognises."""
+
+    __slots__ = ("ixty", "fam", "p", "m")
+
+    def __init__(self, ixty: Value, fam: Value, p: Value, m: Value):
+        self.ixty, self.fam, self.p, self.m = ixty, fam, p, m
+
+    def __call__(self, i: Value) -> Value:
+        return VLam("x", lambda v: viinduction(self.ixty, self.fam, self.p, self.m, i, v))
+
+
+def _enter(m: Value, i: Value, payload: Value) -> tuple:
+    """The method `m` at the index `i` and `payload`: (its value, None) when
+    it reads no hypotheses, else (None, the function that awaits them).
+
+    A written `\\i. \\xs. \\h. body` takes `i` and the payload straight into
+    the environment of `body`. A body that does not read `h` is a case
+    analysis: void stands in for the hypotheses, which are never built."""
+    if type(m) is VLam and type(m.body) is Clo:
+        t = m.body.term
+        if type(t) is T.Lam and type(t.body) is T.Lam:
+            step = Clo(m.body.env + (i, payload), t.body.body)
+            return (None, step) if _reads_bound(step.term) else (step(VVoid()), None)
+    step = vapps(m, i, payload)
+    if type(step) is VLam:
+        if type(step.body) is Clo and not _reads_bound(step.body.term):
+            return step.body(VVoid()), None
+        return None, step.body
+    return None, lambda h: vapp(step, h)
+
+
 def viinduction(ixty: Value, fam: Value, p: Value, m: Value, i: Value, x: Value) -> Value:
+    """Induction over `x`: the method at its constructor, applied to the
+    hypotheses of its payload, which `viallmap` builds first, left to right
+    through the recursive positions."""
     if isinstance(x, VIn):
-        step = vapps(m, i, x.payload)
-        if type(step) is VLam and type(step.body) is Clo and not _reads_bound(step.body.term):
-            # a case analysis: void stands in for the hypotheses the body never reads
-            return step.body(VVoid())
-        rec = VLam(
-            "i",
-            lambda i2: VLam("x", lambda v: viinduction(ixty, fam, p, m, i2, v)),
-        )
-        hyp = viallmap(vapp_ground(fam, i), imu_family(ixty, fam), p, rec, x.payload)
-        return vapp(step, hyp)
+        v, step = _enter(m, i, x.payload)
+        if step is None:
+            return v
+        rec = VLam("i", _Induction(ixty, fam, p, m))
+        return step(viallmap(vapp_ground(fam, i), imu_family(ixty, fam), p, rec, x.payload))
     if isinstance(x, VNeutral):
         return VStuck(T.IInduction, (ixty, fam, p, m, i, x))
     raise EvalError("indexed induction on non-canonical scrutinee")

@@ -170,18 +170,19 @@ MUTANTS = [
         "        annv, _ = check_is_type(ctx, t.ann)\n        if not conv(ctx, annv, want.dom):",
         "        annv, _ = check_is_type(ctx, t.ann)\n        if False:",
     ),
+    # the pair, enumeration index and constructor rules, in the loop of `_check_intro`
     (
         "pair: against any type",
-        '    if not isinstance(want, V.VSigma):\n        _err("TypeMismatch", t, f"pair',
-        '    if False:\n        _err("TypeMismatch", t, f"pair',
+        '            if not isinstance(want, V.VSigma):\n                _err("TypeMismatch", t, f"pair',
+        '            if False:\n                _err("TypeMismatch", t, f"pair',
     ),
     (
         "enum index: into an empty enumeration",
-        "    if not (isinstance(want, V.VEnumT) and isinstance(want.enum, V.VConsE)):",
-        "    if not isinstance(want, V.VEnumT):",
+        "            if not (isinstance(want, V.VEnumT) and isinstance(want.enum, V.VConsE)):",
+        "            if not isinstance(want, V.VEnumT):",
     ),
     ("refl: against any type", "    if not isinstance(want, V.VEq):", "    if False:"),
-    ("In: against any type", "    if not isinstance(want, V.VIMu):", "    if False:"),
+    ("In: against any type", "            if not isinstance(want, V.VIMu):", "            if False:"),
     ("return: against any type", "    if not isinstance(want, V.VLabelTy):", "    if False:"),
     ("label: arity unchecked", "    if len(args) != len(argtys):", "    if False:"),
 ]

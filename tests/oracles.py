@@ -25,6 +25,11 @@ lambda and the index tuple type are shifted again under the index binders.
 
 `sub_desc` is the declarative predicate of the decidable-equality
 sub-universe: `generics.derive_eq` accepts exactly the codes it holds of.
+
+`recursive_check` is `kernel.check` with the checking rules of the
+introduction forms `In`, `Pair`, `ZeroE`, `SucE` and `Void` as they were
+before they ran as one loop over an explicit stack: each recursing through
+itself, one Python frame or more per node.
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ from contextlib import contextmanager
 from typing import Callable, List
 
 from idt import desc
+from idt import kernel as K
 from idt import labels as L
 from idt import terms as T
 from idt import values as V
@@ -494,3 +500,50 @@ def sub_desc(code: Value) -> bool:
         n = len(V.enum_tags(dom.enum))
         return all(sub_desc(V.vapp(code.fam, V.make_numeral(k))) for k in range(n))
     return False
+
+
+def recursive_check(ctx: Context, t: Term, want: Value):
+    """`kernel.check`, with the recursive rules of the introduction forms."""
+    rule = _RECURSIVE_RULES.get(type(t))
+    return K.check(ctx, t, want) if rule is None else rule(ctx, t, want)
+
+
+def _check_pair(ctx: Context, t: T.Pair, want: Value):
+    if not isinstance(want, V.VSigma):
+        K._err("TypeMismatch", t, f"pair against {K.show(ctx, want)}")
+    av = recursive_check(ctx, t.fst, want.dom)
+    if av is None:
+        av = ctx.eval(t.fst)
+    bv = recursive_check(ctx, t.snd, want.cod(av))
+    return None if bv is None else V.VPair(av, bv)
+
+
+def _check_void(ctx: Context, t: T.Void, want: Value):
+    if isinstance(want, V.VUnit):
+        return V.VVoid()
+    return K._check_by_synthesis(ctx, t, want)
+
+
+def _check_index(ctx: Context, t: Term, want: Value):
+    if not (isinstance(want, V.VEnumT) and isinstance(want.enum, V.VConsE)):
+        K._err("TypeMismatch", t, f"enum index against {K.show(ctx, want)}")
+    if type(t) is T.ZeroE:
+        return V.VZeroE()
+    nv = recursive_check(ctx, t.pred, V.VEnumT(want.enum.rest))
+    return None if nv is None else V.VSucE(nv)
+
+
+def _check_in(ctx: Context, t: T.In, want: Value):
+    if not isinstance(want, V.VIMu):
+        K._err("TypeMismatch", t, f"constructor against {K.show(ctx, want)}")
+    dv = recursive_check(ctx, t.payload, V.payload_type(want.ixty, want.fam, want.index))
+    return None if dv is None else V.VIn(dv)
+
+
+_RECURSIVE_RULES = {
+    T.Pair: _check_pair,
+    T.Void: _check_void,
+    T.ZeroE: _check_index,
+    T.SucE: _check_index,
+    T.In: _check_in,
+}

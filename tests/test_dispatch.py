@@ -92,11 +92,18 @@ def test_eval_and_quote_visit_each_node_once(monkeypatch, k):
 
 
 @pytest.mark.parametrize("k", [0, 1, 7])
-def test_kernel_checks_each_node_once(monkeypatch, prelude, k):
+def test_kernel_checks_a_literal_in_one_call_and_each_node_once(monkeypatch, prelude, k):
+    # the checking rules of the introduction forms run as one loop: one
+    # call for the whole literal, one payload type per constructor, no node
+    # evaluated, and the value built from the parts
     t, nat = num_term(k), nat_value(prelude)
+    want = V.eval_term(t, ())
     calls = counting(monkeypatch, K, "check", "infer")
-    K.check(prelude.ctx, t, nat)
-    assert len(calls) == count_nodes(t)
+    payloads = counting(monkeypatch, V, "payload_type")
+    evals = counting(monkeypatch, V, "eval_term")
+    got = K.check(prelude.ctx, t, nat)
+    assert (len(calls), len(payloads), evals) == (1, k + 1, [])
+    assert got == want
 
 
 class Alien(T.Term):

@@ -19,6 +19,7 @@ from generators import gen_let_decl
 from oracles import eager_eliminations
 
 from idt import dataelab as D
+from idt import kernel as K
 from idt import labels as L
 from idt import surface as S
 from idt import terms as T
@@ -147,3 +148,90 @@ def test_each_elimination_agrees_with_the_eager_rule(case):
     with eager_eliminations():
         eager = V.quote(V.eval_term(t, env), 3)
     assert lazy == eager
+
+
+# --- values reused from the re-check, arguments left unevaluated ----------------------
+
+PRED = "let pred (m : Nat) : Nat where\n  pred m by case m {\n    pred zero => zero\n    pred (suc m') => m'\n  }\n"
+
+
+def gen_nat(rng, depth: int) -> str:
+    """A closed expression that checks against `Nat`."""
+    if depth == 0:
+        return rng.choice(["zero", str(rng.randrange(9)), str(rng.randrange(9))])
+    a = lambda: f"({gen_nat(rng, depth - 1)})"  # noqa: E731
+    forms = [
+        lambda: f"plus {a()} {a()}",
+        lambda: f"pred {a()}",
+        lambda: f"suc {a()}",
+        lambda: f"(\\x. plus x {a()} : Nat -> Nat) {a()}",
+    ]
+    return rng.choice(forms)()
+
+
+def gen_expr(rng, depth: int) -> str:
+    """A closed expression after the prelude, `pred` and `same` that
+    synthesises its type; one in ten is ill-typed."""
+    n = lambda: f"({gen_nat(rng, depth - 1)})"  # noqa: E731
+    forms = [
+        lambda: f"plus {n()} {n()}",
+        lambda: f"pred {n()}",
+        lambda: f"({gen_nat(rng, depth)} : Nat)",
+        lambda: f"(\\x. plus x {n()} : Nat -> Nat) {n()}",
+        lambda: f"({n()} {n()} : Nat * Nat)",
+        lambda: f"(pred {n()} : (Nat -> Nat) * Nat)",
+        lambda: "(\\x. x : Nat -> Nat)",
+        lambda: f"(refl : plus {n()} {n()} == plus {n()} {n()})",
+        lambda: "('true : Bool)",
+        lambda: f"same {n()}",  # a codomain that reads its argument
+    ]
+    if rng.random() < 0.1:
+        return rng.choice([f"plus {n()} 'true", f"pred {n()} {n()}", f"({n()} : Bool)"])
+    return rng.choice(forms)()
+
+
+def outcome(f) -> str:
+    try:
+        return f()
+    except (ElabError, K.KernelError) as err:
+        return f"{type(err).__name__}: {err}"
+
+
+@pytest.fixture(scope="module")
+def pred_session():
+    s = load_session("prelude.idt")
+    s.load_text(PRED)
+    s.load_text("let same (n : Nat) : n == n => refl")
+    return s
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), depth=st.integers(1, 4))
+def test_values_from_the_recheck_print_as_evaluation(pred_session, seed, depth):
+    # `eval_expr` prints the value the kernel's re-check built as the
+    # evaluation of the elaborated term prints; the types inferred without
+    # evaluating the arguments that no codomain reads are those inferred
+    # with every argument evaluated
+    sess = pred_session
+    text = gen_expr(random.Random(seed), depth)
+    got = outcome(lambda: sess.eval_expr(text))
+    assert got == outcome(lambda: sess.render_term(*sess.synth_expr(text)))
+    assert got == outcome(lambda: Session(recheck=False, ctx=sess.ctx).eval_expr(text))
+    typed = outcome(lambda: sess.type_of(text))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(V, "reads_arg", lambda cod: True)
+        assert typed == outcome(lambda: sess.type_of(text))
+
+
+def test_an_unread_argument_is_not_evaluated(pred_session, monkeypatch):
+    # `plus`'s codomain does not read `m`, so neither the elaborator nor the
+    # kernel evaluates `pred 9`; the re-check builds the value from the
+    # values its checks gave, so neither literal is evaluated either
+    elaborated, evaluated = [], []
+    real_synth, real_eval = Elaborator.synth, V.eval_term
+    monkeypatch.setattr(Elaborator, "synth", lambda el, ctx, e: elaborated.append(real_synth(el, ctx, e)) or elaborated[-1])
+    monkeypatch.setattr(V, "eval_term", lambda t, env: evaluated.append(t) or real_eval(t, env))
+    assert pred_session.eval_expr("plus (pred 9) 9") == "17"
+    t, _ = elaborated[-1]  # the outermost synthesis returns last
+    args = (t.fn.arg, t.fn.arg.arg, t.arg)  # pred 9, and the two literals
+    assert not any(u is a for u in evaluated for a in args)

@@ -47,6 +47,10 @@ READING = {
     "hyps_under_a_lambda": method(T.Lam("y", None, T.Pair(T.Var(0), T.Var(1)))),
     "hyps_projected": method(T.Fst(T.Pair(T.Var(0), T.Var(1)))),
 }
+# methods that are not a written `\i. \xs. \h.`: applied to the index and
+# the payload, each is the step `\h. ...`
+IGNORING["not_written"] = T.Lam("i", None, T.App(method(T.Var(1)), T.Var(0)))
+READING["not_written"] = T.Lam("i", None, T.App(method(T.Pair(T.Var(1), T.Var(0))), T.Var(0)))
 METHODS = {**IGNORING, **READING}
 DATATYPES = ("Nat", "Tree Bool", "BTree")
 BTREE = (
@@ -121,6 +125,14 @@ def test_hypotheses_are_built_exactly_when_read(sess, monkeypatch, name):
         for x in xs:
             V.quote(V.viinduction(*induction_args(sess, name, m, x)), sess.ctx.depth)
         assert (calls[0] > 0) == built, (name, m, calls[0])
+
+
+def test_a_neutral_method_is_applied_to_the_hypotheses(sess):
+    d = sess.ctx.depth
+    for name in DATATYPES:
+        for x in inhabitants(sess, name, 2)[1]:
+            args = induction_args(sess, name, V.fresh(d), x)
+            assert V.quote(V.viinduction(*args), d + 1) == V.quote(eager_viinduction(*args), d + 1)
 
 
 def test_an_unread_hypothesis_is_found_once_per_term(sess, monkeypatch):

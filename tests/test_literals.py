@@ -3,10 +3,15 @@ formatted only for errors, and the error texts themselves."""
 
 import io
 import os
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import CORPUS, datatype, elab_check, elab_synth, load_session
+import oracles
+
+from conftest import CORPUS, datatype, elab_check, elab_synth, load_session, num_term, read_corpus
 
 from idt import kernel as K
 from idt import labels as L
@@ -15,7 +20,7 @@ from idt import surface as S
 from idt import terms as T
 from idt import values as V
 from idt.cli import run_check
-from idt.elab import ElabError, Elaborator
+from idt.elab import ElabError, Elaborator, _enum_index
 
 
 @pytest.fixture(scope="module")
@@ -291,3 +296,112 @@ def test_only_the_numeral_rule_makes_a_numeral():
     assert not s.eval_expr("(suc (suc zero 'true) 'false : Odd)").isdigit()
     with pytest.raises(ElabError):
         s.eval_expr("(2 : Odd)")
+
+
+# --- the checking rules of the introduction forms as one loop ----------------------
+
+# the literals of the last two are rejected: `vnil`'s equation is false at 2,
+# and so is `1 == 2`
+LOOP_TYPES = ("Nat", "Tree Bool", "Vect Bool 2", "Ord", "Nat * Bool", "Unit", "plus 1 1 == 2", "Vec Bool 2", "(1 : Nat) == 2")
+# one-node replacements of a subterm `u`
+REPLACEMENTS = (
+    lambda u: T.ZeroE(),
+    lambda u: T.SucE(T.ZeroE()),
+    lambda u: T.Void(),
+    lambda u: T.Pair(T.Void(), T.Void()),
+    lambda u: T.In(T.Void()),
+    lambda u: T.Refl(),
+    lambda u: T.Tag("a"),
+    lambda u: T.Lam("y", None, T.Void()),
+    lambda u: T.SucE(u),
+    lambda u: T.In(u),
+    lambda u: T.Pair(u, T.Void()),
+    lambda u: next((getattr(u, f) for f in u._fields if isinstance(getattr(u, f), T.Term)), T.Void()),
+)
+
+
+@pytest.fixture(scope="module")
+def loop_sess():
+    s = load_session("nat_tree_vec.idt")
+    s.load_text("let Bool : Set => Enum {'true, 'false}")
+    s.load_text("let plus" + read_corpus("prelude.idt").split("let plus")[1])
+    s.load_text("data Ord : Set where\n  Ord => oz\n  Ord => olim (g : Nat -> Ord)\n")
+    return s
+
+
+def gen_intro(rng, ctx, want, budget: list) -> T.Term:
+    """A closed term of the introduction forms against the closed type
+    `want`, typed as far as the type allows (an equation gets `refl`,
+    convertible or not); `budget` bounds its constructors."""
+    if isinstance(want, V.VIMu):
+        budget[0] -= 1
+        payload = V.payload_type(want.ixty, want.fam, want.index)
+        tags = V.enum_tags(payload.dom.enum)
+        k = 0 if budget[0] <= 0 else rng.randrange(len(tags))
+        tag = _enum_index(k)[0]
+        return T.In(T.Pair(tag, gen_intro(rng, ctx, payload.cod(ctx.eval(tag)), budget)))
+    if isinstance(want, V.VSigma):
+        a = gen_intro(rng, ctx, want.dom, budget)
+        return T.Pair(a, gen_intro(rng, ctx, want.cod(ctx.eval(a)), budget))
+    if isinstance(want, V.VEnumT):
+        tags = V.enum_tags(want.enum)
+        return _enum_index(rng.randrange(len(tags)) if tags else 0)[0]
+    if isinstance(want, V.VPi):
+        return T.Lam("x", None, gen_intro(rng, ctx, want.cod(V.fresh(ctx.depth)), budget))
+    if isinstance(want, V.VEq):
+        return T.Refl()
+    return T.Void()
+
+
+def subterms(t, path=()):
+    yield path, t
+    for f in t._fields:
+        u = getattr(t, f)
+        if isinstance(u, T.Term):
+            yield from subterms(u, path + (f,))
+
+
+def replaced(t, path, new):
+    if not path:
+        return new
+    f = path[0]
+    return type(t)(*(replaced(getattr(t, g), path[1:], new) if g == f else getattr(t, g) for g in t._fields))
+
+
+def verdict(ctx, check, t, want):
+    try:
+        v = check(ctx, t, want)
+    except K.KernelError as e:
+        return ("rejected", e.kind, e.msg)
+    except V.EvalError as e:
+        return ("evaluation error", str(e))
+    return ("accepted", None if v is None else V.quote(v, ctx.depth))
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), ty=st.sampled_from(LOOP_TYPES), size=st.integers(1, 12))
+def test_the_loop_judges_literals_as_the_recursive_rules(loop_sess, seed, ty, size):
+    # the kernel's loop accepts and rejects the same literals and one-node
+    # mutations of them as the recursive rules, with the same message, and
+    # builds the same value
+    rng = random.Random(seed)
+    ctx = loop_sess.ctx
+    want = ctx.eval(loop_sess.synth_expr(f"({ty} : Set)")[0])
+    t = gen_intro(rng, ctx, want, [size])
+    assert verdict(ctx, K.check, t, want) == verdict(ctx, oracles.recursive_check, t, want)
+    if ty not in LOOP_TYPES[-2:]:
+        assert verdict(ctx, K.check, t, want)[0] == "accepted"
+    for _ in range(8):
+        path, u = rng.choice(list(subterms(t)))
+        bad = replaced(t, path, rng.choice(REPLACEMENTS)(u))
+        assert verdict(ctx, K.check, bad, want) == verdict(ctx, oracles.recursive_check, bad, want)
+
+
+def test_a_deep_literal_checks_without_the_python_stack(loop_sess):
+    nat = datatype(loop_sess, "Nat").val
+    t = num_term(50_000)
+    v = K.check(loop_sess.ctx, t, nat)
+    n = 0
+    while V.numeral_of(v.payload.fst) == 1:
+        v, n = v.payload.snd.fst, n + 1
+    assert n == 50_000

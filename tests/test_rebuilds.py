@@ -105,3 +105,41 @@ def test_lookup_finds_the_innermost_binding_of_each_extension():
     assert base.lookup("x") == (1, base.entries[0]) and base.lookup("z") is None
     deeper = sibling.extend("w", V.VUnit()).extend("x", V.VUnit())
     assert deeper.lookup("x") == (0, deeper.entries[4]) and deeper.lookup("y") == (3, deeper.entries[1])
+
+
+PRED = "let pred (m : Nat) : Nat where\n  pred m by case m {\n    pred zero => zero\n    pred (suc m') => m'\n  }\n"
+# (text, preamble, `eval_term` calls when the by-gadget computed the types
+# of the method's binders `%xs`, `%h` and `%as` for every `by` block: 32 of
+# the calls for each block over `Nat`)
+BY_LOADS = {
+    "plus": (PLUS, NAT + BOOL, 836),
+    "pred": (PRED, NAT + BOOL, 391),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BY_LOADS))
+def test_no_branch_reads_the_types_of_the_method_binders(monkeypatch, name):
+    text, preamble, before = BY_LOADS[name]
+    sess = Session()
+    sess.load_text(preamble)
+    forced, calls = [], [0]
+    ty = K.LazyEntry.ty
+    monkeypatch.setattr(K.LazyEntry, "ty", property(lambda e: forced.append(e.name) or ty.fget(e)))
+    real = V.eval_term
+
+    def counting(t, env):
+        calls[0] += 1
+        return real(t, env)
+
+    monkeypatch.setattr(V, "eval_term", counting)
+    sess.load_text(text)
+    assert forced == []
+    assert calls[0] <= before - 32, calls[0]
+
+
+def test_a_lazy_type_is_computed_once_when_read():
+    made = []
+    ctx = K.Context().extend("x", lambda: made.append(1) or V.VUnit())
+    assert made == []
+    assert ctx.lookup("x")[1].ty == V.VUnit() and ctx.entry_at(0).ty == V.VUnit()
+    assert made == [1] and ctx.entry_at(0).val is None
