@@ -171,8 +171,8 @@ class Elaborator:
                     )
                 at, av = self._check_value(ctx, a, ty.dom)
                 t = T.App(t, at)
-                if av is None and V.reads_arg(ty.cod):
-                    av = ctx.eval(at)
+                if av is None and (type(at) is T.Var or V.reads_arg(ty.cod)):
+                    av = ctx.eval(at)  # a variable's value is a lookup
                 ty = ty.cod(av)
             return t, ty
         if isinstance(e, S.EAnn):

@@ -274,8 +274,9 @@ def _infer_spine(ctx: Context, t: T.App, with_value: bool) -> tuple:
     """The type of the application spine `t`, inferred from its head
     outwards, and with `with_value` also its value: the head's value applied
     to each argument's value from `check_value`. Without it, an argument
-    whose check built no value is evaluated only when the codomain reads it:
-    a term closure whose body does not read its variable never does."""
+    other than a variable whose check built no value is evaluated only when
+    the codomain reads it: a term closure whose body does not read its
+    variable never does."""
     apps = []
     while type(t) is T.App:
         apps.append(t)
@@ -290,8 +291,8 @@ def _infer_spine(ctx: Context, t: T.App, with_value: bool) -> tuple:
             fv = V.vapp(fv, argv)
         else:
             argv = check(ctx, app.arg, fty.dom)
-            if argv is None and V.reads_arg(fty.cod):
-                argv = ctx.eval(app.arg)
+            if argv is None and (type(app.arg) is T.Var or V.reads_arg(fty.cod)):
+                argv = ctx.eval(app.arg)  # a variable's value is a lookup
         fty = fty.cod(argv)
     return fty, fv
 
@@ -561,28 +562,28 @@ def _check_intro(ctx: Context, t: Term, want: Value) -> Optional[Value]:
     stack: list = []  # nodes awaiting a part's value, innermost last: (node, x, second)
     while True:
         cls = type(t)
-        if cls is T.In:
-            if not isinstance(want, V.VIMu):
-                _err("TypeMismatch", t, f"constructor against {show(ctx, want)}")
-            stack.append((t, None, False))
-            t, want = t.payload, V.payload_type(want.ixty, want.fam, want.index)
-            continue
-        if cls is T.Pair:
-            if not isinstance(want, V.VSigma):
+        if cls is _Pair:
+            if not isinstance(want, _VSigma):
                 _err("TypeMismatch", t, f"pair against {show(ctx, want)}")
             stack.append((t, want, False))
             t, want = t.fst, want.dom
             continue
-        if cls is T.ZeroE or cls is T.SucE:
-            if not (isinstance(want, V.VEnumT) and isinstance(want.enum, V.VConsE)):
+        if cls is _In:
+            if not isinstance(want, _VIMu):
+                _err("TypeMismatch", t, f"constructor against {show(ctx, want)}")
+            stack.append((t, None, False))
+            t, want = t.payload, V.payload_type(want.ixty, want.fam, want.index)
+            continue
+        if cls is _Void:
+            v = _VVoid() if isinstance(want, _VUnit) else _check_by_synthesis(ctx, t, want)
+        elif cls is _SucE or cls is _ZeroE:
+            if not (isinstance(want, _VEnumT) and isinstance(want.enum, _VConsE)):
                 _err("TypeMismatch", t, f"enum index against {show(ctx, want)}")
-            if cls is T.SucE:
+            if cls is _SucE:
                 stack.append((t, None, False))
-                t, want = t.pred, V.VEnumT(want.enum.rest)
+                t, want = t.pred, _VEnumT(want.enum.rest)
                 continue
-            v = V.VZeroE()
-        elif cls is T.Void:
-            v = V.VVoid() if isinstance(want, V.VUnit) else _check_by_synthesis(ctx, t, want)
+            v = _VZeroE()
         else:
             v = check(ctx, t, want)
         # hand `v` up to the nodes that await it, up to a pair whose second
@@ -591,16 +592,22 @@ def _check_intro(ctx: Context, t: Term, want: Value) -> Optional[Value]:
             node, x, second = stack.pop()
             if second:  # x is the value of the pair's first component
                 if v is not None:
-                    v = V.VPair(x, v)
-            elif type(node) is T.Pair:  # x is the pair's type
+                    v = _VPair(x, v)
+            elif x is not None:  # x is the pair's type
                 av = ctx.eval(node.fst) if v is None else v
                 stack.append((node, av, True))
                 t, want = node.snd, x.cod(av)
                 break
             elif v is not None:
-                v = V.VIn(v) if type(node) is T.In else V.VSucE(v)
+                v = _VIn(v) if type(node) is _In else _VSucE(v)
         else:
             return v
+
+
+# the classes `_check_intro` tests and builds, bound once
+_In, _Pair, _ZeroE, _SucE, _Void = T.In, T.Pair, T.ZeroE, T.SucE, T.Void
+_VIMu, _VSigma, _VEnumT, _VConsE, _VUnit = V.VIMu, V.VSigma, V.VEnumT, V.VConsE, V.VUnit
+_VIn, _VPair, _VZeroE, _VSucE, _VVoid = V.VIn, V.VPair, V.VZeroE, V.VSucE, V.VVoid
 
 
 def _check_code(ctx: Context, t: Term, want: Value) -> None:

@@ -173,16 +173,16 @@ MUTANTS = [
     # the pair, enumeration index and constructor rules, in the loop of `_check_intro`
     (
         "pair: against any type",
-        '            if not isinstance(want, V.VSigma):\n                _err("TypeMismatch", t, f"pair',
+        '            if not isinstance(want, _VSigma):\n                _err("TypeMismatch", t, f"pair',
         '            if False:\n                _err("TypeMismatch", t, f"pair',
     ),
     (
         "enum index: into an empty enumeration",
-        "            if not (isinstance(want, V.VEnumT) and isinstance(want.enum, V.VConsE)):",
-        "            if not isinstance(want, V.VEnumT):",
+        "            if not (isinstance(want, _VEnumT) and isinstance(want.enum, _VConsE)):",
+        "            if not isinstance(want, _VEnumT):",
     ),
     ("refl: against any type", "    if not isinstance(want, V.VEq):", "    if False:"),
-    ("In: against any type", "            if not isinstance(want, V.VIMu):", "            if False:"),
+    ("In: against any type", "            if not isinstance(want, _VIMu):", "            if False:"),
     ("return: against any type", "    if not isinstance(want, V.VLabelTy):", "    if False:"),
     ("label: arity unchecked", "    if len(args) != len(argtys):", "    if False:"),
 ]
