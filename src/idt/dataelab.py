@@ -134,11 +134,11 @@ class DataElab:
             cases = T.Pair(code, cases)
         fam_body = T.Switch(
             enum_t,  # closed
-            T.Lam("_", None, T.IDesc(ctx.quote(goal.ty.index, ctx.depth + 2))),
+            T.Lam("_", T.IDesc(ctx.quote(goal.ty.index, ctx.depth + 2))),
             cases,
             T.Var(0),
         )
-        fam = T.Lam("c", T.EnumT(enum_t), fam_body)
+        fam = T.Lam("c", fam_body)
         return T.LRet(T.DSigmaE(enum_t, fam))
 
     def _elab_by(self, ctx: Context, ctx_c: Context, clause: S.Clause, goal: V.VLabelTy, depth: int,
@@ -206,7 +206,7 @@ class DataElab:
                     is_tm = self.extract_indices(inner_ctx, cod_args, goal, constraints, cod)
                     code: Term = T.DVarI(is_tm)
                     for dnm, dt in reversed(dom_terms):
-                        code = T.DPi(dt, T.Lam(dnm, dt, code))
+                        code = T.DPi(dt, T.Lam(dnm, code))
                     rest = self.elab_args(ctx, rest_args, goal, constraints)
                 return T.DTimes(code, rest)
         # ordinary argument
@@ -220,7 +220,7 @@ class DataElab:
                 )
             self._positivity(ctx, tyt, _span(tye))
             rest = self.elab_args(ctx.extend(nm, tyv), rest_args, goal, constraints)
-        return T.DSigma(tyt, T.Lam(nm, tyt, rest))
+        return T.DSigma(tyt, T.Lam(nm, rest))
 
     # trailing equality codes for the clause's constraints
     def elab_constraints(self, ctx: Context, goal: V.VLabelTy, constraints: tuple) -> Term:
@@ -238,7 +238,7 @@ class DataElab:
         proof_ty = V.VEq(goal.argtys[pos], goal.args[pos], ctx.eval(t))
         inner = self._eqs(ctx.extend("%_", proof_ty), goal, constraints[:-1])
         eq = T.Eq(ctx.quote(goal.argtys[pos]), ctx.quote(goal.args[pos]), t)
-        return T.DSigma(eq, T.Lam("_", eq, inner))
+        return T.DSigma(eq, T.Lam("_", inner))
 
     # indices of a recursive call, paired left to right
     def extract_indices(self, ctx: Context, app_args: list, goal: V.VLabelTy, constraints: tuple, at) -> Term:
@@ -412,7 +412,7 @@ def _build_definiens(decl, p_tys, i_tys, code, k: int, m: int) -> tuple:
         argtys.append(i_tys_j[pos])
 
     call = T.LCall(decl.name, tuple(args), tuple(argtys), T.IDesc(T.shift(idx_ty, 1)), code_r)
-    r_term = T.Lam("j", idx_ty, call)
+    r_term = T.Lam("j", call)
 
     # pack the index variables into the tuple
     pack: Term = T.Void()
@@ -421,7 +421,7 @@ def _build_definiens(decl, p_tys, i_tys, code, k: int, m: int) -> tuple:
 
     out = T.IMu(idx_ty, r_term, pack)
     for pos in reversed(range(m)):
-        out = T.Lam(decl.indices[pos][0], i_tys[pos], out)
+        out = T.Lam(decl.indices[pos][0], out)
     for pos in reversed(range(k)):
-        out = T.Lam(decl.params[pos][0], p_tys[pos], out)
+        out = T.Lam(decl.params[pos][0], out)
     return out, not reads_outer

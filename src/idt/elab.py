@@ -178,7 +178,8 @@ class Elaborator:
         if isinstance(e, S.EAnn):
             tyt, tyv, _ = self.elab_type(ctx, e.ty)
             t = self.check(ctx, e.expr, tyv)
-            return t, tyv
+            # a lambda only checks; annotated, it can head an application
+            return (T.Ann(t, tyt) if type(t) is T.Lam else t), tyv
         if isinstance(e, S.EPi):
             domt, domv, j = self.elab_type(ctx, e.dom)
             codt, _, k = self.elab_type(ctx.extend(e.name, domv), e.cod)
@@ -276,7 +277,7 @@ class Elaborator:
                 self.err("CheckMismatch", e.span, f"function against {K.show(ctx, want)}")
             inner = ctx.extend(e.name, want.dom)
             body = self.check(inner, e.body, want.cod(V.fresh(ctx.depth)))
-            return T.Lam(e.name, ctx.quote(want.dom), body), None
+            return T.Lam(e.name, body), None
         if isinstance(e, S.EParen):
             if isinstance(want, (V.VSigma, V.VUnit)):
                 return self._tuple(ctx, e, [], want)
@@ -375,7 +376,7 @@ class Elaborator:
             )
         d = ctx.depth
         enum_t = ctx.quote(want.dom.enum)
-        fam_t = T.Lam("e", None, ctx.quote(want.cod(V.fresh(d)), d + 1))
+        fam_t = T.Lam("e", ctx.quote(want.cod(V.fresh(d)), d + 1))
         fam_v = ctx.eval(fam_t)
         cases: list = []
         for k, (_, rhs) in enumerate(e.alts):
@@ -384,7 +385,7 @@ class Elaborator:
         for c in reversed(cases):
             cases_t = T.Pair(c, cases_t)
         body = T.Switch(T.shift(enum_t, 1), T.shift(fam_t, 1), T.shift(cases_t, 1), T.Var(0))
-        return T.Lam("e", T.EnumT(enum_t), body)
+        return T.Lam("e", body)
 
     def _numeral(self, ctx: Context, e: S.ENum, want: Value) -> Checked:
         """A decimal literal `n`, which means `suc (… zero)` with `n` `suc`s.

@@ -25,12 +25,13 @@ by synthesis: its type is inferred and compared with `conv_le`.
 
 Elaborated `by` programs arrive beta-normal: each branch is a lambda in a
 tuple of cases or a split method, checked against the type the eliminator
-gives it. An annotated lambda in head position, which `_infer_lam`
-synthesises by reading its body's type back, comes only from the source
-program. Each judgment has one rule: a motive's lambdas check against its
-domains and the universe its body's type ends in is its level
-(`_motive_check`); the code formers only check, so the code of an `interpI`,
-`IAll` or `IAllMap` is neutral and its inferred `IDesc I` is its check.
+gives it. A lambda only checks; the one the source program writes in head
+position arrives as `Ann(lambda, type)`, whose rule checks the type, checks
+the lambda against it and infers it. Each judgment has one rule: a motive's
+lambdas check against its domains and the universe its body's type ends in
+is its level (`_motive_check`); the code formers only check, so the code of
+an `interpI`, `IAll` or `IAllMap` is neutral and its inferred `IDesc I` is
+its check.
 """
 
 from __future__ import annotations
@@ -203,10 +204,6 @@ def _motive_check(ctx: Context, p: Term, want: Value) -> tuple:
     domains left over and end in a universe."""
     outer, motive = ctx, p
     while isinstance(p, T.Lam) and isinstance(want, V.VPi):
-        if p.ann is not None:
-            annv, _ = check_is_type(ctx, p.ann)
-            if not conv(ctx, annv, want.dom):
-                _err("TypeMismatch", p, "annotation disagrees with the expected domain")
         x = V.fresh(ctx.depth)
         ctx = ctx.extend(p.nm, want.dom)
         want, p = want.cod(x), p.body
@@ -257,13 +254,10 @@ def _infer_binder(ctx: Context, t) -> Value:
     return V.VSet(max(j, k))
 
 
-def _infer_lam(ctx: Context, t: T.Lam) -> Value:
-    if t.ann is None:
-        _err("CannotInfer", t, "unannotated function")
-    domv, _ = check_is_type(ctx, t.ann)
-    body_ty = infer(ctx.extend(t.nm, domv), t.body)
-    cod = ctx.quote(body_ty, ctx.depth + 1)
-    return V.VPi(t.nm, domv, V.Clo(ctx.env, cod))
+def _infer_ann(ctx: Context, t: T.Ann) -> Value:
+    tyv, _ = check_is_type(ctx, t.ty)
+    check(ctx, t.term, tyv)
+    return tyv
 
 
 def _infer_app(ctx: Context, t: T.App) -> Value:
@@ -316,17 +310,10 @@ def _infer_enumt(ctx: Context, t: T.EnumT) -> Value:
     return V.VSet(0)
 
 
-def _enum_motive(ctx: Context, t) -> tuple:
-    """Check the enumeration and the motive of a `PiE` or a `Switch`;
-    returns (enumeration value, motive value, motive level)."""
+def _infer_switch(ctx: Context, t: T.Switch) -> Value:
     check(ctx, t.enum, V.VEnumU())
     ev = ctx.eval(t.enum)
-    pv, k = _motive_check(ctx, t.fam, _const_pi(V.VEnumT(ev), V.VSet(0)))
-    return ev, pv, k
-
-
-def _infer_switch(ctx: Context, t: T.Switch) -> Value:
-    ev, pv, _ = _enum_motive(ctx, t)
+    pv, _ = _motive_check(ctx, t.fam, _const_pi(V.VEnumT(ev), V.VSet(0)))
     check(ctx, t.cases, V.vpie(ev, pv))
     check(ctx, t.scrut, V.VEnumT(ev))
     return V.vapp(pv, ctx.eval(t.scrut))
@@ -459,8 +446,8 @@ _INFER_RULES = {
     ),
     T.Pi: _infer_binder,
     T.Sigma: _infer_binder,
-    T.Lam: _infer_lam,
     T.App: _infer_app,
+    T.Ann: _infer_ann,
     T.Pair: lambda ctx, t: _err("CannotInfer", t, "unannotated pair"),
     T.Fst: lambda ctx, t: _infer_pair_type(ctx, t).dom,
     T.Snd: lambda ctx, t: _infer_pair_type(ctx, t).cod(V.vfst(ctx.eval(t.pair))),
@@ -472,7 +459,6 @@ _INFER_RULES = {
     T.NilE: lambda ctx, t: V.VEnumU(),
     T.ConsE: _infer_conse,
     T.EnumT: _infer_enumt,
-    T.PiE: lambda ctx, t: V.VSet(_enum_motive(ctx, t)[2]),
     T.Switch: _infer_switch,
     T.Eq: _infer_eq,
     T.Refl: lambda ctx, t: _err("CannotInfer", t, "refl needs a checking type"),
@@ -491,7 +477,7 @@ _INFER_RULES = {
 }
 _INFER_RULES.update(
     dict.fromkeys(
-        (T.DOne, T.DVarI, T.DTimes, T.DPi, T.DSigma, T.DSigmaE, T.ZeroE, T.SucE),
+        (T.Lam, T.DOne, T.DVarI, T.DTimes, T.DPi, T.DSigma, T.DSigmaE, T.ZeroE, T.SucE),
         lambda ctx, t: _err("CannotInfer", t, "checking-only form in synthesis position"),
     )
 )
@@ -529,10 +515,6 @@ def _check_by_synthesis(ctx: Context, t: Term, want: Value, got: Optional[Value]
 def _check_lam(ctx: Context, t: T.Lam, want: Value) -> None:
     if not isinstance(want, V.VPi):
         _err("TypeMismatch", t, f"function against {show(ctx, want)}")
-    if t.ann is not None:
-        annv, _ = check_is_type(ctx, t.ann)
-        if not conv(ctx, annv, want.dom):
-            _err("TypeMismatch", t, "annotation disagrees with the expected domain")
     inner = ctx.extend(t.nm, want.dom)
     check(inner, t.body, want.cod(V.fresh(ctx.depth)))
 

@@ -200,7 +200,7 @@ def _ewm_fix(ctx, kind, scrut_v, sty, motive_at) -> EwmResult:
         def bind(name: str, tyv: Value) -> Value:
             v = V.fresh(d + len(binders))
             binders.append((name, tyv))
-            frames.append(lambda t: T.Lam(name, None, t))
+            frames.append(lambda t: T.Lam(name, t))
             return v
 
         def split(code: Value, cursor: Value, h: Optional[Value]) -> None:
@@ -277,11 +277,11 @@ def _ewm_fix(ctx, kind, scrut_v, sty, motive_at) -> EwmResult:
 
         pcv = V.VLam("c2", pc)
         switch = T.Switch(ctx.quote(code0.enum, d + 5), ctx.quote(pcv, d + 5), _cases(branches), T.Var(1))
-        step = T.Lam("c", None, T.Lam("as", None, T.App(switch, T.Var(0))))
+        step = T.Lam("c", T.Lam("as", T.App(switch, T.Var(0))))
         split: Term = T.Split(ctx.quote(V.VLam("q", ms), d + 3), step, T.Var(1))
         if has_hyp:
             split = T.App(split, T.Var(0))
-        method = T.Lam("i", None, T.Lam("xs", None, T.Lam("h", None, split)))
+        method = T.Lam("i", T.Lam("xs", T.Lam("h", split)))
         return T.IInduction(
             ctx.quote(ixty), _family_term(ctx, fam_v), ctx.quote(motive_v), method, ctx.quote(i0),
             ctx.quote(scrut_v),
@@ -297,7 +297,7 @@ def _family_term(ctx: Context, fam: Value) -> Term:
     it back: the kernel then finds the two families equal without opening
     them."""
     if type(fam) is V.VLam and type(fam.body) is V.Clo and V.own_binder_only(fam.body):
-        return T.Lam(fam.nm, None, fam.body.term)
+        return T.Lam(fam.nm, fam.body.term)
     return ctx.quote(fam)
 
 
@@ -338,7 +338,7 @@ def elab_define(ctx: Context, decl: S.LetDecl, el: Optional[Elaborator] = None):
     definiens: Term = lcall
     ty: Term = ret_t
     for nm, tyt in reversed(tel):
-        definiens = T.Lam(nm, tyt, definiens)
+        definiens = T.Lam(nm, definiens)
         ty = T.Pi(nm, tyt, ty)
     return definiens, ty
 

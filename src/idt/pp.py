@@ -126,7 +126,7 @@ def _pt(t: Term, names: list, prec: int) -> str:
                 nm = _freshen(nm, names)
                 s = f"({nm} : {_pt(dom, names, ARROW)}) * {_pt(cod, names + [nm], TIMES)}"
             return _paren(s, TIMES, prec)
-        case T.Lam(nm, _, body):
+        case T.Lam(nm, body):
             nm = _freshen(nm, names)
             s = f"\\{nm}. {_pt(body, names + [nm], ARROW)}"
             return _paren(s, ARROW, prec)
@@ -138,6 +138,8 @@ def _pt(t: Term, names: list, prec: int) -> str:
             head = _pt(t, names, ATOM)
             args = " ".join(_pt(a, names, ATOM) for a in reversed(rev_args))
             return _paren(f"{head} {args}", APP, prec)
+        case T.Ann(u, ty):
+            return f"({_pt(u, names, ARROW)} : {_pt(ty, names, ARROW)})"
         case T.Pair(_, _):
             items, tail = _tuple_items(t)
             parts = [_pt(x, names, APP) for x in items]
@@ -179,8 +181,6 @@ def _pt(t: Term, names: list, prec: int) -> str:
                 k += 1
                 inner = inner.pred
             return _paren(f"#{k}+{_pt(inner, names, ATOM)}", APP, prec)
-        case T.PiE(e, p):
-            return _paren(f"pi {_pt(e, names, ATOM)} {_pt(p, names, ATOM)}", APP, prec)
         case T.Switch(e, p, cs, x):
             s = " ".join(
                 ["switch"] + [_pt(u, names, ATOM) for u in (e, p, cs, x)]

@@ -3,6 +3,11 @@
 Terms use de Bruijn indices; binder name hints are kept for printing only
 and are excluded from structural equality, so `==` on terms is exactly
 alpha-equality.
+
+A lambda carries no domain: it only checks, against a Pi type. The one
+place a lambda needs a type of its own is the head of an application that
+the source program writes, `(\\x. b : A -> B) a`, and there the elaborator
+wraps it in `Ann`, the annotation form. Readback never builds `Ann`.
 """
 
 from __future__ import annotations
@@ -47,20 +52,20 @@ class Pi(Term):
 
 class Lam(Term):
     nm: str = field(compare=False)
-    ann: Optional[Term]  # optional domain annotation, ignored by equality
     body: Term  # binds one
-
-    # annotations are a synthesis convenience, not part of the term identity
-    def __eq__(self, other):
-        return isinstance(other, Lam) and self.body == other.body
-
-    def __hash__(self):
-        return hash(("Lam", self.body))
 
 
 class App(Term):
     fn: Term
     arg: Term
+
+
+class Ann(Term):
+    """`(term : ty)`: a term that only checks, given the type it is
+    inferred at."""
+
+    term: Term
+    ty: Term
 
 
 class Sigma(Term):
@@ -124,13 +129,6 @@ class ZeroE(Term):
 
 class SucE(Term):
     pred: Term
-
-
-class PiE(Term):
-    """The small pi type of lookup tuples over an enumeration."""
-
-    enum: Term
-    fam: Term
 
 
 class Switch(Term):

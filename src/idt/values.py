@@ -370,6 +370,9 @@ def vswitch(enum: Value, fam: Value, cases: Value, scrut: Value) -> Value:
 
 
 def vpie(enum: Value, fam: Value) -> Value:
+    """The type of the cases of a switch over the closed enumeration `enum`:
+    one component per tag, at `fam` of its index. No enumeration is
+    neutral, because no idt program can declare a variable of type `EnumU`."""
     if isinstance(enum, VNilE):
         return VUnit()
     if isinstance(enum, VConsE):
@@ -377,8 +380,6 @@ def vpie(enum: Value, fam: Value) -> Value:
         rest_fam = VLam("k", lambda k: vapp(fam, VSucE(k)))
         rest = enum.rest
         return VSigma("_", head, lambda _v: vpie(rest, rest_fam))
-    if isinstance(enum, VNeutral):
-        return VStuck(T.PiE, (enum, fam))
     raise EvalError("pi-enum on non-enumeration")
 
 
@@ -670,6 +671,7 @@ _EVAL_RULES = {
     T.Pi: lambda t, env: VPi(t.nm, eval_term(t.dom, env), Clo(env, t.cod)),
     T.Lam: lambda t, env: VLam(t.nm, Clo(env, t.body)),
     T.App: lambda t, env: vapp(eval_term(t.fn, env), eval_term(t.arg, env)),
+    T.Ann: lambda t, env: eval_term(t.term, env),
     T.Sigma: lambda t, env: VSigma(t.nm, eval_term(t.dom, env), Clo(env, t.cod)),
     T.Pair: lambda t, env: VPair(eval_term(t.fst, env), eval_term(t.snd, env)),
     T.Fst: lambda t, env: vfst(eval_term(t.pair, env)),
@@ -684,7 +686,6 @@ _EVAL_RULES = {
     T.EnumT: lambda t, env: VEnumT(eval_term(t.enum, env)),
     T.ZeroE: lambda t, env: VZeroE(),
     T.SucE: lambda t, env: VSucE(eval_term(t.pred, env)),
-    T.PiE: lambda t, env: vpie(eval_term(t.enum, env), eval_term(t.fam, env)),
     T.Switch: _eval_switch,
     T.Eq: lambda t, env: VEq(eval_term(t.ty, env), eval_term(t.lhs, env), eval_term(t.rhs, env)),
     T.Refl: lambda t, env: VRefl(),
@@ -843,7 +844,7 @@ def _quote_field(x, d: int, names: Optional[dict]):
 _QUOTE_RULES = {
     VSet: lambda v, d, names: T.Set_(v.level),
     VPi: lambda v, d, names: T.Pi(v.nm, quote(v.dom, d, names), quote(v.cod(fresh(d)), d + 1, names)),
-    VLam: lambda v, d, names: T.Lam(v.nm, None, quote(v.body(fresh(d)), d + 1, names)),
+    VLam: lambda v, d, names: T.Lam(v.nm, quote(v.body(fresh(d)), d + 1, names)),
     VSigma: lambda v, d, names: T.Sigma(v.nm, quote(v.dom, d, names), quote(v.cod(fresh(d)), d + 1, names)),
     VPair: lambda v, d, names: T.Pair(quote(v.fst, d, names), quote(v.snd, d, names)),
     VUnit: lambda v, d, names: T.Unit(),

@@ -176,8 +176,7 @@ def switch_fam(en, cases, target):
     """The eliminator-literal shape: \\c. switch en (\\_. target) cases c."""
     return T.Lam(
         "c",
-        T.EnumT(en),
-        T.Switch(T.shift(en, 1), T.Lam("_", None, T.shift(target, 2)), T.shift(cases, 1), T.Var(0)),
+        T.Switch(T.shift(en, 1), T.Lam("_", T.shift(target, 2)), T.shift(cases, 1), T.Var(0)),
     )
 
 
@@ -199,7 +198,7 @@ def elaborated_nat_code():
 
 def unit_fam(code):
     """The constant family \\_. code over index type Unit."""
-    return T.Lam("_", T.Unit(), T.shift(code, 1))
+    return T.Lam("_", T.shift(code, 1))
 
 
 def unit_mu(code):

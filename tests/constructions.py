@@ -17,8 +17,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-from oracles import _ann_lams
-
 from idt import desc
 from idt import kernel as K
 from idt import terms as T
@@ -78,7 +76,6 @@ def derive_case(ctx: Context, ty: Term):
         ),
     )
     p_ty = V.VPi("_", mu, lambda _v: V.VSet(0))
-    pn = V.fresh(d)
 
     def m_ty_of(p: Value) -> Value:
         return V.VPi(
@@ -86,12 +83,6 @@ def derive_case(ctx: Context, ty: Term):
         )
 
     term = V.quote(case_v, d)
-    anns = [
-        V.quote(p_ty, d),
-        V.quote(m_ty_of(pn), d + 1),
-        V.quote(mu, d + 2),
-    ]
-    term = _ann_lams(term, anns)
     ty = T.Pi(
         "P",
         V.quote(p_ty, d),
@@ -204,7 +195,7 @@ def specialize_no_confusion(ctx: Context, name: str, ty: Term):
         mu, k1, lambda dx, _h: _eliminate(mu, k1, lambda dy, _h2: nc_body(dx, dy), y), x
     )))
     mu_t = V.quote(mu, d)
-    stmt = _ann_lams(V.quote(nc_v, d), [mu_t, T.shift(mu_t, 1)])
+    stmt = V.quote(nc_v, d)
     stmt_ty = T.Pi("x", mu_t, T.Pi("y", T.shift(mu_t, 1), T.Set_(1)))
 
     # the proof lives under the statement entry, whose level is `d`
@@ -227,7 +218,7 @@ def specialize_no_confusion(ctx: Context, name: str, ty: Term):
     proof_v = _lam("x", lambda x: _lam("y", lambda _y: _lam("q", lambda q: transport(x, q))))
     mu_t2 = V.quote(mu, d + 1)
     eq_t = T.Eq(T.shift(mu_t2, 2), T.Var(1), T.Var(0))
-    proof = _ann_lams(V.quote(proof_v, d + 1), [mu_t2, T.shift(mu_t2, 1), eq_t])
+    proof = V.quote(proof_v, d + 1)
     nc_xy = T.App(T.App(T.Var(3), T.Var(2)), T.Var(1))
     proof_ty = T.Pi("x", mu_t2, T.Pi("y", T.shift(mu_t2, 1), T.Pi("q", eq_t, nc_xy)))
     return [(f"NoConfusion{name}", stmt, stmt_ty), (f"noConfusion{name}", proof, proof_ty)]

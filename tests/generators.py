@@ -58,11 +58,12 @@ class TermGen:
                     cands.append(ix)
             if cands:
                 return T.Var(rng.choice(cands))
-        # sometimes wrap in an identity beta-redex (the body must stay
-        # synthesizable for the checker's application rule)
+        # sometimes wrap in an identity beta-redex, its head annotated as
+        # a source program writes it
         if depth > 0 and rng.random() < 0.2:
             inner = self.gen(ctx, ty, depth - 1)
-            return T.App(T.Lam("r", V.quote(ty, ctx.depth), T.Var(0)), inner)
+            tyt = V.quote(ty, ctx.depth)
+            return T.App(T.Ann(T.Lam("r", T.Var(0)), T.Pi("r", tyt, T.shift(tyt, 1))), inner)
         if isinstance(ty, V.VUnit):
             return T.Void()
         if isinstance(ty, V.VEnumT):
@@ -82,7 +83,7 @@ class TermGen:
         if isinstance(ty, V.VPi):
             inner = ctx.extend("x", ty.dom)
             body = self.gen(inner, ty.cod(V.fresh(ctx.depth)), depth - 1)
-            return T.Lam("x", V.quote(ty.dom, ctx.depth), body)
+            return T.Lam("x", body)
         if isinstance(ty, V.VSigma):
             a = self.gen(ctx, ty.dom, depth - 1)
             b = self.gen(ctx, ty.cod(ctx.eval(a)), depth - 1)
@@ -256,8 +257,7 @@ class ConvPairGen:
 
     Both sides evaluate twin terms in one environment of `n_free` free
     variables. The twins differ in what term equality ignores (binder names,
-    lambda and pair annotations, the `ixty` of IMu and IInduction, label
-    argument types) and, with probability `p_diff` per node, in
+    the `ixty` of IMu and IInduction, label argument types) and, with probability `p_diff` per node, in
     something it does not, so that both verdicts occur. Twins sometimes share
     one term object, which gives closures with the same body and environment.
 
@@ -265,7 +265,7 @@ class ConvPairGen:
     suc-wrapped neutral scrutinee), `switch_enum` (stuck on a neutral
     enumeration), `imu_unit` (a Unit-indexed IMu against a non-Unit one),
     `label_argtys` (label types that differ only in argument types),
-    `lam_names` (lambdas that differ only in binder names and annotations)
+    `lam_names` (lambdas that differ only in binder names)
     and `app_spine` (a variable applied to 1-4 arguments, where a third of
     the twins differ in their number of arguments and a third in one).
     """
@@ -299,9 +299,6 @@ class ConvPairGen:
 
     def _one(self, depth: int, scope: int) -> T.Term:
         return self.twin(depth, scope)[0]
-
-    def _maybe(self, depth: int, scope: int):
-        return None if self.rng.random() < 0.5 else self._one(depth, scope)
 
     def _ixty(self, scope: int) -> T.Term:
         return self.rng.choice([T.Unit(), T.UId(), T.EnumT(T.NilE()), self._var(scope)])
@@ -355,7 +352,7 @@ class ConvPairGen:
             )
         if kind == "lam_names":
             body = self._alike(depth - 1, s + 1)
-            return tuple(T.Lam(self._name(), self._maybe(1, s), body[side]) for side in (0, 1))
+            return tuple(T.Lam(self._name(), body[side]) for side in (0, 1))
         if kind == "app_spine":
             args = [self._alike(depth - 1, s) for _ in range(4)]
             n1 = n2 = r.randint(1, 4)
@@ -394,8 +391,8 @@ class ConvPairGen:
         if self.rng.random() > self.p_diff * 3:
             s2 = s1
         return (
-            T.Switch(enum, T.Lam(self._name(), None, fam[0]), cases, s1),
-            T.Switch(enum, T.Lam(self._name(), None, fam[1]), cases, s2),
+            T.Switch(enum, T.Lam(self._name(), fam[0]), cases, s1),
+            T.Switch(enum, T.Lam(self._name(), fam[1]), cases, s2),
         )
 
     def twin(self, depth: int, scope: int):
@@ -419,7 +416,6 @@ class ConvPairGen:
             (r.choice([T.DTimes, T.DPi, T.DSigma, T.DSigmaE, lambda e, f: T.LRet(T.DSigmaE(e, f))]), 2),
             (lambda *k: T.EqElim(*k, v), 2),
             (lambda *k: T.Split(*k, v), 2),
-            (lambda *k: T.PiE(v, *k), 1),
             (lambda *k: T.InterpIDesc(v, *k), 1),
             (lambda *k: T.IAllD(v, *k), 3),
             (lambda *k: T.IAllMap(v, *k), 4),
@@ -430,9 +426,9 @@ class ConvPairGen:
         if form == 1:
             return self._node(lambda k: T.Sigma(self._name(), k[0], k[1]), d, s, s + 1)
         if form == 2:
-            return self._node(lambda k: T.Lam(self._name(), self._maybe(0, s), k[0]), d, s + 1)
+            return self._node(lambda k: T.Lam(self._name(), k[0]), d, s + 1)
         if form == 3:
-            return self._node(lambda k: T.App(T.Lam(self._name(), None, k[0]), k[1]), d, s + 1, s)
+            return self._node(lambda k: T.App(T.Lam(self._name(), k[0]), k[1]), d, s + 1, s)
         if form == 4:
             return self._node(lambda k: T.Pair(k[0], k[1]), d, s, s)
         if form == 5:
@@ -460,7 +456,7 @@ class ConvPairGen:
             return self._node(lambda k: T.IInduction(self._ixty(s), k[0], k[1], k[2], k[3], v), d, s, s, s, s)
         if form == 12:
             # interpreting a concrete code builds host-side closures
-            code = lambda k: T.DTimes(T.DVarI(k[0]), T.DSigma(k[1], T.Lam("_", None, T.DOne())))  # noqa: E731
+            code = lambda k: T.DTimes(T.DVarI(k[0]), T.DSigma(k[1], T.Lam("_", T.DOne())))  # noqa: E731
             return self._node(lambda k: T.InterpIDesc(code(k), v), d, s, s)
         ctor, arity = plain[form - 13]
         return self._node(lambda k: ctor(*k), d, *([s] * arity))

@@ -54,7 +54,6 @@ MUTANTS = [
         "    check(ctx, t.index, iv)",
     ),
     # motives
-    ("motive: annotation ignored", "            if not conv(ctx, annv, want.dom):", "            if False:"),
     ("motive: domain unchecked", "isinstance(got, V.VPi) and conv(ctx, got.dom, want.dom)", "isinstance(got, V.VPi)"),
     (
         "motive: need not end in a universe",
@@ -65,14 +64,9 @@ MUTANTS = [
     ),
     ("motive: level 0 whatever its universe", "return outer.eval(motive), got.level", "return outer.eval(motive), 0"),
     (
-        "PiE/switch: motive unchecked",
+        "switch: motive unchecked",
         "_motive_check(ctx, t.fam, _const_pi(V.VEnumT(ev), V.VSet(0)))",
         "ctx.eval(t.fam), 0",
-    ),
-    (
-        "PiE: at level 0",
-        "lambda ctx, t: V.VSet(_enum_motive(ctx, t)[2])",
-        "lambda ctx, t: _enum_motive(ctx, t) and V.VSet(0)",
     ),
     (
         "EqElim: motive unchecked",
@@ -99,7 +93,7 @@ MUTANTS = [
     ("Eq: left side unchecked", "    check(ctx, t.lhs, av)\n", ""),
     ("EqElim: proof need not be an equation", "    if not isinstance(qty, V.VEq):", "    if False:"),
     (
-        "PiE/switch: enumeration unchecked",
+        "switch: enumeration unchecked",
         "    check(ctx, t.enum, V.VEnumU())\n    ev = ctx.eval(t.enum)",
         "    ev = ctx.eval(t.enum)",
     ),
@@ -165,11 +159,13 @@ MUTANTS = [
         '    if not isinstance(want, V.VPi):\n        _err("TypeMismatch", t, f"function',
         '    if False:\n        _err("TypeMismatch", t, f"function',
     ),
+    # the annotation form
     (
-        "lambda: annotation ignored",
-        "        annv, _ = check_is_type(ctx, t.ann)\n        if not conv(ctx, annv, want.dom):",
-        "        annv, _ = check_is_type(ctx, t.ann)\n        if False:",
+        "Ann: annotation need not be a type",
+        "    tyv, _ = check_is_type(ctx, t.ty)\n    check(ctx, t.term, tyv)",
+        "    tyv = ctx.eval(t.ty)\n    check(ctx, t.term, tyv)",
     ),
+    ("Ann: term unchecked", "    check(ctx, t.term, tyv)\n", ""),
     # the pair, enumeration index and constructor rules, in the loop of `_check_intro`
     (
         "pair: against any type",

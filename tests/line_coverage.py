@@ -40,8 +40,8 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "idt"
 # the most statements that may never run; lower it when a change runs or
-# deletes more of them
-CEILING = 42
+# deletes more of them. One of them runs or not with Hypothesis's draws
+CEILING = 37
 
 
 class Tracer:

@@ -7,12 +7,11 @@ field is evaluated before the elimination is tried.
 `ewm_restricted` is the by-gadget as it was built before it produced
 beta-normal eliminators, with a frozen copy of the branch walk it used
 (`_BranchShape`), so that the reference does not move with `labels`.
-Each eliminator is read back as a chain of annotated lambdas,
-`\\b0:T0. \\b1:T1. elim ... (b0 , b1) ...`, applied to the branches.
-Each `rec`/`case` branch over a datatype is an annotated wrapper applied
-to the body function. The annotations let the kernel synthesise those
-redexes; the value of the result is what the beta-normal construction
-must match.
+Each eliminator is read back as a chain of lambdas,
+`\\b0. \\b1. elim ... (b0 , b1) ...`, applied to the branches.
+Each `rec`/`case` branch over a datatype is a wrapper applied to the body
+function. The result is evaluated, not checked: its value is what the
+beta-normal construction must match.
 
 `constructor_fields` binds a constructor's fields as `labels.bind_refined`
 did before it read them off `values.payload_type`: by its own walk over the
@@ -109,19 +108,8 @@ def _lam_chain(n: int, mk: Callable[[List[Value]], Value]) -> Value:
     return go([])
 
 
-def _ann_lams(t: Term, anns: List[Term]) -> Term:
-    """Re-annotate the first len(anns) lambda binders of a quoted value."""
-    if not anns:
-        return t
-    assert isinstance(t, T.Lam), "expected a lambda spine"
-    return T.Lam(t.nm, anns[0], _ann_lams(t.body, anns[1:]))
-
-
-def _apply_annotated(ctx: Context, mk, branch_tys: List[Value], branches: List[Term]) -> Term:
-    d = ctx.depth
-    elim_t = ctx.quote(_lam_chain(len(branches), mk))
-    anns = [ctx.quote(bty, d + i) for i, bty in enumerate(branch_tys)]
-    out = _ann_lams(elim_t, anns)
+def _apply(ctx: Context, mk, branches: List[Term]) -> Term:
+    out = ctx.quote(_lam_chain(len(branches), mk))
     for b in branches:
         out = T.App(out, b)
     return out
@@ -133,11 +121,10 @@ def _ewm_enum(ctx, kind, scrut_name, scrut_v, sty, motive_at) -> L.EwmResult:
     tags = V.enum_tags(sty.enum)
     if tags is None:
         raise ElabError("UnsupportedScrutinee", None, "case on an open enumeration")
-    subgoals, btys = [], []
+    subgoals = []
     for k, tag in enumerate(tags):
         g = motive_at(V.make_numeral(k))
         subgoals.append(L.EwmSubgoal(tag, [], [], g, lambda body: body))
-        btys.append(g)
     motive_v = V.VLam(scrut_name, motive_at)
 
     def mk(bvals: List[Value]) -> Value:
@@ -146,7 +133,7 @@ def _ewm_enum(ctx, kind, scrut_name, scrut_v, sty, motive_at) -> L.EwmResult:
             cases = V.VPair(b, cases)
         return V.vswitch(sty.enum, motive_v, cases, scrut_v)
 
-    return L.EwmResult(subgoals, lambda branches: _apply_annotated(ctx, mk, btys, branches))
+    return L.EwmResult(subgoals, lambda branches: _apply(ctx, mk, branches))
 
 
 def _is_leaf(code: Value) -> bool:
@@ -324,35 +311,18 @@ def _ewm_fix(ctx, kind, scrut_name, scrut_v, sty, motive_at) -> L.EwmResult:
     def iall(code: Value, x: Value) -> Value:
         return V.viall(code, xfam, motive_v, x)
 
-    subgoals, btys = [], []
+    subgoals = []
     for k, tag in enumerate(tags):
         code_k = V.vapp(code0.fam, V.make_numeral(k))
         shape = _BranchShape(code_k, k, has_hyp, interp, iall, goal_of, motive_v)
         binders, hyp_slots, refined = shape.plan(d)
 
-        def branch_cod(a, ck=code_k, kk=k):
-            goal = goal_of(V.VIn(V.VPair(V.make_numeral(kk), a)))
-            if has_hyp:
-                return V.VPi("h", iall(ck, a), lambda _h: goal)
-            return goal
-
-        btys.append(V.VPi("as", interp(code_k), branch_cod))
-
-        def wrap(body, shape=shape, binders=binders, refined=refined, ck=code_k):
-            anns = [ctx.quote(tyv, d + i) for i, (_nm, tyv) in enumerate(binders)]
+        def wrap(body, shape=shape, binders=binders):
             bodylam = body
-            for (nm, _tyv), ann in zip(reversed(binders), reversed(anns)):
-                bodylam = T.Lam(nm, ann, bodylam)
-            bodyfn_ty: Term = ctx.quote(refined, d + len(binders))
-            for (nm, _tyv), ann in zip(reversed(binders), reversed(anns)):
-                bodyfn_ty = T.Pi(nm, ann, bodyfn_ty)
+            for nm, _tyv in reversed(binders):
+                bodylam = T.Lam(nm, bodylam)
             wrapper_v = V.VLam("bf", lambda bf: shape.build(bf))
-            # the wrapper's leading lambdas sit in inference position
-            spine_anns = [bodyfn_ty, ctx.quote(interp(ck), d + 1)]
-            if has_hyp:
-                spine_anns.append(ctx.quote(iall(ck, V.fresh(d + 1)), d + 2))
-            wrapper_t = _ann_lams(ctx.quote(wrapper_v), spine_anns)
-            return T.App(wrapper_t, bodylam)
+            return T.App(ctx.quote(wrapper_v), bodylam)
 
         subgoals.append(L.EwmSubgoal(tag, binders, hyp_slots, refined, wrap))
 
@@ -401,7 +371,7 @@ def _ewm_fix(ctx, kind, scrut_name, scrut_v, sty, motive_at) -> L.EwmResult:
         )
         return V.viinduction(ixty, fam_v, motive_v, method, i0, scrut_v)
 
-    return L.EwmResult(subgoals, lambda branches: _apply_annotated(ctx, mk, btys, branches))
+    return L.EwmResult(subgoals, lambda branches: _apply(ctx, mk, branches))
 
 
 def walk_args(code: Value, cur: Value, out: List[L.Slot], interp) -> None:
@@ -469,15 +439,15 @@ def definiens_two_pass(decl, p_tys: List[Term], i_tys: List[Term], code: Term, k
         args.append(T.Snd(proj))
         argtys.append(T.shift(strengthen(i_tys[pos], pos), 1))
     call = T.LCall(decl.name, tuple(args), tuple(argtys), T.IDesc(T.shift(idx_ty, 1)), code_r)
-    r_term = T.Lam("j", idx_ty, call)
+    r_term = T.Lam("j", call)
     pack: Term = T.Void()
     for pos in range(m):
         pack = T.Pair(pack, T.Var(m - 1 - pos))
     out: Term = T.IMu(T.shift(idx_ty, m), T.shift(r_term, m), pack)
     for pos in reversed(range(m)):
-        out = T.Lam(decl.indices[pos][0], i_tys[pos], out)
+        out = T.Lam(decl.indices[pos][0], out)
     for pos in reversed(range(k)):
-        out = T.Lam(decl.params[pos][0], p_tys[pos], out)
+        out = T.Lam(decl.params[pos][0], out)
     return out
 
 

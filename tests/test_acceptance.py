@@ -90,7 +90,7 @@ def test_criterion_1_code_reproduction(corpus):
         ent,
         switch_fam(
             ent,
-            tup(T.DOne(), T.DTimes(VAR, T.DSigma(a, T.Lam("_", a, T.DTimes(VAR, T.DOne()))))),
+            tup(T.DOne(), T.DTimes(VAR, T.DSigma(a, T.Lam("_", T.DTimes(VAR, T.DOne()))))),
             UNIT_DESC,
         ),
     )
@@ -103,22 +103,20 @@ def test_criterion_1_code_reproduction(corpus):
     nat_t = V.quote(datatype(sess, "Nat").val, ctx_an.depth)
     A, n = T.Var(1), T.Var(0)
     suc_m = T.In(T.Pair(T.SucE(T.ZeroE()), T.Pair(T.Var(0), T.Void())))
-    vnil_c = T.DSigma(T.Eq(nat_t, n, num_term(0)), T.Lam("_", T.Unit(), T.DOne()))
+    vnil_c = T.DSigma(T.Eq(nat_t, n, num_term(0)), T.Lam("_", T.DOne()))
     vcons_c = T.DSigma(
         nat_t,
         T.Lam(
             "m",
-            nat_t,
             T.DSigma(
                 T.shift(A, 1),
                 T.Lam(
                     "a",
-                    T.shift(A, 1),
                     T.DTimes(
                         T.DVarI(T.Pair(T.Void(), T.Var(1))),
                         T.DSigma(
                             T.Eq(T.shift(nat_t, 2), T.shift(n, 2), T.shift(suc_m, 1)),
-                            T.Lam("_", T.Unit(), T.DOne()),
+                            T.Lam("_", T.DOne()),
                         ),
                     ),
                 ),
@@ -147,7 +145,7 @@ def test_criterion_1_code_reproduction(corpus):
     inner0 = T.DSigmaE(enum("vnil"), switch_fam(enum("vnil"), tup(T.DOne()), T.IDesc(idx_ty)))
     ok &= K.def_eq(ctx_a2, vect_code_at(0), elim_wrap(inner0))
     for k in (1, 2):
-        vc = T.DSigma(a0, T.Lam("a", a0, T.DTimes(T.DVarI(T.Pair(T.Void(), num_term(k - 1))), T.DOne())))
+        vc = T.DSigma(a0, T.Lam("a", T.DTimes(T.DVarI(T.Pair(T.Void(), num_term(k - 1))), T.DOne())))
         innerk = T.DSigmaE(enum("vcons"), switch_fam(enum("vcons"), tup(vc), T.IDesc(idx_ty)))
         ok &= K.def_eq(ctx_a2, vect_code_at(k), elim_wrap(innerk))
 
@@ -285,10 +283,10 @@ def test_criterion_6_generics(corpus):
         K.check(ctx, case_t, tyv)
         ctx = ctx.extend("case", tyv, ctx.eval(case_t))
         mu_t = T.shift(mu_t, 1)
-        P = T.Lam("_", mu_t, T.Unit())
-        m = T.Lam("d", None, T.Void())
-        ind_p = T.Lam("_", None, T.Unit())
-        ind_m = T.Lam("i", None, T.Lam("d", None, T.Lam("h", None, T.Void())))
+        P = T.Lam("_", T.Unit())
+        m = T.Lam("d", T.Void())
+        ind_p = T.Lam("_", T.Unit())
+        ind_m = T.Lam("i", T.Lam("d", T.Lam("h", T.Void())))
         fam_t = V.quote(mu.fam, ctx.depth)
         for x in imu_inhabitants(mu, 4, ctx)[:25]:
             xt = V.quote(x, ctx.depth)
@@ -382,7 +380,7 @@ def test_criterion_6_generics(corpus):
         sess.ctx.eval(
             switch_fam(
                 enum("z", "sup"),
-                tup(T.DOne(), T.DPi(T.Unit(), T.Lam("_", T.Unit(), VAR))),
+                tup(T.DOne(), T.DPi(T.Unit(), T.Lam("_", VAR))),
                 UNIT_DESC,
             )
         ),

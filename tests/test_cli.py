@@ -473,6 +473,10 @@ def test_located_error_after_the_prelude(tmp_path, src, msg):
 EVAL_AFTER_PRELUDE = {
     "tag": ("'a", 0, "'a"),
     "enumeration": ("{'a, 'b}", 0, "{'a, 'b}"),
+    # an annotated lambda in head position whose body only checks
+    "annotated-lambda-constructor-body": ("(\\x. suc x : Nat -> Nat) 1", 0, "2"),
+    "annotated-lambda-refl-body": ("(\\x. refl : (x : Nat) -> x == x) 1", 0, "refl"),
+    "annotated-lambda-tuple-body": ("(\\x. (x x) : Nat -> Nat * Nat) 1", 0, "(1 , 1)"),
     "equality-of-types": (
         "Nat == Nat",
         1,

@@ -81,7 +81,7 @@ def test_tree_code_shape(sess):
     got = V.quote(code, ctx.depth)
     a = T.Var(0)
     en = enum("leaf", "node")
-    node = T.DTimes(VAR, T.DSigma(a, T.Lam("a", a, T.DTimes(VAR, T.DOne()))))
+    node = T.DTimes(VAR, T.DSigma(a, T.Lam("a", T.DTimes(VAR, T.DOne()))))
     want = T.DSigmaE(en, switch_fam(en, tup(T.DOne(), node), UNIT_DESC))
     assert K.def_eq(ctx, got, want)
 
@@ -95,23 +95,21 @@ def test_constrained_vec_code_shape(sess):
     zero = num_term(0)
     suc_m = T.In(T.Pair(T.SucE(T.ZeroE()), T.Pair(T.Var(0), T.Void())))
     vnil = T.DSigma(
-        T.Eq(nat, n, zero), T.Lam("_", T.Eq(nat, n, zero), T.DOne())
+        T.Eq(nat, n, zero), T.Lam("_", T.DOne())
     )
     vcons = T.DSigma(
         nat,
         T.Lam(
             "m",
-            nat,
             T.DSigma(
                 T.shift(a, 1),
                 T.Lam(
                     "a",
-                    T.shift(a, 1),
                     T.DTimes(
                         T.DVarI(T.Pair(T.Void(), T.Var(1))),
                         T.DSigma(
                             T.Eq(T.shift(nat, 2), T.shift(n, 2), T.shift(suc_m, 1)),
-                            T.Lam("_", T.Unit(), T.DOne()),
+                            T.Lam("_", T.DOne()),
                         ),
                     ),
                 ),
@@ -157,7 +155,6 @@ def test_computed_vec_code_at_canonical_indices(sess):
             a,
             T.Lam(
                 "a",
-                a,
                 T.DTimes(T.DVarI(T.Pair(T.Void(), num_term(k - 1))), T.DOne()),
             ),
         )

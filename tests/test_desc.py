@@ -119,7 +119,7 @@ def motive_ctx():
 
 
 def test_all_unit_clause():
-    got = K.normalize(ctx0(), T.IAllD(T.DOne(), NatX, T.Lam("_", None, T.Unit()), T.Void()))
+    got = K.normalize(ctx0(), T.IAllD(T.DOne(), NatX, T.Lam("_", T.Unit()), T.Void()))
     assert got == T.Unit()
 
 
@@ -197,8 +197,8 @@ def test_induction_zero_case_no_hypotheses():
             lambda _d: V.VUnit(),
         ),
     )
-    P = T.Lam("_", None, T.Unit())
-    method = T.Lam("i", None, T.Lam("d", None, T.Lam("h", None, T.App(T.Var(3), T.Var(1)))))
+    P = T.Lam("_", T.Unit())
+    method = T.Lam("i", T.Lam("d", T.Lam("h", T.App(T.Var(3), T.Var(1)))))
     zero = T.In(T.Pair(T.ZeroE(), T.Void()))
     got = K.normalize(ctx, T.IInduction(T.Unit(), NatR, P, method, T.Void(), zero))
     assert got == K.normalize(ctx, T.App(T.Var(0), T.Pair(T.ZeroE(), T.Void())))
@@ -209,37 +209,41 @@ def test_induction_recursive_unfolding():
     En = enum("zero", "suc")
     fam = switch_fam(En, tup(T.DOne(), VAR), UNIT_DESC)
     natd = T.DSigmaE(En, fam)
+
+    def code_at(c):
+        # `fam c`, beta-reduced as readback leaves it: a lambda only checks
+        return T.Switch(En, T.Lam("_", UNIT_DESC), tup(T.DOne(), VAR), c)
+
     nat, natx = unit_mu(natd), unit_fam(unit_mu(natd))
     zero = T.In(T.Pair(T.ZeroE(), T.Void()))
 
     def suc(n):
         return T.In(T.Pair(T.SucE(T.ZeroE()), n))
 
-    to_nat = T.Lam("_", None, nat)
+    to_nat = T.Lam("_", nat)
     PC = T.Lam(
         "c2",
-        None,
         T.Pi(
             "a",
-            T.InterpIDesc(T.App(fam, T.Var(0)), natx),
-            T.Pi("h2", T.IAllD(T.App(fam, T.Var(1)), natx, to_nat, T.Var(0)), nat),
+            T.InterpIDesc(code_at(T.Var(0)), natx),
+            T.Pi("h2", T.IAllD(code_at(T.Var(1)), natx, to_nat, T.Var(0)), nat),
         ),
     )
-    B0 = T.Lam("a2", None, T.Lam("h2", None, zero))
-    BS = T.Lam("a2", None, T.Lam("h2", None, suc(suc(T.Var(0)))))
+    B0 = T.Lam("a2", T.Lam("h2", zero))
+    BS = T.Lam("a2", T.Lam("h2", suc(suc(T.Var(0)))))
     MSTEP = T.Lam(
-        "c", None, T.Lam("a", None, T.App(T.Switch(En, PC, tup(B0, BS), T.Var(1)), T.Var(0)))
+        "c", T.Lam("a", T.App(T.Switch(En, PC, tup(B0, BS), T.Var(1)), T.Var(0)))
     )
     # the split motive's code is the stuck one the by-gadget builds: code
     # formers only check, so the code of an `IAll` must be neutral
-    ms_all = T.IAllD(T.App(fam, T.Fst(T.Var(0))), natx, to_nat, T.Snd(T.Var(0)))
-    MS = T.Lam("p", None, T.Pi("hh", ms_all, nat))
+    ms_all = T.IAllD(code_at(T.Fst(T.Var(0))), natx, to_nat, T.Snd(T.Var(0)))
+    MS = T.Lam("p", T.Pi("hh", ms_all, nat))
     METHOD = T.Lam(
-        "i", None, T.Lam("d", None, T.Lam("h", None, T.App(T.Split(MS, MSTEP, T.Var(1)), T.Var(0))))
+        "i", T.Lam("d", T.Lam("h", T.App(T.Split(MS, MSTEP, T.Var(1)), T.Var(0))))
     )
-    double = T.Lam("m", nat, T.IInduction(T.Unit(), unit_fam(natd), to_nat, METHOD, T.Void(), T.Var(0)))
+    double = T.Lam("m", T.IInduction(T.Unit(), unit_fam(natd), to_nat, METHOD, T.Void(), T.Var(0)))
     ctx = ctx0()
-    K.infer(ctx, double)
+    K.check(ctx, double, ctx.eval(T.Pi("m", nat, nat)))
 
     def num(k):
         t = zero
@@ -257,13 +261,13 @@ def test_builtin_signatures_roundtrip_through_infer():
     # In : interpI (R ()) (\j. IMu Unit R j) -> IMu Unit R ()
     K.check(ctx, T.In(T.Pair(T.ZeroE(), T.Void())), ctx.eval(Nat))
     # IMu R i : Set when R : I -> IDesc I
-    r = T.Lam("j", T.Unit(), T.DOne())
+    r = T.Lam("j", T.DOne())
     assert K.infer(ctx, T.IMu(T.Unit(), r, T.Void())) == V.VSet(0)
 
 
 def test_functoriality_smoke():
     ctx = ctx0()
-    redex = T.App(T.Lam("x", T.Set_(0), T.Var(0)), T.Unit())
+    redex = T.App(T.Lam("x", T.Var(0)), T.Unit())
     a = K.normalize(ctx, T.InterpIDesc(NatD, unit_fam(T.Unit())))
     b = K.normalize(ctx, T.InterpIDesc(NatD, unit_fam(redex)))
     assert a == b
@@ -279,8 +283,8 @@ def test_induction_computes_on_corpus_inhabitants(sess):
     assert isinstance(natv, V.VIMu)
     el = Elaborator()
     terms = [el.check(ctx, S.parse_expr(str(k)), natv) for k in range(5)]
-    motive = T.Lam("p", None, T.Unit())
-    method = T.Lam("i", None, T.Lam("xs", None, T.Lam("h", None, T.Void())))
+    motive = T.Lam("p", T.Unit())
+    method = T.Lam("i", T.Lam("xs", T.Lam("h", T.Void())))
     for t in terms:
         res = T.IInduction(
             V.quote(natv.ixty, ctx.depth),
@@ -321,7 +325,7 @@ def test_print_code_tree_shape():
             en,
             tup(
                 T.DOne(),
-                T.DTimes(VAR, T.DSigma(T.Var(0), T.Lam("_", T.Var(0), T.DTimes(VAR, T.DOne())))),
+                T.DTimes(VAR, T.DSigma(T.Var(0), T.Lam("_", T.DTimes(VAR, T.DOne())))),
             ),
             UNIT_DESC,
         ),
@@ -337,14 +341,14 @@ def test_print_code_desc_view_of_nested_codes():
     pair_ix = T.Sigma("_", T.Unit(), T.Unit())
     inner = T.IMu(
         pair_ix,
-        T.Lam("j", pair_ix, T.DTimes(T.DVarI(T.Pair(T.Void(), T.Snd(T.Var(0)))), T.DOne())),
+        T.Lam("j", T.DTimes(T.DVarI(T.Pair(T.Void(), T.Snd(T.Var(0)))), T.DOne())),
         T.Pair(T.Void(), T.Void()),
     )
-    code = T.DSigma(inner, T.Lam("x", inner, T.DTimes(VAR, T.DOne())))
+    code = T.DSigma(inner, T.Lam("x", T.DTimes(VAR, T.DOne())))
     assert desc.print_code(ctx0(), ctx0().eval(code), unindexed=True) == (
         "'Sigma (IMu (\\j. 'varI (() , snd j) '* '1) (())) (\\x. 'var '* '1)"
     )
-    nested_nat = T.DSigma(Nat, T.Lam("n", Nat, T.DOne()))
+    nested_nat = T.DSigma(Nat, T.Lam("n", T.DOne()))
     assert desc.print_code(ctx0(), ctx0().eval(nested_nat), unindexed=True) == (
         "'Sigma (IMu (\\_. 'sigma {'zero, 'suc} (\\c. switch {'zero, 'suc} (\\_. Desc) ('1 'var) c)) ())"
         " (\\n. '1)"
@@ -359,7 +363,7 @@ def test_print_code_parenthesises_dependent_and_arrow_domains():
     dep = T.Pi("n", T.Var(0), T.Eq(T.Var(1), T.Var(0), T.Var(0)))
     arrow = T.Pi("_", T.Pi("_", T.Var(0), T.Var(1)), T.Var(1))
     for ty, want in ((dep, "(n : A) -> n == n"), (arrow, "(A -> A) -> A")):
-        code = T.DSigma(ty, T.Lam("f", ty, T.DOne()))
+        code = T.DSigma(ty, T.Lam("f", T.DOne()))
         assert desc.print_code(ctx, ctx.eval(code)) == f"'Sigma ({want}) (\\f. '1)"
 
 

@@ -122,7 +122,7 @@ def test_iota_reduction_reads_no_motive(monkeypatch, prelude_ctx):
 
 TWO = T.ConsE(T.Tag("a"), T.ConsE(T.Tag("b"), T.NilE()))
 CASES = T.Pair(T.Tag("x"), T.Pair(T.Tag("y"), T.Void()))
-PAIR_METHOD = T.Lam("x", None, T.Lam("y", None, T.Var(1)))
+PAIR_METHOD = T.Lam("x", T.Lam("y", T.Var(1)))
 
 # each rule's reducing and stuck branch, among three free variables
 ELIMINATIONS = {
@@ -165,6 +165,9 @@ def gen_nat(rng, depth: int) -> str:
         lambda: f"pred {a()}",
         lambda: f"suc {a()}",
         lambda: f"(\\x. plus x {a()} : Nat -> Nat) {a()}",
+        # an annotated lambda whose body only checks, and one taking a lambda
+        lambda: f"(\\x. suc x : Nat -> Nat) {a()}",
+        lambda: f"(\\f. f {a()} : (Nat -> Nat) -> Nat) (\\x. suc x)",
     ]
     return rng.choice(forms)()
 
@@ -184,6 +187,8 @@ def gen_expr(rng, depth: int) -> str:
         lambda: f"(refl : plus {n()} {n()} == plus {n()} {n()})",
         lambda: "('true : Bool)",
         lambda: f"same {n()}",  # a codomain that reads its argument
+        lambda: f"(\\x. refl : (x : Nat) -> x == x) {n()}",
+        lambda: f"(\\x. (x x) : Nat -> Nat * Nat) {n()}",
     ]
     if rng.random() < 0.1:
         return rng.choice([f"plus {n()} 'true", f"pred {n()} {n()}", f"({n()} : Bool)"])

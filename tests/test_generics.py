@@ -56,7 +56,7 @@ def ctx0():
 def tree_code(elem: T.Term) -> T.Term:
     """A hand-built binary-tree code with `elem` labels: leaf | node l a r."""
     en = enum("leaf", "node")
-    node = T.DTimes(VAR, T.DSigma(elem, T.Lam("_", elem, T.DTimes(VAR, T.DOne()))))
+    node = T.DTimes(VAR, T.DSigma(elem, T.Lam("_", T.DTimes(VAR, T.DOne()))))
     return T.DSigmaE(en, switch_fam(en, tup(T.DOne(), node), UNIT_DESC))
 
 
@@ -131,7 +131,7 @@ def test_case_nat_iota_drops_hypothesis():
     tyv = K.check_entry_type(ctx, case_ty)
     K.check(ctx, case_t, tyv)
     ctx = ctx.extend("caseN", tyv, ctx.eval(case_t))
-    P = T.Lam("_", Nat, T.Unit())
+    P = T.Lam("_", T.Unit())
     ctx = ctx.extend("m", ctx.eval(T.Pi("d", T.InterpIDesc(NatD, NatX), T.Unit())))
     scrut = T.In(T.Pair(T.ZeroE(), T.Void()))
     lhs = T.App(T.App(T.App(T.Var(1), P), T.Var(0)), scrut)
@@ -156,13 +156,12 @@ def test_case_tree_picks_branch(sess):
         )
     )
     # constant motive picking a tag per constructor
-    P = T.Lam("_", tree, T.UId())
+    P = T.Lam("_", T.UId())
     m = T.Lam(
         "d",
-        None,
         T.Switch(
             en,
-            T.Lam("_", None, T.UId()),
+            T.Lam("_", T.UId()),
             tup(T.Tag("isleaf"), T.Tag("isnode")),
             T.Fst(T.Var(0)),
         ),
@@ -183,15 +182,15 @@ def test_case_induction_agreement_desc_level(sess):
         case_t, case_ty = C.derive_case(ctx, mu)
         tyv = K.check_entry_type(ctx, case_ty)
         ctx = ctx.extend("case", tyv, ctx.eval(case_t))
-        P = T.Lam("_", mu, T.Unit())
-        m = T.Lam("d", None, T.Void())
-        ind_m = T.Lam("i", None, T.Lam("d", None, T.Lam("h", None, T.Void())))
+        P = T.Lam("_", T.Unit())
+        m = T.Lam("d", T.Void())
+        ind_m = T.Lam("i", T.Lam("d", T.Lam("h", T.Void())))
         xs = mu_inhabitants(ctx.eval(code), 4)
         assert xs
         for x in xs[:40]:
             xt = V.quote(x, ctx.depth)
             lhs = T.App(T.App(T.App(T.Var(0), P), m), xt)
-            rhs = T.IInduction(T.Unit(), unit_fam(code), T.Lam("_", None, T.Unit()), ind_m, T.Void(), xt)
+            rhs = T.IInduction(T.Unit(), unit_fam(code), T.Lam("_", T.Unit()), ind_m, T.Void(), xt)
             assert K.def_eq(ctx, lhs, rhs)
 
 
@@ -569,7 +568,7 @@ def test_eq_membership_examples():
         enum("z", "sup"),
         switch_fam(
             enum("z", "sup"),
-            tup(T.DOne(), T.DPi(T.Unit(), T.Lam("_", T.Unit(), VAR))),
+            tup(T.DOne(), T.DPi(T.Unit(), T.Lam("_", VAR))),
             UNIT_DESC,
         ),
     )

@@ -33,24 +33,24 @@ def eager_viinduction(ixty, fam, p, m, i, x):
 
 def method(body: T.Term) -> T.Term:
     """`\\i. \\xs. \\h. body`."""
-    return T.Lam("i", None, T.Lam("xs", None, T.Lam("h", None, body)))
+    return T.Lam("i", T.Lam("xs", T.Lam("h", body)))
 
 
 # methods as terms, under the binders i (Var 2), xs (Var 1) and h (Var 0)
 IGNORING = {
     "payload": method(T.Var(1)),
     "index_and_payload": method(T.Pair(T.Var(2), T.Var(1))),
-    "lambda_over_payload": method(T.Lam("y", None, T.Pair(T.Var(0), T.Var(2)))),
+    "lambda_over_payload": method(T.Lam("y", T.Pair(T.Var(0), T.Var(2)))),
 }
 READING = {
     "payload_and_hyps": method(T.Pair(T.Var(1), T.Var(0))),
-    "hyps_under_a_lambda": method(T.Lam("y", None, T.Pair(T.Var(0), T.Var(1)))),
+    "hyps_under_a_lambda": method(T.Lam("y", T.Pair(T.Var(0), T.Var(1)))),
     "hyps_projected": method(T.Fst(T.Pair(T.Var(0), T.Var(1)))),
 }
 # methods that are not a written `\i. \xs. \h.`: applied to the index and
 # the payload, each is the step `\h. ...`
-IGNORING["not_written"] = T.Lam("i", None, T.App(method(T.Var(1)), T.Var(0)))
-READING["not_written"] = T.Lam("i", None, T.App(method(T.Pair(T.Var(1), T.Var(0))), T.Var(0)))
+IGNORING["not_written"] = T.Lam("i", T.App(method(T.Var(1)), T.Var(0)))
+READING["not_written"] = T.Lam("i", T.App(method(T.Pair(T.Var(1), T.Var(0))), T.Var(0)))
 METHODS = {**IGNORING, **READING}
 DATATYPES = ("Nat", "Tree Bool", "BTree")
 BTREE = (
@@ -85,7 +85,7 @@ def induction_args(sess, name: str, m, x: V.Value) -> tuple:
     applied, _ = inhabitants(sess, name, 0)
     ctx = sess.ctx
     mv = ctx.eval(m) if isinstance(m, T.Term) else m
-    return applied.ixty, applied.fam, ctx.eval(T.Lam("p", None, T.Unit())), mv, applied.index, x
+    return applied.ixty, applied.fam, ctx.eval(T.Lam("p", T.Unit())), mv, applied.index, x
 
 
 @settings(max_examples=150, deadline=None)
@@ -234,7 +234,7 @@ ORD_ENUM = T.ConsE(T.Tag("oz"), T.ConsE(T.Tag("olim"), T.NilE()))
 APPLYING = method(
     T.Switch(
         ORD_ENUM,
-        T.Lam("_", None, T.Unit()),
+        T.Lam("_", T.Unit()),
         T.Pair(
             T.Var(1),
             T.Pair(T.Pair(T.App(T.Fst(T.Var(0)), num_term(2)), T.App(T.Fst(T.Var(0)), num_term(0))), T.Void()),
@@ -276,7 +276,7 @@ def test_pointwise_hypotheses_agree_with_eager_induction(ord_sess):
     d = ctx.depth + 1  # one more for `g`
     for x in ord_values(ord_sess):
         for m in (APPLYING, READING["payload_and_hyps"], IGNORING["payload"]):
-            args = (ord_v.ixty, ord_v.fam, ctx.eval(T.Lam("p", None, T.Unit())), ctx.eval(m), ord_v.index, x)
+            args = (ord_v.ixty, ord_v.fam, ctx.eval(T.Lam("p", T.Unit())), ctx.eval(m), ord_v.index, x)
             assert V.quote(V.viinduction(*args), d) == V.quote(eager_viinduction(*args), d)
 
 
@@ -303,7 +303,7 @@ def test_pointwise_hypotheses_are_built_when_applied(ord_sess):
     oz = V.VIn(V.VPair(V.make_numeral(0), V.VVoid()))
     inner = olim("inner", lambda n: oz)
     outer = olim("outer", lambda n: inner)
-    args = (ord_v.ixty, ord_v.fam, ctx.eval(T.Lam("p", None, T.Unit())), ctx.eval(APPLYING), ord_v.index, outer)
+    args = (ord_v.ixty, ord_v.fam, ctx.eval(T.Lam("p", T.Unit())), ctx.eval(APPLYING), ord_v.index, outer)
     got = V.viinduction(*args)
     assert seen == [("outer", 2), ("inner", 2), ("inner", 0), ("outer", 0), ("inner", 2), ("inner", 0)]
     assert V.quote(got, ctx.depth) == V.quote(eager_viinduction(*args), ctx.depth)

@@ -27,7 +27,7 @@ def test_infer_unit_axiom():
 
 
 def test_infer_annotated_identity():
-    t = T.Lam("x", T.Unit(), T.Var(0))
+    t = T.Ann(T.Lam("x", T.Var(0)), T.Pi("x", T.Unit(), T.Unit()))
     ty = K.infer(ctx0(), t)
     assert V.quote(ty, 0) == T.Pi("x", T.Unit(), T.Unit())
 
@@ -53,7 +53,7 @@ def test_check_refl_nat_2_2(sess):
 
 
 def test_normalize_beta():
-    t = T.App(T.Lam("x", T.Unit(), T.Var(0)), T.Void())
+    t = T.App(T.Lam("x", T.Var(0)), T.Void())
     assert K.normalize(ctx0(), t) == T.Void()
 
 
@@ -66,7 +66,7 @@ def test_normalize_switch_positional():
     # switch over {a,b,c} of (ea,eb,ec) at position of 'b picks eb
     E = enum("a", "b", "c")
     cases = tup(T.Tag("ea"), T.Tag("eb"), T.Tag("ec"))
-    P = T.Lam("_", None, T.UId())
+    P = T.Lam("_", T.UId())
     t = T.Switch(E, P, cases, T.SucE(T.ZeroE()))
     assert K.normalize(ctx0(), t) == T.Tag("eb")
 
@@ -74,7 +74,7 @@ def test_normalize_switch_positional():
 def test_defeq_reflexive_and_beta():
     t = T.Pair(T.Void(), T.Tag("a"))
     assert K.def_eq(ctx0(), t, t)
-    assert K.def_eq(ctx0(), T.App(T.Lam("x", T.Unit(), T.Var(0)), T.Void()), T.Void())
+    assert K.def_eq(ctx0(), T.App(T.Lam("x", T.Var(0)), T.Void()), T.Void())
 
 
 def test_defeq_distinct_normal_constructors():
@@ -116,7 +116,7 @@ def test_not_a_pair():
 def test_eqelim_computes():
     # J on refl returns the base
     ctx = ctx0().extend("A", V.VSet(0)).extend("a", V.fresh(1))
-    motive = T.Lam("y", T.Var(1), T.Lam("q", T.Eq(T.Var(2), T.Var(1), T.Var(0)), T.Unit()))
+    motive = T.Lam("y", T.Lam("q", T.Unit()))
     t = T.EqElim(motive, T.Void(), T.Refl())
     assert K.normalize(ctx, t) == T.Void()
 
@@ -125,42 +125,63 @@ def test_split_computes():
     p = T.Pair(T.Void(), T.Tag("a"))
     pty = V.VSigma("_", V.VUnit(), lambda _v: V.VUId())
     ctx = ctx0().extend("p", pty)
-    m = T.Lam("a", None, T.Lam("b", None, T.Var(0)))
-    mot = T.Lam("q", None, T.UId())
+    m = T.Lam("a", T.Lam("b", T.Var(0)))
+    mot = T.Lam("q", T.UId())
     assert K.normalize(ctx0(), T.Split(mot, m, p)) == T.Tag("a")
 
 
 # --- motive levels ----------------------------------------------------------------
 
 AB = enum("a", "b")
+UNIT_FAM = T.Lam("j", T.Unit())
+
+
+def _iall_ctx():
+    """A motive P over `Unit * Unit`, a neutral code R : IDesc Unit and a payload d of R."""
+    ctx = ctx0()
+    motive_ty = T.Pi("p", T.Sigma("i", T.Unit(), T.Unit()), T.Set_(0))
+    for name, ty in (("P", motive_ty), ("R", T.IDesc(T.Unit())), ("d", T.InterpIDesc(T.Var(0), UNIT_FAM))):
+        ctx = ctx.extend(name, K.check_entry_type(ctx, ty))
+    return ctx
+
+
+IALL_CTX = _iall_ctx()
+
+
+def iall(motive):
+    """`IAll R (\\j. Unit) motive d`, whose type `Set k` is the motive's level."""
+    return T.IAllD(T.Var(1), UNIT_FAM, motive, T.Var(0))
 
 
 def test_variable_motive_checks_at_level_zero():
     # not a lambda: the whole motive is inferred and its type ends in Set0
-    ctx = ctx0().extend("P", V.VPi("_", V.VEnumT(ctx0().eval(AB)), lambda _v: V.VSet(0)))
-    assert K.infer(ctx, T.PiE(AB, T.Var(0))) == V.VSet(0)
+    assert K.infer(IALL_CTX, iall(T.Var(2))) == V.VSet(0)
 
 
 @pytest.mark.parametrize("body, level", [(T.Unit(), 0), (T.Set_(0), 1), (T.Set_(1), 2)])
 def test_lambda_motive_level_is_its_body_sort(body, level):
-    assert K.infer(ctx0(), T.PiE(AB, T.Lam("x", None, body))) == V.VSet(level)
-    assert K.infer(ctx0(), T.PiE(AB, T.Lam("x", T.EnumT(AB), body))) == V.VSet(level)
+    assert K.infer(IALL_CTX, iall(T.Lam("p", body))) == V.VSet(level)
 
 
 @pytest.mark.parametrize(
     "motive, text",
     [
-        (T.Lam("x", None, T.Var(0)), "UniverseMismatch: expected a type, its type is Enum {'a, 'b}"),
-        (T.Lam("x", T.Unit(), T.Set_(0)), "TypeMismatch: annotation disagrees with the expected domain"),
-        (T.Lam("x", None, T.Lam("y", None, T.Set_(0))), "CannotInfer: unannotated function"),
-        (T.Lam("x", None, T.Set_(2)), "UniverseMismatch: the top universe has no type"),
+        (T.Lam("x", T.Var(0)), "UniverseMismatch: expected a type, its type is Enum {'a, 'b}"),
+        # an annotated motive is inferred whole, at its annotation
+        (
+            T.Ann(T.Lam("x", T.Set_(0)), T.Pi("x", T.Unit(), T.Set_(1))),
+            "TypeMismatch: expected a motive over Enum {'a, 'b}, got Unit -> Set1",
+        ),
+        (T.Lam("x", T.Lam("y", T.Set_(0))), "CannotInfer: checking-only form in synthesis position"),
+        (T.Lam("x", T.Set_(2)), "UniverseMismatch: the top universe has no type"),
         (T.Void(), "TypeMismatch: expected a motive over Enum {'a, 'b}, got Unit"),
     ],
     ids=["body-not-a-type", "annotation", "extra-lambda", "top-universe", "not-a-function"],
 )
 def test_ill_typed_motive_reports_its_premise(motive, text):
+    # the motive is checked before the cases, which are not a tuple here
     with pytest.raises(K.KernelError) as e:
-        K.infer(ctx0(), T.PiE(AB, motive))
+        K.infer(ctx0(), T.Switch(AB, motive, T.Void(), T.ZeroE()))
     assert str(e.value) == text
 
 
@@ -234,14 +255,14 @@ def test_defeq_congruence_generated(sess):
         lambda u: T.In(T.Pair(T.SucE(T.ZeroE()), T.Pair(u, T.Void()))),
         lambda u: T.App(T.App(T.Var(plus_ix), u), u),
         lambda u: T.Fst(T.Pair(u, T.Tag("t"))),
-        lambda u: T.App(T.Lam("y", None, T.Pair(T.Var(0), u and T.shift(u, 1))), T.Void()),
+        lambda u: T.App(T.Lam("y", T.Pair(T.Var(0), u and T.shift(u, 1))), T.Void()),
         lambda u: T.Eq(T.Unit(), T.Void(), T.Void()) and T.Pair(T.Refl(), u),
     ]
     for seed in range(40):
         g = TermGen(sess, 1000 + seed)
         rng = _random.Random(seed)
         t = g.gen(sess.ctx, nat, 2)
-        redex = T.App(T.Lam("x", None, T.Var(0)), t)
+        redex = T.App(T.Lam("x", T.Var(0)), t)
         assert K.def_eq(sess.ctx, t, redex)
         for wrap in rng.sample(contexts, 3):
             assert K.def_eq(sess.ctx, wrap(t), wrap(redex))

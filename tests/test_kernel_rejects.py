@@ -4,10 +4,10 @@ Each case pairs a well-typed term with a copy that differs in one place, so
 that exactly one premise of one rule rejects it. The good term must pass
 and the bad one must raise `KernelError` with the pinned kind and message.
 The cases cover the sorts, the universe levels of binders and codes, every
-rule with a motive (`PiE`, `Switch`, `EqElim`, `IAll`, `IAllMap`,
-`iinduction`, `split`), the rules of the code forms, the checking rules of
-the introduction forms, the arity of a label and the survivors of earlier
-mutation runs. `tests/kernel_mutants.py` deletes each of these
+rule with a motive (`Switch`, `EqElim`, `IAll`, `IAllMap`, `iinduction`,
+`split`), the rules of the code forms, the checking rules of the
+introduction forms, the annotation form `Ann`, the arity of a label and the
+survivors of earlier mutation runs. `tests/kernel_mutants.py` deletes each of these
 premises from a copy of `kernel.py` in turn and expects this file to fail.
 """
 
@@ -22,12 +22,12 @@ TAG = T.Tag("a")  # a term of type UId, wrong wherever it appears below
 ONE = T.DOne()
 
 
-def lam(*names_then_body, ann=None):
-    """`\\x y ... . body`; `ann` annotates the first binder."""
+def lam(*names_then_body):
+    """`\\x y ... . body`."""
     *names, body = names_then_body
-    for nm in reversed(names[1:]):
-        body = T.Lam(nm, None, body)
-    return T.Lam(names[0], ann, body)
+    for nm in reversed(names):
+        body = T.Lam(nm, body)
+    return body
 
 
 X = lam("j", U)  # a family over the index type Unit
@@ -71,7 +71,6 @@ INDEXED = "Unit * IMu (\\j. '1) ()"
 # each eliminator as a function of its motive, with the motive's binders and
 # the printed types of its first and its last binder
 ELIMS = {
-    "PiE": (lambda m: T.PiE(AB, m), ("x",), ENUM, ENUM),
     "Switch": (lambda m: T.Switch(AB, m, T.Pair(TT, CASES_B), T.ZeroE()), ("x",), ENUM, ENUM),
     "EqElim": (lambda m: T.EqElim(m, TT, var("q")), ("y", "r"), "Unit", "() == y"),
     "IAll": (lambda m: T.IAllD(var("R"), X, m, var("d")), ("p",), PAIR, PAIR),
@@ -79,7 +78,6 @@ ELIMS = {
     "IInduction": (lambda m: T.IInduction(U, RF, m, METHOD, TT, T.In(TT)), ("p",), INDEXED, INDEXED),
     "Split": (lambda m: T.Split(m, SPLIT_METHOD, var("s")), ("p",), PAIR, PAIR),
 }
-ANNOTATION = "TypeMismatch: annotation disagrees with the expected domain"
 NOT_A_TYPE = "UniverseMismatch: expected a type, its type is "
 
 
@@ -87,11 +85,11 @@ def _motive_cases():
     """A motive whose annotation, body or domain is wrong, for each rule."""
     for rule, (elim, names, first, last) in ELIMS.items():
         good = elim(lam(*names, U))
-        wrong_ann = T.UId() if rule == "EqElim" else U
-        # a variable motive over the wrong domain
+        # a variable motive over the wrong domain, and an annotated one
         wrong_var, wrong_ty = (var("P"), f"{ENUM} -> Set") if first == "Unit" else (var("Q"), "Unit -> Set")
+        wrong_ann = T.Ann(lam("x", U), T.Pi("x", T.EnumT(AB) if first == "Unit" else U, S0))
         domain = f"TypeMismatch: expected a motive over {first}, got {wrong_ty}"
-        yield pytest.param(good, elim(lam(*names, U, ann=wrong_ann)), None, ANNOTATION, id=f"{rule}-annotation")
+        yield pytest.param(good, elim(wrong_ann), None, domain, id=f"{rule}-annotation")
         yield pytest.param(good, elim(lam(*names, T.Var(0))), None, NOT_A_TYPE + last, id=f"{rule}-universe")
         yield pytest.param(good, elim(wrong_var), None, domain, id=f"{rule}-domain")
 
@@ -119,7 +117,7 @@ HYPOTHESES = "TypeMismatch: expected Unit -> Unit -> Unit, got "
 
 CASES = [
     # sorts: a type's type is a universe, at most the level the rule allows
-    ("type-is-a-universe", lam("x", TT, ann=U), lam("x", TT, ann=TT), None, NOT_A_TYPE + "Unit"),
+    ("type-is-a-universe", T.Pi("x", U, U), T.Pi("x", TT, U), None, NOT_A_TYPE + "Unit"),
     ("IDesc-index-level", IDESC_U, T.IDesc(S0), None, LEVEL_ONE),
     ("IMu-index-level", GOOD_IMU, T.IMu(S0, RF, U), None, LEVEL_ONE),
     ("IInduction-index-level", GOOD_INDUCTION, T.IInduction(S0, RF, lam("p", U), METHOD, U, T.In(TT)), None, LEVEL_ONE),
@@ -128,7 +126,6 @@ CASES = [
     ("Pi-codomain-level", T.Pi("x", U, U), T.Pi("x", U, S0), S0, SET1_IN_SET),
     ("Pi-domain-level", T.Pi("x", U, U), T.Pi("x", S0, U), S0, SET1_IN_SET),
     ("IDesc-level", GOOD_INTERP, IDESC_U, S0, SET1_IN_SET),
-    ("PiE-level", T.PiE(AB, lam("x", U)), T.PiE(AB, lam("x", S0)), S0, SET1_IN_SET),
     ("IAll-level", GOOD_IALL, T.IAllD(var("R"), X, lam("p", S0), var("d")), S0, SET1_IN_SET),
     # equations
     ("Eq-lhs", T.Eq(U, TT, TT), T.Eq(U, TAG, TT), None, UNIT_MISMATCH),
@@ -136,8 +133,8 @@ CASES = [
     ("EqElim-proof", GOOD_EQELIM, T.EqElim(lam("y", "r", U), TT, TT), None, "TypeMismatch: eliminating a non-equation"),
     ("EqElim-base", GOOD_EQELIM, T.EqElim(lam("y", "r", U), TAG, var("q")), None, UNIT_MISMATCH),
     # enumerations
-    ("PiE-enum", T.PiE(AB, lam("x", U)), T.PiE(TAG, lam("x", U)), None, ENUMU_MISMATCH),
     ("Switch-cases", GOOD_SWITCH, T.Switch(AB, lam("x", U), T.Pair(TAG, CASES_B), T.ZeroE()), None, UNIT_MISMATCH),
+    ("Switch-enum", GOOD_SWITCH, T.Switch(TAG, lam("x", U), T.Pair(TT, CASES_B), T.ZeroE()), None, ENUMU_MISMATCH),
     ("Switch-scrutinee", GOOD_SWITCH, T.Switch(AB, lam("x", U), T.Pair(TT, CASES_B), TAG), None,
      f"TypeMismatch: expected {ENUM}, got UId"),
     # pairs
@@ -184,7 +181,9 @@ CASES = [
     # another former; a Sigma and a Pi have the fields the other rule reads
     ("lambda-against-non-Pi", T.Pair(TT, TT), lam("x", TT), T.Sigma("x", U, U),
      "TypeMismatch: function against Unit * Unit"),
-    ("lambda-annotation", lam("x", TT, ann=U), lam("x", TT, ann=T.UId()), T.Pi("x", U, U), ANNOTATION),
+    # an annotated lambda is inferred at its annotation, which must match
+    ("lambda-annotation", T.Ann(lam("x", TT), T.Pi("x", U, U)), T.Ann(lam("x", TT), T.Pi("x", T.UId(), U)),
+     T.Pi("x", U, U), "TypeMismatch: expected Unit -> Unit, got UId -> Unit"),
     ("pair-against-non-Sigma", lam("x", TT), T.Pair(TT, TT), T.Pi("x", U, U),
      "TypeMismatch: pair against Unit -> Unit"),
     ("enum-index-out-of-range", T.SucE(T.ZeroE()), T.SucE(T.SucE(T.ZeroE())), T.EnumT(AB),
@@ -192,6 +191,11 @@ CASES = [
     ("refl-against-non-Eq", TT, T.Refl(), U, "TypeMismatch: refl against Unit"),
     ("In-against-non-IMu", TT, T.In(TT), U, "TypeMismatch: constructor against Unit"),
     ("return-against-non-label", TT, T.LRet(TT), U, "TypeMismatch: return against Unit"),
+    # the annotation form: its type is a type, and its term checks against it
+    ("Ann-annotation-is-a-type", T.Ann(U, S0), T.Ann(U, T.Set_(2)), None,
+     "UniverseMismatch: the top universe has no type"),
+    ("Ann-term-checks", T.Ann(lam("x", TT), T.Pi("x", U, U)), T.Ann(lam("x", TAG), T.Pi("x", U, U)), None,
+     "TypeMismatch: expected Unit, got UId"),
     # labels: one type per argument
     ("label-arity", T.LabelTy("f", (TT,), (U,), U), T.LabelTy("f", (TT,), (), U), None,
      "TypeMismatch: label f: 1 args but 0 types"),

@@ -291,8 +291,8 @@ def test_constructor_patterns_bind_the_fields_of_the_code_walk(sess, seed):
 
 
 def test_abstract_subterm():
-    t = T.App(T.Var(2), T.Lam("x", None, T.App(T.Var(3), T.Var(0))))
-    assert T.abstract(t, T.Var(2)) == (T.App(T.Var(0), T.Lam("x", None, T.App(T.Var(1), T.Var(0)))), True)
+    t = T.App(T.Var(2), T.Lam("x", T.App(T.Var(3), T.Var(0))))
+    assert T.abstract(t, T.Var(2)) == (T.App(T.Var(0), T.Lam("x", T.App(T.Var(1), T.Var(0)))), True)
     # without an occurrence the body is the term shifted, and abstract says so
     assert T.abstract(t, T.Var(5)) == (T.shift(t, 1), False)
 

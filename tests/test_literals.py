@@ -312,7 +312,7 @@ REPLACEMENTS = (
     lambda u: T.In(T.Void()),
     lambda u: T.Refl(),
     lambda u: T.Tag("a"),
-    lambda u: T.Lam("y", None, T.Void()),
+    lambda u: T.Lam("y", T.Void()),
     lambda u: T.SucE(u),
     lambda u: T.In(u),
     lambda u: T.Pair(u, T.Void()),
@@ -347,7 +347,7 @@ def gen_intro(rng, ctx, want, budget: list) -> T.Term:
         tags = V.enum_tags(want.enum)
         return _enum_index(rng.randrange(len(tags)) if tags else 0)[0]
     if isinstance(want, V.VPi):
-        return T.Lam("x", None, gen_intro(rng, ctx, want.cod(V.fresh(ctx.depth)), budget))
+        return T.Lam("x", gen_intro(rng, ctx, want.cod(V.fresh(ctx.depth)), budget))
     if isinstance(want, V.VEq):
         return T.Refl()
     return T.Void()

@@ -2,13 +2,18 @@
 
 Every module-level function and class of `src/idt` is referenced from some
 other top-level statement of the package, or is an entry point that
-`bench/tracing.py` wraps by name in `TARGETS`.
+`bench/tracing.py` wraps by name in `TARGETS`. Every kernel rule that can
+succeed runs on some idt input, except the few listed in `UNREACHED_RULES`.
 """
 
 import ast
 import os
 
-from conftest import ROOT
+from conftest import ROOT, load_session, read_corpus
+
+from idt import kernel as K
+from idt.cli import Session
+from idt.elab import ElabError
 
 SRC = os.path.join(ROOT, "src", "idt")
 
@@ -52,3 +57,52 @@ def unreached() -> list:
 
 def test_every_definition_in_src_is_reached_from_src_or_traced():
     assert unreached() == []
+
+
+# --- kernel rules that idt inputs reach -------------------------------------------
+
+# a datatype with a `'Pi` field, and REPL lines whose rules no corpus file
+# reaches: equations of tags and of enumerations, an annotated redex and an
+# applied eliminator literal
+ORD = "data Ord : Set where\n  Ord => oz\n  Ord => olim (g : Nat -> Ord)\n"
+REPL = (
+    ("type_of", "'a == 'a"),
+    ("eval_expr", "(refl : {'a} == {'a})"),
+    ("eval_expr", "(\\x. suc x : Nat -> Nat) 1"),
+    ("eval_expr", "(['a -> 1, 'b -> 2] : Enum {'a, 'b} -> Nat) 'b"),
+)
+# the forms whose inference rule always raises `CannotInfer`: they only check
+CHECKING_ONLY = {
+    "Lam", "Pair", "Refl", "In", "LRet", "ZeroE", "SucE", "DOne", "DVarI", "DTimes", "DPi", "DSigma", "DSigmaE",
+}
+# the rules that can succeed and that no idt input runs
+UNREACHED_RULES = {("infer", "EqElim"), ("infer", "IAllMap"), ("infer", "Void")}
+
+
+def test_kernel_rules_that_idt_inputs_reach(monkeypatch):
+    reached = set()
+    rules = set()
+    for kind, table in (("infer", K._INFER_RULES), ("check", K._CHECK_RULES)):
+        for cls, rule in list(table.items()):
+            if kind == "infer" and cls.__name__ in CHECKING_ONLY:
+                continue
+            key = (kind, cls.__name__)
+            rules.add(key)
+
+            def wrapped(*args, _rule=rule, _key=key):
+                out = _rule(*args)
+                reached.add(_key)
+                return out
+
+            monkeypatch.setitem(table, cls, wrapped)
+    for name in sorted(os.listdir(os.path.join(ROOT, "corpus"))):
+        sess = Session()
+        try:
+            sess.load_text(read_corpus(name))
+        except ElabError:
+            assert name == "bad.idt"
+    sess = load_session("prelude.idt")
+    sess.load_text(ORD)
+    for command, line in REPL:
+        getattr(sess, command)(line)
+    assert rules - reached == UNREACHED_RULES

@@ -40,14 +40,6 @@ def record_classes() -> list:
     return out
 
 
-def _lam_twin_namespace():
-    # `Lam` keeps its own identity, the body alone; its twin does the same
-    return {
-        "__eq__": lambda s, o: type(o) is type(s) and s.body == o.body,
-        "__hash__": lambda s: hash(("Lam", s.body)),
-    }
-
-
 def make_twin(cls):
     n_required = len(cls._fields) - len(cls._defaults)
     specs = []
@@ -56,8 +48,7 @@ def make_twin(cls):
         if i >= n_required:
             kw["default"] = cls._defaults[i - n_required]
         specs.append((name, object, dataclasses.field(**kw)))
-    ns = _lam_twin_namespace() if cls is T.Lam else {}
-    return dataclasses.make_dataclass(cls.__name__, specs, frozen=True, namespace=ns)
+    return dataclasses.make_dataclass(cls.__name__, specs, frozen=True)
 
 
 CLASSES = record_classes()
@@ -141,8 +132,8 @@ def generated_roots() -> list:
 
 def handmade_roots() -> list:
     """The classes that neither the corpus nor the generators reach."""
-    dpi = T.DPi(T.Unit(), T.Lam("x", None, T.DOne()))
-    dsigma = T.DSigma(T.Unit(), T.Lam("x", None, T.DOne()))
+    dpi = T.DPi(T.Unit(), T.Lam("x", T.DOne()))
+    dsigma = T.DSigma(T.Unit(), T.Lam("x", T.DOne()))
     codes = T.Pair(T.IDesc(T.Unit()), T.Pair(T.DVarI(T.Void()), T.Pair(dpi, T.Pair(dsigma, T.EnumU()))))
     return [
         S.parse_expr(r"(\x. (x : Unit)) (() == refl) ((y : Set) * Unit) ['a -> ()]"),

@@ -140,7 +140,7 @@ def test_a_switch_evaluates_the_chosen_case_only():
     # the unchosen case cannot be evaluated at all
     bad = T.Fst(T.Unit())
     cases = T.Pair(bad, T.Pair(T.Tag("b"), T.Void()))
-    fam = T.Lam("_", None, T.UId())
+    fam = T.Lam("_", T.UId())
     assert V.eval_term(T.Switch(enum, fam, cases, T.SucE(T.ZeroE())), ()) == V.VTag("b")
     # a tuple that is not written out is evaluated and projected
     env = (V.VPair(V.VTag("a"), V.VPair(V.VTag("b"), V.VVoid())),)
@@ -148,7 +148,7 @@ def test_a_switch_evaluates_the_chosen_case_only():
 
 
 def test_a_split_binds_the_components_of_a_written_method():
-    method = T.Lam("x", None, T.Lam("y", None, T.Pair(T.Var(0), T.Var(1))))
+    method = T.Lam("x", T.Lam("y", T.Pair(T.Var(0), T.Var(1))))
     split = T.Split(T.Fst(T.Unit()), method, T.Var(0))  # the motive is never evaluated
     env = (V.VPair(V.VTag("a"), V.VTag("b")),)
     assert V.eval_term(split, env) == V.VPair(V.VTag("b"), V.VTag("a"))

@@ -23,7 +23,7 @@ def terms(max_leaves=12):
         leaf_terms(),
         lambda sub: st.one_of(
             st.builds(lambda a, b: T.App(a, b), sub, sub),
-            st.builds(lambda b: T.Lam("x", None, b), sub),
+            st.builds(lambda b: T.Lam("x", b), sub),
             st.builds(lambda a, b: T.Pi("x", a, b), sub, sub),
             st.builds(lambda a, b: T.Pair(a, b), sub, sub),
             st.builds(T.Fst, sub),
@@ -92,7 +92,7 @@ def test_abstract_variable_is_variable_abstraction(t, k):
 def test_map_term_binder_depths_and_unchanged_nodes():
     # a label's spines do not bind; a visit that changes nothing keeps every
     # node as is
-    fam = T.Lam("x", None, T.App(T.Var(0), T.Var(1)))
+    fam = T.Lam("x", T.App(T.Var(0), T.Var(1)))
     t = T.Pair(T.Var(0), T.Var(1))
     assert T.shift(t, 1) == T.Pair(T.Var(1), T.Var(2))
     lbl = T.LabelTy("D", (T.Var(0), fam), (T.Set_(0), T.Var(2)), T.IDesc(T.Sigma("_", T.Unit(), T.Var(3))))
@@ -110,7 +110,7 @@ def test_map_term_binder_depths_and_unchanged_nodes():
 def test_alpha_equality_ignores_names(t):
     def rename(t):
         if isinstance(t, T.Lam):
-            return T.Lam("zz", t.ann, rename(t.body))
+            return T.Lam("zz", rename(t.body))
         if isinstance(t, T.Pi):
             return T.Pi("ww", rename(t.dom), rename(t.cod))
         fields_ = getattr(t, "_fields", None)
@@ -126,13 +126,13 @@ def test_alpha_equality_ignores_names(t):
 
 
 def test_free_vars_examples():
-    t = T.Lam("x", None, T.App(T.Var(0), T.App(T.Var(2), T.Var(1))))
+    t = T.Lam("x", T.App(T.Var(0), T.App(T.Var(2), T.Var(1))))
     assert [j for j in range(5) if T.occurs(t, j)] == [0, 1]
     assert T.occurs(t, 1)
     assert not T.occurs(t, 5)
     # a range of outer indices, and the fields that equality ignores
     assert T.occurs(t, 1, math.inf) and not T.occurs(t, 2, math.inf)
-    assert T.occurs(T.Lam("x", T.Var(3), T.Var(0)), 3)
+    assert T.occurs(T.LabelTy("f", (), (T.Var(3),), T.Unit()), 3)
     assert T.occurs(T.IMu(T.Var(1), T.Unit(), T.Void()), 1)
 
 
