@@ -25,7 +25,7 @@ def sigma_view(code: Value) -> Optional[tuple]:
     tags = V.enum_tags(code.enum)
     if tags is None:
         return None
-    return tags, [V.vapp(code.fam, V.make_numeral(k)) for k in range(len(tags))]
+    return tags, [V.vapp(code.fam, V.VIdxE(k)) for k in range(len(tags))]
 
 
 def print_code(ctx: K.Context, code: Value, unindexed: bool = False) -> str:

@@ -380,7 +380,7 @@ class Elaborator:
         fam_v = ctx.eval(fam_t)
         cases: list = []
         for k, (_, rhs) in enumerate(e.alts):
-            cases.append(self.check(ctx, rhs, V.vapp(fam_v, V.make_numeral(k))))
+            cases.append(self.check(ctx, rhs, V.vapp(fam_v, V.VIdxE(k))))
         cases_t: Term = T.Void()
         for c in reversed(cases):
             cases_t = T.Pair(c, cases_t)
@@ -515,10 +515,7 @@ def _pair(a: Term, av: Value, b: Term, bv: Optional[Value]) -> Checked:
 
 def _enum_index(k: int) -> Checked:
     """The k-th position of an enumeration, as a term and as a value."""
-    t: Term = T.ZeroE()
-    for _ in range(k):
-        t = T.SucE(t)
-    return t, V.make_numeral(k)
+    return T.IdxE(k), V.VIdxE(k)
 
 
 def _nat_paths(want: Value):
@@ -574,9 +571,9 @@ def _find_constructor(code: Value, name: str):
     tags = V.enum_tags(code.enum)
     if name in tags:
         k = tags.index(name)
-        return [k], V.vapp_ground(code.fam, V.make_numeral(k))
+        return [k], V.vapp_ground(code.fam, V.VIdxE(k))
     for k in range(len(tags)):
-        sub = V.vapp_ground(code.fam, V.make_numeral(k))
+        sub = V.vapp_ground(code.fam, V.VIdxE(k))
         got = _find_constructor(sub, name)
         if got is not None:
             return [k] + got[0], got[1]

@@ -44,7 +44,7 @@ def derive_eq(code: Value) -> None:
             if tags is None:
                 refuse("'Sigma over a non-enumeration domain")
             for k in range(len(tags)):
-                walk(V.vapp(c.fam, V.make_numeral(k)))
+                walk(V.vapp(c.fam, V.VIdxE(k)))
         elif isinstance(c, V.VDPi):
             refuse("'Pi codes admit no decidable equality")
         elif not isinstance(c, (V.VDOne, V.VDVarI)):

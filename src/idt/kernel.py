@@ -477,7 +477,7 @@ _INFER_RULES = {
 }
 _INFER_RULES.update(
     dict.fromkeys(
-        (T.Lam, T.DOne, T.DVarI, T.DTimes, T.DPi, T.DSigma, T.DSigmaE, T.ZeroE, T.SucE),
+        (T.Lam, T.DOne, T.DVarI, T.DTimes, T.DPi, T.DSigma, T.DSigmaE, T.IdxE),
         lambda ctx, t: _err("CannotInfer", t, "checking-only form in synthesis position"),
     )
 )
@@ -529,18 +529,18 @@ def _check_refl(ctx: Context, t: T.Refl, want: Value) -> Optional[Value]:
 
 
 def _check_intro(ctx: Context, t: Term, want: Value) -> Optional[Value]:
-    """The checking rules of the introduction forms `In`, `Pair`, `ZeroE`,
-    `SucE` and `Void`, run as one loop over an explicit stack, so that a
-    constructor literal costs no Python stack however deep it is.
+    """The checking rules of the introduction forms `In`, `Pair`, `IdxE` and
+    `Void`, run as one loop over an explicit stack, so that a constructor
+    literal costs no Python stack however deep it is.
 
     Going down, each node is checked against its type as its rule says: a
     constructor's payload against the payload type of its fix-point, a
-    pair's first component against the domain, an index's predecessor
-    against the rest of its enumeration; a subterm of another class is
-    checked by `check`. Coming up, each node builds its value from its
-    parts' (None when a part built none), and a pair's second component is
-    checked against the codomain at the first's value, evaluated when its
-    check built none."""
+    pair's first component against the domain, an index `#k` against an
+    enumeration with more than k entries (walked in place, so it pushes no
+    frame); a subterm of another class is checked by `check`. Coming up,
+    each node builds its value from its parts' (None when a part built
+    none), and a pair's second component is checked against the codomain
+    at the first's value, evaluated when its check built none."""
     stack: list = []  # nodes awaiting a part's value, innermost last: (node, x, second)
     while True:
         cls = type(t)
@@ -558,14 +558,15 @@ def _check_intro(ctx: Context, t: Term, want: Value) -> Optional[Value]:
             continue
         if cls is _Void:
             v = _VVoid() if isinstance(want, _VUnit) else _check_by_synthesis(ctx, t, want)
-        elif cls is _SucE or cls is _ZeroE:
-            if not (isinstance(want, _VEnumT) and isinstance(want.enum, _VConsE)):
+        elif cls is _IdxE:
+            if not isinstance(want, _VEnumT):
                 _err("TypeMismatch", t, f"enum index against {show(ctx, want)}")
-            if cls is _SucE:
-                stack.append((t, None, False))
-                t, want = t.pred, _VEnumT(want.enum.rest)
-                continue
-            v = _VZeroE()
+            enum, k = want.enum, t.k
+            while k and isinstance(enum, _VConsE):
+                enum, k = enum.rest, k - 1
+            if not isinstance(enum, _VConsE):  # the enumeration ends before entry k
+                _err("TypeMismatch", t, f"enum index against {show(ctx, _VEnumT(enum))}")
+            v = _VIdxE(t.k)
         else:
             v = check(ctx, t, want)
         # hand `v` up to the nodes that await it, up to a pair whose second
@@ -581,15 +582,15 @@ def _check_intro(ctx: Context, t: Term, want: Value) -> Optional[Value]:
                 t, want = node.snd, x.cod(av)
                 break
             elif v is not None:
-                v = _VIn(v) if type(node) is _In else _VSucE(v)
+                v = _VIn(v)
         else:
             return v
 
 
 # the classes `_check_intro` tests and builds, bound once
-_In, _Pair, _ZeroE, _SucE, _Void = T.In, T.Pair, T.ZeroE, T.SucE, T.Void
+_In, _Pair, _IdxE, _Void = T.In, T.Pair, T.IdxE, T.Void
 _VIMu, _VSigma, _VEnumT, _VConsE, _VUnit = V.VIMu, V.VSigma, V.VEnumT, V.VConsE, V.VUnit
-_VIn, _VPair, _VZeroE, _VSucE, _VVoid = V.VIn, V.VPair, V.VZeroE, V.VSucE, V.VVoid
+_VIn, _VPair, _VIdxE, _VVoid = V.VIn, V.VPair, V.VIdxE, V.VVoid
 
 
 def _check_code(ctx: Context, t: Term, want: Value) -> None:
@@ -622,7 +623,7 @@ _CHECK_RULES = {
     T.Refl: _check_refl,
     T.LRet: _check_lret,
 }
-_CHECK_RULES.update(dict.fromkeys((T.In, T.Pair, T.ZeroE, T.SucE, T.Void), _check_intro))
+_CHECK_RULES.update(dict.fromkeys((T.In, T.Pair, T.IdxE, T.Void), _check_intro))
 _CHECK_RULES.update(dict.fromkeys((T.DOne, T.DVarI, T.DTimes, T.DPi, T.DSigma, T.DSigmaE), _check_code))
 
 

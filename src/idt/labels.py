@@ -114,7 +114,7 @@ def _ewm_enum(ctx, kind, scrut_name, scrut_v, sty, motive_at) -> EwmResult:
     assert tags is not None, "an enumeration type is closed: the surface cannot name EnumU"
     subgoals = []
     for k, tag in enumerate(tags):
-        g = motive_at(V.make_numeral(k))
+        g = motive_at(V.VIdxE(k))
         subgoals.append(EwmSubgoal(tag, [], [], g, lambda body: body))
     motive_v = V.VLam(scrut_name, motive_at)
 
@@ -164,7 +164,7 @@ def _ewm_fix(ctx, kind, scrut_v, sty, motive_at) -> EwmResult:
         v = tail
         for x in reversed(parts):
             v = V.VPair(x, v)
-        return goal_of(V.VIn(V.VPair(V.make_numeral(knum), v)))
+        return goal_of(V.VIn(V.VPair(V.VIdxE(knum), v)))
 
     # the branches sit under the method's binders `\i. \xs. \h.` and its
     # step's `\c. \as.` (see `assemble`), so each subgoal binds these first
@@ -257,7 +257,7 @@ def _ewm_fix(ctx, kind, scrut_v, sty, motive_at) -> EwmResult:
 
         return EwmSubgoal(tag, binders, hyp_slots, rebuild(knum, parts, cursor), wrap)
 
-    subgoals = [plan(tag, k, V.vapp_ground(code0.fam, V.make_numeral(k))) for k, tag in enumerate(tags)]
+    subgoals = [plan(tag, k, V.vapp_ground(code0.fam, V.VIdxE(k))) for k, tag in enumerate(tags)]
 
     def assemble(branches: List[Term]) -> Term:
         # iinduction FAM MOT (\i. \xs. \h. split MS (\c. \as. switch E PC BRANCHES c as) xs h) I X,

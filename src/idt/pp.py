@@ -33,14 +33,6 @@ def _enum_tags(e: Term):
     return tags if isinstance(e, T.NilE) else None
 
 
-def _numeral(t: Term):
-    n = 0
-    while isinstance(t, T.SucE):
-        n += 1
-        t = t.pred
-    return n if isinstance(t, T.ZeroE) else None
-
-
 def _tuple_items(t: Term):
     items = []
     while isinstance(t, T.Pair):
@@ -55,7 +47,7 @@ def _closed_numeral(t: Term):
     while True:
         if not (isinstance(t, T.In) and isinstance(t.payload, T.Pair)):
             return None
-        c = _numeral(t.payload.fst)
+        c = t.payload.fst.k if isinstance(t.payload.fst, T.IdxE) else None
         if c == 0 and isinstance(t.payload.snd, T.Void):
             return n
         if c == 1 and isinstance(t.payload.snd, T.Pair) and isinstance(t.payload.snd.snd, T.Void):
@@ -164,23 +156,13 @@ def _pt(t: Term, names: list, prec: int) -> str:
             tags = _enum_tags(t)
             if tags is not None:
                 return "{" + ", ".join(f"'{x}" for x in tags) + "}"
-            if isinstance(t, T.NilE):
-                return "{}"
             return _paren(
                 f"consE {_pt(t.tag, names, ATOM)} {_pt(t.rest, names, ATOM)}", APP, prec
             )
         case T.EnumT(e):
             return _paren(f"Enum {_pt(e, names, ATOM)}", APP, prec)
-        case T.ZeroE() | T.SucE(_):
-            n = _numeral(t)
-            if n is not None:
-                return f"#{n}"
-            inner = t
-            k = 0
-            while isinstance(inner, T.SucE):
-                k += 1
-                inner = inner.pred
-            return _paren(f"#{k}+{_pt(inner, names, ATOM)}", APP, prec)
+        case T.IdxE(k):
+            return f"#{k}"
         case T.Switch(e, p, cs, x):
             s = " ".join(
                 ["switch"] + [_pt(u, names, ATOM) for u in (e, p, cs, x)]

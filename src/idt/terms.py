@@ -123,12 +123,10 @@ class EnumT(Term):
     enum: Term
 
 
-class ZeroE(Term):
-    pass
+class IdxE(Term):
+    """`#k`, the k-th position of an enumeration, counting from 0."""
 
-
-class SucE(Term):
-    pred: Term
+    k: int
 
 
 class Switch(Term):

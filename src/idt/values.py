@@ -138,12 +138,8 @@ class VEnumT(Value):
     enum: Value
 
 
-class VZeroE(Value):
-    pass
-
-
-class VSucE(Value):
-    pred: Value
+class VIdxE(Value):
+    k: int
 
 
 class VEq(Value):
@@ -224,7 +220,7 @@ class VStuck(VNeutral):
     """The stuck elimination `kind(*fields)`: `kind` is `T.App`, `T.Fst`,
     `T.Snd` or a builtin eliminator, and `fields` are its arguments in the
     order of that term class (values, tuples of values or a label's head).
-    The neutral it is stuck on is one of them, under `VSucE`s for `switch`."""
+    The neutral it is stuck on is one of them."""
 
     kind: type
     fields: tuple
@@ -352,34 +348,27 @@ def vsnd(p: Value) -> Value:
 
 
 def vswitch(enum: Value, fam: Value, cases: Value, scrut: Value) -> Value:
-    if isinstance(scrut, VZeroE):
+    """The k-th component of `cases` at the index `#k`, else stuck on the
+    neutral `scrut`."""
+    if isinstance(scrut, VIdxE):
+        for _ in range(scrut.k):
+            cases = vsnd(cases)
         return vfst(cases)
-    if isinstance(scrut, VSucE) and isinstance(enum, VConsE):
-        return vswitch(
-            enum.rest,
-            VLam("k", lambda k: vapp(fam, VSucE(k))),
-            vsnd(cases),
-            scrut.pred,
-        )
-    n = scrut
-    while isinstance(n, VSucE):
-        n = n.pred
-    if isinstance(n, VNeutral) or isinstance(enum, VNeutral):
+    if isinstance(scrut, VNeutral):
         return VStuck(T.Switch, (enum, fam, cases, scrut))
     raise EvalError("switch stuck on non-neutral scrutinee")
 
 
-def vpie(enum: Value, fam: Value) -> Value:
-    """The type of the cases of a switch over the closed enumeration `enum`:
-    one component per tag, at `fam` of its index. No enumeration is
-    neutral, because no idt program can declare a variable of type `EnumU`."""
+def vpie(enum: Value, fam: Value, j: int = 0) -> Value:
+    """The type of the cases of a switch over the closed enumeration `enum`
+    from its tag `j` on: one component per tag, at `fam` of its index. No
+    enumeration is neutral, because no idt program can declare a variable
+    of type `EnumU`."""
     if isinstance(enum, VNilE):
         return VUnit()
     if isinstance(enum, VConsE):
-        head = vapp(fam, VZeroE())
-        rest_fam = VLam("k", lambda k: vapp(fam, VSucE(k)))
         rest = enum.rest
-        return VSigma("_", head, lambda _v: vpie(rest, rest_fam))
+        return VSigma("_", vapp(fam, VIdxE(j)), lambda _v: vpie(rest, fam, j + 1))
     raise EvalError("pi-enum on non-enumeration")
 
 
@@ -583,18 +572,7 @@ def vlcall(head: str, args: tuple, argtys: tuple, ty: Value, body: Value) -> Val
 
 
 def numeral_of(v: Value) -> Optional[int]:
-    n = 0
-    while isinstance(v, VSucE):
-        n += 1
-        v = v.pred
-    return n if isinstance(v, VZeroE) else None
-
-
-def make_numeral(k: int) -> Value:
-    v: Value = VZeroE()
-    for _ in range(k):
-        v = VSucE(v)
-    return v
+    return v.k if type(v) is VIdxE else None
 
 
 def enum_tags(enum: Value) -> Optional[list]:
@@ -684,8 +662,7 @@ _EVAL_RULES = {
     T.NilE: lambda t, env: VNilE(),
     T.ConsE: lambda t, env: VConsE(eval_term(t.tag, env), eval_term(t.rest, env)),
     T.EnumT: lambda t, env: VEnumT(eval_term(t.enum, env)),
-    T.ZeroE: lambda t, env: VZeroE(),
-    T.SucE: lambda t, env: VSucE(eval_term(t.pred, env)),
+    T.IdxE: lambda t, env: VIdxE(t.k),
     T.Switch: _eval_switch,
     T.Eq: lambda t, env: VEq(eval_term(t.ty, env), eval_term(t.lhs, env), eval_term(t.rhs, env)),
     T.Refl: lambda t, env: VRefl(),
@@ -855,8 +832,7 @@ _QUOTE_RULES = {
     VNilE: lambda v, d, names: T.NilE(),
     VConsE: lambda v, d, names: T.ConsE(quote(v.tag, d, names), quote(v.rest, d, names)),
     VEnumT: _quote_enumt,
-    VZeroE: lambda v, d, names: T.ZeroE(),
-    VSucE: lambda v, d, names: T.SucE(quote(v.pred, d, names)),
+    VIdxE: lambda v, d, names: T.IdxE(v.k),
     VEq: lambda v, d, names: T.Eq(quote(v.ty, d, names), quote(v.lhs, d, names), quote(v.rhs, d, names)),
     VRefl: lambda v, d, names: T.Refl(),
     VIDesc: lambda v, d, names: T.IDesc(quote(v.index, d, names)),
@@ -901,8 +877,6 @@ def convertible(a: Value, b: Value, d: int) -> bool:
             if not convertible(a.fst, b.fst, d):
                 return False
             a, b = a.snd, b.snd
-        elif cls is VSucE:
-            a, b = a.pred, b.pred
         elif cls is VStuck and a.kind in _CHAINED:
             if not _conv_stuck(a, b, d, 1):
                 return False
@@ -981,6 +955,7 @@ def _same(a, b, d: int) -> bool:
 _CONV_RULES = {
     VSet: lambda a, b, d: a.level == b.level,
     VTag: lambda a, b, d: a.name == b.name,
+    VIdxE: lambda a, b, d: a.k == b.k,
     VPi: _conv_binder,
     VSigma: _conv_binder,
     VLam: lambda a, b, d: _conv_clo(a.body, b.body, d),
@@ -999,7 +974,7 @@ _CONV_RULES = {
     VVar: lambda a, b, d: a.lvl == b.lvl,
     VStuck: _conv_stuck,
 }
-_CONV_RULES.update(dict.fromkeys((VUnit, VVoid, VUId, VEnumU, VNilE, VZeroE, VRefl, VDOne), _same))
+_CONV_RULES.update(dict.fromkeys((VUnit, VVoid, VUId, VEnumU, VNilE, VRefl, VDOne), _same))
 
 # which fields of each term class take part in term equality
 _COMPARED = {kind: tuple(f in kind._compared for f in kind._fields) for kind in _EVAL_RULES}

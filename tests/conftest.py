@@ -218,7 +218,7 @@ def nat_value(sess: Session):
 
 
 def num_term(k: int) -> T.Term:
-    t = T.In(T.Pair(T.ZeroE(), T.Void()))
+    t = T.In(T.Pair(T.IdxE(0), T.Void()))
     for _ in range(k):
-        t = T.In(T.Pair(T.SucE(T.ZeroE()), T.Pair(t, T.Void())))
+        t = T.In(T.Pair(T.IdxE(1), T.Pair(t, T.Void())))
     return t

@@ -182,7 +182,7 @@ def specialize_no_confusion(ctx: Context, name: str, ty: Term):
     def statement(k: int, j: int, ax: Value, ay: Value) -> Value:
         if k != j:
             return V.VPi("P", V.VSet(0), lambda p: p)
-        eq = V.VEq(payload_ty(V.make_numeral(k)), ax, ay)
+        eq = V.VEq(payload_ty(V.VIdxE(k)), ax, ay)
         return V.VPi("P", V.VSet(0), lambda p: _arrow(_arrow(eq, p), p))
 
     def nc_body(dx: Value, dy: Value) -> Value:

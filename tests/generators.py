@@ -43,9 +43,9 @@ class TermGen:
         return self.rng.choice(self.type_palette(depth))()
 
     def numeral(self, k: int) -> T.Term:
-        t = T.In(T.Pair(T.ZeroE(), T.Void()))
+        t = T.In(T.Pair(T.IdxE(0), T.Void()))
         for _ in range(k):
-            t = T.In(T.Pair(T.SucE(T.ZeroE()), T.Pair(t, T.Void())))
+            t = T.In(T.Pair(T.IdxE(1), T.Pair(t, T.Void())))
         return t
 
     def gen(self, ctx: K.Context, ty: V.Value, depth: int) -> T.Term:
@@ -69,10 +69,7 @@ class TermGen:
         if isinstance(ty, V.VEnumT):
             tags = V.enum_tags(ty.enum) or ["x"]
             k = rng.randrange(len(tags))
-            t: T.Term = T.ZeroE()
-            for _ in range(k):
-                t = T.SucE(t)
-            return t
+            return T.IdxE(k)
         if isinstance(ty, V.VIMu):  # Nat
             if depth > 0 and rng.random() < 0.4:
                 a = self.gen(ctx, ty, depth - 1)
@@ -261,16 +258,17 @@ class ConvPairGen:
     something it does not, so that both verdicts occur. Twins sometimes share
     one term object, which gives closures with the same body and environment.
 
-    `pair(kind)` forces the outermost shape: `switch_suc` (stuck on a
-    suc-wrapped neutral scrutinee), `switch_enum` (stuck on a neutral
-    enumeration), `imu_unit` (a Unit-indexed IMu against a non-Unit one),
-    `label_argtys` (label types that differ only in argument types),
-    `lam_names` (lambdas that differ only in binder names)
-    and `app_spine` (a variable applied to 1-4 arguments, where a third of
-    the twins differ in their number of arguments and a third in one).
+    `pair(kind)` forces the outermost shape: `switch_stuck` (stuck on a
+    neutral scrutinee), `switch_open_enum` (a closed index into a neutral
+    enumeration, which takes its case), `imu_unit` (a Unit-indexed IMu
+    against a non-Unit one), `label_argtys` (label types that differ only
+    in argument types), `lam_names` (lambdas that differ only in binder
+    names) and `app_spine` (a variable applied to 1-4 arguments, where a
+    third of the twins differ in their number of arguments and a third in
+    one).
     """
 
-    KINDS = ("any", "switch_suc", "switch_enum", "imu_unit", "label_argtys", "lam_names", "app_spine")
+    KINDS = ("any", "switch_stuck", "switch_open_enum", "imu_unit", "label_argtys", "lam_names", "app_spine")
 
     def __init__(self, seed: int, n_free: int = 3, p_diff: float = 0.1):
         self.rng = random.Random(seed)
@@ -310,10 +308,7 @@ class ConvPairGen:
         return build([k[0] for k in kids]), build([k[1] for k in kids])
 
     def _scrut(self, scope: int, neutral: bool) -> T.Term:
-        t = self._var(scope) if neutral else T.SucE(T.ZeroE())
-        for _ in range(self.rng.randrange(3)):
-            t = T.SucE(t)
-        return t
+        return self._var(scope) if neutral else T.IdxE(self.rng.randint(1, 3))
 
     def _args(self, depth: int, scope: int):
         n = self.rng.randrange(3)
@@ -331,9 +326,9 @@ class ConvPairGen:
     def _top(self, kind: str, depth: int):
         s = self.n_free
         r = self.rng
-        if kind == "switch_suc":
+        if kind == "switch_stuck":
             return self._switch(depth - 1, s, neutral=True)
-        if kind == "switch_enum":
+        if kind == "switch_open_enum":
             return self._switch(depth - 1, s, neutral=False)
         if kind == "imu_unit":
             fam, idx = self.twin(depth - 1, s), self.twin(depth - 1, s)
@@ -381,7 +376,8 @@ class ConvPairGen:
             self.p_diff = saved
 
     def _switch(self, depth: int, scope: int, neutral: bool):
-        """A switch stuck on its scrutinee (`neutral`) or on its enumeration."""
+        """A switch stuck on its scrutinee (`neutral`), or one at a closed
+        index into an open enumeration."""
         enum = self._var(scope) if not neutral or self.rng.random() < 0.5 else T.ConsE(
             T.Tag("a"), T.ConsE(T.Tag("b"), T.ConsE(T.Tag("c"), self._var(scope)))
         )
@@ -410,7 +406,6 @@ class ConvPairGen:
             (lambda *k: T.App(v, *k), 1),
             (T.ConsE, 2),
             (T.EnumT, 1),
-            (T.SucE, 1),
             (T.Eq, 3),
             (r.choice([T.IDesc, T.DVarI, T.In, T.LRet]), 1),
             (r.choice([T.DTimes, T.DPi, T.DSigma, T.DSigmaE, lambda e, f: T.LRet(T.DSigmaE(e, f))]), 2),
@@ -469,5 +464,5 @@ class ConvPairGen:
         return [
             lambda: T.Set_(r.randrange(2)),
             lambda: T.Tag(r.choice("ab")),
-            T.Unit, T.Void, T.ZeroE, lambda: T.SucE(T.ZeroE()), T.NilE, T.UId, T.Refl, T.DOne,
+            T.Unit, T.Void, lambda: T.IdxE(0), lambda: T.IdxE(1), T.NilE, T.UId, T.Refl, T.DOne,
         ][k - 4]()

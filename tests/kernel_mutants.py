@@ -97,6 +97,14 @@ MUTANTS = [
         "    check(ctx, t.enum, V.VEnumU())\n    ev = ctx.eval(t.enum)",
         "    ev = ctx.eval(t.enum)",
     ),
+    # the enumeration formers
+    ("consE: tag unchecked", "    check(ctx, t.tag, V.VUId())\n", ""),
+    ("consE: rest unchecked", "    check(ctx, t.rest, V.VEnumU())\n", ""),
+    (
+        "Enum: enumeration unchecked",
+        "    check(ctx, t.enum, V.VEnumU())\n    return V.VSet(0)",
+        "    return V.VSet(0)",
+    ),
     ("switch: cases unchecked", "    check(ctx, t.cases, V.vpie(ev, pv))\n", ""),
     ("switch: scrutinee unchecked", "    check(ctx, t.scrut, V.VEnumT(ev))\n", ""),
     ("split: scrutinee need not be a pair", "    if not isinstance(sty, V.VSigma):", "    if False:"),
@@ -172,10 +180,11 @@ MUTANTS = [
         '            if not isinstance(want, _VSigma):\n                _err("TypeMismatch", t, f"pair',
         '            if False:\n                _err("TypeMismatch", t, f"pair',
     ),
+    ("enum index: against any type", "            if not isinstance(want, _VEnumT):", "            if False:"),
     (
         "enum index: into an empty enumeration",
-        "            if not (isinstance(want, _VEnumT) and isinstance(want.enum, _VConsE)):",
-        "            if not isinstance(want, _VEnumT):",
+        "            if not isinstance(enum, _VConsE):  # the enumeration ends",
+        "            if False:  # the enumeration ends",
     ),
     ("refl: against any type", "    if not isinstance(want, V.VEq):", "    if False:"),
     ("In: against any type", "            if not isinstance(want, _VIMu):", "            if False:"),

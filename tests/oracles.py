@@ -26,9 +26,10 @@ lambda and the index tuple type are shifted again under the index binders.
 sub-universe: `generics.derive_eq` accepts exactly the codes it holds of.
 
 `recursive_check` is `kernel.check` with the checking rules of the
-introduction forms `In`, `Pair`, `ZeroE`, `SucE` and `Void` as they were
-before they ran as one loop over an explicit stack: each recursing through
-itself, one Python frame or more per node.
+introduction forms `In`, `Pair`, `IdxE` and `Void` as they were before they
+ran as one loop over an explicit stack: each recursing through itself, one
+Python frame or more per node, and an index `#k` one per entry of the
+enumeration up to the k-th.
 """
 
 from __future__ import annotations
@@ -123,7 +124,7 @@ def _ewm_enum(ctx, kind, scrut_name, scrut_v, sty, motive_at) -> L.EwmResult:
         raise ElabError("UnsupportedScrutinee", None, "case on an open enumeration")
     subgoals = []
     for k, tag in enumerate(tags):
-        g = motive_at(V.make_numeral(k))
+        g = motive_at(V.VIdxE(k))
         subgoals.append(L.EwmSubgoal(tag, [], [], g, lambda body: body))
     motive_v = V.VLam(scrut_name, motive_at)
 
@@ -170,7 +171,7 @@ class _BranchShape:
         v = tail
         for x in reversed(parts):
             v = V.VPair(x, v)
-        return self.goal_of(V.VIn(V.VPair(V.make_numeral(self.knum), v)))
+        return self.goal_of(V.VIn(V.VPair(V.VIdxE(self.knum), v)))
 
     def plan(self, d: int):
         """Fresh-variable walk: binder specs, pattern slots, refined goal."""
@@ -313,7 +314,7 @@ def _ewm_fix(ctx, kind, scrut_name, scrut_v, sty, motive_at) -> L.EwmResult:
 
     subgoals = []
     for k, tag in enumerate(tags):
-        code_k = V.vapp(code0.fam, V.make_numeral(k))
+        code_k = V.vapp(code0.fam, V.VIdxE(k))
         shape = _BranchShape(code_k, k, has_hyp, interp, iall, goal_of, motive_v)
         binders, hyp_slots, refined = shape.plan(d)
 
@@ -468,7 +469,7 @@ def sub_desc(code: Value) -> bool:
         if not (isinstance(dom, V.VEnumT) and V.enum_tags(dom.enum) is not None):
             return False
         n = len(V.enum_tags(dom.enum))
-        return all(sub_desc(V.vapp(code.fam, V.make_numeral(k))) for k in range(n))
+        return all(sub_desc(V.vapp(code.fam, V.VIdxE(k))) for k in range(n))
     return False
 
 
@@ -494,13 +495,16 @@ def _check_void(ctx: Context, t: T.Void, want: Value):
     return K._check_by_synthesis(ctx, t, want)
 
 
-def _check_index(ctx: Context, t: Term, want: Value):
+def _check_index(ctx: Context, t: T.IdxE, want: Value, k: int = -1):
+    """`#k` against `want` when `k` entries of the enumeration are left to
+    pass (-1: all of them, `t.k`)."""
+    if k < 0:
+        k = t.k
     if not (isinstance(want, V.VEnumT) and isinstance(want.enum, V.VConsE)):
         K._err("TypeMismatch", t, f"enum index against {K.show(ctx, want)}")
-    if type(t) is T.ZeroE:
-        return V.VZeroE()
-    nv = recursive_check(ctx, t.pred, V.VEnumT(want.enum.rest))
-    return None if nv is None else V.VSucE(nv)
+    if k == 0:
+        return V.VIdxE(t.k)
+    return _check_index(ctx, t, V.VEnumT(want.enum.rest), k - 1)
 
 
 def _check_in(ctx: Context, t: T.In, want: Value):
@@ -513,7 +517,6 @@ def _check_in(ctx: Context, t: T.In, want: Value):
 _RECURSIVE_RULES = {
     T.Pair: _check_pair,
     T.Void: _check_void,
-    T.ZeroE: _check_index,
-    T.SucE: _check_index,
+    T.IdxE: _check_index,
     T.In: _check_in,
 }

@@ -102,7 +102,7 @@ def test_criterion_1_code_reproduction(corpus):
     vec_code = V.quote(V.vapp(vecv.fam, vecv.index), ctx_an.depth)
     nat_t = V.quote(datatype(sess, "Nat").val, ctx_an.depth)
     A, n = T.Var(1), T.Var(0)
-    suc_m = T.In(T.Pair(T.SucE(T.ZeroE()), T.Pair(T.Var(0), T.Void())))
+    suc_m = T.In(T.Pair(T.IdxE(1), T.Pair(T.Var(0), T.Void())))
     vnil_c = T.DSigma(T.Eq(nat_t, n, num_term(0)), T.Lam("_", T.DOne()))
     vcons_c = T.DSigma(
         nat_t,
@@ -345,18 +345,18 @@ def test_criterion_6_generics(corpus):
 
     # exhaustive Tree Bool inhabitants of depth <= 3
     def all_trees(depth):
-        leaf = V.VIn(V.VPair(V.VZeroE(), V.VVoid()))
+        leaf = V.VIn(V.VPair(V.VIdxE(0), V.VVoid()))
         if depth == 0:
             return [leaf]
         subs = all_trees(depth - 1)
         out = list(subs)
         for l in subs:
-            for b in (V.VZeroE(), V.VSucE(V.VZeroE())):
+            for b in (V.VIdxE(0), V.VIdxE(1)):
                 for r in subs:
                     out.append(
                         V.VIn(
                             V.VPair(
-                                V.VSucE(V.VZeroE()),
+                                V.VIdxE(1),
                                 V.VPair(l, V.VPair(b, V.VPair(r, V.VVoid()))),
                             )
                         )

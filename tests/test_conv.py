@@ -43,7 +43,7 @@ def test_conv_agrees_with_readback(seed, kind):
 
 # `label_argtys` and `lam_names` pairs differ only where equality ignores it,
 # so they are meant to be nearly all equal
-@pytest.mark.parametrize("kind", ["any", "switch_suc", "switch_enum", "imu_unit"])
+@pytest.mark.parametrize("kind", ["any", "switch_stuck", "switch_open_enum", "imu_unit"])
 def test_conv_pairs_give_both_verdicts(kind):
     verdicts = Counter()
     for seed in range(40):
@@ -57,7 +57,7 @@ def test_a_long_application_chain_reads_back_and_converts_without_stack():
     def applied(n: int):
         v = V.fresh(0)
         for k in range(n):
-            v = V.vapp(v, V.make_numeral(k % 3))
+            v = V.vapp(v, V.VIdxE(k % 3))
         return v
 
     a, b, longer = applied(20000), applied(20000), applied(20001)
@@ -112,7 +112,7 @@ def test_decide_eq_of_different_stuck_switches_is_not_canonical():
 def test_decide_eq_of_distinct_closed_indices_refutes():
     ctx = K.Context()
     enum = T.ConsE(T.Tag("a"), T.ConsE(T.Tag("b"), T.NilE()))
-    x, y = T.ZeroE(), T.SucE(T.ZeroE())
+    x, y = T.IdxE(0), T.IdxE(1)
     kind, refutation = C.decide_eq_enum(ctx, enum, x, y)
     assert kind == "not-equal"
     K.check(ctx, refutation, ctx.eval(T.Pi("_", T.Eq(T.EnumT(enum), x, y), T.EnumT(T.NilE()))))

@@ -93,7 +93,7 @@ def test_constrained_vec_code_shape(sess):
     nat = nat_term(sess, ctx)
     a, n = T.Var(1), T.Var(0)
     zero = num_term(0)
-    suc_m = T.In(T.Pair(T.SucE(T.ZeroE()), T.Pair(T.Var(0), T.Void())))
+    suc_m = T.In(T.Pair(T.IdxE(1), T.Pair(T.Var(0), T.Void())))
     vnil = T.DSigma(
         T.Eq(nat, n, zero), T.Lam("_", T.DOne())
     )

@@ -47,11 +47,11 @@ def test_interp_natd_unfolds_by_hand():
     assert isinstance(v, V.VSigma)
     assert isinstance(v.dom, V.VEnumT)
     assert V.enum_tags(v.dom.enum) == ["zero", "suc"]
-    assert isinstance(v.cod(V.VZeroE()), V.VUnit)
-    assert isinstance(v.cod(V.VSucE(V.VZeroE())), V.VUnit)
+    assert isinstance(v.cod(V.VIdxE(0)), V.VUnit)
+    assert isinstance(v.cod(V.VIdxE(1)), V.VUnit)
     # at the family \_. IMu Unit (\_. NatD) () the recursive payload is the fix-point
     v2 = V.vinterp_i(ctx0().eval(NatD), ctx0().eval(NatX))
-    suc_payload = v2.cod(V.VSucE(V.VZeroE()))
+    suc_payload = v2.cod(V.VIdxE(1))
     assert V.quote(suc_payload, 0) == K.normalize(ctx0(), Nat)
 
 
@@ -166,14 +166,14 @@ def test_all_random_codes_against_oracle(seed):
     # a canonical payload for the code
     def gen_payload(cv):
         if isinstance(cv, V.VDVarI):
-            return V.VIn(V.VPair(V.VZeroE(), V.VVoid()))
+            return V.VIn(V.VPair(V.VIdxE(0), V.VVoid()))
         if isinstance(cv, V.VDOne):
             return V.VVoid()
         if isinstance(cv, V.VDTimes):
             return V.VPair(gen_payload(cv.lhs), gen_payload(cv.rhs))
         if isinstance(cv, V.VDSigmaE):
             k = rng.randrange(2)
-            return V.VPair(V.make_numeral(k), gen_payload(V.vapp(cv.fam, V.make_numeral(k))))
+            return V.VPair(V.VIdxE(k), gen_payload(V.vapp(cv.fam, V.VIdxE(k))))
         raise AssertionError
 
     cv = ctx.eval(code)
@@ -199,9 +199,9 @@ def test_induction_zero_case_no_hypotheses():
     )
     P = T.Lam("_", T.Unit())
     method = T.Lam("i", T.Lam("d", T.Lam("h", T.App(T.Var(3), T.Var(1)))))
-    zero = T.In(T.Pair(T.ZeroE(), T.Void()))
+    zero = T.In(T.Pair(T.IdxE(0), T.Void()))
     got = K.normalize(ctx, T.IInduction(T.Unit(), NatR, P, method, T.Void(), zero))
-    assert got == K.normalize(ctx, T.App(T.Var(0), T.Pair(T.ZeroE(), T.Void())))
+    assert got == K.normalize(ctx, T.App(T.Var(0), T.Pair(T.IdxE(0), T.Void())))
 
 
 def test_induction_recursive_unfolding():
@@ -215,10 +215,10 @@ def test_induction_recursive_unfolding():
         return T.Switch(En, T.Lam("_", UNIT_DESC), tup(T.DOne(), VAR), c)
 
     nat, natx = unit_mu(natd), unit_fam(unit_mu(natd))
-    zero = T.In(T.Pair(T.ZeroE(), T.Void()))
+    zero = T.In(T.Pair(T.IdxE(0), T.Void()))
 
     def suc(n):
-        return T.In(T.Pair(T.SucE(T.ZeroE()), n))
+        return T.In(T.Pair(T.IdxE(1), n))
 
     to_nat = T.Lam("_", nat)
     PC = T.Lam(
@@ -259,7 +259,7 @@ def test_builtin_signatures_roundtrip_through_infer():
     ctx = ctx0()
     assert K.infer(ctx, Nat) == V.VSet(0)
     # In : interpI (R ()) (\j. IMu Unit R j) -> IMu Unit R ()
-    K.check(ctx, T.In(T.Pair(T.ZeroE(), T.Void())), ctx.eval(Nat))
+    K.check(ctx, T.In(T.Pair(T.IdxE(0), T.Void())), ctx.eval(Nat))
     # IMu R i : Set when R : I -> IDesc I
     r = T.Lam("j", T.DOne())
     assert K.infer(ctx, T.IMu(T.Unit(), r, T.Void())) == V.VSet(0)

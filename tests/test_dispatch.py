@@ -16,7 +16,7 @@ from idt import terms as T
 from idt import values as V
 
 # value classes that `convertible` compares inline instead of through a rule
-CONV_INLINE = {V.VIn, V.VPair, V.VSucE}
+CONV_INLINE = {V.VIn, V.VPair}
 
 
 def idt_subclasses(base):
@@ -37,7 +37,7 @@ def term_classes():
 
 def test_every_term_class_has_an_eval_and_an_infer_rule():
     classes = term_classes()
-    assert len(classes) == 41
+    assert len(classes) == 40
     assert classes - V._EVAL_RULES.keys() == set()
     assert classes - K._INFER_RULES.keys() == set()
     assert K._CHECK_RULES.keys() <= classes
@@ -52,8 +52,8 @@ def test_every_value_class_has_a_quote_and_a_conv_rule():
 
 
 def test_conversion_compares_the_inline_classes():
-    zero, one = V.VZeroE(), V.VSucE(V.VZeroE())
-    assert V.convertible(V.VIn(V.VPair(one, V.VVoid())), V.VIn(V.VPair(V.VSucE(V.VZeroE()), V.VVoid())), 0)
+    zero, one = V.VIdxE(0), V.VIdxE(1)
+    assert V.convertible(V.VIn(V.VPair(one, V.VVoid())), V.VIn(V.VPair(V.VIdxE(1), V.VVoid())), 0)
     assert not V.convertible(V.VIn(V.VPair(one, V.VVoid())), V.VIn(V.VPair(zero, V.VVoid())), 0)
 
 
@@ -82,7 +82,7 @@ def counting(monkeypatch, owner, *attrs) -> list:
 @pytest.mark.parametrize("k", [0, 1, 7])
 def test_eval_and_quote_visit_each_node_once(monkeypatch, k):
     t = num_term(k)
-    assert count_nodes(t) == 4 + 6 * k
+    assert count_nodes(t) == 4 + 5 * k
     evals = counting(monkeypatch, V, "eval_term")
     v = V.eval_term(t, ())
     assert len(evals) == count_nodes(t)

@@ -75,7 +75,7 @@ def test_check_mismatch():
 def test_check_constructor_on_nat(sess):
     nat = datatype(sess, "Nat").val
     t = elab_check(sess.ctx, se("suc zero"), nat)
-    assert t == T.In(T.Pair(T.SucE(T.ZeroE()), T.Pair(T.In(T.Pair(T.ZeroE(), T.Void())), T.Void())))
+    assert t == T.In(T.Pair(T.IdxE(1), T.Pair(T.In(T.Pair(T.IdxE(0), T.Void())), T.Void())))
     K.check(sess.ctx, t, nat)
 
 
@@ -126,7 +126,7 @@ def test_enum_literal():
 def test_tag_second_position():
     ev = ctx0().eval(enum("a", "b", "c"))
     t = elab_check(ctx0(), se("'b"), V.VEnumT(ev))
-    assert t == T.SucE(T.ZeroE())
+    assert t == T.IdxE(1)
 
 
 def test_tag_unknown():
@@ -142,7 +142,7 @@ def test_eliminator_literal_elaborates_to_switch():
     t = elab_check(ctx0(), se("[a -> 't, b -> 'u]"), want)
     K.check(ctx0(), t, want)
     # applying it picks the right branch
-    got = K.normalize(ctx0(), T.App(t, T.SucE(T.ZeroE())))
+    got = K.normalize(ctx0(), T.App(t, T.IdxE(1)))
     assert got == T.Tag("u")
 
 
@@ -168,7 +168,7 @@ def test_vnil_constrained_autofills_refl(vecs):
     vty, _ = el.synth(sessc.ctx, se("Vec Bool zero"))
     t = el.check(sessc.ctx, se("vnil"), sessc.ctx.eval(vty))
     # In ('nil, (refl, void))
-    assert t == T.In(T.Pair(T.ZeroE(), T.Pair(T.Refl(), T.Void())))
+    assert t == T.In(T.Pair(T.IdxE(0), T.Pair(T.Refl(), T.Void())))
 
 
 def test_vnil_computed_no_equations(vecs):
@@ -177,7 +177,7 @@ def test_vnil_computed_no_equations(vecs):
     vty, _ = el.synth(sessd.ctx, se("Vec Bool zero"))
     t = el.check(sessd.ctx, se("vnil"), sessd.ctx.eval(vty))
     # In ('elim, ('nil, void))
-    assert t == T.In(T.Pair(T.ZeroE(), T.Pair(T.ZeroE(), T.Void())))
+    assert t == T.In(T.Pair(T.IdxE(0), T.Pair(T.IdxE(0), T.Void())))
 
 
 def test_vnil_wrong_length_fails_both_styles(vecs):

@@ -126,11 +126,10 @@ PAIR_METHOD = T.Lam("x", T.Lam("y", T.Var(1)))
 
 # each rule's reducing and stuck branch, among three free variables
 ELIMINATIONS = {
-    "switch_zero": T.Switch(TWO, T.Var(1), CASES, T.ZeroE()),
-    "switch_one": T.Switch(TWO, T.Var(1), CASES, T.SucE(T.ZeroE())),
+    "switch_zero": T.Switch(TWO, T.Var(1), CASES, T.IdxE(0)),
+    "switch_one": T.Switch(TWO, T.Var(1), CASES, T.IdxE(1)),
     "switch_stuck": T.Switch(TWO, T.Var(1), CASES, T.Var(0)),
-    "switch_stuck_suc": T.Switch(TWO, T.Var(1), CASES, T.SucE(T.Var(0))),
-    "switch_open_enum": T.Switch(T.Var(2), T.Var(1), T.Var(0), T.SucE(T.Var(0))),
+    "switch_open_enum": T.Switch(T.Var(2), T.Var(1), T.Var(0), T.IdxE(1)),
     "eqelim_refl": T.EqElim(T.Var(1), T.Tag("b"), T.Refl()),
     "eqelim_stuck": T.EqElim(T.Var(1), T.Tag("b"), T.Var(0)),
     "split_pair": T.Split(T.Var(1), PAIR_METHOD, T.Pair(T.Tag("p"), T.Tag("q"))),

@@ -83,11 +83,11 @@ def inhabitants(code: V.Value, top: V.Value, depth: int):
         ]
     if isinstance(code, (V.VDSigma, V.VDSigmaE)):
         if isinstance(code, V.VDSigmaE):
-            doms = [V.make_numeral(k) for k in range(len(V.enum_tags(code.enum) or []))]
+            doms = [V.VIdxE(k) for k in range(len(V.enum_tags(code.enum) or []))]
         else:
             dom = code.dom
             if isinstance(dom, V.VEnumT) and V.enum_tags(dom.enum) is not None:
-                doms = [V.make_numeral(k) for k in range(len(V.enum_tags(dom.enum)))]
+                doms = [V.VIdxE(k) for k in range(len(V.enum_tags(dom.enum)))]
             elif isinstance(dom, V.VEq):
                 doms = [V.VRefl()] if V.quote(dom.lhs, 0) == V.quote(dom.rhs, 0) else []
             else:
@@ -133,9 +133,9 @@ def test_case_nat_iota_drops_hypothesis():
     ctx = ctx.extend("caseN", tyv, ctx.eval(case_t))
     P = T.Lam("_", T.Unit())
     ctx = ctx.extend("m", ctx.eval(T.Pi("d", T.InterpIDesc(NatD, NatX), T.Unit())))
-    scrut = T.In(T.Pair(T.ZeroE(), T.Void()))
+    scrut = T.In(T.Pair(T.IdxE(0), T.Void()))
     lhs = T.App(T.App(T.App(T.Var(1), P), T.Var(0)), scrut)
-    rhs = T.App(T.Var(0), T.Pair(T.ZeroE(), T.Void()))
+    rhs = T.App(T.Var(0), T.Pair(T.IdxE(0), T.Void()))
     assert K.def_eq(ctx, lhs, rhs)
 
 
@@ -148,11 +148,11 @@ def test_case_tree_picks_branch(sess):
     case_t, case_ty = C.derive_case(ctx, tree)
     tyv = K.check_entry_type(ctx, case_ty)
     K.check(ctx, case_t, tyv)
-    leaf = T.In(T.Pair(T.ZeroE(), T.Void()))
+    leaf = T.In(T.Pair(T.IdxE(0), T.Void()))
     node = T.In(
         T.Pair(
-            T.SucE(T.ZeroE()),
-            T.Pair(leaf, T.Pair(T.ZeroE(), T.Pair(leaf, T.Void()))),
+            T.IdxE(1),
+            T.Pair(leaf, T.Pair(T.IdxE(0), T.Pair(leaf, T.Void()))),
         )
     )
     # constant motive picking a tag per constructor
@@ -217,11 +217,11 @@ def imu_inhabitants(applied: V.VIMu, depth: int, ctx):
             ]
         if isinstance(code_v, (V.VDSigma, V.VDSigmaE)):
             if isinstance(code_v, V.VDSigmaE):
-                doms = [V.make_numeral(k) for k in range(len(V.enum_tags(code_v.enum) or []))]
+                doms = [V.VIdxE(k) for k in range(len(V.enum_tags(code_v.enum) or []))]
             else:
                 dom = code_v.dom
                 if isinstance(dom, V.VEnumT) and V.enum_tags(dom.enum) is not None:
-                    doms = [V.make_numeral(k) for k in range(len(V.enum_tags(dom.enum)))]
+                    doms = [V.VIdxE(k) for k in range(len(V.enum_tags(dom.enum)))]
                 elif isinstance(dom, V.VEq):
                     eqp = V.quote(dom.lhs, ctx.depth) == V.quote(dom.rhs, ctx.depth)
                     doms = [V.VRefl()] if eqp else []
@@ -312,7 +312,7 @@ def test_no_confusion_kernel_checks(nc_nat):
 def test_no_confusion_normal_forms(nc_nat):
     ctx = nc_nat
     stmt = T.Var(1)
-    zero = T.In(T.Pair(T.ZeroE(), T.Void()))
+    zero = T.In(T.Pair(T.IdxE(0), T.Void()))
     two = bare_num(2)
     # same constructor: Pi P. (payload == payload -> P) -> P
     nf = K.normalize(ctx, T.App(T.App(stmt, two), two))
@@ -325,9 +325,9 @@ def test_no_confusion_normal_forms(nc_nat):
 
 
 def bare_num(k):
-    t = T.In(T.Pair(T.ZeroE(), T.Void()))
+    t = T.In(T.Pair(T.IdxE(0), T.Void()))
     for _ in range(k):
-        t = T.In(T.Pair(T.SucE(T.ZeroE()), t))
+        t = T.In(T.Pair(T.IdxE(1), t))
     return t
 
 
@@ -352,7 +352,7 @@ def test_no_confusion_proof_computes(nc_nat):
     # equal constructors with refl, P, k computes to k refl
     ctx = nc_nat.extend("P", V.VSet(0))
     two = bare_num(2)
-    pred_eq = T.Eq(T.InterpIDesc(T.App(NatD.fam, T.SucE(T.ZeroE())), NatX), bare_num(1), bare_num(1))
+    pred_eq = T.Eq(T.InterpIDesc(T.App(NatD.fam, T.IdxE(1)), NatX), bare_num(1), bare_num(1))
     ctx = ctx.extend("k", ctx.eval(T.Pi("_", pred_eq, T.Var(1))))
     proof = T.Var(2)
     t = T.App(T.App(T.App(T.App(T.App(proof, two), two), T.Refl()), T.Var(1)), T.Var(0))
@@ -363,8 +363,8 @@ def test_no_confusion_tree(sess):
     boolv = sess.ctx.env[sess.ctx.depth - 1 - sess.ctx.lookup("Bool")[0]]
     tree = unit_mu(tree_code(V.quote(boolv, 0)))
     ctx = extend_with(ctx0(), C.specialize_no_confusion(ctx0(), "Tree", tree))
-    leaf = T.In(T.Pair(T.ZeroE(), T.Void()))
-    node = T.In(T.Pair(T.SucE(T.ZeroE()), T.Pair(leaf, T.Pair(T.ZeroE(), T.Pair(leaf, T.Void())))))
+    leaf = T.In(T.Pair(T.IdxE(0), T.Void()))
+    node = T.In(T.Pair(T.IdxE(1), T.Pair(leaf, T.Pair(T.IdxE(0), T.Pair(leaf, T.Void())))))
     stmt = T.Var(1)
     nf = K.normalize(ctx, T.App(T.App(stmt, leaf), node))
     assert nf == T.Pi("P", T.Set_(0), T.Var(0))
@@ -514,17 +514,10 @@ def test_no_confusion_one_and_three_constructors(name, n_ctors, decl):
 
 def test_decide_eq_enum_examples():
     e = enum("a", "b")
-    kind, proof = C.decide_eq_enum(ctx0(), e, T.ZeroE(), T.ZeroE())
+    kind, proof = C.decide_eq_enum(ctx0(), e, T.IdxE(0), T.IdxE(0))
     assert kind == "equal" and proof == T.Refl()
-    kind, _ = C.decide_eq_enum(ctx0(), e, T.ZeroE(), T.SucE(T.ZeroE()))
+    kind, _ = C.decide_eq_enum(ctx0(), e, T.IdxE(0), T.IdxE(1))
     assert kind == "not-equal"
-
-
-def bare_index(k: int) -> T.Term:
-    x = T.ZeroE()
-    for _ in range(k):
-        x = T.SucE(x)
-    return x
 
 
 def test_decide_eq_enum_brute_force_agreement():
@@ -533,7 +526,7 @@ def test_decide_eq_enum_brute_force_agreement():
         e = enum(*[f"t{i}" for i in range(n)])
         for i in range(n):
             for j in range(n):
-                kind, _ = C.decide_eq_enum(ctx0(), e, bare_index(i), bare_index(j))
+                kind, _ = C.decide_eq_enum(ctx0(), e, T.IdxE(i), T.IdxE(j))
                 assert kind == ("equal" if i == j else "not-equal")
 
 
@@ -541,7 +534,7 @@ def test_decide_eq_refutation_kernel_checks():
     e = enum("a", "b", "c")
     ctx = ctx0()
     for i, j in itertools.permutations(range(3), 2):
-        x, y = bare_index(i), bare_index(j)
+        x, y = T.IdxE(i), T.IdxE(j)
         kind, refutation = C.decide_eq_enum(ctx, e, x, y)
         assert kind == "not-equal"
         K.check(ctx, refutation, ctx.eval(T.Pi("_", T.Eq(T.EnumT(e), x, y), T.EnumT(T.NilE()))))
@@ -650,10 +643,10 @@ def test_derive_eq_tree_bool(sess):
 
     # build trees directly at the value level for an exhaustive depth-3 set
     tt = sess.ctx.eval(el.check(sess.ctx, S.parse_expr("true"), sess.ctx.eval(bool_ty)))
-    ff = V.make_numeral(1)
+    ff = V.VIdxE(1)
 
     def vtrees(depth):
-        vleaf = V.VIn(V.VPair(V.VZeroE(), V.VVoid()))
+        vleaf = V.VIn(V.VPair(V.VIdxE(0), V.VVoid()))
         if depth == 0:
             return [vleaf]
         subs = vtrees(depth - 1)
@@ -664,7 +657,7 @@ def test_derive_eq_tree_bool(sess):
                     out.append(
                         V.VIn(
                             V.VPair(
-                                V.VSucE(V.VZeroE()),
+                                V.VIdxE(1),
                                 V.VPair(l, V.VPair(b, V.VPair(r, V.VVoid()))),
                             )
                         )

@@ -160,10 +160,10 @@ def test_ground_values_are_remembered_on_the_closure(sess):
     nat = datatype(sess, "Nat").val
     code = V.vapp_ground(nat.fam, nat.index)
     assert V.vapp_ground(nat.fam, V.VVoid()) is code
-    assert V.vapp_ground(code.fam, V.make_numeral(1)) is V.vapp_ground(code.fam, V.VSucE(V.VZeroE()))
-    assert V.vapp_ground(code.fam, V.make_numeral(0)) is not V.vapp_ground(code.fam, V.make_numeral(1))
+    assert V.vapp_ground(code.fam, V.VIdxE(1)) is V.vapp_ground(code.fam, V.VIdxE(1))
+    assert V.vapp_ground(code.fam, V.VIdxE(0)) is not V.vapp_ground(code.fam, V.VIdxE(1))
     # an open argument is applied afresh
-    open_arg = V.VSucE(V.fresh(sess.ctx.depth))
+    open_arg = V.fresh(sess.ctx.depth)
     assert V.vapp_ground(code.fam, open_arg) is not V.vapp_ground(code.fam, open_arg)
 
 
@@ -177,9 +177,9 @@ PRED = """let pred (m : Nat) : Nat where
 
 
 def numeral(n: int) -> V.Value:
-    v = V.VIn(V.VPair(V.VZeroE(), V.VVoid()))
+    v = V.VIn(V.VPair(V.VIdxE(0), V.VVoid()))
     for _ in range(n):
-        v = V.VIn(V.VPair(V.VSucE(V.VZeroE()), V.VPair(v, V.VVoid())))
+        v = V.VIn(V.VPair(V.VIdxE(1), V.VPair(v, V.VVoid())))
     return v
 
 
@@ -266,7 +266,7 @@ def ord_values(sess):
         t, _ = sess.synth_expr(f"({text} : Ord)")
         out.append(ctx.eval(t))
     g = V.fresh(ctx.depth)
-    out.append(V.VIn(V.VPair(V.make_numeral(1), V.VPair(g, V.VVoid()))))
+    out.append(V.VIn(V.VPair(V.VIdxE(1), V.VPair(g, V.VVoid()))))
     return out
 
 
@@ -298,9 +298,9 @@ def test_pointwise_hypotheses_are_built_when_applied(ord_sess):
 
     def olim(name: str, g) -> V.Value:
         fn = V.VLam("n", lambda n: seen.append((name, nat_int(n))) or g(n))
-        return V.VIn(V.VPair(V.make_numeral(1), V.VPair(fn, V.VVoid())))
+        return V.VIn(V.VPair(V.VIdxE(1), V.VPair(fn, V.VVoid())))
 
-    oz = V.VIn(V.VPair(V.make_numeral(0), V.VVoid()))
+    oz = V.VIn(V.VPair(V.VIdxE(0), V.VVoid()))
     inner = olim("inner", lambda n: oz)
     outer = olim("outer", lambda n: inner)
     args = (ord_v.ixty, ord_v.fam, ctx.eval(T.Lam("p", T.Unit())), ctx.eval(APPLYING), ord_v.index, outer)

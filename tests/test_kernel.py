@@ -67,7 +67,7 @@ def test_normalize_switch_positional():
     E = enum("a", "b", "c")
     cases = tup(T.Tag("ea"), T.Tag("eb"), T.Tag("ec"))
     P = T.Lam("_", T.UId())
-    t = T.Switch(E, P, cases, T.SucE(T.ZeroE()))
+    t = T.Switch(E, P, cases, T.IdxE(1))
     assert K.normalize(ctx0(), t) == T.Tag("eb")
 
 
@@ -78,7 +78,7 @@ def test_defeq_reflexive_and_beta():
 
 
 def test_defeq_distinct_normal_constructors():
-    assert not K.def_eq(ctx0(), T.SucE(T.ZeroE()), T.ZeroE())
+    assert not K.def_eq(ctx0(), T.IdxE(1), T.IdxE(0))
 
 
 def test_universe_levels():
@@ -181,7 +181,7 @@ def test_lambda_motive_level_is_its_body_sort(body, level):
 def test_ill_typed_motive_reports_its_premise(motive, text):
     # the motive is checked before the cases, which are not a tuple here
     with pytest.raises(K.KernelError) as e:
-        K.infer(ctx0(), T.Switch(AB, motive, T.Void(), T.ZeroE()))
+        K.infer(ctx0(), T.Switch(AB, motive, T.Void(), T.IdxE(0)))
     assert str(e.value) == text
 
 
@@ -252,7 +252,7 @@ def test_defeq_congruence_generated(sess):
     plus_ix, _ = sess.ctx.lookup("plus")
     contexts = [
         lambda u: T.Pair(u, T.Void()),
-        lambda u: T.In(T.Pair(T.SucE(T.ZeroE()), T.Pair(u, T.Void()))),
+        lambda u: T.In(T.Pair(T.IdxE(1), T.Pair(u, T.Void()))),
         lambda u: T.App(T.App(T.Var(plus_ix), u), u),
         lambda u: T.Fst(T.Pair(u, T.Tag("t"))),
         lambda u: T.App(T.Lam("y", T.Pair(T.Var(0), u and T.shift(u, 1))), T.Void()),

@@ -5,10 +5,11 @@ that exactly one premise of one rule rejects it. The good term must pass
 and the bad one must raise `KernelError` with the pinned kind and message.
 The cases cover the sorts, the universe levels of binders and codes, every
 rule with a motive (`Switch`, `EqElim`, `IAll`, `IAllMap`, `iinduction`,
-`split`), the rules of the code forms, the checking rules of the
-introduction forms, the annotation form `Ann`, the arity of a label and the
-survivors of earlier mutation runs. `tests/kernel_mutants.py` deletes each of these
-premises from a copy of `kernel.py` in turn and expects this file to fail.
+`split`), the enumeration formers `consE` and `Enum`, the rules of the code
+forms, the checking rules of the introduction forms, the annotation form
+`Ann`, the arity of a label and the survivors of earlier mutation runs.
+`tests/kernel_mutants.py` deletes each of these premises from a copy of
+`kernel.py` in turn and expects this file to fail.
 """
 
 import pytest
@@ -71,7 +72,7 @@ INDEXED = "Unit * IMu (\\j. '1) ()"
 # each eliminator as a function of its motive, with the motive's binders and
 # the printed types of its first and its last binder
 ELIMS = {
-    "Switch": (lambda m: T.Switch(AB, m, T.Pair(TT, CASES_B), T.ZeroE()), ("x",), ENUM, ENUM),
+    "Switch": (lambda m: T.Switch(AB, m, T.Pair(TT, CASES_B), T.IdxE(0)), ("x",), ENUM, ENUM),
     "EqElim": (lambda m: T.EqElim(m, TT, var("q")), ("y", "r"), "Unit", "() == y"),
     "IAll": (lambda m: T.IAllD(var("R"), X, m, var("d")), ("p",), PAIR, PAIR),
     "IAllMap": (lambda m: T.IAllMap(var("R"), X, m, REC, var("d")), ("p",), PAIR, PAIR),
@@ -133,8 +134,11 @@ CASES = [
     ("EqElim-proof", GOOD_EQELIM, T.EqElim(lam("y", "r", U), TT, TT), None, "TypeMismatch: eliminating a non-equation"),
     ("EqElim-base", GOOD_EQELIM, T.EqElim(lam("y", "r", U), TAG, var("q")), None, UNIT_MISMATCH),
     # enumerations
-    ("Switch-cases", GOOD_SWITCH, T.Switch(AB, lam("x", U), T.Pair(TAG, CASES_B), T.ZeroE()), None, UNIT_MISMATCH),
-    ("Switch-enum", GOOD_SWITCH, T.Switch(TAG, lam("x", U), T.Pair(TT, CASES_B), T.ZeroE()), None, ENUMU_MISMATCH),
+    ("consE-tag", T.ConsE(TAG, T.NilE()), T.ConsE(TT, T.NilE()), None, "TypeMismatch: expected UId, got Unit"),
+    ("consE-rest", T.ConsE(TAG, T.NilE()), T.ConsE(TAG, TAG), None, ENUMU_MISMATCH),
+    ("Enum-enumeration", T.EnumT(AB), T.EnumT(TAG), None, ENUMU_MISMATCH),
+    ("Switch-cases", GOOD_SWITCH, T.Switch(AB, lam("x", U), T.Pair(TAG, CASES_B), T.IdxE(0)), None, UNIT_MISMATCH),
+    ("Switch-enum", GOOD_SWITCH, T.Switch(TAG, lam("x", U), T.Pair(TT, CASES_B), T.IdxE(0)), None, ENUMU_MISMATCH),
     ("Switch-scrutinee", GOOD_SWITCH, T.Switch(AB, lam("x", U), T.Pair(TT, CASES_B), TAG), None,
      f"TypeMismatch: expected {ENUM}, got UId"),
     # pairs
@@ -186,7 +190,8 @@ CASES = [
      T.Pi("x", U, U), "TypeMismatch: expected Unit -> Unit, got UId -> Unit"),
     ("pair-against-non-Sigma", lam("x", TT), T.Pair(TT, TT), T.Pi("x", U, U),
      "TypeMismatch: pair against Unit -> Unit"),
-    ("enum-index-out-of-range", T.SucE(T.ZeroE()), T.SucE(T.SucE(T.ZeroE())), T.EnumT(AB),
+    ("enum-index-against-non-Enum", TT, T.IdxE(0), U, "TypeMismatch: enum index against Unit"),
+    ("enum-index-out-of-range", T.IdxE(1), T.IdxE(2), T.EnumT(AB),
      "TypeMismatch: enum index against Enum {}"),
     ("refl-against-non-Eq", TT, T.Refl(), U, "TypeMismatch: refl against Unit"),
     ("In-against-non-IMu", TT, T.In(TT), U, "TypeMismatch: constructor against Unit"),

@@ -305,15 +305,14 @@ def test_only_the_numeral_rule_makes_a_numeral():
 LOOP_TYPES = ("Nat", "Tree Bool", "Vect Bool 2", "Ord", "Nat * Bool", "Unit", "plus 1 1 == 2", "Vec Bool 2", "(1 : Nat) == 2")
 # one-node replacements of a subterm `u`
 REPLACEMENTS = (
-    lambda u: T.ZeroE(),
-    lambda u: T.SucE(T.ZeroE()),
+    lambda u: T.IdxE(0),
+    lambda u: T.IdxE(1),
     lambda u: T.Void(),
     lambda u: T.Pair(T.Void(), T.Void()),
     lambda u: T.In(T.Void()),
     lambda u: T.Refl(),
     lambda u: T.Tag("a"),
     lambda u: T.Lam("y", T.Void()),
-    lambda u: T.SucE(u),
     lambda u: T.In(u),
     lambda u: T.Pair(u, T.Void()),
     lambda u: next((getattr(u, f) for f in u._fields if isinstance(getattr(u, f), T.Term)), T.Void()),

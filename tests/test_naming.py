@@ -227,7 +227,7 @@ def vcons_argument_types(sess: Session):
     a, n, m = (V.fresh(ctx.depth - k) for k in (3, 2, 1))
     vec = V.vapps(datatype(sess, "Vec").val, a, n)
     code = V.vapp(vec.fam, vec.index)
-    args = V.vinterp_i(V.vapp(code.fam, V.make_numeral(1)), V.imu_family(vec.ixty, vec.fam))
+    args = V.vinterp_i(V.vapp(code.fam, V.VIdxE(1)), V.imu_family(vec.ixty, vec.fam))
     tys = []
     while isinstance(args, V.VSigma):
         tys.append(args.dom)

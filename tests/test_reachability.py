@@ -73,7 +73,7 @@ REPL = (
 )
 # the forms whose inference rule always raises `CannotInfer`: they only check
 CHECKING_ONLY = {
-    "Lam", "Pair", "Refl", "In", "LRet", "ZeroE", "SucE", "DOne", "DVarI", "DTimes", "DPi", "DSigma", "DSigmaE",
+    "Lam", "Pair", "Refl", "In", "LRet", "IdxE", "DOne", "DVarI", "DTimes", "DPi", "DSigma", "DSigmaE",
 }
 # the rules that can succeed and that no idt input runs
 UNREACHED_RULES = {("infer", "EqElim"), ("infer", "IAllMap"), ("infer", "Void")}

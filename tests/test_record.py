@@ -163,7 +163,7 @@ def _outcome(f):
 
 def test_every_record_class_is_sampled(nodes):
     assert set(CLASSES) - {type(x) for x in nodes} == set()
-    assert len(CLASSES) == 106  # the base and the 105 node classes
+    assert len(CLASSES) == 104  # the base and the 103 node classes
 
 
 def test_record_agrees_with_its_twin(nodes):

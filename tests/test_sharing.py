@@ -106,8 +106,8 @@ def test_payload_types_are_remembered_on_the_family():
     d = sess.ctx.depth
     assert V.convertible(ty, fresh, d)
     # the codomain remembers the payload type at each closed tag
-    suc = V.make_numeral(1)
-    assert ty.cod(suc) is ty.cod(V.VSucE(V.VZeroE())) and ty.cod(suc) is not ty.cod(V.VZeroE())
+    suc = V.VIdxE(1)
+    assert ty.cod(suc) is ty.cod(V.VIdxE(1)) and ty.cod(suc) is not ty.cod(V.VIdxE(0))
     assert V.convertible(ty.cod(suc), fresh.cod(suc), d)
     # an open index is interpreted afresh
     vec = V.vapps(datatype(sess, "Vec").val, V.fresh(d), V.fresh(d + 1))
@@ -135,16 +135,38 @@ def test_a_wide_by_case_evaluates_each_constructor_code_once(monkeypatch):
     assert sess.eval_expr(f"f (c{k - 1} true)") == "'true"
 
 
+def recheck_evaluations_per_constructor(monkeypatch, k: int) -> float:
+    """The `eval_term` calls of the kernel's re-check of a `by case` over a
+    datatype of `k` one-field constructors, per constructor."""
+    sess = load_session("prelude.idt")
+    sess.load_text("data T : Set where\n" + "".join(f"  T => c{i} (b : Unit)\n" for i in range(k)))
+    branches = "".join(f"    f (c{i} b) => zero\n" for i in range(k))
+    d = S.parse_file(f"let f (t : T) : Nat where\n  f t by case t {{\n{branches}  }}\n")[0]
+    definiens, ty_t = L.elab_define(sess.ctx, d)
+    want = sess.ctx.eval(ty_t)
+    calls = counting(monkeypatch, V, "eval_term")
+    K.check(sess.ctx, definiens, want)
+    monkeypatch.undo()
+    return calls[0] / k
+
+
+def test_a_by_case_recheck_costs_the_same_per_constructor_at_any_width(monkeypatch):
+    narrow = recheck_evaluations_per_constructor(monkeypatch, 32)
+    wide = recheck_evaluations_per_constructor(monkeypatch, 128)
+    # 141 and 234 per constructor when an index was a chain of successors
+    assert wide <= 1.3 * narrow, (narrow, wide)
+
+
 def test_a_switch_evaluates_the_chosen_case_only():
     enum = T.ConsE(T.Tag("a"), T.ConsE(T.Tag("b"), T.NilE()))
     # the unchosen case cannot be evaluated at all
     bad = T.Fst(T.Unit())
     cases = T.Pair(bad, T.Pair(T.Tag("b"), T.Void()))
     fam = T.Lam("_", T.UId())
-    assert V.eval_term(T.Switch(enum, fam, cases, T.SucE(T.ZeroE())), ()) == V.VTag("b")
+    assert V.eval_term(T.Switch(enum, fam, cases, T.IdxE(1)), ()) == V.VTag("b")
     # a tuple that is not written out is evaluated and projected
     env = (V.VPair(V.VTag("a"), V.VPair(V.VTag("b"), V.VVoid())),)
-    assert V.eval_term(T.Switch(enum, fam, T.Var(0), T.SucE(T.ZeroE())), env) == V.VTag("b")
+    assert V.eval_term(T.Switch(enum, fam, T.Var(0), T.IdxE(1)), env) == V.VTag("b")
 
 
 def test_a_split_binds_the_components_of_a_written_method():
@@ -167,7 +189,7 @@ def closures_over_one_term(seed: int, own_binder: bool):
     env1 = tuple(V.fresh(i) for i in range(n))
     env2 = list(env1)
     gen.rng.shuffle(env2)
-    env2[gen.rng.randrange(n)] = V.make_numeral(gen.rng.randrange(3))
+    env2[gen.rng.randrange(n)] = V.VIdxE(gen.rng.randrange(3))
     return n, body, V.VLam("x", V.Clo(env1, body)), V.VLam("x", V.Clo(tuple(env2), body))
 
 
