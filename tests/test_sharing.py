@@ -153,7 +153,6 @@ def recheck_evaluations_per_constructor(monkeypatch, k: int) -> float:
 def test_a_by_case_recheck_costs_the_same_per_constructor_at_any_width(monkeypatch):
     narrow = recheck_evaluations_per_constructor(monkeypatch, 32)
     wide = recheck_evaluations_per_constructor(monkeypatch, 128)
-    # 141 and 234 per constructor when an index was a chain of successors
     assert wide <= 1.3 * narrow, (narrow, wide)
 
 
