@@ -517,6 +517,15 @@ EVAL_AFTER_PRELUDE = {
         "1:2: BadTupleArity: too many components\n"
         "  while checking zero zero zero against Nat * Nat\n  while synthesizing (zero zero zero : Nat * Nat)",
     ),
+    # the application synthesises, at a type that is not the pair type, so
+    # the tuple reading's error is raised again with the trail it collected
+    "tuple-reading-of-a-mistyped-application": (
+        "(plus 1 1 : Nat * Nat)",
+        1,
+        "1:2: CheckMismatch: expected Nat, got Nat -> Nat -> Nat\n"
+        "  while checking plus against Nat\n"
+        "  while checking plus 1 1 against Nat * Nat\n  while synthesizing (plus 1 1 : Nat * Nat)",
+    ),
     "annotation-not-a-type": (
         "(zero : plus)",
         1,

@@ -8,7 +8,7 @@ import pytest
 
 from conftest import CORPUS, GOLDEN, ROOT
 
-from idt.cli import main
+from idt.cli import main, run_repl
 from idt.elab import ElabError, Elaborator
 
 CORPUS_FILES = sorted(f for f in os.listdir(CORPUS) if f.endswith(".idt"))
@@ -51,6 +51,73 @@ def test_data_error_trail_has_goals_but_no_derivation_steps(tmp_path, flags):
         "  while checking suc () against Nat\n"
         "  while synthesizing x == suc ()\n"
     )
+
+
+# --- trails through the handlers that catch an ElabError ----------------------------
+
+# `idt check` after the prelude: one declaration and the report it prints. A
+# trail lists the goals between where the error was raised and the outermost
+# judgment; a handler that catches an error and raises it again, or raises
+# another, must leave it so
+CAUGHT_AND_RAISED = {
+    # the one hypothesis of arity 2 is tried, and checking 'x fails inside it
+    "recursive-call-after-a-rejected-attempt": (
+        "let bad (a : Nat) (b : Nat) : Nat where\n"
+        "  bad a b by rec a {\n    bad zero b => zero\n    bad (suc a') b => bad a' 'x\n  }\n",
+        "4:23: NoMatchingHypothesis: recursive call to 'bad' does not match any hypothesis in scope\n"
+        "  while synthesizing bad a' 'x\n"
+        "  while checking bad a' 'x against Nat\n"
+        "  while realizing the programming goal <bad (In (#1 , %x , %r)) b : Nat>\n"
+        "  while realizing the programming goal <bad a b : Nat>",
+    ),
+    # `elab_by` locates the errors of the by-gadget at the clause head, and
+    # they keep no trail (test_cli.py pins an `UnsupportedScrutinee`)
+    "scrutinee-not-free": (
+        "let f (n : Nat) : Nat where\n  f n by case true {\n    f n => zero\n  }\n",
+        "2:3: ScrutineeNotFree: 'true' does not occur in the goal; the motive would be degenerate",
+    ),
+    "one-by-block-deep": (
+        "let f (n : Nat) : Nat where\n  f n by case n {\n    f zero => 'x\n    f (suc k) => k\n  }\n",
+        "3:15: CheckMismatch: tag against Nat\n"
+        "  while checking 'x against Nat\n"
+        "  while realizing the programming goal <f (In (#0 , %as)) : Nat>\n"
+        "  while realizing the programming goal <f n : Nat>",
+    ),
+    "two-by-blocks-deep": (
+        "let f (n : Nat) (m : Nat) : Nat where\n  f n m by case n {\n    f zero m => zero\n"
+        "    f (suc k) m by case m {\n      f (suc k) zero => 'x\n      f (suc k) (suc j) => j\n    }\n  }\n",
+        "5:25: CheckMismatch: tag against Nat\n"
+        "  while checking 'x against Nat\n"
+        "  while realizing the programming goal <f (In (#1 , %x , %r)) (In (#0 , %as)) : Nat>\n"
+        "  while realizing the programming goal <f (In (#1 , %x , %r)) m : Nat>\n"
+        "  while realizing the programming goal <f n m : Nat>",
+    ),
+    # `dataelab`'s derivation steps stay out of the trail of a field's type
+    "bad-field-type-in-data": (
+        "data D : Set where\n  D => c (x : plus 'a zero)\n",
+        "2:20: CheckMismatch: tag against Nat\n"
+        "  while checking 'a against Nat\n"
+        "  while synthesizing plus 'a zero",
+    ),
+}
+
+
+@pytest.mark.parametrize("src, msg", CAUGHT_AND_RAISED.values(), ids=CAUGHT_AND_RAISED.keys())
+def test_trail_through_a_handler(tmp_path, src, msg):
+    p = tmp_path / "d.idt"
+    p.write_text(src, encoding="utf-8")
+    code, out = run_main(["check", os.path.join(CORPUS, "prelude.idt"), str(p)])
+    assert (code, out) == (1, f"{p}: error: {msg}\n")
+
+
+def test_eq_command_trail_after_the_fallback_to_checking():
+    # `zero` does not synthesise and checks at Nat, so 'x is checked there
+    out = io.StringIO()
+    assert run_repl([os.path.join(CORPUS, "prelude.idt")], stdin=io.StringIO(":eq zero 'x\n"), stdout=out) == 0
+    assert out.getvalue().splitlines()[1:] == [
+        "<repl>: error: 1:1: CheckMismatch: tag against Nat",
+        "  while checking 'x against Nat",
+    ]
 
 
 # --- the goal stack -------------------------------------------------------------------
