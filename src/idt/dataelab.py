@@ -17,9 +17,9 @@ pipeline with the degenerate Unit index. A `by` clause head constrains no
 index, so a label that is called has no constraint.
 
 Each judgment (`ElabData`, `ElabDataPatts`, `ElabChoices`, `ElabConstr`,
-`ElabArg`, `ElabRecArgs`, `ElabEqs`, `ElabEWM`) is a derivation step on the
-elaborator's goal stack; a tracing elaborator records them as the
-derivation that `--emit-trace` prints.
+`ElabArg`, `ElabRecArgs`, `ElabEqs`, `ElabEWM`) is a derivation step,
+`Elaborator.goal`; a tracing elaborator records them as the derivation
+that `--emit-trace` prints, and any other enters them as a no-op.
 """
 
 from __future__ import annotations

@@ -17,17 +17,19 @@ A datatype's code comes only from `dataelab`, so the constructor rule takes
 it to be a `'sigma` over a closed enumeration of constructors, one layer
 more for each `by` block, below that block's constructor `elim`.
 
-The elaborator keeps one stack of the goals in progress, each a judgment
-whose text is formatted only when it is read. A goal pushed with a rule
-name is a derivation step of the paper's judgments (`ElabData`,
-`ElabConstr`, ...): error trails leave such steps out, and an elaborator
-built with `trace=True` records them as a tree of `TraceNode`s, which is
-what `--emit-trace` prints.
+An error's goal trail is built as the error unwinds: `synth`, `check` and
+`labels`' clause step each catch an error that `Elaborator.err` raised, add
+their goal, a judgment whose text is formatted only when it is read, and
+raise it on. On the success path they keep no record. The derivation steps
+of the paper's judgments (`ElabData`, `ElabConstr`, ...) are not in trails;
+an elaborator built with `trace=True` records them as a tree of
+`TraceNode`s, which is what `--emit-trace` prints, and any other elaborator
+enters them through a shared no-op.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
+from contextlib import nullcontext
 from typing import Optional
 
 from . import kernel as K
@@ -51,16 +53,24 @@ MAX_NUMERAL = 100_000
 class ElabError(Exception):
     """An elaboration failure and the goals in progress when it was raised.
 
-    The message and each goal are a text or a function that formats it;
-    functions are called only when the message or the trail is read, so an
-    error that is caught and dropped formats nothing."""
+    An error that `Elaborator.err` raised collects its goals as it unwinds
+    through them (`add_goal`); any other has no trail. The message is a text
+    or a function that formats it, and each goal a function and its
+    arguments; they are called only when the message or the trail is read,
+    so an error that is caught and dropped formats nothing."""
 
-    def __init__(self, kind: str, span, msg, trail=None):
+    def __init__(self, kind: str, span, msg):
         self.kind = kind
         self.span = span
         self._msg = msg
-        self._goals = list(trail) if trail else []
+        self._goals: Optional[list] = None  # innermost first
         super().__init__(kind)
+
+    def add_goal(self, fmt, *args) -> None:
+        """Record a goal the error leaves, whose text is `fmt(*args)`. An
+        error not raised by `err` keeps none."""
+        if self._goals is not None:
+            self._goals.append((fmt, args))
 
     def __str__(self) -> str:
         return f"{self.kind}: {self.msg}"
@@ -74,8 +84,7 @@ class ElabError(Exception):
     @property
     def trail(self) -> list:
         """The goal texts, outermost first."""
-        self._goals[:] = [g if isinstance(g, str) else g() for g in self._goals]
-        return self._goals
+        return [fmt(*args) for fmt, args in reversed(self._goals or ())]
 
     def render(self) -> str:
         loc = f"{self.span[0]}:{self.span[1]}: " if self.span else ""
@@ -102,46 +111,66 @@ class TraceNode:
         return "\n".join(lines)
 
 
+class _Step:
+    """A derivation step being recorded: entered, it hangs its node under
+    the innermost step in progress and becomes that step itself."""
+
+    __slots__ = ("el", "node")
+
+    def __init__(self, el: "Elaborator", node: TraceNode):
+        self.el = el
+        self.node = node
+
+    def __enter__(self):
+        steps = self.el.steps
+        if steps:
+            steps[-1].children.append(self.node)
+        else:
+            self.el.root = self.node
+        steps.append(self.node)
+
+    def __exit__(self, *exc):
+        self.el.steps.pop()
+
+
+_NO_STEP = nullcontext()
+
+
 class Elaborator:
-    """Elaboration session state: the goal stack, the derivation recorded
-    from it when tracing, and the active definition (for label-directed
-    recursive calls)."""
+    """Elaboration session state: the derivation steps recorded when
+    tracing and the active definition (for label-directed recursive
+    calls)."""
 
     def __init__(self, trace: bool = False):
-        # goals in progress, outermost first, as (desc, rule, recorded node)
-        self.goals: list = []
         self.trace = trace
+        self.steps: list = []  # recorded steps in progress, outermost first
         self.root: Optional[TraceNode] = None  # the outermost recorded step
         self.active: Optional[str] = None
 
-    @contextmanager
-    def goal(self, desc, rule: Optional[str] = None):
-        """Push a goal for the extent of the block: its text, or a function
-        of no arguments that formats it. A goal with a `rule` is a
-        derivation step: error trails leave it out, and when tracing it is
-        formatted at once and recorded under the innermost recorded step."""
-        node = None
-        if rule is not None and self.trace:
-            node = TraceNode(rule, desc())
-            parent = next((n for _, _, n in reversed(self.goals) if n is not None), None)
-            if parent is None:
-                self.root = node
-            else:
-                parent.children.append(node)
-        self.goals.append((desc, rule, node))
-        try:
-            yield
-        finally:
-            self.goals.pop()
+    def goal(self, desc, rule: str):
+        """A derivation step of the judgment `rule` for the extent of a
+        `with` block. When tracing, `desc`, a function of no arguments, is
+        called at once and the step recorded under the innermost step in
+        progress; otherwise the step is a shared no-op and `desc` is never
+        called. Error trails leave derivation steps out."""
+        if self.trace:
+            return _Step(self, TraceNode(rule, desc()))
+        return _NO_STEP
 
     def err(self, kind: str, span, msg):
-        raise ElabError(kind, span, msg, [desc for desc, rule, _ in self.goals if rule is None])
+        """Raise an `ElabError` whose trail the goals it unwinds fill in."""
+        e = ElabError(kind, span, msg)
+        e._goals = []
+        raise e
 
     # -- synthesis --
 
     def synth(self, ctx: Context, e: S.ExtTerm):
-        with self.goal(lambda: f"synthesizing {S.print_expr(e)}"):
+        try:
             return self._synth(ctx, e)
+        except ElabError as err:
+            err.add_goal(_synthesizing, e)
+            raise
 
     def _synth(self, ctx: Context, e: S.ExtTerm):
         if isinstance(e, S.EVar):
@@ -268,8 +297,11 @@ class Elaborator:
     def _check_value(self, ctx: Context, e: S.ExtTerm, want: Value) -> Checked:
         """`check`, also returning the term's value when it was built from
         the values of its parts."""
-        with self.goal(lambda: f"checking {S.print_expr(e)} against {K.show(ctx, want)}"):
+        try:
             return self._check(ctx, e, want)
+        except ElabError as err:
+            err.add_goal(_checking, ctx, e, want)
+            raise
 
     def _check(self, ctx: Context, e: S.ExtTerm, want: Value) -> Checked:
         if isinstance(e, S.ELam):
@@ -507,6 +539,14 @@ class Elaborator:
                 f"expected a type, got something of type {K.show(ctx, ty)}",
             )
         return t, ctx.eval(t), ty.level
+
+
+def _synthesizing(e: S.ExtTerm) -> str:
+    return f"synthesizing {S.print_expr(e)}"
+
+
+def _checking(ctx: Context, e: S.ExtTerm, want: Value) -> str:
+    return f"checking {S.print_expr(e)} against {K.show(ctx, want)}"
 
 
 def _pair(a: Term, av: Value, b: Term, bv: Optional[Value]) -> Checked:

@@ -348,7 +348,7 @@ def _elab_clause(
 ) -> Term:
     """A clause at `goal`; `match`, when given, is its head's match, which
     the `by` step that chose the clause has made."""
-    with el.goal(lambda: f"realizing the programming goal {K.show(ctx, goal)}"):
+    try:
         _, ctx2 = match or match_head(ctx, clause.head, goal)
         if isinstance(clause.body, S.ByBlock):
             out = elab_by(
@@ -362,6 +362,13 @@ def _elab_clause(
         else:
             out = T.LRet(el.check(ctx2, clause.body, goal.ty))
         return _inline_defs(ctx2, ctx, out)
+    except ElabError as err:
+        err.add_goal(_realizing, ctx, goal)
+        raise
+
+
+def _realizing(ctx: Context, goal: V.VLabelTy) -> str:
+    return f"realizing the programming goal {K.show(ctx, goal)}"
 
 
 def elab_by(ctx: Context, by: S.ByBlock, span, goal: V.VLabelTy, depth: int, recurse) -> Term:

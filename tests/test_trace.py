@@ -6,9 +6,10 @@ import os
 
 import pytest
 
-from conftest import CORPUS, GOLDEN, ROOT
+from conftest import CORPUS, GOLDEN, ROOT, load_session
 
 from idt.cli import main, run_repl
+from idt import surface as S
 from idt.elab import ElabError, Elaborator
 
 CORPUS_FILES = sorted(f for f in os.listdir(CORPUS) if f.endswith(".idt"))
@@ -120,26 +121,41 @@ def test_eq_command_trail_after_the_fallback_to_checking():
     ]
 
 
-# --- the goal stack -------------------------------------------------------------------
+# --- trails built on unwind and steps recorded only when tracing ---------------------
 
 
-def test_error_trails_leave_derivation_steps_out():
-    el = Elaborator(trace=True)
-    with el.goal("outer"), el.goal(lambda: "a step", "ElabData"), el.goal(lambda: "inner"):
-        with pytest.raises(ElabError) as e:
-            el.err("CheckMismatch", None, "msg")
-    assert e.value.trail == ["outer", "inner"]
-    assert el.goals == []
-
-
-def test_tracing_records_derivation_steps_only():
+def test_trail_lists_the_goals_the_error_crossed():
+    # checking `zero` was entered and left before 'x failed, and the
+    # derivation step around the call is no goal: neither is in the trail
+    sess = load_session("prelude.idt")
     el = Elaborator(trace=True)
     with el.goal(lambda: "d", "ElabData"):
-        with el.goal("plain"), el.goal(lambda: "c", "ElabConstr"):
-            pass
-        with el.goal(lambda: "e", "ElabEqs"):
-            pass
-    assert el.root.render() == "ElabData: d\n  ElabConstr: c\n  ElabEqs: e"
+        with pytest.raises(ElabError) as e:
+            el.synth(sess.ctx, S.parse_expr("plus zero 'x"))
+    assert e.value.trail == ["synthesizing plus zero 'x", "checking 'x against Nat"]
+    assert el.root.render() == "ElabData: d" and el.steps == []
+
+
+@pytest.mark.parametrize("trace", [False, True], ids=["plain", "traced"])
+def test_step_descriptions_are_called_only_when_tracing(monkeypatch, trace):
+    entered, described = [], []
+    goal = Elaborator.goal
+
+    def probe(self, desc, rule):
+        entered.append(rule)
+
+        def counted():
+            described.append(rule)
+            return desc()
+
+        return goal(self, counted, rule)
+
+    monkeypatch.setattr(Elaborator, "goal", probe)
+    for name in CORPUS_FILES:
+        if name != "bad.idt":
+            load_session(name, trace=trace)
+    assert len(entered) > 100
+    assert described == (entered if trace else [])
 
 
 def test_goals_are_not_formatted_unless_read():
@@ -147,6 +163,8 @@ def test_goals_are_not_formatted_unless_read():
         raise AssertionError("formatted")
 
     el = Elaborator()
-    with el.goal(unformattable, "ElabData"), el.goal(unformattable):
-        pass
-    assert el.root is None
+    with el.goal(unformattable, "ElabData"):
+        with pytest.raises(ElabError) as e:
+            el.err("CheckMismatch", None, unformattable)
+    e.value.add_goal(unformattable)
+    assert el.root is None and e.value.kind == "CheckMismatch"
