@@ -31,6 +31,9 @@ KEYWORDS = {
 }
 
 PUNCT = ["=>", "->", "==", "(", ")", "[", "]", "{", "}", ":", ";", ",", ".", "\\", "=", "*"]
+# a two-character token is tried before the one-character token it starts with
+_PUNCT2 = frozenset(p for p in PUNCT if len(p) == 2)
+_PUNCT1 = frozenset(p for p in PUNCT if len(p) == 1)
 
 
 class Token(Record):
@@ -62,10 +65,12 @@ def lex(src: str) -> list:
             i += 1
             col += 1
             continue
-        if src.startswith("--", i):
-            while i < n and src[i] != "\n":
-                i += 1
-                col += 1
+        if c == "-" and src.startswith("--", i):
+            j = src.find("\n", i)
+            if j < 0:
+                j = n
+            col += j - i
+            i = j
             continue
         l0, c0 = line, col
         if c == "'":
@@ -97,18 +102,18 @@ def lex(src: str) -> list:
             i = j
             push("KW" if text in KEYWORDS else "NAME", text, l0, c0)
             continue
-        for p in PUNCT:
-            if src.startswith(p, i):
-                i += len(p)
-                col += len(p)
-                if p in "([":
-                    depth += 1
-                elif p in ")]":
-                    depth = max(0, depth - 1)
-                push("PUNCT", p, l0, c0)
-                break
-        else:
-            raise ParseError(f"unexpected character {c!r}", (line, col, line, col + 1))
+        p = src[i : i + 2]
+        if p not in _PUNCT2:
+            if c not in _PUNCT1:
+                raise ParseError(f"unexpected character {c!r}", (line, col, line, col + 1))
+            p = c
+            if c == "(" or c == "[":
+                depth += 1
+            elif c == ")" or c == "]":
+                depth = max(0, depth - 1)
+        i += len(p)
+        col += len(p)
+        push("PUNCT", p, l0, c0)
     push("EOF", "", line, col)
     return toks
 

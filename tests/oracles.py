@@ -25,6 +25,11 @@ lambda and the index tuple type are shifted again under the index binders.
 `sub_desc` is the declarative predicate of the decidable-equality
 sub-universe: `generics.derive_eq` accepts exactly the codes it holds of.
 
+`lex_reference` is `surface.lex` as it was before it looked punctuation up
+in sets and skipped a comment with one `str.find`: it tries each `PUNCT`
+entry with `startswith` at every character and walks a comment character
+by character.
+
 `recursive_check` is `kernel.check` with the checking rules of the
 introduction forms `In`, `Pair`, `IdxE` and `Void` as they were before they
 ran as one loop over an explicit stack: each recursing through itself, one
@@ -40,6 +45,7 @@ from typing import Callable, List
 from idt import desc
 from idt import kernel as K
 from idt import labels as L
+from idt import surface as S
 from idt import terms as T
 from idt import values as V
 from idt.elab import ElabError
@@ -520,3 +526,81 @@ _RECURSIVE_RULES = {
     T.IdxE: _check_index,
     T.In: _check_in,
 }
+
+
+# the punctuation tokens in the order `lex_reference` tries them
+_REFERENCE_PUNCT = ["=>", "->", "==", "(", ")", "[", "]", "{", "}", ":", ";", ",", ".", "\\", "=", "*"]
+
+
+def lex_reference(src: str) -> list:
+    toks = []
+    line, col = 1, 1
+    i, n = 0, len(src)
+    depth = 0  # ( ) and [ ] nesting: newlines there are not separators
+
+    def push(kind, text, l0, c0):
+        toks.append(S.Token(kind, text, (l0, c0, line, col)))
+
+    while i < n:
+        c = src[i]
+        if c == "\n":
+            if depth == 0:
+                if toks and toks[-1].kind not in ("SEP",):
+                    push("SEP", "\n", line, col)
+            i += 1
+            line += 1
+            col = 1
+            continue
+        if c in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if src.startswith("--", i):
+            while i < n and src[i] != "\n":
+                i += 1
+                col += 1
+            continue
+        l0, c0 = line, col
+        if c == "'":
+            j = i + 1
+            while j < n and (src[j].isalnum() or src[j] in "_-"):
+                j += 1
+            if j == i + 1:
+                raise S.ParseError("empty tag", (line, col, line, col + 1))
+            text = src[i + 1 : j]
+            col += j - i
+            i = j
+            push("TAG", text, l0, c0)
+            continue
+        if c.isdigit():
+            j = i
+            while j < n and src[j].isdigit():
+                j += 1
+            text = src[i:j]
+            col += j - i
+            i = j
+            push("NUM", text, l0, c0)
+            continue
+        if c.isalpha() or c == "_":
+            j = i
+            while j < n and (src[j].isalnum() or src[j] in "_'"):
+                j += 1
+            text = src[i:j]
+            col += j - i
+            i = j
+            push("KW" if text in S.KEYWORDS else "NAME", text, l0, c0)
+            continue
+        for p in _REFERENCE_PUNCT:
+            if src.startswith(p, i):
+                i += len(p)
+                col += len(p)
+                if p in "([":
+                    depth += 1
+                elif p in ")]":
+                    depth = max(0, depth - 1)
+                push("PUNCT", p, l0, c0)
+                break
+        else:
+            raise S.ParseError(f"unexpected character {c!r}", (line, col, line, col + 1))
+    push("EOF", "", line, col)
+    return toks

@@ -1,10 +1,15 @@
 """Concrete syntax: parsing, printing, spans."""
 
-import pytest
-from hypothesis import given, strategies as st
+import os
+import random
 
-from conftest import read_corpus
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from conftest import CORPUS, read_corpus
 from decl_printer import print_decl, print_file
+from generators import gen_data_decl, gen_let_decl
+from oracles import lex_reference
 
 from idt import surface as S
 
@@ -207,3 +212,65 @@ def test_missing_clause_body_is_a_parse_error_in_both_forms():
             S.parse_file(text)
         assert e.value.msg.startswith("expected '=>' or 'by' in clause, found ")
         assert e.value.span[:2] == at
+
+
+# --- the lexer against its reference ---------------------------------------------------
+
+# fragments that stress the lexer: every punctuation token, prefixes of the
+# two-character ones, comments, tags, non-ASCII letters and digits (`é`,
+# `²`, `½`), tabs, carriage returns, unbalanced brackets and characters no
+# token starts with
+LEX_PIECES = S.PUNCT + [
+    "-", "--", "--\n", "-- note\n", "-- note", "--(", "=>=", "->-", "'", "'a-b", "'x1", "_", "x'", "n1", "é", "²", "½", "٣", "αβ",
+    "7", "42", "0x", "\t", "\r", "\r\n", "\n", " ", "((", "]]", "[(", ")]", "@", "#", "$", "!", "\x00", "~",
+    "Set", "Set1", "data", "where", "let", "by", "case", "rec", "deriving",
+]
+CORPUS_TEXTS = [read_corpus(n) for n in sorted(os.listdir(CORPUS)) if n.endswith(".idt")]
+
+
+def lexed(lex, src: str):
+    """The tokens `lex` gives `src`, or the text and span of its error."""
+    try:
+        return [(t.kind, t.text, t.span) for t in lex(src)]
+    except S.ParseError as e:
+        return ("ParseError", e.msg, e.span, str(e))
+
+
+def assert_lexes_as_reference(src: str):
+    assert lexed(S.lex, src) == lexed(lex_reference, src)
+
+
+@pytest.mark.parametrize("text", CORPUS_TEXTS)
+def test_lex_matches_reference_on_the_corpus(text):
+    assert_lexes_as_reference(text)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_lex_matches_reference_on_edited_corpus_text(data):
+    text = data.draw(st.sampled_from(CORPUS_TEXTS))
+    i = data.draw(st.integers(0, len(text)))
+    j = data.draw(st.integers(i, min(len(text), i + 400)))
+    piece = "".join(data.draw(st.lists(st.sampled_from(LEX_PIECES), max_size=4)))
+    k = data.draw(st.integers(0, j - i))
+    assert_lexes_as_reference(text[i : i + k] + piece + text[i + k : j])
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), edits=st.lists(st.tuples(st.floats(0, 1), st.sampled_from(LEX_PIECES)), max_size=3))
+def test_lex_matches_reference_on_generated_declarations(seed, edits):
+    # files of data and let blocks, as `idt check` is given them
+    rng = random.Random(seed)
+    decls = [gen_data_decl(rng, f"D{k}") if k % 2 else gen_let_decl(rng, f"f{k}") for k in range(rng.randint(1, 4))]
+    text = print_file(decls)
+    assert_lexes_as_reference(text)
+    for at, piece in edits:
+        cut = int(at * len(text))
+        text = text[:cut] + piece + text[cut:]
+    assert_lexes_as_reference(text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(LEX_PIECES), max_size=30).map("".join) | st.text(max_size=60))
+def test_lex_matches_reference_on_awkward_text(src):
+    assert_lexes_as_reference(src)
