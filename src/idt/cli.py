@@ -1,7 +1,8 @@
 """Driver: file checking, the declaration pipeline, evaluation and the REPL.
 
-A `Session` keeps what it declares only in its context. `:eq` compares two
-closed values of a datatype with a derived `Eq` by conversion.
+A `Session` keeps what it declares only in its context, and takes the value
+of every elaborated term from the kernel's re-check (`Session._value`). `:eq`
+compares two closed values of a datatype with a derived `Eq` by conversion.
 
 `main` may be called any number of times in one process; it builds its
 command-line parser at the first call and reuses it after that.
@@ -43,8 +44,7 @@ class Session:
         self.out.append(line)
 
     def load_text(self, text: str):
-        decls = S.parse_file(text)
-        for d in decls:
+        for d in S.parse_file(text):
             self.process_decl(d)
 
     def process_decl(self, d):
@@ -55,50 +55,40 @@ class Session:
 
     def _declare_data(self, d: S.DataDecl):
         res = D.elab_data(self.ctx, d, trace=self.trace)
-        tyv = self._recheck(res.definiens, res.ty, d.span)
-        value = self.ctx.eval(res.definiens)
-        if isinstance(value, V.VIMu) and res.closed:
+        tyv, value = self._declared(res.definiens, res.ty, d.span)
+        if isinstance(value, V.VIMu) and V.closed_family(value.fam):
             # a closed family: the value closes over its normal form, the
             # term that `by` blocks over the datatype share
             value = self.ctx.eval(self.ctx.quote(value))
         self.ctx = self.ctx.extend(res.name, tyv, value)
-        if self.show_codes:
-            self.emit(self._code_dump(res))
+        if self.show_codes or d.deriving:
+            # the code, in the context extended with the parameters and
+            # indices: the type and the value opened at the same variables
+            tel, ty, applied = self.ctx, tyv, value
+            for nm in res.tel_names[1:]:
+                assert isinstance(ty, V.VPi)
+                tel = tel.extend(nm, ty.dom)
+                x = V.fresh(tel.depth - 1)
+                ty, applied = ty.cod(x), V.vapp(applied, x)
+            assert isinstance(applied, V.VIMu)
+            code = V.vapp(applied.fam, applied.index)
+            if self.show_codes:
+                binders = "".join(
+                    f" ({nm})" if i < res.n_params else f" [{nm}]" for i, nm in enumerate(res.tel_names[1:])
+                )
+                self.emit(f"{res.name}{binders} = {desc.print_code(tel, code, unindexed=res.n_indices == 0)}")
         if self.trace and res.trace is not None:
             self.emit(res.trace.render())
         for prop in d.deriving:
-            self._derive(d, res, prop)
+            self._derive(d, res, prop, code)
 
-    def _opened_code(self, res: D.DataResult):
-        """The context extended with the parameters and indices of `res`'s
-        datatype, and its code there: the datatype's type and its value are
-        opened at the same fresh variables."""
-        _, entry = self.ctx.lookup(res.name)
-        tel, tyv, applied = self.ctx, entry.ty, entry.val
-        for nm in res.tel_names[1:]:
-            assert isinstance(tyv, V.VPi)
-            tel = tel.extend(nm, tyv.dom)
-            x = V.fresh(tel.depth - 1)
-            tyv, applied = tyv.cod(x), V.vapp(applied, x)
-        assert isinstance(applied, V.VIMu)
-        return tel, V.vapp(applied.fam, applied.index)
-
-    def _code_dump(self, res: D.DataResult) -> str:
-        tel, code = self._opened_code(res)
-        binders = "".join(
-            f" ({nm})" if i < res.n_params else f" [{nm}]"
-            for i, nm in enumerate(res.tel_names[1:])
-        )
-        return f"{res.name}{binders} = {desc.print_code(tel, code, unindexed=res.n_indices == 0)}"
-
-    def _derive(self, d: S.DataDecl, res: D.DataResult, prop: str):
+    def _derive(self, d: S.DataDecl, res: D.DataResult, prop: str, code: V.Value):
         if res.n_indices > 0:
             raise ElabError(
                 "DerivingUnsupported",
                 d.span,
                 f"deriving {prop} is restricted to datatypes without indices",
             )
-        _, code = self._opened_code(res)
         try:
             self.registry.derive_for(prop, code)
         except G.GenericsError as e:
@@ -111,21 +101,25 @@ class Session:
         if self.ctx.lookup(d.name) is not None:
             raise ElabError("DuplicateName", d.span, f"'{d.name}' is already defined")
         definiens, tyt = L.elab_define(self.ctx, d)
-        tyv = self._recheck(definiens, tyt, d.span)
-        self.ctx = self.ctx.extend(d.name, tyv, self.ctx.eval(definiens))
+        tyv, value = self._declared(definiens, tyt, d.span)
+        self.ctx = self.ctx.extend(d.name, tyv, value)
 
-    def _recheck(self, definiens: T.Term, ty: T.Term, span) -> V.Value:
-        """The value of a declaration's type `ty` once the kernel has checked
-        it and, when re-checking, `definiens` against it. A kernel error is
-        located at the declaration, `span`."""
+    def _declared(self, definiens: T.Term, ty: T.Term, span) -> tuple:
+        """The values of a declaration's type `ty`, once the kernel has
+        checked it, and of `definiens` at it. A kernel error is located at
+        the declaration, `span`."""
         try:
             tyv = K.check_entry_type(self.ctx, ty)
-            if self.recheck:
-                K.check(self.ctx, definiens, tyv)
+            return tyv, self._value(definiens, tyv)
         except KernelError as e:
             e.span = span
             raise
-        return tyv
+
+    def _value(self, t: T.Term, ty: V.Value) -> V.Value:
+        """The value of the elaborated term `t` of type `ty`. When
+        re-checking, it is the one the kernel's check of `t` builds from the
+        values of what it checked; under `--no-recheck`, `t` is evaluated."""
+        return K.check_value(self.ctx, t, ty) if self.recheck else self.ctx.eval(t)
 
     # -- evaluation -------------------------------------------------------------
 
@@ -137,9 +131,7 @@ class Session:
 
     def eval_expr(self, text: str) -> str:
         t, ty = Elaborator().synth(self.ctx, S.parse_expr(text))
-        # the re-check builds the value from the values of what it checked
-        value = K.check_value(self.ctx, t, ty) if self.recheck else None
-        return self.render_term(t, ty, value)
+        return self.render_term(self._value(t, ty), ty)
 
     def type_of(self, text: str) -> str:
         _, ty = self.synth_expr(text)
@@ -149,11 +141,10 @@ class Session:
         """`v` read back for display, naming the context's definitions."""
         return self.ctx.quote(v)
 
-    def render_term(self, t: T.Term, ty: Optional[V.Value] = None, value: Optional[V.Value] = None) -> str:
-        """The value of `t` (`value`, when the caller has it): a numeral or
-        a tag when it is one, else its normal form, printed with the
-        context's definitions named."""
-        v = self.ctx.eval(t) if value is None else value
+    def render_term(self, v: V.Value, ty: V.Value) -> str:
+        """The value `v` of type `ty`: a numeral or a tag when it is one,
+        else its normal form, printed with the context's definitions
+        named."""
         n = self._as_numeral(v, ty)
         if n is not None:
             return str(n)
@@ -164,7 +155,7 @@ class Session:
                 return f"'{tags[k]}"
         return pp.print_term(self.resugar(v), self.ctx.names())
 
-    def _as_numeral(self, v: V.Value, ty: Optional[V.Value]) -> Optional[int]:
+    def _as_numeral(self, v: V.Value, ty: V.Value) -> Optional[int]:
         """The decimal literal that elaborates to `v`, a canonical value of
         a datatype whose `zero` and `suc` the elaborator's numerals build."""
         paths = _nat_paths(ty) if isinstance(v, V.VIn) else None
@@ -203,7 +194,7 @@ class Session:
                 raise ElabError("CannotSynthesize", None, "cannot determine a type; annotate with (e : T)")
             raise ElabError("DerivingUnsupported", None, "no derived equality registered for this type")
         tm2 = el.check(self.ctx, e2, ty)
-        a, b = self.ctx.eval(tm1), self.ctx.eval(tm2)
+        a, b = self._value(tm1, ty), self._value(tm2, ty)
         return "equal" if K.conv(self.ctx, a, b) else "not-equal"
 
 
@@ -391,8 +382,7 @@ def _run(ns) -> int:
             return run_check(ns.files, True, ns.emit_trace, not ns.no_recheck)
         if ns.cmd == "eval":
             return run_eval(ns.files, ns.expr)
-        if ns.cmd == "repl":
-            return run_repl(ns.files)
+        return run_repl(ns.files)  # argparse requires one of the four commands
     except RecursionError:
         # internal limits, not errors in the program: exit 3
         print(_report("idt", "input nested too deeply for the Python stack"))
@@ -407,7 +397,6 @@ def _run(ns) -> int:
         detail = str(e).split("\n", 1)[0] or "assertion failed"
         print(_report("idt", f"internal invariant violated: {detail}"))
         return 3
-    return 2
 
 
 if __name__ == "__main__":

@@ -24,7 +24,6 @@ that `--emit-trace` prints, and any other enters them as a no-op.
 
 from __future__ import annotations
 
-import math
 from typing import List, Optional, Tuple
 
 from . import kernel as K
@@ -40,11 +39,10 @@ from .values import Value
 
 
 class DataResult:
-    def __init__(self, name: str, definiens: Term, closed: bool, ty: Term, n_params: int, n_indices: int,
+    def __init__(self, name: str, definiens: Term, ty: Term, n_params: int, n_indices: int,
                  tel_names: list, trace: Optional[TraceNode]):
         self.name = name
         self.definiens = definiens  # at the outer context
-        self.closed = closed  # whether its family reads no variable but its own binder
         self.ty = ty
         self.n_params = n_params
         self.n_indices = n_indices
@@ -351,11 +349,9 @@ def elab_data(ctx: Context, decl: S.DataDecl, trace: bool = False) -> DataResult
         de = DataElab(el, n0)
         code = de.elab_data_patts(tel_ctx, decl.clauses, goal)
 
-        definiens, closed = _build_definiens(decl, p_tys, i_tys, code, k, m)
         return DataResult(
             name=decl.name,
-            definiens=definiens,
-            closed=closed,
+            definiens=_build_definiens(decl, p_tys, i_tys, code, k, m),
             ty=d_ty,
             n_params=k,
             n_indices=m,
@@ -364,9 +360,10 @@ def elab_data(ctx: Context, decl: S.DataDecl, trace: bool = False) -> DataResult
         )
 
 
-def _build_definiens(decl, p_tys, i_tys, code, k: int, m: int) -> tuple:
-    """(The datatype's definiens, whether its family reads no variable but
-    its own binder `j`)."""
+def _build_definiens(decl, p_tys, i_tys, code, k: int, m: int) -> Term:
+    """The datatype's definiens: under its parameters and indices, the
+    fix-point of its family, a function of its own binder `j`, at the
+    tuple of the indices."""
     # index tuple type at [ctx, params, indices]; each index type sits one
     # binder below them, there and as a type of the label's arguments. An
     # index type mentions no earlier index (`elab_data` rejects that), so it
@@ -375,15 +372,11 @@ def _build_definiens(decl, p_tys, i_tys, code, k: int, m: int) -> tuple:
     idx_ty: Term = T.Unit()
     for tyt in i_tys_j:
         idx_ty = T.Sigma("_", idx_ty, tyt)
-    # under j, the label reads the parameters, and the index types what
-    # they mention
-    reads_outer = k > 0 or any(T.occurs(tyt, 0, math.inf) for tyt in i_tys)
 
     # code lives at [ctx, D, params, indices]; move it to [ctx, params, indices, j]
     # in the one walk over it, an index becoming its projection of j.
     # `DataElab._positivity` has kept D (at m + k) out of it
     def remap(u: Term, d: int) -> Optional[Term]:
-        nonlocal reads_outer
         if type(u) is not T.Var:
             return None
         old = u.ix - d
@@ -394,7 +387,6 @@ def _build_definiens(decl, p_tys, i_tys, code, k: int, m: int) -> tuple:
             for _ in range(old):
                 t = T.Fst(t)
             return T.Snd(t)
-        reads_outer = True
         return T.Var(u.ix + 1) if old < m + k else u
 
     code_r = T.map_term(code, remap)
@@ -424,4 +416,4 @@ def _build_definiens(decl, p_tys, i_tys, code, k: int, m: int) -> tuple:
         out = T.Lam(decl.indices[pos][0], out)
     for pos in reversed(range(k)):
         out = T.Lam(decl.params[pos][0], out)
-    return out, not reads_outer
+    return out

@@ -296,7 +296,7 @@ def _family_term(ctx: Context, fam: Value) -> Term:
     no variable but its binder, the eliminator shares it instead of reading
     it back: the kernel then finds the two families equal without opening
     them."""
-    if type(fam) is V.VLam and type(fam.body) is V.Clo and V.own_binder_only(fam.body):
+    if V.closed_family(fam):
         return T.Lam(fam.nm, fam.body.term)
     return ctx.quote(fam)
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 from typing import Optional, Union
 
 from .record import Record, field
+from .terms import valid_tag
 
 
 Span = tuple  # (line, col, end_line, end_col), 1-based
@@ -84,9 +85,9 @@ def lex(src: str) -> list:
             i = j
             push("TAG", text, l0, c0)
             continue
-        if c.isdigit():
+        if "0" <= c <= "9":  # a numeral is ASCII digits; a name may hold any `isalnum`
             j = i
-            while j < n and src[j].isdigit():
+            while j < n and "0" <= src[j] <= "9":
                 j += 1
             text = src[i:j]
             col += j - i
@@ -345,6 +346,15 @@ class Parser:
             raise ParseError(f"expected a name, found {t.text!r}", t.span, ["NAME"])
         return self.next()
 
+    def tag(self) -> str:
+        """A TAG, or a NAME where only a tag can stand, of core tag characters."""
+        t = self.peek()
+        if t.kind != "TAG" and t.kind != "NAME":
+            raise ParseError("expected a tag", t.span, ["TAG"])
+        if not valid_tag(t.text):
+            raise ParseError(f"invalid tag name {t.text!r}", t.span)
+        return self.next().text
+
     # -- expressions --
 
     def expr(self) -> ExtTerm:
@@ -442,8 +452,7 @@ class Parser:
             self.next()
             return EVar(t.text, span=t.span)
         if t.kind == "TAG":
-            self.next()
-            return ETag(t.text, span=t.span)
+            return ETag(self.tag(), span=t.span)
         if t.kind == "NUM":
             self.next()
             return ENum(int(t.text), span=t.span)
@@ -485,11 +494,7 @@ class Parser:
             if not self.at_punct("}"):
                 while True:
                     self.skip_seps()
-                    tt = self.peek()
-                    if tt.kind == "TAG" or tt.kind == "NAME":
-                        tags.append(self.next().text)
-                    else:
-                        raise ParseError("expected a tag", tt.span, ["TAG"])
+                    tags.append(self.tag())
                     self.skip_seps()
                     if self.at_punct(","):
                         self.next()
@@ -503,11 +508,7 @@ class Parser:
             alts = []
             if not self.at_punct("]"):
                 while True:
-                    tt = self.peek()
-                    if tt.kind in ("TAG", "NAME"):
-                        tag = self.next().text
-                    else:
-                        raise ParseError("expected a tag", tt.span, ["TAG"])
+                    tag = self.tag()
                     self.expect_punct("->")
                     e = self.expr()
                     alts.append((tag, e))

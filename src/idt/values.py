@@ -325,6 +325,11 @@ def own_binder_only(clo: Clo) -> bool:
         return not got
 
 
+def closed_family(fam: Value) -> bool:
+    """Whether the family `fam` is a lambda that reads only its own binder."""
+    return type(fam) is VLam and type(fam.body) is Clo and own_binder_only(fam.body)
+
+
 def vapps(f: Value, *args: Value) -> Value:
     for a in args:
         f = vapp(f, a)
@@ -865,28 +870,37 @@ def convertible(a: Value, b: Value, d: int) -> bool:
     term equality ignores (binder names, the `ixty` of `IMu` and `IInduction`
     and the argument types of labels, description labels included) and keeps
     readback's one eta rule: at index type `Unit`, every index of `IMu` reads
-    back as void.
+    back as void. The second components of pairs wait on a list while the
+    first ones (`suc`'s recursive argument) are compared, so that depth costs
+    no Python stack.
     """
-    while a is not b:
-        cls = type(a)
-        if cls is not type(b):
-            return False
-        if cls is VIn:
-            a, b = a.payload, b.payload
-        elif cls is VPair:
-            if not convertible(a.fst, b.fst, d):
+    pending = None  # made at the first pair: most calls meet none
+    while True:
+        while a is not b:
+            cls = type(a)
+            if cls is not type(b):
                 return False
-            a, b = a.snd, b.snd
-        elif cls is VStuck and a.kind in _CHAINED:
-            if not _conv_stuck(a, b, d, 1):
-                return False
-            a, b = a.fields[0], b.fields[0]
-        else:
-            rule = _CONV_RULES.get(cls)
-            if rule is None:
-                raise EvalError(f"cannot compare {cls.__name__}")
-            return rule(a, b, d)
-    return True
+            if cls is VIn:
+                a, b = a.payload, b.payload
+            elif cls is VPair:
+                if pending is None:
+                    pending = []
+                pending.append((a.snd, b.snd))
+                a, b = a.fst, b.fst
+            elif cls is VStuck and a.kind in _CHAINED:
+                if not _conv_stuck(a, b, d, 1):
+                    return False
+                a, b = a.fields[0], b.fields[0]
+            else:
+                rule = _CONV_RULES.get(cls)
+                if rule is None:
+                    raise EvalError(f"cannot compare {cls.__name__}")
+                if not rule(a, b, d):
+                    return False
+                break
+        if not pending:
+            return True
+        a, b = pending.pop()
 
 
 def _conv_clo(f, g, d: int) -> bool:

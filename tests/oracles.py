@@ -572,9 +572,9 @@ def lex_reference(src: str) -> list:
             i = j
             push("TAG", text, l0, c0)
             continue
-        if c.isdigit():
+        if "0" <= c <= "9":
             j = i
-            while j < n and src[j].isdigit():
+            while j < n and "0" <= src[j] <= "9":
                 j += 1
             text = src[i:j]
             col += j - i

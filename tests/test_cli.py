@@ -11,7 +11,10 @@ import pytest
 from conftest import GOLDEN, ROOT, context_valid, corpus_path, load_session, read_corpus
 
 from idt import cli
+from idt import surface as S
+from idt import terms as T
 from idt.cli import Session, main, run_check, run_eval, run_repl
+from idt.elab import Elaborator
 
 
 def run_main(argv):
@@ -581,6 +584,82 @@ def test_located_error_over_a_computed_index(tmp_path, src, msg):
 def test_eval_parse_error_exit_two():
     code, out = run_main(["eval", "-e", "plus (", corpus_path("prelude.idt")])
     assert (code, out) == (2, "<expr>:1:7: error: unexpected token ''\n")
+
+
+# characters that the front end reads but the core does not allow: a digit
+# other than 0-9 and a tag outside the core's tag alphabet are located parse
+# errors, not a traceback or a broken invariant
+@pytest.mark.parametrize(
+    "expr, msg",
+    [
+        ("\u00b2", "1:1: error: unexpected character '\u00b2'"),
+        ("\u0663", "1:1: error: unexpected character '\u0663'"),
+        ("'\u00e9", "1:1: error: invalid tag name '\u00e9'"),
+        ("('x : Enum {x'})", "1:13: error: invalid tag name \"x'\""),
+        ("([\u00e9 -> zero] : Nat)", "1:3: error: invalid tag name '\u00e9'"),
+    ],
+    ids=["superscript-two", "arabic-indic-three", "non-ascii-tag", "primed-name-as-tag", "non-ascii-alternative"],
+)
+def test_characters_outside_the_core_are_parse_errors(expr, msg):
+    assert run_main(["eval", "-e", expr, corpus_path("prelude.idt")]) == (2, f"<expr>:{msg}\n")
+
+
+@pytest.mark.parametrize(
+    "src, msg",
+    [
+        ("let x : Nat => \u00b2\n", "1:16: error: unexpected character '\u00b2'"),
+        ("let C : Set => Enum {\u00e9}\n", "1:22: error: invalid tag name '\u00e9'"),
+    ],
+    ids=["superscript-two", "non-ascii-tag"],
+)
+def test_characters_outside_the_core_in_a_checked_file(tmp_path, src, msg):
+    p = tmp_path / "d.idt"
+    p.write_text(src, encoding="utf-8")
+    assert run_main(["check", corpus_path("prelude.idt"), str(p)]) == (2, f"{p}:{msg}\n")
+
+
+def test_recursive_call_of_another_arity_matches_no_hypothesis(tmp_path):
+    # `f k` drops `m`, so the one hypothesis `f` has, of arity two, is passed over
+    p = tmp_path / "d.idt"
+    p.write_text(
+        "let f (n : Nat) (m : Nat) : Nat where\n  f n m by rec n {\n"
+        "    f zero m => zero\n    f (suc k) m => f k\n  }\n",
+        encoding="utf-8",
+    )
+    code, out = run_main(["check", corpus_path("prelude.idt"), str(p)])
+    assert code == 1
+    assert out.splitlines()[0] == (
+        f"{p}: error: 4:20: NoMatchingHypothesis: recursive call to 'f' does not match any "
+        "hypothesis in scope (no hypothesis with this arity)"
+    )
+
+
+def repl_answers(cmds: str, *files: str) -> list:
+    buf = io.StringIO()
+    assert run_repl([corpus_path("prelude.idt"), *files], stdin=io.StringIO(cmds), stdout=buf) == 0
+    return buf.getvalue().splitlines()[1:]
+
+
+def test_eq_of_deep_numerals_answers():
+    # the operands' values come from the kernel's check of the literals, and
+    # conversion walks them, both without Python stack per level
+    assert repl_answers(":eq 20000 20000\n:eq 100000 100000\n:eq 20000 19999\n") == [
+        "equal",
+        "equal",
+        "not-equal",
+    ]
+
+
+def test_eq_rechecks_its_operands(monkeypatch):
+    # an elaborator that builds an ill-typed second operand: the kernel's
+    # check of it reports the error, where a verdict would hide it
+    check = Elaborator.check
+
+    def broken(self, ctx, e, want):
+        return T.Tag("a") if e == S.ENum(2) else check(self, ctx, e, want)
+
+    monkeypatch.setattr(Elaborator, "check", broken)
+    assert repl_answers(":eq (1 : Nat) 2\n") == ["<repl>: error: TypeMismatch: expected Nat, got UId"]
 
 
 def test_repl_skips_blank_lines_and_pins_eq_usage():

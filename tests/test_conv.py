@@ -2,6 +2,7 @@
 
 import io
 import os
+import sys
 from collections import Counter
 
 import pytest
@@ -68,6 +69,25 @@ def test_a_long_application_chain_reads_back_and_converts_without_stack():
     assert t == T.Var(0)
     assert V.convertible(a, b, 1)
     assert not V.convertible(a, longer, 1) and not V.convertible(longer, a, 1)
+
+
+def numeral(n: int, bottom: int = 0):
+    """The value of the numeral `n` of the prelude's `Nat`, with the tag
+    `bottom` in place of `zero`'s."""
+    v = V.VIn(V.VPair(V.VIdxE(bottom), V.VVoid()))
+    for _ in range(n):
+        v = V.VIn(V.VPair(V.VIdxE(1), V.VPair(v, V.VVoid())))
+    return v
+
+
+def test_deep_numerals_convert_without_stack():
+    # `suc`'s recursive argument is the first component of a pair, deeper
+    # than the recursion limit allows a frame per level
+    n = 100000
+    assert n > sys.getrecursionlimit()
+    a, b, other = numeral(n), numeral(n), numeral(n, bottom=2)
+    assert V.convertible(a, b, 0)
+    assert not V.convertible(a, other, 0) and not V.convertible(other, a, 0)
 
 
 @pytest.mark.parametrize("name", sorted(f for f in os.listdir(CORPUS) if f.endswith(".idt")))

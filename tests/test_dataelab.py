@@ -1,7 +1,6 @@
 """Elaboration of inductive definitions: the worked-example codes, the
 judgments, positivity, and randomized soundness."""
 
-import math
 import os
 import random
 from collections import Counter
@@ -418,18 +417,13 @@ def test_definiens_matches_the_two_pass_construction(prelude, seed):
 
     def spy(decl, p_tys, i_tys, code, k, m):
         out = build(decl, p_tys, i_tys, code, k, m)
-        seen.append((definiens_two_pass(decl, p_tys, i_tys, code, k, m), out, k + m))
+        seen.append((definiens_two_pass(decl, p_tys, i_tys, code, k, m), out))
         return out
 
     with mock.patch.object(D, "_build_definiens", spy):
         D.elab_data(prelude.ctx, gen_data_decl(random.Random(seed), "G"))
-    ((want, (got, closed), n),) = seen
+    ((want, got),) = seen
     assert repr(got) == repr(want)
-    # the walk that moves the code reports whether the family reads a
-    # variable other than its own binder, as a scan of the family finds
-    for _ in range(n):
-        want = want.body
-    assert closed == (not T.occurs(want.fam.body, 1, math.inf))
 
 
 # --- trace ------------------------------------------------------------------------------

@@ -201,6 +201,12 @@ def outcome(f) -> str:
         return f"{type(err).__name__}: {err}"
 
 
+def evaluated(sess, text: str) -> str:
+    """The evaluation of `text`'s elaborated term, printed as `eval` prints."""
+    t, ty = sess.synth_expr(text)
+    return sess.render_term(sess.ctx.eval(t), ty)
+
+
 @pytest.fixture(scope="module")
 def pred_session():
     s = load_session("prelude.idt")
@@ -219,7 +225,7 @@ def test_values_from_the_recheck_print_as_evaluation(pred_session, seed, depth):
     sess = pred_session
     text = gen_expr(random.Random(seed), depth)
     got = outcome(lambda: sess.eval_expr(text))
-    assert got == outcome(lambda: sess.render_term(*sess.synth_expr(text)))
+    assert got == outcome(lambda: evaluated(sess, text))
     assert got == outcome(lambda: Session(recheck=False, ctx=sess.ctx).eval_expr(text))
     typed = outcome(lambda: sess.type_of(text))
     with pytest.MonkeyPatch.context() as mp:
